@@ -261,6 +261,40 @@ func BenchmarkGreens(b *testing.B) {
 	})
 }
 
+// BenchmarkSynthesize measures Phase C at the paper's geometry: one
+// Mw 8.5 rupture (the middle of the generator's range) synthesized
+// into GNSS waveforms at all 121 stations from the 20 km mesh's
+// kernels (500 subfaults × 512 samples), noise included.
+func BenchmarkSynthesize(b *testing.B) {
+	cfg := geom.DefaultChileFault()
+	cfg.SubfaultKm = 20
+	fault, err := geom.BuildFault(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stations := geom.FullChileanStations()
+	dist := fakequakes.ComputeDistanceMatrices(fault, stations)
+	gen, err := fakequakes.NewGenerator(fault, dist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen.Kern = fakequakes.VonKarmanApprox
+	r, err := gen.GenerateMw("bench", 8.5, sim.NewRNG(11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := fakequakes.ComputeGreens(fault, stations, dist, fakequakes.DefaultGFConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fakequakes.SynthesizeWaveforms(r, g, fakequakes.DefaultNoise(), sim.NewRNG(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorkflow16k measures one full-scale 16,000-waveform DAGMan
 // on the simulated pool — the unit of the paper's §4.2 experiment —
 // to document simulator throughput (simulated hours per wall second).

@@ -68,6 +68,7 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 	n := f.NumSubfaults()
 	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: n}
 	g.Kernel = make([][][3][]float64, len(stations))
+	tab := newSampleTables(cfg)
 	// Stations are independent: fan the outer loop across the cores
 	// (this is the per-node parallelism the real phase B gets from MPI).
 	var wg sync.WaitGroup
@@ -77,61 +78,92 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 		sem <- struct{}{}
 		go func(s int) {
 			defer func() { <-sem; wg.Done() }()
-			g.computeStation(f, d, s)
+			g.computeStation(f, d, &tab, s)
 		}(s)
 	}
 	wg.Wait()
 	return g, nil
 }
 
-// computeStation fills the kernels for one station.
-func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, s int) {
-	cfg := g.Cfg
-	n := g.NSub
-	stations := g.Stations
-	{
-		g.Kernel[s] = make([][3][]float64, n)
-		for sf := 0; sf < n; sf++ {
-			sub := &f.Subfaults[sf]
-			repi := d.Station.At(s, sf)
-			rhyp := math.Sqrt(repi*repi + sub.DepthKm*sub.DepthKm)
-			// A point-source kernel diverges as r → 0; clamp to the
-			// subfault dimension (the finite-source near-field limit).
-			if minR := sub.LengthKm; rhyp < minR {
-				rhyp = minR
+// sampleTables holds the per-sample factors every kernel shares,
+// indexed by j = t − arr, the samples since the S arrival: the ramp
+// p[j] = min(1, j/ramp), the transient argument x[j] = j·Dt/6, and its
+// decay e[j] = exp(−x[j]). They depend only on GFConfig, so
+// ComputeGreens builds them once per call instead of evaluating
+// math.Exp once per (station, subfault, component, sample).
+type sampleTables struct{ p, x, e []float64 }
+
+func newSampleTables(cfg GFConfig) sampleTables {
+	ramp := int(math.Max(2, 4/cfg.Dt)) // ~4 s ramp to the static level
+	tab := sampleTables{
+		p: make([]float64, cfg.Nsamples),
+		x: make([]float64, cfg.Nsamples),
+		e: make([]float64, cfg.Nsamples),
+	}
+	for j := range tab.p {
+		p := float64(j) / float64(ramp)
+		if p > 1 {
+			p = 1
+		}
+		tab.p[j] = p
+		tab.x[j] = float64(j) * cfg.Dt / 6.0
+		tab.e[j] = math.Exp(-tab.x[j])
+	}
+	return tab
+}
+
+// computeStation fills the kernels for one station. Its n·3 kernels
+// are carved from one zeroed slab, so a station costs two allocations,
+// not one per kernel. Each sample is the original per-sample expression
+// with the loop invariants hoisted and nothing re-associated —
+// (staticAmp·rad[c])·p[j], then + ((dynAmp·rad[c])·x[j])·e[j] — so every
+// float64 keeps its exact bits (reference_test.go holds the original).
+func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab *sampleTables, s int) {
+	ns := g.Cfg.Nsamples
+	slab := make([]float64, g.NSub*3*ns)
+	kernels := make([][3][]float64, g.NSub)
+	for sf := range kernels {
+		sub := &f.Subfaults[sf]
+		repi := d.Station.At(s, sf)
+		rhyp := math.Sqrt(repi*repi + sub.DepthKm*sub.DepthKm)
+		// A point-source kernel diverges as r → 0; clamp to the
+		// subfault dimension (the finite-source near-field limit).
+		if minR := sub.LengthKm; rhyp < minR {
+			rhyp = minR
+		}
+		// Radiation-pattern-like azimuthal weights from geometry.
+		az := azimuthDeg(g.Stations[s].Pos, sub.Center)
+		rad := radiation(az, sub.StrikeDeg, sub.DipDeg)
+		tS := rhyp / g.Cfg.VsKmS
+
+		// Static offsets (m of displacement per m of slip): the
+		// far-field Okada scale u ≈ slip·A/(4π r²), with A the
+		// subfault area — dm-level offsets at 100 km for Mw 8.
+		staticAmp := sub.AreaKm2() / (4 * math.Pi * rhyp * rhyp)
+		// Dynamic peak decays as 1/r and is ~2× the static level
+		// in the near field.
+		dynAmp := 0.0015 * sub.AreaKm2() / rhyp
+		arr := int(tS / g.Cfg.Dt)
+
+		for c := 0; c < 3; c++ {
+			off := (sf*3 + c) * ns
+			k := slab[off : off+ns : off+ns]
+			kernels[sf][c] = k
+			if arr >= ns {
+				continue // arrives after the last sample: all zeros
 			}
-			// Radiation-pattern-like azimuthal weights from geometry.
-			az := azimuthDeg(stations[s].Pos, sub.Center)
-			rad := radiation(az, sub.StrikeDeg, sub.DipDeg)
-			tS := rhyp / cfg.VsKmS
-
-			// Static offsets (m of displacement per m of slip): the
-			// far-field Okada scale u ≈ slip·A/(4π r²), with A the
-			// subfault area — dm-level offsets at 100 km for Mw 8.
-			staticAmp := sub.AreaKm2() / (4 * math.Pi * rhyp * rhyp)
-			// Dynamic peak decays as 1/r and is ~2× the static level
-			// in the near field.
-			dynAmp := 0.0015 * sub.AreaKm2() / rhyp
-
-			for c := 0; c < 3; c++ {
-				k := make([]float64, cfg.Nsamples)
-				arr := int(tS / cfg.Dt)
-				ramp := int(math.Max(2, 4/cfg.Dt)) // ~4 s ramp to the static level
-				for t := arr; t < cfg.Nsamples; t++ {
-					// Ramp to static offset.
-					p := float64(t-arr) / float64(ramp)
-					if p > 1 {
-						p = 1
-					}
-					k[t] = staticAmp * rad[c] * p
-					// Transient pulse riding on the ramp.
-					x := float64(t-arr) * cfg.Dt / 6.0
-					k[t] += dynAmp * rad[c] * x * math.Exp(-x)
-				}
-				g.Kernel[s][sf][c] = k
+			sa, da := staticAmp*rad[c], dynAmp*rad[c]
+			k = k[arr:]
+			p, x, e := tab.p[:len(k)], tab.x[:len(k)], tab.e[:len(k)]
+			for j := range k {
+				// Ramp to static offset, then the transient pulse
+				// riding on the ramp.
+				k[j] = sa * p[j]
+				k[j] += da * x[j] * e[j]
 			}
 		}
 	}
+	g.Kernel[s] = kernels
 }
 
 // azimuthDeg returns the azimuth from src toward sta, degrees from north.

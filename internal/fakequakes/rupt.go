@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -59,7 +60,10 @@ func WriteRupt(w io.Writer, f *geom.Fault, r *Rupture) error {
 // ReadRupt decodes a .rupt stream written by WriteRupt (or by MudPy,
 // for files with the same column layout). It reconstructs the rupture
 // patch from the rows with non-zero total slip; the fault provides the
-// subfault count for validation.
+// subfault count for validation. A repeated subfault row, a non-finite
+// slip, rise or rupture time, or a negative rise or rupture time is an
+// error naming the line and column: SynthesizeWaveforms would reject
+// the patch anyway, and naming the line is what lets a user fix it.
 func ReadRupt(rd io.Reader, f *geom.Fault) (*Rupture, error) {
 	if f == nil {
 		return nil, fmt.Errorf("fakequakes: nil fault")
@@ -69,6 +73,7 @@ func ReadRupt(rd io.Reader, f *geom.Fault) (*Rupture, error) {
 	r := &Rupture{ID: "rupt"}
 	lineNo := 0
 	rows := 0
+	firstLine := make([]int, f.NumSubfaults()) // subfault → its row's line
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -110,12 +115,26 @@ func ReadRupt(rd io.Reader, f *geom.Fault) (*Rupture, error) {
 		if idx >= f.NumSubfaults() {
 			return nil, fmt.Errorf("fakequakes: .rupt line %d: subfault %d outside fault of %d", lineNo, no, f.NumSubfaults())
 		}
+		if prev := firstLine[idx]; prev != 0 {
+			return nil, fmt.Errorf("fakequakes: .rupt line %d column 1: subfault %d repeats line %d", lineNo, no, prev)
+		}
+		firstLine[idx] = lineNo
 		num := func(col int) (float64, error) {
 			v, err := strconv.ParseFloat(fields[col], 64)
 			if err != nil {
 				return 0, fmt.Errorf("fakequakes: .rupt line %d column %d: %v", lineNo, col+1, err)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("fakequakes: .rupt line %d column %d: non-finite value %q", lineNo, col+1, fields[col])
+			}
 			return v, nil
+		}
+		nonNegative := func(col int) (float64, error) {
+			v, err := num(col)
+			if err == nil && v < 0 {
+				err = fmt.Errorf("fakequakes: .rupt line %d column %d: negative time %v s", lineNo, col+1, v)
+			}
+			return v, err
 		}
 		ss, err := num(8)
 		if err != nil {
@@ -125,16 +144,19 @@ func ReadRupt(rd io.Reader, f *geom.Fault) (*Rupture, error) {
 		if err != nil {
 			return nil, err
 		}
-		rise, err := num(6)
+		rise, err := nonNegative(6)
 		if err != nil {
 			return nil, err
 		}
-		onset, err := num(10)
+		onset, err := nonNegative(10)
 		if err != nil {
 			return nil, err
 		}
 		rows++
 		slip := ss + ds
+		if math.IsInf(slip, 0) {
+			return nil, fmt.Errorf("fakequakes: .rupt line %d columns 9-10: total slip overflows", lineNo)
+		}
 		if slip == 0 {
 			continue
 		}

@@ -2,6 +2,7 @@ package fakequakes
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -95,6 +96,54 @@ func TestReadRuptErrors(t *testing.T) {
 	}
 	if _, err := ReadRupt(strings.NewReader("x"), nil); err == nil {
 		t.Fatal("nil fault accepted")
+	}
+}
+
+// TestReadRuptRejectsHostileValues pins the fix for .rupt files whose
+// values used to be accepted and then crashed synthesis: a negative
+// rupture time became a negative sample index inside a station
+// goroutine. Each bad value is now an error naming its line and column.
+func TestReadRuptRejectsHostileValues(t *testing.T) {
+	f, stations, d := smallSetup(t, 1)
+	row := func(no int, rise, ss, ds, onset string) string {
+		return fmt.Sprintf("%d\t0\t0\t10\t0\t15\t%s\t%s\t%s\t%s\t%s\t3e10\n", no, rise, rise, ss, ds, onset)
+	}
+	good := "# header\n" + row(1, "2", "0", "1", "0")
+	cases := []struct {
+		name, src, want string
+	}{
+		{"negative onset", good + row(2, "2", "0", "1", "-5"), "line 3 column 11: negative time -5"},
+		{"NaN onset", good + row(2, "2", "0", "1", "NaN"), `line 3 column 11: non-finite value "NaN"`},
+		{"infinite onset", good + row(2, "2", "0", "1", "+Inf"), `line 3 column 11: non-finite value "+Inf"`},
+		{"negative rise", good + row(2, "-1", "0", "1", "3"), "line 3 column 7: negative time -1"},
+		{"infinite rise", good + row(2, "inf", "0", "1", "3"), `line 3 column 7: non-finite value "inf"`},
+		{"NaN slip", good + row(2, "2", "0", "nan", "3"), `line 3 column 10: non-finite value "nan"`},
+		{"infinite slip", good + row(2, "2", "-Inf", "1", "3"), `line 3 column 9: non-finite value "-Inf"`},
+		{"overflowing slip", good + row(2, "2", "1e308", "1e308", "3"), "line 3 columns 9-10: total slip overflows"},
+		{"negative onset, zero slip", good + row(2, "2", "0", "0", "-1"), "line 3 column 11: negative time -1"},
+		{"duplicate row", good + row(2, "2", "0", "1", "3") + row(1, "2", "0", "1", "4"), "line 4 column 1: subfault 1 repeats line 2"},
+	}
+	for _, tc := range cases {
+		_, err := ReadRupt(strings.NewReader(tc.src), f)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+	}
+	// The valid prefix alone still decodes and synthesizes.
+	r, err := ReadRupt(strings.NewReader(good), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := ComputeGreens(f, stations, d, GFConfig{Dt: 1, Nsamples: 16, VpKmS: 6.8, VsKmS: 3.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SynthesizeWaveforms(r, gf, NoiseConfig{}, sim.NewRNG(1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

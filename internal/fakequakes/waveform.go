@@ -50,6 +50,9 @@ func DefaultNoise() NoiseConfig {
 // Green's functions: for each station/component, sum over patch
 // subfaults of slip × kernel delayed by the rupture-front onset and
 // smeared over the local rise time. Optional noise is added per sample.
+// The rupture is validated once, before the station fan-out, so a
+// hostile patch (say, from a .rupt file) is an error, never a panic in
+// a station goroutine.
 func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG) ([]Waveform, error) {
 	if r == nil || g == nil {
 		return nil, fmt.Errorf("fakequakes: nil rupture or Green's functions")
@@ -57,8 +60,12 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	if len(r.Patch) != len(r.SlipM) || len(r.Patch) != len(r.OnsetS) || len(r.Patch) != len(r.RiseS) {
 		return nil, fmt.Errorf("fakequakes: inconsistent rupture arrays")
 	}
-	nT := g.Cfg.Nsamples
-	dt := g.Cfg.Dt
+	if err := g.validate(); err != nil {
+		return nil, err
+	}
+	if err := validatePatch(r, g.NSub); err != nil {
+		return nil, err
+	}
 	out := make([]Waveform, len(g.Stations))
 	// Stations are independent; split the RNG per station *before*
 	// spawning so results are deterministic regardless of scheduling,
@@ -69,74 +76,105 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var firstErr error
-	var errOnce sync.Once
 	for s := range g.Stations {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(s int) {
 			defer func() { <-sem; wg.Done() }()
-			if err := synthesizeStation(r, g, noise, rngs[s], nT, dt, s, out); err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
+			out[s] = synthesizeStation(r, g, noise, rngs[s], s)
 		}(s)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return out, nil
 }
 
-// synthesizeStation builds one station's waveform into out[s].
-func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, nT int, dt float64, s int, out []Waveform) error {
-	{
-		st := g.Stations[s]
-		w := Waveform{RuptureID: r.ID, Station: st.Name, Dt: dt}
-		for c := 0; c < 3; c++ {
-			w.ENZ[c] = make([]float64, nT)
+// validatePatch checks every patch entry against a GF set of nsub
+// subfaults: the subfault is in range, the slip is finite, and the
+// onset and rise time are finite and non-negative. Errors name the
+// rupture, the patch position and the subfault.
+func validatePatch(r *Rupture, nsub int) error {
+	for k, idx := range r.Patch {
+		if idx < 0 || idx >= nsub {
+			return fmt.Errorf("fakequakes: rupture %q patch[%d] references subfault %d outside GF set of %d", r.ID, k, idx, nsub)
 		}
-		for k, idx := range r.Patch {
-			if idx < 0 || idx >= g.NSub {
-				return fmt.Errorf("fakequakes: rupture references subfault %d outside GF set of %d", idx, g.NSub)
-			}
-			slip := r.SlipM[k]
-			if slip == 0 {
-				continue
-			}
-			delay := int(r.OnsetS[k] / dt)
-			// Smear over the rise time: distribute slip across nRise lags.
-			nRise := int(r.RiseS[k]/dt) + 1
-			frac := slip / float64(nRise)
-			for c := 0; c < 3; c++ {
-				kern := g.Kernel[s][idx][c]
-				dst := w.ENZ[c]
-				for lag := 0; lag < nRise; lag++ {
-					off := delay + lag
-					if off >= nT {
-						break
-					}
-					// dst[off:] += frac * kern[:nT-off]
-					for t := 0; t < nT-off; t++ {
-						dst[off+t] += frac * kern[t]
-					}
-				}
-			}
+		var bad string
+		switch {
+		case math.IsNaN(r.SlipM[k]) || math.IsInf(r.SlipM[k], 0):
+			bad = fmt.Sprintf("non-finite slip %v", r.SlipM[k])
+		case !finiteNonNegative(r.OnsetS[k]):
+			bad = fmt.Sprintf("onset %v s is not finite and ≥ 0", r.OnsetS[k])
+		case !finiteNonNegative(r.RiseS[k]):
+			bad = fmt.Sprintf("rise time %v s is not finite and ≥ 0", r.RiseS[k])
+		default:
+			continue
 		}
-		if noise.WhiteSigmaM > 0 || noise.WalkSigmaM > 0 {
-			for c := 0; c < 3; c++ {
-				walk := 0.0
-				for t := range w.ENZ[c] {
-					if noise.WalkSigmaM > 0 {
-						walk += rng.Normal(0, noise.WalkSigmaM)
-					}
-					w.ENZ[c][t] += walk + rng.Normal(0, noise.WhiteSigmaM)
-				}
-			}
-		}
-		out[s] = w
+		return fmt.Errorf("fakequakes: rupture %q patch[%d] (subfault %d): %s", r.ID, k, idx, bad)
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether v is a finite value ≥ 0 (NaN is not).
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// synthesizeStation builds one station's waveform from a patch that
+// validatePatch accepted. Every sample is accumulated in patch order,
+// then lag order, exactly as the original loop (reference_test.go);
+// the per-lag update runs over re-sliced windows of equal length so
+// the compiler drops its bounds checks.
+func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, s int) Waveform {
+	nT, dt := g.Cfg.Nsamples, g.Cfg.Dt
+	w := Waveform{RuptureID: r.ID, Station: g.Stations[s].Name, Dt: dt}
+	for c := 0; c < 3; c++ {
+		w.ENZ[c] = make([]float64, nT)
+	}
+	for k, idx := range r.Patch {
+		slip := r.SlipM[k]
+		if slip == 0 {
+			continue
+		}
+		// An onset at or past the last sample contributes nothing;
+		// skipping it before the int conversion also keeps a huge
+		// onset from overflowing into a negative index.
+		onset := r.OnsetS[k] / dt
+		if onset >= float64(nT) {
+			continue
+		}
+		delay := int(onset)
+		// Smear over the rise time: distribute slip across nRise =
+		// ⌊rise⌋+1 lags. math.Trunc(rise)+1 is float64(int(rise)+1)
+		// without the int overflow; only the first nT−delay lags land
+		// inside the record.
+		rise := r.RiseS[k] / dt
+		frac := slip / (math.Trunc(rise) + 1)
+		nLag := nT - delay
+		if rise < float64(nLag) {
+			nLag = int(rise) + 1
+		}
+		for c := 0; c < 3; c++ {
+			kern := g.Kernel[s][idx][c]
+			dst := w.ENZ[c]
+			for lag := 0; lag < nLag; lag++ {
+				// dst[off:] += frac * kern[:nT-off]
+				d := dst[delay+lag:]
+				kk := kern[:len(d)]
+				for t := range d {
+					d[t] += frac * kk[t]
+				}
+			}
+		}
+	}
+	if noise.WhiteSigmaM > 0 || noise.WalkSigmaM > 0 {
+		for c := 0; c < 3; c++ {
+			walk := 0.0
+			for t := range w.ENZ[c] {
+				if noise.WalkSigmaM > 0 {
+					walk += rng.Normal(0, noise.WalkSigmaM)
+				}
+				w.ENZ[c][t] += walk + rng.Normal(0, noise.WhiteSigmaM)
+			}
+		}
+	}
+	return w
 }
 
 // ToRecords converts a waveform to mseed records.
