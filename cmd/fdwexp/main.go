@@ -200,7 +200,7 @@ func exitCode(err error) int {
 
 // parseShardSpec parses "i/N" (1-based).
 func parseShardSpec(s string) (index, total int, err error) {
-	if n, err := fmt.Sscanf(s, "%d/%d", &index, &total); err != nil || n != 2 || strings.Count(s, "/") != 1 {
+	if _, err := fmt.Sscanf(s, "%d/%d", &index, &total); err != nil || fmt.Sprintf("%d/%d", index, total) != s {
 		return 0, 0, usageErrorf("bad -shard %q, want i/N (e.g. 2/4)", s)
 	}
 	if total < 1 || index < 1 || index > total {

@@ -43,7 +43,7 @@ func TestParseShardSpec(t *testing.T) {
 	if err != nil || i != 2 || n != 4 {
 		t.Fatalf("2/4 → %d %d %v", i, n, err)
 	}
-	for _, bad := range []string{"", "4", "0/4", "5/4", "2/0", "a/b", "1/2/3", "-1/4"} {
+	for _, bad := range []string{"", "4", "0/4", "5/4", "2/0", "a/b", "1/2/3", "-1/4", "1/2x", "1/2 junk", " 1/2", "+1/2", "1/ 2"} {
 		if _, _, err := parseShardSpec(bad); exitCode(err) != 2 {
 			t.Errorf("%q: want usage error, got %v", bad, err)
 		}

@@ -341,76 +341,13 @@ var (
 	Chaos = expt.Chaos
 )
 
-// Distributed campaign runner (DESIGN.md §13): figure campaigns
-// partition into deterministic shards whose manifest bundles merge
-// back into the byte-identical unsharded report — the fdwexp
-// -shard/-merge/-resume machinery.
-type (
-	CampaignManifest = expt.CampaignManifest
-	CampaignShardRun = expt.ShardRun
-	CampaignMerge    = expt.MergeResult
-	ShardSpec        = expt.ShardSpec
-)
-
+// Distributed campaigns (DESIGN.md §13, §16): a sharded or scheduled
+// campaign that stops early on its -cells budget returns
+// ErrShardIncomplete, leaving resumable bundles on disk;
+// SchedWorkerBundlePath names a scheduler worker's bundle.
 var (
-	// RunCampaignShard executes one shard of a campaign, checkpointing
-	// its manifest after every completed cell; ErrShardIncomplete marks
-	// a budgeted (resumable) stop.
-	RunCampaignShard = expt.RunShard
-	// MergeCampaignManifests verifies a complete set of shard bundles
-	// and re-finalizes the campaign identically to an unsharded run.
-	MergeCampaignManifests    = expt.MergeManifests
-	MergeCampaignManifestFile = expt.MergeManifestFiles
-	ReadCampaignManifest      = expt.ReadCampaignManifest
-	ShardableCampaigns        = expt.ShardableCampaigns
-	ErrShardIncomplete        = expt.ErrIncomplete
-)
-
-// Fault-tolerant campaign scheduler (DESIGN.md §16): a deterministic
-// sim-clock coordinator drives N logical workers over a campaign's
-// cells under heartbeat leases, with scripted worker faults,
-// work-stealing, straggler hedging, and digest-arbitrated duplicate
-// completions. The merged report stays byte-identical to the unsharded
-// run for every crash schedule — the fdwexp -sched machinery.
-type (
-	CampaignHandle = expt.CampaignHandle
-	SchedConfig    = sched.Config
-	SchedResult    = sched.Result
-	SchedStats     = sched.Stats
-	SchedMatrixRow = sched.MatrixRow
-	WorkerPlan     = faults.WorkerPlan
-	WorkerCrash    = faults.WorkerCrash
-
-	// Bundle inventory (fdwexp -status).
-	BundleStatus         = expt.BundleStatus
-	CampaignStatus       = expt.CampaignStatus
-	CampaignStatusReport = expt.StatusReport
-)
-
-var (
-	// OpenCampaign exposes a shardable campaign's canonical cells,
-	// fingerprint, per-cell runner, and finalizer to external drivers.
-	OpenCampaign = expt.OpenCampaign
-	// RunScheduled drives a campaign through the fault-tolerant
-	// scheduler; MemoizeCampaign caches per-cell results for drivers
-	// that legitimately re-run cells.
-	RunScheduled          = sched.Run
-	MemoizeCampaign       = sched.Memoize
+	ErrShardIncomplete    = expt.ErrIncomplete
 	SchedWorkerBundlePath = sched.WorkerBundlePath
-	// SchedMatrix is the scheduler A/B matrix: every standard worker
-	// plan × {no-steal, steal, steal+hedge}, each arm checked
-	// byte-for-byte against the unsharded reference.
-	SchedMatrix         = sched.Matrix
-	SchedMatrixPolicies = sched.MatrixPolicies
-	WriteSchedMatrixCSV = sched.WriteMatrixCSV
-	StandardWorkerPlans = faults.StandardWorkerPlans
-	WorkerPlanByName    = faults.WorkerPlanByName
-
-	// CampaignStatusOf inventories manifest bundles (shard or
-	// scheduler) for fdwexp -status.
-	CampaignStatusOf    = expt.Status
-	CampaignStatusPaths = expt.StatusPaths
-	WriteCampaignStatus = expt.WriteStatus
 )
 
 // Scenario bundles one FakeQuakes rupture and its station waveforms.

@@ -385,8 +385,7 @@ func runFig5Spec(opt Options, batches []wtrace.BatchRecord, jobs [][]wtrace.JobR
 	return cell, sim.Time(res.RuntimeSecs), nil
 }
 
-// printFig5Cells renders the sweep report — shared by Fig5FromTraces
-// and the campaign finalizer so sharded merges print identical bytes.
+// printFig5Cells renders the sweep report for the campaign finalizer.
 func printFig5Cells(w io.Writer, label string, maxBurstFraction float64, cells []Fig5Cell) {
 	fmt.Fprintf(w, "%s — VDC bursting sweep (threshold %d JPM, probes %v s, queue caps %v min, burst cap %.0f%%)\n",
 		label, Fig5Threshold, Fig5ProbeTimes, Fig5QueueTimesMin, maxBurstFraction*100)

@@ -96,27 +96,6 @@ func Fig6(opt Options) ([]Fig5Cell, error) {
 	return cells.([]Fig5Cell), nil
 }
 
-// Fig5FromTraces runs the sweep over previously generated traces with
-// the given bursting cap: every (batch, policy) cell in print order,
-// replayed concurrently (Simulate only reads the traces), then printed.
-func Fig5FromTraces(opt Options, batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, maxBurstFraction float64, label string) ([]Fig5Cell, error) {
-	specs := fig5SpecsFor(len(batches))
-	cells := make([]Fig5Cell, len(specs))
-	err := forEachIndex(opt.workers(), len(specs), func(i int) error {
-		cell, _, err := runFig5Spec(opt, batches, jobs, specs[i], maxBurstFraction)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	printFig5Cells(opt.out(), label, maxBurstFraction, cells)
-	return cells, nil
-}
-
 func cellFrom(name string, probe, queueM float64, r *burst.Result) Fig5Cell {
 	return Fig5Cell{
 		Batch:      name,

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -63,7 +64,9 @@ func (h *CampaignHandle) CellIDs() []string { return h.ids }
 
 // RunCell executes one cell by id and returns its manifest record:
 // the compact-JSON result bytes, their digest, and the cell
-// simulation's final sim-clock reading.
+// simulation's final sim-clock reading. Digests are computed over
+// compact json.Marshal bytes, the form Go's encoder passes through
+// RawMessage unchanged.
 func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	i, ok := h.pos[id]
 	if !ok {
@@ -73,7 +76,7 @@ func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	if err != nil {
 		return CellRecord{}, err
 	}
-	raw, err := marshalCell(result)
+	raw, err := json.Marshal(result)
 	if err != nil {
 		return CellRecord{}, fmt.Errorf("expt: cell %q: %w", id, err)
 	}

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -17,9 +18,9 @@ import (
 // A CampaignManifest is one shard's output bundle: which cells of a
 // campaign the shard owns, which are done, their JSON-encoded results
 // with integrity digests, sim-clock provenance, and an optional
-// embedded metrics snapshot. It reuses the dagman rescue manifest as
-// its completion ledger — checkpoint/resume of a sharded campaign is
-// the same mechanism as a DAG-level rescue, one layer up.
+// embedded metrics snapshot. Its completion ledger has the dagman
+// rescue manifest's format, one node per cell. NewBundle builds every
+// bundle and LoadBundle reads one back for resume.
 //
 // Manifests are written as compact JSON: cell results are
 // json.RawMessage payloads whose bytes must survive re-encoding
@@ -159,31 +160,22 @@ func (m *CampaignManifest) WriteFile(path string) error {
 	return atomicfile.WriteFile(path, m.Write)
 }
 
-// ReadCampaignManifest parses and validates a manifest written by
-// Write.
-func ReadCampaignManifest(r io.Reader) (*CampaignManifest, error) {
-	var m CampaignManifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("expt: bad campaign manifest: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// ReadCampaignManifestFile reads one manifest bundle from disk.
+// ReadCampaignManifestFile reads and validates one manifest bundle
+// written by WriteFile.
 func ReadCampaignManifestFile(path string) (*CampaignManifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	m, err := ReadCampaignManifest(f)
-	if err != nil {
+	var m CampaignManifest
+	if err := json.NewDecoder(f).Decode(&m); err != nil {
+		return nil, fmt.Errorf("%s: expt: bad campaign manifest: %w", path, err)
+	}
+	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	return &m, nil
 }
 
 // Validate checks the manifest's internal invariants: schema version,
@@ -234,12 +226,118 @@ func (m *CampaignManifest) Complete() bool {
 	return m.Ledger.DoneCount() == len(m.Ledger.Nodes)
 }
 
-// result returns the stored payload for a cell id, if present.
-func (m *CampaignManifest) result(id string) (CellRecord, bool) {
-	for _, c := range m.Cells {
-		if c.ID == id {
-			return c, true
+// slotName names a bundle's slot for messages: "shard i/N" for a
+// hash-partitioned bundle, "worker i/N" for a leased one.
+func slotName(leased bool, slot ShardSpec) string {
+	if leased {
+		return "worker " + slot.String()
+	}
+	return "shard " + slot.String()
+}
+
+// NewBundle assembles the manifest for one shard or scheduler worker
+// slot from its completed records. The ledger lists ledgerIDs in the
+// given (canonical) order, each marked done when done holds its
+// record; a leased bundle records completions only, so its ledger
+// skips the cells it has not done. Metrics are left for the caller.
+func NewBundle(campaign, fingerprint string, slot ShardSpec, leased bool, ledgerIDs []string, done map[string]CellRecord) *CampaignManifest {
+	dag := fmt.Sprintf("%s-shard%s", campaign, slot)
+	if leased {
+		dag = fmt.Sprintf("%s-worker%dof%d", campaign, slot.Index, slot.Total)
+	}
+	m := &CampaignManifest{
+		Format:      CampaignManifestFormat,
+		Campaign:    campaign,
+		Shard:       slot,
+		Leased:      leased,
+		Fingerprint: fingerprint,
+		Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: dag},
+	}
+	for _, id := range ledgerIDs {
+		rec, ok := done[id]
+		if !ok && leased {
+			continue
+		}
+		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: ok})
+		if ok {
+			m.Cells = append(m.Cells, rec)
+			m.SimMax = max(m.SimMax, rec.SimEnd)
 		}
 	}
-	return CellRecord{}, false
+	return m
+}
+
+// LoadBundle reads the bundle at path for resuming the given slot: it
+// must be the same campaign, slot, bundle kind and options
+// fingerprint, and list only cells in known (the campaign's canonical
+// cell positions). A missing file is an empty bundle.
+func LoadBundle(path, campaign, fingerprint string, slot ShardSpec, leased bool, known map[string]int) (*CampaignManifest, error) {
+	m, err := ReadCampaignManifestFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return &CampaignManifest{}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m.Campaign != campaign || m.Shard != slot || m.Leased != leased {
+		return nil, fmt.Errorf("expt: bundle %s is %s %s, want %s %s",
+			path, m.Campaign, slotName(m.Leased, m.Shard), campaign, slotName(leased, slot))
+	}
+	if m.Fingerprint != fingerprint {
+		return nil, fmt.Errorf("expt: bundle %s fingerprint %s does not match options fingerprint %s (different scale/seeds?)",
+			path, m.Fingerprint, fingerprint)
+	}
+	if err := unknownCell(m, known); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// unknownCell fails naming the first ledger cell, in bundle order,
+// that is not one of the campaign's canonical cells.
+func unknownCell(m *CampaignManifest, known map[string]int) error {
+	for _, n := range m.Ledger.Nodes {
+		if _, ok := known[n.Name]; !ok {
+			return fmt.Errorf("expt: %s %s bundle lists cell %q, which the campaign does not have", m.Campaign, slotName(m.Leased, m.Shard), n.Name)
+		}
+	}
+	return nil
+}
+
+// A cellConflict is one cell stored under two different digests.
+type cellConflict struct {
+	id              string
+	digest, other   string // the first stored digest, then the disagreeing one
+	from, otherFrom string // slotName of the bundles holding each
+}
+
+func (c cellConflict) Error() string {
+	return fmt.Sprintf("cell %q completed with conflicting digests: %s (%s) vs %s (%s) — refusing last-write-wins",
+		c.id, c.digest, c.from, c.other, c.otherFrom)
+}
+
+// unionCells merges the bundles' stored records, first copy wins, and
+// returns each cell whose copies disagree by digest once, at its first
+// disagreement, in bundle order. A determinism violation is never
+// resolved last-write-wins: callers fail on or list the conflicts.
+func unionCells(ms []*CampaignManifest) (map[string]CellRecord, []cellConflict) {
+	merged := map[string]CellRecord{}
+	from := map[string]string{}
+	reported := map[string]bool{}
+	var conflicts []cellConflict
+	for _, m := range ms {
+		slot := slotName(m.Leased, m.Shard)
+		for _, rec := range m.Cells {
+			prev, ok := merged[rec.ID]
+			if !ok {
+				merged[rec.ID], from[rec.ID] = rec, slot
+				continue
+			}
+			if prev.Digest != rec.Digest && !reported[rec.ID] {
+				reported[rec.ID] = true
+				conflicts = append(conflicts, cellConflict{rec.ID, prev.Digest, rec.Digest, from[rec.ID], slot})
+			}
+		}
+	}
+	return merged, conflicts
 }

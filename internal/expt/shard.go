@@ -1,13 +1,11 @@
 package expt
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 
-	"fdw/internal/dagman"
 	"fdw/internal/obs"
 )
 
@@ -37,8 +35,9 @@ type ShardRun struct {
 	// the deterministic model of a mid-campaign kill (the todo list is
 	// truncated in canonical order before any cell runs).
 	MaxCells int
-	// Resume loads Path and re-executes only cells its ledger does not
-	// mark done. Without Resume an existing manifest is overwritten.
+	// Resume loads Path (a missing file is an empty bundle) and
+	// re-executes only owned cells it does not store. Without Resume
+	// an existing manifest is overwritten.
 	Resume bool
 }
 
@@ -48,53 +47,23 @@ type ShardRun struct {
 // checkpoint). It returns the final manifest; the error is
 // ErrIncomplete when a MaxCells budget stopped the run early.
 func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
-	c, err := campaignByName(run.Campaign)
+	h, err := OpenCampaign(run.Campaign, opt)
 	if err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	spec := ShardSpec{Index: run.Index, Total: run.Total}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	ids, err := c.cells(opt)
-	if err != nil {
-		return nil, err
-	}
-	owned := ShardCells(c.name, ids, run.Index, run.Total)
-	fp, err := opt.Fingerprint(c.name)
-	if err != nil {
-		return nil, err
-	}
+	owned := ShardCells(h.c.name, h.ids, run.Index, run.Total)
 
-	// The completion ledger rides on the dagman rescue machinery: one
-	// flat DAG node per owned cell, resume = ApplyManifest.
-	dagName := fmt.Sprintf("%s-shard%s", c.name, spec)
-	d := dagman.NewDAG()
-	for _, id := range owned {
-		if err := d.AddNode(&dagman.Node{Name: id, SubmitFile: id}); err != nil {
-			return nil, err
-		}
-	}
-
+	// The done-set is the stored records: resume reruns every owned
+	// cell the loaded bundle does not hold.
 	stored := map[string]CellRecord{}
 	var prior *obs.Snapshot
 	if run.Resume {
-		old, err := ReadCampaignManifestFile(run.Path)
+		old, err := LoadBundle(run.Path, h.c.name, h.fp, spec, false, h.pos)
 		if err != nil {
-			return nil, fmt.Errorf("expt: resume: %w", err)
-		}
-		if old.Campaign != c.name || old.Shard != spec {
-			return nil, fmt.Errorf("expt: resume: manifest is %s shard %s, want %s shard %s",
-				old.Campaign, old.Shard, c.name, spec)
-		}
-		if old.Fingerprint != fp {
-			return nil, fmt.Errorf("expt: resume: manifest fingerprint %s does not match options fingerprint %s",
-				old.Fingerprint, fp)
-		}
-		if err := d.ApplyManifest(old.Ledger); err != nil {
 			return nil, fmt.Errorf("expt: resume: %w", err)
 		}
 		for _, rec := range old.Cells {
@@ -105,7 +74,7 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 
 	var todo []string
 	for _, id := range owned {
-		if !d.Nodes[id].Done {
+		if _, done := stored[id]; !done {
 			todo = append(todo, id)
 		}
 	}
@@ -121,27 +90,10 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 	// completion order.
 	var mu sync.Mutex
 	snapshot := func() *CampaignManifest {
-		m := &CampaignManifest{
-			Format:      CampaignManifestFormat,
-			Campaign:    c.name,
-			Shard:       spec,
-			Fingerprint: fp,
-			Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: dagName},
-		}
-		for _, id := range owned {
-			rec, done := stored[id]
-			m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: done})
-			if done {
-				m.Cells = append(m.Cells, rec)
-				if rec.SimEnd > m.SimMax {
-					m.SimMax = rec.SimEnd
-				}
-			}
-		}
+		m := NewBundle(h.c.name, h.fp, spec, false, owned, stored)
+		m.Metrics = prior
 		if opt.Obs != nil {
 			m.Metrics = obs.MergeSnapshots(prior, opt.Obs.Snapshot())
-		} else {
-			m.Metrics = prior
 		}
 		return m
 	}
@@ -152,25 +104,14 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 		return snapshot().WriteFile(run.Path)
 	}
 
-	// Index cells once so shard workers address them by canonical
-	// position; the campaign ctx is shared so fig5/fig6 traces build
-	// once per process.
-	pos := map[string]int{}
-	for i, id := range ids {
-		pos[id] = i
-	}
-	ctx := &campaignCtx{}
+	// The handle's campaign ctx is shared by the shard's workers, so
+	// fig5/fig6 traces build once per process.
 	err = forEachIndex(opt.workers(), len(todo), func(i int) error {
-		id := todo[i]
-		result, end, err := c.run(opt, ctx, pos[id])
+		rec, err := h.RunCell(todo[i])
 		if err != nil {
 			return err
 		}
-		raw, err := marshalCell(result)
-		if err != nil {
-			return fmt.Errorf("expt: cell %q: %w", id, err)
-		}
-		return checkpoint(CellRecord{ID: id, Result: raw, Digest: cellDigest(raw), SimEnd: end})
+		return checkpoint(rec)
 	})
 	if err != nil {
 		return nil, err
@@ -187,7 +128,7 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 	}
 	if incomplete {
 		return final, fmt.Errorf("%w: %d of %d cells done (shard %s of %s)",
-			ErrIncomplete, final.Ledger.DoneCount(), len(owned), spec, c.name)
+			ErrIncomplete, final.Ledger.DoneCount(), len(owned), spec, h.c.name)
 	}
 	return final, nil
 }
@@ -209,149 +150,76 @@ type MergeResult struct {
 // WriteCSV renders the merged rows as the campaign's CSV.
 func (r *MergeResult) WriteCSV(w io.Writer) error { return r.c.writeCSV(w, r.Rows) }
 
-// MergeManifests verifies a set of shard manifests covers opt's
-// campaign exactly — same campaign, same fingerprint, same partition
-// width, every shard complete, every cell present with an intact
-// digest — then decodes the stored results in canonical cell order and
-// finalizes, printing the report to opt.Out. Finalize is the same code
-// the unsharded run uses on in-memory results, and Go's JSON float
-// round-trip is exact, so the printed report and CSV are byte-identical
-// to an unsharded run.
+// MergeManifests verifies a set of shard or worker bundles covers
+// opt's campaign exactly — same campaign, bundle kind, fingerprint and
+// partition width, no cell outside the campaign, no digest conflict,
+// every cell stored — then finalizes the union, printing the report to
+// opt.Out. Finalize is the same code the unsharded run uses on
+// in-memory results, and Go's JSON float round-trip is exact, so the
+// printed report and CSV are byte-identical to an unsharded run.
 func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, error) {
 	if len(manifests) == 0 {
 		return nil, fmt.Errorf("expt: merge: no manifests")
 	}
-	name := manifests[0].Campaign
-	c, err := campaignByName(name)
+	first := manifests[0]
+	h, err := OpenCampaign(first.Campaign, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	fp, err := opt.Fingerprint(name)
-	if err != nil {
-		return nil, err
-	}
-	total := manifests[0].Shard.Total
-	leased := manifests[0].Leased
-	byIndex := map[int]*CampaignManifest{}
-	accepted := manifests[:0:0]
+	slots := map[int]bool{}
+	var snaps []*obs.Snapshot
 	for _, m := range manifests {
 		if err := m.Validate(); err != nil {
 			return nil, err
 		}
-		if m.Campaign != name {
-			return nil, fmt.Errorf("expt: merge: mixed campaigns %s and %s", name, m.Campaign)
+		if m.Campaign != first.Campaign {
+			return nil, fmt.Errorf("expt: merge: mixed campaigns %s and %s", first.Campaign, m.Campaign)
 		}
-		if m.Leased != leased {
+		if m.Leased != first.Leased {
 			return nil, fmt.Errorf("expt: merge: cannot mix leased worker bundles and hash-partitioned shard bundles")
 		}
-		if m.Shard.Total != total {
-			return nil, fmt.Errorf("expt: merge: mixed partitions /%d and /%d", total, m.Shard.Total)
+		if m.Shard.Total != first.Shard.Total {
+			return nil, fmt.Errorf("expt: merge: mixed partitions /%d and /%d", first.Shard.Total, m.Shard.Total)
 		}
-		if m.Fingerprint != fp {
-			return nil, fmt.Errorf("expt: merge: shard %s fingerprint %s does not match options fingerprint %s",
-				m.Shard, m.Fingerprint, fp)
+		if m.Fingerprint != h.fp {
+			return nil, fmt.Errorf("expt: merge: %s fingerprint %s does not match options fingerprint %s",
+				slotName(m.Leased, m.Shard), m.Fingerprint, h.fp)
 		}
-		if dup, ok := byIndex[m.Shard.Index]; ok {
-			// The same slot supplied twice is benign only if the bundles
-			// agree cell for cell; a conflict is reported by cell and
-			// digest pair, never resolved last-write-wins.
-			if cell, d1, d2, conflict := manifestConflict(dup, m); conflict {
-				return nil, fmt.Errorf("expt: merge: shard %s supplied twice with conflicting cell %q (digest %s vs %s)",
-					m.Shard, cell, d1, d2)
-			}
-			if !leased {
-				// Skip so the duplicate's metrics are not double counted.
-				continue
-			}
-			// Leased duplicates fall through to the union: checkpoints of
-			// the same worker at different times may not be subsets in a
-			// fixed direction, and worker bundles carry no metrics, so
-			// unioning both is lossless.
+		// A slot supplied twice contributes its metrics once.
+		if !slots[m.Shard.Index] && m.Metrics != nil {
+			snaps = append(snaps, m.Metrics)
 		}
-		if !leased && !m.Complete() {
-			return nil, fmt.Errorf("%w: shard %s has %d of %d cells (resume it before merging)",
-				ErrIncomplete, m.Shard, m.Ledger.DoneCount(), len(m.Ledger.Nodes))
+		slots[m.Shard.Index] = true
+	}
+	// A slot supplied twice, or a cell checkpointed by several workers
+	// (steal races, hedged stragglers, late acks), is benign only when
+	// every copy agrees by digest.
+	merged, conflicts := unionCells(manifests)
+	if len(conflicts) > 0 {
+		return nil, fmt.Errorf("expt: merge: %w", conflicts[0])
+	}
+	for _, m := range manifests {
+		if err := unknownCell(m, h.pos); err != nil {
+			return nil, fmt.Errorf("expt: merge: %w", err)
 		}
-		byIndex[m.Shard.Index] = m
-		accepted = append(accepted, m)
+	}
+	for _, id := range h.ids {
+		if _, ok := merged[id]; ok {
+			continue
+		}
+		if owner := shardOf(h.c.name, id, first.Shard.Total); !first.Leased && !slots[owner] {
+			return nil, fmt.Errorf("expt: merge: cell %q belongs to shard %d/%d, which was not supplied", id, owner, first.Shard.Total)
+		}
+		return nil, fmt.Errorf("%w: cell %q not completed by any bundle (%d of %d cells done; resume before merging)",
+			ErrIncomplete, id, len(merged), len(h.ids))
 	}
 
-	ids, err := c.cells(opt)
+	res, err := h.Finalize(nil, merged)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]any, len(ids))
-	var snaps []*obs.Snapshot
-	for _, m := range accepted {
-		snaps = append(snaps, m.Metrics)
-	}
-	if leased {
-		// Leased bundles carry no ownership invariant: coverage is the
-		// union of worker ledgers, and a cell checkpointed by several
-		// workers (steal races, hedged stragglers, late acks) must agree
-		// by digest — a mismatch is a determinism violation and fails
-		// the merge by cell and digest pair.
-		merged := map[string]CellRecord{}
-		mergedBy := map[string]ShardSpec{}
-		for _, m := range accepted {
-			for _, rec := range m.Cells {
-				prev, ok := merged[rec.ID]
-				if !ok {
-					merged[rec.ID] = rec
-					mergedBy[rec.ID] = m.Shard
-					continue
-				}
-				if prev.Digest != rec.Digest {
-					return nil, fmt.Errorf("expt: merge: cell %q completed with conflicting digests: %s (worker %s) vs %s (worker %s) — refusing last-write-wins",
-						rec.ID, prev.Digest, mergedBy[rec.ID], rec.Digest, m.Shard)
-				}
-			}
-		}
-		for i, id := range ids {
-			rec, ok := merged[id]
-			if !ok {
-				return nil, fmt.Errorf("%w: cell %q not completed by any worker bundle (%d of %d cells done)",
-					ErrIncomplete, id, len(merged), len(ids))
-			}
-			v, err := c.decode(rec.Result)
-			if err != nil {
-				return nil, fmt.Errorf("expt: merge: cell %q: %w", id, err)
-			}
-			results[i] = v
-		}
-	} else {
-		for i, id := range ids {
-			owner := shardOf(name, id, total)
-			m, ok := byIndex[owner]
-			if !ok {
-				return nil, fmt.Errorf("expt: merge: cell %q belongs to shard %d/%d, which was not supplied", id, owner, total)
-			}
-			rec, ok := m.result(id)
-			if !ok {
-				return nil, fmt.Errorf("expt: merge: shard %s is missing cell %q", m.Shard, id)
-			}
-			v, err := c.decode(rec.Result)
-			if err != nil {
-				return nil, fmt.Errorf("expt: merge: cell %q: %w", id, err)
-			}
-			results[i] = v
-		}
-	}
-
-	rows, err := c.finalize(opt, results)
-	if err != nil {
-		return nil, err
-	}
-	res := &MergeResult{Campaign: name, CSVName: c.csvName, Rows: rows, c: c}
-	merged := obs.MergeSnapshots(snaps...)
-	for _, s := range snaps {
-		if s != nil {
-			res.Metrics = merged
-			break
-		}
+	if len(snaps) > 0 {
+		res.Metrics = obs.MergeSnapshots(snaps...)
 	}
 	return res, nil
 }
@@ -370,28 +238,4 @@ func MergeManifestFiles(opt Options, paths []string) (*MergeResult, error) {
 		manifests[i] = m
 	}
 	return MergeManifests(opt, manifests)
-}
-
-// manifestConflict compares two bundles claiming the same shard slot
-// cell by cell, returning the first cell (in b's canonical order)
-// whose stored digests disagree. Identical bundles — the same file
-// supplied twice, or byte-equal copies — are not a conflict.
-func manifestConflict(a, b *CampaignManifest) (cell, digestA, digestB string, conflict bool) {
-	inA := make(map[string]string, len(a.Cells))
-	for _, rec := range a.Cells {
-		inA[rec.ID] = rec.Digest
-	}
-	for _, rec := range b.Cells {
-		if d, ok := inA[rec.ID]; ok && d != rec.Digest {
-			return rec.ID, d, rec.Digest, true
-		}
-	}
-	return "", "", "", false
-}
-
-// marshalCell encodes one cell result for manifest storage — always
-// compact json.Marshal bytes, the form digests are computed over and
-// the form Go's encoder passes through RawMessage unchanged.
-func marshalCell(v any) (json.RawMessage, error) {
-	return json.Marshal(v)
 }

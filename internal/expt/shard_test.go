@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -504,4 +505,120 @@ func mergeKeyForTest(name string, labels map[string]string) string {
 		out += "|" + k + "=" + labels[k]
 	}
 	return out
+}
+
+// Shard bundles are byte-stable: the SHA-256 of each bundle below was
+// recorded before the bundle builder and resume loader were shared
+// with the scheduler, and any change to manifest layout, cell order,
+// ledger names or result encoding moves it.
+func TestShardBundleBytesPinned(t *testing.T) {
+	opt := shardTestOptions()
+	dir := t.TempDir()
+	cases := []struct {
+		name     string
+		run      ShardRun
+		want     string
+		budgeted bool
+	}{
+		{"fig2 shard 1/2", ShardRun{Campaign: "fig2", Index: 1, Total: 2},
+			"6e541c228b38ddae2c6ffc5a2154612e8e88926be769a73815453cb28cc4f28d", false},
+		{"chaos shard 1/2", ShardRun{Campaign: "chaos", Index: 1, Total: 2},
+			"43aa5f43dc79dadc3e760a850e6068490c114c3bb8f2980d972619831e0e43c2", false},
+		{"fig2 shard 2/2 after one cell", ShardRun{Campaign: "fig2", Index: 2, Total: 2, MaxCells: 1},
+			"c67a2fc2ced1d97347f39eaf51edbddf7acf78a16401f97b1c2dd13106fc0c72", true},
+	}
+	for i, c := range cases {
+		c.run.Path = filepath.Join(dir, fmt.Sprintf("b%d.json", i))
+		_, err := RunShard(opt, c.run)
+		if c.budgeted != errors.Is(err, ErrIncomplete) || (!c.budgeted && err != nil) {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := os.ReadFile(c.run.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != c.want {
+			t.Errorf("%s: bundle SHA-256 %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// unknownCellBundle writes a leased fig2 bundle that stores every
+// canonical cell plus one cell, "not-a-cell", the campaign does not
+// have. Every digest and the fingerprint are valid.
+func unknownCellBundle(t *testing.T, opt Options) string {
+	t.Helper()
+	h, err := OpenCampaign("fig2", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &CampaignManifest{
+		Format:      CampaignManifestFormat,
+		Campaign:    "fig2",
+		Shard:       ShardSpec{Index: 1, Total: 1},
+		Leased:      true,
+		Fingerprint: h.Fingerprint(),
+		Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: "t"},
+	}
+	for _, id := range h.CellIDs() {
+		rec, err := h.RunCell(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Cells = append(m.Cells, rec)
+	}
+	extra := m.Cells[0]
+	extra.ID = "not-a-cell"
+	m.Cells = append(m.Cells, extra)
+	for _, rec := range m.Cells {
+		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: rec.ID, Done: true})
+	}
+	p := filepath.Join(t.TempDir(), "fig2.worker1of1.json")
+	if err := m.WriteFile(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// A bundle storing a cell its campaign does not have is refused by
+// merge, naming the cell, even when every canonical cell is covered.
+func TestMergeRejectsUnknownCell(t *testing.T) {
+	opt := shardTestOptions()
+	p := unknownCellBundle(t, opt)
+	if _, err := MergeManifestFiles(opt, []string{p}); err == nil || !strings.Contains(err.Error(), "not-a-cell") {
+		t.Fatalf("merge of a bundle with an unknown cell: %v", err)
+	}
+}
+
+// LoadBundle is the one resume loader: a missing file is an empty
+// bundle; another slot, bundle kind or fingerprint, or a cell outside
+// the campaign, is refused.
+func TestLoadBundle(t *testing.T) {
+	opt := shardTestOptions()
+	h, err := OpenCampaign("fig2", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := ShardSpec{Index: 1, Total: 1}
+	m, err := LoadBundle(filepath.Join(t.TempDir(), "missing.json"), "fig2", h.fp, slot, true, h.pos)
+	if err != nil || len(m.Cells) != 0 {
+		t.Fatalf("missing bundle: %v, %d cells", err, len(m.Cells))
+	}
+	p := unknownCellBundle(t, opt)
+	cases := []struct {
+		name, fp string
+		slot     ShardSpec
+		leased   bool
+		want     string
+	}{
+		{"unknown cell", h.fp, slot, true, "not-a-cell"},
+		{"other slot", h.fp, ShardSpec{Index: 1, Total: 2}, true, "want fig2 worker 1/2"},
+		{"other kind", h.fp, slot, false, "want fig2 shard 1/1"},
+		{"other fingerprint", "0123", slot, true, "fingerprint"},
+	}
+	for _, c := range cases {
+		if _, err := LoadBundle(p, "fig2", c.fp, c.slot, c.leased, h.pos); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
 }

@@ -121,7 +121,8 @@ func StatusPaths(args []string) ([]string, error) {
 	return paths, nil
 }
 
-// Status inventories the given manifest bundles. Unreadable bundles
+// Status inventories the given manifest bundles. Unreadable bundles,
+// and bundles listing cells their campaign does not have under opt,
 // become error entries rather than failing the whole report; opt is
 // only used to decide OptionsMatch and enumerate canonical cells for
 // matching campaigns.
@@ -137,8 +138,27 @@ func Status(opt Options, paths []string) (*StatusReport, error) {
 	}
 	var groupOrder []groupKey
 	groups := map[groupKey][]*CampaignManifest{}
+	// handles caches each campaign opened under opt; nil when opt does
+	// not describe a shardable campaign of that name.
+	handles := map[string]*CampaignHandle{}
+	matching := func(m *CampaignManifest) *CampaignHandle {
+		h, seen := handles[m.Campaign]
+		if !seen {
+			h, _ = OpenCampaign(m.Campaign, opt)
+			handles[m.Campaign] = h
+		}
+		if h == nil || h.fp != m.Fingerprint {
+			return nil
+		}
+		return h
+	}
 	for _, p := range paths {
 		m, err := ReadCampaignManifestFile(p)
+		if err == nil {
+			if h := matching(m); h != nil {
+				err = unknownCell(m, h.pos)
+			}
+		}
 		if err != nil {
 			rep.Bundles = append(rep.Bundles, BundleStatus{File: p, Error: err.Error()})
 			continue
@@ -176,38 +196,23 @@ func Status(opt Options, paths []string) (*StatusReport, error) {
 			Total:       k.total,
 			Bundles:     len(ms),
 		}
-		// Union coverage with digest-conflict detection, bundle order.
-		digests := map[string]string{}
-		conflicted := map[string]bool{}
-		for _, m := range ms {
-			for _, rec := range m.Cells {
-				if d, ok := digests[rec.ID]; ok {
-					if d != rec.Digest && !conflicted[rec.ID] {
-						conflicted[rec.ID] = true
-						cs.Conflicts = append(cs.Conflicts, rec.ID)
-					}
-					continue
-				}
-				digests[rec.ID] = rec.Digest
-			}
-			if m.SimMax > cs.SimMax {
-				cs.SimMax = m.SimMax
-			}
+		merged, conflicts := unionCells(ms)
+		for _, cf := range conflicts {
+			cs.Conflicts = append(cs.Conflicts, cf.id)
 		}
-		cs.CellsDone = len(digests)
-		if c, err := campaignByName(k.campaign); err == nil {
-			if fp, err := opt.Fingerprint(k.campaign); err == nil && fp == k.fp {
-				if ids, err := c.cells(opt); err == nil {
-					cs.OptionsMatch = true
-					cs.CellsTotal = len(ids)
-					for _, id := range ids {
-						if _, ok := digests[id]; !ok {
-							cs.IncompleteCells = append(cs.IncompleteCells, id)
-						}
-					}
-					cs.Complete = len(cs.IncompleteCells) == 0 && len(cs.Conflicts) == 0
+		for _, m := range ms {
+			cs.SimMax = max(cs.SimMax, m.SimMax)
+		}
+		cs.CellsDone = len(merged)
+		if h := matching(ms[0]); h != nil {
+			cs.OptionsMatch = true
+			cs.CellsTotal = len(h.ids)
+			for _, id := range h.ids {
+				if _, ok := merged[id]; !ok {
+					cs.IncompleteCells = append(cs.IncompleteCells, id)
 				}
 			}
+			cs.Complete = len(cs.IncompleteCells) == 0 && len(cs.Conflicts) == 0
 		}
 		rep.Campaigns = append(rep.Campaigns, cs)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -134,5 +135,25 @@ func TestStatusMismatchAndErrors(t *testing.T) {
 	}
 	if _, err := StatusPaths([]string{filepath.Join(dir, "missing")}); err == nil {
 		t.Error("StatusPaths over a missing path succeeded")
+	}
+}
+
+// -status turns a bundle storing a cell its campaign does not have
+// into an error entry naming the cell, rather than counting it toward
+// coverage.
+func TestStatusRejectsUnknownCell(t *testing.T) {
+	opt := shardTestOptions()
+	p := unknownCellBundle(t, opt)
+	rep, err := Status(opt, []string{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.HasErrors() || !strings.Contains(rep.Bundles[0].Error, "not-a-cell") {
+		t.Fatalf("bundle with an unknown cell not reported: %+v", rep.Bundles)
+	}
+	for _, cs := range rep.Campaigns {
+		if cs.Complete || cs.CellsDone > cs.CellsTotal {
+			t.Fatalf("unknown cell counted toward coverage: %+v", cs)
+		}
 	}
 }

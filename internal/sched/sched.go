@@ -39,13 +39,11 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"fdw/internal/dagman"
 	"fdw/internal/expt"
 	"fdw/internal/faults"
 	"fdw/internal/obs"
@@ -72,21 +70,9 @@ type Config struct {
 	// reclaimed cell stays reserved for the worker that lost it.
 	Steal bool
 	// Hedge duplicates a straggling cell onto an idle worker once its
-	// lease has been held longer than HedgeFactor times the longest
+	// lease has been held longer than hedgeFactor (4) times the longest
 	// completed cell; the duplicate completions are digest-arbitrated.
 	Hedge bool
-	// HedgeFactor is the lease-age multiple of the longest completed
-	// cell that marks a straggler (default 4).
-	HedgeFactor float64
-	// LeaseTTL is how long a lease survives without a heartbeat
-	// renewal (default 1800 sim-seconds).
-	LeaseTTL sim.Time
-	// Heartbeat is the renewal period; must be shorter than LeaseTTL
-	// (default LeaseTTL/3).
-	Heartbeat sim.Time
-	// RestartDelay is how long a crashed worker stays down unless its
-	// WorkerCrash overrides it (default 2×LeaseTTL).
-	RestartDelay sim.Time
 	// Plan scripts worker-level faults (the zero plan injects none).
 	Plan faults.WorkerPlan
 	// Dir is the worker-bundle directory (required).
@@ -105,28 +91,23 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 1800
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.LeaseTTL / 3
-	}
-	if c.RestartDelay <= 0 {
-		c.RestartDelay = 2 * c.LeaseTTL
-	}
-	if c.HedgeFactor <= 0 {
-		c.HedgeFactor = 4
-	}
-	return c
-}
+// Lease timing, in control-plane sim-seconds.
+const (
+	// leaseTTL is how long a lease survives without a heartbeat renewal.
+	leaseTTL sim.Time = 1800
+	// heartbeatPeriod is the lease renewal period.
+	heartbeatPeriod = leaseTTL / 3
+	// restartDelay is how long a crashed worker stays down unless its
+	// WorkerCrash overrides it.
+	restartDelay = 2 * leaseTTL
+	// hedgeFactor is the lease-age multiple of the longest completed
+	// cell that marks a straggler.
+	hedgeFactor = 4
+)
 
 func (c Config) validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("sched: %d workers, want >= 1", c.Workers)
-	}
-	if c.Heartbeat >= c.LeaseTTL {
-		return fmt.Errorf("sched: heartbeat period %v must be shorter than lease TTL %v", c.Heartbeat, c.LeaseTTL)
 	}
 	if c.Dir == "" {
 		return fmt.Errorf("sched: no bundle directory")
@@ -248,7 +229,6 @@ type scheduler struct {
 // arbitrated exactly-once record set. A MaxCells budget halt returns
 // the partial Result alongside expt.ErrIncomplete.
 func Run(src Source, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -487,8 +467,8 @@ func (s *scheduler) assign(w *worker, cell string) {
 	if s.cfg.Obs != nil {
 		w.span = s.cfg.Obs.StartSpan("sched_cell", fmt.Sprintf("w%d/%s", w.id, cell))
 	}
-	a.expiry = s.k.After(s.cfg.LeaseTTL, func() { s.expire(a) })
-	w.hbStop = s.k.Ticker(now+s.cfg.Heartbeat, s.cfg.Heartbeat, func(sim.Time) { s.heartbeat(w, a) })
+	a.expiry = s.k.After(leaseTTL, func() { s.expire(a) })
+	w.hbStop = s.k.Ticker(now+heartbeatPeriod, heartbeatPeriod, func(sim.Time) { s.heartbeat(w, a) })
 	w.completion = s.k.After(dur, func() { s.complete(w) })
 	if ci := s.matchCrash(w.id, func(c faults.WorkerCrash) bool {
 		return c.MidCell && c.AfterCells == w.completions+1
@@ -519,7 +499,7 @@ func (s *scheduler) heartbeat(w *worker, a *assignment) {
 	a.renewals++
 	s.stats.LeasesRenewed++
 	a.expiry.Cancel()
-	a.expiry = s.k.After(s.cfg.LeaseTTL, func() { s.expire(a) })
+	a.expiry = s.k.After(leaseTTL, func() { s.expire(a) })
 	s.maybeHedge(a)
 }
 
@@ -530,7 +510,7 @@ func (s *scheduler) maybeHedge(a *assignment) {
 	if _, done := s.done[a.cell]; done {
 		return
 	}
-	if float64(s.k.Now()-a.granted) <= s.cfg.HedgeFactor*float64(s.maxDur) {
+	if float64(s.k.Now()-a.granted) <= hedgeFactor*float64(s.maxDur) {
 		return
 	}
 	for _, other := range s.workers {
@@ -731,7 +711,7 @@ func (s *scheduler) crash(w *worker, restartAfter float64, cause string) {
 	s.busyGauge()
 	delay := sim.Time(restartAfter)
 	if delay <= 0 {
-		delay = s.cfg.RestartDelay
+		delay = restartDelay
 	}
 	s.k.After(delay, func() { s.restart(w) })
 }
@@ -785,59 +765,27 @@ func (s *scheduler) reportRecovered(w *worker) {
 // checkpoint atomically rewrites w's durable bundle: a leased
 // CampaignManifest holding its checkpointed cells in canonical order.
 func (s *scheduler) checkpoint(w *worker) error {
-	m := &expt.CampaignManifest{
-		Format:      expt.CampaignManifestFormat,
-		Campaign:    s.src.Name(),
-		Shard:       expt.ShardSpec{Index: w.id + 1, Total: s.cfg.Workers},
-		Leased:      true,
-		Fingerprint: s.src.Fingerprint(),
-		Ledger: dagman.Manifest{
-			Format: dagman.ManifestFormat,
-			DAG:    fmt.Sprintf("%s-worker%dof%d", s.src.Name(), w.id+1, s.cfg.Workers),
-		},
-	}
-	for _, id := range s.ids {
-		rec, ok := w.done[id]
-		if !ok {
-			continue
-		}
-		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: true})
-		m.Cells = append(m.Cells, rec)
-		if rec.SimEnd > m.SimMax {
-			m.SimMax = rec.SimEnd
-		}
-	}
-	return m.WriteFile(w.bundle)
+	return expt.NewBundle(s.src.Name(), s.src.Fingerprint(), s.slot(w), true, s.ids, w.done).WriteFile(w.bundle)
 }
 
 // loadBundle restores w's durable state from disk; a missing bundle is
 // a fresh worker.
 func (s *scheduler) loadBundle(w *worker) error {
-	w.done = map[string]expt.CellRecord{}
-	w.completions = 0
-	m, err := expt.ReadCampaignManifestFile(w.bundle)
+	m, err := expt.LoadBundle(w.bundle, s.src.Name(), s.src.Fingerprint(), s.slot(w), true, s.pos)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
 		return fmt.Errorf("sched: worker %d bundle: %w", w.id, err)
 	}
-	if !m.Leased || m.Campaign != s.src.Name() || m.Shard.Index != w.id+1 || m.Shard.Total != s.cfg.Workers {
-		return fmt.Errorf("sched: worker %d bundle %s is campaign %s shard %s (leased=%t), want leased %s worker %d/%d",
-			w.id, w.bundle, m.Campaign, m.Shard, m.Leased, s.src.Name(), w.id+1, s.cfg.Workers)
-	}
-	if m.Fingerprint != s.src.Fingerprint() {
-		return fmt.Errorf("sched: worker %d bundle fingerprint %s does not match options fingerprint %s (different scale/seeds?)",
-			w.id, m.Fingerprint, s.src.Fingerprint())
-	}
+	w.done = make(map[string]expt.CellRecord, len(m.Cells))
 	for _, rec := range m.Cells {
-		if _, ok := s.pos[rec.ID]; !ok {
-			return fmt.Errorf("sched: worker %d bundle has unknown cell %q", w.id, rec.ID)
-		}
 		w.done[rec.ID] = rec
 	}
 	w.completions = len(w.done)
 	return nil
+}
+
+// slot is w's 1-based place in the fleet, as its bundle records it.
+func (s *scheduler) slot(w *worker) expt.ShardSpec {
+	return expt.ShardSpec{Index: w.id + 1, Total: s.cfg.Workers}
 }
 
 // Memoize wraps a Source with a per-cell result cache. Sources are

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,7 +85,6 @@ func TestSchedConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Workers: 0, Dir: dir},
 		{Workers: 2, Dir: ""},
-		{Workers: 2, Dir: dir, LeaseTTL: 100, Heartbeat: 100},
 		{Workers: 2, Dir: dir, MaxCells: -1},
 		{Workers: 2, Dir: dir, Plan: faults.WorkerPlan{Crashes: []faults.WorkerCrash{{Worker: 0}}}},
 	}
@@ -256,7 +257,7 @@ func TestSchedTornCheckpointReclaim(t *testing.T) {
 	}
 	defer func() { atomicfile.TestHookBeforeRename = nil }()
 
-	res, err := Run(f, Config{Workers: 1, Dir: dir, RestartDelay: 100})
+	res, err := Run(f, Config{Workers: 1, Dir: dir})
 	mustComplete(t, f, res, err)
 	s := res.Stats
 	if s.CheckpointsTorn != 1 || s.WorkerCrashes != 1 || s.WorkerRestarts != 1 {
@@ -295,7 +296,7 @@ func TestSchedTornCheckpointLoopFails(t *testing.T) {
 		return nil
 	}
 	defer func() { atomicfile.TestHookBeforeRename = nil }()
-	_, err := Run(f, Config{Workers: 1, Dir: dir, RestartDelay: 10})
+	_, err := Run(f, Config{Workers: 1, Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "consecutive checkpoints") {
 		t.Fatalf("persistent checkpoint failure: %v", err)
 	}
@@ -543,3 +544,26 @@ type fingerprintSource struct {
 }
 
 func (s *fingerprintSource) Fingerprint() string { return s.fp }
+
+// Worker bundles are byte-stable: the SHA-256 below was recorded
+// before the scheduler's checkpoint and resume loader were shared with
+// the shard runner.
+func TestSchedWorkerBundleBytesPinned(t *testing.T) {
+	_, h, src, _, _, _ := schedCampaignRef(t)
+	plan, err := faults.WorkerPlanByName("everything")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Run(src, Config{Workers: 3, Steal: true, Plan: plan, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(WorkerBundlePath(dir, h.Name(), 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "2e273f6d46ab04606bf8705821b0a888d3b51f2c7ed2875edc4d3d8e50bfd171"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("fig2 worker1of3 bundle SHA-256 %s, want %s", got, want)
+	}
+}
