@@ -111,9 +111,10 @@ func BenchmarkHeadlineSpeedup(b *testing.B) {
 // --- numeric-kernel benchmarks (see BENCH_kernels.json for the
 // recorded baseline) -------------------------------------------------
 //
-// The serial/parallel pairs quantify the multi-core speedup of the
-// linalg kernels; both variants return bit-identical results, so the
-// only difference is wall time.
+// Each linalg kernel has one entry point, which fans out on its own
+// above the size and GOMAXPROCS cutoffs; run with -cpu 1,4 to see the
+// multi-core speedup. The retained pre-blocking specs are benched in
+// internal/linalg/reference_test.go.
 
 // kernelSizes straddle the paper-scale covariance sizes (a Mw 8–9 patch
 // on the 10 km Chilean mesh is a few hundred to ~1,000 subfaults).
@@ -139,29 +140,14 @@ func benchRandom(rows, cols int, seed uint64) *linalg.Matrix {
 	return m
 }
 
-// BenchmarkCholesky factorizes covariance-sized SPD matrices.
-// serial/parallel run the blocked kernel; reference runs the retained
-// unblocked executable spec (reference.go).
+// BenchmarkCholesky factorizes covariance-sized SPD matrices with the
+// blocked kernel.
 func BenchmarkCholesky(b *testing.B) {
 	for _, n := range kernelSizes {
 		m := benchSPD(n)
-		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := linalg.Cholesky(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := linalg.ParallelCholesky(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("reference/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := linalg.ReferenceCholesky(m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,30 +155,15 @@ func BenchmarkCholesky(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul multiplies square dense matrices. serial/parallel
-// run the blocked FMA kernel; reference runs the retained naive i-k-j
-// executable spec (reference.go), quantifying the blocked speedup.
+// BenchmarkMatMul multiplies square dense matrices with the blocked
+// FMA kernel.
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range kernelSizes {
 		x := benchRandom(n, n, 1)
 		y := benchRandom(n, n, 2)
-		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := x.Mul(y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := x.ParallelMul(y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("reference/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := x.ReferenceMul(y); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,7 +30,6 @@ import (
 	"fdw/internal/core"
 	"fdw/internal/expt"
 	"fdw/internal/fakequakes"
-	"fdw/internal/faults"
 	"fdw/internal/geom"
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
@@ -60,9 +59,6 @@ func WriteConfig(w io.Writer, cfg Config) error { return core.WriteConfig(w, cfg
 // PoolConfig parameterizes the simulated Open Science Pool.
 type PoolConfig = ospool.Config
 
-// SiteConfig describes one OSPool site.
-type SiteConfig = ospool.SiteConfig
-
 // DefaultPoolConfig returns the calibrated OSPool model.
 func DefaultPoolConfig() PoolConfig { return ospool.DefaultConfig() }
 
@@ -77,10 +73,6 @@ func NewEnv(seed uint64, pool PoolConfig) (*Env, error) { return core.NewEnv(see
 // all instrumentation; either way simulation results are identical.
 type Metrics = obs.Registry
 
-// MetricsSnapshot is the exported state of a Metrics registry — the
-// JSON `-metrics` file format of cmd/fdw and cmd/fdwexp.
-type MetricsSnapshot = obs.Snapshot
-
 // NewMetrics returns an empty registry. clock may be nil (timestamps
 // all read 0 until SetClock binds a kernel).
 func NewMetrics(clock func() SimTime) *Metrics { return obs.NewRegistry(clock) }
@@ -88,12 +80,6 @@ func NewMetrics(clock func() SimTime) *Metrics { return obs.NewRegistry(clock) }
 // ReadMetricsSnapshot parses a JSON snapshot written by
 // Metrics.WriteJSON (the `-metrics` dump of cmd/fdw and cmd/fdwexp).
 var ReadMetricsSnapshot = obs.ReadSnapshot
-
-// MergeMetricsSnapshots rolls several snapshots (e.g. one per campaign
-// shard) into one: counters and histogram mass sum exactly, gauges
-// keep the latest sample, quantiles are re-estimated from merged
-// buckets. Deterministic output order; nil inputs are skipped.
-var MergeMetricsSnapshots = obs.MergeSnapshots
 
 // WriteMetricsSnapshot renders a snapshot in the same JSON format as
 // Metrics.WriteJSON, so merged rollups and live dumps are
@@ -105,13 +91,6 @@ var WriteMetricsSnapshot = obs.WriteSnapshotJSON
 // via Env.Obs.
 func NewMeteredEnv(seed uint64, pool PoolConfig) (*Env, error) {
 	return core.NewMeteredEnv(seed, pool)
-}
-
-// NewEnvWithMetrics builds an environment reporting into an existing
-// registry (e.g. one shared across several environments). reg may be
-// nil, which is NewEnv.
-func NewEnvWithMetrics(seed uint64, pool PoolConfig, reg *Metrics) (*Env, error) {
-	return core.NewEnvObs(seed, pool, reg)
 }
 
 // MeterFactorCache mirrors the covariance factor cache's hit/miss
@@ -131,14 +110,6 @@ func EnableGFCache(dir string) {
 		return
 	}
 	fakequakes.DefaultGFCache = fakequakes.NewGFCache(dir)
-}
-
-// MeterGFCache mirrors the Green's-function cache's hit/miss tallies
-// into reg. A no-op until EnableGFCache installs a cache.
-func MeterGFCache(reg *Metrics) {
-	if fakequakes.DefaultGFCache != nil {
-		fakequakes.DefaultGFCache.SetObs(reg)
-	}
 }
 
 // Workflow is one FDW run (a DAGMan with its own schedd identity).
@@ -221,10 +192,6 @@ type BurstPolicy2 = burst.Policy2
 // BurstPolicy3 addresses submission gaps (max gap + probe).
 type BurstPolicy3 = burst.Policy3
 
-// BurstElasticPolicy is the §6 future-work elastic algorithm: burst
-// proportionally to the throughput deficit.
-type BurstElasticPolicy = burst.ElasticPolicy
-
 // BurstResult is one bursting simulation's report.
 type BurstResult = burst.Result
 
@@ -260,60 +227,15 @@ type ExperimentOptions = expt.Options
 // DefaultExperimentOptions mirrors the paper: three reps, full scale.
 func DefaultExperimentOptions() ExperimentOptions { return expt.DefaultOptions() }
 
-// Experiment result types, one per figure, plus the extension rows.
-type (
-	Fig2Row      = expt.Fig2Row
-	Fig3Row      = expt.Fig3Row
-	Fig4Data     = expt.Fig4Data
-	Fig5Cell     = expt.Fig5Cell
-	HeadlineRes  = expt.HeadlineResult
-	Fig1Products = expt.Fig1Products
-	AblationRow  = expt.AblationRow
-	Policy3Row   = expt.Policy3Row
-	ElasticRow   = expt.ElasticRow
-	ChaosRow     = expt.ChaosRow
-)
-
-// Fault-plan engine (internal/faults): deterministic scripted site
-// outages, black holes, failure bursts, transfer and submit faults,
-// layered onto a pool through injection hooks (DESIGN.md §10).
-type (
-	FaultPlan     = faults.Plan
-	FaultWindow   = faults.Window
-	FaultInjector = faults.Injector
-)
-
-// NewFaultInjector validates plan and binds it to the environment's
-// kernel; Attach the result to the environment's pool and schedds
-// before running.
-func NewFaultInjector(env *Env, plan FaultPlan) (*FaultInjector, error) {
-	return faults.New(env.Kernel, plan)
-}
-
-// StandardFaultPlans is the chaos-sweep fault-plan grid.
-func StandardFaultPlans() []FaultPlan { return faults.StandardPlans() }
-
 // Adaptive recovery layer (internal/recovery): deterministic retry
 // backoff, per-site circuit breakers, job wall-clock deadlines, and
 // straggler hedging, attached to a pool/workflow through the same
 // hook seams the fault engine uses (DESIGN.md §11).
-type (
-	RecoveryConfig = recovery.Config
-	RecoveryPolicy = recovery.Policy
-	RecoveryStats  = recovery.Stats
-)
+type RecoveryConfig = recovery.Config
 
 // DefaultRecoveryConfig enables all four recovery mechanisms with the
 // chaos-sweep-tuned defaults.
 func DefaultRecoveryConfig() RecoveryConfig { return recovery.DefaultConfig() }
-
-// NewRecoveryPolicy validates cfg and binds it to the environment's
-// kernel. Attach the policy to the environment's pool and the
-// workflow's schedd and executor before running — and create it after
-// any fault injector, so RNG stream splits happen in a fixed order.
-func NewRecoveryPolicy(env *Env, cfg RecoveryConfig) (*RecoveryPolicy, error) {
-	return recovery.New(env.Kernel, cfg)
-}
 
 // Experiment harness entry points (see DESIGN.md's experiment index).
 var (

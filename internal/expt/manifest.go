@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"fdw/internal/core/atomicfile"
-	"fdw/internal/dagman"
 	"fdw/internal/obs"
 	"fdw/internal/recovery"
 	"fdw/internal/sim"
@@ -18,9 +17,9 @@ import (
 // A CampaignManifest is one shard's output bundle: which cells of a
 // campaign the shard owns, which are done, their JSON-encoded results
 // with integrity digests, sim-clock provenance, and an optional
-// embedded metrics snapshot. Its completion ledger has the dagman
-// rescue manifest's format, one node per cell. NewBundle builds every
-// bundle and LoadBundle reads one back for resume.
+// embedded metrics snapshot. Its completion ledger has one node per
+// cell. NewBundle builds every bundle and LoadBundle reads one back for
+// resume.
 //
 // Manifests are written as compact JSON: cell results are
 // json.RawMessage payloads whose bytes must survive re-encoding
@@ -46,9 +45,9 @@ type CampaignManifest struct {
 	// resume with different options must fail loudly rather than mix
 	// incompatible results.
 	Fingerprint string `json:"fingerprint"`
-	// Ledger is the cell-completion record: one dagman manifest node
-	// per owned cell, in canonical cell order.
-	Ledger dagman.Manifest `json:"ledger"`
+	// Ledger is the cell-completion record: one node per owned cell,
+	// in canonical cell order.
+	Ledger Ledger `json:"ledger"`
 	// Cells holds the completed cells' results, in canonical order.
 	Cells []CellRecord `json:"cells"`
 	// SimMax is the largest per-cell final sim-clock reading — the
@@ -56,6 +55,55 @@ type CampaignManifest struct {
 	SimMax sim.Time `json:"sim_max"`
 	// Metrics is the shard's obs snapshot rollup, when metrics were on.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+}
+
+// Ledger is a bundle's cell-completion record, the structured form of
+// a rescue DAG's DONE markings: schema version (LedgerFormat), the
+// run's name, and its cells in canonical order with their done flags.
+// Its JSON is the one bundles have always carried, so old bundles load.
+type Ledger struct {
+	Format int          `json:"format"`
+	DAG    string       `json:"dag"`
+	Nodes  []LedgerNode `json:"nodes"`
+}
+
+// LedgerNode is one cell's completion record.
+type LedgerNode struct {
+	Name string `json:"name"`
+	Done bool   `json:"done"`
+}
+
+// LedgerFormat is the current ledger schema version.
+const LedgerFormat = 1
+
+// Validate checks the ledger's structural invariants: a supported
+// format, a named run, and unique non-empty node names.
+func (l Ledger) Validate() error {
+	if l.Format != LedgerFormat {
+		return fmt.Errorf("expt: ledger format %d, want %d", l.Format, LedgerFormat)
+	}
+	if l.DAG == "" {
+		return fmt.Errorf("expt: ledger has no dag name")
+	}
+	seen := make(map[string]bool, len(l.Nodes))
+	for _, n := range l.Nodes {
+		if n.Name == "" || seen[n.Name] {
+			return fmt.Errorf("expt: ledger node %q is empty or listed twice", n.Name)
+		}
+		seen[n.Name] = true
+	}
+	return nil
+}
+
+// DoneCount returns how many listed nodes are done.
+func (l Ledger) DoneCount() int {
+	n := 0
+	for _, node := range l.Nodes {
+		if node.Done {
+			n++
+		}
+	}
+	return n
 }
 
 // ShardSpec identifies shard Index of Total (1-based, like -shard 2/4).
@@ -251,14 +299,14 @@ func NewBundle(campaign, fingerprint string, slot ShardSpec, leased bool, ledger
 		Shard:       slot,
 		Leased:      leased,
 		Fingerprint: fingerprint,
-		Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: dag},
+		Ledger:      Ledger{Format: LedgerFormat, DAG: dag},
 	}
 	for _, id := range ledgerIDs {
 		rec, ok := done[id]
 		if !ok && leased {
 			continue
 		}
-		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: ok})
+		m.Ledger.Nodes = append(m.Ledger.Nodes, LedgerNode{Name: id, Done: ok})
 		if ok {
 			m.Cells = append(m.Cells, rec)
 			m.SimMax = max(m.SimMax, rec.SimEnd)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"fdw/internal/core/atomicfile"
-	"fdw/internal/dagman"
 	"fdw/internal/obs"
 )
 
@@ -336,10 +335,10 @@ func TestMergeLeasedArbitration(t *testing.T) {
 			Shard:       ShardSpec{Index: idx, Total: 2},
 			Leased:      true,
 			Fingerprint: fp,
-			Ledger: dagman.Manifest{
-				Format: dagman.ManifestFormat,
+			Ledger: Ledger{
+				Format: LedgerFormat,
 				DAG:    "t",
-				Nodes:  []dagman.ManifestNode{{Name: "cellX", Done: true}},
+				Nodes:  []LedgerNode{{Name: "cellX", Done: true}},
 			},
 			Cells: []CellRecord{{ID: "cellX", Result: json.RawMessage(raw), Digest: cellDigest([]byte(raw))}},
 		}
@@ -558,7 +557,7 @@ func unknownCellBundle(t *testing.T, opt Options) string {
 		Shard:       ShardSpec{Index: 1, Total: 1},
 		Leased:      true,
 		Fingerprint: h.Fingerprint(),
-		Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: "t"},
+		Ledger:      Ledger{Format: LedgerFormat, DAG: "t"},
 	}
 	for _, id := range h.CellIDs() {
 		rec, err := h.RunCell(id)
@@ -571,7 +570,7 @@ func unknownCellBundle(t *testing.T, opt Options) string {
 	extra.ID = "not-a-cell"
 	m.Cells = append(m.Cells, extra)
 	for _, rec := range m.Cells {
-		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: rec.ID, Done: true})
+		m.Ledger.Nodes = append(m.Ledger.Nodes, LedgerNode{Name: rec.ID, Done: true})
 	}
 	p := filepath.Join(t.TempDir(), "fig2.worker1of1.json")
 	if err := m.WriteFile(p); err != nil {

@@ -158,6 +158,31 @@ func TestGFCacheCorruptSkippedAndRecomputed(t *testing.T) {
 	}
 }
 
+// TestGFCacheHostileShapeRecomputed: a greens_*.npy whose header
+// claims an overflowing shape is a miss that rewrites the file, not a
+// panic.
+func TestGFCacheHostileShapeRecomputed(t *testing.T) {
+	f, stations, d := smallSetup(t, 2)
+	cfg := gfTestConfig()
+	dir := t.TempDir()
+	c := NewGFCache(dir)
+	path := filepath.Join(dir, fmt.Sprintf(gfNPYPattern, GFFingerprint(f, stations, d, cfg)))
+	for _, shape := range []string{"(2147483648, 2147483648)", "(4294967296, 4294967296)"} {
+		header := "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }\n"
+		b := append([]byte("\x93NUMPY\x01\x00"), byte(len(header)), 0)
+		b = append(append(b, header...), make([]byte, 16)...)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || hit {
+			t.Fatalf("shape %s: hit=%v err=%v, want a recomputed miss", shape, hit, err)
+		}
+		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || !hit {
+			t.Fatalf("shape %s: after rewrite hit=%v err=%v, want warm hit", shape, hit, err)
+		}
+	}
+}
+
 // TestGFFingerprintSensitivity: any input the kernels read must change
 // the fingerprint, or a stale file would satisfy the wrong geometry.
 func TestGFFingerprintSensitivity(t *testing.T) {

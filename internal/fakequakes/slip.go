@@ -292,7 +292,7 @@ func (g *Generator) correlatedSlip(patch []int, mw float64, rng *sim.RNG) ([]flo
 	for i := range z {
 		z[i] = rng.Norm()
 	}
-	corr, err := l.ParallelMulVec(z)
+	corr, err := l.MulVec(z)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +315,7 @@ func (g *Generator) correlatedSlip(patch []int, mw float64, rng *sim.RNG) ([]flo
 // Cholesky factor. The fill parallelizes over upper-triangle rows —
 // every cell (a,b) and its mirror (b,a) is written by exactly one
 // worker (the one owning row min(a,b)), so the writes are disjoint —
-// and the factorization uses the bit-identical parallel kernel, keeping
+// and the blocked Cholesky fans out without changing a bit, keeping
 // the factor independent of GOMAXPROCS.
 func (g *Generator) factorCovariance(patch []int, aS, aD float64) (*linalg.Matrix, error) {
 	n := len(patch)
@@ -336,7 +336,7 @@ func (g *Generator) factorCovariance(patch []int, aS, aD float64) (*linalg.Matri
 		}
 	})
 	cov.AddDiag(1e-8 * g.SigmaLn * g.SigmaLn)
-	l, err := linalg.ParallelCholesky(cov)
+	l, err := linalg.Cholesky(cov)
 	if err != nil {
 		return nil, fmt.Errorf("fakequakes: slip covariance: %w", err)
 	}

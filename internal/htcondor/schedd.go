@@ -62,7 +62,6 @@ type scheddMetrics struct {
 	waitSecs   *obs.Histogram
 	execSecs   *obs.Histogram
 	rejected   *obs.Counter
-	offloaded  *obs.Counter
 	events     map[EventType]*obs.Counter
 }
 
@@ -100,7 +99,6 @@ func (s *Schedd) SetObs(r *obs.Registry) {
 		waitSecs:   r.Histogram("fdw_schedd_wait_seconds", "schedd", s.Name),
 		execSecs:   r.Histogram("fdw_schedd_exec_seconds", "schedd", s.Name),
 		rejected:   r.Counter("fdw_schedd_submit_rejected_total", "schedd", s.Name),
-		offloaded:  r.Counter("fdw_schedd_offloaded_total", "schedd", s.Name),
 		events:     map[EventType]*obs.Counter{},
 	}
 	if s.spans == nil {
@@ -212,23 +210,6 @@ func (s *Schedd) pump() {
 // StagedCount returns jobs accepted but not yet submitted — the
 // "unsubmitted" jobs the paper's bursting policies 1 and 3 offload.
 func (s *Schedd) StagedCount() int { return len(s.staged) }
-
-// PopStaged removes and returns the last staged job, or nil if none
-// (used by the bursting simulator to offload unsubmitted work).
-func (s *Schedd) PopStaged() *Job {
-	if len(s.staged) == 0 {
-		return nil
-	}
-	j := s.staged[len(s.staged)-1]
-	s.staged = s.staged[:len(s.staged)-1]
-	j.Status = Removed
-	s.removed++
-	if s.obs != nil {
-		s.met.offloaded.Inc()
-		s.queueGauges()
-	}
-	return j
-}
 
 func (s *Schedd) appendEvent(j *Job, t EventType, host string) {
 	if s.obs != nil {

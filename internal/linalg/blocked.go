@@ -24,8 +24,8 @@ import "math"
 //
 // Fused rounding differs from the reference kernels' two-rounding
 // multiply-then-add, which is the one-time golden repin this package
-// made when the blocked kernels landed (DESIGN.md §15); reference.go
-// keeps the old kernels as the numerical spec.
+// made when the blocked kernels landed (DESIGN.md §15);
+// reference_test.go keeps the old kernels as the numerical spec.
 const (
 	gemmMR = 4   // micro-tile rows: four broadcast A scalars in flight
 	gemmNR = 8   // micro-tile cols: two 4-wide vector accumulators
@@ -151,14 +151,15 @@ func goKern4x8(kc int, a []float64, lda int, b []float64, c []float64, ldc int) 
 // the kernel definition, not a tuning knob to flip casually.
 const cholNB = 32
 
-// blockedCholesky is the shared core of Cholesky and ParallelCholesky:
-// a left-looking panel factorization. For each NB-wide panel the bulk
-// of the prefix — the dot products against all columns left of the
-// panel — is one gemmAcc call (rows × NB × p flops through the
-// micro-kernel); the remaining in-panel prefix terms use plain scalar
-// dots. Per element the order is fixed by construction: fused chain
-// over k < p, then plain chain over p ≤ k < j, then one subtraction —
-// identical whether the row quads ran serial or parallel.
+// blockedCholesky is Cholesky's kernel, with par deciding whether the
+// panel updates fan out: a left-looking panel factorization. For each
+// NB-wide panel the bulk of the prefix — the dot products against all
+// columns left of the panel — is one gemmAcc call (rows × NB × p flops
+// through the micro-kernel); the remaining in-panel prefix terms use
+// plain scalar dots. Per element the order is fixed by construction:
+// fused chain over k < p, then plain chain over p ≤ k < j, then one
+// subtraction — identical whether the row quads ran serial or
+// parallel.
 func blockedCholesky(m *Matrix, par bool) (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, cholDimErr(m)

@@ -60,7 +60,7 @@ func TestBlockedMulBitsEqualFMASpec(t *testing.T) {
 // TestBlockedMulMatchesReference is the blocked-vs-reference property
 // test: numerical agreement (not bitwise — the fused rounding is the
 // repin) across square, rectangular, odd, non-tile-multiple shapes,
-// for the serial and the parallel entry point at any worker count.
+// with one worker and with four.
 func TestBlockedMulMatchesReference(t *testing.T) {
 	sizes := nonTileSizes
 	if testing.Short() {
@@ -84,23 +84,18 @@ func TestBlockedMulMatchesReference(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			for name, got := range map[string]func() (*Matrix, error){
-				"serial":   func() (*Matrix, error) { return a.Mul(b) },
-				"parallel": func() (*Matrix, error) { return a.ParallelMul(b) },
-			} {
-				m, err := got()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Operands in [-1,1]: the two kernels differ only in
-				// rounding, bounded well below K·eps per element.
-				tol := 1e-12 * float64(kK+1)
-				if d := maxAbsDiff(want.Data, m.Data); d > tol {
-					t.Fatalf("%s %dx%dx%d (procs=%d): blocked vs reference differ by %g (tol %g)",
-						name, mM, kK, nN, procs, d, tol)
-				}
-			}
+			m, err := a.Mul(b)
 			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Operands in [-1,1]: the two kernels differ only in
+			// rounding, bounded well below K·eps per element.
+			tol := 1e-12 * float64(kK+1)
+			if d := maxAbsDiff(want.Data, m.Data); d > tol {
+				t.Fatalf("%dx%dx%d (procs=%d): blocked vs reference differ by %g (tol %g)",
+					mM, kK, nN, procs, d, tol)
+			}
 		}
 	}
 }
@@ -121,21 +116,16 @@ func TestBlockedCholeskyMatchesReference(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			for name, got := range map[string]func() (*Matrix, error){
-				"serial":   func() (*Matrix, error) { return Cholesky(m) },
-				"parallel": func() (*Matrix, error) { return ParallelCholesky(m) },
-			} {
-				l, err := got()
-				if err != nil {
-					t.Fatalf("%s n=%d: %v", name, n, err)
-				}
-				tol := 1e-10 * float64(n+1)
-				if d := maxAbsDiff(want.Data, l.Data); d > tol {
-					t.Fatalf("%s n=%d (procs=%d): blocked vs reference differ by %g (tol %g)",
-						name, n, procs, d, tol)
-				}
-			}
+			l, err := Cholesky(m)
 			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatalf("n=%d (procs=%d): %v", n, procs, err)
+			}
+			tol := 1e-10 * float64(n+1)
+			if d := maxAbsDiff(want.Data, l.Data); d > tol {
+				t.Fatalf("n=%d (procs=%d): blocked vs reference differ by %g (tol %g)",
+					n, procs, d, tol)
+			}
 		}
 	}
 }
@@ -163,11 +153,11 @@ func TestBlockedCholeskyNotPositiveDefinite(t *testing.T) {
 
 // TestParallelCutoffNeverDispatches pins the size/worker cutoff: at
 // every benchmark-recorded size with one worker, and at small sizes
-// with many workers, the parallel entry points must run the serial
-// code path — zero pool dispatches — so parallel ≤ serial + the cost
-// of the cutoff comparison at every recorded size by construction
-// (the pre-blocking kernel paid per-column fan-out at GOMAXPROCS=1
-// and lost 169.6ms vs 156.0ms at n=1024).
+// with many workers, the kernels must run inline — zero pool
+// dispatches — so fan-out costs nothing beyond the cutoff comparison
+// where it cannot pay (the pre-blocking parallel Cholesky paid
+// per-column fan-out at GOMAXPROCS=1 and lost 169.6ms vs 156.0ms at
+// n=1024).
 func TestParallelCutoffNeverDispatches(t *testing.T) {
 	recorded := []int{256, 512, 1024}
 	if testing.Short() {
@@ -176,40 +166,40 @@ func TestParallelCutoffNeverDispatches(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	before := poolDispatches.Load()
 	for _, n := range recorded {
-		if _, err := ParallelCholesky(spdMatrix(n)); err != nil {
+		if _, err := Cholesky(spdMatrix(n)); err != nil {
 			t.Fatal(err)
 		}
 		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.ParallelMul(a); err != nil {
+		if _, err := a.Mul(a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.ParallelMulVec(a.Row(0)); err != nil {
+		if _, err := a.MulVec(a.Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("one-worker parallel entry points dispatched %d pool tasks, want 0", got-before)
+		t.Fatalf("one-worker kernels dispatched %d pool tasks, want 0", got-before)
 	}
 	runtime.GOMAXPROCS(4)
 	before = poolDispatches.Load()
 	for _, n := range []int{2, 16, 33} {
-		if _, err := ParallelCholesky(spdMatrix(n)); err != nil {
+		if _, err := Cholesky(spdMatrix(n)); err != nil {
 			t.Fatal(err)
 		}
 		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.ParallelMul(a); err != nil {
+		if _, err := a.Mul(a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("below-cutoff parallel entry points dispatched %d pool tasks, want 0", got-before)
+		t.Fatalf("below-cutoff kernels dispatched %d pool tasks, want 0", got-before)
 	}
 	// Sanity: above the cutoffs with several workers, fan-out happens.
-	if _, err := ParallelCholesky(spdMatrix(300)); err != nil {
+	if _, err := Cholesky(spdMatrix(300)); err != nil {
 		t.Fatal(err)
 	}
 	if poolDispatches.Load() == before {
-		t.Fatal("above-cutoff ParallelCholesky with 4 workers never reached the pool")
+		t.Fatal("above-cutoff Cholesky with 4 workers never reached the pool")
 	}
 	runtime.GOMAXPROCS(old)
 }
@@ -224,20 +214,20 @@ func TestBlockedKernelsAcrossGOMAXPROCS(t *testing.T) {
 		b := randomMatrix(n, n, uint64(n)+1)
 
 		old := runtime.GOMAXPROCS(1)
-		l1, err := ParallelCholesky(m)
+		l1, err := Cholesky(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1, err := a.ParallelMul(b)
+		p1, err := a.Mul(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.GOMAXPROCS(4)
-		lN, err := ParallelCholesky(m)
+		lN, err := Cholesky(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pN, err := a.ParallelMul(b)
+		pN, err := a.Mul(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -85,19 +86,29 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// MulVec returns m·x. It returns an error on dimension mismatch.
+// MulVec returns m·x. It returns an error on dimension mismatch. Each
+// y[i] is a plain left-to-right accumulation over its row; above
+// parallelFlopCutoff the rows are partitioned across the shared pool,
+// which never changes an element's bits (parallel.go).
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("linalg: MulVec dim mismatch: %dx%d · %d", m.Rows, m.Cols, len(x))
 	}
 	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
+	rows := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Data[i*m.Cols : (i+1)*m.Cols]
+			var s float64
+			for j, v := range row {
+				s += v * x[j]
+			}
+			y[i] = s
 		}
-		y[i] = s
+	}
+	if m.Rows*m.Cols < parallelFlopCutoff {
+		rows(0, m.Rows)
+	} else {
+		ParallelFor(m.Rows, rowGrain, rows)
 	}
 	return y, nil
 }
@@ -112,15 +123,20 @@ func cholDimErr(m *Matrix) error {
 
 // Mul returns m·b. It returns an error on dimension mismatch. The
 // product is the cache-blocked kernel (blocked.go): every element is a
-// fused-multiply-add fold over k in increasing order, so Mul is
-// bit-identical to ParallelMul and across architectures; ReferenceMul
-// keeps the pre-blocking kernel as the numerical spec.
+// fused-multiply-add fold over k in increasing order, so the bits do
+// not depend on the architecture or on GOMAXPROCS. Above the size and
+// worker cutoffs the row quads of each panel fan out on the shared
+// pool (parallel.go); reference_test.go keeps the pre-blocking kernel
+// as the numerical spec.
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	if m.Cols != b.Rows {
 		return nil, mulDimErr(m, b)
 	}
+	par := runtime.GOMAXPROCS(0) > 1 &&
+		m.Rows >= 2*gemmMR &&
+		m.Rows*m.Cols*b.Cols >= parallelGemmMinFlops
 	out := NewMatrix(m.Rows, b.Cols)
-	gemmAcc(m.Rows, b.Cols, m.Cols, m.Data, m.Cols, b.Data, b.Cols, false, out.Data, out.Cols, false)
+	gemmAcc(m.Rows, b.Cols, m.Cols, m.Data, m.Cols, b.Data, b.Cols, false, out.Data, out.Cols, par)
 	return out, nil
 }
 
@@ -132,11 +148,14 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // symmetric positive-definite m. Only the lower triangle of m is read.
 // A small jitter may be added by the caller beforehand for matrices
 // that are positive semi-definite up to rounding. The factorization is
-// the blocked left-looking kernel (blocked.go), bit-identical to
-// ParallelCholesky; ReferenceCholesky keeps the pre-blocking kernel as
-// the numerical spec.
+// the blocked left-looking kernel (blocked.go), whose bits do not
+// depend on GOMAXPROCS; from parallelCholMinN up, with more than one
+// worker, its panel updates fan out on the shared pool (parallel.go).
+// reference_test.go keeps the pre-blocking kernel as the numerical
+// spec.
 func Cholesky(m *Matrix) (*Matrix, error) {
-	return blockedCholesky(m, false)
+	par := runtime.GOMAXPROCS(0) > 1 && m.Rows >= parallelCholMinN
+	return blockedCholesky(m, par)
 }
 
 // AddDiag adds eps to every diagonal element in place and returns m.
@@ -255,16 +274,16 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: rhs length %d for %d rows", len(b), a.Rows)
 	}
 	at := a.T()
-	ata, err := at.ParallelMul(a)
+	ata, err := at.Mul(a)
 	if err != nil {
 		return nil, err
 	}
 	ata.AddDiag(1e-9)
-	atb, err := at.ParallelMulVec(b)
+	atb, err := at.MulVec(b)
 	if err != nil {
 		return nil, err
 	}
-	l, err := ParallelCholesky(ata)
+	l, err := Cholesky(ata)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: normal equations not positive definite: %w", err)
 	}

@@ -1,26 +1,24 @@
-// Parallel variants of the hot kernels (Cholesky, matrix-matrix and
-// matrix-vector products) on a shared bounded worker pool sized by
-// GOMAXPROCS.
+// The shared bounded worker pool behind the hot kernels (Cholesky, Mul
+// and MulVec), sized by GOMAXPROCS.
 //
-// Bit-identity contract: every output element is computed with exactly
-// the serial kernels' summation order — for the blocked Mul/Cholesky a
+// Bit-identity contract: every output element is computed with one
+// fixed summation order — for the blocked Mul/Cholesky a
 // fused-multiply-add fold over k in increasing order (see blocked.go),
-// for MulVec a plain left-to-right accumulation — so the parallel
-// kernels return results that are bit-identical to Cholesky/Mul/MulVec
-// for the same input, regardless of worker count. Parallelism only
-// partitions *independent* output elements (rows, row quads) across
-// workers; it never splits or reassociates a single element's
-// reduction. This is what keeps FakeQuakes scenarios deterministic by
-// seed under GOMAXPROCS=1 vs N.
+// for MulVec a plain left-to-right accumulation — so the kernels return
+// the same bits for the same input regardless of worker count.
+// Parallelism only partitions *independent* output elements (rows, row
+// quads) across workers; it never splits or reassociates a single
+// element's reduction. This is what keeps FakeQuakes scenarios
+// deterministic by seed under GOMAXPROCS=1 vs N.
 //
-// Cutoff contract: each parallel entry point decides up front whether
-// fan-out can win — enough workers *and* enough arithmetic per
-// dispatch — and otherwise runs the serial kernel's exact code path,
-// dispatching nothing. poolDispatches makes that observable, and the
-// cutoff tests pin it at every benchmark-recorded size, so "parallel"
-// can never lose to serial by more than the cutoff comparison itself
-// (the pre-blocking ParallelCholesky lost ~9% at 1024 on one core by
-// paying per-column fan-out that could not pay for itself).
+// Cutoff contract: each kernel decides up front whether fan-out can
+// win — enough workers *and* enough arithmetic per dispatch — and
+// otherwise runs inline, dispatching nothing. poolDispatches makes that
+// observable, and the cutoff tests pin it at every benchmark-recorded
+// size, so fan-out can never cost more than the cutoff comparison
+// itself where it cannot pay (the pre-blocking parallel Cholesky lost
+// ~9% at 1024 on one core by paying per-column fan-out that could not
+// pay for itself).
 package linalg
 
 import (
@@ -97,17 +95,17 @@ func ParallelFor(n, minGrain int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Work thresholds below which the parallel entry points run the serial
-// kernels' exact code path: fan-out overhead beats the arithmetic for
-// small inputs, so below these no task ever reaches the pool.
+// Work thresholds below which the kernels run inline on the caller:
+// fan-out overhead beats the arithmetic for small inputs, so below
+// these no task ever reaches the pool.
 const (
 	parallelFlopCutoff = 1 << 14 // per dispatch, roughly a few µs of math
 	rowGrain           = 8       // minimum rows per worker chunk
-	// parallelGemmMinFlops gates ParallelMul: a blocked GEMM under
+	// parallelGemmMinFlops gates Mul's fan-out: a blocked GEMM under
 	// ~256k flops finishes in tens of µs, comparable to waking the
 	// pool for it.
 	parallelGemmMinFlops = 1 << 18
-	// parallelCholMinN gates ParallelCholesky: below this the whole
+	// parallelCholMinN gates Cholesky's fan-out: below this the whole
 	// factorization is sub-millisecond and the per-panel fan-out
 	// cannot recoup itself.
 	parallelCholMinN = 256
@@ -115,57 +113,6 @@ const (
 
 // poolDispatches counts ParallelFor fan-outs that actually reached the
 // pool (the inline small-n/one-worker path does not count). Tests use
-// it to pin the cutoff contract: entry points that cannot win must
+// it to pin the cutoff contract: kernel calls that cannot win must
 // leave it untouched.
 var poolDispatches atomic.Uint64
-
-// ParallelCholesky computes the same lower-triangular factor as
-// Cholesky, bit-identically: both run the blocked left-looking kernel
-// (blocked.go), and the parallel flavor fans the per-panel GEMM update
-// and independent row updates across the shared pool — unless the
-// matrix is too small or only one worker exists, in which case it *is*
-// the serial code path.
-func ParallelCholesky(m *Matrix) (*Matrix, error) {
-	par := runtime.GOMAXPROCS(0) > 1 && m.Rows >= parallelCholMinN
-	return blockedCholesky(m, par)
-}
-
-// ParallelMulVec returns m·x, bit-identical to MulVec, with output rows
-// partitioned across the pool.
-func (m *Matrix) ParallelMulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return m.MulVec(x) // same dimension-mismatch error
-	}
-	if m.Rows*m.Cols < parallelFlopCutoff {
-		return m.MulVec(x)
-	}
-	y := make([]float64, m.Rows)
-	ParallelFor(m.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			var s float64
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] = s
-		}
-	})
-	return y, nil
-}
-
-// ParallelMul returns m·b, bit-identical to Mul: both run the blocked
-// kernel, and the parallel flavor partitions row quads of each panel
-// across the pool. Per-element rounding is identical by construction —
-// the fused k-fold never depends on the partition — and the cutoff
-// keeps small products on the serial code path with zero dispatches.
-func (m *Matrix) ParallelMul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return m.Mul(b) // same dimension-mismatch error
-	}
-	par := runtime.GOMAXPROCS(0) > 1 &&
-		m.Rows >= 2*gemmMR &&
-		m.Rows*m.Cols*b.Cols >= parallelGemmMinFlops
-	out := NewMatrix(m.Rows, b.Cols)
-	gemmAcc(m.Rows, b.Cols, m.Cols, m.Data, m.Cols, b.Data, b.Cols, false, out.Data, out.Cols, par)
-	return out, nil
-}

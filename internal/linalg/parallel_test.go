@@ -54,31 +54,48 @@ func bitsEqual(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-// Sizes straddle the serial cutoff, odd chunk boundaries, and the
+// Sizes straddle the parallel cutoffs, odd chunk boundaries, and the
 // benchmark sizes' shape (capped for test speed).
 var paritySizes = []int{1, 2, 3, 7, 16, 33, 64, 129, 256}
+
+// atProcs runs f under GOMAXPROCS=1 and then GOMAXPROCS=4, so one
+// kernel's inline and fanned-out paths can be compared bit for bit.
+func atProcs(t *testing.T, f func() ([]float64, error)) (one, four []float64) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	one, err := f()
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=1: %v", err)
+	}
+	runtime.GOMAXPROCS(4)
+	four, err = f()
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=4: %v", err)
+	}
+	return one, four
+}
 
 func TestParallelCholeskyBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		m := spdMatrix(n)
-		want, err := Cholesky(m)
-		if err != nil {
-			t.Fatalf("n=%d serial: %v", n, err)
-		}
-		got, err := ParallelCholesky(m)
-		if err != nil {
-			t.Fatalf("n=%d parallel: %v", n, err)
-		}
-		bitsEqual(t, "cholesky", want.Data, got.Data)
+		one, four := atProcs(t, func() ([]float64, error) {
+			l, err := Cholesky(m)
+			if err != nil {
+				return nil, err
+			}
+			return l.Data, nil
+		})
+		bitsEqual(t, "cholesky", one, four)
 	}
 }
 
 func TestParallelCholeskyErrors(t *testing.T) {
-	if _, err := ParallelCholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
 		t.Fatal("non-square accepted")
 	}
 	bad := NewMatrix(64, 64) // all-zero: not positive definite
-	if _, err := ParallelCholesky(bad); err != ErrNotPositiveDefinite {
+	if _, err := Cholesky(bad); err != ErrNotPositiveDefinite {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
@@ -87,18 +104,17 @@ func TestParallelMulBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		a := randomMatrix(n, n+3, uint64(n))
 		b := randomMatrix(n+3, n+1, uint64(n)+1000)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.ParallelMul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "mul", want.Data, got.Data)
+		one, four := atProcs(t, func() ([]float64, error) {
+			p, err := a.Mul(b)
+			if err != nil {
+				return nil, err
+			}
+			return p.Data, nil
+		})
+		bitsEqual(t, "mul", one, four)
 	}
 	a := NewMatrix(2, 3)
-	if _, err := a.ParallelMul(NewMatrix(4, 2)); err == nil {
+	if _, err := a.Mul(NewMatrix(4, 2)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -107,17 +123,10 @@ func TestParallelMulVecBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		a := randomMatrix(n, 2*n+1, uint64(n))
 		x := randomMatrix(1, 2*n+1, uint64(n)+5000).Data
-		want, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.ParallelMulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "mulvec", want, got)
+		one, four := atProcs(t, func() ([]float64, error) { return a.MulVec(x) })
+		bitsEqual(t, "mulvec", one, four)
 	}
-	if _, err := NewMatrix(2, 3).ParallelMulVec(make([]float64, 5)); err == nil {
+	if _, err := NewMatrix(2, 3).MulVec(make([]float64, 5)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -131,21 +140,21 @@ func TestParallelKernelsAcrossGOMAXPROCS(t *testing.T) {
 	b := randomMatrix(n, n, 10)
 
 	old := runtime.GOMAXPROCS(1)
-	l1, err := ParallelCholesky(m)
+	l1, err := Cholesky(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := a.ParallelMul(b)
+	p1, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(old)
 
-	lN, err := ParallelCholesky(m)
+	lN, err := Cholesky(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pN, err := a.ParallelMul(b)
+	pN, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}

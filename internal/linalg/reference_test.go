@@ -1,10 +1,14 @@
 package linalg
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // The pre-blocking kernels, retained verbatim as the executable
-// reference specification (the negotiate_ref.go pattern from the pool
-// rework): simple triple loops whose correctness is obvious by
+// reference specification (the negotiate_ref_test.go pattern from the
+// pool rework): simple triple loops whose correctness is obvious by
 // inspection. The blocked kernels in blocked.go must agree with these
 // numerically — property-tested across square, rectangular, odd and
 // non-tile-multiple shapes in blocked_test.go — but not bitwise: the
@@ -67,4 +71,29 @@ func ReferenceCholesky(m *Matrix) (*Matrix, error) {
 		}
 	}
 	return l, nil
+}
+
+// BenchmarkReference times the retained specs at the root package's
+// kernel sizes, so BenchmarkCholesky and BenchmarkMatMul there show
+// what the blocked kernels gained.
+func BenchmarkReference(b *testing.B) {
+	for _, n := range []int{256, 512, 1024} {
+		m := spdMatrix(n)
+		x := randomMatrix(n, n, 1)
+		y := randomMatrix(n, n, 2)
+		b.Run(fmt.Sprintf("Cholesky/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ReferenceCholesky(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("MatMul/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := x.ReferenceMul(y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

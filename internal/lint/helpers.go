@@ -101,25 +101,3 @@ func methodOn(fn *types.Func, pkgPath string) bool {
 	}
 	return n.Obj().Pkg().Path() == pkgPath
 }
-
-// ioWriter is a structural copy of io.Writer, built once so analyzers
-// can ask types.Implements without needing the io package on hand.
-var ioWriter = func() *types.Interface {
-	errType := types.Universe.Lookup("error").Type()
-	sig := types.NewSignatureType(nil, nil, nil,
-		types.NewTuple(types.NewVar(0, nil, "p", types.NewSlice(types.Typ[types.Byte]))),
-		types.NewTuple(types.NewVar(0, nil, "n", types.Typ[types.Int]),
-			types.NewVar(0, nil, "err", errType)),
-		false)
-	i := types.NewInterfaceType([]*types.Func{types.NewFunc(0, nil, "Write", sig)}, nil)
-	i.Complete()
-	return i
-}()
-
-// implementsWriter reports whether t (or *t) implements io.Writer.
-func implementsWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Implements(t, ioWriter) || types.Implements(types.NewPointer(t), ioWriter)
-}

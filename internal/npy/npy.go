@@ -85,6 +85,9 @@ func Read(r io.Reader) (*linalg.Matrix, error) {
 	default:
 		return nil, fmt.Errorf("npy: unsupported version %d.%d", head[6], head[7])
 	}
+	if headerLen > maxHeaderLen {
+		return nil, fmt.Errorf("npy: header length %d exceeds %d", headerLen, maxHeaderLen)
+	}
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("npy: short header: %w", err)
@@ -93,17 +96,56 @@ func Read(r io.Reader) (*linalg.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cols > 0 && rows > math.MaxInt/8/cols {
+		return nil, fmt.Errorf("npy: shape (%d, %d) overflows", rows, cols)
+	}
+	// The shape is a claim, not a size. An input that can report its
+	// length (a file, an in-memory reader) must hold the claim before
+	// it is allocated; any other grows a slice that at most doubles per
+	// readChunk read, so a short stream fails at its real length.
 	n := rows * cols
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("npy: short data (want %d float64s): %w", n, err)
+	want := min(n, readChunk)
+	if left, ok := remaining(r); ok {
+		if left < 8*int64(n) {
+			return nil, fmt.Errorf("npy: short data (want %d float64s, have %d bytes)", n, left)
+		}
+		want = n
 	}
-	m := linalg.NewMatrix(rows, cols)
-	for i := 0; i < n; i++ {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	buf := make([]byte, 8*min(n, readChunk))
+	data := make([]float64, 0, want)
+	for len(data) < n {
+		chunk := buf[:8*min(n-len(data), readChunk)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, fmt.Errorf("npy: short data (want %d float64s): %w", n, err)
+		}
+		if len(data)+len(chunk)/8 > cap(data) {
+			data = append(make([]float64, 0, min(n, 2*cap(data))), data...)
+		}
+		for i := 0; i < len(chunk); i += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
-	return m, nil
+	return &linalg.Matrix{Rows: rows, Cols: cols, Data: data}, nil
 }
+
+// remaining reports how many bytes a seekable r has left to read.
+func remaining(r io.Reader) (int64, bool) {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return 0, false
+	}
+	cur, err1 := s.Seek(0, io.SeekCurrent)
+	end, err2 := s.Seek(0, io.SeekEnd)
+	_, err3 := s.Seek(cur, io.SeekStart)
+	return end - cur, err1 == nil && err2 == nil && err3 == nil
+}
+
+// Read rejects headers over maxHeaderLen bytes (NumPy writes a few
+// hundred) and reads data readChunk float64s at a time.
+const (
+	maxHeaderLen = 1 << 20
+	readChunk    = 1 << 16
+)
 
 // parseHeader extracts shape from the Python-dict literal header and
 // validates dtype and order.

@@ -3,7 +3,9 @@ package npy
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,5 +163,98 @@ func TestEmptyMatrix(t *testing.T) {
 	}
 	if got.Rows != 0 || got.Cols != 0 {
 		t.Fatalf("empty matrix round-tripped as %dx%d", got.Rows, got.Cols)
+	}
+}
+
+// hostile builds an NPY v1.0 file whose header claims shape but which
+// carries only the given data bytes.
+func hostile(shape string, data []byte) []byte {
+	header := "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }\n"
+	b := append([]byte{0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0}, byte(len(header)), byte(len(header)>>8))
+	return append(append(b, header...), data...)
+}
+
+// TestHostileShapeRejected: a header whose element or byte count
+// overflows is an error — never a makeslice panic, never a matrix whose
+// shape disagrees with its data.
+func TestHostileShapeRejected(t *testing.T) {
+	for _, shape := range []string{
+		"(2147483648, 2147483648)",
+		"(4294967296, 4294967296)",
+		"(9223372036854775807, 2)",
+		"(1152921504606846976,)",
+	} {
+		m, err := Read(bytes.NewReader(hostile(shape, make([]byte, 16))))
+		if err == nil {
+			t.Fatalf("shape %s accepted as %dx%d with %d elements", shape, m.Rows, m.Cols, len(m.Data))
+		}
+	}
+}
+
+// TestShortDataNoUpfrontAllocation: a short input that claims a large
+// shape fails at its real length without first allocating the claimed
+// 64 MiB — whether it can report its length (seekable) or not.
+func TestShortDataNoUpfrontAllocation(t *testing.T) {
+	in := hostile("(8192, 1024)", make([]byte, 80))
+	for name, r := range map[string]io.Reader{
+		"seekable": bytes.NewReader(in),
+		"stream":   struct{ io.Reader }{bytes.NewReader(in)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Read(r); err == nil {
+			t.Fatalf("%s: short data accepted", name)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Fatalf("%s: rejecting a short input allocated %d bytes", name, got)
+		}
+	}
+}
+
+// TestOversizedHeaderRejected: a v2.0 header length is a 32-bit claim;
+// one past the limit is refused before anything is allocated for it.
+func TestOversizedHeaderRejected(t *testing.T) {
+	b := []byte{0x93, 'N', 'U', 'M', 'P', 'Y', 2, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(b[8:], 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(b)); err == nil {
+		t.Fatal("oversized header accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("rejecting an oversized header allocated %d bytes", got)
+	}
+}
+
+// TestMultiChunkRoundTrip crosses several read chunks and an uneven
+// final one, from a seekable input and from a stream that makes the
+// data slice grow.
+func TestMultiChunkRoundTrip(t *testing.T) {
+	m := linalg.NewMatrix(3, readChunk+7)
+	for i := range m.Data {
+		m.Data[i] = float64(i) * 0.5
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"seekable": bytes.NewReader(buf.Bytes()),
+		"stream":   struct{ io.Reader }{bytes.NewReader(buf.Bytes())},
+	} {
+		got, err := Read(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Rows != m.Rows || got.Cols != m.Cols || len(got.Data) != len(m.Data) {
+			t.Fatalf("%s: shape %dx%d (%d elements), want %dx%d", name, got.Rows, got.Cols, len(got.Data), m.Rows, m.Cols)
+		}
+		for i := range m.Data {
+			if got.Data[i] != m.Data[i] {
+				t.Fatalf("%s: data[%d] = %v, want %v", name, i, got.Data[i], m.Data[i])
+			}
+		}
 	}
 }

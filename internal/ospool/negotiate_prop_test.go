@@ -111,7 +111,9 @@ func propRun(t *testing.T, seed uint64, mpc int, useRef, withVeto bool) (trace [
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.useReference = useRef
+	if useRef {
+		p.negotiator = p.negotiateReference
+	}
 	p.traceMatch = func(j *htcondor.Job, g *glidein) {
 		trace = append(trace, fmt.Sprintf("%.0f %s/%s -> g%d@%s", float64(k.Now()), g.schedd.Name, j.ID(), g.id, g.site.Name))
 	}

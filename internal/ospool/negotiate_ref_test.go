@@ -13,7 +13,7 @@ import (
 // must select the same matches in the same order;
 // TestIndexedNegotiatorMatchesReference drives both over randomized
 // pools and asserts the claim sequences are identical. Switch it in
-// with Pool.useReference — it is never used outside tests.
+// with Pool.negotiator — it is never used outside tests.
 
 // ownerState aggregates fair-share accounting per owner.
 type ownerState struct {

@@ -280,12 +280,12 @@ type Pool struct {
 
 	stopFns []func()
 
-	// useReference switches negotiate to the retained seed linear-scan
-	// implementation (negotiate_ref.go); traceMatch, if set, observes
-	// every successful claim. Both exist for the equivalence property
-	// test.
-	useReference bool
-	traceMatch   func(j *htcondor.Job, g *glidein)
+	// negotiator, if set, replaces negotiateIndexed — the equivalence
+	// property test plugs in the seed linear scan it keeps in
+	// negotiate_ref_test.go; traceMatch, if set, observes every
+	// successful claim. Both are nil in production.
+	negotiator func()
+	traceMatch func(j *htcondor.Job, g *glidein)
 
 	// counters
 	started   int
@@ -723,9 +723,9 @@ func (p *Pool) expireGlidein(g *glidein) {
 }
 
 // negotiate runs one fair-share matchmaking cycle. The indexed
-// negotiator (negotiateIndexed) is the production path; the retained
-// seed linear scan (negotiate_ref.go) is switched in by the
-// equivalence property test.
+// negotiator (negotiateIndexed) is the production path; the
+// equivalence property test swaps in the retained seed linear scan
+// through p.negotiator.
 func (p *Pool) negotiate() {
 	if p.stopped {
 		return
@@ -733,8 +733,8 @@ func (p *Pool) negotiate() {
 	if p.obs != nil {
 		p.met.cycles.Inc()
 	}
-	if p.useReference {
-		p.negotiateReference()
+	if p.negotiator != nil {
+		p.negotiator()
 		return
 	}
 	p.negotiateIndexed()

@@ -97,8 +97,6 @@ type Kernel struct {
 	events eventHeap
 	seq    uint64
 	rng    *RNG
-	// Steps counts executed events, for runaway detection in tests.
-	steps uint64
 	// cancelled counts tombstones still on the calendar; maybeReap
 	// compacts the heap when they dominate.
 	cancelled int
@@ -114,9 +112,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // RNG returns the kernel's root random stream.
 func (k *Kernel) RNG() *RNG { return k.rng }
-
-// Steps reports how many events have executed so far.
-func (k *Kernel) Steps() uint64 { return k.steps }
 
 // Pending reports the number of live (non-cancelled) events still on
 // the calendar. Cancelled-but-unreaped tombstones are excluded, so the
@@ -178,7 +173,6 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = e.at
-		k.steps++
 		e.fn()
 		return true
 	}

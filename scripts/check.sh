@@ -49,7 +49,7 @@ go test -race ./...
 # set -e only sees the last command of a pipeline) or if stages are
 # appended after it.
 echo "== bench smoke (-benchtime 1x -short)"
-if ! go test -run '^$' -bench . -benchtime 1x -short .; then
+if ! go test -run '^$' -bench . -benchtime 1x -short ./...; then
 	echo "check: bench smoke FAILED" >&2
 	exit 1
 fi
