@@ -104,12 +104,13 @@ func buildJobs(cfg Config, phase Phase, owner string, rng *sim.RNG) ([]*htcondor
 	default:
 		return nil, fmt.Errorf("core: unknown phase %q", phase)
 	}
+	executable := fmt.Sprintf("fdw_phase_%s.sh", phase)
 	jobs := make([]*htcondor.Job, n)
 	for i := range jobs {
 		exec := rng.TruncNormal(base, base*0.05, base*0.9, base*1.1)
 		jobs[i] = &htcondor.Job{
 			Owner:           owner,
-			Executable:      fmt.Sprintf("fdw_phase_%s.sh", phase),
+			Executable:      executable,
 			Arguments:       fmt.Sprintf("--batch %s --task %d", cfg.Name, i),
 			RequestCpus:     4,
 			RequestMemoryMB: 8192,

@@ -295,18 +295,10 @@ func AblationChurn(opt Options) ([]AblationRow, error) {
 			pool.GlideinLifetimeMean = 45 * 60
 			label = "45min pilots"
 		}
-		k := sim.NewKernel(opt.Seeds[0])
-		cache, err := stash.New(stash.DefaultConfig())
+		env, err := core.NewEnvObs(opt.Seeds[0], pool, opt.Obs)
 		if err != nil {
 			return err
 		}
-		pl, err := ospool.New(k, pool, cache)
-		if err != nil {
-			return err
-		}
-		cache.SetObs(opt.Obs)
-		pl.SetObs(opt.Obs)
-		env := &core.Env{Kernel: k, Pool: pl, Cache: cache, Obs: opt.Obs}
 		cfg := core.DefaultConfig()
 		cfg.Waveforms = n
 		cfg.Name = "ablate-churn"
@@ -318,7 +310,7 @@ func AblationChurn(opt Options) ([]AblationRow, error) {
 		if err := core.RunBatch(env, []*core.Workflow{wf}, opt.Horizon); err != nil {
 			return err
 		}
-		_, _, evictions := pl.Stats()
+		_, _, evictions := env.Pool.Stats()
 		evicted[i] = evictions
 		rows[i] = AblationRow{
 			Label:         label,

@@ -2,6 +2,8 @@ package expt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,6 +141,46 @@ func TestFig4CollectsDistributions(t *testing.T) {
 	if data[2].WaveformWaitMin.Mean <= data[0].WaveformWaitMin.Mean {
 		t.Logf("warning: n=4 wait %.1f <= n=1 wait %.1f (may happen at tiny scale)",
 			data[2].WaveformWaitMin.Mean, data[0].WaveformWaitMin.Mean)
+	}
+}
+
+// TestFig4BytesPinned holds the SHA-256 of the Fig. 4 report and of each
+// per-second series CSV. The per-second series are built from the event
+// times the schedd records, which are fractional seconds; any route that
+// rounds them — for example re-parsing the user-log text, which prints
+// whole seconds — moves the series and fails here.
+func TestFig4BytesPinned(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Seeds = []uint64{11}
+	opt.Scale = 0.01
+	var report bytes.Buffer
+	opt.Out = &report
+	data, err := Fig4(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{"report": fmt.Sprintf("%x", sha256.Sum256(report.Bytes()))}
+	for _, d := range data {
+		var csv bytes.Buffer
+		if err := WriteFig4SeriesCSV(&csv, d); err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("fig4_n%d.csv", d.DAGMans)] = fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))
+	}
+	want := map[string]string{
+		"report":      "388ab96730605914819b1993657c00ac49cfe4caba220be170122a99536a8c96",
+		"fig4_n1.csv": "5bad4862974215bdb0d425f4875e3e83639cd3e0e1b3bbe0bca30e81c41bf65e",
+		"fig4_n2.csv": "9751f30b0fa1e6109199c2929bd8f9dadaf9dfc5be8f68084a2dfd95eb979113",
+		"fig4_n4.csv": "a890d3dc3bbefb13545f6a899093053685264edd7b60e494a4a3741bbd2963eb",
+		"fig4_n8.csv": "83f1acf46ec9595127a82aa76e8dc02939123919a1617164b182cc62527b2df7",
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: sha256 %s, want %s", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d artifacts, want %d", len(got), len(want))
 	}
 }
 

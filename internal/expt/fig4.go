@@ -1,11 +1,11 @@
 package expt
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"fdw/internal/core"
+	"fdw/internal/htcondor"
 	"fdw/internal/stats"
 )
 
@@ -53,20 +53,23 @@ func Fig4(opt Options) ([]Fig4Data, error) {
 			return err
 		}
 		var wfs []*core.Workflow
-		var logs []*bytes.Buffer
 		for i := 0; i < n; i++ {
 			cfg := core.DefaultConfig()
 			cfg.Name = fmt.Sprintf("fig4-n%d-d%d", n, i)
 			cfg.Waveforms = total / n
 			cfg.Seed = seed*1000 + uint64(i)
-			buf := &bytes.Buffer{}
-			wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, buf)
+			wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
 			if err != nil {
 				return err
 			}
 			wfs = append(wfs, wf)
-			logs = append(logs, buf)
 		}
+		// The per-second series need the first DAGMan's events at their
+		// exact sim times; the user-log text rounds them to whole seconds.
+		var events []htcondor.JobEvent
+		wfs[0].Schedd.Subscribe(func(j *htcondor.Job, t htcondor.EventType) {
+			events = append(events, htcondor.JobEvent{Type: t, Cluster: j.Cluster, Proc: j.Proc, At: env.Kernel.Now()})
+		})
 		if err := core.RunBatch(env, wfs, opt.Horizon); err != nil {
 			return fmt.Errorf("fig4 n=%d: %w", n, err)
 		}
@@ -99,8 +102,6 @@ func Fig4(opt Options) ([]Fig4Data, error) {
 		data.RuptureExecMin = stats.Summarize(rExec)
 		data.RuptureWaitMin = stats.Summarize(rWait)
 
-		// Per-second series from the first DAGMan's HTCondor log.
-		events := wfs[0].Schedd.Log().Events()
 		data.InstantJPM = core.InstantThroughputSeries(events, 1)
 		data.RunningJobs = core.RunningJobsSeries(events, 1)
 		for _, p := range data.InstantJPM {

@@ -69,27 +69,27 @@ type JobEvent struct {
 // run issues kilobyte-scale writes instead of one syscall per event.
 // Call Flush (or run through Pool.RunUntilDone / core.RunBatch, which
 // flush on completion) before reading the underlying writer.
+//
+// The log is a text sink only: it keeps no events in memory, so a log
+// without a writer costs nothing per event. In-process consumers that
+// need event times observe them through Schedd.Subscribe, which sees
+// the exact fractional sim.Time; the text prints whole seconds.
 type UserLog struct {
-	w      io.Writer
-	events []JobEvent
-	buf    []byte
+	w   io.Writer
+	buf []byte
 }
 
 // userLogFlushBytes is the buffered-text threshold that triggers a
 // write to the underlying writer.
 const userLogFlushBytes = 64 * 1024
 
-// NewUserLog writes formatted events to w (which may be nil to keep
-// events only in memory).
+// NewUserLog writes formatted events to w. A nil w discards every
+// event.
 func NewUserLog(w io.Writer) *UserLog { return &UserLog{w: w} }
 
-// Events returns all recorded events in append order.
-func (l *UserLog) Events() []JobEvent { return l.events }
-
-// Append records an event and buffers its textual form, flushing to the
-// underlying writer when the buffer is full.
+// Append buffers an event's textual form, flushing to the underlying
+// writer when the buffer is full.
 func (l *UserLog) Append(ev JobEvent) error {
-	l.events = append(l.events, ev)
 	if l.w == nil {
 		return nil
 	}

@@ -1,6 +1,7 @@
 // Package stats provides the descriptive statistics and the exact
-// aggregate formulas (1)–(7) used in the paper's experimental
-// methodology (Adair et al., SC-W 2023, §4).
+// aggregate formulas used in the paper's experimental methodology
+// (Adair et al., SC-W 2023, §4). Formulas (2) and (4), mean total
+// throughput, are the Mean of per-run core.Workflow.ThroughputJPM values.
 package stats
 
 import (
@@ -63,9 +64,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Range returns Max - Min (the paper quotes e.g. a 33.4 h range).
-func Range(xs []float64) float64 { return Max(xs) - Min(xs) }
-
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation between closest ranks. It copies xs.
 func Percentile(xs []float64, p float64) float64 {
@@ -116,37 +114,9 @@ func Summarize(xs []float64) Summary {
 // experiment code reads like the methodology section.
 func AvgTotalRuntime(runtimes []float64) float64 { return Mean(runtimes) }
 
-// AvgTotalThroughput implements formula (2): mean over repetitions of
-// jobs[i]/runtimes[i]. Units follow the inputs (the paper uses
-// jobs/minute). Repetitions with non-positive runtime are skipped.
-func AvgTotalThroughput(jobs, runtimes []float64) float64 {
-	n := len(jobs)
-	if len(runtimes) < n {
-		n = len(runtimes)
-	}
-	var sum float64
-	var cnt int
-	for i := 0; i < n; i++ {
-		if runtimes[i] > 0 {
-			sum += jobs[i] / runtimes[i]
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
 // AvgRuntimeAcrossDAGMans implements formula (3): sum of per-DAGMan
 // runtimes divided by the number of DAGMans N (across all repetitions).
 func AvgRuntimeAcrossDAGMans(runtimes []float64) float64 { return Mean(runtimes) }
-
-// AvgThroughputAcrossDAGMans implements formula (4): per-DAGMan total
-// throughputs j_i/r_i summed and divided by the number of DAGMans.
-func AvgThroughputAcrossDAGMans(jobs, runtimes []float64) float64 {
-	return AvgTotalThroughput(jobs, runtimes)
-}
 
 // InstantThroughput implements formula (5): completed jobs divided by
 // elapsed runtime in minutes. Zero elapsed time yields 0.

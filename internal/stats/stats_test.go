@@ -25,11 +25,10 @@ func TestSD(t *testing.T) {
 	approx(t, SD(nil), 0, 0, "SD(nil)")
 }
 
-func TestMinMaxRange(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	approx(t, Min(xs), -1, 0, "Min")
 	approx(t, Max(xs), 7, 0, "Max")
-	approx(t, Range(xs), 8, 0, "Range")
 	approx(t, Min(nil), 0, 0, "Min(nil)")
 	approx(t, Max(nil), 0, 0, "Max(nil)")
 }
@@ -65,28 +64,10 @@ func TestFormula1AvgTotalRuntime(t *testing.T) {
 	approx(t, AvgTotalRuntime([]float64{10, 20, 30}), 20, 1e-12, "formula (1)")
 }
 
-func TestFormula2AvgTotalThroughput(t *testing.T) {
-	// ((j1/r1)+(j2/r2)+(j3/r3))/3
-	jobs := []float64{100, 100, 100}
-	rts := []float64{10, 20, 25}
-	want := (10.0 + 5.0 + 4.0) / 3.0
-	approx(t, AvgTotalThroughput(jobs, rts), want, 1e-12, "formula (2)")
-}
-
-func TestFormula2SkipsZeroRuntimes(t *testing.T) {
-	got := AvgTotalThroughput([]float64{100, 100}, []float64{0, 10})
-	approx(t, got, 10, 1e-12, "formula (2) zero runtime")
-	approx(t, AvgTotalThroughput(nil, nil), 0, 0, "formula (2) empty")
-}
-
-func TestFormula3And4MatchDefinitions(t *testing.T) {
+func TestFormula3MatchesDefinition(t *testing.T) {
 	// (3): sum(d_i)/N over all DAGMans in all repetition batches.
 	d := []float64{4, 6, 8, 6}
 	approx(t, AvgRuntimeAcrossDAGMans(d), 6, 1e-12, "formula (3)")
-	// (4): sum(j_i/r_i)/N.
-	j := []float64{8, 12, 8, 12}
-	want := (2.0 + 2.0 + 1.0 + 2.0) / 4.0
-	approx(t, AvgThroughputAcrossDAGMans(j, d), want, 1e-12, "formula (4)")
 }
 
 func TestFormula5InstantThroughput(t *testing.T) {
