@@ -123,7 +123,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	diags := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintf(stderr, "fdwlint: %v\n", err)
+		return 2
+	}
 	base := *dir
 	if base == "" {
 		base, _ = os.Getwd()

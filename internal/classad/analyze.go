@@ -33,8 +33,9 @@ func ParseCached(src string) (Expr, error) {
 	return r.expr, r.err
 }
 
-// EvalBoolCached is EvalBool backed by ParseCached — the matchmaking
-// fast path (HTCondor Requirements semantics: UNDEFINED is false).
+// EvalBoolCached parses src through ParseCached and evaluates it,
+// treating UNDEFINED as false — HTCondor's matchmaking semantics for
+// Requirements.
 func EvalBoolCached(src string, my, target Ad) (bool, error) {
 	e, err := ParseCached(src)
 	if err != nil {

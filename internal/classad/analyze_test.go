@@ -46,10 +46,12 @@ func TestEvalBoolCachedMatchesEvalBool(t *testing.T) {
 		`TARGET.GLIDEIN_Site == "unl"`,
 		`NoSuchAttr == 1`,
 	} {
-		want, err := EvalBool(src, my, target)
+		e, err := Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b, ok := e.Eval(my, target).AsBool()
+		want := b && ok
 		got, err := EvalBoolCached(src, my, target)
 		if err != nil {
 			t.Fatal(err)

@@ -147,26 +147,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse that panics on error; for compile-time constants.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// EvalBool parses and evaluates src, treating UNDEFINED as false —
-// HTCondor's matchmaking semantics for Requirements.
-func EvalBool(src string, my, target Ad) (bool, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return false, err
-	}
-	b, ok := e.Eval(my, target).AsBool()
-	return b && ok, nil
-}
-
 // ---------- lexer ----------
 
 type tokenType int

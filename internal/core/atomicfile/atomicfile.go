@@ -71,10 +71,6 @@ func (f *File) Write(p []byte) (int, error) {
 	return f.tmp.Write(p)
 }
 
-// Name returns the destination path (not the temp path), so a File can
-// stand in for an *os.File in log messages.
-func (f *File) Name() string { return f.dest }
-
 // Commit fsyncs the temp file, closes it, and renames it over the
 // destination. On any error the temp file is removed and the
 // destination is left exactly as it was.

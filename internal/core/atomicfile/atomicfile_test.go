@@ -165,3 +165,7 @@ func TestNameReportsDestination(t *testing.T) {
 		t.Fatalf("Name() = %q, want %q", f.Name(), path)
 	}
 }
+
+// Name returns the destination path (not the temp path), so a File can
+// stand in for an *os.File in log messages.
+func (f *File) Name() string { return f.dest }

@@ -104,12 +104,6 @@ func (w *Workflow) Start() error { return w.Exec.Start() }
 // Done reports workflow completion.
 func (w *Workflow) Done() bool { return w.Exec.Done() }
 
-// TotalJobs returns the number of OSG jobs this run submits.
-func (w *Workflow) TotalJobs() int {
-	_, _, _, _, total := w.Cfg.JobCounts()
-	return total
-}
-
 // RuntimeHours returns DAG wall time in hours.
 func (w *Workflow) RuntimeHours() float64 { return w.Exec.RuntimeSeconds() / 3600 }
 

@@ -111,18 +111,9 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// Roots returns nodes with no parents, in declaration order.
-func (d *DAG) Roots() []*Node {
-	var out []*Node
-	for _, name := range d.Order {
-		if n := d.Nodes[name]; len(n.Parents) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Parse reads DAGMan file syntax.
+//
+//lint:allow deadexport DAG file reader; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func Parse(r io.Reader) (*DAG, error) {
 	d := NewDAG()
 	sc := bufio.NewScanner(r)

@@ -438,23 +438,6 @@ func TestNodeStateString(t *testing.T) {
 	}
 }
 
-func TestProgressSummary(t *testing.T) {
-	d := NewDAG()
-	if err := d.AddNode(&Node{Name: "a", SubmitFile: "a.sub"}); err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel(1)
-	s := htcondor.NewSchedd("dag", k, nil)
-	var submits int
-	e, err := NewExecutor("dag", d, k, s, countingFactory(1, &submits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Progress(); !strings.Contains(got, "waiting=1") {
-		t.Fatalf("Progress = %q", got)
-	}
-}
-
 func TestParseScriptPrePost(t *testing.T) {
 	src := `
 JOB a a.sub

@@ -3,7 +3,6 @@ package dagman
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
@@ -129,9 +128,6 @@ func NewExecutor(name string, d *DAG, k *sim.Kernel, schedd *htcondor.Schedd, fa
 	return e, nil
 }
 
-// Schedd returns the executor's schedd.
-func (e *Executor) Schedd() *htcondor.Schedd { return e.schedd }
-
 // execMetrics caches the executor's metric handles so the node-lifecycle
 // hot path skips the registry's name+label map lookups. Obs is a public
 // field assigned after construction, so handles resolve lazily and are
@@ -225,27 +221,9 @@ func (e *Executor) Done() bool { return e.done }
 // Failed reports whether any node exhausted its retries.
 func (e *Executor) Failed() bool { return e.failed > 0 }
 
-// NodeStates returns a copy of each node's current state.
-func (e *Executor) NodeStates() map[string]NodeState {
-	out := make(map[string]NodeState, len(e.state))
-	for name, nr := range e.state {
-		out[name] = nr.state
-	}
-	return out
-}
-
-// NodeRetries returns, per node, how many failed attempts were requeued
-// under the RETRY budget (the counterpart of the
+// TotalRetries returns how many failed node attempts were requeued
+// under the RETRY budget, summed across the DAG (the counterpart of the
 // fdw_dagman_node_retries_total metric, available with obs off).
-func (e *Executor) NodeRetries() map[string]int {
-	out := make(map[string]int, len(e.state))
-	for name, nr := range e.state {
-		out[name] = nr.retries
-	}
-	return out
-}
-
-// TotalRetries returns the sum of NodeRetries across the DAG.
 func (e *Executor) TotalRetries() int {
 	n := 0
 	for _, nr := range e.state {
@@ -469,6 +447,8 @@ func (e *Executor) anyDispatchable() bool {
 
 // WriteRescue emits a rescue DAG: the original DAG with completed nodes
 // marked DONE, so a re-run resumes where this one stopped.
+//
+//lint:allow deadexport rescue DAG writer; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func (e *Executor) WriteRescue(w io.Writer) error {
 	if m := e.metrics(); m != nil {
 		m.rescues.Inc()
@@ -503,28 +483,4 @@ func (e *Executor) WriteRescue(w io.Writer) error {
 		rescue.MaxJobs[c] = v
 	}
 	return rescue.Write(w)
-}
-
-// Progress summarizes node states for monitoring displays.
-func (e *Executor) Progress() string {
-	counts := map[NodeState]int{}
-	for _, nr := range e.state {
-		counts[nr.state]++
-	}
-	states := []NodeState{NodeWaiting, NodeReady, NodeSubmitted, NodeDone, NodeFailed}
-	parts := make([]string, 0, len(states))
-	for _, s := range states {
-		if counts[s] > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", s, counts[s]))
-		}
-	}
-	sort.Strings(parts)
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
 }

@@ -127,8 +127,6 @@ func printChaosDeltas(w io.Writer, rows []ChaosRow) {
 			off[pairKey{r.Plan, r.Seed}] = r
 		}
 	}
-	planOK := map[string]bool{}
-	var planOrder []string
 	for _, r := range rows {
 		if !r.Recovery {
 			continue
@@ -137,21 +135,9 @@ func printChaosDeltas(w io.Writer, rows []ChaosRow) {
 		fmt.Fprintf(w, "%15s %6d | %+11.2f %+13.2f %+8d\n",
 			r.Plan, r.Seed, r.RuntimeH-o.RuntimeH, r.WastedCPUH-o.WastedCPUH,
 			r.NodeRetries-o.NodeRetries)
-		if _, seen := planOK[r.Plan]; !seen {
-			planOK[r.Plan] = true
-			planOrder = append(planOrder, r.Plan)
-		}
-		if r.RuntimeH > o.RuntimeH || r.WastedCPUH > o.WastedCPUH {
-			planOK[r.Plan] = false
-		}
 	}
-	improved := 0
-	for _, p := range planOrder {
-		if planOK[p] {
-			improved++
-		}
-	}
-	fmt.Fprintf(w, "improved-or-tied (makespan AND wasted cpu): %d/%d plans\n", improved, len(planOrder))
+	improved, total := ChaosImprovedOrTied(rows)
+	fmt.Fprintf(w, "improved-or-tied (makespan AND wasted cpu): %d/%d plans\n", improved, total)
 }
 
 // ChaosImprovedOrTied counts plans where every recovery-on cell is no

@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"io"
 	"strconv"
-
-	"fdw/internal/core"
 )
 
 // CSV writers for the figure data, so the rows the harness prints can
@@ -99,13 +97,4 @@ func WriteFig5CSV(w io.Writer, cells []Fig5Cell) error {
 		"ait_jpm", "max_jpm", "sd_jpm",
 		"vdc_pct", "bursted_pct", "runtime_h", "cost_usd",
 	}, out)
-}
-
-// WriteSeriesCSV writes any core series as (t, v) pairs.
-func WriteSeriesCSV(w io.Writer, name string, series []core.SeriesPoint) error {
-	out := make([][]string, len(series))
-	for i, p := range series {
-		out[i] = []string{f(float64(p.T)), f(p.V)}
-	}
-	return writeCSV(w, []string{"second", name}, out)
 }

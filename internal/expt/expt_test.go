@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -173,6 +174,95 @@ func TestFig4BytesPinned(t *testing.T) {
 		"fig4_n2.csv": "9751f30b0fa1e6109199c2929bd8f9dadaf9dfc5be8f68084a2dfd95eb979113",
 		"fig4_n4.csv": "a890d3dc3bbefb13545f6a899093053685264edd7b60e494a4a3741bbd2963eb",
 		"fig4_n8.csv": "83f1acf46ec9595127a82aa76e8dc02939123919a1617164b182cc62527b2df7",
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: sha256 %s, want %s", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d artifacts, want %d", len(got), len(want))
+	}
+}
+
+// TestReportsBytesPinned holds the SHA-256 of every other report and
+// CSV that `fdwexp -seeds 2 all` and `fdwexp -seeds 2 chaos` write (Fig. 1
+// prints no report; TestFig4BytesPinned has Fig. 4), at the small scale
+// of the determinism checks. A refactor that moves one byte fails here.
+func TestReportsBytesPinned(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Seeds = []uint64{11, 24} // fdwexp -seeds 2
+	opt.Scale = 0.03
+	got := map[string]string{}
+	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	// pin runs one experiment and records its report and, when the
+	// experiment returns a CSV writer, its CSV.
+	pin := func(name string, run func(Options) (func(io.Writer) error, error)) {
+		var report bytes.Buffer
+		o := opt
+		o.Out = &report
+		writeCSV, err := run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = sum(report.Bytes())
+		if writeCSV != nil {
+			var csv bytes.Buffer
+			if err := writeCSV(&csv); err != nil {
+				t.Fatalf("%s.csv: %v", name, err)
+			}
+			got[name+".csv"] = sum(csv.Bytes())
+		}
+	}
+	pin("fig2", func(o Options) (func(io.Writer) error, error) {
+		rows, err := Fig2(o)
+		return func(w io.Writer) error { return WriteFig2CSV(w, rows) }, err
+	})
+	pin("fig3", func(o Options) (func(io.Writer) error, error) {
+		rows, err := Fig3(o)
+		return func(w io.Writer) error { return WriteFig3CSV(w, rows) }, err
+	})
+	pin("fig5", func(o Options) (func(io.Writer) error, error) {
+		cells, err := Fig5(o)
+		return func(w io.Writer) error { return WriteFig5CSV(w, cells) }, err
+	})
+	pin("fig6", func(o Options) (func(io.Writer) error, error) {
+		cells, err := Fig6(o)
+		return func(w io.Writer) error { return WriteFig5CSV(w, cells) }, err
+	})
+	pin("chaos", func(o Options) (func(io.Writer) error, error) {
+		rows, err := Chaos(o)
+		return func(w io.Writer) error { return WriteChaosCSV(w, rows) }, err
+	})
+	for name, run := range map[string]func(Options) error{
+		"headline":           func(o Options) error { _, err := Headline(o); return err },
+		"ablation-recycling": func(o Options) error { _, err := AblationRecycling(o); return err },
+		"ablation-stash":     func(o Options) error { _, err := AblationStash(o); return err },
+		"ablation-fanout":    func(o Options) error { _, err := AblationFanout(o); return err },
+		"ablation-churn":     func(o Options) error { _, err := AblationChurn(o); return err },
+		"policy3":            func(o Options) error { _, err := Policy3Sweep(o); return err },
+		"elastic":            func(o Options) error { _, err := ElasticComparison(o); return err },
+	} {
+		pin(name, func(o Options) (func(io.Writer) error, error) { return nil, run(o) })
+	}
+	want := map[string]string{
+		"ablation-churn":     "eb76d4715a5048a4c31d597a40cc323a11f2df443fa955c5b5d25802b6b67ec6",
+		"ablation-fanout":    "673c93cb5a4095263643b1489baa49bdcaeb3764cc4dd9a41fe8747f7484202d",
+		"ablation-recycling": "aaaf2456d80b90fe9520957ba8fbadac2b79ad6fec5af31a8295322d530dd33b",
+		"ablation-stash":     "4b72811073bed2f6bb46cc743bd9176a1c0c8855b128115c7555c72cd193f48f",
+		"chaos":              "080eca6bfe93b97bc19ddd9b241594044a4bbf23fa09529aa1dfcf0b3adb0a70",
+		"chaos.csv":          "0d747ecb9dc4c7dbe7df8d24a20fd89b7137304a81dfd6a9acb31208ed0e9ac3",
+		"elastic":            "f47c28467ff7524ccc6d58a47b2bf9a9cd9d8399e674dfee894d2d7113645479",
+		"fig2":               "0fce19608bd7c45e4f7d8ba1b46fa3488c18611eaedbe4b7030d8e3cfb26b96c",
+		"fig2.csv":           "a63f5c8563a4a7074ebceddf116960631c04472b122113b6a528b30450e682fe",
+		"fig3":               "f1751e451f11898360dbb26c5891346858b3f750c9f24554fd92c58594119d22",
+		"fig3.csv":           "4ef77816e693c6057d9921db088b6e8722f7ab26e1b10892f24e1f0cb570fa8a",
+		"fig5":               "aeca9f6b3e5a83e9c537ca6e9f0266d7404f090de1642d347a47e4162283fe2e",
+		"fig5.csv":           "bfc1f4e4efb43e0415c7fa7188b08313900c4b14c85bdb810c978adc3bf2c3bc",
+		"fig6":               "1afb04b62eae871ed512bd8be6903b019276e80412ecef239a566e9f9950a3f6",
+		"fig6.csv":           "64da029dc768c8d645b579e4b34b304d164c9efda6997d28a8bc2112c627b7bb",
+		"headline":           "efa2c24932c436ed224029e9a2b89e62e19e63e7aa8b972eb4041455a9486596",
+		"policy3":            "10e324463f20410d817de2e17cfa6bb89a480b1f81bb8263ef14802d240202b2",
 	}
 	for name, w := range want {
 		if got[name] != w {
@@ -561,13 +651,5 @@ func TestCSVWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "b1,1,") || !strings.Contains(buf.String(), "b1,0,") {
 		t.Fatalf("fig5 CSV control flags: %q", buf.String())
-	}
-
-	buf.Reset()
-	if err := WriteSeriesCSV(&buf, "jpm", []core.SeriesPoint{{T: 5, V: 1.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "second,jpm") {
-		t.Fatalf("series CSV: %q", buf.String())
 	}
 }

@@ -51,9 +51,6 @@ func OpenCampaign(name string, opt Options) (*CampaignHandle, error) {
 // Name returns the campaign name.
 func (h *CampaignHandle) Name() string { return h.c.name }
 
-// CSVName returns the campaign's conventional CSV file name.
-func (h *CampaignHandle) CSVName() string { return h.c.csvName }
-
 // Fingerprint returns the options fingerprint manifests written for
 // this campaign must carry.
 func (h *CampaignHandle) Fingerprint() string { return h.fp }

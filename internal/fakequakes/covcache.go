@@ -2,9 +2,7 @@ package fakequakes
 
 import (
 	"container/list"
-	"fmt"
 	"math"
-	"path/filepath"
 	"sync"
 
 	"fdw/internal/geom"
@@ -115,68 +113,6 @@ func (c *FactorCache) Put(key uint64, l *linalg.Matrix) {
 	}
 }
 
-// Stats returns the cumulative hit and miss counts.
-func (c *FactorCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached factors.
-func (c *FactorCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// factorNPYPattern mirrors the DistanceMatrices file convention so
-// factors can be recycled across processes the same way the .npy
-// distance products are recycled across jobs.
-const factorNPYPattern = "covfactor_%016x.npy"
-
-// SaveNPY writes every cached factor into dir as covfactor_<key>.npy,
-// the on-disk mirror of the paper's distance-matrix recycling.
-func (c *FactorCache) SaveNPY(dir string) error {
-	c.mu.Lock()
-	snapshot := make([]*factorEntry, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		snapshot = append(snapshot, el.Value.(*factorEntry))
-	}
-	c.mu.Unlock()
-	for _, e := range snapshot {
-		if err := writeNPY(filepath.Join(dir, fmt.Sprintf(factorNPYPattern, e.key)), e.l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadNPY inserts every covfactor_*.npy in dir into the cache. A dir
-// with no factor files is not an error (the cold-start case, like a
-// missing distances_subfault.npy), and a file that does not decode as
-// a .npy matrix — e.g. one truncated by a crash predating the atomic
-// writeNPY — is skipped rather than trusted or fatal: the factor it
-// held is simply recomputed on the next miss, while the intact files
-// still warm the cache.
-func (c *FactorCache) LoadNPY(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "covfactor_*.npy"))
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		var key uint64
-		if _, err := fmt.Sscanf(filepath.Base(p), factorNPYPattern, &key); err != nil {
-			continue
-		}
-		m, err := readNPY(p)
-		if err != nil {
-			continue // corrupt or vanished: recompute on miss instead
-		}
-		c.Put(key, m)
-	}
-	return nil
-}
-
 // fnv1a implements 64-bit FNV-1a over words; the covariance key mixes
 // float bits and small ints through it. A 64-bit digest makes an
 // accidental collision across a 16-entry cache astronomically unlikely.
@@ -226,7 +162,7 @@ func faultCovHash(f *geom.Fault) uint64 {
 // covKernelVersion tags every covariance-factor key with the linalg
 // kernel generation whose rounding produced the factor. The blocked
 // Cholesky repin (DESIGN.md §15) changed the factor's bits, so a
-// covfactor_*.npy written by the previous kernel must never satisfy a
+// factor cached under the previous kernel must never satisfy a
 // lookup from the current one — a stale hit would silently break the
 // bit-determinism contract. Bump this whenever kernel rounding changes.
 //

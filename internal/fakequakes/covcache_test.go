@@ -1,7 +1,6 @@
 package fakequakes
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -131,108 +130,6 @@ func TestFactorKeyTranslationInvariance(t *testing.T) {
 	}
 }
 
-func TestFactorCacheNPYRoundTrip(t *testing.T) {
-	gen := testGenerator(t)
-	gen.Factors = NewFactorCache(4)
-	if _, err := gen.GenerateMw("run", 8.1, sim.NewRNG(3)); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := gen.Factors.SaveNPY(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := NewFactorCache(4)
-	if err := restored.LoadNPY(dir); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 1 {
-		t.Fatalf("restored %d factors, want 1", restored.Len())
-	}
-	// The recycled factor must hit and be bit-identical to a cold run.
-	gen2 := testGenerator(t)
-	gen2.Factors = restored
-	warm, err := gen2.GenerateMw("run", 8.1, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := restored.Stats(); h != 1 {
-		t.Fatalf("recycled factor not hit (hits=%d)", h)
-	}
-	gen2.Factors = nil
-	cold, err := gen2.GenerateMw("run", 8.1, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range warm.SlipM {
-		if math.Float64bits(warm.SlipM[i]) != math.Float64bits(cold.SlipM[i]) {
-			t.Fatalf("slip %d differs after .npy recycle: %v vs %v", i, warm.SlipM[i], cold.SlipM[i])
-		}
-	}
-	// Loading an empty dir is the cold-start case, not an error.
-	if err := NewFactorCache(4).LoadNPY(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFactorCacheLoadSkipsCorruptNPY pins the durability half of the
-// cache contract: a covfactor file truncated by a crash (the artifact
-// the pre-atomic writeNPY could leave behind) must be skipped — not
-// trusted, not fatal — so the factor is recomputed on the next miss
-// while intact files still warm the cache.
-func TestFactorCacheLoadSkipsCorruptNPY(t *testing.T) {
-	dir := t.TempDir()
-	good := linalg.NewMatrix(2, 2)
-	copy(good.Data, []float64{2, 0.5, 0.5, 2})
-	doomed := linalg.NewMatrix(3, 3)
-	for i := range doomed.Data {
-		doomed.Data[i] = float64(i)
-	}
-
-	c := NewFactorCache(4)
-	c.Put(0x11, good)
-	c.Put(0x22, doomed)
-	if err := c.SaveNPY(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate 0x22's file to half its bytes — the shape of a kill
-	// mid-write before writeNPY became atomic — and plant pure garbage
-	// under another validly named file.
-	p := filepath.Join(dir, fmt.Sprintf(factorNPYPattern, uint64(0x22)))
-	b, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	junk := filepath.Join(dir, fmt.Sprintf(factorNPYPattern, uint64(0xff)))
-	if err := os.WriteFile(junk, []byte("not an npy file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewFactorCache(4)
-	if err := fresh.LoadNPY(dir); err != nil {
-		t.Fatalf("LoadNPY must skip corrupt files, not fail: %v", err)
-	}
-	m, ok := fresh.Get(0x11)
-	if !ok {
-		t.Fatal("intact factor 0x11 did not load")
-	}
-	for i, v := range good.Data {
-		if m.Data[i] != v {
-			t.Fatalf("loaded factor differs at %d: %v != %v", i, m.Data[i], v)
-		}
-	}
-	if _, ok := fresh.Get(0x22); ok {
-		t.Fatal("truncated factor 0x22 was trusted instead of rejected")
-	}
-	if _, ok := fresh.Get(0xff); ok {
-		t.Fatal("garbage file 0xff was trusted instead of rejected")
-	}
-}
-
 // TestWriteNPYAtomicReplace pins the other half: replacing a cache
 // file is rename-based, so a reader that opened the previous file
 // keeps seeing the complete old bytes — an in-place truncating write
@@ -307,22 +204,13 @@ func TestCovFactorKeyVersioned(t *testing.T) {
 	}
 
 	// Plant a poisoned factor under the OLD version's key, as a cache
-	// dir written by a pre-repin build would hold, and reload it.
-	dir := t.TempDir()
+	// filled by a pre-repin build would hold.
 	poison := linalg.NewMatrix(len(r.Patch), len(r.Patch))
 	for i := range poison.Data {
 		poison.Data[i] = 1e9
 	}
-	if err := writeNPY(filepath.Join(dir, fmt.Sprintf(factorNPYPattern, old)), poison); err != nil {
-		t.Fatal(err)
-	}
 	stale := NewFactorCache(4)
-	if err := stale.LoadNPY(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stale.Get(old); !ok {
-		t.Fatal("old-version factor did not load under its own key")
-	}
+	stale.Put(old, poison)
 
 	gen.Factors = stale
 	got, err := gen.GenerateMw("run", 8.1, sim.NewRNG(11))

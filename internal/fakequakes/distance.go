@@ -82,6 +82,8 @@ const (
 )
 
 // Save writes both matrices as .npy files into dir.
+//
+//lint:allow deadexport .npy distance-matrix writer; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func (d *DistanceMatrices) Save(dir string) error {
 	if err := writeNPY(filepath.Join(dir, SubfaultNPY), d.Subfault); err != nil {
 		return err
@@ -92,6 +94,8 @@ func (d *DistanceMatrices) Save(dir string) error {
 // LoadDistanceMatrices reads both .npy files from dir. A missing file
 // is reported with os.IsNotExist-compatible errors so callers can fall
 // back to ComputeDistanceMatrices (the FDW recycling decision).
+//
+//lint:allow deadexport .npy distance-matrix reader; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func LoadDistanceMatrices(dir string) (*DistanceMatrices, error) {
 	sub, err := readNPY(filepath.Join(dir, SubfaultNPY))
 	if err != nil {

@@ -37,8 +37,7 @@ var computeGreensCalls atomic.Uint64
 // stale greens_*.npy instead of letting it break bit-determinism.
 const gfKernelVersion = 1
 
-// gfNPYPattern names persisted kernels after their fingerprint, the
-// covfactor_*.npy convention one product up.
+// gfNPYPattern names persisted kernels after their fingerprint.
 const gfNPYPattern = "greens_%016x.npy"
 
 // GFCache persists Green's-function kernels in a directory, keyed by
@@ -68,13 +67,6 @@ func (c *GFCache) SetObs(r *obs.Registry) {
 	c.mu.Lock()
 	c.obs = r
 	c.mu.Unlock()
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *GFCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 func (c *GFCache) record(hit bool) {

@@ -50,10 +50,14 @@ func TestGFCacheWarmSkipsComputeAndMatchesCold(t *testing.T) {
 	if h, m := c.Stats(); h != 1 || m != 1 {
 		t.Fatalf("stats %d/%d, want 1 hit 1 miss", h, m)
 	}
-	if v := reg.Counter("fdw_gfcache_hits_total").Value(); v != 1 {
+	counters := map[string]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	if v := counters["fdw_gfcache_hits_total"]; v != 1 {
 		t.Fatalf("obs hits = %d, want 1", v)
 	}
-	if v := reg.Counter("fdw_gfcache_misses_total").Value(); v != 1 {
+	if v := counters["fdw_gfcache_misses_total"]; v != 1 {
 		t.Fatalf("obs misses = %d, want 1", v)
 	}
 

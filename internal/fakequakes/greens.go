@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"fdw/internal/geom"
-	"fdw/internal/mseed"
 )
 
 // GFConfig parameterizes Green's-function synthesis (Phase B).
@@ -214,52 +213,4 @@ func (g *GreensFunctions) validate() error {
 		}
 	}
 	return nil
-}
-
-// ToRecords flattens the kernels for one subfault into mseed records —
-// the unit that Phase B ships through the Stash cache. An out-of-range
-// subfault or an inconsistent kernel is an error, never a panic; an
-// empty station list yields an empty (non-nil-error) record set, the
-// valid degenerate case.
-func (g *GreensFunctions) ToRecords(subfault int) ([]mseed.Record, error) {
-	if subfault < 0 || subfault >= g.NSub {
-		return nil, fmt.Errorf("fakequakes: subfault %d out of %d", subfault, g.NSub)
-	}
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	recs := make([]mseed.Record, 0, len(g.Stations)*3)
-	for s, st := range g.Stations {
-		for c, ch := range Components {
-			recs = append(recs, mseed.Record{
-				Network: "CL",
-				Station: st.Name,
-				Channel: ch,
-				Start:   0,
-				Dt:      g.Cfg.Dt,
-				Samples: g.Kernel[s][subfault][c],
-			})
-		}
-	}
-	return recs, nil
-}
-
-// EncodedSizeBytes estimates the total .mseed payload of the full GF
-// set; the paper notes compressed GF archives "possibly exceeding 1GB".
-// It used to swallow ToRecords errors and return a silently truncated
-// total; now a malformed kernel propagates. A GF set with zero
-// subfaults or zero stations is a valid empty payload.
-func (g *GreensFunctions) EncodedSizeBytes() (int64, error) {
-	if err := g.validate(); err != nil {
-		return 0, err
-	}
-	var total int64
-	for sf := 0; sf < g.NSub; sf++ {
-		recs, err := g.ToRecords(sf)
-		if err != nil {
-			return 0, err
-		}
-		total += mseed.EncodedSize(recs)
-	}
-	return total, nil
 }

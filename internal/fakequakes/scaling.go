@@ -90,16 +90,10 @@ func RuptureVelocity(depthKm float64) float64 {
 	}
 }
 
-// CorrelationLengths returns the von Karman / exponential correlation
-// lengths (km) for slip heterogeneity at magnitude mw, after Melgar &
-// Hayes (2019): correlation grows with rupture dimension.
-func CorrelationLengths(mw float64) (alongKm, downKm float64) {
-	dims := ScalingLaw(mw)
-	return 0.17 * dims.LengthKm, 0.34 * dims.WidthKm
-}
-
-// PatchCorrelationLengths applies the same 0.17·L / 0.34·W fractions
-// to the *realized* patch dimensions — the scaling-law extents after
+// PatchCorrelationLengths returns the von Karman / exponential
+// correlation lengths (km) for slip heterogeneity, 0.17·L along strike
+// and 0.34·W down dip after Melgar & Hayes (2019), applied to the
+// *realized* patch dimensions — the scaling-law extents after
 // rounding to whole subfaults and clamping to the mesh. The covariance
 // only ever sees the quantized patch, so deriving the lengths from it
 // (instead of the continuous law, which varies with every digit of Mw)

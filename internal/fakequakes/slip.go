@@ -130,13 +130,6 @@ func NewGenerator(f *geom.Fault, d *DistanceMatrices) (*Generator, error) {
 	}, nil
 }
 
-// Generate draws one rupture using rng. id labels the scenario
-// (MudPy uses zero-padded run numbers such as "run000147").
-func (g *Generator) Generate(id string, rng *sim.RNG) (*Rupture, error) {
-	mw := rng.Uniform(g.MinMw, g.MaxMw)
-	return g.GenerateMw(id, mw, rng)
-}
-
 // GenerateMw draws one rupture with a fixed target magnitude.
 func (g *Generator) GenerateMw(id string, mw float64, rng *sim.RNG) (*Rupture, error) {
 	if mw < 6 || mw > 9.6 {

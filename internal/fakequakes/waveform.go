@@ -154,10 +154,24 @@ func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *s
 			kern := g.Kernel[s][idx][c]
 			dst := w.ENZ[c]
 			for lag := 0; lag < nLag; lag++ {
-				// dst[off:] += frac * kern[:nT-off]
+				// dst[off:] += frac * kern[:nT-off], four samples per
+				// iteration. The one-sample loop is 35 bytes, and where
+				// the linker puts this function decides whether it
+				// straddles a 64-byte line: a 32-byte shift in unrelated
+				// code moved fq121 scenario p90 by ~30 % on a 2-core
+				// Xeon. The unrolled body is insensitive to that shift.
+				// Each sample still gets the same single update.
 				d := dst[delay+lag:]
 				kk := kern[:len(d)]
-				for t := range d {
+				t := 0
+				for ; t+4 <= len(d); t += 4 {
+					d4, k4 := d[t:t+4:t+4], kk[t:t+4:t+4]
+					d4[0] += frac * k4[0]
+					d4[1] += frac * k4[1]
+					d4[2] += frac * k4[2]
+					d4[3] += frac * k4[3]
+				}
+				for ; t < len(d); t++ {
 					d[t] += frac * kk[t]
 				}
 			}

@@ -167,9 +167,6 @@ func New(k *sim.Kernel, plan Plan) (*Injector, error) {
 	return &Injector{plan: plan, kernel: k, rng: k.RNG().Split(0xfa0175)}, nil
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // SetObs attaches a metrics registry; injected faults are counted as
 // fdw_faults_injected_total{plan,kind}. nil disables instrumentation.
 func (in *Injector) SetObs(r *obs.Registry) { in.obs = r }

@@ -95,11 +95,6 @@ type WorkerPlan struct {
 	Slow      []SlowWorker
 }
 
-// Empty reports whether the plan injects nothing.
-func (p WorkerPlan) Empty() bool {
-	return len(p.Crashes) == 0 && len(p.Blackouts) == 0 && len(p.Slow) == 0
-}
-
 // Validate reports malformed crash triggers, windows, or slowdown
 // factors. Worker indexes are not checked against a fleet size: an
 // index past the fleet is a no-op, so one plan serves any worker

@@ -76,3 +76,8 @@ func TestWorkerPlanByName(t *testing.T) {
 		t.Errorf("unknown plan error should list available names, got %v", err)
 	}
 }
+
+// Empty reports whether the plan injects nothing.
+func (p WorkerPlan) Empty() bool {
+	return len(p.Crashes) == 0 && len(p.Blackouts) == 0 && len(p.Slow) == 0
+}

@@ -200,11 +200,6 @@ func FullChileanStations() []Station {
 	return chileanStations(121)
 }
 
-// SmallChileanStations returns the 2-station "small Chilean input" list.
-func SmallChileanStations() []Station {
-	return chileanStations(2)
-}
-
 // chileanStations deterministically generates n stations along the
 // Chilean coast between 18°S and 40°S.
 func chileanStations(n int) []Station {

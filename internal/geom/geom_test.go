@@ -264,3 +264,8 @@ func TestCascadiaRuptureGeneration(t *testing.T) {
 		t.Fatal("degenerate Cascadia depths")
 	}
 }
+
+// SmallChileanStations returns the 2-station "small Chilean input" list.
+func SmallChileanStations() []Station {
+	return chileanStations(2)
+}

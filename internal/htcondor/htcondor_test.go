@@ -473,35 +473,6 @@ func TestSubmitFileWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueSnapshot(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewSchedd("snap", k, nil)
-	s.MaxIdleSubmit = 2
-	jobs := []*Job{{Owner: "u"}, {Owner: "u"}, {Owner: "u"}, {Owner: "u"}}
-	if _, err := s.Submit(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MarkRunning(jobs[0], "h"); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	// 4 accepted: 1 running, 2 idle (throttle released one more after the
-	// running slot freed an idle position), 1 staged.
-	if snap.Running != 1 {
-		t.Fatalf("running %d", snap.Running)
-	}
-	if snap.Idle+snap.Staged+snap.Running != 4 {
-		t.Fatalf("snapshot loses jobs: %+v", snap)
-	}
-	var buf bytes.Buffer
-	if err := snap.Print(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Schedd: snap") {
-		t.Fatalf("printout %q", buf.String())
-	}
-}
-
 func TestSubmitAtomicOnInvalidJob(t *testing.T) {
 	// A submission with any invalid job must leave no trace: no cluster
 	// id consumed, no prefix of the slice staged or mutated.
@@ -582,4 +553,15 @@ func TestSetObsMidRunGuardsPreexistingJobs(t *testing.T) {
 	if s.JobSpan(late) == nil {
 		t.Fatal("no span for a post-SetObs job")
 	}
+}
+
+// RunningCount returns the number of currently running jobs.
+func (s *Schedd) RunningCount() int {
+	n := 0
+	for _, j := range s.all {
+		if j.Status == Running {
+			n++
+		}
+	}
+	return n
 }

@@ -232,6 +232,8 @@ func (s *Schedd) appendEvent(j *Job, t EventType, host string) {
 // IdleJobs returns the queued (submitted, idle) jobs in FIFO order.
 // The slice is a fresh snapshot; hot paths should prefer QueueDepth,
 // IdleOwners, and OwnerIdleCursor, which do not copy.
+//
+//lint:allow deadexport ospool tests call it: the reference negotiator spec reads each schedd's global idle FIFO
 func (s *Schedd) IdleJobs() []*Job { return s.idleQ.snapshot() }
 
 // QueueDepth returns the number of idle jobs.
@@ -260,17 +262,6 @@ func (s *Schedd) OwnerIdleCursor(owner string) IdleCursor {
 		return IdleCursor{}
 	}
 	return IdleCursor{f: q, end: len(q.jobs)}
-}
-
-// RunningCount returns the number of currently running jobs.
-func (s *Schedd) RunningCount() int {
-	n := 0
-	for _, j := range s.all {
-		if j.Status == Running {
-			n++
-		}
-	}
-	return n
 }
 
 // Completed returns how many jobs have terminated successfully.

@@ -8,7 +8,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 )
 
@@ -66,13 +65,6 @@ func (m *Matrix) Row(i int) []float64 {
 		panic(fmt.Sprintf("linalg: row %d out of %d", i, m.Rows))
 	}
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
 }
 
 // T returns the transpose of m as a new matrix.
@@ -170,61 +162,12 @@ func (m *Matrix) AddDiag(eps float64) *Matrix {
 	return m
 }
 
-// SymmetricMaxAbsDiff returns max |m[i,j]-m[j,i]| for a square matrix,
-// used to validate covariance construction.
-func (m *Matrix) SymmetricMaxAbsDiff() float64 {
-	if m.Rows != m.Cols {
-		return math.Inf(1)
-	}
-	var worst float64
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			d := math.Abs(m.Data[i*m.Cols+j] - m.Data[j*m.Cols+i])
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
-// Dot returns the inner product of a and b. It panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Scale multiplies every element of x by a in place and returns x.
 func Scale(x []float64, a float64) []float64 {
 	for i := range x {
 		x[i] *= a
 	}
 	return x
-}
-
-// AXPY computes y += a*x in place. It panics on length mismatch.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
 }
 
 // SolveCholesky solves L·Lᵀ·x = b given the lower-triangular Cholesky

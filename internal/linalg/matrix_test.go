@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -281,5 +282,61 @@ func TestLeastSquaresValidation(t *testing.T) {
 	a2 := NewMatrix(3, 2)
 	if _, err := LeastSquares(a2, []float64{1}); err == nil {
 		t.Fatal("bad rhs accepted")
+	}
+}
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// SymmetricMaxAbsDiff returns max |m[i,j]-m[j,i]| for a square matrix,
+// used to validate covariance construction.
+func (m *Matrix) SymmetricMaxAbsDiff() float64 {
+	if m.Rows != m.Cols {
+		return math.Inf(1)
+	}
+	var worst float64
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			d := math.Abs(m.Data[i*m.Cols+j] - m.Data[j*m.Cols+i])
+			if d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst
+}
+
+// Dot returns the inner product of a and b. It panics on length mismatch.
+func Dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
+	}
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// Norm2 returns the Euclidean norm of x.
+func Norm2(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// AXPY computes y += a*x in place. It panics on length mismatch.
+func AXPY(a float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
+	}
+	for i, v := range x {
+		y[i] += a * v
 	}
 }

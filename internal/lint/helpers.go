@@ -64,18 +64,30 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// recvTypeName returns the name of the named receiver type of a method
-// ("" for non-methods), unwrapping pointers.
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
+// named returns the named type t denotes, unwrapping aliases and one
+// pointer (nil when there is none).
+func named(t types.Type) *types.Named {
 	if p, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if n, ok := types.Unalias(t).(*types.Named); ok {
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
+// recvNamed returns the named type of a method's receiver (nil for
+// non-methods and unnamed receivers).
+func recvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	return named(sig.Recv().Type())
+}
+
+// recvTypeName returns the name of the named receiver type of a method
+// ("" for non-methods).
+func recvTypeName(fn *types.Func) string {
+	if n := recvNamed(fn); n != nil {
 		return n.Obj().Name()
 	}
 	return ""
@@ -87,17 +99,6 @@ func methodOn(fn *types.Func, pkgPath string) bool {
 	if fn == nil {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath
+	n := recvNamed(fn)
+	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
 }

@@ -1,7 +1,7 @@
 // Package lint is fdwlint's engine: a small, stdlib-only static
-// analysis framework plus the eight repo-specific analyzers that guard
-// FDW's determinism, durability, and observability invariants
-// (DESIGN.md §9 and §14).
+// analysis framework plus the nine repo-specific analyzers that guard
+// FDW's determinism, durability, observability, and least-code
+// invariants (DESIGN.md §9 and §14).
 //
 // The analyzers are:
 //
@@ -12,7 +12,7 @@
 //	maporder    — no order-sensitive work (appends, writes, sim events,
 //	              RNG draws, obs records) inside iteration over a map,
 //	              unless the keys are collected and sorted.
-//	obsflow     — values read from internal/obs instruments must not
+//	obsflow     — values read from internal/obs snapshots must not
 //	              flow into conditions, loop bounds, or variables
 //	              outside the exporter allowlist: observability
 //	              records, it never decides.
@@ -26,6 +26,9 @@
 //	              iteration, channel arrival, or goroutine completion.
 //	errdrop     — errors from Close/Flush/Sync/Write/Commit on durable
 //	              write handles, and from os.Rename, must be checked.
+//	deadexport  — every exported identifier and method in internal/...
+//	              must have a non-test caller in the module; the one
+//	              module-wide analyzer.
 //
 // A diagnostic on line N is suppressed by a directive of the form
 //
@@ -68,11 +71,14 @@ func (d Diagnostic) Format(base string) string {
 	return fmt.Sprintf("%s:%d %s: %s", file, d.Line, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check run over a type-checked package.
+// Analyzer is one named check. Most run over one type-checked package
+// at a time (Run); a module-wide analyzer (RunModule) instead sees the
+// loaded packages together with every package of their module.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass)
+	Name      string
+	Doc       string
+	Run       func(*Pass)
+	RunModule func(*ModulePass)
 }
 
 // Pass carries one (package, analyzer) run and collects reports.
@@ -94,11 +100,29 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// ModulePass carries one module-wide analyzer run over one module.
+// Targets are the loaded packages it may report on; Module is every
+// package of their main module, Targets included, so a finding never
+// depends on how narrow the load was.
+type ModulePass struct {
+	Path     string // module path, e.g. "fdw"
+	Targets  []*Package
+	Module   []*Package
+	analyzer *Analyzer
+	report   func(Diagnostic)
+}
+
+// Reportf records a diagnostic at pos in pkg.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	(&Pass{Pkg: pkg, analyzer: p.analyzer, report: p.report}).Reportf(pos, format, args...)
+}
+
 // Analyzers returns the full fdwlint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer, GlobalrandAnalyzer, MaporderAnalyzer, ObsflowAnalyzer,
 		AtomicwriteAnalyzer, SeamguardAnalyzer, FloatorderAnalyzer, ErrdropAnalyzer,
+		DeadexportAnalyzer,
 	}
 }
 
@@ -165,8 +189,9 @@ func parseDirectives(pass *Pass, f *ast.File, known map[string]bool, report func
 // Run executes the analyzers over the packages, applies //lint:allow
 // suppression, and returns the surviving diagnostics sorted by
 // position. Unused and malformed directives surface as "directive"
-// diagnostics.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// diagnostics. The error reports a module that module-wide analyzers
+// needed but could not load.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -186,10 +211,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				known, func(d Diagnostic) { directiveDiags = append(directiveDiags, d) })...)
 		}
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{Pkg: pkg, analyzer: a,
 				report: func(d Diagnostic) { diags = append(diags, d) }}
 			a.Run(pass)
 		}
+	}
+	if err := runModule(pkgs, analyzers, func(d Diagnostic) { diags = append(diags, d) }); err != nil {
+		return nil, err
 	}
 
 	// A directive suppresses matching diagnostics on its own line and
@@ -234,5 +265,37 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Message < b.Message
 	})
-	return diags
+	return diags, nil
+}
+
+// runModule runs the module-wide analyzers once per main module that
+// the packages belong to, loading the rest of that module first.
+func runModule(pkgs []*Package, analyzers []*Analyzer, report func(Diagnostic)) error {
+	var mods []*module
+	targets := map[*module][]*Package{}
+	for _, pkg := range pkgs {
+		if m := pkg.module; m != nil {
+			if targets[m] == nil {
+				mods = append(mods, m)
+			}
+			targets[m] = append(targets[m], pkg)
+		}
+	}
+	for _, m := range mods {
+		var all []*Package
+		for _, a := range analyzers {
+			if a.RunModule == nil {
+				continue
+			}
+			if all == nil {
+				var err error
+				if all, err = m.packages(); err != nil {
+					return err
+				}
+			}
+			a.RunModule(&ModulePass{Path: m.path, Targets: targets[m], Module: all,
+				analyzer: a, report: report})
+		}
+	}
+	return nil
 }

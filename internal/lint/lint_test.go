@@ -37,7 +37,15 @@ func runGolden(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	if len(analyzers) == 0 {
 		analyzers = Analyzers()
 	}
-	diags := Run(loadFixture(t, fixture), analyzers)
+	diags, err := Run(loadFixture(t, fixture), analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, fixture, diags)
+}
+
+func compareGolden(t *testing.T, fixture string, diags []Diagnostic) {
+	t.Helper()
 	base, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +79,24 @@ func runGolden(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	}
 }
 
+// deadexportFixture is a module of its own (testdata/src/deadexport
+// has a go.mod), because deadexport judges a whole module and the fdw
+// module's "./..." never reaches into testdata.
+var deadexportFixture = &Loader{Dir: filepath.Join("testdata", "src", "deadexport")}
+
+func lintDeadexport(t *testing.T, pattern string) []Diagnostic {
+	t.Helper()
+	pkgs, err := deadexportFixture.Load(pattern)
+	if err != nil {
+		t.Fatalf("loading %s: %v", pattern, err)
+	}
+	diags, err := Run(pkgs, []*Analyzer{DeadexportAnalyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
+
 func TestWallclockBad(t *testing.T)   { runGolden(t, "wallclock_bad", WallclockAnalyzer) }
 func TestWallclockClean(t *testing.T) { runGolden(t, "wallclock_clean", WallclockAnalyzer) }
 func TestWallclockAllow(t *testing.T) { runGolden(t, "wallclock_allow", WallclockAnalyzer) }
@@ -95,6 +121,35 @@ func TestFloatorderClean(t *testing.T) { runGolden(t, "floatorder_clean", Floato
 
 func TestErrdropBad(t *testing.T)   { runGolden(t, "errdrop_bad", ErrdropAnalyzer) }
 func TestErrdropClean(t *testing.T) { runGolden(t, "errdrop_clean", ErrdropAnalyzer) }
+
+// TestDeadexport pins deadexport over a three-package module: dead
+// functions, methods, constants and types are flagged, including ones
+// only tests or their own declaration name; uses from another package,
+// from a command, from the declaring package, and through interfaces
+// (one of the module's, one of the standard library's) are not; a
+// reasoned directive suppresses and an unused one is reported.
+func TestDeadexport(t *testing.T) { compareGolden(t, "deadexport", lintDeadexport(t, "./...")) }
+
+// TestDeadexportNarrowLoad checks the rule is decided over the module,
+// not over the load: linting one package reports exactly the
+// whole-module findings that fall in it, and no others.
+func TestDeadexportNarrowLoad(t *testing.T) {
+	byPkg := map[string][]Diagnostic{}
+	for _, d := range lintDeadexport(t, "./...") {
+		dir := filepath.Base(filepath.Dir(d.File))
+		byPkg[dir] = append(byPkg[dir], d)
+	}
+	for _, pkg := range []string{"internal/a", "internal/b", "cmd/c"} {
+		got := lintDeadexport(t, "./"+pkg)
+		want := byPkg[filepath.Base(pkg)]
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s alone: got %v, want the whole-module findings in it %v", pkg, got, want)
+		}
+	}
+	if len(byPkg["a"]) == 0 {
+		t.Fatal("fixture produced no findings in internal/a")
+	}
+}
 
 // TestDirectiveDiagnostics runs the full suite so malformed, unknown,
 // and unused //lint:allow directives all surface.
@@ -123,7 +178,10 @@ func TestRepoClean(t *testing.T) {
 			t.Errorf("%s: type error: %v", p.ImportPath, terr)
 		}
 	}
-	diags := Run(pkgs, Analyzers())
+	diags, err := Run(pkgs, Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		t.Errorf("%s", d.Format(""))
 	}

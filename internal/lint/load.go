@@ -13,7 +13,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Package is one type-checked target package: its syntax, its type
@@ -31,6 +33,10 @@ type Package struct {
 	// the errors are fatal (cmd/fdwlint treats them as load failures,
 	// since a tree that does not compile is vetted by go build).
 	TypeErrors []error
+
+	// module is the main module the package belongs to, shared by
+	// every package of one Load (nil for packages outside it).
+	module *module
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -44,6 +50,10 @@ type listedPackage struct {
 	DepOnly    bool
 	GoFiles    []string
 	Error      *struct{ Err string }
+	Module     *struct {
+		Path string
+		Main bool
+	}
 }
 
 // Loader turns package patterns into type-checked Packages without any
@@ -65,15 +75,45 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	targets, check, err := l.list(patterns)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	mods := map[string]*module{}
+	for _, t := range targets {
+		pkg, err := check(t)
+		if err != nil {
+			return nil, err
+		}
+		// "<module>/..." never matches a package under testdata, so
+		// such a package (a lint fixture) is no part of the module.
+		if t.Module != nil && t.Module.Main && !slices.Contains(strings.Split(t.ImportPath, "/"), "testdata") {
+			m := mods[t.Module.Path]
+			if m == nil {
+				m = &module{loader: l, path: t.Module.Path, loaded: map[string]*Package{}}
+				mods[t.Module.Path] = m
+			}
+			m.loaded[pkg.ImportPath] = pkg
+			pkg.module = m
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
+// list runs `go list` over patterns and returns the matched packages,
+// sorted by import path, with a function that type-checks one of them.
+func (l *Loader) list(patterns []string) ([]*listedPackage, func(*listedPackage) (*Package, error), error) {
 	args := append([]string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Standard,Export,Name,DepOnly,Error", "--"}, patterns...)
+		"-json=ImportPath,Dir,GoFiles,Standard,Export,Name,DepOnly,Error,Module", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
 	exports := map[string]string{}
@@ -84,7 +124,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+			return nil, nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -93,7 +133,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			continue
 		}
 		if p.Error != nil {
-			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if len(p.GoFiles) == 0 {
 			continue
@@ -112,12 +152,35 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		return os.Open(f)
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
+	return targets, func(t *listedPackage) (*Package, error) { return checkPackage(fset, imp, t) }, nil
+}
 
+// module is the main module as module-wide analyzers see it: every
+// non-test package matched by "<path>/...". A narrower Load holds only
+// some of them, so packages lists the rest and checks them, reusing the
+// ones the Load already checked.
+type module struct {
+	loader *Loader
+	path   string
+	loaded map[string]*Package
+}
+
+// packages returns every package of the module, sorted by import path.
+func (m *module) packages() ([]*Package, error) {
+	listed, check, err := m.loader.list([]string{m.path + "/..."})
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
-	for _, t := range targets {
-		pkg, err := checkPackage(fset, imp, t)
-		if err != nil {
-			return nil, err
+	for _, t := range listed {
+		pkg := m.loaded[t.ImportPath]
+		if pkg == nil {
+			if pkg, err = check(t); err != nil {
+				return nil, err
+			}
+			if len(pkg.TypeErrors) > 0 {
+				return nil, fmt.Errorf("lint: %s: %v", pkg.ImportPath, pkg.TypeErrors[0])
+			}
 		}
 		pkgs = append(pkgs, pkg)
 	}

@@ -2,37 +2,32 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// obsflowGetters are the methods that read a value out of an obs
-// instrument. Handle-returning registry accessors (Counter, Gauge,
-// Histogram, StartSpan) and serializing exporters (Snapshot,
-// WriteJSON, WritePrometheus) are not reads — only these cross from
-// "recorded" back into plain values.
-var obsflowGetters = map[string]bool{
-	"Value": true, "Count": true, "Sum": true, "Quantile": true,
-	"At": true, "Now": true,
-}
-
-// obsflowAllowed may consume instrument values: the obs exporters
-// themselves and the monitor CLI that renders them. Tests are exempt
-// by construction (the loader skips _test.go files) — asserting on
-// metric values is exactly what tests are for.
+// obsflowAllowed may consume metric values: the obs exporters
+// themselves, the monitor CLI that renders them, and the benchmark
+// harness that turns snapshot deltas into per-layer metrics. Tests are
+// exempt by construction (the loader skips _test.go files) — asserting
+// on metric values is exactly what tests are for.
 var obsflowAllowed = map[string]bool{
-	obsPath:                    true,
-	modulePath + "/cmd/fdwmon": true,
+	obsPath:                        true,
+	modulePath + "/cmd/fdwmon":     true,
+	modulePath + "/bench/fdwbench": true,
 }
 
 // ObsflowAnalyzer enforces the record-never-decide contract as a flow
-// check: a value read from an obs instrument must not reach a
-// condition, a loop bound, or a variable in non-exporter code. Passing
-// a reading straight into a print call or a return is reporting and
-// stays legal; branching on one would let instrumentation perturb the
-// simulation, which TestFiguresIdenticalWithMetricsEnabled exists to
-// rule out.
+// check. The obs instruments expose no getters outside tests, so the
+// one way production code reads a metric is a field of a snapshot
+// (Registry.Snapshot, ReadSnapshot, MergeSnapshots): such a read must
+// not reach a condition, a loop bound, or a variable in non-exporter
+// code. Passing a reading straight into a print call or a return is
+// reporting and stays legal; branching on one would let
+// instrumentation perturb the simulation, which
+// TestFiguresIdenticalWithMetricsEnabled exists to rule out.
 var ObsflowAnalyzer = &Analyzer{
 	Name: "obsflow",
-	Doc:  "flag obs instrument readings flowing into conditions, loop bounds, or variables outside exporters and tests",
+	Doc:  "flag obs snapshot readings flowing into conditions, loop bounds, or variables outside exporters and tests",
 	Run: func(pass *Pass) {
 		if obsflowAllowed[pass.Pkg.ImportPath] {
 			return
@@ -40,23 +35,59 @@ var ObsflowAnalyzer = &Analyzer{
 		for _, f := range pass.Pkg.Files {
 			parents := parentMap(f)
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
-				fn := calleeFunc(pass.Pkg.Info, call)
-				if fn == nil || !methodOn(fn, obsPath) || !obsflowGetters[fn.Name()] {
+				field := obsField(pass.Pkg.Info, sel)
+				if field == "" || insideObsRead(pass.Pkg.Info, parents, sel) {
 					return true
 				}
-				if ctx := flowContext(parents, call); ctx != "" {
-					pass.Reportf(call.Pos(),
-						"obs reading %s.%s flows into %s: observability records, it never decides — only internal/obs exporters, cmd/fdwmon, and tests may consume instrument values",
-						recvTypeName(fn), fn.Name(), ctx)
+				if ctx := flowContext(parents, sel); ctx != "" {
+					pass.Reportf(sel.Pos(),
+						"obs reading %s flows into %s: observability records, it never decides — only internal/obs exporters, cmd/fdwmon, bench/fdwbench, and tests may consume metric values",
+						field, ctx)
 				}
 				return true
 			})
 		}
 	},
+}
+
+// obsField names the snapshot field sel reads ("CounterSnap.Value"),
+// or returns "" when sel is not a field of a struct declared in
+// internal/obs.
+func obsField(info *types.Info, sel *ast.SelectorExpr) string {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return ""
+	}
+	if v := s.Obj(); v.Pkg() == nil || v.Pkg().Path() != obsPath {
+		return ""
+	}
+	n := named(s.Recv())
+	if n == nil {
+		return ""
+	}
+	return n.Obj().Name() + "." + sel.Sel.Name
+}
+
+// insideObsRead reports whether sel is only a step of a longer read
+// (snap.Counters in snap.Counters[0].Value), which is reported once,
+// at its outermost field.
+func insideObsRead(info *types.Info, parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
+	for cur := parents[ast.Node(sel)]; cur != nil; cur = parents[cur] {
+		switch p := cur.(type) {
+		case *ast.SelectorExpr:
+			if obsField(info, p) != "" {
+				return true
+			}
+		case *ast.IndexExpr, *ast.StarExpr, *ast.ParenExpr:
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // flowContext climbs from an obs read toward its statement and names

@@ -1,5 +1,5 @@
-// Package obsflow_bad lets instrument readings decide behavior in
-// every way the obsflow analyzer must flag.
+// Package obsflow_bad lets snapshot readings decide behavior in every
+// way the obsflow analyzer must flag.
 package obsflow_bad
 
 import "fdw/internal/obs"
@@ -7,7 +7,7 @@ import "fdw/internal/obs"
 // Throttle branches on a counter: metrics deciding, the core contract
 // violation.
 func Throttle(r *obs.Registry) bool {
-	if r.Counter("jobs_submitted").Value() > 100 {
+	if r.Snapshot().Counters[0].Value > 100 {
 		return true
 	}
 	return false
@@ -16,24 +16,33 @@ func Throttle(r *obs.Registry) bool {
 // Drain uses a histogram count as a loop bound.
 func Drain(r *obs.Registry) int {
 	n := 0
-	for i := uint64(0); i < r.Histogram("latency").Count(); i++ {
+	for i := uint64(0); i < r.Snapshot().Histograms[0].Count; i++ {
 		n++
 	}
 	return n
 }
 
 // Capture squirrels a gauge reading into simulation state.
-func Capture(r *obs.Registry) float64 {
-	depth := r.Gauge("queue_depth").Value()
+func Capture(snap *obs.Snapshot) float64 {
+	depth := snap.Gauges[0].Value
 	return depth * 2
 }
 
 // Mode switches on a quantile estimate.
-func Mode(r *obs.Registry) string {
+func Mode(snap *obs.Snapshot) string {
 	switch {
-	case r.Histogram("latency").Quantile(0.5) > 60:
+	case snap.Histograms[0].P50 > 60:
 		return "slow"
 	default:
 		return "fast"
 	}
+}
+
+// Total ranges over the counters and accumulates their values.
+func Total(snap *obs.Snapshot) uint64 {
+	var n uint64
+	for _, c := range snap.Counters {
+		n += c.Value
+	}
+	return n
 }

@@ -1,6 +1,6 @@
-// Package obsflow_clean consumes instrument readings only in the
-// legal, report-only ways: print arguments, returns, exporters, and
-// deliberate discards.
+// Package obsflow_clean consumes snapshot readings only in the legal,
+// report-only ways: print arguments, returns, exporters, whole
+// snapshots, and deliberate discards.
 package obsflow_clean
 
 import (
@@ -11,14 +11,14 @@ import (
 )
 
 // Report prints a reading without storing or branching on it.
-func Report(w io.Writer, r *obs.Registry) {
-	fmt.Fprintf(w, "submitted %d\n", r.Counter("jobs_submitted").Value())
+func Report(w io.Writer, snap *obs.Snapshot) {
+	fmt.Fprintf(w, "submitted %d\n", snap.Counters[0].Value)
 }
 
 // Submitted surfaces a reading to the caller; what the caller does
 // with it is checked at the caller.
-func Submitted(r *obs.Registry) uint64 {
-	return r.Counter("jobs_submitted").Value()
+func Submitted(snap *obs.Snapshot) uint64 {
+	return snap.Counters[0].Value
 }
 
 // Export serializes the whole registry; exporter APIs are not reads.
@@ -26,7 +26,13 @@ func Export(w io.Writer, r *obs.Registry) error {
 	return r.WriteJSON(w)
 }
 
+// Merge combines whole snapshots, which are not readings.
+func Merge(r *obs.Registry, prior *obs.Snapshot) *obs.Snapshot {
+	merged := obs.MergeSnapshots(prior, r.Snapshot())
+	return merged
+}
+
 // Touch discards a reading explicitly.
-func Touch(r *obs.Registry) {
-	_ = r.Gauge("queue_depth").Value()
+func Touch(snap *obs.Snapshot) {
+	_ = snap.Gauges[0].Value
 }

@@ -2,7 +2,9 @@ package mseed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,6 +102,31 @@ func TestImplausibleSampleCountRejected(t *testing.T) {
 	}
 }
 
+// TestHostileSampleCountNoUpfrontAllocation: a 33-byte stream whose one
+// record claims maxSamples samples and holds none must fail on record 0
+// without allocating the 2 GiB it claims.
+func TestHostileSampleCountNoUpfrontAllocation(t *testing.T) {
+	b := append([]byte{}, magic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = append(b, 0, 0, 0)             // empty network, station, channel
+	b = append(b, make([]byte, 16)...) // start, dt
+	b = binary.LittleEndian.AppendUint32(b, maxSamples)
+	if len(b) != 33 {
+		t.Fatalf("stream is %d bytes, want 33", len(b))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("err = %v, want ErrCorrupt naming record 0", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("rejecting a hostile sample count allocated %d bytes", got)
+	}
+}
+
 func TestOverlongIdentifierRejected(t *testing.T) {
 	var buf bytes.Buffer
 	err := Write(&buf, []Record{{Network: strings.Repeat("x", 256), Station: "S", Channel: "C"}})
@@ -178,4 +205,12 @@ func TestPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Duration returns the record's covered time span in seconds.
+func (r *Record) Duration() float64 {
+	if len(r.Samples) == 0 {
+		return 0
+	}
+	return float64(len(r.Samples)-1) * r.Dt
 }

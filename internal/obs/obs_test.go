@@ -32,9 +32,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("queue_depth")
 	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge value %v, want 5", g.Value())
+	if g.Value() != 7 {
+		t.Fatalf("gauge value %v, want 7", g.Value())
 	}
 	if g.At() != 250 {
 		t.Fatalf("gauge at %v, want sim t=250", g.At())
@@ -171,13 +170,12 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestSpanLimit(t *testing.T) {
 	r := NewRegistry(nil)
-	r.SetSpanLimit(2)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < SpanLimit+3; i++ {
 		sp := r.StartSpan("job", "x")
 		sp.End("done") // dropped spans must still be safe to use
 	}
-	if r.SpanCount() != 2 {
-		t.Fatalf("retained %d spans, want 2", r.SpanCount())
+	if r.SpanCount() != SpanLimit {
+		t.Fatalf("retained %d spans, want %d", r.SpanCount(), SpanLimit)
 	}
 	if r.SpansDropped() != 3 {
 		t.Fatalf("dropped %d, want 3", r.SpansDropped())
@@ -272,7 +270,7 @@ func TestRegistryRaceClean(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Counter("c", "g", string(rune('a'+g))).Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(float64(i))
 				r.Histogram("h").Observe(float64(i))
 				sp := r.StartSpan("job", "x")
 				sp.Annotate("submit")

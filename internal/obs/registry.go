@@ -35,10 +35,10 @@ import (
 // HTTP portal, where only the values matter).
 type Clock func() sim.Time
 
-// DefaultSpanLimit bounds retained spans per registry; a 16k-waveform
-// FDW batch is ~9k jobs, so one workflow's lifecycle fits. Spans past
-// the limit are counted (SpansDropped) but not stored.
-const DefaultSpanLimit = 16384
+// SpanLimit bounds retained spans per registry; a 16k-waveform FDW
+// batch is ~9k jobs, so one workflow's lifecycle fits. Spans past the
+// limit are counted (Snapshot.SpansDropped) but not stored.
+const SpanLimit = 16384
 
 // Registry holds the instruments of one observed run.
 type Registry struct {
@@ -49,7 +49,6 @@ type Registry struct {
 	gauges       map[string]*Gauge
 	hists        map[string]*Histogram
 	spans        []*Span
-	spanLimit    int
 	spansDropped uint64
 }
 
@@ -57,11 +56,10 @@ type Registry struct {
 // always sim.Time 0).
 func NewRegistry(clock Clock) *Registry {
 	return &Registry{
-		clock:     clock,
-		counters:  map[string]*Counter{},
-		gauges:    map[string]*Gauge{},
-		hists:     map[string]*Histogram{},
-		spanLimit: DefaultSpanLimit,
+		clock:    clock,
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -76,34 +74,12 @@ func (r *Registry) SetClock(clock Clock) {
 	r.mu.Unlock()
 }
 
-// SetSpanLimit bounds retained spans (0 disables span retention;
-// creations past the limit only increment SpansDropped).
-func (r *Registry) SetSpanLimit(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spanLimit = n
-	r.mu.Unlock()
-}
-
 // now reads the clock under the registry lock (callers hold r.mu).
 func (r *Registry) nowLocked() sim.Time {
 	if r.clock == nil {
 		return 0
 	}
 	return r.clock()
-}
-
-// Now returns the registry's current simulated time (0 for a nil
-// registry or nil clock).
-func (r *Registry) Now() sim.Time {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nowLocked()
 }
 
 // labelPairs converts alternating key/value arguments into sorted
@@ -182,16 +158,6 @@ func (c *Counter) Add(n uint64) {
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c.r == nil {
-		return 0
-	}
-	c.r.mu.Lock()
-	defer c.r.mu.Unlock()
-	return c.v
-}
-
 // Gauge is a point-in-time value with its last-update sim.Time.
 type Gauge struct {
 	r     *Registry
@@ -230,37 +196,6 @@ func (g *Gauge) Set(v float64) {
 	g.v = v
 	g.at = g.r.nowLocked()
 	g.r.mu.Unlock()
-}
-
-// Add offsets the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g.r == nil {
-		return
-	}
-	g.r.mu.Lock()
-	g.v += delta
-	g.at = g.r.nowLocked()
-	g.r.mu.Unlock()
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g.r == nil {
-		return 0
-	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	return g.v
-}
-
-// At returns the sim.Time of the last Set/Add.
-func (g *Gauge) At() sim.Time {
-	if g.r == nil {
-		return 0
-	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	return g.at
 }
 
 // DefaultBuckets covers the durations FDW observes — sub-second cache
@@ -333,38 +268,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.at = h.r.nowLocked()
 	h.r.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h.r == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h.r == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the bucket containing it, clamped to the observed [min, max].
-// It returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.r == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.quantileLocked(q)
 }
 
 func (h *Histogram) quantileLocked(q float64) float64 {

@@ -31,14 +31,14 @@ type SpanEvent struct {
 // StartSpan opens a span of the given kind and identity, stamped with
 // the current simulated time. On a nil registry — or past the span
 // retention limit — it returns a no-op span (never nil, so callers
-// chain unconditionally); dropped spans are tallied in SpansDropped.
+// chain unconditionally); dropped spans are tallied in Snapshot.SpansDropped.
 func (r *Registry) StartSpan(kind, id string) *Span {
 	if r == nil {
 		return &Span{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.spans) >= r.spanLimit {
+	if len(r.spans) >= SpanLimit {
 		r.spansDropped++
 		return &Span{}
 	}
@@ -82,69 +82,4 @@ func (s *Span) End(status string) {
 		s.status = status
 	}
 	s.r.mu.Unlock()
-}
-
-// Events returns a copy of the span's stage events.
-func (s *Span) Events() []SpanEvent {
-	if s == nil || s.r == nil {
-		return nil
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	out := make([]SpanEvent, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
-// Ended reports whether End has been called.
-func (s *Span) Ended() bool {
-	if s == nil || s.r == nil {
-		return false
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	return s.ended
-}
-
-// Status returns the terminal status ("" while open).
-func (s *Span) Status() string {
-	if s == nil || s.r == nil {
-		return ""
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	return s.status
-}
-
-// DurationSeconds returns end-start for ended spans, else 0.
-func (s *Span) DurationSeconds() float64 {
-	if s == nil || s.r == nil {
-		return 0
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	if !s.ended {
-		return 0
-	}
-	return float64(s.end - s.start)
-}
-
-// SpanCount returns the number of retained spans.
-func (r *Registry) SpanCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
-// SpansDropped returns how many spans were discarded past the limit.
-func (r *Registry) SpansDropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spansDropped
 }

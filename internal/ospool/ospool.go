@@ -499,12 +499,6 @@ func (p *Pool) Stop() {
 	p.stopFns = nil
 }
 
-// RunningCount returns the number of busy glideins.
-func (p *Pool) RunningCount() int { return p.busy }
-
-// SlotCount returns the number of live glideins (busy + idle).
-func (p *Pool) SlotCount() int { return len(p.live) }
-
 // Stats returns cumulative pool counters.
 func (p *Pool) Stats() (started, completed, evictions int) {
 	return p.started, p.completed, p.evictions
@@ -987,6 +981,8 @@ func (p *Pool) CancelClaim(j *htcondor.Job) bool {
 // drained or the horizon passes; it returns an error on timeout.
 // The pool is stopped either way, and every schedd's user log is
 // flushed so the on-disk text is complete.
+//
+//lint:allow deadexport pool runner that faults, recovery and root-package fdw tests call
 func (p *Pool) RunUntilDone(horizon sim.Time) error {
 	allDone := func() bool {
 		for _, s := range p.schedds {

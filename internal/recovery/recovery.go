@@ -164,11 +164,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether any mechanism is on.
-func (c Config) Enabled() bool {
-	return c.Backoff.Enabled || c.Breaker.Enabled || c.Deadline.Enabled || c.Hedge.Enabled
-}
-
 // Stats are the policy's obs-independent decision counters.
 type Stats struct {
 	BackoffHolds      int     // node retries delayed by backoff
@@ -244,12 +239,6 @@ func New(k *sim.Kernel, cfg Config) (*Policy, error) {
 		hedge:    newHedgeState(),
 	}, nil
 }
-
-// Config returns the policy's configuration.
-func (r *Policy) Config() Config { return r.cfg }
-
-// Stats returns the policy's cumulative decision counters.
-func (r *Policy) Stats() Stats { return r.stats }
 
 // SetObs attaches a metrics registry; decisions are counted but never
 // read back (record-never-decide). nil disables instrumentation.

@@ -264,3 +264,11 @@ func TestBreakerStateString(t *testing.T) {
 		t.Fatal("unknown state string")
 	}
 }
+
+// Enabled reports whether any mechanism is on.
+func (c Config) Enabled() bool {
+	return c.Backoff.Enabled || c.Breaker.Enabled || c.Deadline.Enabled || c.Hedge.Enabled
+}
+
+// Stats returns the policy's cumulative decision counters.
+func (r *Policy) Stats() Stats { return r.stats }

@@ -18,12 +18,6 @@ func (t Time) Duration() time.Duration {
 	return time.Duration(float64(t) * float64(time.Second))
 }
 
-// Hours reports t in hours.
-func (t Time) Hours() float64 { return float64(t) / 3600 }
-
-// Minutes reports t in minutes.
-func (t Time) Minutes() float64 { return float64(t) / 60 }
-
 // String formats t as "12h34m56s"-style simulated wall time.
 func (t Time) String() string { return t.Duration().Round(time.Second).String() }
 
@@ -56,9 +50,6 @@ func (e *Event) Cancel() {
 		e.k.maybeReap()
 	}
 }
-
-// Cancelled reports whether Cancel has been called on e.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
 
 type eventHeap []*Event
 
@@ -116,6 +107,8 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // Pending reports the number of live (non-cancelled) events still on
 // the calendar. Cancelled-but-unreaped tombstones are excluded, so the
 // value tracks real future work rather than heap occupancy.
+//
+//lint:allow deadexport the root-package fdw pool-scale test reads it
 func (k *Kernel) Pending() int { return len(k.events) - k.cancelled }
 
 // reapMinEvents is the heap size below which tombstone reaping is not
@@ -180,6 +173,8 @@ func (k *Kernel) Step() bool {
 }
 
 // Run executes events until the calendar is empty.
+//
+//lint:allow deadexport kernel runner that dagman, faults, htcondor, ospool and wtrace tests call
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
@@ -187,6 +182,8 @@ func (k *Kernel) Run() {
 
 // RunUntil executes events with timestamps <= deadline, then advances
 // the clock to deadline (if the calendar ran dry earlier).
+//
+//lint:allow deadexport kernel runner that ospool tests call
 func (k *Kernel) RunUntil(deadline Time) {
 	for len(k.events) > 0 {
 		// Peek without popping.
@@ -203,12 +200,6 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 	if k.now < deadline {
 		k.now = deadline
-	}
-}
-
-// RunWhile executes events while cond() holds and events remain.
-func (k *Kernel) RunWhile(cond func() bool) {
-	for cond() && k.Step() {
 	}
 }
 

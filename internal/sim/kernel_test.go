@@ -449,3 +449,31 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 		t.Fatalf("Pending() = %d, want 1", k.Pending())
 	}
 }
+
+// Hours reports t in hours.
+func (t Time) Hours() float64 { return float64(t) / 3600 }
+
+// Minutes reports t in minutes.
+func (t Time) Minutes() float64 { return float64(t) / 60 }
+
+// Cancelled reports whether Cancel has been called on e.
+func (e *Event) Cancelled() bool { return e != nil && e.cancel }
+
+// RunWhile executes events while cond() holds and events remain.
+func (k *Kernel) RunWhile(cond func() bool) {
+	for cond() && k.Step() {
+	}
+}
+
+// Perm returns a random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}

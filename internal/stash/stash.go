@@ -132,14 +132,6 @@ func (c *Cache) Commit(site, key string) {
 	c.markWarm(site, key)
 }
 
-// Prewarm marks obj as already cached at site (e.g. the Singularity
-// image distributed ahead of the run).
-func (c *Cache) Prewarm(site string, key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markWarm(site, key)
-}
-
 // markWarm requires c.mu held.
 func (c *Cache) markWarm(site, key string) {
 	siteMap := c.warm[site]

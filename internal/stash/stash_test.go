@@ -120,3 +120,11 @@ func TestPropertyWarmNeverSlowerThanCold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Prewarm marks obj as already cached at site (e.g. the Singularity
+// image distributed ahead of the run).
+func (c *Cache) Prewarm(site string, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.markWarm(site, key)
+}

@@ -40,10 +40,6 @@ func NewServer(catalog *Catalog) *Server {
 	return s
 }
 
-// Registry exposes the server's metrics registry (e.g. for cmd/vdcd to
-// record startup gauges).
-func (s *Server) Registry() *obs.Registry { return s.obs }
-
 // statusRecorder captures the response status for the request counter.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -263,11 +259,6 @@ func (c *Client) Get(id string) (Product, error) {
 	var p Product
 	err := c.do(http.MethodGet, "/products/"+id, nil, &p)
 	return p, err
-}
-
-// Delete removes a product.
-func (c *Client) Delete(id string) error {
-	return c.do(http.MethodDelete, "/products/"+id, nil, nil)
 }
 
 // Tag adds tags to a product.

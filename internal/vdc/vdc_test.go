@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"fdw/internal/obs"
 )
 
 func deposit(t *testing.T, c *Catalog, name string, typ ProductType, mw float64, tags ...string) string {
@@ -337,4 +339,12 @@ func TestLoadCatalogRejectsCorrupt(t *testing.T) {
 	if _, err := LoadCatalog(strings.NewReader(`{"next_id":1,"products":[{"id":"x","type":"movie","name":"m"}]}`)); err == nil {
 		t.Fatal("unknown product type accepted")
 	}
+}
+
+// Registry exposes the server's metrics registry.
+func (s *Server) Registry() *obs.Registry { return s.obs }
+
+// Delete removes a product.
+func (c *Client) Delete(id string) error {
+	return c.do(http.MethodDelete, "/products/"+id, nil, nil)
 }
