@@ -2,12 +2,15 @@ package fakequakes
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"fdw/internal/core/atomicfile"
 	"fdw/internal/geom"
-	"fdw/internal/linalg"
+	"fdw/internal/npy"
 	"fdw/internal/obs"
 )
 
@@ -20,12 +23,12 @@ import (
 // later run (or parallel job) sharing the same geometry loads them
 // and skips ComputeGreens entirely.
 //
-// Durability follows the covcache contract: files are written through
-// writeNPY (atomicfile: temp + fsync + rename), and a truncated or
-// garbage file on load is skipped and recomputed — never trusted,
-// never fatal. The loaded float64 bits are exactly the computed bits
-// (npy round-trips them verbatim), so warm runs are byte-identical to
-// cold runs by construction.
+// Durability follows the covcache contract: files are written
+// through writeGreensNPY (atomicfile: temp + fsync + rename), and a
+// truncated or garbage file on load is skipped and recomputed — never
+// trusted, never fatal. The loaded float64 bits are exactly the
+// computed bits (npy round-trips them verbatim), so warm runs are
+// byte-identical to cold runs by construction.
 
 // computeGreensCalls counts ComputeGreens invocations; the recycling
 // tests use it to assert a warm cache run skips Phase B entirely.
@@ -149,53 +152,66 @@ func (c *GFCache) LoadOrCompute(f *geom.Fault, stations []geom.Station, d *Dista
 		return nil, false, err
 	}
 	c.record(false)
-	if err := writeNPY(path, flattenGreens(g)); err != nil {
+	if err := writeGreensNPY(path, g); err != nil {
 		return nil, false, fmt.Errorf("fakequakes: persisting greens cache: %w", err)
 	}
 	return g, false, nil
 }
 
-// flattenGreens packs the kernel into one (stations·NSub·3)×Nsamples
-// matrix, rows ordered (station, subfault, component) — the layout
-// unflattenGreens inverts.
-func flattenGreens(g *GreensFunctions) *linalg.Matrix {
-	rows := len(g.Stations) * g.NSub * 3
-	m := linalg.NewMatrix(rows, g.Cfg.Nsamples)
-	r := 0
-	for s := range g.Kernel {
-		for sf := 0; sf < g.NSub; sf++ {
-			for c := 0; c < 3; c++ {
-				copy(m.Row(r), g.Kernel[s][sf][c])
-				r++
-			}
-		}
-	}
-	return m
+// writeGreensNPY streams the kernel rows into path through atomicfile
+// (temp + fsync + rename), never copying the kernel. The file is one
+// (stations·NSub·3)×Nsamples '<f8' array, rows ordered (station,
+// subfault, component): station s's rows are one contiguous run of
+// NSub·3·Nsamples values in the order computeStation lays out its
+// slab, which loadGreensNPY reads back into a fresh slab as it stands.
+func writeGreensNPY(path string, g *GreensFunctions) error {
+	return atomicfile.WriteFile(path, func(w io.Writer) error {
+		return npy.WriteRows(w, len(g.Kernel)*g.NSub*3, g.Cfg.Nsamples, func(i int) []float64 {
+			return g.Kernel[i/(3*g.NSub)][i/3%g.NSub][i%3]
+		})
+	})
 }
 
 // loadGreensNPY reads a persisted kernel and rebuilds GreensFunctions,
-// returning nil for any unusable file: unreadable, undecodable, or the
-// wrong shape for the requested geometry. The kernel rows alias the
-// loaded matrix (consumers only read them).
+// returning nil for any unusable file: unreadable, undecodable, the
+// wrong shape for the requested geometry, or a length other than that
+// shape's. Nothing is allocated for the kernel until the shape and the
+// length both match. Then stations load in parallel, like
+// ComputeGreens: each goroutine allocates its station's slab and fills
+// it with ranged reads. Per-station slabs, not one slab for the whole
+// kernel, spread the zeroing of the memory across the goroutines.
 func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig) *GreensFunctions {
-	m, err := readNPY(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil // missing, truncated, or garbage: recompute on miss
+		return nil // missing: recompute on miss
 	}
-	if m.Rows != len(stations)*nsub*3 || m.Cols != cfg.Nsamples {
+	defer f.Close()
+	rows, cols, err := npy.ReadHeader(f)
+	if err != nil || rows != len(stations)*nsub*3 || cols != cfg.Nsamples {
+		return nil // garbage or another geometry: recompute
+	}
+	start, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
 		return nil
+	}
+	info, err := f.Stat()
+	per := int64(nsub * 3 * cfg.Nsamples) // float64s per station
+	if err != nil || info.Size()-start != 8*per*int64(len(stations)) {
+		return nil // truncated or overlong: recompute
 	}
 	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: nsub}
 	g.Kernel = make([][][3][]float64, len(stations))
-	r := 0
-	for s := range g.Kernel {
-		g.Kernel[s] = make([][3][]float64, nsub)
-		for sf := 0; sf < nsub; sf++ {
-			for c := 0; c < 3; c++ {
-				g.Kernel[s][sf][c] = m.Row(r)
-				r++
-			}
+	var failed atomic.Bool
+	eachStation(len(stations), func(s int) {
+		slab := make([]float64, per)
+		if err := npy.ReadData(io.NewSectionReader(f, start+8*per*int64(s), 8*per), slab); err != nil {
+			failed.Store(true) // shrank since the length check
+			return
 		}
+		g.Kernel[s] = stationKernels(slab, nsub, cfg.Nsamples)
+	})
+	if failed.Load() {
+		return nil
 	}
 	return g
 }

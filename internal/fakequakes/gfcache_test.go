@@ -1,6 +1,7 @@
 package fakequakes
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -162,6 +163,86 @@ func TestGFCacheCorruptSkippedAndRecomputed(t *testing.T) {
 	}
 }
 
+// TestGFCacheFileBytesPinned: the bytes a miss writes are the cache's
+// on-disk format, so existing greens_*.npy files stay valid only while
+// this digest holds. Changing it needs a gfKernelVersion bump.
+func TestGFCacheFileBytesPinned(t *testing.T) {
+	f, stations, d := smallSetup(t, 2)
+	cfg := gfTestConfig()
+	dir := t.TempDir()
+	if _, _, err := NewGFCache(dir).LoadOrCompute(f, stations, d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(gfNPYPattern, GFFingerprint(f, stations, d, cfg))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "0ad3def434fa7758f31b852c6db07016393ad23e2107c65abeb4afc56708e4f1"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != 540800 || got != want {
+		t.Fatalf("greens file: %d bytes, sha256 %s; want 540800 bytes, sha256 %s", len(b), got, want)
+	}
+}
+
+// TestGFCacheFillAllocatesOneKernel: a miss computes the kernel and
+// streams it to disk without copying it, and a hit allocates the
+// kernel once; each allocates at most 1.1x the kernel plus 1 MiB.
+func TestGFCacheFillAllocatesOneKernel(t *testing.T) {
+	f, stations, d := smallSetup(t, 4)
+	cfg := DefaultGFConfig()
+	kernel := uint64(len(stations) * f.NumSubfaults() * 3 * cfg.Nsamples * 8)
+	c := NewGFCache(t.TempDir())
+	for _, want := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, hit, err := c.LoadOrCompute(f, stations, d, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil || hit != want {
+			t.Fatalf("hit=%v err=%v, want hit=%v", hit, err, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > kernel*11/10+1<<20 {
+			t.Fatalf("hit=%v allocated %d bytes for a %d-byte kernel (%.2fx)", hit, got, kernel, float64(got)/float64(kernel))
+		}
+	}
+}
+
+// TestGFCacheTruncatedAtStationBoundaries: a greens_*.npy cut at any
+// station boundary, or 8 bytes either side of one, or 8 bytes too
+// long, is a recomputed miss that repairs the file — never a panic,
+// never a hit.
+func TestGFCacheTruncatedAtStationBoundaries(t *testing.T) {
+	f, stations, d := smallSetup(t, 3)
+	cfg := gfTestConfig()
+	dir := t.TempDir()
+	c := NewGFCache(dir)
+	if _, _, err := c.LoadOrCompute(f, stations, d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf(gfNPYPattern, GFFingerprint(f, stations, d, cfg)))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	station := f.NumSubfaults() * 3 * cfg.Nsamples * 8
+	start := len(b) - len(stations)*station
+	lengths := []int{start + station - 8, start + station + 8, len(b) - 8, len(b) + 8}
+	for s := range stations {
+		lengths = append(lengths, start+s*station)
+	}
+	for _, n := range lengths {
+		cut := append(append([]byte(nil), b[:min(n, len(b))]...), make([]byte, max(0, n-len(b)))...)
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || hit {
+			t.Fatalf("file cut to %d of %d bytes: hit=%v err=%v, want a recomputed miss", n, len(b), hit, err)
+		}
+		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || !hit {
+			t.Fatalf("file cut to %d of %d bytes: after repair hit=%v err=%v, want warm hit", n, len(b), hit, err)
+		}
+	}
+}
+
 // TestGFCacheHostileShapeRecomputed: a greens_*.npy whose header
 // claims an overflowing shape is a miss that rewrites the file, not a
 // panic.
@@ -221,38 +302,48 @@ func TestGFFingerprintSensitivity(t *testing.T) {
 
 // TestGFCacheDeterminismAcrossGOMAXPROCS mirrors the repo-level
 // obs_determinism pin for the recycling path: cold compute at one
-// worker count, warm loads at another, all bit-identical.
+// worker count, warm loads (one goroutine per station) at one and at
+// four, all bit-identical to ComputeGreens.
 func TestGFCacheDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	f, stations, d := smallSetup(t, 3)
 	cfg := gfTestConfig()
 	dir := t.TempDir()
 
-	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cold, hit, err := NewGFCache(dir).LoadOrCompute(f, stations, d, cfg)
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
 	runtime.GOMAXPROCS(4)
-	warm, hit, err := NewGFCache(dir).LoadOrCompute(f, stations, d, cfg)
-	if err != nil || !hit {
-		t.Fatalf("warm: hit=%v err=%v", hit, err)
-	}
 	direct, err := ComputeGreens(f, stations, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GOMAXPROCS(old)
+	got := map[string]*GreensFunctions{"cold": cold}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		warm, hit, err := NewGFCache(dir).LoadOrCompute(f, stations, d, cfg)
+		if err != nil || !hit {
+			t.Fatalf("warm at GOMAXPROCS %d: hit=%v err=%v", procs, hit, err)
+		}
+		got[fmt.Sprintf("warm at GOMAXPROCS %d", procs)] = warm
+	}
 
-	for s := range cold.Kernel {
-		for sf := 0; sf < cold.NSub; sf++ {
-			for comp := 0; comp < 3; comp++ {
-				a := cold.Kernel[s][sf][comp]
-				b := warm.Kernel[s][sf][comp]
-				c := direct.Kernel[s][sf][comp]
-				for i := range a {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) ||
-						math.Float64bits(a[i]) != math.Float64bits(c[i]) {
-						t.Fatalf("kernel [%d][%d][%d][%d] differs across GOMAXPROCS/recycle paths", s, sf, comp, i)
+	for name, g := range got {
+		if len(g.Kernel) != len(direct.Kernel) {
+			t.Fatalf("%s: %d stations, want %d", name, len(g.Kernel), len(direct.Kernel))
+		}
+		for s := range direct.Kernel {
+			for sf := 0; sf < direct.NSub; sf++ {
+				for comp := 0; comp < 3; comp++ {
+					a, c := g.Kernel[s][sf][comp], direct.Kernel[s][sf][comp]
+					if len(a) != len(c) || cap(a) != len(c) {
+						t.Fatalf("%s: kernel [%d][%d][%d] len %d cap %d, want %d", name, s, sf, comp, len(a), cap(a), len(c))
+					}
+					for i := range c {
+						if math.Float64bits(a[i]) != math.Float64bits(c[i]) {
+							t.Fatalf("%s: kernel [%d][%d][%d][%d] differs from ComputeGreens", name, s, sf, comp, i)
+						}
 					}
 				}
 			}

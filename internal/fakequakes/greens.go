@@ -68,20 +68,40 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: n}
 	g.Kernel = make([][][3][]float64, len(stations))
 	tab := newSampleTables(cfg)
-	// Stations are independent: fan the outer loop across the cores
-	// (this is the per-node parallelism the real phase B gets from MPI).
+	eachStation(len(stations), func(s int) { g.computeStation(f, d, &tab, s) })
+	return g, nil
+}
+
+// eachStation runs fn(s) for every station s < n, fanned out across
+// GOMAXPROCS goroutines, and returns once all have finished. Stations
+// are independent: this is the per-node parallelism the real phase B
+// gets from MPI.
+func eachStation(n int, fn func(s int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for s := range stations {
+	for s := 0; s < n; s++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(s int) {
 			defer func() { <-sem; wg.Done() }()
-			g.computeStation(f, d, &tab, s)
+			fn(s)
 		}(s)
 	}
 	wg.Wait()
-	return g, nil
+}
+
+// stationKernels carves one station's nsub·3 kernels of ns samples out
+// of slab, rows ordered (subfault, component). The 3-index slices cap
+// each kernel at its own ns samples.
+func stationKernels(slab []float64, nsub, ns int) [][3][]float64 {
+	kernels := make([][3][]float64, nsub)
+	for sf := range kernels {
+		for c := 0; c < 3; c++ {
+			off := (sf*3 + c) * ns
+			kernels[sf][c] = slab[off : off+ns : off+ns]
+		}
+	}
+	return kernels
 }
 
 // sampleTables holds the per-sample factors every kernel shares,
@@ -119,8 +139,7 @@ func newSampleTables(cfg GFConfig) sampleTables {
 // float64 keeps its exact bits (reference_test.go holds the original).
 func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab *sampleTables, s int) {
 	ns := g.Cfg.Nsamples
-	slab := make([]float64, g.NSub*3*ns)
-	kernels := make([][3][]float64, g.NSub)
+	kernels := stationKernels(make([]float64, g.NSub*3*ns), g.NSub, ns)
 	for sf := range kernels {
 		sub := &f.Subfaults[sf]
 		repi := d.Station.At(s, sf)
@@ -145,9 +164,7 @@ func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab
 		arr := int(tS / g.Cfg.Dt)
 
 		for c := 0; c < 3; c++ {
-			off := (sf*3 + c) * ns
-			k := slab[off : off+ns : off+ns]
-			kernels[sf][c] = k
+			k := kernels[sf][c]
 			if arr >= ns {
 				continue // arrives after the last sample: all zeros
 			}

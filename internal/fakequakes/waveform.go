@@ -3,8 +3,6 @@ package fakequakes
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"fdw/internal/mseed"
 	"fdw/internal/sim"
@@ -74,17 +72,7 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	for s := range rngs {
 		rngs[s] = rng.Split(uint64(s) + 0x9e37)
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for s := range g.Stations {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer func() { <-sem; wg.Done() }()
-			out[s] = synthesizeStation(r, g, noise, rngs[s], s)
-		}(s)
-	}
-	wg.Wait()
+	eachStation(len(g.Stations), func(s int) { out[s] = synthesizeStation(r, g, noise, rngs[s], s) })
 	return out, nil
 }
 

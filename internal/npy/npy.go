@@ -23,8 +23,18 @@ import (
 var magic = []byte{0x93, 'N', 'U', 'M', 'P', 'Y'}
 
 // Write encodes m as an NPY v1.0 file with dtype '<f8', C order.
-func Write(w io.Writer, m *linalg.Matrix) error {
-	header := fmt.Sprintf("{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }", m.Rows, m.Cols)
+func Write(w io.Writer, m *linalg.Matrix) error { return WriteRows(w, m.Rows, m.Cols, m.Row) }
+
+// WriteRows encodes a rows×cols array as an NPY v1.0 file with dtype
+// '<f8', C order, taking row i from row(i), so data that is not one
+// contiguous matrix is written without first being copied into one.
+// The data is encoded through a buffer of at most readChunk float64s.
+// Every row must hold exactly cols values.
+func WriteRows(w io.Writer, rows, cols int, row func(i int) []float64) error {
+	if rows < 0 || cols < 0 || (cols > 0 && rows > math.MaxInt/8/cols) {
+		return fmt.Errorf("npy: cannot write shape (%d, %d)", rows, cols)
+	}
+	header := fmt.Sprintf("{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }", rows, cols)
 	// Pad so that len(magic)+2(version)+2(hlen)+len(header) ≡ 0 (mod 64),
 	// with a trailing newline, per the NPY spec.
 	total := len(magic) + 2 + 2 + len(header) + 1
@@ -33,39 +43,81 @@ func Write(w io.Writer, m *linalg.Matrix) error {
 	if len(header) > math.MaxUint16 {
 		return fmt.Errorf("npy: header too long (%d bytes)", len(header))
 	}
-
-	if _, err := w.Write(magic); err != nil {
+	head := append(append([]byte{}, magic...), 1, 0) // version 1.0
+	head = binary.LittleEndian.AppendUint16(head, uint16(len(header)))
+	if _, err := w.Write(append(head, header...)); err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte{1, 0}); err != nil { // version 1.0
+	buf := make([]byte, 0, 8*min(rows*cols, readChunk))
+	// A rows×0 array holds no data, however many rows it claims.
+	for i := 0; cols > 0 && i < rows; i++ {
+		r := row(i)
+		if len(r) != cols {
+			return fmt.Errorf("npy: row %d holds %d values, want %d", i, len(r), cols)
+		}
+		for _, v := range r {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			if len(buf) == cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	if len(buf) > 0 {
+		_, err := w.Write(buf)
 		return err
 	}
-	var hlen [2]byte
-	binary.LittleEndian.PutUint16(hlen[:], uint16(len(header)))
-	if _, err := w.Write(hlen[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, header); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(m.Data))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 // Read decodes an NPY v1.0/v2.0 file containing a 1-D or 2-D '<f8'
 // array in C order. 1-D arrays come back as a 1×n matrix.
 func Read(r io.Reader) (*linalg.Matrix, error) {
+	rows, cols, err := ReadHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	// The shape is a claim, not a size. An input that can report its
+	// length (a file, an in-memory reader) must hold the claim before
+	// it is allocated; any other fills a slice that at most doubles per
+	// pass, so a short stream fails at its real length.
+	n := rows * cols
+	size := min(n, readChunk)
+	if left, ok := remaining(r); ok {
+		if left < 8*int64(n) {
+			return nil, fmt.Errorf("npy: short data (want %d float64s, have %d bytes)", n, left)
+		}
+		size = n
+	}
+	data := make([]float64, size)
+	for filled := 0; ; {
+		if err := ReadData(r, data[filled:]); err != nil {
+			return nil, fmt.Errorf("npy: short data (want %d float64s): %w", n, err)
+		}
+		if filled = len(data); filled == n {
+			break
+		}
+		grown := make([]float64, min(n, 2*filled))
+		copy(grown, data)
+		data = grown
+	}
+	return &linalg.Matrix{Rows: rows, Cols: cols, Data: data}, nil
+}
+
+// ReadHeader reads the magic, version and header of an NPY v1.0/v2.0
+// file from r and returns the shape of its 1-D or 2-D '<f8' C-order
+// array (1-D as 1×n), leaving r at the first data byte. A shape whose
+// byte count overflows an int is an error.
+func ReadHeader(r io.Reader) (rows, cols int, err error) {
 	head := make([]byte, 8)
 	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("npy: short magic: %w", err)
+		return 0, 0, fmt.Errorf("npy: short magic: %w", err)
 	}
 	for i, b := range magic {
 		if head[i] != b {
-			return nil, fmt.Errorf("npy: bad magic %q", head[:6])
+			return 0, 0, fmt.Errorf("npy: bad magic %q", head[:6])
 		}
 	}
 	var headerLen int
@@ -73,59 +125,51 @@ func Read(r io.Reader) (*linalg.Matrix, error) {
 	case 1:
 		var hl [2]byte
 		if _, err := io.ReadFull(r, hl[:]); err != nil {
-			return nil, fmt.Errorf("npy: short header length: %w", err)
+			return 0, 0, fmt.Errorf("npy: short header length: %w", err)
 		}
 		headerLen = int(binary.LittleEndian.Uint16(hl[:]))
 	case 2:
 		var hl [4]byte
 		if _, err := io.ReadFull(r, hl[:]); err != nil {
-			return nil, fmt.Errorf("npy: short header length: %w", err)
+			return 0, 0, fmt.Errorf("npy: short header length: %w", err)
 		}
 		headerLen = int(binary.LittleEndian.Uint32(hl[:]))
 	default:
-		return nil, fmt.Errorf("npy: unsupported version %d.%d", head[6], head[7])
+		return 0, 0, fmt.Errorf("npy: unsupported version %d.%d", head[6], head[7])
 	}
 	if headerLen > maxHeaderLen {
-		return nil, fmt.Errorf("npy: header length %d exceeds %d", headerLen, maxHeaderLen)
+		return 0, 0, fmt.Errorf("npy: header length %d exceeds %d", headerLen, maxHeaderLen)
 	}
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("npy: short header: %w", err)
+		return 0, 0, fmt.Errorf("npy: short header: %w", err)
 	}
-	rows, cols, err := parseHeader(string(hdr))
-	if err != nil {
-		return nil, err
+	if rows, cols, err = parseHeader(string(hdr)); err != nil {
+		return 0, 0, err
 	}
 	if cols > 0 && rows > math.MaxInt/8/cols {
-		return nil, fmt.Errorf("npy: shape (%d, %d) overflows", rows, cols)
+		return 0, 0, fmt.Errorf("npy: shape (%d, %d) overflows", rows, cols)
 	}
-	// The shape is a claim, not a size. An input that can report its
-	// length (a file, an in-memory reader) must hold the claim before
-	// it is allocated; any other grows a slice that at most doubles per
-	// readChunk read, so a short stream fails at its real length.
-	n := rows * cols
-	want := min(n, readChunk)
-	if left, ok := remaining(r); ok {
-		if left < 8*int64(n) {
-			return nil, fmt.Errorf("npy: short data (want %d float64s, have %d bytes)", n, left)
-		}
-		want = n
-	}
-	buf := make([]byte, 8*min(n, readChunk))
-	data := make([]float64, 0, want)
-	for len(data) < n {
-		chunk := buf[:8*min(n-len(data), readChunk)]
+	return rows, cols, nil
+}
+
+// ReadData decodes len(dst) little-endian float64s from r into dst,
+// readChunk at a time through one buffer. A short input returns the
+// io.ReadFull error.
+func ReadData(r io.Reader, dst []float64) error {
+	buf := make([]byte, 8*min(len(dst), readChunk))
+	for len(dst) > 0 {
+		chunk := buf[:8*min(len(dst), readChunk)]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, fmt.Errorf("npy: short data (want %d float64s): %w", n, err)
+			return err
 		}
-		if len(data)+len(chunk)/8 > cap(data) {
-			data = append(make([]float64, 0, min(n, 2*cap(data))), data...)
+		d := dst[:len(chunk)/8]
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
 		}
-		for i := 0; i < len(chunk); i += 8 {
-			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-		}
+		dst = dst[len(d):]
 	}
-	return &linalg.Matrix{Rows: rows, Cols: cols, Data: data}, nil
+	return nil
 }
 
 // remaining reports how many bytes a seekable r has left to read.
@@ -141,43 +185,69 @@ func remaining(r io.Reader) (int64, bool) {
 }
 
 // Read rejects headers over maxHeaderLen bytes (NumPy writes a few
-// hundred) and reads data readChunk float64s at a time.
+// hundred). Data is encoded and decoded readChunk float64s (128 KiB) at
+// a time: a buffer that small adds little per parallel reader, and
+// still amortizes each read or write call over thousands of values.
 const (
 	maxHeaderLen = 1 << 20
-	readChunk    = 1 << 16
+	readChunk    = 1 << 14
 )
 
-// parseHeader extracts shape from the Python-dict literal header and
-// validates dtype and order.
+// parseHeader parses the header's Python dict literal and returns the
+// shape of its array. The dict must hold the keys 'descr', equal to
+// '<f8', 'fortran_order', equal to False, and 'shape', a tuple of one
+// or two dimensions: each exactly once, in any order, with any spacing
+// a Python literal allows. Values are judged by what they are, never
+// by substrings of the header.
 func parseHeader(h string) (rows, cols int, err error) {
-	if !strings.Contains(h, "'<f8'") {
-		return 0, 0, fmt.Errorf("npy: unsupported dtype in header %q (want '<f8')", strings.TrimSpace(h))
+	p := headerParser{s: h}
+	if !p.eat('{') {
+		return 0, 0, fmt.Errorf("npy: header %q is not a dict", strings.TrimSpace(h))
 	}
-	if strings.Contains(h, "'fortran_order': True") {
-		return 0, 0, fmt.Errorf("npy: fortran order not supported")
-	}
-	i := strings.Index(h, "'shape':")
-	if i < 0 {
-		return 0, 0, fmt.Errorf("npy: no shape in header")
-	}
-	rest := h[i:]
-	open := strings.Index(rest, "(")
-	closeIdx := strings.Index(rest, ")")
-	if open < 0 || closeIdx < open {
-		return 0, 0, fmt.Errorf("npy: malformed shape in header")
-	}
-	parts := strings.Split(rest[open+1:closeIdx], ",")
+	seen := map[string]bool{}
 	var dims []int
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
+	for !p.eat('}') {
+		key, ok := p.str()
+		if !ok {
+			return 0, 0, fmt.Errorf("npy: header %q has a key that is not a string", strings.TrimSpace(h))
 		}
-		d, err := strconv.Atoi(p)
-		if err != nil || d < 0 {
-			return 0, 0, fmt.Errorf("npy: bad dimension %q", p)
+		if seen[key] {
+			return 0, 0, fmt.Errorf("npy: header key '%s' repeated", key)
 		}
-		dims = append(dims, d)
+		seen[key] = true
+		if !p.eat(':') {
+			return 0, 0, fmt.Errorf("npy: header key '%s' has no value", key)
+		}
+		switch key {
+		case "descr":
+			if v, ok := p.str(); !ok || v != "<f8" {
+				return 0, 0, fmt.Errorf("npy: header key 'descr' is not '<f8' in %q (unsupported dtype)", strings.TrimSpace(h))
+			}
+		case "fortran_order":
+			if p.word() != "False" {
+				return 0, 0, fmt.Errorf("npy: header key 'fortran_order' is not False (fortran order not supported)")
+			}
+		case "shape":
+			if dims, ok = p.tuple(); !ok {
+				return 0, 0, fmt.Errorf("npy: header key 'shape' is not a tuple of dimensions in %q", strings.TrimSpace(h))
+			}
+		default:
+			return 0, 0, fmt.Errorf("npy: header key '%s' not supported", key)
+		}
+		if !p.eat(',') {
+			if !p.eat('}') {
+				return 0, 0, fmt.Errorf("npy: header %q: want ',' or '}' after key '%s'", strings.TrimSpace(h), key)
+			}
+			break
+		}
+	}
+	if p.skip(); p.s != "" {
+		return 0, 0, fmt.Errorf("npy: header has %q after the dict", p.s)
+	}
+	for _, key := range []string{"descr", "fortran_order", "shape"} {
+		if !seen[key] {
+			return 0, 0, fmt.Errorf("npy: header key '%s' missing", key)
+		}
 	}
 	switch len(dims) {
 	case 1:
@@ -187,4 +257,68 @@ func parseHeader(h string) (rows, cols int, err error) {
 	default:
 		return 0, 0, fmt.Errorf("npy: %d-dimensional arrays not supported", len(dims))
 	}
+}
+
+// headerParser consumes the tokens of a header dict from s.
+type headerParser struct{ s string }
+
+func (p *headerParser) skip() { p.s = strings.TrimLeft(p.s, " \t\r\n") }
+
+// eat consumes c, after any whitespace, if it comes next.
+func (p *headerParser) eat(c byte) bool {
+	p.skip()
+	if p.s == "" || p.s[0] != c {
+		return false
+	}
+	p.s = p.s[1:]
+	return true
+}
+
+// str consumes a quoted string literal and returns its contents.
+func (p *headerParser) str() (string, bool) {
+	p.skip()
+	if p.s == "" || (p.s[0] != '\'' && p.s[0] != '"') {
+		return "", false
+	}
+	end := strings.IndexByte(p.s[1:], p.s[0])
+	if end < 0 {
+		return "", false
+	}
+	v := p.s[1 : 1+end]
+	p.s = p.s[2+end:]
+	return v, true
+}
+
+// word consumes a run of letters, digits and underscores: a name such
+// as False, or an unsigned integer.
+func (p *headerParser) word() string {
+	p.skip()
+	n := 0
+	for n < len(p.s) && (p.s[n] == '_' || p.s[n] >= '0' && p.s[n] <= '9' ||
+		p.s[n] >= 'a' && p.s[n] <= 'z' || p.s[n] >= 'A' && p.s[n] <= 'Z') {
+		n++
+	}
+	w := p.s[:n]
+	p.s = p.s[n:]
+	return w
+}
+
+// tuple consumes a parenthesized, comma-separated list of non-negative
+// integers, a trailing comma allowed.
+func (p *headerParser) tuple() ([]int, bool) {
+	if !p.eat('(') {
+		return nil, false
+	}
+	dims := []int{}
+	for !p.eat(')') {
+		d, err := strconv.Atoi(p.word())
+		if err != nil || d < 0 {
+			return nil, false
+		}
+		dims = append(dims, d)
+		if !p.eat(',') {
+			return dims, p.eat(')')
+		}
+	}
+	return dims, true
 }

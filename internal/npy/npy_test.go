@@ -169,9 +169,122 @@ func TestEmptyMatrix(t *testing.T) {
 // hostile builds an NPY v1.0 file whose header claims shape but which
 // carries only the given data bytes.
 func hostile(shape string, data []byte) []byte {
-	header := "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }\n"
+	return rawNPY("{'descr': '<f8', 'fortran_order': False, 'shape': "+shape+", }", data)
+}
+
+// rawNPY builds an NPY v1.0 file from a header dict and data bytes.
+func rawNPY(dict string, data []byte) []byte {
+	header := dict + "\n"
 	b := append([]byte{0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0}, byte(len(header)), byte(len(header)>>8))
 	return append(append(b, header...), data...)
+}
+
+// TestHeaderJudgedByContent: the header is a Python literal, so its
+// spacing is free and its values are what count. Legal headers that
+// ask for Fortran order or a big-endian dtype must be refused by key,
+// never decoded as C-order '<f8' (which transposes or byte-swaps the
+// data), and a duplicate or missing key is an error.
+func TestHeaderJudgedByContent(t *testing.T) {
+	data := make([]byte, 8*6)
+	for _, tc := range []struct{ dict, key string }{
+		{"{'descr':'<f8','fortran_order':True,'shape':(2,3)}", "fortran_order"},
+		{"{'descr': '<f8', 'fortran_order':  True, 'shape': (2, 3), }", "fortran_order"},
+		{"{'descr': '>f8', 'fortran_order': False, 'shape': (2, 3), 'note': '<f8', }", "descr"},
+		{"{'descr': '<f8', 'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }", "descr"},
+		{"{'descr': '<f8', 'shape': (2, 3), }", "fortran_order"},
+		{"{'fortran_order': False, 'shape': (2, 3)}", "descr"},
+		{"{'descr': '<f8', 'fortran_order': False, }", "shape"},
+	} {
+		_, err := Read(bytes.NewReader(rawNPY(tc.dict, data)))
+		if err == nil || !strings.Contains(err.Error(), "'"+tc.key+"'") {
+			t.Errorf("header %s: err = %v, want an error naming '%s'", tc.dict, err, tc.key)
+		}
+	}
+	for _, dict := range []string{
+		"{'descr':'<f8','fortran_order':False,'shape':(2,3)}",
+		"{ 'shape' : ( 2 , 3 , ) , 'fortran_order' : False , \"descr\" : \"<f8\" }",
+	} {
+		m, err := Read(bytes.NewReader(rawNPY(dict, data)))
+		if err != nil || m.Rows != 2 || m.Cols != 3 {
+			t.Errorf("legal header %s: m = %v, err = %v, want a 2x3 matrix", dict, m, err)
+		}
+	}
+}
+
+// TestWriteStreams: Write encodes through a bounded buffer, so writing
+// a 1M-element (8 MB) matrix allocates well under its size.
+func TestWriteStreams(t *testing.T) {
+	m := linalg.NewMatrix(1000, 1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Write(io.Discard, m); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("writing a %d-element matrix allocated %d bytes, want < 1 MiB", len(m.Data), got)
+	}
+}
+
+// FuzzRead: Read never panics, names every rejection, and whatever it
+// accepts survives Write and a second Read bit for bit. A seekable and
+// a stream reader must agree on every input.
+func FuzzRead(f *testing.F) {
+	for _, m := range []*linalg.Matrix{
+		linalg.NewMatrix(0, 0),
+		linalg.NewMatrix(3, 5),
+		{Rows: 2, Cols: 3, Data: []float64{1.5, -2.25, 0, math.Pi, 1e-300, math.NaN()}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-8])
+	}
+	for _, shape := range []string{"(2147483648, 2147483648)", "(9223372036854775807, 2)", "(1152921504606846976,)", "(7,)", "(2, 2, 2)", "(9223372036854775807, 0)"} {
+		f.Add(hostile(shape, make([]byte, 16)))
+	}
+	f.Add(rawNPY("{'descr':'<f8','fortran_order':True,'shape':(2,3)}", make([]byte, 48)))
+	f.Add(rawNPY("{'descr': '<f4', 'fortran_order': False, 'shape': (1, 1), }", make([]byte, 8)))
+	oversized := []byte{0x93, 'N', 'U', 'M', 'P', 'Y', 2, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(oversized[8:], 1<<24)
+	f.Add(oversized)
+	f.Add([]byte("not an npy file at all"))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := Read(bytes.NewReader(in))
+		sm, serr := Read(struct{ io.Reader }{bytes.NewReader(in)})
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("seekable err = %v, stream err = %v", err, serr)
+		}
+		if err != nil {
+			for _, e := range []error{err, serr} {
+				if !strings.HasPrefix(e.Error(), "npy: ") {
+					t.Fatalf("unnamed rejection: %v", e)
+				}
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("re-encoding an accepted %dx%d array: %v", m.Rows, m.Cols, err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted %dx%d array: %v", m.Rows, m.Cols, err)
+		}
+		for _, got := range []*linalg.Matrix{sm, again} {
+			if got.Rows != m.Rows || got.Cols != m.Cols || len(got.Data) != len(m.Data) {
+				t.Fatalf("shape %dx%d (%d values), want %dx%d (%d values)", got.Rows, got.Cols, len(got.Data), m.Rows, m.Cols, len(m.Data))
+			}
+			for i := range m.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(m.Data[i]) {
+					t.Fatalf("value %d: bits %#x, want %#x", i, math.Float64bits(got.Data[i]), math.Float64bits(m.Data[i]))
+				}
+			}
+		}
+	})
 }
 
 // TestHostileShapeRejected: a header whose element or byte count
