@@ -288,3 +288,46 @@ func BenchmarkWorkflow16k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBurstReplay measures the VDC bursting simulator's replay
+// loop alone: one 16,000-waveform DAGMan trace (1,600 under -short),
+// built outside the timer, replayed per op under the Fig. 6 probe-1 s
+// cell — Policy 1 at a 1 s probe plus Policy 2 at 90 min — with the
+// paper's 30 % burst cap. simsecs/op is the replayed runtime, which no
+// speed-up may change.
+func BenchmarkBurstReplay(b *testing.B) {
+	waveforms := 16000
+	if testing.Short() {
+		waveforms = 1600
+	}
+	env, err := fdw.NewEnv(31, fdw.DefaultPoolConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := fdw.DefaultConfig()
+	cfg.Name = "burst-replay"
+	cfg.Waveforms = waveforms
+	cfg.Seed = 31
+	w, err := fdw.NewWorkflow(cfg, env, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fdw.RunBatch(env, []*fdw.Workflow{w}, 1000*3600); err != nil {
+		b.Fatal(err)
+	}
+	batch, jobs, err := fdw.TraceFromWorkflow(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bc := fdw.DefaultBurstConfig()
+	bc.P1 = &fdw.BurstPolicy1{ProbeSecs: 1, ThresholdJPM: 34}
+	bc.P2 = &fdw.BurstPolicy2{MaxQueueSecs: 90 * 60}
+	b.ResetTimer()
+	var res *fdw.BurstResult
+	for i := 0; i < b.N; i++ {
+		if res, err = fdw.Burst(batch, jobs, bc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(res.RuntimeSecs, "simsecs/op")
+}

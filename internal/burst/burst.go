@@ -158,18 +158,64 @@ type Result struct {
 	SeriesStepSecs float64
 }
 
+// jobState is one job's replay state. The job's trace record stays in
+// the caller's slice at the same index.
 type jobState struct {
-	rec       wtrace.JobRecord
 	submitted bool
 	done      bool
 	bursted   bool
 	vdcLeft   float64 // remaining VDC seconds once bursted
-	vdcTotal  float64
+}
+
+// horizonSecs is how far past the batch's last termination the replay
+// may run: a safety bound, since bursting only shortens runs.
+const horizonSecs = 24 * 3600
+
+// exactSecs bounds the replay clock: float64 holds every integer only
+// up to 2^53, so beyond it the one-second step t++ rounds back to t.
+const exactSecs = 1 << 53
+
+// maxSeriesPrealloc caps the instant series' up-front capacity (8 MiB),
+// so a hostile batch span cannot allocate before the replay starts.
+const maxSeriesPrealloc = 1 << 20
+
+// inexact names the first of a trace record's submit, start and end
+// times at which the replay clock's one-second step is not exact, and
+// returns it with its value; the name is "" when all three are safe.
+// NaN and ±Inf are never safe.
+func inexact(submit, start, end float64) (string, float64) {
+	for i, v := range [3]float64{submit, start, end} {
+		if !(v >= -exactSecs && v+horizonSecs < exactSecs) {
+			return [3]string{"submit", "start", "end"}[i], v
+		}
+	}
+	return "", 0
+}
+
+// probeDue reports math.Mod(tick, p) == 0 — whether a probe every p
+// seconds fires at tick — for every float64 pair. Integers below 2^53
+// are exact in int64, and the float remainder is exact too, so when
+// both inputs are such integers the int64 remainder is zero exactly
+// when the float one is. Only non-integral inputs (a fractional probe,
+// or a tick made inexact by a fractional batch submission) reach
+// math.Mod.
+func probeDue(tick, p float64) bool {
+	if tick > -exactSecs && tick < exactSecs && p > -exactSecs && p < exactSecs {
+		if ti, pi := int64(tick), int64(p); float64(ti) == tick && float64(pi) == p && pi != 0 {
+			return ti%pi == 0
+		}
+	}
+	return math.Mod(tick, p) == 0
 }
 
 // Simulate replays the batch under cfg. Jobs of class gf/matrix are
 // replayed but never bursted (the B-phase barrier cannot move to VDC —
 // its product must land back in the Stash cache either way).
+//
+// A simulated second costs its events plus one step per active VDC
+// job: no allocation per job or per second, no math.Mod on integral
+// probe schedules, and a Policy 2 scan that stops at the first job too
+// young to burst (DESIGN.md §7, "Bursting replay loop").
 func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -180,13 +226,17 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("burst: no jobs in trace")
 	}
-	states := make([]*jobState, len(jobs))
+	if field, v := inexact(batch.Submit, batch.Start, batch.End); field != "" {
+		return nil, fmt.Errorf("burst: batch %s %s time %v outside the replay clock's exact range [-2^53, 2^53-%d)", batch.Name, field, v, horizonSecs)
+	}
 	finishable := 0
-	for i, j := range jobs {
+	for _, j := range jobs {
+		if field, v := inexact(j.Submit, j.Start, j.End); field != "" {
+			return nil, fmt.Errorf("burst: job %s %s time %v outside the replay clock's exact range [-2^53, 2^53-%d)", j.ID, field, v, horizonSecs)
+		}
 		if j.Submit < batch.Submit {
 			return nil, fmt.Errorf("burst: job %s submitted before batch", j.ID)
 		}
-		states[i] = &jobState{rec: j}
 		if j.Finished() {
 			finishable++
 		}
@@ -204,10 +254,22 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 	}
 	maxBurst := int(cfg.MaxBurstFraction * float64(len(jobs)))
 
-	burstDecision := func(policy string) {
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("fdw_burst_decisions_total", "batch", batch.Name, "policy", policy).Inc()
+	// Metric handles are resolved once per replay, not per second. A
+	// policy's decision counter waits for its first decision: resolving
+	// it earlier would add a zero-valued series to the snapshot.
+	var decisions [4]*obs.Counter // p1, p2, p3, elastic
+	burstDecision := func(i int, policy string) {
+		if cfg.Obs == nil {
+			return
 		}
+		if decisions[i] == nil {
+			decisions[i] = cfg.Obs.Counter("fdw_burst_decisions_total", "batch", batch.Name, "policy", policy)
+		}
+		decisions[i].Inc()
+	}
+	var vdcGauge *obs.Gauge
+	if cfg.Obs != nil {
+		vdcGauge = cfg.Obs.Gauge("fdw_burst_vdc_active_jobs", "batch", batch.Name)
 	}
 
 	vdcSecsFor := func(class wtrace.JobClass) float64 {
@@ -221,72 +283,83 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		}
 	}
 
-	// bySubmitAsc is maintained below; burstLastUnsubmitted walks a tail
-	// pointer down it to find the job with the latest pending submission
-	// time ("the last unsubmitted OSG job for the phase") in amortized
-	// O(1) per call.
-	var bySubmitAsc []*jobState
-	tail := -1        // highest candidate index; set after sorting
-	submittedIdx := 0 // everything below this is submitted
-	burstLastUnsubmitted := func() *jobState {
+	// Job k's record is jobs[k] and its replay state slab[k]. The views
+	// below hold job indices, so no buffer of the replay holds a pointer.
+	slab := make([]jobState, len(jobs))
+
+	// Event-ordered views for the per-second loop: jobs by submission
+	// and by OSG termination time, plus live queued/VDC sets, so each
+	// second costs O(changes) instead of O(jobs). Both sorts start from
+	// trace order, which fixes the order among equal times.
+	bySubmit := make([]int, len(jobs))
+	byEnd := make([]int, 0, finishable)
+	for k, j := range jobs {
+		bySubmit[k] = k
+		if j.Finished() {
+			byEnd = append(byEnd, k)
+		}
+	}
+	sort.Slice(bySubmit, func(a, b int) bool { return jobs[bySubmit[a]].Submit < jobs[bySubmit[b]].Submit })
+	sort.Slice(byEnd, func(a, b int) bool { return jobs[byEnd[a]].End < jobs[byEnd[b]].End })
+	remaining := len(byEnd) // OSG-finishable jobs not yet done or bursted
+	// Only Policy 2 reads the queue (submitted, waiting to start on OSG).
+	var queued []int
+	if cfg.P2 != nil {
+		queued = make([]int, 0, len(jobs))
+	}
+	// Every VDC job was bursted, so at most maxBurst are ever active.
+	vdcActiveJobs := make([]int, 0, maxBurst)
+
+	// burstLastUnsubmitted walks a tail pointer down bySubmit to find
+	// the job with the latest pending submission time ("the last
+	// unsubmitted OSG job for the phase") in amortized O(1) per call.
+	// It returns the job's index, or -1 if none may burst.
+	tail := len(bySubmit) - 1 // highest candidate index
+	submittedIdx := 0         // everything below this is submitted
+	burstLastUnsubmitted := func() int {
 		if res.BurstedJobs >= maxBurst {
-			return nil
+			return -1
 		}
 		for tail >= submittedIdx {
-			st := bySubmitAsc[tail]
-			if st.bursted || st.submitted || st.done || vdcSecsFor(st.rec.Class) == 0 {
-				tail--
+			k := bySubmit[tail]
+			tail--
+			st := &slab[k]
+			if st.bursted || st.submitted || st.done || vdcSecsFor(jobs[k].Class) == 0 {
 				continue
 			}
 			st.bursted = true
-			st.vdcTotal = vdcSecsFor(st.rec.Class)
-			st.vdcLeft = st.vdcTotal
+			st.vdcLeft = vdcSecsFor(jobs[k].Class)
 			res.BurstedJobs++
-			tail--
-			return st
+			return k
 		}
-		return nil
+		return -1
 	}
 
 	// burstQueued offloads a specific queued job (Policy 2).
-	burstQueued := func(st *jobState) bool {
+	burstQueued := func(k int) bool {
 		if res.BurstedJobs >= maxBurst {
 			return false
 		}
-		if vdcSecsFor(st.rec.Class) == 0 {
+		if vdcSecsFor(jobs[k].Class) == 0 {
 			return false
 		}
-		st.bursted = true
-		st.vdcTotal = vdcSecsFor(st.rec.Class)
-		st.vdcLeft = st.vdcTotal
+		slab[k].bursted = true
+		slab[k].vdcLeft = vdcSecsFor(jobs[k].Class)
 		res.BurstedJobs++
 		return true
 	}
 
 	completed := 0
 	lastSubmitSeen := batch.Submit
-	var instant []float64
-	horizon := batch.End + 24*3600 // safety bound; bursting only shortens runs
-	endAt := batch.End
-
-	// Event-ordered views for the per-second loop: jobs by submission
-	// and by OSG termination time, plus live queued/VDC sets, so each
-	// second costs O(changes) instead of O(jobs).
-	bySubmit := make([]*jobState, len(states))
-	copy(bySubmit, states)
-	sort.Slice(bySubmit, func(i, j int) bool { return bySubmit[i].rec.Submit < bySubmit[j].rec.Submit })
-	bySubmitAsc = bySubmit
-	tail = len(bySubmit) - 1
-	var byEnd []*jobState
-	for _, st := range states {
-		if st.rec.Finished() {
-			byEnd = append(byEnd, st)
-		}
+	// One sample per second to the batch's end, unless VDC work runs
+	// past it; append grows the series beyond this if it must.
+	seriesCap := batch.End - batch.Submit + 2
+	if !(seriesCap <= maxSeriesPrealloc) {
+		seriesCap = maxSeriesPrealloc
 	}
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].rec.End < byEnd[j].rec.End })
-	remaining := len(byEnd) // OSG-finishable jobs not yet done or bursted
-	var queued []*jobState  // submitted, waiting to start on OSG
-	var vdcActiveJobs []*jobState
+	instant := make([]float64, 0, int(seriesCap))
+	horizon := batch.End + horizonSecs
+	endAt := batch.End
 
 	p2Probe := 60.0
 	if cfg.P2 != nil && cfg.P2.ProbeSecs > 0 {
@@ -300,23 +373,25 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		elapsedMin := (now - batch.Submit) / 60
 
 		// 1. Mark submissions; track the most recent one (Policy 3).
-		for si < len(bySubmit) && bySubmit[si].rec.Submit <= now {
-			st := bySubmit[si]
+		for si < len(bySubmit) && jobs[bySubmit[si]].Submit <= now {
+			k := bySubmit[si]
 			si++
 			submittedIdx = si
-			if st.bursted {
+			if slab[k].bursted {
 				continue
 			}
-			st.submitted = true
-			queued = append(queued, st)
-			if st.rec.Submit > lastSubmitSeen {
-				lastSubmitSeen = st.rec.Submit
+			slab[k].submitted = true
+			if cfg.P2 != nil {
+				queued = append(queued, k)
+			}
+			if jobs[k].Submit > lastSubmitSeen {
+				lastSubmitSeen = jobs[k].Submit
 			}
 		}
 
 		// 2. OSG completions per the trace.
-		for ei < len(byEnd) && byEnd[ei].rec.End <= now {
-			st := byEnd[ei]
+		for ei < len(byEnd) && jobs[byEnd[ei]].End <= now {
+			st := &slab[byEnd[ei]]
 			ei++
 			if st.bursted || st.done {
 				continue
@@ -331,7 +406,8 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		if len(vdcActiveJobs) > 0 {
 			res.VDCActivePct++ // counts seconds; normalized later
 			live := vdcActiveJobs[:0]
-			for _, st := range vdcActiveJobs {
+			for _, k := range vdcActiveJobs {
+				st := &slab[k]
 				st.vdcLeft--
 				res.VDCMinutes += 1.0 / 60
 				if st.vdcLeft <= 0 {
@@ -339,7 +415,7 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 					completed++
 					res.CompletedVDC++
 				} else {
-					live = append(live, st)
+					live = append(live, k)
 				}
 			}
 			vdcActiveJobs = live
@@ -347,58 +423,68 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 
 		// 4. Policies.
 		tick := now - batch.Submit
-		if cfg.P1 != nil && tick > 0 && math.Mod(tick, cfg.P1.ProbeSecs) == 0 {
+		if cfg.P1 != nil && tick > 0 && probeDue(tick, cfg.P1.ProbeSecs) {
 			if stats.InstantThroughput(completed, elapsedMin) < cfg.P1.ThresholdJPM {
-				if st := burstLastUnsubmitted(); st != nil {
-					burstDecision("p1")
-					vdcActiveJobs = append(vdcActiveJobs, st)
-					if st.rec.Finished() {
+				if k := burstLastUnsubmitted(); k >= 0 {
+					burstDecision(0, "p1")
+					vdcActiveJobs = append(vdcActiveJobs, k)
+					if jobs[k].Finished() {
 						remaining--
 					}
 				}
 			}
 		}
-		if cfg.P2 != nil && tick > 0 && math.Mod(tick, p2Probe) == 0 {
+		if cfg.P2 != nil && tick > 0 && probeDue(tick, p2Probe) {
+			// queued is in submission order, so now-Submit never grows
+			// along it: past the first job still young enough to stay,
+			// no job can be bursted, and a departed job left in the
+			// queue changes no decision. The scan stops there.
 			live := queued[:0]
-			for _, st := range queued {
-				if st.done || st.bursted || (st.rec.Started() && st.rec.Start <= now) {
+			i := 0
+			for ; i < len(queued); i++ {
+				k := queued[i]
+				st, rec := &slab[k], &jobs[k]
+				if st.done || st.bursted || (rec.Started() && rec.Start <= now) {
 					continue // left the queue
 				}
-				if now-st.rec.Submit > cfg.P2.MaxQueueSecs && burstQueued(st) {
-					burstDecision("p2")
-					vdcActiveJobs = append(vdcActiveJobs, st)
-					if st.rec.Finished() {
+				if !(now-rec.Submit > cfg.P2.MaxQueueSecs) {
+					break
+				}
+				if burstQueued(k) {
+					burstDecision(1, "p2")
+					vdcActiveJobs = append(vdcActiveJobs, k)
+					if jobs[k].Finished() {
 						remaining--
 					}
 					continue
 				}
-				live = append(live, st)
+				live = append(live, k)
 			}
-			queued = live
+			queued = append(live, queued[i:]...)
 		}
-		if cfg.P3 != nil && tick > 0 && math.Mod(tick, cfg.P3.ProbeSecs) == 0 {
+		if cfg.P3 != nil && tick > 0 && probeDue(tick, cfg.P3.ProbeSecs) {
 			if now-lastSubmitSeen > cfg.P3.MaxGapSecs {
-				if st := burstLastUnsubmitted(); st != nil {
-					burstDecision("p3")
-					vdcActiveJobs = append(vdcActiveJobs, st)
-					if st.rec.Finished() {
+				if k := burstLastUnsubmitted(); k >= 0 {
+					burstDecision(2, "p3")
+					vdcActiveJobs = append(vdcActiveJobs, k)
+					if jobs[k].Finished() {
 						remaining--
 					}
 				}
 			}
 		}
-		if e := cfg.Elastic; e != nil && tick > 0 && math.Mod(tick, e.ProbeSecs) == 0 {
+		if e := cfg.Elastic; e != nil && tick > 0 && probeDue(tick, e.ProbeSecs) {
 			it := stats.InstantThroughput(completed, elapsedMin)
 			if deficit := e.TargetJPM - it; deficit > 0 {
-				k := int(math.Ceil(deficit / e.TargetJPM * float64(e.MaxPerProbe)))
-				for i := 0; i < k; i++ {
-					st := burstLastUnsubmitted()
-					if st == nil {
+				n := int(math.Ceil(deficit / e.TargetJPM * float64(e.MaxPerProbe)))
+				for i := 0; i < n; i++ {
+					k := burstLastUnsubmitted()
+					if k < 0 {
 						break
 					}
-					burstDecision("elastic")
-					vdcActiveJobs = append(vdcActiveJobs, st)
-					if st.rec.Finished() {
+					burstDecision(3, "elastic")
+					vdcActiveJobs = append(vdcActiveJobs, k)
+					if jobs[k].Finished() {
 						remaining--
 					}
 				}
@@ -416,8 +502,8 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		}
 
 		// 6. Termination: every job that can finish has finished.
-		if cfg.Obs != nil {
-			cfg.Obs.Gauge("fdw_burst_vdc_active_jobs", "batch", batch.Name).Set(float64(len(vdcActiveJobs)))
+		if vdcGauge != nil {
+			vdcGauge.Set(float64(len(vdcActiveJobs)))
 		}
 		if remaining == 0 && len(vdcActiveJobs) == 0 && si >= len(bySubmit) {
 			endAt = now

@@ -2,8 +2,10 @@ package burst
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"fdw/internal/wtrace"
 )
@@ -277,6 +279,39 @@ func TestSimulateInputValidation(t *testing.T) {
 	never := []wtrace.JobRecord{{ID: "x", Class: wtrace.ClassWaveform, Submit: 0, Start: -1, End: -1}}
 	if _, err := Simulate(batch, never, DefaultConfig()); err == nil {
 		t.Fatal("trace with no finishable jobs accepted")
+	}
+}
+
+// TestSimulateRejectsHostileTimes: a NaN time passes every ordering
+// check, and past 2^53 the replay clock's t++ rounds back to t, so
+// both must be errors, not a NaN result or a replay that never returns.
+func TestSimulateRejectsHostileTimes(t *testing.T) {
+	batch, jobs := syntheticTrace(3, 10, 10, 10)
+	batch.Submit = math.NaN()
+	if res, err := Simulate(batch, jobs, DefaultConfig()); err == nil {
+		t.Fatalf("NaN batch submission accepted: runtime %v", res.RuntimeSecs)
+	}
+	const at = 1 << 54
+	batch = wtrace.BatchRecord{Name: "far", Submit: at, Start: at, End: at + 400}
+	jobs = []wtrace.JobRecord{{ID: "1.0", Class: wtrace.ClassWaveform, Submit: at + 4, Start: at + 4, End: at + 400}}
+	done := make(chan error, 1)
+	go func(batch wtrace.BatchRecord, jobs []wtrace.JobRecord) {
+		_, err := Simulate(batch, jobs, DefaultConfig())
+		done <- err
+	}(batch, jobs)
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "submit time 1.8014398509481984e+16") {
+			t.Fatalf("got %v, want an error naming the batch submit time", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Simulate did not return within 5 s")
+	}
+	// Job times are checked as well, just below the horizon's bound.
+	batch = wtrace.BatchRecord{Name: "near", Submit: 0, Start: 0, End: 10}
+	jobs = []wtrace.JobRecord{{ID: "2.0", Class: wtrace.ClassWaveform, Submit: 0, Start: 0, End: 1<<53 - 86400}}
+	if _, err := Simulate(batch, jobs, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "job 2.0 end") {
+		t.Fatalf("got %v, want an error naming job 2.0's end time", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -55,10 +56,16 @@ type BatchRecord struct {
 // Duration returns End-Submit.
 func (b BatchRecord) Duration() float64 { return b.End - b.Submit }
 
-// Validate checks time ordering.
+// Validate checks that the times are finite and ordered.
 func (b BatchRecord) Validate() error {
 	if b.Name == "" {
 		return fmt.Errorf("wtrace: empty batch name")
+	}
+	for _, v := range [...]float64{b.Submit, b.Start, b.End} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("wtrace: batch time %v is not finite: submit %v start %v end %v",
+				v, b.Submit, b.Start, b.End)
+		}
 	}
 	if b.End < b.Start || b.Start < b.Submit {
 		return fmt.Errorf("wtrace: batch times out of order: submit %v start %v end %v",
@@ -138,20 +145,20 @@ func WriteBatchCSV(w io.Writer, b BatchRecord) error {
 func ReadBatchCSV(r io.Reader) (BatchRecord, error) {
 	rows, err := csv.NewReader(r).ReadAll()
 	if err != nil {
-		return BatchRecord{}, err
+		return BatchRecord{}, fmt.Errorf("wtrace: batch CSV: %w", err)
 	}
 	if len(rows) != 2 || len(rows[1]) != 4 {
 		return BatchRecord{}, fmt.Errorf("wtrace: batch CSV must be header plus one row")
 	}
 	b := BatchRecord{Name: rows[1][0]}
 	if b.Submit, err = atof(rows[1][1]); err != nil {
-		return b, err
+		return b, fmt.Errorf("wtrace: batch CSV submit: %v", err)
 	}
 	if b.Start, err = atof(rows[1][2]); err != nil {
-		return b, err
+		return b, fmt.Errorf("wtrace: batch CSV start: %v", err)
 	}
 	if b.End, err = atof(rows[1][3]); err != nil {
-		return b, err
+		return b, fmt.Errorf("wtrace: batch CSV end: %v", err)
 	}
 	return b, b.Validate()
 }
@@ -175,7 +182,7 @@ func WriteJobsCSV(w io.Writer, jobs []JobRecord) error {
 func ReadJobsCSV(r io.Reader) ([]JobRecord, error) {
 	rows, err := csv.NewReader(r).ReadAll()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wtrace: jobs CSV: %w", err)
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("wtrace: empty jobs CSV")
@@ -207,10 +214,15 @@ func ReadJobsCSV(r io.Reader) ([]JobRecord, error) {
 
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
 
+// atof parses a trace time; NaN and ±Inf are rejected, since no
+// ordering check can hold on them.
 func atof(s string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("non-finite number %q", s)
 	}
 	return f, nil
 }

@@ -2,6 +2,7 @@ package wtrace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -248,5 +249,91 @@ func TestJobsCSVNeverRanRoundTrip(t *testing.T) {
 	}
 	if out[0].Started() || out[0].Finished() {
 		t.Fatal("sentinel times read back as started/finished")
+	}
+}
+
+// TestNonFiniteTimesRejected: NaN passes every ordering comparison, so
+// non-finite times need their own check in Validate and the readers.
+func TestNonFiniteTimesRejected(t *testing.T) {
+	for i, b := range []BatchRecord{
+		{Name: "x", Submit: math.NaN(), Start: 1, End: 2},
+		{Name: "x", Submit: 0, Start: 1, End: math.Inf(1)},
+		{Name: "x", Submit: math.Inf(-1), Start: 1, End: 2},
+	} {
+		if b.Validate() == nil {
+			t.Errorf("non-finite batch %d accepted: %+v", i, b)
+		}
+	}
+	for _, src := range []string{
+		"batch,submit,start,end\nb,NaN,2,3\n",
+		"batch,submit,start,end\nb,1,2,+Inf\n",
+	} {
+		if _, err := ReadBatchCSV(strings.NewReader(src)); err == nil {
+			t.Errorf("ReadBatchCSV accepted %q", src)
+		}
+	}
+	for _, v := range []string{"NaN", "Inf", "-inf"} {
+		src := "h,h,h,h,h\n1.0,rupture,0,1,2\n1.1,rupture,0,1," + v + "\n"
+		if _, err := ReadJobsCSV(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("non-finite job time %s: got %v, want an error naming row 3", v, err)
+		}
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to both trace readers. Neither
+// may panic; a rejection is a wtrace: error; and an accepted trace
+// writes out to bytes that read back and write again byte-identically.
+func FuzzReadTrace(f *testing.F) {
+	var batch, jobs bytes.Buffer
+	if err := WriteBatchCSV(&batch, BatchRecord{Name: "batch1", Submit: 0, Start: 60, End: 8750}); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteJobsCSV(&jobs, sampleJobs()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batch.Bytes())
+	f.Add(jobs.Bytes())
+	for _, src := range []string{
+		"", "just,one,row\n", "h,h,h,h\na,b,c,d\n", "h,h\n1,2\n",
+		"h,h,h,h,h\n1.0,alien,0,1,2\n", "h,h,h,h,h\n1.0,rupture,zero,1,2\n",
+		"batch,submit,start,end\n\"b,1,2,3\n", "batch,submit,start,end\nb,NaN,2,3\n",
+		"job,class,submit,start,end\nj1,waveform,\" 1.5\",\" 2 \",3\n",
+		"job,class,submit,start,end\n\"j,\n1\",gf,1e3,-1,0x1p4\n",
+	} {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roundTrip(t, "batch", data,
+			func(b []byte) (any, error) { return ReadBatchCSV(bytes.NewReader(b)) },
+			func(w *bytes.Buffer, v any) error { return WriteBatchCSV(w, v.(BatchRecord)) })
+		roundTrip(t, "jobs", data,
+			func(b []byte) (any, error) { return ReadJobsCSV(bytes.NewReader(b)) },
+			func(w *bytes.Buffer, v any) error { return WriteJobsCSV(w, v.([]JobRecord)) })
+	})
+}
+
+// roundTrip checks one reader/writer pair on data for FuzzReadTrace.
+func roundTrip(t *testing.T, kind string, data []byte,
+	read func([]byte) (any, error), write func(*bytes.Buffer, any) error) {
+	v, err := read(data)
+	if err != nil {
+		if !strings.HasPrefix(err.Error(), "wtrace: ") {
+			t.Fatalf("%s: rejection without the wtrace: prefix: %v", kind, err)
+		}
+		return
+	}
+	var first, second bytes.Buffer
+	if err := write(&first, v); err != nil {
+		t.Fatalf("%s: writing an accepted trace: %v", kind, err)
+	}
+	again, err := read(first.Bytes())
+	if err != nil {
+		t.Fatalf("%s: rewritten trace rejected: %v\n%q", kind, err, first.Bytes())
+	}
+	if err := write(&second, again); err != nil {
+		t.Fatalf("%s: writing the reread trace: %v", kind, err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("%s: round trip changed the bytes:\n%q\n%q", kind, first.Bytes(), second.Bytes())
 	}
 }
