@@ -137,8 +137,14 @@ func NewEnv(seed uint64, poolCfg ospool.Config) (*Env, error) {
 // goroutines, which keeps counter totals exact but makes no ordering
 // promises for spans. reg == nil means no instrumentation.
 func NewEnvObs(seed uint64, poolCfg ospool.Config, reg *obs.Registry) (*Env, error) {
+	return NewEnvStash(seed, poolCfg, stash.DefaultConfig(), reg)
+}
+
+// NewEnvStash is NewEnvObs with a custom Stash configuration (the
+// experiment harness's no-cache ablation).
+func NewEnvStash(seed uint64, poolCfg ospool.Config, stashCfg stash.Config, reg *obs.Registry) (*Env, error) {
 	k := sim.NewKernel(seed)
-	cache, err := stash.New(stash.DefaultConfig())
+	cache, err := stash.New(stashCfg)
 	if err != nil {
 		return nil, err
 	}

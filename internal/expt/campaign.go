@@ -104,8 +104,9 @@ func checkCellIDs(campaign string, ids []string) ([]string, error) {
 	return ids, nil
 }
 
-// runCampaign executes every cell locally and finalizes — the
-// unsharded path behind Fig2/Fig3/Fig5/Fig6/Chaos.
+// runCampaign executes every cell locally and finalizes — the path
+// behind every experiment entry point, and the one fan-out besides
+// RunShard.
 func runCampaign(c *campaign, opt Options) (any, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -139,6 +140,58 @@ func decodeInto[T any](raw json.RawMessage) (any, error) {
 	return v, nil
 }
 
+// runAs is runCampaign with the rows asserted to the entry point's type.
+func runAs[T any](c *campaign, opt Options) (T, error) {
+	rows, err := runCampaign(c, opt)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return rows.(T), nil
+}
+
+// newCampaign builds a campaign from typed parts: list enumerates the
+// cells in canonical order and id names each. Every run error is
+// wrapped once as "expt: <name> cell <id>: ...", whichever executor
+// runs the cell. writeCSV is nil outside the shardable registry.
+func newCampaign[C, R any](name, csvName string,
+	list func(opt Options) []C,
+	id func(c C) string,
+	run func(opt Options, ctx *campaignCtx, c C) (R, sim.Time, error),
+	finalize func(opt Options, results []R) (any, error),
+	writeCSV func(w io.Writer, rows any) error,
+) *campaign {
+	return &campaign{
+		name:    name,
+		csvName: csvName,
+		cells: func(opt Options) ([]string, error) {
+			cells := list(opt)
+			ids := make([]string, len(cells))
+			for i, c := range cells {
+				ids[i] = id(c)
+			}
+			return checkCellIDs(name, ids)
+		},
+		run: func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, error) {
+			c := list(opt)[i]
+			r, end, err := run(opt, ctx, c)
+			if err != nil {
+				return nil, 0, fmt.Errorf("expt: %s cell %s: %w", name, id(c), err)
+			}
+			return r, end, nil
+		},
+		decode: decodeInto[R],
+		finalize: func(opt Options, results []any) (any, error) {
+			typed := make([]R, len(results))
+			for i, r := range results {
+				typed[i] = r.(R)
+			}
+			return finalize(opt, typed)
+		},
+		writeCSV: writeCSV,
+	}
+}
+
 // ---------------------------------------------------------------- fig2
 
 type fig2Cell struct {
@@ -147,8 +200,8 @@ type fig2Cell struct {
 	seed     uint64
 }
 
-// fig2Result is one (cell, seed) simulation's measurements.
-type fig2Result struct {
+// runResult is one single-workflow run's measurements (Fig. 2, headline).
+type runResult struct {
 	RuntimeH float64 `json:"runtime_h"`
 	JPM      float64 `json:"jpm"`
 	Jobs     int     `json:"jobs"`
@@ -169,33 +222,15 @@ func fig2Cells(opt Options) []fig2Cell {
 }
 
 func fig2Campaign() *campaign {
-	return &campaign{
-		name:    "fig2",
-		csvName: "fig2.csv",
-		cells: func(opt Options) ([]string, error) {
-			cells := fig2Cells(opt)
-			ids := make([]string, len(cells))
-			for i, c := range cells {
-				ids[i] = fmt.Sprintf("s%d/q%d/seed%d", c.stations, c.quantity, c.seed)
-			}
-			return checkCellIDs("fig2", ids)
-		},
-		run: func(opt Options, _ *campaignCtx, i int) (any, sim.Time, error) {
-			c := fig2Cells(opt)[i]
+	return newCampaign("fig2", "fig2.csv", fig2Cells,
+		func(c fig2Cell) string { return fmt.Sprintf("s%d/q%d/seed%d", c.stations, c.quantity, c.seed) },
+		func(opt Options, _ *campaignCtx, c fig2Cell) (runResult, sim.Time, error) {
 			n := opt.scaleN(c.quantity)
-			cfg := core.DefaultConfig()
-			cfg.Name = fmt.Sprintf("fig2-s%d-q%d", c.stations, n)
+			cfg := workflowConfig(fmt.Sprintf("fig2-s%d-q%d", c.stations, n), n, c.seed)
 			cfg.Stations = c.stations
-			cfg.Waveforms = n
-			cfg.Seed = c.seed
-			rt, jpm, done, end, err := runOneCell(opt, cfg, c.seed)
-			if err != nil {
-				return nil, 0, fmt.Errorf("fig2 %d×%d: %w", c.stations, n, err)
-			}
-			return fig2Result{RuntimeH: rt, JPM: jpm, Jobs: done}, end, nil
+			return measureOne(opt, cfg, c.seed)
 		},
-		decode: decodeInto[fig2Result],
-		finalize: func(opt Options, results []any) (any, error) {
+		func(opt Options, results []runResult) (any, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Fig. 2 — increasing earthquake simulation quantities (scale %.2f, %d reps)\n", opt.Scale, len(opt.Seeds))
 			fmt.Fprintf(w, "%8s %9s %7s | %21s | %18s\n", "stations", "waveforms", "jobs", "avg runtime h (sd)", "avg JPM (sd)")
@@ -204,8 +239,7 @@ func fig2Campaign() *campaign {
 			var rows []Fig2Row
 			for ci := 0; ci < len(cells); ci += reps {
 				var rts, jpms, jobs []float64
-				for r := 0; r < reps; r++ {
-					res := results[ci+r].(fig2Result)
+				for _, res := range results[ci : ci+reps] {
 					rts = append(rts, res.RuntimeH)
 					jpms = append(jpms, res.JPM)
 					jobs = append(jobs, float64(res.Jobs))
@@ -229,8 +263,7 @@ func fig2Campaign() *campaign {
 			}
 			return rows, nil
 		},
-		writeCSV: func(w io.Writer, rows any) error { return WriteFig2CSV(w, rows.([]Fig2Row)) },
-	}
+		func(w io.Writer, rows any) error { return WriteFig2CSV(w, rows.([]Fig2Row)) })
 }
 
 // ---------------------------------------------------------------- fig3
@@ -259,39 +292,16 @@ func fig3Cells(opt Options) []fig3Cell {
 }
 
 func fig3Campaign() *campaign {
-	return &campaign{
-		name:    "fig3",
-		csvName: "fig3.csv",
-		cells: func(opt Options) ([]string, error) {
-			cells := fig3Cells(opt)
-			ids := make([]string, len(cells))
-			for i, c := range cells {
-				ids[i] = fmt.Sprintf("n%d/seed%d", c.dagmans, c.seed)
-			}
-			return checkCellIDs("fig3", ids)
-		},
-		run: func(opt Options, _ *campaignCtx, i int) (any, sim.Time, error) {
-			c := fig3Cells(opt)[i]
-			total := opt.scaleN(Fig3Total)
-			each := total / c.dagmans
+	return newCampaign("fig3", "fig3.csv", fig3Cells,
+		func(c fig3Cell) string { return fmt.Sprintf("n%d/seed%d", c.dagmans, c.seed) },
+		func(opt Options, _ *campaignCtx, c fig3Cell) (fig3Result, sim.Time, error) {
 			env, err := core.NewEnvObs(c.seed, opt.Pool, opt.Obs)
 			if err != nil {
-				return nil, 0, err
+				return fig3Result{}, 0, err
 			}
-			var wfs []*core.Workflow
-			for d := 0; d < c.dagmans; d++ {
-				cfg := core.DefaultConfig()
-				cfg.Name = fmt.Sprintf("fig3-n%d-d%d", c.dagmans, d)
-				cfg.Waveforms = each
-				cfg.Seed = c.seed*1000 + uint64(d)
-				wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
-				if err != nil {
-					return nil, 0, err
-				}
-				wfs = append(wfs, wf)
-			}
-			if err := core.RunBatch(env, wfs, opt.Horizon); err != nil {
-				return nil, 0, fmt.Errorf("fig3 n=%d: %w", c.dagmans, err)
+			wfs, err := simulate(opt, env, nil, concurrentConfigs("fig3", c.dagmans, opt.scaleN(Fig3Total), c.seed)...)
+			if err != nil {
+				return fig3Result{}, 0, err
 			}
 			var res fig3Result
 			for _, wf := range wfs {
@@ -301,8 +311,7 @@ func fig3Campaign() *campaign {
 			res.MakespanH = float64(env.Kernel.Now()) / 3600
 			return res, env.Kernel.Now(), nil
 		},
-		decode: decodeInto[fig3Result],
-		finalize: func(opt Options, results []any) (any, error) {
+		func(opt Options, results []fig3Result) (any, error) {
 			w := opt.out()
 			total := opt.scaleN(Fig3Total)
 			fmt.Fprintf(w, "Fig. 3 — concurrent HTCondor DAGMans jointly making %d waveforms (%d reps)\n", total, len(opt.Seeds))
@@ -312,8 +321,7 @@ func fig3Campaign() *campaign {
 			for li, n := range Fig3Concurrency {
 				each := total / n
 				var rts, jpms, makespans []float64
-				for r := 0; r < reps; r++ {
-					res := results[li*reps+r].(fig3Result)
+				for _, res := range results[li*reps : (li+1)*reps] {
 					rts = append(rts, res.RuntimeHs...)
 					jpms = append(jpms, res.JPMs...)
 					makespans = append(makespans, res.MakespanH)
@@ -335,8 +343,7 @@ func fig3Campaign() *campaign {
 			}
 			return rows, nil
 		},
-		writeCSV: func(w io.Writer, rows any) error { return WriteFig3CSV(w, rows.([]Fig3Row)) },
-	}
+		func(w io.Writer, rows any) error { return WriteFig3CSV(w, rows.([]Fig3Row)) })
 }
 
 // ------------------------------------------------------------- fig5/6
@@ -348,11 +355,12 @@ type fig5Spec struct {
 	control       bool
 }
 
-// fig5SpecsFor enumerates every (batch, policy) cell in print order:
-// the pure-OSG control first for each batch, then queue × probe.
-func fig5SpecsFor(nBatches int) []fig5Spec {
+// fig5Specs enumerates every (batch, policy) cell in print order: the
+// pure-OSG control first for each of MakeBatchTraces' two batches,
+// then queue × probe.
+func fig5Specs(Options) []fig5Spec {
 	var specs []fig5Spec
-	for bi := 0; bi < nBatches; bi++ {
+	for bi := 0; bi < 2; bi++ {
 		specs = append(specs, fig5Spec{bi: bi, control: true})
 		for _, queueM := range Fig5QueueTimesMin {
 			for _, probe := range Fig5ProbeTimes {
@@ -361,28 +369,6 @@ func fig5SpecsFor(nBatches int) []fig5Spec {
 		}
 	}
 	return specs
-}
-
-// runFig5Spec replays one sweep cell against its batch trace.
-func runFig5Spec(opt Options, batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, s fig5Spec, maxBurstFraction float64) (Fig5Cell, sim.Time, error) {
-	batch := batches[s.bi]
-	cfg := burst.DefaultConfig()
-	cfg.Obs = opt.Obs
-	cfg.MaxBurstFraction = maxBurstFraction
-	if !s.control {
-		cfg.P1 = &burst.Policy1{ProbeSecs: s.probe, ThresholdJPM: Fig5Threshold}
-		cfg.P2 = &burst.Policy2{MaxQueueSecs: s.queueM * 60}
-	}
-	res, err := burst.Simulate(batch, jobs[s.bi], cfg)
-	if err != nil {
-		if s.control {
-			return Fig5Cell{}, 0, fmt.Errorf("control %s: %w", batch.Name, err)
-		}
-		return Fig5Cell{}, 0, fmt.Errorf("%s probe %v queue %v: %w", batch.Name, s.probe, s.queueM, err)
-	}
-	cell := cellFrom(batch.Name, s.probe, s.queueM, res)
-	cell.Control = s.control
-	return cell, sim.Time(res.RuntimeSecs), nil
 }
 
 // printFig5Cells renders the sweep report for the campaign finalizer.
@@ -405,41 +391,44 @@ func printFig5Cells(w io.Writer, label string, maxBurstFraction float64, cells [
 
 // fig5Campaign builds the bursting-sweep campaign for the given cap:
 // Fig. 5 runs uncapped, Fig. 6 with the paper's 30% bursted-job cap.
-// The cell list is fixed by MakeBatchTraces' two batches.
 func fig5Campaign(name string, maxBurstFraction float64, label string) *campaign {
-	return &campaign{
-		name:    name,
-		csvName: name + ".csv",
-		cells: func(opt Options) ([]string, error) {
-			specs := fig5SpecsFor(2)
-			ids := make([]string, len(specs))
-			for i, s := range specs {
-				if s.control {
-					ids[i] = fmt.Sprintf("b%d/ctl", s.bi+1)
-				} else {
-					ids[i] = fmt.Sprintf("b%d/q%.0f/p%.0f", s.bi+1, s.queueM, s.probe)
-				}
+	return newCampaign(name, name+".csv", fig5Specs,
+		func(s fig5Spec) string {
+			if s.control {
+				return fmt.Sprintf("b%d/ctl", s.bi+1)
 			}
-			return checkCellIDs(name, ids)
+			return fmt.Sprintf("b%d/q%.0f/p%.0f", s.bi+1, s.queueM, s.probe)
 		},
-		run: func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, error) {
-			batches, jobs, err := ctx.traces(opt)
+		func(opt Options, ctx *campaignCtx, s fig5Spec) (Fig5Cell, sim.Time, error) {
+			cfg := burst.DefaultConfig()
+			cfg.MaxBurstFraction = maxBurstFraction
+			if !s.control {
+				cfg.P1 = &burst.Policy1{ProbeSecs: s.probe, ThresholdJPM: Fig5Threshold}
+				cfg.P2 = &burst.Policy2{MaxQueueSecs: s.queueM * 60}
+			}
+			batch, res, err := replay(opt, ctx, s.bi, cfg)
 			if err != nil {
-				return nil, 0, err
+				return Fig5Cell{}, 0, err
 			}
-			return runFig5Spec(opt, batches, jobs, fig5SpecsFor(2)[i], maxBurstFraction)
+			return Fig5Cell{
+				Batch:      batch,
+				ProbeSecs:  s.probe,
+				MaxQueueM:  s.queueM,
+				Control:    s.control,
+				AvgJPM:     res.AvgInstantJPM,
+				MaxJPM:     res.MaxInstantJPM,
+				SDJPM:      res.SDInstantJPM,
+				VDCPct:     res.VDCUsagePct,
+				BurstedPct: res.BurstedPct,
+				RuntimeH:   res.RuntimeSecs / 3600,
+				CostUSD:    res.CostUSD,
+			}, sim.Time(res.RuntimeSecs), nil
 		},
-		decode: decodeInto[Fig5Cell],
-		finalize: func(opt Options, results []any) (any, error) {
-			cells := make([]Fig5Cell, len(results))
-			for i, r := range results {
-				cells[i] = r.(Fig5Cell)
-			}
+		func(opt Options, cells []Fig5Cell) (any, error) {
 			printFig5Cells(opt.out(), label, maxBurstFraction, cells)
 			return cells, nil
 		},
-		writeCSV: func(w io.Writer, rows any) error { return WriteFig5CSV(w, rows.([]Fig5Cell)) },
-	}
+		func(w io.Writer, rows any) error { return WriteFig5CSV(w, rows.([]Fig5Cell)) })
 }
 
 // ---------------------------------------------------------------- chaos
@@ -465,38 +454,20 @@ func chaosCells(opt Options) []chaosCell {
 }
 
 func chaosCampaign() *campaign {
-	return &campaign{
-		name:    "chaos",
-		csvName: "chaos.csv",
-		cells: func(opt Options) ([]string, error) {
-			cells := chaosCells(opt)
-			ids := make([]string, len(cells))
-			for i, c := range cells {
-				arm := "off"
-				if c.rec {
-					arm = "on"
-				}
-				ids[i] = fmt.Sprintf("%s/seed%d/%s", c.plan.Name, c.seed, arm)
+	return newCampaign("chaos", "chaos.csv", chaosCells,
+		func(c chaosCell) string {
+			arm := "off"
+			if c.rec {
+				arm = "on"
 			}
-			return checkCellIDs("chaos", ids)
+			return fmt.Sprintf("%s/seed%d/%s", c.plan.Name, c.seed, arm)
 		},
-		run: func(opt Options, _ *campaignCtx, i int) (any, sim.Time, error) {
-			c := chaosCells(opt)[i]
-			row, end, err := chaosOne(opt, c.plan, c.seed, c.rec)
-			if err != nil {
-				return nil, 0, fmt.Errorf("chaos plan %q seed %d recovery %t: %w", c.plan.Name, c.seed, c.rec, err)
-			}
-			return row, end, nil
+		func(opt Options, _ *campaignCtx, c chaosCell) (ChaosRow, sim.Time, error) {
+			return chaosOne(opt, c.plan, c.seed, c.rec)
 		},
-		decode: decodeInto[ChaosRow],
-		finalize: func(opt Options, results []any) (any, error) {
-			rows := make([]ChaosRow, len(results))
-			for i, r := range results {
-				rows[i] = r.(ChaosRow)
-			}
+		func(opt Options, rows []ChaosRow) (any, error) {
 			printChaosReport(opt, rows)
 			return rows, nil
 		},
-		writeCSV: func(w io.Writer, rows any) error { return WriteChaosCSV(w, rows.([]ChaosRow)) },
-	}
+		func(w io.Writer, rows any) error { return WriteChaosCSV(w, rows.([]ChaosRow)) })
 }

@@ -50,23 +50,14 @@ type ChaosRow struct {
 	WastedCPUH  float64 // slot hours that produced no completed work
 }
 
-// chaosWorkflowConfig is the swept workload: the Fig. 2 full-station
-// cell at the smallest paper quantity, shrunk by opt.Scale.
-func chaosWorkflowConfig(opt Options, plan string, seed uint64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Name = fmt.Sprintf("chaos-%s", plan)
-	cfg.Waveforms = opt.scaleN(Fig2Quantities[0])
-	cfg.Seed = seed
-	return cfg
-}
-
 // chaosRecoveryConfig is the recovery-on arm's policy configuration:
 // opt.Recovery when set, the tuned defaults otherwise.
-func chaosRecoveryConfig(opt Options) recovery.Config {
+func chaosRecoveryConfig(opt Options) *recovery.Config {
 	if opt.Recovery != nil {
-		return *opt.Recovery
+		return opt.Recovery
 	}
-	return recovery.DefaultConfig()
+	cfg := recovery.DefaultConfig()
+	return &cfg
 }
 
 // Chaos runs the recovery A/B chaos matrix and returns one row per
@@ -76,11 +67,7 @@ func chaosRecoveryConfig(opt Options) recovery.Config {
 // identical to a serial run. The matrix is a shardable campaign
 // (campaign.go), so fdwexp -shard/-merge covers it too.
 func Chaos(opt Options) ([]ChaosRow, error) {
-	rows, err := runCampaign(chaosCampaign(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows.([]ChaosRow), nil
+	return runAs[[]ChaosRow](chaosCampaign(), opt)
 }
 
 // printChaosReport renders the full matrix plus per-plan deltas —
@@ -185,36 +172,36 @@ func ChaosImprovedOrTied(rows []ChaosRow) (improved, total int) {
 // stream is unchanged between arms.
 func chaosOne(opt Options, plan faults.Plan, seed uint64, rec bool) (ChaosRow, sim.Time, error) {
 	var row ChaosRow
+	// The swept workload is the Fig. 2 full-station cell at the
+	// smallest paper quantity, shrunk by opt.Scale.
+	cfg := workflowConfig(fmt.Sprintf("chaos-%s", plan.Name), opt.scaleN(Fig2Quantities[0]), seed)
 	env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
 	if err != nil {
 		return row, 0, err
 	}
-	wf, err := core.NewWorkflow(chaosWorkflowConfig(opt, plan.Name, seed), env.Kernel, env.Pool, nil)
-	if err != nil {
-		return row, 0, err
-	}
-	inj, err := faults.New(env.Kernel, plan)
-	if err != nil {
-		return row, 0, err
-	}
-	inj.SetObs(opt.Obs)
-	inj.Attach(env.Pool, wf.Schedd)
-	if rec {
-		pol, err := recovery.New(env.Kernel, chaosRecoveryConfig(opt))
+	wfs, err := simulate(opt, env, func(wfs []*core.Workflow) error {
+		inj, err := faults.New(env.Kernel, plan)
 		if err != nil {
-			return row, 0, err
+			return err
 		}
-		pol.SetObs(opt.Obs)
-		pol.Attach(env.Pool, wf.Schedd)
-		pol.AttachExecutor(wf.Exec)
-	}
-	// Invariant 1 (termination): RunBatch errors iff the executor did
+		inj.SetObs(opt.Obs)
+		inj.Attach(env.Pool, wfs[0].Schedd)
+		if !rec {
+			return nil
+		}
+		return attachRecovery(env, wfs[0], chaosRecoveryConfig(opt))
+	}, cfg)
+	// Invariant 1 (termination): the batch errors iff the executor did
 	// not reach Done by the horizon. A DAG whose node exhausted its
 	// retries still terminates — that is the recovery contract under
 	// test.
-	if err := core.RunBatch(env, []*core.Workflow{wf}, opt.Horizon); err != nil {
+	if err != nil && wfs != nil {
 		return row, 0, fmt.Errorf("termination invariant: %w", err)
 	}
+	if err != nil {
+		return row, 0, err
+	}
+	wf := wfs[0]
 
 	var ok, failed, removed int
 	for _, j := range wf.Schedd.AllJobs() {

@@ -42,27 +42,30 @@ type Options struct {
 	// disables metrics.
 	Obs *obs.Registry
 	// Recovery, if set, attaches an adaptive recovery policy
-	// (internal/recovery) to every single-DAGMan simulation (the Fig. 2
-	// harness and the Fig. 5/6 trace batches). nil — or a config with
-	// every mechanism disabled — leaves all reports byte-identical to
-	// pre-recovery runs. The chaos sweep ignores this field's nil-ness:
-	// it always runs its recovery-on arm, using this config when set and
+	// (internal/recovery) to every simulation built by runOne: the
+	// Fig. 2 cells, the headline runs, the recycling and fan-out
+	// ablations, and the batch traces that Figs. 5/6, Policy 3 and the
+	// elastic comparison replay. Fig. 3/4 and the stash and churn
+	// ablations never attach it. nil — or a config with every mechanism
+	// disabled — leaves all reports byte-identical to pre-recovery
+	// runs. The chaos sweep ignores this field's nil-ness: it always
+	// runs its recovery-on arm, using this config when set and
 	// recovery.DefaultConfig() otherwise.
 	Recovery *recovery.Config
 }
 
-// attachRecovery installs opt.Recovery (when set) into a freshly built
-// workflow's pool, schedd, and executor. Must run after the injector
-// (if any) is created, so RNG stream splits happen in a fixed order.
-func attachRecovery(opt Options, env *core.Env, w *core.Workflow) error {
-	if opt.Recovery == nil {
+// attachRecovery installs a recovery policy with cfg (when non-nil)
+// into a built workflow's pool, schedd, and executor. Must run after
+// the injector (if any), so RNG stream splits happen in a fixed order.
+func attachRecovery(env *core.Env, w *core.Workflow, cfg *recovery.Config) error {
+	if cfg == nil {
 		return nil
 	}
-	pol, err := recovery.New(env.Kernel, *opt.Recovery)
+	pol, err := recovery.New(env.Kernel, *cfg)
 	if err != nil {
 		return err
 	}
-	pol.SetObs(opt.Obs)
+	pol.SetObs(env.Obs)
 	pol.Attach(env.Pool, w.Schedd)
 	pol.AttachExecutor(w.Exec)
 	return nil
@@ -107,31 +110,70 @@ func (o Options) scaleN(n int) int {
 	return v
 }
 
-// runOne executes a single FDW workflow and returns (runtime hours,
-// throughput JPM, completed jobs).
-func runOne(opt Options, cfg core.Config, seed uint64) (float64, float64, int, error) {
-	rt, jpm, jobs, _, err := runOneCell(opt, cfg, seed)
-	return rt, jpm, jobs, err
+// workflowConfig is the default FDW workflow under a name (which also
+// keys its Stash input), waveform count and seed.
+func workflowConfig(name string, waveforms int, seed uint64) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Name = name
+	cfg.Waveforms = waveforms
+	cfg.Seed = seed
+	return cfg
 }
 
-// runOneCell is runOne plus the simulation's final kernel clock — the
-// sim-clock provenance a campaign manifest records per cell.
-func runOneCell(opt Options, cfg core.Config, seed uint64) (float64, float64, int, sim.Time, error) {
+// concurrentConfigs is the Fig. 3/4 batch: total waveforms split over
+// n DAGMans named <prefix>-n<n>-d<d>, DAGMan d seeded seed*1000+d.
+func concurrentConfigs(prefix string, n, total int, seed uint64) []core.Config {
+	cfgs := make([]core.Config, n)
+	for d := range cfgs {
+		cfgs[d] = workflowConfig(fmt.Sprintf("%s-n%d-d%d", prefix, n, d), total/n, seed*1000+uint64(d))
+	}
+	return cfgs
+}
+
+// simulate is the one batch recipe: build a workflow per config in env,
+// run attach (if non-nil) before the batch starts — fault injector,
+// recovery policy, listener — then run to opt.Horizon. A failed batch
+// returns its workflows alongside the error; a failed build does not.
+func simulate(opt Options, env *core.Env, attach func(wfs []*core.Workflow) error, cfgs ...core.Config) ([]*core.Workflow, error) {
+	wfs := make([]*core.Workflow, len(cfgs))
+	for i, cfg := range cfgs {
+		wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
+		if err != nil {
+			return nil, err
+		}
+		wfs[i] = wf
+	}
+	if attach != nil {
+		if err := attach(wfs); err != nil {
+			return nil, err
+		}
+	}
+	return wfs, core.RunBatch(env, wfs, opt.Horizon)
+}
+
+// runOne simulates one workflow with opt.Recovery attached, returning
+// it and the kernel's end time (a campaign manifest's provenance).
+func runOne(opt Options, cfg core.Config, seed uint64) (*core.Workflow, sim.Time, error) {
 	env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, 0, err
 	}
-	w, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
+	wfs, err := simulate(opt, env, func(wfs []*core.Workflow) error {
+		return attachRecovery(env, wfs[0], opt.Recovery)
+	}, cfg)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, 0, err
 	}
-	if err := attachRecovery(opt, env, w); err != nil {
-		return 0, 0, 0, 0, err
+	return wfs[0], env.Kernel.Now(), nil
+}
+
+// measureOne is runOne reduced to the run's measurements.
+func measureOne(opt Options, cfg core.Config, seed uint64) (runResult, sim.Time, error) {
+	wf, end, err := runOne(opt, cfg, seed)
+	if err != nil {
+		return runResult{}, 0, err
 	}
-	if err := core.RunBatch(env, []*core.Workflow{w}, opt.Horizon); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return w.RuntimeHours(), w.ThroughputJPM(), w.Schedd.Completed(), env.Kernel.Now(), nil
+	return runResult{RuntimeH: wf.RuntimeHours(), JPM: wf.ThroughputJPM(), Jobs: wf.Schedd.Completed()}, end, nil
 }
 
 // Fig2Row is one point of Fig. 2: a (station list, quantity) cell with
@@ -158,11 +200,7 @@ var Fig2Quantities = []int{1024, 2000, 5120, 10000, 24960, 50000}
 // runs every cell locally; fdwexp -shard runs the same cells
 // partitioned across manifests and -merge re-finalizes identically.
 func Fig2(opt Options) ([]Fig2Row, error) {
-	rows, err := runCampaign(fig2Campaign(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows.([]Fig2Row), nil
+	return runAs[[]Fig2Row](fig2Campaign(), opt)
 }
 
 // Fig3Row is one concurrency level of Fig. 3 — formulas (3) and (4).
@@ -191,9 +229,5 @@ const Fig3Total = 16000
 // in (level, seed, DAGMan) order so floating-point aggregation sums in
 // exactly the serial order.
 func Fig3(opt Options) ([]Fig3Row, error) {
-	rows, err := runCampaign(fig3Campaign(), opt)
-	if err != nil {
-		return nil, err
-	}
-	return rows.([]Fig3Row), nil
+	return runAs[[]Fig3Row](fig3Campaign(), opt)
 }

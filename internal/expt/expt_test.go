@@ -531,10 +531,11 @@ func TestCalibration16kRegression(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Waveforms = 16000
 	cfg.Name = "calib16k"
-	rt, jpm, jobs, err := runOne(opt, cfg, 11)
+	wf, _, err := runOne(opt, cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt, jpm, jobs := wf.RuntimeHours(), wf.ThroughputJPM(), wf.Schedd.Completed()
 	if jobs != 9001 {
 		t.Fatalf("job count %d, want 9001", jobs)
 	}
@@ -570,42 +571,81 @@ func TestAblationChurn(t *testing.T) {
 
 // The harness contract for fdwexp -j: any worker count produces
 // byte-identical reports, because every simulation owns a private Env
-// and results are collected by index before printing.
+// and results are collected by index before printing. The table is
+// every experiment `fdwexp all` and `fdwexp chaos` run (Fig. 1 has no
+// fan-out).
 func TestHarnessOutputIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		opt := quickOptions()
-		opt.Scale = 0.03
-		opt.Seeds = []uint64{7, 19}
-		opt.Workers = workers
-		var out bytes.Buffer
-		opt.Out = &out
-		if _, err := Fig2(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Fig3(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Fig4(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Fig5(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Headline(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := AblationFanout(opt); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
+	for _, tc := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"fig2", func(o Options) error { _, err := Fig2(o); return err }},
+		{"fig3", func(o Options) error { _, err := Fig3(o); return err }},
+		{"fig4", func(o Options) error { _, err := Fig4(o); return err }},
+		{"fig5", func(o Options) error { _, err := Fig5(o); return err }},
+		{"fig6", func(o Options) error { _, err := Fig6(o); return err }},
+		{"headline", func(o Options) error { _, err := Headline(o); return err }},
+		{"ablation-recycling", func(o Options) error { _, err := AblationRecycling(o); return err }},
+		{"ablation-stash", func(o Options) error { _, err := AblationStash(o); return err }},
+		{"ablation-fanout", func(o Options) error { _, err := AblationFanout(o); return err }},
+		{"ablation-churn", func(o Options) error { _, err := AblationChurn(o); return err }},
+		{"policy3", func(o Options) error { _, err := Policy3Sweep(o); return err }},
+		{"elastic", func(o Options) error { _, err := ElasticComparison(o); return err }},
+		{"chaos", func(o Options) error { _, err := Chaos(o); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			render := func(workers int) string {
+				opt := quickOptions()
+				opt.Scale = 0.03
+				opt.Seeds = []uint64{7, 19}
+				opt.Workers = workers
+				var out bytes.Buffer
+				opt.Out = &out
+				if err := tc.run(opt); err != nil {
+					t.Fatal(err)
+				}
+				if out.Len() == 0 {
+					t.Fatal("empty report")
+				}
+				return out.String()
+			}
+			serial := render(1)
+			if parallel := render(8); parallel != serial {
+				t.Fatalf("-j 1 and -j 8 reports differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, parallel)
+			}
+			if defaultWorkers := render(0); defaultWorkers != serial {
+				t.Fatal("-j 0 (all cores) report differs from -j 1")
+			}
+		})
 	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("-j 1 and -j 8 reports differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, parallel)
-	}
-	if defaultWorkers := render(0); defaultWorkers != serial {
-		t.Fatal("-j 0 (all cores) report differs from -j 1")
+}
+
+// A cell that fails names its campaign and its cell. With a 10-minute
+// horizon no batch finishes, so each experiment fails on its first
+// cell (the lowest-index error wins at any worker count).
+func TestCellErrorsNameCampaignAndCell(t *testing.T) {
+	for _, tc := range []struct {
+		run  func(Options) error
+		want string
+	}{
+		{func(o Options) error { _, err := AblationStash(o); return err }, "expt: ablate-stash cell cache: "},
+		{func(o Options) error { _, err := AblationChurn(o); return err }, "expt: ablate-churn cell 6h-pilots: "},
+		{func(o Options) error { _, err := Headline(o); return err }, "expt: headline cell q1024/seed11: "},
+		{func(o Options) error { _, err := Policy3Sweep(o); return err }, "expt: policy3 cell b1/gap5: expt: traces cell batch1: "},
+		{func(o Options) error { _, err := Fig4(o); return err }, "expt: fig4 cell n1: "},
+	} {
+		opt := DefaultOptions()
+		opt.Seeds = []uint64{11}
+		opt.Scale = 0.01
+		opt.Horizon = 600
+		err := tc.run(opt)
+		if err == nil {
+			t.Errorf("%q: no error under a 600 s horizon", tc.want)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), tc.want) || !strings.Contains(err.Error(), "not finished by horizon") {
+			t.Errorf("error %q, want prefix %q and the horizon cause", err, tc.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"fdw/internal/core"
 	"fdw/internal/htcondor"
+	"fdw/internal/sim"
 	"fdw/internal/stats"
 )
 
@@ -35,96 +36,86 @@ type Fig4Data struct {
 
 // Fig4 reruns the §5.2.3/§5.2.4 measurements for each concurrency
 // level, reusing the Fig. 3 batch construction with per-second probes.
+// One campaign cell per level; finalize prints them in ladder order.
 func Fig4(opt Options) ([]Fig4Data, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	w := opt.out()
-	total := opt.scaleN(Fig3Total)
-	fmt.Fprintf(w, "Fig. 4 — job execution/wait times and per-second footprints (%d waveforms)\n", total)
-	seed := opt.Seeds[0]
-	// Each concurrency level is an independent simulation; fan the four
-	// levels out and print in ladder order afterwards.
-	out := make([]Fig4Data, len(Fig3Concurrency))
-	err := forEachIndex(opt.workers(), len(Fig3Concurrency), func(li int) error {
-		n := Fig3Concurrency[li]
-		env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
-		if err != nil {
-			return err
-		}
-		var wfs []*core.Workflow
-		for i := 0; i < n; i++ {
-			cfg := core.DefaultConfig()
-			cfg.Name = fmt.Sprintf("fig4-n%d-d%d", n, i)
-			cfg.Waveforms = total / n
-			cfg.Seed = seed*1000 + uint64(i)
-			wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
+	return runAs[[]Fig4Data](fig4Campaign(), opt)
+}
+
+func fig4Campaign() *campaign {
+	return newCampaign("fig4", "", func(Options) []int { return Fig3Concurrency },
+		func(n int) string { return fmt.Sprintf("n%d", n) },
+		func(opt Options, _ *campaignCtx, n int) (Fig4Data, sim.Time, error) {
+			seed := opt.Seeds[0]
+			env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
 			if err != nil {
-				return err
+				return Fig4Data{}, 0, err
 			}
-			wfs = append(wfs, wf)
-		}
-		// The per-second series need the first DAGMan's events at their
-		// exact sim times; the user-log text rounds them to whole seconds.
-		var events []htcondor.JobEvent
-		wfs[0].Schedd.Subscribe(func(j *htcondor.Job, t htcondor.EventType) {
-			events = append(events, htcondor.JobEvent{Type: t, Cluster: j.Cluster, Proc: j.Proc, At: env.Kernel.Now()})
-		})
-		if err := core.RunBatch(env, wfs, opt.Horizon); err != nil {
-			return fmt.Errorf("fig4 n=%d: %w", n, err)
-		}
+			// The per-second series need the first DAGMan's events at
+			// their exact sim times; the user-log text rounds them to
+			// whole seconds.
+			var events []htcondor.JobEvent
+			listen := func(wfs []*core.Workflow) error {
+				wfs[0].Schedd.Subscribe(func(j *htcondor.Job, t htcondor.EventType) {
+					events = append(events, htcondor.JobEvent{Type: t, Cluster: j.Cluster, Proc: j.Proc, At: env.Kernel.Now()})
+				})
+				return nil
+			}
+			wfs, err := simulate(opt, env, listen, concurrentConfigs("fig4", n, opt.scaleN(Fig3Total), seed)...)
+			if err != nil {
+				return Fig4Data{}, 0, err
+			}
 
-		data := Fig4Data{DAGMans: n}
-		var wExec, wWait, rExec, rWait []float64
-		for _, wf := range wfs {
-			for _, j := range wf.Schedd.AllJobs() {
-				if j.ExecSeconds() <= 0 {
-					continue
+			data := Fig4Data{DAGMans: n}
+			var wExec, wWait, rExec, rWait []float64
+			for _, wf := range wfs {
+				for _, j := range wf.Schedd.AllJobs() {
+					if j.ExecSeconds() <= 0 {
+						continue
+					}
+					execMin := j.ExecSeconds() / 60
+					waitMin := j.WaitSeconds() / 60
+					switch {
+					case j.Executable == "fdw_phase_C.sh":
+						wExec = append(wExec, execMin)
+						wWait = append(wWait, waitMin)
+					case j.Executable == "fdw_phase_A.sh":
+						rExec = append(rExec, execMin)
+						rWait = append(rWait, waitMin)
+					}
+					data.ExecSortedMin = append(data.ExecSortedMin, execMin)
+					data.WaitSortedMin = append(data.WaitSortedMin, waitMin)
 				}
-				execMin := j.ExecSeconds() / 60
-				waitMin := j.WaitSeconds() / 60
-				switch {
-				case j.Executable == "fdw_phase_C.sh":
-					wExec = append(wExec, execMin)
-					wWait = append(wWait, waitMin)
-				case j.Executable == "fdw_phase_A.sh":
-					rExec = append(rExec, execMin)
-					rWait = append(rWait, waitMin)
-				}
-				data.ExecSortedMin = append(data.ExecSortedMin, execMin)
-				data.WaitSortedMin = append(data.WaitSortedMin, waitMin)
 			}
-		}
-		sort.Float64s(data.ExecSortedMin)
-		sort.Float64s(data.WaitSortedMin)
-		data.WaveformExecMin = stats.Summarize(wExec)
-		data.WaveformWaitMin = stats.Summarize(wWait)
-		data.RuptureExecMin = stats.Summarize(rExec)
-		data.RuptureWaitMin = stats.Summarize(rWait)
+			sort.Float64s(data.ExecSortedMin)
+			sort.Float64s(data.WaitSortedMin)
+			data.WaveformExecMin = stats.Summarize(wExec)
+			data.WaveformWaitMin = stats.Summarize(wWait)
+			data.RuptureExecMin = stats.Summarize(rExec)
+			data.RuptureWaitMin = stats.Summarize(rWait)
 
-		data.InstantJPM = core.InstantThroughputSeries(events, 1)
-		data.RunningJobs = core.RunningJobsSeries(events, 1)
-		for _, p := range data.InstantJPM {
-			if p.V > data.PeakInstantJPM {
-				data.PeakInstantJPM = p.V
+			data.InstantJPM = core.InstantThroughputSeries(events, 1)
+			data.RunningJobs = core.RunningJobsSeries(events, 1)
+			for _, p := range data.InstantJPM {
+				if p.V > data.PeakInstantJPM {
+					data.PeakInstantJPM = p.V
+				}
 			}
-		}
-		for _, p := range data.RunningJobs {
-			if int(p.V) > data.PeakRunning {
-				data.PeakRunning = int(p.V)
+			for _, p := range data.RunningJobs {
+				if int(p.V) > data.PeakRunning {
+					data.PeakRunning = int(p.V)
+				}
 			}
-		}
-		out[li] = data
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, data := range out {
-		fmt.Fprintf(w, "  n=%d: waveform exec %.1f min (sd %.1f), wait %.1f min (sd %.1f); rupture exec %.1f min; peak running %d; peak instant %.1f JPM\n",
-			data.DAGMans, data.WaveformExecMin.Mean, data.WaveformExecMin.SD,
-			data.WaveformWaitMin.Mean, data.WaveformWaitMin.SD,
-			data.RuptureExecMin.Mean, data.PeakRunning, data.PeakInstantJPM)
-	}
-	return out, nil
+			return data, env.Kernel.Now(), nil
+		},
+		func(opt Options, out []Fig4Data) (any, error) {
+			w := opt.out()
+			fmt.Fprintf(w, "Fig. 4 — job execution/wait times and per-second footprints (%d waveforms)\n", opt.scaleN(Fig3Total))
+			for _, data := range out {
+				fmt.Fprintf(w, "  n=%d: waveform exec %.1f min (sd %.1f), wait %.1f min (sd %.1f); rupture exec %.1f min; peak running %d; peak instant %.1f JPM\n",
+					data.DAGMans, data.WaveformExecMin.Mean, data.WaveformExecMin.SD,
+					data.WaveformWaitMin.Mean, data.WaveformWaitMin.SD,
+					data.RuptureExecMin.Mean, data.PeakRunning, data.PeakInstantJPM)
+			}
+			return out, nil
+		}, nil)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"fdw/internal/burst"
-	"fdw/internal/core"
+	"fdw/internal/sim"
 	"fdw/internal/wtrace"
 )
 
@@ -39,39 +39,52 @@ const Fig5Threshold = 34
 // two real single-DAGMan batches that each generated 16,000 (scaled)
 // waveforms, exactly the §4.2 runs the paper reuses in §4.3.
 func MakeBatchTraces(opt Options) (batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, err error) {
-	if err := opt.validate(); err != nil {
-		return nil, nil, err
-	}
-	total := opt.scaleN(Fig3Total)
-	seeds := []uint64{opt.Seeds[0], opt.Seeds[0] + 101}
-	batches = make([]wtrace.BatchRecord, len(seeds))
-	jobs = make([][]wtrace.JobRecord, len(seeds))
-	err = forEachIndex(opt.workers(), len(seeds), func(i int) error {
-		env, err := core.NewEnvObs(seeds[i], opt.Pool, opt.Obs)
-		if err != nil {
-			return err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Name = fmt.Sprintf("batch%d", i+1)
-		cfg.Waveforms = total
-		cfg.Seed = seeds[i]
-		w, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
-		if err != nil {
-			return err
-		}
-		if err := attachRecovery(opt, env, w); err != nil {
-			return err
-		}
-		if err := core.RunBatch(env, []*core.Workflow{w}, opt.Horizon); err != nil {
-			return fmt.Errorf("trace batch %d: %w", i+1, err)
-		}
-		batches[i], jobs[i], err = wtrace.FromSchedd(cfg.Name, w.Schedd)
-		return err
-	})
+	traces, err := runAs[[]batchTrace](tracesCampaign(), opt)
 	if err != nil {
 		return nil, nil, err
 	}
+	batches = make([]wtrace.BatchRecord, len(traces))
+	jobs = make([][]wtrace.JobRecord, len(traces))
+	for i, t := range traces {
+		batches[i], jobs[i] = t.Batch, t.Jobs
+	}
 	return batches, jobs, nil
+}
+
+// batchTrace is one traced batch: its summary and per-job records.
+type batchTrace struct {
+	Batch wtrace.BatchRecord
+	Jobs  []wtrace.JobRecord
+}
+
+// tracesCampaign has one cell per traced batch, seeded opt.Seeds[0]
+// and opt.Seeds[0]+101.
+func tracesCampaign() *campaign {
+	return newCampaign("traces", "", func(Options) []int { return []int{1, 2} },
+		func(i int) string { return fmt.Sprintf("batch%d", i) },
+		func(opt Options, _ *campaignCtx, i int) (batchTrace, sim.Time, error) {
+			seed := opt.Seeds[0] + uint64(101*(i-1))
+			name := fmt.Sprintf("batch%d", i)
+			wf, end, err := runOne(opt, workflowConfig(name, opt.scaleN(Fig3Total), seed), seed)
+			if err != nil {
+				return batchTrace{}, 0, err
+			}
+			batch, jobs, err := wtrace.FromSchedd(name, wf.Schedd)
+			return batchTrace{batch, jobs}, end, err
+		},
+		func(_ Options, traces []batchTrace) (any, error) { return traces, nil }, nil)
+}
+
+// replay runs a bursting policy over the shared batch trace bi and
+// names the batch: every Fig. 5/6, Policy 3 and elastic cell.
+func replay(opt Options, ctx *campaignCtx, bi int, cfg burst.Config) (string, *burst.Result, error) {
+	batches, jobs, err := ctx.traces(opt)
+	if err != nil {
+		return "", nil, err
+	}
+	cfg.Obs = opt.Obs
+	res, err := burst.Simulate(batches[bi], jobs[bi], cfg)
+	return batches[bi].Name, res, err
 }
 
 // Fig5 reruns §4.3/§5.3.1–5.3.2: the probe-time × queue-time sweep
@@ -79,34 +92,11 @@ func MakeBatchTraces(opt Options) (batches []wtrace.BatchRecord, jobs [][]wtrace
 // first for each batch. The sweep is a shardable campaign
 // (campaign.go); each shard regenerates the batch traces locally.
 func Fig5(opt Options) ([]Fig5Cell, error) {
-	cells, err := runCampaign(fig5Campaign("fig5", 1.0, "Fig. 5"), opt)
-	if err != nil {
-		return nil, err
-	}
-	return cells.([]Fig5Cell), nil
+	return runAs[[]Fig5Cell](fig5Campaign("fig5", 1.0, "Fig. 5"), opt)
 }
 
 // Fig6 reruns §5.3.3–5.3.4: the same sweep with the paper's 30%
 // bursted-job cap, whose cost and runtime columns Fig. 6 plots.
 func Fig6(opt Options) ([]Fig5Cell, error) {
-	cells, err := runCampaign(fig5Campaign("fig6", burst.DefaultMaxBurstFraction, "Fig. 6"), opt)
-	if err != nil {
-		return nil, err
-	}
-	return cells.([]Fig5Cell), nil
-}
-
-func cellFrom(name string, probe, queueM float64, r *burst.Result) Fig5Cell {
-	return Fig5Cell{
-		Batch:      name,
-		ProbeSecs:  probe,
-		MaxQueueM:  queueM,
-		AvgJPM:     r.AvgInstantJPM,
-		MaxJPM:     r.MaxInstantJPM,
-		SDJPM:      r.SDInstantJPM,
-		VDCPct:     r.VDCUsagePct,
-		BurstedPct: r.BurstedPct,
-		RuntimeH:   r.RuntimeSecs / 3600,
-		CostUSD:    r.CostUSD,
-	}
+	return runAs[[]Fig5Cell](fig5Campaign("fig6", burst.DefaultMaxBurstFraction, "Fig. 6"), opt)
 }
