@@ -4,8 +4,8 @@
 // Usage:
 //
 //	fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|policy3|elastic|chaos|all
-//	fdwexp -shard i/N [-resume] [-cells k] [-out dir] fig2|fig3|fig5|fig6|chaos
-//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] fig2|...|schedmatrix
+//	fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos
+//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] fig2|...|schedmatrix
 //	fdwexp -merge [-csv dir] [-metrics path] manifest.json...
 //	fdwexp -status bundle-dir|manifest.json...
 //
@@ -15,6 +15,8 @@
 //	-seeds n   repetitions (the paper uses 3)
 //	-j n       concurrent simulations (default: all cores; output is
 //	           byte-identical for any -j, so -j only changes wall time)
+//	-metrics p write the JSON metrics snapshot (byte-identical for any
+//	           -j, and for -merge of shard or worker bundles)
 //
 // chaos runs the fault-injection sweep as a recovery A/B matrix
 // (DESIGN.md §10–11): the Fig. 2 workload under every standard fault
@@ -29,8 +31,9 @@
 //
 // -shard i/N runs one deterministic slice of a campaign and writes a
 // manifest bundle (checkpointed after every cell; -resume picks up an
-// interrupted one); -merge verifies a full set of shard bundles and
-// reproduces the unsharded report/CSV byte-for-byte (DESIGN.md §13).
+// interrupted one), and with -metrics the rollup of the shard's cells;
+// -merge verifies a full set of shard bundles and reproduces the
+// unsharded report/CSV byte-for-byte (DESIGN.md §13).
 //
 // -sched workers=N drives a campaign through the fault-tolerant
 // scheduler (DESIGN.md §16): N logical workers under cell leases with
@@ -38,8 +41,9 @@
 // optional scripted worker faults (-crash-plan), work-stealing
 // (-steal, default on) and straggler hedging (-hedge). The merged
 // report is byte-identical to the unsharded run under every crash
-// plan. The special campaign name schedmatrix runs the scheduler A/B
-// matrix: every standard worker plan × {no-steal, steal, steal+hedge}.
+// plan; -metrics counts every cell the run executed. The special
+// campaign name schedmatrix runs the scheduler A/B matrix: every
+// standard worker plan × {no-steal, steal, steal+hedge}.
 //
 // -status inventories manifest bundles (shard or scheduler) as JSON:
 // per-bundle completion, fingerprint, and sim-clock provenance, plus
@@ -50,6 +54,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -62,12 +67,13 @@ import (
 	"fdw/internal/core/atomicfile"
 	"fdw/internal/expt"
 	"fdw/internal/faults"
+	"fdw/internal/obs"
 	"fdw/internal/sched"
 )
 
 const usageLine = `usage: fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|policy3|elastic|chaos|all
-       fdwexp -shard i/N [-resume] [-cells k] [-out dir] fig2|fig3|fig5|fig6|chaos
-       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] fig2|fig3|fig5|fig6|chaos|schedmatrix
+       fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos
+       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos|schedmatrix
        fdwexp -merge [-csv dir] [-metrics path] manifest.json...
        fdwexp -status bundle-dir|manifest.json...`
 
@@ -99,8 +105,8 @@ func main() {
 		opt.Seeds = append(opt.Seeds, uint64(11+13*i))
 	}
 	if *metrics != "" {
-		// One registry shared by every simulated environment: counter
-		// totals are exact at any -j; report/CSV bytes are unchanged.
+		// Cells meter into their own registries, absorbed here in
+		// canonical order: the snapshot is byte-identical at any -j.
 		opt.Obs = fdw.NewMetrics(nil)
 		fdw.MeterFactorCache(opt.Obs)
 	}
@@ -121,6 +127,9 @@ func main() {
 			break
 		}
 		err = runShardCmd(opt, *shard, flag.Arg(0), *outDir, *cells, *resume)
+		if *metrics != "" && (err == nil || errors.Is(err, expt.ErrIncomplete)) {
+			err = cmp.Or(writeShardMetrics(*metrics, *shard, flag.Arg(0), *outDir), err)
+		}
 	case *schedN != "":
 		if flag.NArg() != 1 {
 			err = usageErrorf("-sched needs exactly one campaign argument")
@@ -128,9 +137,11 @@ func main() {
 		}
 		err = runSchedCmd(opt, schedOpts{
 			spec: *schedN, plan: *plan, steal: *steal, hedge: *hedge,
-			dir: *outDir, cells: *cells, resume: *resume,
-			csvDir: *csvDir, metricsPath: *metrics,
+			dir: *outDir, cells: *cells, resume: *resume, csvDir: *csvDir,
 		}, flag.Arg(0))
+		if err == nil && opt.Obs != nil {
+			err = writeMetrics(*metrics, opt.Obs.Snapshot())
+		}
 	case *merge:
 		if flag.NArg() < 1 {
 			err = usageErrorf("-merge needs at least one manifest path")
@@ -157,8 +168,8 @@ func main() {
 			break
 		}
 		err = dispatch(flag.Arg(0), opt, *csvDir)
-		if err == nil && *metrics != "" {
-			err = writeMetrics(*metrics, opt.Obs)
+		if err == nil && opt.Obs != nil {
+			err = writeMetrics(*metrics, opt.Obs.Snapshot())
 		}
 	}
 	if err != nil {
@@ -244,12 +255,12 @@ func runShardCmd(opt fdw.ExperimentOptions, spec, campaign, dir string, maxCells
 // schedOpts carries the -sched flag bundle so runSchedCmd stays
 // callable from tests without a ten-argument signature.
 type schedOpts struct {
-	spec, plan          string
-	steal, hedge        bool
-	dir                 string
-	cells               int
-	resume              bool
-	csvDir, metricsPath string
+	spec, plan   string
+	steal, hedge bool
+	dir          string
+	cells        int
+	resume       bool
+	csvDir       string
 }
 
 // parseSchedSpec parses "workers=N" (bare "N" is accepted too).
@@ -280,15 +291,9 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 		if err != nil {
 			return err
 		}
-		if err := writeCSV(so.csvDir, "schedmatrix.csv", func(w io.Writer) error {
+		return writeCSV(so.csvDir, "schedmatrix.csv", func(w io.Writer) error {
 			return sched.WriteMatrixCSV(w, rows)
-		}); err != nil {
-			return err
-		}
-		if so.metricsPath != "" && opt.Obs != nil {
-			return writeMetrics(so.metricsPath, opt.Obs)
-		}
-		return nil
+		})
 	}
 	h, err := expt.OpenCampaign(campaign, opt)
 	if err != nil {
@@ -316,13 +321,7 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 	if err != nil {
 		return err
 	}
-	if err := writeCSV(so.csvDir, mr.CSVName, mr.WriteCSV); err != nil {
-		return err
-	}
-	if so.metricsPath != "" && opt.Obs != nil {
-		return writeMetrics(so.metricsPath, opt.Obs)
-	}
-	return nil
+	return writeCSV(so.csvDir, mr.CSVName, mr.WriteCSV)
 }
 
 // runStatusCmd prints the JSON bundle inventory for every argument
@@ -349,6 +348,24 @@ func runStatusCmd(opt fdw.ExperimentOptions, args []string) error {
 	return nil
 }
 
+// writeShardMetrics writes the rollup of the cells in a shard's bundle
+// to path, through the helper -merge uses (expt.RollupMetrics).
+func writeShardMetrics(path, spec, campaign, dir string) error {
+	index, total, err := parseShardSpec(spec)
+	if err != nil {
+		return err
+	}
+	m, err := expt.ReadCampaignManifestFile(shardBundlePath(dir, campaign, index, total))
+	if err != nil {
+		return err
+	}
+	snap, err := expt.RollupMetrics(m.Cells)
+	if err != nil {
+		return err
+	}
+	return writeMetrics(path, snap)
+}
+
 // runMergeCmd stitches shard bundles back into the unsharded report
 // (stdout), CSV (-csv), and metrics rollup (-metrics).
 func runMergeCmd(opt fdw.ExperimentOptions, csvDir, metricsPath string, paths []string) error {
@@ -359,19 +376,19 @@ func runMergeCmd(opt fdw.ExperimentOptions, csvDir, metricsPath string, paths []
 	if err := writeCSV(csvDir, res.CSVName, res.WriteCSV); err != nil {
 		return err
 	}
-	if metricsPath != "" && res.Metrics != nil {
-		return atomicfile.WriteFile(metricsPath, func(w io.Writer) error {
-			return fdw.WriteMetricsSnapshot(w, res.Metrics)
-		})
+	if metricsPath != "" {
+		return writeMetrics(metricsPath, res.Metrics)
 	}
 	return nil
 }
 
-// writeMetrics dumps the shared registry as a JSON snapshot. Like the
-// CSVs below it goes through atomicfile: a killed -shard run must
-// never leave a partial report next to a valid manifest bundle.
-func writeMetrics(path string, reg *fdw.Metrics) error {
-	return atomicfile.WriteFile(path, reg.WriteJSON)
+// writeMetrics dumps a metrics snapshot as JSON. Like the CSVs below
+// it goes through atomicfile: a killed -shard run must never leave a
+// partial report next to a valid manifest bundle.
+func writeMetrics(path string, snap *obs.Snapshot) error {
+	return atomicfile.WriteFile(path, func(w io.Writer) error {
+		return fdw.WriteMetricsSnapshot(w, snap)
+	})
 }
 
 // writeCSV saves figure data under dir when -csv is set.

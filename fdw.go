@@ -74,7 +74,7 @@ func NewEnv(seed uint64, pool PoolConfig) (*Env, error) { return core.NewEnv(see
 type Metrics = obs.Registry
 
 // NewMetrics returns an empty registry. clock may be nil (timestamps
-// all read 0 until SetClock binds a kernel).
+// read 0 until SetClock); an unclocked registry records no spans.
 func NewMetrics(clock func() SimTime) *Metrics { return obs.NewRegistry(clock) }
 
 // ReadMetricsSnapshot parses a JSON snapshot written by

@@ -9,6 +9,7 @@ import (
 	"fdw/internal/burst"
 	"fdw/internal/core"
 	"fdw/internal/faults"
+	"fdw/internal/obs"
 	"fdw/internal/sim"
 	"fdw/internal/stats"
 	"fdw/internal/wtrace"
@@ -32,9 +33,10 @@ type campaign struct {
 	// shard is running.
 	cells func(opt Options) ([]string, error)
 	// run computes cell i's result — pure, independent of every other
-	// cell — returning the result and the cell simulation's final
-	// sim-clock reading (manifest provenance).
-	run func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, error)
+	// cell — returning the result, the cell simulation's final
+	// sim-clock reading (manifest provenance), and the cell's own
+	// metrics registry (nil when opt.Obs is).
+	run func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, *obs.Registry, error)
 	// decode unmarshals one stored cell result (manifest JSON).
 	decode func(raw json.RawMessage) (any, error)
 	// finalize aggregates results (canonical cell order) into the
@@ -57,6 +59,7 @@ type campaignCtx struct {
 
 func (ctx *campaignCtx) traces(opt Options) ([]wtrace.BatchRecord, [][]wtrace.JobRecord, error) {
 	ctx.traceOnce.Do(func() {
+		opt.Obs = nil // a shared input, metered by no cell
 		ctx.batches, ctx.jobs, ctx.traceErr = MakeBatchTraces(opt)
 	})
 	return ctx.batches, ctx.jobs, ctx.traceErr
@@ -104,9 +107,9 @@ func checkCellIDs(campaign string, ids []string) ([]string, error) {
 	return ids, nil
 }
 
-// runCampaign executes every cell locally and finalizes — the path
-// behind every experiment entry point, and the one fan-out besides
-// RunShard.
+// runCampaign executes every cell locally, absorbs the cells' metrics
+// into opt.Obs in canonical order, and finalizes — the path behind
+// every experiment entry point, and the one fan-out besides RunShard.
 func runCampaign(c *campaign, opt Options) (any, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -117,16 +120,24 @@ func runCampaign(c *campaign, opt Options) (any, error) {
 	}
 	ctx := &campaignCtx{}
 	results := make([]any, len(ids))
+	regs := make([]*obs.Registry, len(ids))
 	err = forEachIndex(opt.workers(), len(ids), func(i int) error {
-		r, _, err := c.run(opt, ctx, i)
+		r, _, reg, err := c.run(opt, ctx, i)
 		if err != nil {
 			return err
 		}
-		results[i] = r
+		results[i], regs[i] = r, reg
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if opt.Obs != nil {
+		for i, reg := range regs {
+			if err := opt.Obs.Absorb(reg.Snapshot()); err != nil {
+				return nil, fmt.Errorf("expt: %s cell %s: %w", c.name, ids[i], err)
+			}
+		}
 	}
 	return c.finalize(opt, results)
 }
@@ -151,9 +162,11 @@ func runAs[T any](c *campaign, opt Options) (T, error) {
 }
 
 // newCampaign builds a campaign from typed parts: list enumerates the
-// cells in canonical order and id names each. Every run error is
-// wrapped once as "expt: <name> cell <id>: ...", whichever executor
-// runs the cell. writeCSV is nil outside the shardable registry.
+// cells in canonical order and id names each. The run wrapper, the one
+// place every executor runs a cell, meters a metered cell into its own
+// unclocked registry and wraps every run error once as
+// "expt: <name> cell <id>: ...". writeCSV is nil outside the shardable
+// registry.
 func newCampaign[C, R any](name, csvName string,
 	list func(opt Options) []C,
 	id func(c C) string,
@@ -172,13 +185,16 @@ func newCampaign[C, R any](name, csvName string,
 			}
 			return checkCellIDs(name, ids)
 		},
-		run: func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, error) {
+		run: func(opt Options, ctx *campaignCtx, i int) (any, sim.Time, *obs.Registry, error) {
 			c := list(opt)[i]
+			if opt.Obs != nil {
+				opt.Obs = obs.NewRegistry(nil)
+			}
 			r, end, err := run(opt, ctx, c)
 			if err != nil {
-				return nil, 0, fmt.Errorf("expt: %s cell %s: %w", name, id(c), err)
+				return nil, 0, nil, fmt.Errorf("expt: %s cell %s: %w", name, id(c), err)
 			}
-			return r, end, nil
+			return r, end, opt.Obs, nil
 		},
 		decode: decodeInto[R],
 		finalize: func(opt Options, results []any) (any, error) {

@@ -35,11 +35,11 @@ type Options struct {
 	// value produces byte-identical reports; non-positive means
 	// GOMAXPROCS.
 	Workers int
-	// Obs, if set, is attached to every simulated environment. The
-	// registry is shared across worker goroutines: counter totals are
-	// exact at any Workers value, and reports/CSVs stay byte-identical
-	// with Obs on or off (instrumentation is strictly passive). nil
-	// disables metrics.
+	// Obs, if set, receives the experiment's metrics: each cell meters
+	// into its own unclocked registry (no spans), absorbed into Obs in
+	// canonical cell order, so Obs is byte-identical at any Workers
+	// value. Reports/CSVs stay byte-identical with Obs on or off
+	// (instrumentation is strictly passive). nil disables metrics.
 	Obs *obs.Registry
 	// Recovery, if set, attaches an adaptive recovery policy
 	// (internal/recovery) to every simulation built by runOne: the

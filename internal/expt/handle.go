@@ -60,8 +60,9 @@ func (h *CampaignHandle) Fingerprint() string { return h.fp }
 func (h *CampaignHandle) CellIDs() []string { return h.ids }
 
 // RunCell executes one cell by id and returns its manifest record:
-// the compact-JSON result bytes, their digest, and the cell
-// simulation's final sim-clock reading. Digests are computed over
+// the compact-JSON result bytes, their digest, the cell simulation's
+// final sim-clock reading and, when metered, the cell's metrics (also
+// absorbed into the handle's registry). Digests are computed over
 // compact json.Marshal bytes, the form Go's encoder passes through
 // RawMessage unchanged.
 func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
@@ -69,7 +70,7 @@ func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	if !ok {
 		return CellRecord{}, fmt.Errorf("expt: campaign %s has no cell %q", h.c.name, id)
 	}
-	result, end, err := h.c.run(h.opt, h.ctx, i)
+	result, end, reg, err := h.c.run(h.opt, h.ctx, i)
 	if err != nil {
 		return CellRecord{}, err
 	}
@@ -77,7 +78,14 @@ func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	if err != nil {
 		return CellRecord{}, fmt.Errorf("expt: cell %q: %w", id, err)
 	}
-	return CellRecord{ID: id, Result: raw, Digest: cellDigest(raw), SimEnd: end}, nil
+	rec := CellRecord{ID: id, Result: raw, Digest: cellDigest(raw), SimEnd: end}
+	if h.opt.Obs != nil {
+		rec.Metrics = reg.Snapshot()
+		if err := h.opt.Obs.Absorb(rec.Metrics); err != nil {
+			return CellRecord{}, fmt.Errorf("expt: cell %q: %w", id, err)
+		}
+	}
+	return rec, nil
 }
 
 // Finalize decodes a complete record set (exactly one record per

@@ -16,8 +16,8 @@ import (
 
 // A CampaignManifest is one shard's output bundle: which cells of a
 // campaign the shard owns, which are done, their JSON-encoded results
-// with integrity digests, sim-clock provenance, and an optional
-// embedded metrics snapshot. Its completion ledger has one node per
+// with integrity digests, sim-clock provenance and, when metered, each
+// cell's metrics snapshot. Its completion ledger has one node per
 // cell. NewBundle builds every bundle and LoadBundle reads one back for
 // resume.
 //
@@ -53,8 +53,6 @@ type CampaignManifest struct {
 	// SimMax is the largest per-cell final sim-clock reading — the
 	// shard's simulated-time provenance.
 	SimMax sim.Time `json:"sim_max"`
-	// Metrics is the shard's obs snapshot rollup, when metrics were on.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // Ledger is a bundle's cell-completion record, the structured form of
@@ -130,6 +128,22 @@ type CellRecord struct {
 	Digest string          `json:"digest"`
 	// SimEnd is the cell simulation's final kernel clock.
 	SimEnd sim.Time `json:"sim_end"`
+	// Metrics is the cell's own registry snapshot when metered; it is
+	// outside the digest, since metrics never decide a result.
+	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+}
+
+// RollupMetrics absorbs the records' cell metrics, in the (canonical)
+// order given, into a fresh registry: the rollup -shard and -merge
+// write, byte-identical to an in-process run at any -j.
+func RollupMetrics(records []CellRecord) (*obs.Snapshot, error) {
+	reg := obs.NewRegistry(nil)
+	for _, rec := range records {
+		if err := reg.Absorb(rec.Metrics); err != nil {
+			return nil, fmt.Errorf("cell %q: %w", rec.ID, err)
+		}
+	}
+	return reg.Snapshot(), nil
 }
 
 // CampaignManifestFormat is the current campaign-manifest schema
@@ -287,7 +301,7 @@ func slotName(leased bool, slot ShardSpec) string {
 // slot from its completed records. The ledger lists ledgerIDs in the
 // given (canonical) order, each marked done when done holds its
 // record; a leased bundle records completions only, so its ledger
-// skips the cells it has not done. Metrics are left for the caller.
+// skips the cells it has not done.
 func NewBundle(campaign, fingerprint string, slot ShardSpec, leased bool, ledgerIDs []string, done map[string]CellRecord) *CampaignManifest {
 	dag := fmt.Sprintf("%s-shard%s", campaign, slot)
 	if leased {

@@ -60,7 +60,6 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 	// The done-set is the stored records: resume reruns every owned
 	// cell the loaded bundle does not hold.
 	stored := map[string]CellRecord{}
-	var prior *obs.Snapshot
 	if run.Resume {
 		old, err := LoadBundle(run.Path, h.c.name, h.fp, spec, false, h.pos)
 		if err != nil {
@@ -69,7 +68,6 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 		for _, rec := range old.Cells {
 			stored[rec.ID] = rec
 		}
-		prior = old.Metrics
 	}
 
 	var todo []string
@@ -84,34 +82,21 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 		incomplete = true
 	}
 
-	// snapshot assembles the manifest from current state; checkpoint
-	// serializes concurrent cell completions and atomically rewrites
-	// Path. Cells appear in canonical owned order regardless of
+	// The handle's campaign ctx is shared by the shard's workers, so
+	// fig5/fig6 traces build once per process. Each completion is
+	// checkpointed under mu by atomically rewriting Path; cells (and
+	// their metrics) appear in canonical owned order regardless of
 	// completion order.
 	var mu sync.Mutex
-	snapshot := func() *CampaignManifest {
-		m := NewBundle(h.c.name, h.fp, spec, false, owned, stored)
-		m.Metrics = prior
-		if opt.Obs != nil {
-			m.Metrics = obs.MergeSnapshots(prior, opt.Obs.Snapshot())
-		}
-		return m
-	}
-	checkpoint := func(rec CellRecord) error {
-		mu.Lock()
-		defer mu.Unlock()
-		stored[rec.ID] = rec
-		return snapshot().WriteFile(run.Path)
-	}
-
-	// The handle's campaign ctx is shared by the shard's workers, so
-	// fig5/fig6 traces build once per process.
 	err = forEachIndex(opt.workers(), len(todo), func(i int) error {
 		rec, err := h.RunCell(todo[i])
 		if err != nil {
 			return err
 		}
-		return checkpoint(rec)
+		mu.Lock()
+		defer mu.Unlock()
+		stored[rec.ID] = rec
+		return NewBundle(h.c.name, h.fp, spec, false, owned, stored).WriteFile(run.Path)
 	})
 	if err != nil {
 		return nil, err
@@ -119,11 +104,8 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 
 	// A shard with nothing left to run (all resumed, or owning zero
 	// cells) still writes its manifest so merge has a complete bundle.
-	mu.Lock()
-	final := snapshot()
-	err = final.WriteFile(run.Path)
-	mu.Unlock()
-	if err != nil {
+	final := NewBundle(h.c.name, h.fp, spec, false, owned, stored)
+	if err := final.WriteFile(run.Path); err != nil {
 		return nil, err
 	}
 	if incomplete {
@@ -141,8 +123,8 @@ type MergeResult struct {
 	// Rows is the finalize output, same dynamic type as the unsharded
 	// entry point returns ([]Fig2Row, []Fig5Cell, ...).
 	Rows any
-	// Metrics is the cross-shard rollup, nil when no shard embedded a
-	// snapshot.
+	// Metrics is the campaign rollup: every merged cell's snapshot
+	// absorbed once, in canonical order (RollupMetrics).
 	Metrics *obs.Snapshot
 	c       *campaign
 }
@@ -167,7 +149,6 @@ func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, e
 		return nil, err
 	}
 	slots := map[int]bool{}
-	var snaps []*obs.Snapshot
 	for _, m := range manifests {
 		if err := m.Validate(); err != nil {
 			return nil, err
@@ -184,10 +165,6 @@ func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, e
 		if m.Fingerprint != h.fp {
 			return nil, fmt.Errorf("expt: merge: %s fingerprint %s does not match options fingerprint %s",
 				slotName(m.Leased, m.Shard), m.Fingerprint, h.fp)
-		}
-		// A slot supplied twice contributes its metrics once.
-		if !slots[m.Shard.Index] && m.Metrics != nil {
-			snaps = append(snaps, m.Metrics)
 		}
 		slots[m.Shard.Index] = true
 	}
@@ -214,14 +191,20 @@ func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, e
 			ErrIncomplete, id, len(merged), len(h.ids))
 	}
 
-	res, err := h.Finalize(nil, merged)
+	// A cell several workers completed counts once.
+	records := make([]CellRecord, len(h.ids))
+	for i, id := range h.ids {
+		records[i] = merged[id]
+	}
+	metrics, err := RollupMetrics(records)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("expt: merge: %w", err)
 	}
-	if len(snaps) > 0 {
-		res.Metrics = obs.MergeSnapshots(snaps...)
+	res, err := h.Finalize(nil, merged)
+	if res != nil {
+		res.Metrics = metrics
 	}
-	return res, nil
+	return res, err
 }
 
 // MergeManifestFiles is MergeManifests over manifest bundle paths.

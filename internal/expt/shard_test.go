@@ -486,6 +486,35 @@ func TestShardMetricsRollup(t *testing.T) {
 	}
 }
 
+// A bundle's cell snapshots are input from disk: a bad one fails the
+// merge naming the cell, before any report is printed.
+func TestMergeRejectsBadCellMetrics(t *testing.T) {
+	opt := shardTestOptions()
+	opt.Obs = obs.NewRegistry(nil)
+	m, err := RunShard(opt, ShardRun{Campaign: "fig2", Index: 1, Total: 1, Path: filepath.Join(t.TempDir(), "m.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := m.Cells[len(m.Cells)-1]
+	for _, h := range cell.Metrics.Histograms {
+		if len(h.Buckets) > 0 {
+			h.Buckets[0].LE = 3 // not one of DefaultBuckets
+			break
+		}
+	}
+	var out bytes.Buffer
+	mopt := shardTestOptions()
+	mopt.Out = &out
+	_, err = MergeManifests(mopt, []*CampaignManifest{m})
+	want := fmt.Sprintf("expt: merge: cell %q: obs: absorb: histogram ", cell.ID)
+	if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "le=3") {
+		t.Fatalf("merge error %v, want %s…le=3…", err, want)
+	}
+	if out.Len() > 0 {
+		t.Fatalf("merge printed a report before failing:\n%s", out.Bytes())
+	}
+}
+
 // mergeKeyForTest mirrors obs's canonical metric key without exporting
 // it: name plus sorted label pairs.
 func mergeKeyForTest(name string, labels map[string]string) string {

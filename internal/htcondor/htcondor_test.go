@@ -519,6 +519,27 @@ func TestSubmitGateRejectsWholeSubmission(t *testing.T) {
 	}
 }
 
+// A job nobody records a span for costs no span work: with an
+// unclocked registry, which records no spans, Submit formats no span
+// id and stores no span, so it allocates no more than with no registry.
+func TestSubmitUnclockedAllocatesNoSpanWork(t *testing.T) {
+	submitAllocs := func(r *obs.Registry) float64 {
+		s := NewSchedd("x", sim.NewKernel(1), nil)
+		s.SetObs(r)
+		batch := []*Job{{Owner: "u"}}
+		return testing.AllocsPerRun(200, func() {
+			batch[0] = &Job{Owner: "u"}
+			if _, err := s.Submit(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off, unclocked := submitAllocs(nil), submitAllocs(obs.NewRegistry(nil))
+	if unclocked > off {
+		t.Fatalf("Submit allocates %v times with an unclocked registry, %v with none", unclocked, off)
+	}
+}
+
 func TestSetObsMidRunGuardsPreexistingJobs(t *testing.T) {
 	// Jobs submitted before SetObs have no span: every Mark* transition
 	// must guard its span lookup (MarkRunning and MarkEvicted used to
@@ -529,7 +550,7 @@ func TestSetObsMidRunGuardsPreexistingJobs(t *testing.T) {
 	if _, err := s.Submit([]*Job{early}); err != nil {
 		t.Fatal(err)
 	}
-	s.SetObs(obs.NewRegistry(nil))
+	s.SetObs(obs.NewRegistry(k.Now))
 	if err := s.MarkRunning(early, "h"); err != nil {
 		t.Fatal(err)
 	}

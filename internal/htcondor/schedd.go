@@ -107,8 +107,9 @@ func (s *Schedd) SetObs(r *obs.Registry) {
 }
 
 // JobSpan returns the lifecycle span opened for a submitted job (nil if
-// observability is off or the job predates SetObs). The pool uses it to
-// annotate transfer/execute stages it alone knows the durations of.
+// the registry records no spans or the job predates SetObs). The pool
+// uses it to annotate transfer/execute stages it alone knows the
+// durations of.
 func (s *Schedd) JobSpan(j *Job) *obs.Span { return s.spans[j] }
 
 // queueGauges refreshes the queue-depth gauges after any queue change.
@@ -196,7 +197,7 @@ func (s *Schedd) pump() {
 		s.staged = s.staged[1:]
 		j.SubmitTime = s.kernel.Now()
 		s.insertIdle(j)
-		if s.obs != nil {
+		if s.obs != nil && s.obs.RecordsSpans() {
 			sp := s.obs.StartSpan("job", j.ID())
 			sp.Annotate("submit")
 			s.spans[j] = sp

@@ -19,7 +19,7 @@ var obsflowAllowed = map[string]bool{
 // ObsflowAnalyzer enforces the record-never-decide contract as a flow
 // check. The obs instruments expose no getters outside tests, so the
 // one way production code reads a metric is a field of a snapshot
-// (Registry.Snapshot, ReadSnapshot, MergeSnapshots): such a read must
+// (Registry.Snapshot, ReadSnapshot): such a read must
 // not reach a condition, a loop bound, or a variable in non-exporter
 // code. Passing a reading straight into a print call or a return is
 // reporting and stays legal; branching on one would let

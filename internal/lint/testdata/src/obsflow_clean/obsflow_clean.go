@@ -26,10 +26,11 @@ func Export(w io.Writer, r *obs.Registry) error {
 	return r.WriteJSON(w)
 }
 
-// Merge combines whole snapshots, which are not readings.
-func Merge(r *obs.Registry, prior *obs.Snapshot) *obs.Snapshot {
-	merged := obs.MergeSnapshots(prior, r.Snapshot())
-	return merged
+// Rollup folds whole snapshots into a registry, which is not a
+// reading.
+func Rollup(r *obs.Registry, cell *obs.Snapshot) (*obs.Snapshot, error) {
+	err := r.Absorb(cell)
+	return r.Snapshot(), err
 }
 
 // Touch discards a reading explicitly.

@@ -95,36 +95,21 @@ func (r *Registry) Snapshot() *Snapshot {
 	snap.SimNow = float64(r.nowLocked())
 	snap.SpansDropped = r.spansDropped
 
-	keys := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.counters) {
 		c := r.counters[k]
 		snap.Counters = append(snap.Counters, CounterSnap{
 			Name: c.name, Labels: pairsToMap(c.pairs), Value: c.v, At: float64(c.at),
 		})
 	}
 
-	keys = keys[:0]
-	for k := range r.gauges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.gauges) {
 		g := r.gauges[k]
 		snap.Gauges = append(snap.Gauges, GaugeSnap{
 			Name: g.name, Labels: pairsToMap(g.pairs), Value: g.v, At: float64(g.at),
 		})
 	}
 
-	keys = keys[:0]
-	for k := range r.hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
 		hs := HistSnap{
 			Name: h.name, Labels: pairsToMap(h.pairs),
@@ -168,9 +153,7 @@ func (r *Registry) Snapshot() *Snapshot {
 // WriteJSON writes the indented JSON snapshot — the `-metrics` dump
 // format.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return WriteSnapshotJSON(w, r.Snapshot())
 }
 
 // ReadSnapshot parses a JSON snapshot written by WriteJSON.
@@ -183,13 +166,8 @@ func ReadSnapshot(rd io.Reader) (*Snapshot, error) {
 }
 
 func promLabels(labels map[string]string, extra ...string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := ""
-	for _, k := range keys {
+	for _, k := range sortedKeys(labels) {
 		if out != "" {
 			out += ","
 		}

@@ -2,193 +2,145 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"fdw/internal/sim"
 )
 
-// Per-shard metrics rollup: a sharded campaign (internal/expt) runs each
-// shard in its own process with its own registry, and the merge step
-// combines the per-shard JSON snapshots into one campaign-level view.
-// The rollup is an observability artifact, not a determinism contract:
-// counters and histogram mass are exact sums, but gauges keep only the
-// latest sample and histogram quantiles are re-estimated from the
-// merged buckets.
-
-// MergeSnapshots combines snapshots into one rollup:
+// Absorb folds a snapshot into the registry, the one way metrics roll
+// up: every campaign executor absorbs its cells' snapshots in
+// canonical cell order (DESIGN.md §8). Counters add; a gauge takes the
+// absorbed sample, so canonical order leaves a serial run's last
+// writer; histograms add per-bound counts, Count and Sum and combine
+// Min and Max, so Snapshot reports the quantiles one registry fed the
+// same samples would. At is the later one (a gauge's, the absorbed
+// one); a new histogram takes DefaultBuckets; SimNow is not absorbed.
 //
-//   - counters add per (name, labels);
-//   - gauges keep the sample with the latest At (ties: larger value);
-//   - histograms add Count/Sum/buckets per (name, labels), combine
-//     Min/Max, and re-estimate P50/P90/P99 from the merged cumulative
-//     buckets (bucket-upper-bound estimate, so quantiles are
-//     approximate after a merge);
-//   - spans concatenate, re-sorted by (start, kind, id);
-//   - SimNow is the maximum and SpansDropped the sum.
-//
-// nil snapshots are skipped; the result is deterministically ordered by
-// canonical metric key, so merging the same snapshots always yields the
-// same bytes.
-func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
-	out := &Snapshot{}
-	counters := map[string]*CounterSnap{}
-	gauges := map[string]*GaugeSnap{}
-	hists := map[string]*HistSnap{}
-	var order struct{ counters, gauges, hists []string }
-
-	for _, s := range snaps {
-		if s == nil {
-			continue
+// Snapshots arrive from bundles on disk, so all of it is checked
+// before any is applied: spans, a histogram listed twice, a bucket
+// bound the histogram does not have, buckets that are not cumulative
+// or hold more than Count, non-finite moments and Min > Max are errors
+// naming the metric. A nil registry absorbs nothing.
+func (r *Registry) Absorb(s *Snapshot) error {
+	if r == nil || s == nil {
+		return nil
+	}
+	if len(s.Spans) > 0 || s.SpansDropped > 0 {
+		return fmt.Errorf("obs: absorb: snapshot carries %d spans (%d dropped); spans do not roll up",
+			len(s.Spans), s.SpansDropped)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	counts := make([][]uint64, len(s.Histograms))
+	seen := map[string]bool{}
+	for i, h := range s.Histograms {
+		key := metricKey(h.Name, mapPairs(h.Labels))
+		bounds := DefaultBuckets
+		if got := r.hists[key]; got != nil {
+			bounds = got.bounds
 		}
-		if s.SimNow > out.SimNow {
-			out.SimNow = s.SimNow
+		var err error
+		if counts[i], err = histCounts(h, bounds); err == nil && seen[key] {
+			err = fmt.Errorf("listed twice")
 		}
-		out.SpansDropped += s.SpansDropped
-		out.Spans = append(out.Spans, s.Spans...)
-		for _, c := range s.Counters {
-			k := mergeKey(c.Name, c.Labels)
-			got, ok := counters[k]
-			if !ok {
-				cc := c
-				counters[k] = &cc
-				order.counters = append(order.counters, k)
-				continue
-			}
-			got.Value += c.Value
-			if c.At > got.At {
-				got.At = c.At
-			}
+		if err != nil {
+			return fmt.Errorf("obs: absorb: histogram %q: %w", key, err)
 		}
-		for _, g := range s.Gauges {
-			k := mergeKey(g.Name, g.Labels)
-			got, ok := gauges[k]
-			if !ok {
-				gg := g
-				gauges[k] = &gg
-				order.gauges = append(order.gauges, k)
-				continue
-			}
-			if g.At > got.At || (g.At == got.At && g.Value > got.Value) {
-				got.Value, got.At = g.Value, g.At
-			}
-		}
-		for _, h := range s.Histograms {
-			k := mergeKey(h.Name, h.Labels)
-			got, ok := hists[k]
-			if !ok {
-				hh := h
-				hh.Buckets = append([]BucketSnap(nil), h.Buckets...)
-				hists[k] = &hh
-				order.hists = append(order.hists, k)
-				continue
-			}
-			mergeHist(got, h)
-		}
+		seen[key] = true
 	}
 
-	sort.Strings(order.counters)
-	for _, k := range order.counters {
-		out.Counters = append(out.Counters, *counters[k])
-	}
-	sort.Strings(order.gauges)
-	for _, k := range order.gauges {
-		out.Gauges = append(out.Gauges, *gauges[k])
-	}
-	sort.Strings(order.hists)
-	for _, k := range order.hists {
-		h := hists[k]
-		h.P50 = bucketQuantile(h, 0.50)
-		h.P90 = bucketQuantile(h, 0.90)
-		h.P99 = bucketQuantile(h, 0.99)
-		out.Histograms = append(out.Histograms, *h)
-	}
-
-	sort.SliceStable(out.Spans, func(a, b int) bool {
-		if out.Spans[a].Start != out.Spans[b].Start {
-			return out.Spans[a].Start < out.Spans[b].Start
+	for _, c := range s.Counters {
+		pairs := mapPairs(c.Labels)
+		key := metricKey(c.Name, pairs)
+		got, ok := r.counters[key]
+		if !ok {
+			got = &Counter{r: r, name: c.Name, pairs: pairs}
+			r.counters[key] = got
 		}
-		if out.Spans[a].Kind != out.Spans[b].Kind {
-			return out.Spans[a].Kind < out.Spans[b].Kind
+		got.v += c.Value
+		got.at = max(got.at, sim.Time(c.At))
+	}
+	for _, g := range s.Gauges {
+		pairs := mapPairs(g.Labels)
+		key := metricKey(g.Name, pairs)
+		got, ok := r.gauges[key]
+		if !ok {
+			got = &Gauge{r: r, name: g.Name, pairs: pairs}
+			r.gauges[key] = got
 		}
-		return out.Spans[a].ID < out.Spans[b].ID
-	})
-	return out
+		got.v, got.at = g.Value, sim.Time(g.At)
+	}
+	for i, h := range s.Histograms {
+		pairs := mapPairs(h.Labels)
+		key := metricKey(h.Name, pairs)
+		got, ok := r.hists[key]
+		if !ok {
+			got = &Histogram{r: r, name: h.Name, pairs: pairs, counts: make([]uint64, len(DefaultBuckets)+1),
+				bounds: append([]float64(nil), DefaultBuckets...)}
+			r.hists[key] = got
+		}
+		if h.Count > 0 && (got.count == 0 || h.Min < got.min) {
+			got.min = h.Min
+		}
+		if h.Count > 0 && (got.count == 0 || h.Max > got.max) {
+			got.max = h.Max
+		}
+		for j, n := range counts[i] {
+			got.counts[j] += n
+		}
+		got.count += h.Count
+		got.sum += h.Sum
+		got.at = max(got.at, sim.Time(h.At))
+	}
+	return nil
 }
 
-// mergeKey is the canonical (name, labels) identity: name plus
-// label pairs in sorted-key order.
-func mergeKey(name string, labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
+// mapPairs converts a snapshot's label map into sorted label pairs.
+func mapPairs(labels map[string]string) [][2]string {
+	var pairs [][2]string
+	for _, k := range sortedKeys(labels) {
+		pairs = append(pairs, [2]string{k, labels[k]})
 	}
-	sort.Strings(keys)
-	out := name
-	for _, k := range keys {
-		out += "\x00" + k + "\x01" + labels[k]
-	}
-	return out
+	return pairs
 }
 
-// mergeHist folds src into dst: cumulative buckets add per LE bound
-// (bounds come from the same registry code, so they line up; a bound
-// present on one side only keeps its own count plus the other side's
-// cumulative mass below it — exactness only requires identical bound
-// sets, which same-binary shards guarantee).
-func mergeHist(dst *HistSnap, src HistSnap) {
-	if src.Count > 0 && (dst.Count == 0 || src.Min < dst.Min) {
-		dst.Min = src.Min
-	}
-	if src.Count > 0 && (dst.Count == 0 || src.Max > dst.Max) {
-		dst.Max = src.Max
-	}
-	dst.Count += src.Count
-	dst.Sum += src.Sum
-	if src.At > dst.At {
-		dst.At = src.At
-	}
-	merged := make(map[float64]uint64, len(dst.Buckets)+len(src.Buckets))
-	var bounds []float64
-	for _, b := range dst.Buckets {
-		if _, ok := merged[b.LE]; !ok {
-			bounds = append(bounds, b.LE)
+// histCounts checks h and turns its cumulative buckets into
+// per-bucket counts over bounds, the +Inf bucket last.
+func histCounts(h HistSnap, bounds []float64) ([]uint64, error) {
+	for _, v := range []float64{h.Sum, h.Min, h.Max} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("non-finite moments (sum %v, min %v, max %v)", h.Sum, h.Min, h.Max)
 		}
-		merged[b.LE] += b.Count
 	}
-	for _, b := range src.Buckets {
-		if _, ok := merged[b.LE]; !ok {
-			bounds = append(bounds, b.LE)
-		}
-		merged[b.LE] += b.Count
+	if h.Min > h.Max {
+		return nil, fmt.Errorf("min %v > max %v", h.Min, h.Max)
 	}
-	sort.Float64s(bounds)
-	dst.Buckets = dst.Buckets[:0]
-	for _, le := range bounds {
-		dst.Buckets = append(dst.Buckets, BucketSnap{LE: le, Count: merged[le]})
-	}
-}
-
-// bucketQuantile estimates quantile q from merged cumulative buckets:
-// the upper bound of the first bucket whose cumulative count reaches
-// q·Count, or Max for mass beyond the last finite bucket.
-func bucketQuantile(h *HistSnap, q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := q * float64(h.Count)
+	counts := make([]uint64, len(bounds)+1)
+	next, cum := 0, uint64(0)
 	for _, b := range h.Buckets {
-		if float64(b.Count) >= target {
-			if b.LE < h.Min {
-				return h.Min
-			}
-			return b.LE
+		i := sort.SearchFloat64s(bounds, b.LE)
+		if i == len(bounds) || bounds[i] != b.LE {
+			return nil, fmt.Errorf("bucket le=%v is not one of its bounds", b.LE)
 		}
+		if i < next || b.Count < cum {
+			return nil, fmt.Errorf("buckets are not cumulative at le=%v", b.LE)
+		}
+		counts[i] = b.Count - cum
+		next, cum = i+1, b.Count
 	}
-	return h.Max
+	if cum > h.Count {
+		return nil, fmt.Errorf("buckets hold %d samples, count is %d", cum, h.Count)
+	}
+	counts[len(bounds)] = h.Count - cum
+	return counts, nil
 }
 
 // WriteSnapshotJSON renders a snapshot in the same indented JSON format
-// as Registry.WriteJSON, so merged rollups and live dumps are
-// interchangeable inputs to ReadSnapshot.
+// as Registry.WriteJSON, so rollups and live dumps are interchangeable
+// inputs to ReadSnapshot.
 func WriteSnapshotJSON(w io.Writer, s *Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

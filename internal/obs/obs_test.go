@@ -169,7 +169,7 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestSpanLimit(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(func() sim.Time { return 0 })
 	for i := 0; i < SpanLimit+3; i++ {
 		sp := r.StartSpan("job", "x")
 		sp.End("done") // dropped spans must still be safe to use
@@ -179,6 +179,39 @@ func TestSpanLimit(t *testing.T) {
 	}
 	if r.SpansDropped() != 3 {
 		t.Fatalf("dropped %d, want 3", r.SpansDropped())
+	}
+}
+
+// Spans need a clock, and a span nobody records costs nothing: on a
+// nil, an unclocked and a full registry StartSpan hands out the shared
+// inert span without allocating.
+func TestStartSpanInertAllocatesNothing(t *testing.T) {
+	full := NewRegistry(func() sim.Time { return 0 })
+	for i := 0; i < SpanLimit; i++ {
+		full.StartSpan("job", "x")
+	}
+	for _, c := range []struct {
+		name string
+		r    *Registry
+	}{{"nil", nil}, {"unclocked", NewRegistry(nil)}, {"full", full}} {
+		if c.r.RecordsSpans() != (c.r == full) {
+			t.Errorf("%s: RecordsSpans() = %v", c.name, c.r.RecordsSpans())
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := c.r.StartSpan("job", "1.0")
+			sp.Annotate("submit")
+			sp.End("completed")
+		})
+		if allocs != 0 {
+			t.Errorf("%s: StartSpan allocated %v times per call, want 0", c.name, allocs)
+		}
+	}
+	if full.SpanCount() != SpanLimit || full.SpansDropped() != 101 {
+		t.Fatalf("full registry kept %d spans and dropped %d, want %d and 101",
+			full.SpanCount(), full.SpansDropped(), SpanLimit)
+	}
+	if NewRegistry(nil).Snapshot().Spans != nil {
+		t.Fatal("unclocked registry recorded a span")
 	}
 }
 

@@ -15,12 +15,12 @@
 // subsystems call r.Counter(...).Inc() unconditionally and pay only a
 // map-free fast path when observability is off.
 //
-// The registry is safe for concurrent use — the DES itself is
-// single-goroutine, but the experiment harness fans independent
-// simulations over worker goroutines that may share one registry.
-// Integer counters commute, so their totals are deterministic for any
-// worker count; histogram float sums and span ordering are only
-// guaranteed reproducible for single-environment runs (cmd/fdw).
+// The registry is safe for concurrent use, but the experiment harness
+// gives every cell its own unclocked registry and folds the cells'
+// snapshots into the campaign's with Absorb, in canonical cell order,
+// so a campaign's snapshot is byte-identical for any worker count,
+// shard merge or scheduler merge. Spans need a clock: only clocked
+// registries (cmd/fdw's, the scheduler's control plane) record them.
 package obs
 
 import (
@@ -97,6 +97,16 @@ func labelPairs(kv []string) [][2]string {
 	return pairs
 }
 
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // metricKey renders the canonical identity of a metric: its name plus
 // the sorted label set, in Prometheus exposition syntax.
 func metricKey(name string, pairs [][2]string) string {
@@ -114,8 +124,8 @@ func metricKey(name string, pairs [][2]string) string {
 }
 
 // Counter is a monotonically increasing integer metric. Integer
-// arithmetic commutes, so counter totals are deterministic even when
-// concurrent environments share a registry.
+// arithmetic commutes, so counter totals roll up exactly in any
+// order.
 type Counter struct {
 	r     *Registry // nil for the shared no-op instance
 	name  string

@@ -8,7 +8,7 @@ import "fdw/internal/sim"
 // timestamped by the registry's simulation clock unless an explicit
 // time is supplied.
 type Span struct {
-	r    *Registry // nil for spans dropped past the retention limit
+	r    *Registry // nil for the shared inert span
 	kind string
 	id   string
 
@@ -28,23 +28,41 @@ type SpanEvent struct {
 	Value float64  `json:"value,omitempty"`
 }
 
+// nopSpan is the shared inert span: every method on it is a no-op.
+var nopSpan = &Span{}
+
 // StartSpan opens a span of the given kind and identity, stamped with
-// the current simulated time. On a nil registry — or past the span
-// retention limit — it returns a no-op span (never nil, so callers
-// chain unconditionally); dropped spans are tallied in Snapshot.SpansDropped.
+// the current simulated time. Spans need a clock: on a nil or unclocked
+// registry, or past the span retention limit (tallied in
+// Snapshot.SpansDropped), it returns the shared inert span, never nil,
+// without allocating.
 func (r *Registry) StartSpan(kind, id string) *Span {
 	if r == nil {
-		return &Span{}
+		return nopSpan
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.clock == nil {
+		return nopSpan
+	}
 	if len(r.spans) >= SpanLimit {
 		r.spansDropped++
-		return &Span{}
+		return nopSpan
 	}
-	s := &Span{r: r, kind: kind, id: id, start: r.nowLocked()}
+	s := &Span{r: r, kind: kind, id: id, start: r.clock()}
 	r.spans = append(r.spans, s)
 	return s
+}
+
+// RecordsSpans reports whether the registry is non-nil and clocked;
+// callers that pay to build a span's identity check it first.
+func (r *Registry) RecordsSpans() bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.clock != nil
 }
 
 // Annotate appends a stage event at the current simulated time.

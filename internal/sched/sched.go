@@ -86,8 +86,9 @@ type Config struct {
 	// fresh.
 	Resume bool
 	// Obs, when set, receives lease/steal/requeue/crash counters and
-	// per-worker cell spans. Purely passive: scheduling decisions never
-	// read it, and output bytes are identical with it on or off.
+	// per-worker cell spans; Run binds it to the control-plane clock.
+	// Purely passive: scheduling decisions never read it, and output
+	// bytes are identical with it on or off.
 	Obs *obs.Registry
 }
 
@@ -255,6 +256,11 @@ func Run(src Source, cfg Config) (*Result, error) {
 	for i, id := range ids {
 		s.pos[id] = i
 		s.pending[id] = -1
+	}
+	// Cells meter into their own registries, so the control clock
+	// stamps everything Obs records from here on.
+	if cfg.Obs != nil {
+		cfg.Obs.SetClock(s.k.Now)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -449,11 +455,6 @@ func (s *scheduler) assign(w *worker, cell string) {
 	w.cur = a
 
 	rec, err := s.src.RunCell(cell)
-	// Cell simulations may rebind a shared registry's clock; point it
-	// back at the control clock for the scheduler's own instruments.
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.SetClock(s.k.Now)
-	}
 	if err != nil {
 		s.fail(fmt.Errorf("sched: cell %q on worker %d: %w", cell, w.id, err))
 		return
