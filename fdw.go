@@ -34,7 +34,6 @@ import (
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
 	"fdw/internal/ospool"
-	"fdw/internal/recovery"
 	"fdw/internal/sched"
 	"fdw/internal/sim"
 	"fdw/internal/vdc"
@@ -226,16 +225,6 @@ type ExperimentOptions = expt.Options
 
 // DefaultExperimentOptions mirrors the paper: three reps, full scale.
 func DefaultExperimentOptions() ExperimentOptions { return expt.DefaultOptions() }
-
-// Adaptive recovery layer (internal/recovery): deterministic retry
-// backoff, per-site circuit breakers, job wall-clock deadlines, and
-// straggler hedging, attached to a pool/workflow through the same
-// hook seams the fault engine uses (DESIGN.md §11).
-type RecoveryConfig = recovery.Config
-
-// DefaultRecoveryConfig enables all four recovery mechanisms with the
-// chaos-sweep-tuned defaults.
-func DefaultRecoveryConfig() RecoveryConfig { return recovery.DefaultConfig() }
 
 // Experiment harness entry points (see DESIGN.md's experiment index).
 var (

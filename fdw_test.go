@@ -175,3 +175,31 @@ func TestDepositProducts(t *testing.T) {
 		t.Fatalf("training products: %d, want 1", len(training))
 	}
 }
+
+// TestEnabledRecoveryOnCleanRun: the recovery policy on a fault-free
+// workload (the chaos sweep's baseline plan) must not degrade the
+// result — the DAG still completes with no failed jobs. Backoff,
+// breakers and deadlines only act on failures; hedging may act, but
+// first-finisher-wins can only move completion earlier.
+func TestEnabledRecoveryOnCleanRun(t *testing.T) {
+	opt := fdw.DefaultExperimentOptions()
+	opt.Scale = 0.002
+	opt.Seeds = []uint64{11}
+	rows, err := fdw.Chaos(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, r := range rows {
+		if r.Plan != "baseline" || !r.Recovery {
+			continue
+		}
+		seen = true
+		if !r.DAGDone || r.DAGFailed || r.FailedJobs != 0 || r.RuntimeH <= 0 || r.GoodputJPM <= 0 {
+			t.Fatalf("degenerate fault-free row with recovery on: %+v", r)
+		}
+	}
+	if !seen {
+		t.Fatal("no recovery-on baseline row")
+	}
+}

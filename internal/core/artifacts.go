@@ -13,11 +13,14 @@ import (
 
 // WriteArtifacts materializes the workflow as the on-disk artifacts a
 // real FDW run submits to HTCondor: an fdw.dag DAGMan file plus one
-// submit-description file per phase, with the work model's resource
-// requests and +FDW* attributes. The files round-trip through this
+// submit-description file per phase, describing the same jobs the
+// simulator runs (phaseJob): resource requests, retry budget and the
+// +FDW* work-model attributes. The files round-trip through this
 // repository's own DAGMan and submit-file parsers, so they double as
 // golden fixtures. Each file is written atomically (temp + rename):
 // condor_submit_dag on a half-written DAG would submit a half DAG.
+// fdw.dag is written last, so a failed emit leaves no DAG that names a
+// missing submit file.
 func WriteArtifacts(cfg Config, dir string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -29,44 +32,47 @@ func WriteArtifacts(cfg Config, dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := atomicfile.WriteFile(filepath.Join(dir, "fdw.dag"), d.Write); err != nil {
-		return err
-	}
-	_, aJobs, bJobs, cJobs, _ := cfg.JobCounts()
-	phases := []struct {
+	for _, p := range []struct {
 		file  string
 		phase Phase
-		n     int
-		secs  float64
 	}{
-		{"fdw_matrices.sub", PhaseMatrix, 1, MatrixJobSecs()},
-		{"fdw_phase_a.sub", PhaseA, aJobs, RuptureJobSecs(cfg.RupturesPerJob)},
-		{"fdw_phase_b.sub", PhaseB, bJobs, GFJobSecs(cfg.Stations)},
-		{"fdw_phase_c.sub", PhaseC, cJobs, WaveformJobSecs(cfg.Stations, cfg.WaveformsPerJob)},
-	}
-	for _, p := range phases {
+		{"fdw_matrices.sub", PhaseMatrix},
+		{"fdw_phase_a.sub", PhaseA},
+		{"fdw_phase_b.sub", PhaseB},
+		{"fdw_phase_c.sub", PhaseC},
+	} {
+		n, j, err := phaseJob(cfg, p.phase)
+		if err != nil {
+			return err
+		}
 		sf := &htcondor.SubmitFile{
 			Commands: map[string]string{
 				"universe":       "vanilla",
-				"executable":     fmt.Sprintf("fdw_phase_%s.sh", p.phase),
+				"executable":     j.Executable,
 				"arguments":      fmt.Sprintf("--batch %s --task $(Process)", cfg.Name),
-				"request_cpus":   "4",
-				"request_memory": "8GB",
-				"request_disk":   "16GB",
-				"requirements":   `(TARGET.HasSingularity == true)`,
+				"request_cpus":   strconv.Itoa(j.RequestCpus),
+				"request_memory": fmt.Sprintf("%dGB", j.RequestMemoryMB/1024),
+				"request_disk":   fmt.Sprintf("%dGB", j.RequestDiskMB/1024),
+				"requirements":   j.Requirements,
+				"max_retries":    strconv.Itoa(j.MaxRetries),
 				"log":            cfg.Name + ".log",
 			},
 			Plus: map[string]string{
 				"FDWPhase":       strconv.Quote(string(p.phase)),
-				"FDWExecSeconds": strconv.FormatFloat(p.secs, 'f', 0, 64),
+				"FDWExecSeconds": strconv.FormatFloat(j.BaseExecSeconds, 'f', 0, 64),
+				"FDWInputBytes":  strconv.FormatInt(j.InputBytes, 10),
+				"FDWOutputBytes": strconv.FormatInt(j.OutputBytes, 10),
 			},
-			QueueN: p.n,
+			QueueN: n,
 		}
 		if err := atomicfile.WriteFile(filepath.Join(dir, p.file), sf.Write); err != nil {
-			return err
+			return fmt.Errorf("core: %s: %w", p.file, err)
 		}
 	}
-	return atomicfile.WriteFile(filepath.Join(dir, "fdw.cfg"), func(w io.Writer) error {
+	if err := atomicfile.WriteFile(filepath.Join(dir, "fdw.cfg"), func(w io.Writer) error {
 		return WriteConfig(w, cfg)
-	})
+	}); err != nil {
+		return err
+	}
+	return atomicfile.WriteFile(filepath.Join(dir, "fdw.dag"), d.Write)
 }

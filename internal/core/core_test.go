@@ -405,32 +405,64 @@ func TestWriteArtifactsRoundTrip(t *testing.T) {
 	if len(d.Nodes) != 4 || !d.Nodes["matrices"].Done {
 		t.Fatalf("emitted DAG wrong: %d nodes", len(d.Nodes))
 	}
-	// Every emitted submit file parses and materializes correct counts.
-	wantN := map[string]int{
-		"fdw_matrices.sub": 1,
-		"fdw_phase_a.sub":  32, // 512/16
-		"fdw_phase_b.sub":  1,
-		"fdw_phase_c.sub":  256, // 512/2
+	// Every emitted submit file parses, queues the right count, and
+	// materializes exactly the jobs the simulator builds for its phase.
+	// BaseExecSeconds (jittered per job) and InputKey (the Stash cache
+	// key) are simulator-only.
+	phases := []struct {
+		file  string
+		phase Phase
+		n     int
+	}{
+		{"fdw_matrices.sub", PhaseMatrix, 1},
+		{"fdw_phase_a.sub", PhaseA, 32}, // 512/16
+		{"fdw_phase_b.sub", PhaseB, 1},
+		{"fdw_phase_c.sub", PhaseC, 256}, // 512/2
 	}
-	for file, n := range wantN {
-		sf, err := os.Open(filepath.Join(dir, file))
+	for _, p := range phases {
+		sf, err := os.Open(filepath.Join(dir, p.file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		parsed, err := htcondor.ParseSubmit(sf)
 		sf.Close()
 		if err != nil {
-			t.Fatalf("%s: %v", file, err)
+			t.Fatalf("%s: %v", p.file, err)
 		}
-		if parsed.QueueN != n {
-			t.Fatalf("%s queues %d jobs, want %d", file, parsed.QueueN, n)
+		if parsed.QueueN != p.n {
+			t.Fatalf("%s queues %d jobs, want %d", p.file, parsed.QueueN, p.n)
 		}
-		jobs, err := parsed.Materialize(1, "u")
+		got, err := parsed.Materialize(1, cfg.User)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if jobs[0].BaseExecSeconds <= 0 || jobs[0].RequestCpus != 4 {
-			t.Fatalf("%s materialized job malformed: %+v", file, jobs[0])
+		want, err := buildJobs(cfg, p.phase, cfg.User, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d materialized jobs, simulator builds %d", p.file, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"Executable", g.Executable, w.Executable},
+				{"Arguments", g.Arguments, w.Arguments},
+				{"RequestCpus", g.RequestCpus, w.RequestCpus},
+				{"RequestMemoryMB", g.RequestMemoryMB, w.RequestMemoryMB},
+				{"RequestDiskMB", g.RequestDiskMB, w.RequestDiskMB},
+				{"Requirements", g.Requirements, w.Requirements},
+				{"MaxRetries", g.MaxRetries, w.MaxRetries},
+				{"InputBytes", g.InputBytes, w.InputBytes},
+				{"OutputBytes", g.OutputBytes, w.OutputBytes},
+			} {
+				if f.got != f.want {
+					t.Fatalf("%s job %d: %s = %v, simulator runs %v", p.file, i, f.name, f.got, f.want)
+				}
+			}
 		}
 	}
 	// The emitted config parses back to the same values.
@@ -445,6 +477,46 @@ func TestWriteArtifactsRoundTrip(t *testing.T) {
 	}
 	if got != cfg {
 		t.Fatalf("config round trip: %+v vs %+v", got, cfg)
+	}
+}
+
+// TestRunBatchHorizonErrorNamesState: a batch cut off by its horizon
+// says what the queue and pool looked like, not just that it timed out.
+func TestRunBatchHorizonErrorNamesState(t *testing.T) {
+	env, err := NewEnv(1, smallPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Waveforms = 64
+	w, err := NewWorkflow(cfg, env.Kernel, env.Pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RunBatch(env, []*Workflow{w}, 600)
+	if err == nil {
+		t.Fatal("batch finished within a 600 s horizon")
+	}
+	for _, want := range []string{"not finished by horizon", "jobs idle=", "running=", "glideins live="} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("horizon error %q lacks %q", err, want)
+		}
+	}
+}
+
+// TestWriteArtifactsRefusesUnparseableQueue: a phase too large for
+// ParseSubmit's queue bound fails the emit with the file named, and no
+// fdw.dag is left to submit the half-written set.
+func TestWriteArtifactsRefusesUnparseableQueue(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.Waveforms = 300000 // 150,000 phase C jobs
+	err := WriteArtifacts(cfg, dir)
+	if err == nil || !strings.Contains(err.Error(), "fdw_phase_c.sub") {
+		t.Fatalf("error %v, want one naming fdw_phase_c.sub", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fdw.dag")); !os.IsNotExist(err) {
+		t.Fatalf("failed emit left fdw.dag behind (stat: %v)", err)
 	}
 }
 

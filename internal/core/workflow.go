@@ -172,7 +172,8 @@ func NewMeteredEnv(seed uint64, poolCfg ospool.Config) (*Env, error) {
 
 // RunBatch launches the given workflows simultaneously (the paper's
 // concurrent-DAGMans setup) and advances the simulation until all of
-// them complete or the horizon passes.
+// them complete or the horizon passes. A horizon error carries the
+// pool's Diagnostic.
 func RunBatch(env *Env, workflows []*Workflow, horizon sim.Time) error {
 	for _, w := range workflows {
 		if err := w.Start(); err != nil {
@@ -200,7 +201,7 @@ func RunBatch(env *Env, workflows []*Workflow, horizon sim.Time) error {
 		}
 	}
 	if !allDone() {
-		return fmt.Errorf("core: batch not finished by horizon %v", horizon)
+		return fmt.Errorf("core: batch not finished by horizon %v: %s", horizon, env.Pool.Diagnostic())
 	}
 	return nil
 }

@@ -64,64 +64,72 @@ func GFJobSecs(stations int) float64 { return gfPerStationSecs * float64(station
 // MatrixJobSecs returns the nominal distance-matrix generation time.
 func MatrixJobSecs() float64 { return matrixJobSecs }
 
+// phaseJob returns the number of jobs in one phase of cfg's workflow
+// and the nominal job they all copy: executable, resource requests,
+// retry budget, nominal execution time and transfer sizes. It is the
+// one source for both the jobs the simulator runs (buildJobs) and the
+// submit files a real run submits (WriteArtifacts).
+func phaseJob(cfg Config, phase Phase) (int, htcondor.Job, error) {
+	// The image and the recycled .npy matrices are shared across all
+	// FDW runs; the phase B Green's-function archive is specific to one
+	// workflow's ruptures, so phase C inputs are keyed per run.
+	j := htcondor.Job{
+		Executable:      fmt.Sprintf("fdw_phase_%s.sh", phase),
+		RequestCpus:     4,
+		RequestMemoryMB: 8192,
+		RequestDiskMB:   16384,
+		Requirements:    `(TARGET.HasSingularity == true)`,
+		MaxRetries:      3,
+	}
+	_, aJobs, bJobs, cJobs, _ := cfg.JobCounts()
+	n := 1
+	switch phase {
+	case PhaseMatrix:
+		j.BaseExecSeconds = MatrixJobSecs()
+		j.InputBytes = int64(singularityImageBytes)
+		j.OutputBytes = int64(npyMatricesBytes)
+		j.InputKey = "fdw/image"
+	case PhaseA:
+		n = aJobs
+		j.BaseExecSeconds = RuptureJobSecs(cfg.RupturesPerJob)
+		j.InputBytes = int64(singularityImageBytes + npyMatricesBytes)
+		j.OutputBytes = int64(rupturePayloadBytes)
+		j.InputKey = "fdw/image+npy"
+	case PhaseB:
+		n = bJobs
+		j.BaseExecSeconds = GFJobSecs(cfg.Stations)
+		j.InputBytes = int64(singularityImageBytes + npyMatricesBytes)
+		j.OutputBytes = int64(gfArchiveBytes)
+		j.InputKey = "fdw/image+npy"
+	case PhaseC:
+		n = cJobs
+		j.BaseExecSeconds = WaveformJobSecs(cfg.Stations, cfg.WaveformsPerJob)
+		j.InputBytes = int64(singularityImageBytes + npyMatricesBytes + gfArchiveBytes)
+		j.OutputBytes = int64(waveformPayloadBytes * float64(cfg.WaveformsPerJob))
+		j.InputKey = "fdw/" + cfg.Name + "/image+npy+gf"
+	default:
+		return 0, j, fmt.Errorf("core: unknown phase %q", phase)
+	}
+	return n, j, nil
+}
+
 // buildJobs materializes the OSG jobs for one phase of cfg's workflow.
 // Per-job variation (±10% truncated normal) models input-dependent
 // cost differences; the pool adds site-speed and scheduling variation
 // on top.
 func buildJobs(cfg Config, phase Phase, owner string, rng *sim.RNG) ([]*htcondor.Job, error) {
-	// The image and the recycled .npy matrices are shared across all
-	// FDW runs; the phase B Green's-function archive is specific to one
-	// workflow's ruptures, so phase C inputs are keyed per run.
-	var n int
-	var base float64
-	var inBytes, outBytes int64
-	var inKey string
-	switch phase {
-	case PhaseMatrix:
-		n = 1
-		base = MatrixJobSecs()
-		inBytes = int64(singularityImageBytes)
-		outBytes = int64(npyMatricesBytes)
-		inKey = "fdw/image"
-	case PhaseA:
-		n = (cfg.Waveforms + cfg.RupturesPerJob - 1) / cfg.RupturesPerJob
-		base = RuptureJobSecs(cfg.RupturesPerJob)
-		inBytes = int64(singularityImageBytes + npyMatricesBytes)
-		outBytes = int64(rupturePayloadBytes)
-		inKey = "fdw/image+npy"
-	case PhaseB:
-		n = 1
-		base = GFJobSecs(cfg.Stations)
-		inBytes = int64(singularityImageBytes + npyMatricesBytes)
-		outBytes = int64(gfArchiveBytes)
-		inKey = "fdw/image+npy"
-	case PhaseC:
-		n = (cfg.Waveforms + cfg.WaveformsPerJob - 1) / cfg.WaveformsPerJob
-		base = WaveformJobSecs(cfg.Stations, cfg.WaveformsPerJob)
-		inBytes = int64(singularityImageBytes + npyMatricesBytes + gfArchiveBytes)
-		outBytes = int64(waveformPayloadBytes * float64(cfg.WaveformsPerJob))
-		inKey = "fdw/" + cfg.Name + "/image+npy+gf"
-	default:
-		return nil, fmt.Errorf("core: unknown phase %q", phase)
+	n, nominal, err := phaseJob(cfg, phase)
+	if err != nil {
+		return nil, err
 	}
-	executable := fmt.Sprintf("fdw_phase_%s.sh", phase)
+	base := nominal.BaseExecSeconds
 	jobs := make([]*htcondor.Job, n)
 	for i := range jobs {
-		exec := rng.TruncNormal(base, base*0.05, base*0.9, base*1.1)
-		jobs[i] = &htcondor.Job{
-			Owner:           owner,
-			Executable:      executable,
-			Arguments:       fmt.Sprintf("--batch %s --task %d", cfg.Name, i),
-			RequestCpus:     4,
-			RequestMemoryMB: 8192,
-			RequestDiskMB:   16384,
-			Requirements:    `(TARGET.HasSingularity == true)`,
-			MaxRetries:      3,
-			BaseExecSeconds: exec,
-			InputBytes:      inBytes,
-			OutputBytes:     outBytes,
-			InputKey:        inKey,
-		}
+		j := nominal
+		j.Owner = owner
+		j.Arguments = fmt.Sprintf("--batch %s --task %d", cfg.Name, i)
+		j.BaseExecSeconds = rng.TruncNormal(base, base*0.05, base*0.9, base*1.1)
+		jobs[i] = &j
 	}
 	return jobs, nil
 }

@@ -50,16 +50,6 @@ type ChaosRow struct {
 	WastedCPUH  float64 // slot hours that produced no completed work
 }
 
-// chaosRecoveryConfig is the recovery-on arm's policy configuration:
-// opt.Recovery when set, the tuned defaults otherwise.
-func chaosRecoveryConfig(opt Options) *recovery.Config {
-	if opt.Recovery != nil {
-		return opt.Recovery
-	}
-	cfg := recovery.DefaultConfig()
-	return &cfg
-}
-
 // Chaos runs the recovery A/B chaos matrix and returns one row per
 // (plan, seed, recovery) cell in grid order, recovery-off before
 // recovery-on within each (plan, seed). Rows and per-plan deltas are
@@ -186,10 +176,13 @@ func chaosOne(opt Options, plan faults.Plan, seed uint64, rec bool) (ChaosRow, s
 		}
 		inj.SetObs(opt.Obs)
 		inj.Attach(env.Pool, wfs[0].Schedd)
-		if !rec {
-			return nil
+		if rec {
+			pol := recovery.New(env.Kernel)
+			pol.SetObs(env.Obs)
+			pol.Attach(env.Pool, wfs[0].Schedd)
+			pol.AttachExecutor(wfs[0].Exec)
 		}
-		return attachRecovery(env, wfs[0], chaosRecoveryConfig(opt))
+		return nil
 	}, cfg)
 	// Invariant 1 (termination): the batch errors iff the executor did
 	// not reach Done by the horizon. A DAG whose node exhausted its

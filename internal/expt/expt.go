@@ -13,7 +13,6 @@ import (
 	"fdw/internal/core"
 	"fdw/internal/obs"
 	"fdw/internal/ospool"
-	"fdw/internal/recovery"
 	"fdw/internal/sim"
 )
 
@@ -41,34 +40,6 @@ type Options struct {
 	// value. Reports/CSVs stay byte-identical with Obs on or off
 	// (instrumentation is strictly passive). nil disables metrics.
 	Obs *obs.Registry
-	// Recovery, if set, attaches an adaptive recovery policy
-	// (internal/recovery) to every simulation built by runOne: the
-	// Fig. 2 cells, the headline runs, the recycling and fan-out
-	// ablations, and the batch traces that Figs. 5/6, Policy 3 and the
-	// elastic comparison replay. Fig. 3/4 and the stash and churn
-	// ablations never attach it. nil — or a config with every mechanism
-	// disabled — leaves all reports byte-identical to pre-recovery
-	// runs. The chaos sweep ignores this field's nil-ness: it always
-	// runs its recovery-on arm, using this config when set and
-	// recovery.DefaultConfig() otherwise.
-	Recovery *recovery.Config
-}
-
-// attachRecovery installs a recovery policy with cfg (when non-nil)
-// into a built workflow's pool, schedd, and executor. Must run after
-// the injector (if any), so RNG stream splits happen in a fixed order.
-func attachRecovery(env *core.Env, w *core.Workflow, cfg *recovery.Config) error {
-	if cfg == nil {
-		return nil
-	}
-	pol, err := recovery.New(env.Kernel, *cfg)
-	if err != nil {
-		return err
-	}
-	pol.SetObs(env.Obs)
-	pol.Attach(env.Pool, w.Schedd)
-	pol.AttachExecutor(w.Exec)
-	return nil
 }
 
 // DefaultOptions mirrors the paper: three repetitions at full scale.
@@ -151,16 +122,14 @@ func simulate(opt Options, env *core.Env, attach func(wfs []*core.Workflow) erro
 	return wfs, core.RunBatch(env, wfs, opt.Horizon)
 }
 
-// runOne simulates one workflow with opt.Recovery attached, returning
-// it and the kernel's end time (a campaign manifest's provenance).
+// runOne simulates one workflow, returning it and the kernel's end
+// time (a campaign manifest's provenance).
 func runOne(opt Options, cfg core.Config, seed uint64) (*core.Workflow, sim.Time, error) {
 	env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
 	if err != nil {
 		return nil, 0, err
 	}
-	wfs, err := simulate(opt, env, func(wfs []*core.Workflow) error {
-		return attachRecovery(env, wfs[0], opt.Recovery)
-	}, cfg)
+	wfs, err := simulate(opt, env, nil, cfg)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"fdw/internal/core/atomicfile"
 	"fdw/internal/obs"
-	"fdw/internal/recovery"
 	"fdw/internal/sim"
 )
 
@@ -187,13 +186,17 @@ func cellDigest(b []byte) string {
 // change neither cell results nor final bytes.
 func (o Options) Fingerprint(campaign string) (string, error) {
 	canon := struct {
-		Campaign string           `json:"campaign"`
-		Scale    float64          `json:"scale"`
-		Seeds    []uint64         `json:"seeds"`
-		Horizon  sim.Time         `json:"horizon"`
-		Pool     any              `json:"pool"`
-		Recovery *recovery.Config `json:"recovery"`
-	}{campaign, o.Scale, o.Seeds, o.Horizon, o.Pool, o.Recovery}
+		Campaign string   `json:"campaign"`
+		Scale    float64  `json:"scale"`
+		Seeds    []uint64 `json:"seeds"`
+		Horizon  sim.Time `json:"horizon"`
+		Pool     any      `json:"pool"`
+		// Recovery is always null. Options once carried a settable
+		// recovery policy; the fingerprint is a persisted format, so
+		// the member stays to let bundles written with it unset still
+		// resume and merge.
+		Recovery *struct{} `json:"recovery"`
+	}{Campaign: campaign, Scale: o.Scale, Seeds: o.Seeds, Horizon: o.Horizon, Pool: o.Pool}
 	b, err := json.Marshal(canon)
 	if err != nil {
 		return "", fmt.Errorf("expt: fingerprint: %w", err)

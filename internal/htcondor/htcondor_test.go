@@ -3,6 +3,8 @@ package htcondor
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,6 +23,7 @@ request_cpus   = 4
 request_memory = 8GB
 request_disk   = 16384
 requirements   = (TARGET.HasSingularity == true)
+max_retries    = 2
 +FDWPhase        = "C"
 +FDWExecSeconds  = 1050
 +FDWInputBytes   = 973000000
@@ -44,25 +47,75 @@ func TestParseSubmit(t *testing.T) {
 	}
 }
 
-func TestParseSubmitErrors(t *testing.T) {
-	cases := map[string]string{
-		"no queue":        "executable = x\n",
-		"double queue":    "executable = x\nqueue\nqueue\n",
-		"bad queue count": "executable = x\nqueue -2\n",
-		"no equals":       "executable x\nqueue\n",
-		"empty key":       " = x\nqueue\n",
-		"dangling cont":   "executable = x \\\n",
+// badSubmits are submit files ParseSubmit must reject.
+var badSubmits = map[string]string{
+	"no queue":          "executable = x\n",
+	"double queue":      "executable = x\nqueue\nqueue\n",
+	"bad queue count":   "executable = x\nqueue -2\n",
+	"huge queue count":  "executable = x\nqueue 999999999999999999\n",
+	"no equals":         "executable x\nqueue\n",
+	"empty key":         " = x\nqueue\n",
+	"dangling cont":     "executable = x \\\n",
+	"queue as a key":    "queue=3\nqueue\n",
+	"tab-led bad count": "executable = x\nqueue\t= 3\n",
+}
+
+// continuedSubmit has a bare queue and a continuation line.
+const continuedSubmit = "executable = a.sh\narguments = one \\\n two\nqueue\n"
+
+// SubmitSamples returns every submit file the tests in this file
+// parse, in a fixed order; FuzzParseSubmit seeds its corpus from them.
+func SubmitSamples() []string {
+	names := make([]string, 0, len(badSubmits))
+	for name := range badSubmits {
+		names = append(names, name)
 	}
-	for name, src := range cases {
-		if _, err := ParseSubmit(strings.NewReader(src)); err == nil {
+	sort.Strings(names)
+	samples := []string{sampleSubmit, continuedSubmit}
+	for _, name := range names {
+		samples = append(samples, badSubmits[name])
+	}
+	return samples
+}
+
+func TestParseSubmitErrors(t *testing.T) {
+	for name, src := range badSubmits {
+		_, err := ParseSubmit(strings.NewReader(src))
+		if err == nil {
 			t.Fatalf("%s: accepted", name)
+		}
+		if !strings.HasPrefix(err.Error(), "htcondor: ") {
+			t.Fatalf("%s: error %q does not name the parser", name, err)
 		}
 	}
 }
 
+// TestParseSubmitQueueCountBound: a hostile queue count is a line
+// error, not a later makeslice panic in Materialize, while the paper's
+// largest phase (25,000 phase C jobs) still parses and materializes.
+func TestParseSubmitQueueCountBound(t *testing.T) {
+	_, err := ParseSubmit(strings.NewReader(badSubmits["huge queue count"]))
+	if err == nil || !strings.HasPrefix(err.Error(), "htcondor: line 2: ") {
+		t.Fatalf("hostile queue count: error %v, want an htcondor: line 2 error", err)
+	}
+	sf, err := ParseSubmit(strings.NewReader("executable = x\nqueue 25000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := sf.Materialize(1, "u")
+	if err != nil || len(jobs) != 25000 {
+		t.Fatalf("25,000-job phase: %d jobs, err %v", len(jobs), err)
+	}
+	// Write refuses what ParseSubmit would reject, so an emitted file
+	// always parses back.
+	sf.QueueN = maxQueueCount + 1
+	if err := sf.Write(io.Discard); err == nil {
+		t.Fatal("Write accepted an unparseable queue count")
+	}
+}
+
 func TestParseSubmitBareQueueAndContinuation(t *testing.T) {
-	src := "executable = a.sh\narguments = one \\\n two\nqueue\n"
-	sf, err := ParseSubmit(strings.NewReader(src))
+	sf, err := ParseSubmit(strings.NewReader(continuedSubmit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +148,9 @@ func TestMaterialize(t *testing.T) {
 	}
 	if j.RequestCpus != 4 || j.RequestMemoryMB != 8192 || j.RequestDiskMB != 16384 {
 		t.Fatalf("requests: cpus=%d mem=%d disk=%d", j.RequestCpus, j.RequestMemoryMB, j.RequestDiskMB)
+	}
+	if j.MaxRetries != 2 {
+		t.Fatalf("MaxRetries = %d, want 2", j.MaxRetries)
 	}
 	if j.BaseExecSeconds != 1050 {
 		t.Fatalf("BaseExecSeconds = %v", j.BaseExecSeconds)

@@ -20,9 +20,15 @@ type SubmitFile struct {
 	QueueN   int
 }
 
+// maxQueueCount bounds a submit file's "queue N" so a hostile count
+// cannot make Materialize allocate without limit. It is four times the
+// paper's largest phase: 25,000 phase C jobs at 50,000 waveforms.
+const maxQueueCount = 100000
+
 // ParseSubmit reads submit-description syntax: "key = value" lines,
 // "+Attr = expr" custom attributes, comments (#), and a final
-// "queue [N]" statement. Continuation lines end with a backslash.
+// "queue [N]" statement (N at most maxQueueCount). Continuation lines
+// end with a backslash.
 //
 //lint:allow deadexport submit file reader; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func ParseSubmit(r io.Reader) (*SubmitFile, error) {
@@ -50,8 +56,7 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 			pending = strings.TrimSuffix(line, "\\")
 			continue
 		}
-		lower := strings.ToLower(line)
-		if lower == "queue" || strings.HasPrefix(lower, "queue ") {
+		if f := strings.Fields(line); strings.EqualFold(f[0], "queue") {
 			if sawQueue {
 				return nil, fmt.Errorf("htcondor: line %d: multiple queue statements", lineNo)
 			}
@@ -61,6 +66,9 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 				v, err := strconv.Atoi(rest)
 				if err != nil || v < 0 {
 					return nil, fmt.Errorf("htcondor: line %d: bad queue count %q", lineNo, rest)
+				}
+				if v > maxQueueCount {
+					return nil, fmt.Errorf("htcondor: line %d: queue count %d exceeds %d", lineNo, v, maxQueueCount)
 				}
 				n = v
 			}
@@ -76,6 +84,9 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 		if key == "" {
 			return nil, fmt.Errorf("htcondor: line %d: empty key", lineNo)
 		}
+		if strings.EqualFold(key, "queue") {
+			return nil, fmt.Errorf("htcondor: line %d: queue is a statement, not a key", lineNo)
+		}
 		if strings.HasPrefix(key, "+") {
 			sf.Plus[key[1:]] = val
 		} else {
@@ -83,7 +94,7 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("htcondor: line %d: %w", lineNo+1, err)
 	}
 	if pending != "" {
 		return nil, fmt.Errorf("htcondor: dangling continuation line")
@@ -138,8 +149,9 @@ func parseSizeMB(s string) (int, error) {
 }
 
 // Materialize expands the submit file into QueueN jobs for the given
-// cluster id and owner. BaseExecSeconds and transfer sizes come from
-// the +FDW* attributes when present (the FDW work model sets them).
+// cluster id and owner. MaxRetries comes from max_retries;
+// BaseExecSeconds and transfer sizes come from the +FDW* attributes
+// when present (the FDW work model sets them).
 //
 //lint:allow deadexport submit file to jobs; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
@@ -168,6 +180,14 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 		}
 		diskMB = d
 	}
+	retries := 0
+	if v, ok := sf.Commands["max_retries"]; ok {
+		n, err := strconv.Atoi(strings.TrimSpace(v))
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("htcondor: bad max_retries %q", v)
+		}
+		retries = n
+	}
 	for proc := 0; proc < sf.QueueN; proc++ {
 		j := &Job{
 			Cluster:         cluster,
@@ -179,6 +199,7 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 			RequestMemoryMB: memMB,
 			RequestDiskMB:   diskMB,
 			Requirements:    sf.Commands["requirements"],
+			MaxRetries:      retries,
 			Attrs:           classad.Ad{},
 			Status:          Idle,
 		}
@@ -210,8 +231,12 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 }
 
 // Write renders the submit description in the syntax ParseSubmit
-// accepts, commands first (sorted), then +attributes, then queue.
+// accepts, commands first (sorted), then +attributes, then queue. A
+// queue count ParseSubmit would reject is an error.
 func (sf *SubmitFile) Write(w io.Writer) error {
+	if sf.QueueN < 0 || sf.QueueN > maxQueueCount {
+		return fmt.Errorf("htcondor: queue count %d outside [0, %d]", sf.QueueN, maxQueueCount)
+	}
 	keys := make([]string, 0, len(sf.Commands))
 	for k := range sf.Commands {
 		keys = append(keys, k)

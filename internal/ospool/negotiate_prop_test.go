@@ -11,7 +11,7 @@ import (
 
 // This file is the equivalence property test for the matchmaking index:
 // negotiateIndexed must produce the exact claim sequence of the retained
-// seed negotiator (negotiate_ref.go) over randomized pools — mixed
+// seed negotiator (negotiate_ref_test.go) over randomized pools — mixed
 // requirements, multiple owners spread across schedds, retries, pilot
 // churn — across kernel seeds and MatchesPerCycle settings, with and
 // without a stateful recovery veto in the match path.

@@ -14,7 +14,7 @@
 // fair-share usage, busy counts, claim lookup — is maintained
 // incrementally rather than rebuilt per cycle. The indexed negotiator
 // provably reproduces the seed linear scan match-for-match;
-// negotiate_ref.go retains that linear scan as the executable
+// negotiate_ref_test.go retains that linear scan as the executable
 // specification, and TestIndexedNegotiatorMatchesReference checks the
 // equivalence property.
 package ospool
@@ -1003,15 +1003,15 @@ func (p *Pool) RunUntilDone(horizon sim.Time) error {
 	}
 	if !allDone() {
 		return fmt.Errorf("ospool: workload not drained by horizon %v (completed %d): %s",
-			horizon, p.completed, p.stuckDiagnostic())
+			horizon, p.completed, p.Diagnostic())
 	}
 	return nil
 }
 
-// stuckDiagnostic summarizes queue and pool state for the horizon
-// timeout error, so a chaos-sweep failure is debuggable from the error
-// string alone.
-func (p *Pool) stuckDiagnostic() string {
+// Diagnostic summarizes queue and pool state (job states, glidein
+// counts, open breakers) for horizon timeout errors, so a chaos-sweep
+// failure is debuggable from the error string alone.
+func (p *Pool) Diagnostic() string {
 	var idle, running, held, staged, completed, removed int
 	for _, s := range p.schedds {
 		staged += s.StagedCount()

@@ -11,12 +11,12 @@ import (
 // Straggler hedging watches each schedd's job events. Jobs submitted
 // together (one cluster = one DAGMan node) are siblings; once enough
 // siblings have completed, any sibling still running past
-// Multiplier × the Quantile sibling runtime gets a speculative clone
-// under a fresh cluster id. The first finisher wins: a winning clone's
-// result is grafted onto the original (AdoptResult), a losing clone is
-// cancelled (Remove / CancelClaim + AbortRunning). DAGMan accounts
-// nodes by cluster id, so clones are invisible to it — only the
-// original's terminal event reaches node bookkeeping.
+// hedgeMultiplier × the hedgeQuantile sibling runtime gets a
+// speculative clone under a fresh cluster id. The first finisher wins:
+// a winning clone's result is grafted onto the original (AdoptResult),
+// a losing clone is cancelled (Remove / CancelClaim + AbortRunning).
+// DAGMan accounts nodes by cluster id, so clones are invisible to it —
+// only the original's terminal event reaches node bookkeeping.
 
 type clusterRef struct {
 	schedd  *htcondor.Schedd
@@ -60,8 +60,7 @@ func quantileOf(xs []float64, q float64) float64 {
 	return s[i]
 }
 
-// onJobEvent is the hedging listener, subscribed per schedd by Attach
-// when hedging is enabled.
+// onJobEvent is the hedging listener, subscribed per schedd by Attach.
 func (r *Policy) onJobEvent(s *htcondor.Schedd, j *htcondor.Job, ev htcondor.EventType) {
 	switch ev {
 	case htcondor.EventSubmit:
@@ -115,15 +114,14 @@ func (r *Policy) onJobEvent(s *htcondor.Schedd, j *htcondor.Job, ev htcondor.Eve
 // scheduleCheck arms a straggler check for a running original, once
 // enough siblings have finished to define the threshold.
 func (r *Policy) scheduleCheck(s *htcondor.Schedd, j *htcondor.Job) {
-	h := r.cfg.Hedge
 	if r.hedge.pendingCheck[j] || r.hedge.clones[j] != nil {
 		return
 	}
 	cs := r.hedge.clusters[clusterRef{s, j.Cluster}]
-	if cs == nil || len(cs.runtimes) < h.MinSiblings || len(cs.jobs) < 2 {
+	if cs == nil || len(cs.runtimes) < hedgeMinSiblings || len(cs.jobs) < 2 {
 		return
 	}
-	threshold := quantileOf(cs.runtimes, h.Quantile) * h.Multiplier
+	threshold := quantileOf(cs.runtimes, hedgeQuantile) * hedgeMultiplier
 	due := j.StartTime + sim.Time(threshold)
 	now := r.kernel.Now()
 	if due < now {
@@ -141,12 +139,11 @@ func (r *Policy) checkStraggler(s *htcondor.Schedd, j *htcondor.Job) {
 	if j.Status != htcondor.Running || r.hedge.clones[j] != nil {
 		return
 	}
-	h := r.cfg.Hedge
 	cs := r.hedge.clusters[clusterRef{s, j.Cluster}]
-	if cs == nil || len(cs.runtimes) < h.MinSiblings {
+	if cs == nil || len(cs.runtimes) < hedgeMinSiblings {
 		return
 	}
-	threshold := quantileOf(cs.runtimes, h.Quantile) * h.Multiplier
+	threshold := quantileOf(cs.runtimes, hedgeQuantile) * hedgeMultiplier
 	now := r.kernel.Now()
 	if float64(now-j.StartTime) < threshold-1e-9 {
 		// Threshold grew (or the attempt restarted): try again later.

@@ -24,12 +24,6 @@ func hedgePoolConfig() ospool.Config {
 	return cfg
 }
 
-func hedgeOnlyConfig() Config {
-	return Config{Hedge: HedgeConfig{
-		Enabled: true, Quantile: 0.75, Multiplier: 3, MinSiblings: 4,
-	}}
-}
-
 // TestHedgeRescuesStraggler is the end-to-end hedging path: a sibling
 // stuck on a 12× slow slot gets a speculative clone once enough
 // siblings finish; the clone wins on a fast slot and its result is
@@ -43,10 +37,7 @@ func TestHedgeRescuesStraggler(t *testing.T) {
 	}
 	s := htcondor.NewSchedd("s", k, nil)
 	p.AddSchedd(s)
-	r, err := New(k, hedgeOnlyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(k)
 	r.Attach(p, s)
 
 	jobs := make([]*htcondor.Job, 9)
@@ -107,40 +98,5 @@ func TestHedgeRescuesStraggler(t *testing.T) {
 	}
 	if latest >= 3600 {
 		t.Fatalf("originals finished at %v, want < 3600 (hedge should beat the slow attempt)", latest)
-	}
-}
-
-// TestHedgeDisabledSubscribesNothing: with hedging off, Attach must not
-// subscribe the policy to schedd events at all — the byte-identity
-// guarantee for disabled mechanisms rests on taking zero actions.
-func TestHedgeDisabledSubscribesNothing(t *testing.T) {
-	k := sim.NewKernel(10)
-	p, err := ospool.New(k, hedgePoolConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := htcondor.NewSchedd("s", k, nil)
-	p.AddSchedd(s)
-	r, err := New(k, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Attach(p, s)
-	jobs := make([]*htcondor.Job, 9)
-	for i := range jobs {
-		jobs[i] = &htcondor.Job{Owner: "u", RequestCpus: 4, RequestMemoryMB: 8192, BaseExecSeconds: 300}
-	}
-	if _, err := s.Submit(jobs); err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	if err := p.RunUntilDone(48 * 3600); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st != (Stats{}) {
-		t.Fatalf("disabled policy took actions: %+v", st)
-	}
-	if len(s.AllJobs()) != len(jobs) {
-		t.Fatalf("disabled policy changed the job population: %d", len(s.AllJobs()))
 	}
 }

@@ -1,8 +1,8 @@
 // Package recovery is the deterministic, sim-clock-native adaptive
 // recovery layer for the OSPool/HTCondor stack — the defensive
-// counterpart of internal/faults. A Policy bundles four individually
-// toggleable mechanisms, each a production-HTCondor recovery shape the
-// fault engine's pathologies exist to exercise:
+// counterpart of internal/faults. A Policy bundles four fixed
+// mechanisms, each a production-HTCondor recovery shape the fault
+// engine's pathologies exist to exercise:
 //
 //  1. exponential backoff with deterministic jitter on DAGMan RETRY
 //     resubmissions (instead of the classic same-tick requeue), via
@@ -18,10 +18,13 @@
 //     completed siblings' runtimes, a speculative clone is submitted
 //     and the first finisher wins, the loser being cancelled.
 //
+// There is one policy: its tuning is the constants below, and the off
+// state is attaching no policy (every nil-off hook seam then takes the
+// pre-recovery code path).
+//
 // Determinism: the policy owns a private sim.RNG stream split from the
 // kernel's root (like internal/faults), so attaching a policy never
-// perturbs the pool's or workflow's variate sequences, and a fully
-// disabled policy is byte-identical to no policy at all. All state is
+// perturbs the pool's or workflow's variate sequences. All state is
 // keyed by pointer or site name and mutated only inside kernel events,
 // so runs are reproducible for any GOMAXPROCS or -j fan-out.
 package recovery
@@ -37,132 +40,35 @@ import (
 	"fdw/internal/sim"
 )
 
-// BackoffConfig shapes retry backoff for DAGMan node resubmissions.
-type BackoffConfig struct {
-	Enabled     bool
-	BaseSeconds float64 // delay before the first retry
-	Factor      float64 // multiplier per additional failed attempt
-	MaxSeconds  float64 // delay ceiling
-	Jitter      float64 // ± fractional jitter, in [0,1): delay *= 1 + Jitter*U(-1,1)
-}
+// The one recovery policy. Each constant is tuned for the standard
+// chaos plans at OSPool scale.
+const (
+	// Retry backoff spreads retry storms without stalling short DAGs:
+	// attempt k waits min(base·factor^(k-1), max) seconds, scaled by
+	// 1 + jitter·U(-1,1) from the policy's private stream.
+	backoffBaseSeconds = 30   // delay before the first retry
+	backoffFactor      = 2    // multiplier per additional failed attempt
+	backoffMaxSeconds  = 600  // delay ceiling
+	backoffJitter      = 0.25 // ± fractional jitter, in [0,1)
 
-// BreakerConfig shapes the per-site circuit breakers.
-type BreakerConfig struct {
-	Enabled          bool
-	FailureThreshold int     // consecutive failures that open the breaker
-	CooldownSeconds  float64 // open duration before half-open probing
-	HalfOpenProbes   int     // attempts admitted while half-open
-}
+	// Breakers trip on sustained single-site failure (a black hole) but
+	// tolerate pool-wide probabilistic bursts.
+	breakerFailureThreshold = 4    // consecutive failures that open a breaker
+	breakerCooldownSeconds  = 1800 // open duration before half-open probing
+	breakerHalfOpenProbes   = 2    // attempts admitted while half-open
 
-// DeadlineConfig shapes per-job wall-clock deadlines.
-type DeadlineConfig struct {
-	Enabled      bool
-	Multiple     float64 // budget = Multiple × BaseExecSeconds + GraceSeconds
-	GraceSeconds float64 // absolute slack for transfers and slow slots
-}
+	// Deadlines give slow sites generous slack: an attempt's budget is
+	// multiple × BaseExecSeconds + grace, doubled per prior eviction.
+	deadlineMultiple     = 6
+	deadlineGraceSeconds = 900 // absolute slack for transfers and slow slots
 
-// HedgeConfig shapes straggler hedging.
-type HedgeConfig struct {
-	Enabled     bool
-	Quantile    float64 // sibling-runtime quantile the threshold grows from, in (0,1]
-	Multiplier  float64 // threshold = Multiplier × quantile runtime
-	MinSiblings int     // completed siblings needed before hedging arms
-}
-
-// Config bundles the four mechanisms. The zero value disables all of
-// them; an attached all-disabled policy leaves every simulation
-// byte-identical to an unattached one.
-type Config struct {
-	Backoff  BackoffConfig
-	Breaker  BreakerConfig
-	Deadline DeadlineConfig
-	Hedge    HedgeConfig
-}
-
-// DefaultConfig enables all four mechanisms with settings tuned for
-// the standard chaos plans at OSPool scale: backoff spreads retry storms
-// without stalling short DAGs, breakers trip on sustained single-site
-// failure (a black hole) but tolerate pool-wide probabilistic bursts,
-// deadlines give slow sites generous slack, and hedging only chases
-// clear stragglers.
-func DefaultConfig() Config {
-	return Config{
-		Backoff: BackoffConfig{
-			Enabled:     true,
-			BaseSeconds: 30,
-			Factor:      2,
-			MaxSeconds:  600,
-			Jitter:      0.25,
-		},
-		Breaker: BreakerConfig{
-			Enabled:          true,
-			FailureThreshold: 4,
-			CooldownSeconds:  1800,
-			HalfOpenProbes:   2,
-		},
-		Deadline: DeadlineConfig{
-			Enabled:      true,
-			Multiple:     6,
-			GraceSeconds: 900,
-		},
-		Hedge: HedgeConfig{
-			Enabled:     true,
-			Quantile:    0.75,
-			Multiplier:  3,
-			MinSiblings: 4,
-		},
-	}
-}
-
-// Validate reports configuration errors. Parameters of disabled
-// mechanisms are not checked, so the zero Config is always valid.
-func (c Config) Validate() error {
-	if b := c.Backoff; b.Enabled {
-		if b.BaseSeconds <= 0 {
-			return fmt.Errorf("recovery: backoff base %v must be positive", b.BaseSeconds)
-		}
-		if b.Factor < 1 {
-			return fmt.Errorf("recovery: backoff factor %v must be >= 1", b.Factor)
-		}
-		if b.MaxSeconds < b.BaseSeconds {
-			return fmt.Errorf("recovery: backoff max %v below base %v", b.MaxSeconds, b.BaseSeconds)
-		}
-		if b.Jitter < 0 || b.Jitter >= 1 {
-			return fmt.Errorf("recovery: backoff jitter %v outside [0,1)", b.Jitter)
-		}
-	}
-	if b := c.Breaker; b.Enabled {
-		if b.FailureThreshold <= 0 {
-			return fmt.Errorf("recovery: breaker threshold %d must be positive", b.FailureThreshold)
-		}
-		if b.CooldownSeconds <= 0 {
-			return fmt.Errorf("recovery: breaker cooldown %v must be positive", b.CooldownSeconds)
-		}
-		if b.HalfOpenProbes <= 0 {
-			return fmt.Errorf("recovery: breaker probes %d must be positive", b.HalfOpenProbes)
-		}
-	}
-	if d := c.Deadline; d.Enabled {
-		if d.Multiple <= 1 {
-			return fmt.Errorf("recovery: deadline multiple %v must exceed 1", d.Multiple)
-		}
-		if d.GraceSeconds < 0 {
-			return fmt.Errorf("recovery: negative deadline grace %v", d.GraceSeconds)
-		}
-	}
-	if h := c.Hedge; h.Enabled {
-		if h.Quantile <= 0 || h.Quantile > 1 {
-			return fmt.Errorf("recovery: hedge quantile %v outside (0,1]", h.Quantile)
-		}
-		if h.Multiplier <= 1 {
-			return fmt.Errorf("recovery: hedge multiplier %v must exceed 1", h.Multiplier)
-		}
-		if h.MinSiblings < 2 {
-			return fmt.Errorf("recovery: hedge min siblings %d must be >= 2", h.MinSiblings)
-		}
-	}
-	return nil
-}
+	// Hedging only chases clear stragglers: an attempt running past
+	// multiplier × the quantile of its completed siblings' runtimes,
+	// once enough siblings have completed, gets a speculative clone.
+	hedgeQuantile    = 0.75
+	hedgeMultiplier  = 3
+	hedgeMinSiblings = 4
+)
 
 // Stats are the policy's obs-independent decision counters.
 type Stats struct {
@@ -207,13 +113,12 @@ type breaker struct {
 	probes      int      // attempts admitted while half-open
 }
 
-// Policy binds a validated Config to a kernel and implements the
+// Policy binds the recovery constants to a kernel and implements the
 // ospool.RecoveryHook seam plus the DAGMan RetryDelay hook. One policy
 // serves one simulated environment; its RNG stream is split from the
 // kernel's root at construction, so creation order relative to other
 // Split calls is part of the reproducible setup.
 type Policy struct {
-	cfg    Config
 	kernel *sim.Kernel
 	rng    *sim.RNG
 	obs    *obs.Registry
@@ -226,61 +131,47 @@ type Policy struct {
 	stats Stats
 }
 
-// New validates cfg and binds it to k.
-func New(k *sim.Kernel, cfg Config) (*Policy, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New binds a policy to k.
+func New(k *sim.Kernel) *Policy {
 	return &Policy{
-		cfg:      cfg,
 		kernel:   k,
 		rng:      k.RNG().Split(0x4ec0e4),
 		breakers: map[string]*breaker{},
 		hedge:    newHedgeState(),
-	}, nil
+	}
 }
 
 // SetObs attaches a metrics registry; decisions are counted but never
 // read back (record-never-decide). nil disables instrumentation.
 func (r *Policy) SetObs(o *obs.Registry) { r.obs = o }
 
-// Attach installs the policy into a pool and, when hedging is enabled,
-// subscribes to the schedds submitting to it. Call once, before the
+// Attach installs the policy into a pool and subscribes the hedging
+// listener to the schedds submitting to it. Call once, before the
 // simulation runs.
 func (r *Policy) Attach(p *ospool.Pool, schedds ...*htcondor.Schedd) {
 	r.pool = p
 	p.SetRecovery(r)
-	if r.cfg.Hedge.Enabled {
-		for _, s := range schedds {
-			s := s
-			s.Subscribe(func(j *htcondor.Job, ev htcondor.EventType) { r.onJobEvent(s, j, ev) })
-		}
+	for _, s := range schedds {
+		s := s
+		s.Subscribe(func(j *htcondor.Job, ev htcondor.EventType) { r.onJobEvent(s, j, ev) })
 	}
 }
 
-// AttachExecutor installs the backoff hook on a DAGMan executor. With
-// backoff disabled the hook returns 0 and the executor's requeue path
-// is byte-identical to having no hook at all.
+// AttachExecutor installs the backoff hook on a DAGMan executor.
 func (r *Policy) AttachExecutor(e *dagman.Executor) { e.RetryDelay = r.RetryDelay }
 
 // RetryDelay implements the dagman.Executor hook: exponential backoff
 // with deterministic jitter from the policy's private stream. attempt
 // is the just-failed attempt number (1 for the first failure).
 func (r *Policy) RetryDelay(node string, attempt int) sim.Time {
-	b := r.cfg.Backoff
-	if !b.Enabled {
-		return 0
+	d := float64(backoffBaseSeconds)
+	for i := 1; i < attempt && d < backoffMaxSeconds; i++ {
+		d *= backoffFactor
 	}
-	d := b.BaseSeconds
-	for i := 1; i < attempt && d < b.MaxSeconds; i++ {
-		d *= b.Factor
+	if d > backoffMaxSeconds {
+		d = backoffMaxSeconds
 	}
-	if d > b.MaxSeconds {
-		d = b.MaxSeconds
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*r.rng.Uniform(-1, 1)
-	}
+	d *= 1 + backoffJitter*r.rng.Uniform(-1, 1)
 	if d < 1 {
 		d = 1
 	}
@@ -320,22 +211,19 @@ func (r *Policy) transition(site string, b *breaker, to breakerState, now sim.Ti
 // site until its cooldown elapses, then the breaker goes half-open and
 // admits a bounded number of probe attempts.
 func (r *Policy) VetoMatch(site string, now sim.Time) bool {
-	if !r.cfg.Breaker.Enabled {
-		return false
-	}
 	b := r.breakers[site]
 	if b == nil {
 		return false
 	}
 	switch b.state {
 	case breakerOpen:
-		if float64(now-b.openedAt) < r.cfg.Breaker.CooldownSeconds {
+		if float64(now-b.openedAt) < breakerCooldownSeconds {
 			return true
 		}
 		r.transition(site, b, breakerHalfOpen, now)
 		return false
 	case breakerHalfOpen:
-		return b.probes >= r.cfg.Breaker.HalfOpenProbes
+		return b.probes >= breakerHalfOpenProbes
 	default:
 		return false
 	}
@@ -346,15 +234,11 @@ func (r *Policy) VetoMatch(site string, now sim.Time) bool {
 // doubles the budget, so a job can never be starved by its own deadline
 // — slow sites and cold transfers eventually fit.
 func (r *Policy) JobDeadlineSeconds(j *htcondor.Job, now sim.Time) float64 {
-	d := r.cfg.Deadline
-	if !d.Enabled {
-		return 0
-	}
 	base := j.BaseExecSeconds
 	if base < 1 {
 		base = 1
 	}
-	budget := d.Multiple*base + d.GraceSeconds
+	budget := deadlineMultiple*base + deadlineGraceSeconds
 	for i := 0; i < j.Evictions && i < 8; i++ {
 		budget *= 2
 	}
@@ -363,10 +247,8 @@ func (r *Policy) JobDeadlineSeconds(j *htcondor.Job, now sim.Time) float64 {
 
 // AttemptStarted implements ospool.RecoveryHook.
 func (r *Policy) AttemptStarted(site string, j *htcondor.Job, now sim.Time) {
-	if r.cfg.Breaker.Enabled {
-		if b := r.breakers[site]; b != nil && b.state == breakerHalfOpen {
-			b.probes++
-		}
+	if b := r.breakers[site]; b != nil && b.state == breakerHalfOpen {
+		b.probes++
 	}
 }
 
@@ -376,9 +258,6 @@ func (r *Policy) AttemptStarted(site string, j *htcondor.Job, now sim.Time) {
 func (r *Policy) AttemptEnded(site string, j *htcondor.Job, outcome ospool.AttemptOutcome, ranSeconds float64, now sim.Time) {
 	if outcome == ospool.AttemptDeadline {
 		r.stats.DeadlineEvictions++
-	}
-	if !r.cfg.Breaker.Enabled {
-		return
 	}
 	switch outcome {
 	case ospool.AttemptOK:
@@ -405,7 +284,7 @@ func (r *Policy) AttemptEnded(site string, j *htcondor.Job, outcome ospool.Attem
 			r.transition(site, b, breakerOpen, now)
 		case breakerClosed:
 			b.consecutive++
-			if b.consecutive >= r.cfg.Breaker.FailureThreshold {
+			if b.consecutive >= breakerFailureThreshold {
 				r.transition(site, b, breakerOpen, now)
 			}
 		case breakerOpen:
