@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fdw"
+	"fdw/internal/expt"
 	"fdw/internal/fakequakes"
 	"fdw/internal/geom"
 	"fdw/internal/linalg"
@@ -29,7 +30,7 @@ func benchOptions() fdw.ExperimentOptions {
 // the real numeric kernels: a stochastic rupture and GNSS waveforms.
 func BenchmarkFig1RuptureWaveform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fdw.Fig1(uint64(i+1), 8.1, 3); err != nil {
+		if _, err := expt.Fig1(uint64(i+1), 8.1, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +42,7 @@ func BenchmarkFig2QuantitySweep(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Fig2(opt); err != nil {
+		if _, err := expt.Run("fig2", opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func BenchmarkFig3ConcurrentDAGMans(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Fig3(opt); err != nil {
+		if _, err := expt.Run("fig3", opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkFig4JobTimeSeries(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Fig4(opt); err != nil {
+		if _, err := expt.Run("fig4", opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkFig5Bursting(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Fig5(opt); err != nil {
+		if _, err := expt.Run("fig5", opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkFig6BurstingCost(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Fig6(opt); err != nil {
+		if _, err := expt.Run("fig6", opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func BenchmarkHeadlineSpeedup(b *testing.B) {
 	opt.Scale = 0.1
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := fdw.Headline(opt); err != nil {
+		if _, err := expt.Run("headline", opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,13 +1,18 @@
 // Command fdwexp regenerates the paper's evaluation: one subcommand
-// per figure plus the §6 headline numbers.
+// per figure plus the §6 headline numbers, and this repository's
+// ablations, Policy 3, elastic and chaos experiments.
 //
 // Usage:
 //
-//	fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|policy3|elastic|chaos|all
-//	fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos
-//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] fig2|...|schedmatrix
+//	fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|ablate-recycling|ablate-stash|ablate-fanout|ablate-churn|policy3|elastic|chaos|all
+//	fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] experiment
+//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] experiment|schedmatrix
 //	fdwexp -merge [-csv dir] [-metrics path] manifest.json...
 //	fdwexp -status bundle-dir|manifest.json...
+//
+// An experiment is any name of the first line except fig1, ablate and
+// all: every one of them runs in-process, shards, schedules and merges
+// the same way, and writes the same CSV files under -csv.
 //
 // Flags:
 //
@@ -29,13 +34,13 @@
 // fig6 reruns it with the paper's 30% bursted-job cap for the cost and
 // runtime comparison (§5.3.3–5.3.4).
 //
-// -shard i/N runs one deterministic slice of a campaign and writes a
+// -shard i/N runs one deterministic slice of an experiment and writes a
 // manifest bundle (checkpointed after every cell; -resume picks up an
 // interrupted one), and with -metrics the rollup of the shard's cells;
 // -merge verifies a full set of shard bundles and reproduces the
 // unsharded report/CSV byte-for-byte (DESIGN.md §13).
 //
-// -sched workers=N drives a campaign through the fault-tolerant
+// -sched workers=N drives an experiment through the fault-tolerant
 // scheduler (DESIGN.md §16): N logical workers under cell leases with
 // heartbeat deadlines, atomically checkpointed per-worker bundles,
 // optional scripted worker faults (-crash-plan), work-stealing
@@ -71,9 +76,9 @@ import (
 	"fdw/internal/sched"
 )
 
-const usageLine = `usage: fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|policy3|elastic|chaos|all
-       fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos
-       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] fig2|fig3|fig5|fig6|chaos|schedmatrix
+const usageLine = `usage: fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|ablate-recycling|ablate-stash|ablate-fanout|ablate-churn|policy3|elastic|chaos|all
+       fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] experiment
+       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] experiment|schedmatrix
        fdwexp -merge [-csv dir] [-metrics path] manifest.json...
        fdwexp -status bundle-dir|manifest.json...`
 
@@ -291,9 +296,9 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 		if err != nil {
 			return err
 		}
-		return writeCSV(so.csvDir, "schedmatrix.csv", func(w io.Writer) error {
+		return writeCSVs(so.csvDir, expt.CSV{Name: "schedmatrix.csv", Write: func(w io.Writer) error {
 			return sched.WriteMatrixCSV(w, rows)
-		})
+		}})
 	}
 	h, err := expt.OpenCampaign(campaign, opt)
 	if err != nil {
@@ -321,7 +326,7 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 	if err != nil {
 		return err
 	}
-	return writeCSV(so.csvDir, mr.CSVName, mr.WriteCSV)
+	return writeCSVs(so.csvDir, mr.CSVs...)
 }
 
 // runStatusCmd prints the JSON bundle inventory for every argument
@@ -373,7 +378,7 @@ func runMergeCmd(opt fdw.ExperimentOptions, csvDir, metricsPath string, paths []
 	if err != nil {
 		return err
 	}
-	if err := writeCSV(csvDir, res.CSVName, res.WriteCSV); err != nil {
+	if err := writeCSVs(csvDir, res.CSVs...); err != nil {
 		return err
 	}
 	if metricsPath != "" {
@@ -391,85 +396,35 @@ func writeMetrics(path string, snap *obs.Snapshot) error {
 	})
 }
 
-// writeCSV saves figure data under dir when -csv is set.
-func writeCSV(dir, name string, write func(io.Writer) error) error {
-	if dir == "" {
+// writeCSVs saves figure data files under dir when -csv is set.
+func writeCSVs(dir string, csvs ...expt.CSV) error {
+	if dir == "" || len(csvs) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(filepath.Join(dir, name), write)
+	for _, c := range csvs {
+		if err := atomicfile.WriteFile(filepath.Join(dir, c.Name), c.Write); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
+// dispatch runs fig1, a name list, or one registered experiment and
+// writes the experiment's declared CSV files under csvDir.
 func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	switch cmd {
 	case "fig1":
 		return runFig1()
-	case "fig2":
-		rows, err := fdw.Fig2(opt)
-		if err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "fig2.csv", func(w io.Writer) error { return expt.WriteFig2CSV(w, rows) })
-	case "fig3":
-		rows, err := fdw.Fig3(opt)
-		if err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "fig3.csv", func(w io.Writer) error { return expt.WriteFig3CSV(w, rows) })
-	case "fig4":
-		data, err := fdw.Fig4(opt)
-		if err != nil {
-			return err
-		}
-		for _, d := range data {
-			d := d
-			name := fmt.Sprintf("fig4_n%d.csv", d.DAGMans)
-			if err := writeCSV(csvDir, name, func(w io.Writer) error { return expt.WriteFig4SeriesCSV(w, d) }); err != nil {
+	case "ablate":
+		for _, c := range []string{"ablate-recycling", "ablate-stash", "ablate-fanout", "ablate-churn"} {
+			if err := dispatch(c, opt, csvDir); err != nil {
 				return err
 			}
 		}
 		return nil
-	case "fig5":
-		cells, err := fdw.Fig5(opt)
-		if err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "fig5.csv", func(w io.Writer) error { return expt.WriteFig5CSV(w, cells) })
-	case "fig6":
-		cells, err := fdw.Fig6(opt)
-		if err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "fig6.csv", func(w io.Writer) error { return expt.WriteFig5CSV(w, cells) })
-	case "headline":
-		_, err := fdw.Headline(opt)
-		return err
-	case "ablate":
-		if _, err := fdw.AblationRecycling(opt); err != nil {
-			return err
-		}
-		if _, err := fdw.AblationStash(opt); err != nil {
-			return err
-		}
-		if _, err := fdw.AblationFanout(opt); err != nil {
-			return err
-		}
-		_, err := fdw.AblationChurn(opt)
-		return err
-	case "policy3":
-		_, err := fdw.Policy3Sweep(opt)
-		return err
-	case "elastic":
-		_, err := fdw.ElasticComparison(opt)
-		return err
-	case "chaos":
-		rows, err := fdw.Chaos(opt)
-		if err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "chaos.csv", func(w io.Writer) error { return expt.WriteChaosCSV(w, rows) })
 	case "all":
 		for _, c := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "headline", "ablate", "policy3", "elastic"} {
 			if err := dispatch(c, opt, csvDir); err != nil {
@@ -478,13 +433,16 @@ func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 			fmt.Println()
 		}
 		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", cmd)
 	}
+	res, err := expt.Run(cmd, opt)
+	if err != nil {
+		return err
+	}
+	return writeCSVs(csvDir, res.CSVs...)
 }
 
 func runFig1() error {
-	prod, err := fdw.Fig1(1, 8.1, 5)
+	prod, err := expt.Fig1(1, 8.1, 5)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"fdw"
+	"fdw/internal/expt"
+	"fdw/internal/sched"
 )
 
 func quickOpt() fdw.ExperimentOptions {
@@ -58,8 +60,8 @@ func TestExitCodes(t *testing.T) {
 		{nil, 0},
 		{errors.New("boom"), 1},
 		{usageErrorf("bad flags"), 2},
-		{fdw.ErrShardIncomplete, 3},
-		{fmt.Errorf("shard 1/2: %w", fdw.ErrShardIncomplete), 3},
+		{expt.ErrIncomplete, 3},
+		{fmt.Errorf("shard 1/2: %w", expt.ErrIncomplete), 3},
 	}
 	for _, c := range cases {
 		if got := exitCode(c.err); got != c.want {
@@ -185,7 +187,7 @@ func TestSchedCLIRoundTrip(t *testing.T) {
 
 	var bundles []string
 	for i := 0; i < 3; i++ {
-		bundles = append(bundles, fdw.SchedWorkerBundlePath(bundleDir, "fig2", i, 3))
+		bundles = append(bundles, sched.WorkerBundlePath(bundleDir, "fig2", i, 3))
 	}
 	mopt := quickOpt()
 	var mergedRep bytes.Buffer
@@ -284,10 +286,10 @@ func TestMergeWritesMetricsRollup(t *testing.T) {
 func TestCSVEmissionAtomic(t *testing.T) {
 	dir := t.TempDir()
 	emit := func(s string) error {
-		return writeCSV(dir, "fig.csv", func(w io.Writer) error {
+		return writeCSVs(dir, expt.CSV{Name: "fig.csv", Write: func(w io.Writer) error {
 			_, err := io.WriteString(w, s)
 			return err
-		})
+		}})
 	}
 	if err := emit("first,complete\n"); err != nil {
 		t.Fatal(err)
@@ -307,12 +309,12 @@ func TestCSVEmissionAtomic(t *testing.T) {
 	}
 
 	boom := errors.New("emitter failed mid-write")
-	if err := writeCSV(dir, "fig.csv", func(w io.Writer) error {
+	if err := writeCSVs(dir, expt.CSV{Name: "fig.csv", Write: func(w io.Writer) error {
 		if _, err := io.WriteString(w, "partial"); err != nil {
 			return err
 		}
 		return boom
-	}); !errors.Is(err, boom) {
+	}}); !errors.Is(err, boom) {
 		t.Fatalf("failed emission returned %v, want the emitter's error", err)
 	}
 	cur, err := os.ReadFile(path)

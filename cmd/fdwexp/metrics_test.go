@@ -68,13 +68,13 @@ func mergedMetrics(t *testing.T, paths []string) []byte {
 // One rollup: every executor — in-process at any -j, hash shards
 // (one killed and resumed) merged, the fault-tolerant scheduler's
 // worker bundles merged — gives the same metrics bytes for every
-// shardable campaign.
+// registered experiment.
 func TestMetricsRollupByteIdentical(t *testing.T) {
 	plan, err := faults.WorkerPlanByName("everything")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range expt.ShardableCampaigns() {
+	for _, name := range expt.Campaigns() {
 		t.Run(name, func(t *testing.T) {
 			want := dispatchMetrics(t, name, 1)
 			for _, workers := range []int{4, 8} {
@@ -120,8 +120,8 @@ func TestMetricsRollupByteIdentical(t *testing.T) {
 	}
 }
 
-// Every experiment of `fdwexp all`, not only the shardable campaigns,
-// rolls its cells up in canonical order.
+// Every experiment of `fdwexp all`, run back to back, rolls its cells
+// up in canonical order.
 func TestAllMetricsIdenticalAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(dispatchMetrics(t, "all", 1), dispatchMetrics(t, "all", 8)) {
 		t.Fatal("fdwexp all: -j 8 metrics differ from -j 1")

@@ -11,8 +11,7 @@
 //   - workflow execution: Config, Env, Workflow, RunBatch;
 //   - monitoring: BatchStats, AnalyzeLog, per-second series;
 //   - traces + bursting: BatchTrace, JobTrace, BurstConfig, Burst;
-//   - the single-machine baseline: Baseline;
-//   - experiment harnesses for every paper figure: Experiments;
+//   - experiment options for the fdwexp harness: ExperimentOptions;
 //   - the FakeQuakes numeric kernels via GenerateScenario;
 //   - the VDC catalog: Catalog, CatalogServer, CatalogClient.
 //
@@ -21,11 +20,9 @@
 package fdw
 
 import (
-	"fmt"
 	"io"
 	"math"
 
-	"fdw/internal/baseline"
 	"fdw/internal/burst"
 	"fdw/internal/core"
 	"fdw/internal/expt"
@@ -34,7 +31,6 @@ import (
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
 	"fdw/internal/ospool"
-	"fdw/internal/sched"
 	"fdw/internal/sim"
 	"fdw/internal/vdc"
 	"fdw/internal/wtrace"
@@ -51,9 +47,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // ParseConfig reads the FDW configuration-file syntax.
 func ParseConfig(r io.Reader) (Config, error) { return core.ParseConfig(r) }
-
-// WriteConfig renders cfg in the file syntax ParseConfig accepts.
-func WriteConfig(w io.Writer, cfg Config) error { return core.WriteConfig(w, cfg) }
 
 // PoolConfig parameterizes the simulated Open Science Pool.
 type PoolConfig = ospool.Config
@@ -206,60 +199,11 @@ func Burst(batch BatchTrace, jobs []JobTrace, cfg BurstConfig) (*BurstResult, er
 // series — the simulator's .csv output in the paper.
 var WriteBurstSeriesCSV = burst.WriteSeriesCSV
 
-// BaselineMachine is the single-host comparator.
-type BaselineMachine = baseline.Machine
-
-// BaselineBreakdown details the single-host stage times.
-type BaselineBreakdown = baseline.Breakdown
-
-// AWSBaseline returns the paper's 4-core AWS instance.
-func AWSBaseline() BaselineMachine { return baseline.AWSInstance() }
-
-// Baseline estimates single-machine wall time for cfg's workload.
-func Baseline(m BaselineMachine, cfg Config) (BaselineBreakdown, error) {
-	return baseline.Run(m, cfg)
-}
-
 // ExperimentOptions configures the per-figure harnesses.
 type ExperimentOptions = expt.Options
 
 // DefaultExperimentOptions mirrors the paper: three reps, full scale.
 func DefaultExperimentOptions() ExperimentOptions { return expt.DefaultOptions() }
-
-// Experiment harness entry points (see DESIGN.md's experiment index).
-var (
-	Fig2     = expt.Fig2
-	Fig3     = expt.Fig3
-	Fig4     = expt.Fig4
-	Fig5     = expt.Fig5
-	Fig6     = expt.Fig6
-	Headline = expt.Headline
-	Fig1     = expt.Fig1
-
-	// Extensions beyond the paper's evaluation (DESIGN.md §6):
-	// ablations of FDW design choices, the Policy-3 sweep the paper
-	// describes but does not run, and the future-work elastic policy.
-	AblationRecycling = expt.AblationRecycling
-	AblationStash     = expt.AblationStash
-	AblationFanout    = expt.AblationFanout
-	AblationChurn     = expt.AblationChurn
-	Policy3Sweep      = expt.Policy3Sweep
-	ElasticComparison = expt.ElasticComparison
-
-	// Chaos is the fault-injection sweep: the Fig. 2-scale workflow
-	// under every standard fault plan, with termination, conservation,
-	// and determinism invariants enforced (DESIGN.md §10).
-	Chaos = expt.Chaos
-)
-
-// Distributed campaigns (DESIGN.md §13, §16): a sharded or scheduled
-// campaign that stops early on its -cells budget returns
-// ErrShardIncomplete, leaving resumable bundles on disk;
-// SchedWorkerBundlePath names a scheduler worker's bundle.
-var (
-	ErrShardIncomplete    = expt.ErrIncomplete
-	SchedWorkerBundlePath = sched.WorkerBundlePath
-)
 
 // Scenario bundles one FakeQuakes rupture and its station waveforms.
 type Scenario struct {
@@ -311,51 +255,6 @@ func NewCatalogServer(c *Catalog) *CatalogServer { return vdc.NewServer(c) }
 
 // CatalogClient talks to a VDC portal.
 type CatalogClient = vdc.Client
-
-// DepositProducts archives a finished workflow's data products into a
-// VDC catalog — the paper's post-simulation step ("thousands of files
-// are congregated, labeled, and archived") feeding the Fig. 7
-// pipeline. It deposits one rupture-set, one Green's-function archive,
-// and one waveform-set product per batch, tagged for EEW discovery,
-// and returns the assigned product ids.
-func DepositProducts(w *Workflow, c *Catalog) ([]string, error) {
-	if !w.Done() {
-		return nil, fmt.Errorf("fdw: workflow %q has not finished", w.Cfg.Name)
-	}
-	_, aJobs, _, cJobs, _ := w.Cfg.JobCounts()
-	products := []Product{
-		{
-			Name: w.Cfg.Name + " ruptures", Type: vdc.TypeRupture,
-			Batch: w.Cfg.Name, Region: "chile", Mw: w.Cfg.MaxMw,
-			SizeBytes:   int64(aJobs) * 4e6,
-			Tags:        []string{"eew", "fakequakes"},
-			Description: fmt.Sprintf("%d stochastic rupture scenarios, Mw %.1f-%.1f", w.Cfg.Waveforms, w.Cfg.MinMw, w.Cfg.MaxMw),
-		},
-		{
-			Name: w.Cfg.Name + " greens functions", Type: vdc.TypeGF,
-			Batch: w.Cfg.Name, Region: "chile",
-			SizeBytes:   int64(1.05e9),
-			Tags:        []string{"recyclable"},
-			Description: fmt.Sprintf("%d-station GF archive (.mseed)", w.Cfg.Stations),
-		},
-		{
-			Name: w.Cfg.Name + " waveforms", Type: vdc.TypeWaveform,
-			Batch: w.Cfg.Name, Region: "chile", Mw: w.Cfg.MaxMw,
-			SizeBytes:   int64(cJobs) * 5e6,
-			Tags:        []string{"eew", "training", "gnss"},
-			Description: fmt.Sprintf("%d synthetic high-rate GNSS displacement waveforms", w.Cfg.Waveforms),
-		},
-	}
-	ids := make([]string, 0, len(products))
-	for _, p := range products {
-		id, err := c.Deposit(p)
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
 
 // NewCatalogClient returns a client for the portal at baseURL.
 func NewCatalogClient(baseURL string) *CatalogClient { return vdc.NewClient(baseURL) }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"fdw"
+	"fdw/internal/baseline"
+	"fdw/internal/core"
+	"fdw/internal/expt"
 )
 
 // TestPublicAPIEndToEnd drives the full public surface: configure →
@@ -108,7 +111,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestBaselineComparison(t *testing.T) {
 	cfg := fdw.DefaultConfig()
-	bl, err := fdw.Baseline(fdw.AWSBaseline(), cfg)
+	bl, err := baseline.Run(baseline.AWSInstance(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestConfigFileRoundTripPublic(t *testing.T) {
 	cfg := fdw.DefaultConfig()
 	cfg.Waveforms = 4321
 	var buf bytes.Buffer
-	if err := fdw.WriteConfig(&buf, cfg); err != nil {
+	if err := core.WriteConfig(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fdw.ParseConfig(&buf)
@@ -140,39 +143,6 @@ func TestConfigFileRoundTripPublic(t *testing.T) {
 	}
 	if got != cfg {
 		t.Fatal("config round trip changed values")
-	}
-}
-
-func TestDepositProducts(t *testing.T) {
-	env, err := fdw.NewEnv(8, fdw.DefaultPoolConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fdw.DefaultConfig()
-	cfg.Name = "archive-me"
-	cfg.Waveforms = 64
-	cfg.Stations = 2
-	w, err := fdw.NewWorkflow(cfg, env, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog := fdw.NewCatalog()
-	if _, err := fdw.DepositProducts(w, catalog); err == nil {
-		t.Fatal("deposit from unfinished workflow accepted")
-	}
-	if err := fdw.RunBatch(env, []*fdw.Workflow{w}, 48*3600); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := fdw.DepositProducts(w, catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 3 || catalog.Len() != 3 {
-		t.Fatalf("deposited %d products, catalog has %d", len(ids), catalog.Len())
-	}
-	training := catalog.Search(fdw.CatalogQuery{Tag: "training", Batch: "archive-me"})
-	if len(training) != 1 {
-		t.Fatalf("training products: %d, want 1", len(training))
 	}
 }
 
@@ -185,10 +155,11 @@ func TestEnabledRecoveryOnCleanRun(t *testing.T) {
 	opt := fdw.DefaultExperimentOptions()
 	opt.Scale = 0.002
 	opt.Seeds = []uint64{11}
-	rows, err := fdw.Chaos(opt)
+	res, err := expt.Run("chaos", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows.([]expt.ChaosRow)
 	seen := false
 	for _, r := range rows {
 		if r.Plan != "baseline" || !r.Recovery {

@@ -356,12 +356,14 @@ func TestBatchStatsReport(t *testing.T) {
 func TestWorkflowSurvivesFaultInjection(t *testing.T) {
 	// With per-job failures the DAGMan RETRY + job-level max_retries
 	// machinery must still drive the workflow to completion.
-	poolCfg := smallPool()
-	poolCfg.FailureProb = 0.15
-	env, err := NewEnv(13, poolCfg)
+	env, err := NewEnv(13, smallPool())
 	if err != nil {
 		t.Fatal(err)
 	}
+	failRNG := sim.NewRNG(13)
+	env.Pool.SetExecFault(func(string, *htcondor.Job, sim.Time) ospool.ExecFault {
+		return ospool.ExecFault{Fail: failRNG.Bool(0.15)}
+	})
 	cfg := DefaultConfig()
 	cfg.Waveforms = 128
 	cfg.Stations = 2

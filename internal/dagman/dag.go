@@ -117,7 +117,7 @@ func (d *DAG) Validate() error {
 func Parse(r io.Reader) (*DAG, error) {
 	d := NewDAG()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand up to a 1 MiB line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -823,5 +824,23 @@ func TestRescueRoundTripResumesAndConverges(t *testing.T) {
 	e3, _ := run(mkDAG(), func(string) int { return 0 })
 	if !reflect.DeepEqual(e2.NodeStates(), e3.NodeStates()) {
 		t.Fatalf("resumed states %v != uninterrupted states %v", e2.NodeStates(), e3.NodeStates())
+	}
+}
+
+// A short DAG file costs no 1 MiB scanner buffer: the line buffer
+// grows on demand.
+func TestParseSmallDAGAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := Parse(strings.NewReader("JOB a x.sub\nJOB b y.sub\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / n; b >= 64<<10 {
+		t.Fatalf("Parse of a two-line DAG allocates %d B, want < 64 KiB", b)
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // The ablations quantify the design choices DESIGN.md §6 calls out:
-// matrix recycling, the Stash cache, and the per-job fan-out. Each
+// matrix recycling, the Stash cache, the per-job fan-out and pilot
+// churn; Policy 3 and elastic extend the bursting study. Each campaign
 // returns paper-style rows and prints them to opt.Out.
 
 // AblationRow is one configuration of an ablation study.
@@ -35,11 +36,11 @@ type ablationVariant struct {
 
 func variantID(v ablationVariant) string { return v.id }
 
-// AblationRecycling measures FDW with and without the recyclable .npy
-// distance matrices (the paper: generating them is time-consuming, so
-// "recycling them is crucial").
-func AblationRecycling(opt Options) ([]AblationRow, error) {
-	return runAs[[]AblationRow](newCampaign("ablate-recycling", "",
+// ablateRecyclingCampaign measures FDW with and without the recyclable
+// .npy distance matrices (the paper: generating them is time-consuming,
+// so "recycling them is crucial").
+func ablateRecyclingCampaign() *campaign {
+	return newCampaign("ablate-recycling",
 		func(Options) []ablationVariant {
 			return []ablationVariant{{"recycled", "recycled .npy", true}, {"regenerated", "regenerate .npy", false}}
 		}, variantID,
@@ -55,20 +56,20 @@ func AblationRecycling(opt Options) ([]AblationRow, error) {
 			}
 			return ablationRow(v.label, wf), end, nil
 		},
-		func(opt Options, rows []AblationRow) (any, error) {
+		func(opt Options, rows []AblationRow) ([]AblationRow, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Ablation — matrix recycling (%d waveforms, full input)\n", opt.scaleN(1024))
 			for _, r := range rows {
 				fmt.Fprintf(w, "  %-16s runtime %6.2f h, %6.2f JPM, %d jobs\n", r.Label, r.RuntimeH, r.ThroughputJPM, r.Jobs)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }
 
-// AblationStash measures FDW with the Stash cache versus all-cold
+// ablateStashCampaign measures FDW with the Stash cache versus all-cold
 // transfers (every job pays origin bandwidth for the >1 GB inputs).
-func AblationStash(opt Options) ([]AblationRow, error) {
-	return runAs[[]AblationRow](newCampaign("ablate-stash", "",
+func ablateStashCampaign() *campaign {
+	return newCampaign("ablate-stash",
 		func(Options) []ablationVariant {
 			return []ablationVariant{{"cache", "stash cache", true}, {"no-cache", "no cache (all cold)", false}}
 		}, variantID,
@@ -88,21 +89,22 @@ func AblationStash(opt Options) ([]AblationRow, error) {
 			}
 			return ablationRow(v.label, wfs[0]), env.Kernel.Now(), nil
 		},
-		func(opt Options, rows []AblationRow) (any, error) {
+		func(opt Options, rows []AblationRow) ([]AblationRow, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Ablation — Stash cache (%d waveforms, full input)\n", opt.scaleN(2000))
 			for _, r := range rows {
 				fmt.Fprintf(w, "  %-20s runtime %6.2f h, %6.2f JPM\n", r.Label, r.RuntimeH, r.ThroughputJPM)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }
 
-// AblationFanout sweeps the phase C fan-out (waveforms per OSG job):
-// finer fan-out exposes more parallelism but multiplies scheduling and
-// transfer overhead — the trade that fixed the paper's 2-per-job choice.
-func AblationFanout(opt Options) ([]AblationRow, error) {
-	return runAs[[]AblationRow](newCampaign("ablate-fanout", "",
+// ablateFanoutCampaign sweeps the phase C fan-out (waveforms per OSG
+// job): finer fan-out exposes more parallelism but multiplies
+// scheduling and transfer overhead — the trade that fixed the paper's
+// 2-per-job choice.
+func ablateFanoutCampaign() *campaign {
+	return newCampaign("ablate-fanout",
 		func(Options) []int { return []int{1, 2, 8, 32} },
 		func(perJob int) string { return fmt.Sprintf("%d-per-job", perJob) },
 		func(opt Options, _ *campaignCtx, perJob int) (AblationRow, sim.Time, error) {
@@ -117,14 +119,14 @@ func AblationFanout(opt Options) ([]AblationRow, error) {
 			}
 			return ablationRow(fmt.Sprintf("%d wf/job", perJob), wf), end, nil
 		},
-		func(opt Options, rows []AblationRow) (any, error) {
+		func(opt Options, rows []AblationRow) ([]AblationRow, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Ablation — waveforms per job (%d waveforms, full input)\n", opt.scaleN(4096))
 			for _, r := range rows {
 				fmt.Fprintf(w, "  %-10s runtime %6.2f h, %6.2f JPM, %d jobs\n", r.Label, r.RuntimeH, r.ThroughputJPM, r.Jobs)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }
 
 // Policy3Row is one point of the submission-gap sweep.
@@ -142,11 +144,11 @@ type policy3Cell struct {
 	gapMin float64
 }
 
-// Policy3Sweep explores Policy 3 (submission gaps), which the paper
+// policy3Campaign explores Policy 3 (submission gaps), which the paper
 // defines but does not sweep: maximum allowed gaps of 5–60 minutes on
 // the two §4.3 batch traces.
-func Policy3Sweep(opt Options) ([]Policy3Row, error) {
-	return runAs[[]Policy3Row](newCampaign("policy3", "",
+func policy3Campaign() *campaign {
+	return newCampaign("policy3",
 		func(Options) []policy3Cell {
 			var cells []policy3Cell
 			for bi := 0; bi < 2; bi++ {
@@ -172,7 +174,7 @@ func Policy3Sweep(opt Options) ([]Policy3Row, error) {
 				CostUSD:    res.CostUSD,
 			}, sim.Time(res.RuntimeSecs), nil
 		},
-		func(opt Options, rows []Policy3Row) (any, error) {
+		func(opt Options, rows []Policy3Row) ([]Policy3Row, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Policy 3 sweep — burst on submission gaps\n")
 			fmt.Fprintf(w, "%8s %8s | %8s %8s %8s\n", "batch", "gap min", "AIT jpm", "burst %", "cost $")
@@ -181,7 +183,7 @@ func Policy3Sweep(opt Options) ([]Policy3Row, error) {
 					row.Batch, row.MaxGapMin, row.AvgJPM, row.BurstedPct, row.CostUSD)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }
 
 // ElasticRow compares the future-work elastic policy with Policy 1.
@@ -200,10 +202,10 @@ type elasticCell struct {
 	policy string
 }
 
-// ElasticComparison runs the paper's future-work elastic algorithm
+// elasticCampaign runs the paper's future-work elastic algorithm
 // against Policy 1 at the same probing cadence and target.
-func ElasticComparison(opt Options) ([]ElasticRow, error) {
-	return runAs[[]ElasticRow](newCampaign("elastic", "",
+func elasticCampaign() *campaign {
+	return newCampaign("elastic",
 		func(Options) []elasticCell {
 			return []elasticCell{{0, "policy-1"}, {0, "elastic"}, {1, "policy-1"}, {1, "elastic"}}
 		},
@@ -228,7 +230,7 @@ func ElasticComparison(opt Options) ([]ElasticRow, error) {
 				RuntimeH:   res.RuntimeSecs / 3600,
 			}, sim.Time(res.RuntimeSecs), nil
 		},
-		func(opt Options, rows []ElasticRow) (any, error) {
+		func(opt Options, rows []ElasticRow) ([]ElasticRow, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Elastic bursting (future work §6) vs Policy 1 (target %d JPM)\n", Fig5Threshold)
 			fmt.Fprintf(w, "%8s %-10s | %8s %8s %9s %9s\n", "batch", "policy", "AIT jpm", "burst %", "cost $", "runtime h")
@@ -237,7 +239,7 @@ func ElasticComparison(opt Options) ([]ElasticRow, error) {
 					row.Batch, row.Policy, row.AvgJPM, row.BurstedPct, row.CostUSD, row.RuntimeH)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }
 
 // churnResult is a churn cell's row plus the pool's eviction count.
@@ -246,13 +248,13 @@ type churnResult struct {
 	Evicted int
 }
 
-// AblationChurn measures FDW under aggressive pilot churn (mean
+// ablateChurnCampaign measures FDW under aggressive pilot churn (mean
 // glidein lifetime cut from 6 h to 45 min): evictions spike but the
 // requeue machinery keeps the workflow correct, at a bounded runtime
 // cost — the robustness argument for running FakeQuakes on
 // opportunistic OSG resources at all.
-func AblationChurn(opt Options) ([]AblationRow, error) {
-	return runAs[[]AblationRow](newCampaign("ablate-churn", "",
+func ablateChurnCampaign() *campaign {
+	return newCampaign("ablate-churn",
 		func(Options) []ablationVariant {
 			return []ablationVariant{{"6h-pilots", "6h pilots", false}, {"45min-pilots", "45min pilots", true}}
 		}, variantID,
@@ -273,7 +275,7 @@ func AblationChurn(opt Options) ([]AblationRow, error) {
 			_, _, evictions := env.Pool.Stats()
 			return churnResult{ablationRow(v.label, wfs[0]), evictions}, env.Kernel.Now(), nil
 		},
-		func(opt Options, results []churnResult) (any, error) {
+		func(opt Options, results []churnResult) ([]AblationRow, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Ablation — glidein churn (%d waveforms, full input)\n", opt.scaleN(2000))
 			rows := make([]AblationRow, len(results))
@@ -283,5 +285,5 @@ func AblationChurn(opt Options) ([]AblationRow, error) {
 					r.Row.Label, r.Row.RuntimeH, r.Row.ThroughputJPM, r.Evicted)
 			}
 			return rows, nil
-		}, nil), opt)
+		}, nil)
 }

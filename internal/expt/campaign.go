@@ -15,19 +15,18 @@ import (
 	"fdw/internal/wtrace"
 )
 
-// A campaign is a shardable experiment: a canonically ordered list of
+// A campaign is one experiment: a canonically ordered list of
 // independent cells (one simulation each, identified by a stable
-// string), a per-cell runner, and a finalizer that aggregates the
-// per-cell results into the printed report and figure rows. The
-// unsharded figure entry points (Fig2, Fig3, Fig5, Fig6, Chaos) run
-// every cell locally and finalize; the shard runner (shard.go) runs
-// one deterministic subset and persists results in a manifest, and the
-// merger re-finalizes from manifests — through the *same* finalize
-// code path, which is what makes merged output byte-identical to an
-// unsharded run (DESIGN.md §13).
+// string), a per-cell runner, a finalizer that aggregates the per-cell
+// results into the printed report and figure rows, and the CSV files
+// those rows render to. Run executes every cell locally and finalizes;
+// the shard runner (shard.go) and the scheduler (internal/sched) run
+// subsets and persist results in manifests, and the merger
+// re-finalizes from manifests — through the *same* finalize code path,
+// which is what makes merged output byte-identical to an unsharded run
+// (DESIGN.md §13).
 type campaign struct {
-	name    string
-	csvName string
+	name string
 	// cells enumerates the canonical cell id list. Ids must be unique
 	// and stable: they never depend on worker count, map order, or which
 	// shard is running.
@@ -40,10 +39,31 @@ type campaign struct {
 	// decode unmarshals one stored cell result (manifest JSON).
 	decode func(raw json.RawMessage) (any, error)
 	// finalize aggregates results (canonical cell order) into the
-	// printed report on opt.Out and returns the figure rows.
-	finalize func(opt Options, results []any) (any, error)
-	// writeCSV renders finalize's rows as the figure CSV.
-	writeCSV func(w io.Writer, rows any) error
+	// printed report on opt.Out and returns the figure rows with the
+	// CSV files the campaign declares over them.
+	finalize func(opt Options, results []any) (*Result, error)
+}
+
+// A CSV is one figure-data file a campaign declares: its file name
+// under fdwexp -csv and the writer that renders it.
+type CSV struct {
+	Name  string
+	Write func(w io.Writer) error
+}
+
+// Result is a finalized campaign, whichever executor ran its cells:
+// Run, CampaignHandle.Finalize and MergeManifests all return it.
+type Result struct {
+	Campaign string
+	// Rows is the finalize output ([]Fig2Row, []Fig4Data,
+	// *HeadlineResult, ...).
+	Rows any
+	// CSVs are the campaign's declared CSV files over Rows, in write
+	// order; empty for a campaign that declares none.
+	CSVs []CSV
+	// Metrics is the rollup MergeManifests builds: every merged cell's
+	// snapshot absorbed once, in canonical order (RollupMetrics).
+	Metrics *obs.Snapshot
 }
 
 // campaignCtx carries per-invocation shared state across cell runs:
@@ -60,22 +80,32 @@ type campaignCtx struct {
 func (ctx *campaignCtx) traces(opt Options) ([]wtrace.BatchRecord, [][]wtrace.JobRecord, error) {
 	ctx.traceOnce.Do(func() {
 		opt.Obs = nil // a shared input, metered by no cell
-		ctx.batches, ctx.jobs, ctx.traceErr = MakeBatchTraces(opt)
+		ctx.batches, ctx.jobs, ctx.traceErr = makeBatchTraces(opt)
 	})
 	return ctx.batches, ctx.jobs, ctx.traceErr
 }
 
-// campaigns is the shardable campaign registry, in dispatch order.
+// campaigns is the experiment registry, in fdwexp's print order: every
+// experiment runs, shards, schedules, merges and writes its CSVs
+// through its entry here.
 var campaigns = []*campaign{
 	fig2Campaign(),
 	fig3Campaign(),
+	fig4Campaign(),
 	fig5Campaign("fig5", 1.0, "Fig. 5"),
 	fig5Campaign("fig6", burst.DefaultMaxBurstFraction, "Fig. 6"),
+	headlineCampaign(),
+	ablateRecyclingCampaign(),
+	ablateStashCampaign(),
+	ablateFanoutCampaign(),
+	ablateChurnCampaign(),
+	policy3Campaign(),
+	elasticCampaign(),
 	chaosCampaign(),
 }
 
-// ShardableCampaigns lists the campaigns fdwexp can run as -shard i/N.
-func ShardableCampaigns() []string {
+// Campaigns lists the registered experiment names.
+func Campaigns() []string {
 	out := make([]string, len(campaigns))
 	for i, c := range campaigns {
 		out[i] = c.name
@@ -89,7 +119,17 @@ func campaignByName(name string) (*campaign, error) {
 			return c, nil
 		}
 	}
-	return nil, fmt.Errorf("expt: %q is not a shardable campaign (have %v)", name, ShardableCampaigns())
+	return nil, fmt.Errorf("expt: unknown experiment %q (have %v)", name, Campaigns())
+}
+
+// Run executes every cell of the named experiment in-process and
+// finalizes, printing the report to opt.Out.
+func Run(name string, opt Options) (*Result, error) {
+	c, err := campaignByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return runCampaign(c, opt)
 }
 
 // checkCellIDs enforces the id contract: non-empty and unique.
@@ -108,9 +148,9 @@ func checkCellIDs(campaign string, ids []string) ([]string, error) {
 }
 
 // runCampaign executes every cell locally, absorbs the cells' metrics
-// into opt.Obs in canonical order, and finalizes — the path behind
-// every experiment entry point, and the one fan-out besides RunShard.
-func runCampaign(c *campaign, opt Options) (any, error) {
+// into opt.Obs in canonical order, and finalizes — the path behind Run,
+// and the one fan-out besides RunShard.
+func runCampaign(c *campaign, opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -151,32 +191,21 @@ func decodeInto[T any](raw json.RawMessage) (any, error) {
 	return v, nil
 }
 
-// runAs is runCampaign with the rows asserted to the entry point's type.
-func runAs[T any](c *campaign, opt Options) (T, error) {
-	rows, err := runCampaign(c, opt)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return rows.(T), nil
-}
-
 // newCampaign builds a campaign from typed parts: list enumerates the
 // cells in canonical order and id names each. The run wrapper, the one
 // place every executor runs a cell, meters a metered cell into its own
 // unclocked registry and wraps every run error once as
-// "expt: <name> cell <id>: ...". writeCSV is nil outside the shardable
-// registry.
-func newCampaign[C, R any](name, csvName string,
+// "expt: <name> cell <id>: ...". csvs declares the campaign's CSV
+// files over finalize's rows (nil: none).
+func newCampaign[C, R, O any](name string,
 	list func(opt Options) []C,
 	id func(c C) string,
 	run func(opt Options, ctx *campaignCtx, c C) (R, sim.Time, error),
-	finalize func(opt Options, results []R) (any, error),
-	writeCSV func(w io.Writer, rows any) error,
+	finalize func(opt Options, results []R) (O, error),
+	csvs func(rows O) []CSV,
 ) *campaign {
 	return &campaign{
-		name:    name,
-		csvName: csvName,
+		name: name,
 		cells: func(opt Options) ([]string, error) {
 			cells := list(opt)
 			ids := make([]string, len(cells))
@@ -197,14 +226,28 @@ func newCampaign[C, R any](name, csvName string,
 			return r, end, opt.Obs, nil
 		},
 		decode: decodeInto[R],
-		finalize: func(opt Options, results []any) (any, error) {
+		finalize: func(opt Options, results []any) (*Result, error) {
 			typed := make([]R, len(results))
 			for i, r := range results {
 				typed[i] = r.(R)
 			}
-			return finalize(opt, typed)
+			rows, err := finalize(opt, typed)
+			if err != nil {
+				return nil, err
+			}
+			res := &Result{Campaign: name, Rows: rows}
+			if csvs != nil {
+				res.CSVs = csvs(rows)
+			}
+			return res, nil
 		},
-		writeCSV: writeCSV,
+	}
+}
+
+// oneCSV declares a campaign's single CSV file.
+func oneCSV[O any](name string, write func(w io.Writer, rows O) error) func(O) []CSV {
+	return func(rows O) []CSV {
+		return []CSV{{Name: name, Write: func(w io.Writer) error { return write(w, rows) }}}
 	}
 }
 
@@ -237,8 +280,10 @@ func fig2Cells(opt Options) []fig2Cell {
 	return cells
 }
 
+// fig2Campaign reruns §4.1/§5.1: increasing quantities × {2, 121}
+// stations, one cell per (stations, quantity, seed).
 func fig2Campaign() *campaign {
-	return newCampaign("fig2", "fig2.csv", fig2Cells,
+	return newCampaign("fig2", fig2Cells,
 		func(c fig2Cell) string { return fmt.Sprintf("s%d/q%d/seed%d", c.stations, c.quantity, c.seed) },
 		func(opt Options, _ *campaignCtx, c fig2Cell) (runResult, sim.Time, error) {
 			n := opt.scaleN(c.quantity)
@@ -246,7 +291,7 @@ func fig2Campaign() *campaign {
 			cfg.Stations = c.stations
 			return measureOne(opt, cfg, c.seed)
 		},
-		func(opt Options, results []runResult) (any, error) {
+		func(opt Options, results []runResult) ([]Fig2Row, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Fig. 2 — increasing earthquake simulation quantities (scale %.2f, %d reps)\n", opt.Scale, len(opt.Seeds))
 			fmt.Fprintf(w, "%8s %9s %7s | %21s | %18s\n", "stations", "waveforms", "jobs", "avg runtime h (sd)", "avg JPM (sd)")
@@ -279,7 +324,7 @@ func fig2Campaign() *campaign {
 			}
 			return rows, nil
 		},
-		func(w io.Writer, rows any) error { return WriteFig2CSV(w, rows.([]Fig2Row)) })
+		oneCSV("fig2.csv", writeFig2CSV))
 }
 
 // ---------------------------------------------------------------- fig3
@@ -307,8 +352,14 @@ func fig3Cells(opt Options) []fig3Cell {
 	return cells
 }
 
+// fig3Campaign reruns §4.2/§5.2: N concurrent DAGMans jointly
+// producing 16,000 waveforms with the full Chilean input, all under one
+// OSG user. One cell per (concurrency level, seed); each cell simulates
+// its whole batch in a private Env, and finalize stitches measurements
+// back in (level, seed, DAGMan) order so floating-point aggregation
+// sums in exactly the serial order.
 func fig3Campaign() *campaign {
-	return newCampaign("fig3", "fig3.csv", fig3Cells,
+	return newCampaign("fig3", fig3Cells,
 		func(c fig3Cell) string { return fmt.Sprintf("n%d/seed%d", c.dagmans, c.seed) },
 		func(opt Options, _ *campaignCtx, c fig3Cell) (fig3Result, sim.Time, error) {
 			env, err := core.NewEnvObs(c.seed, opt.Pool, opt.Obs)
@@ -327,7 +378,7 @@ func fig3Campaign() *campaign {
 			res.MakespanH = float64(env.Kernel.Now()) / 3600
 			return res, env.Kernel.Now(), nil
 		},
-		func(opt Options, results []fig3Result) (any, error) {
+		func(opt Options, results []fig3Result) ([]Fig3Row, error) {
 			w := opt.out()
 			total := opt.scaleN(Fig3Total)
 			fmt.Fprintf(w, "Fig. 3 — concurrent HTCondor DAGMans jointly making %d waveforms (%d reps)\n", total, len(opt.Seeds))
@@ -359,7 +410,7 @@ func fig3Campaign() *campaign {
 			}
 			return rows, nil
 		},
-		func(w io.Writer, rows any) error { return WriteFig3CSV(w, rows.([]Fig3Row)) })
+		oneCSV("fig3.csv", writeFig3CSV))
 }
 
 // ------------------------------------------------------------- fig5/6
@@ -372,7 +423,7 @@ type fig5Spec struct {
 }
 
 // fig5Specs enumerates every (batch, policy) cell in print order: the
-// pure-OSG control first for each of MakeBatchTraces' two batches,
+// pure-OSG control first for each of makeBatchTraces' two batches,
 // then queue × probe.
 func fig5Specs(Options) []fig5Spec {
 	var specs []fig5Spec
@@ -405,10 +456,14 @@ func printFig5Cells(w io.Writer, label string, maxBurstFraction float64, cells [
 	}
 }
 
-// fig5Campaign builds the bursting-sweep campaign for the given cap:
-// Fig. 5 runs uncapped, Fig. 6 with the paper's 30% bursted-job cap.
+// fig5Campaign builds the bursting-sweep campaign for the given cap.
+// Fig. 5 reruns §4.3/§5.3.1–5.3.2: the probe-time × queue-time sweep
+// over two batches with no bursting cap, with the pure-OSG control
+// first for each batch. Fig. 6 reruns §5.3.3–5.3.4: the same sweep with
+// the paper's 30% bursted-job cap, whose cost and runtime columns
+// Fig. 6 plots. Each process regenerates the batch traces locally.
 func fig5Campaign(name string, maxBurstFraction float64, label string) *campaign {
-	return newCampaign(name, name+".csv", fig5Specs,
+	return newCampaign(name, fig5Specs,
 		func(s fig5Spec) string {
 			if s.control {
 				return fmt.Sprintf("b%d/ctl", s.bi+1)
@@ -440,11 +495,11 @@ func fig5Campaign(name string, maxBurstFraction float64, label string) *campaign
 				CostUSD:    res.CostUSD,
 			}, sim.Time(res.RuntimeSecs), nil
 		},
-		func(opt Options, cells []Fig5Cell) (any, error) {
+		func(opt Options, cells []Fig5Cell) ([]Fig5Cell, error) {
 			printFig5Cells(opt.out(), label, maxBurstFraction, cells)
 			return cells, nil
 		},
-		func(w io.Writer, rows any) error { return WriteFig5CSV(w, rows.([]Fig5Cell)) })
+		oneCSV(name+".csv", writeFig5CSV))
 }
 
 // ---------------------------------------------------------------- chaos
@@ -469,8 +524,12 @@ func chaosCells(opt Options) []chaosCell {
 	return cells
 }
 
+// chaosCampaign runs the recovery A/B chaos matrix: one row per (plan,
+// seed, recovery) cell in grid order, recovery-off before recovery-on
+// within each (plan, seed). Rows and per-plan deltas are printed to
+// opt.Out.
 func chaosCampaign() *campaign {
-	return newCampaign("chaos", "chaos.csv", chaosCells,
+	return newCampaign("chaos", chaosCells,
 		func(c chaosCell) string {
 			arm := "off"
 			if c.rec {
@@ -481,9 +540,9 @@ func chaosCampaign() *campaign {
 		func(opt Options, _ *campaignCtx, c chaosCell) (ChaosRow, sim.Time, error) {
 			return chaosOne(opt, c.plan, c.seed, c.rec)
 		},
-		func(opt Options, rows []ChaosRow) (any, error) {
+		func(opt Options, rows []ChaosRow) ([]ChaosRow, error) {
 			printChaosReport(opt, rows)
 			return rows, nil
 		},
-		func(w io.Writer, rows any) error { return WriteChaosCSV(w, rows.([]ChaosRow)) })
+		oneCSV("chaos.csv", writeChaosCSV))
 }

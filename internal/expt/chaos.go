@@ -50,18 +50,8 @@ type ChaosRow struct {
 	WastedCPUH  float64 // slot hours that produced no completed work
 }
 
-// Chaos runs the recovery A/B chaos matrix and returns one row per
-// (plan, seed, recovery) cell in grid order, recovery-off before
-// recovery-on within each (plan, seed). Rows and per-plan deltas are
-// printed to opt.Out; the fan-out across opt.Workers leaves the bytes
-// identical to a serial run. The matrix is a shardable campaign
-// (campaign.go), so fdwexp -shard/-merge covers it too.
-func Chaos(opt Options) ([]ChaosRow, error) {
-	return runAs[[]ChaosRow](chaosCampaign(), opt)
-}
-
-// printChaosReport renders the full matrix plus per-plan deltas —
-// shared by the unsharded path and the campaign merge finalizer.
+// printChaosReport renders the full matrix plus per-plan deltas: the
+// chaos campaign's finalizer.
 func printChaosReport(opt Options, rows []ChaosRow) {
 	w := opt.out()
 	plans := faults.StandardPlans()
@@ -240,8 +230,8 @@ func chaosOne(opt Options, plan faults.Plan, seed uint64, rec bool) (ChaosRow, s
 	return row, env.Kernel.Now(), nil
 }
 
-// WriteChaosCSV writes the chaos-matrix rows.
-func WriteChaosCSV(w io.Writer, rows []ChaosRow) error {
+// writeChaosCSV writes the chaos-matrix rows.
+func writeChaosCSV(w io.Writer, rows []ChaosRow) error {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{

@@ -26,17 +26,13 @@ func runChaos(t *testing.T, workers int) ([]ChaosRow, string) {
 	opt.Workers = workers
 	var out bytes.Buffer
 	opt.Out = &out
-	rows, err := Chaos(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows, out.String()
+	return runRows[[]ChaosRow](t, "chaos", opt), out.String()
 }
 
 // TestChaosSweepShort is the CI chaos entry point: the full standard
 // plan grid × recovery {off,on} at small scale, with the sweep's own
-// invariants (termination and job conservation) enforced inside Chaos,
-// plus cross-worker byte-identity checked here.
+// invariants (termination and job conservation) enforced inside the
+// campaign, plus cross-worker byte-identity checked here.
 func TestChaosSweepShort(t *testing.T) {
 	rows1, out1 := runChaos(t, 1)
 	rows4, out4 := runChaos(t, 4)
@@ -114,7 +110,7 @@ func TestChaosCountsInjectedFaults(t *testing.T) {
 	opt.Obs = obs.NewRegistry(nil)
 	var out bytes.Buffer
 	opt.Out = &out
-	if _, err := Chaos(opt); err != nil {
+	if _, err := Run("chaos", opt); err != nil {
 		t.Fatal(err)
 	}
 	var injected uint64
@@ -134,7 +130,7 @@ func TestChaosCSV(t *testing.T) {
 		Submitted: 10, CompletedOK: 10, RuntimeH: 1.5,
 	}}
 	var buf bytes.Buffer
-	if err := WriteChaosCSV(&buf, rows); err != nil {
+	if err := writeChaosCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()

@@ -7,7 +7,8 @@ import (
 )
 
 // CSV writers for the figure data, so the rows the harness prints can
-// be re-plotted outside Go. One writer per figure's row type.
+// be re-plotted outside Go. One writer per figure's row type; each
+// campaign declares the files its writer renders.
 
 func writeCSV(w io.Writer, header []string, rows [][]string) error {
 	cw := csv.NewWriter(w)
@@ -26,8 +27,8 @@ func writeCSV(w io.Writer, header []string, rows [][]string) error {
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 func d(v int) string     { return strconv.Itoa(v) }
 
-// WriteFig2CSV writes the Fig. 2 rows.
-func WriteFig2CSV(w io.Writer, rows []Fig2Row) error {
+// writeFig2CSV writes the Fig. 2 rows.
+func writeFig2CSV(w io.Writer, rows []Fig2Row) error {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -43,8 +44,8 @@ func WriteFig2CSV(w io.Writer, rows []Fig2Row) error {
 	}, out)
 }
 
-// WriteFig3CSV writes the Fig. 3 rows.
-func WriteFig3CSV(w io.Writer, rows []Fig3Row) error {
+// writeFig3CSV writes the Fig. 3 rows.
+func writeFig3CSV(w io.Writer, rows []Fig3Row) error {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -60,9 +61,9 @@ func WriteFig3CSV(w io.Writer, rows []Fig3Row) error {
 	}, out)
 }
 
-// WriteFig4SeriesCSV writes one concurrency level's per-second series:
+// writeFig4SeriesCSV writes one concurrency level's per-second series:
 // instant throughput and running jobs side by side.
-func WriteFig4SeriesCSV(w io.Writer, data Fig4Data) error {
+func writeFig4SeriesCSV(w io.Writer, data Fig4Data) error {
 	n := len(data.InstantJPM)
 	if len(data.RunningJobs) < n {
 		n = len(data.RunningJobs)
@@ -78,8 +79,8 @@ func WriteFig4SeriesCSV(w io.Writer, data Fig4Data) error {
 	return writeCSV(w, []string{"second", "instant_jpm", "running_jobs"}, out)
 }
 
-// WriteFig5CSV writes the bursting sweep cells (Fig. 5 or Fig. 6).
-func WriteFig5CSV(w io.Writer, cells []Fig5Cell) error {
+// writeFig5CSV writes the bursting sweep cells (Fig. 5 or Fig. 6).
+func writeFig5CSV(w io.Writer, cells []Fig5Cell) error {
 	out := make([][]string, len(cells))
 	for i, c := range cells {
 		control := "0"

@@ -1,7 +1,11 @@
 // Package expt regenerates every figure in the paper's evaluation
 // (Figs. 2–6) plus the §6 headline comparison, printing the same rows
-// and series the paper reports. Each experiment takes an Options with
-// a Scale knob: Scale 1.0 is the paper's full workload; smaller scales
+// and series the paper reports, and this repository's ablations,
+// Policy 3, elastic and chaos experiments. Every experiment is a named
+// campaign in one registry (campaign.go): Run executes one in-process,
+// and the same entry shards, schedules, merges and declares the
+// experiment's CSV files. Each experiment takes an Options with a
+// Scale knob: Scale 1.0 is the paper's full workload; smaller scales
 // shrink waveform counts proportionally for quick runs while keeping
 // the shapes.
 package expt
@@ -164,14 +168,6 @@ type Fig2Row struct {
 // Fig2Quantities are the paper's six waveform quantities.
 var Fig2Quantities = []int{1024, 2000, 5120, 10000, 24960, 50000}
 
-// Fig2 reruns §4.1/§5.1: increasing quantities × {2, 121} stations.
-// The sweep is a shardable campaign (campaign.go): this entry point
-// runs every cell locally; fdwexp -shard runs the same cells
-// partitioned across manifests and -merge re-finalizes identically.
-func Fig2(opt Options) ([]Fig2Row, error) {
-	return runAs[[]Fig2Row](fig2Campaign(), opt)
-}
-
 // Fig3Row is one concurrency level of Fig. 3 — formulas (3) and (4).
 type Fig3Row struct {
 	DAGMans       int
@@ -190,13 +186,3 @@ var Fig3Concurrency = []int{1, 2, 4, 8}
 
 // Fig3Total is the joint waveform target of §4.2.
 const Fig3Total = 16000
-
-// Fig3 reruns §4.2/§5.2: N concurrent DAGMans jointly producing 16,000
-// waveforms with the full Chilean input, all under one OSG user. One
-// campaign cell per (concurrency level, seed); each cell simulates its
-// whole batch in a private Env, and finalize stitches measurements back
-// in (level, seed, DAGMan) order so floating-point aggregation sums in
-// exactly the serial order.
-func Fig3(opt Options) ([]Fig3Row, error) {
-	return runAs[[]Fig3Row](fig3Campaign(), opt)
-}

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
 	"fdw/internal/core"
 )
+
+// runRows runs the named experiment and returns its rows as T.
+func runRows[T any](t *testing.T, name string, opt Options) T {
+	t.Helper()
+	res, err := Run(name, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows.(T)
+}
 
 // quickOptions shrinks everything for test speed: one seed, 2% scale.
 func quickOptions() Options {
@@ -56,10 +65,7 @@ func TestFig2ShapeAtSmallScale(t *testing.T) {
 	opt := quickOptions()
 	var out bytes.Buffer
 	opt.Out = &out
-	rows, err := Fig2(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]Fig2Row](t, "fig2", opt)
 	if len(rows) != 12 {
 		t.Fatalf("%d rows, want 12", len(rows))
 	}
@@ -90,10 +96,7 @@ func TestFig2ShapeAtSmallScale(t *testing.T) {
 func TestFig3ShapeAtSmallScale(t *testing.T) {
 	opt := quickOptions()
 	opt.Scale = 0.04
-	rows, err := Fig3(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]Fig3Row](t, "fig3", opt)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -115,10 +118,7 @@ func TestFig3ShapeAtSmallScale(t *testing.T) {
 func TestFig4CollectsDistributions(t *testing.T) {
 	opt := quickOptions()
 	opt.Scale = 0.03
-	data, err := Fig4(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := runRows[[]Fig4Data](t, "fig4", opt)
 	if len(data) != 4 {
 		t.Fatalf("%d levels", len(data))
 	}
@@ -156,17 +156,17 @@ func TestFig4BytesPinned(t *testing.T) {
 	opt.Scale = 0.01
 	var report bytes.Buffer
 	opt.Out = &report
-	data, err := Fig4(opt)
+	res, err := Run("fig4", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]string{"report": fmt.Sprintf("%x", sha256.Sum256(report.Bytes()))}
-	for _, d := range data {
+	for _, c := range res.CSVs {
 		var csv bytes.Buffer
-		if err := WriteFig4SeriesCSV(&csv, d); err != nil {
+		if err := c.Write(&csv); err != nil {
 			t.Fatal(err)
 		}
-		got[fmt.Sprintf("fig4_n%d.csv", d.DAGMans)] = fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))
+		got[c.Name] = fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))
 	}
 	want := map[string]string{
 		"report":      "388ab96730605914819b1993657c00ac49cfe4caba220be170122a99536a8c96",
@@ -195,55 +195,33 @@ func TestReportsBytesPinned(t *testing.T) {
 	opt.Scale = 0.03
 	got := map[string]string{}
 	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
-	// pin runs one experiment and records its report and, when the
-	// experiment returns a CSV writer, its CSV.
-	pin := func(name string, run func(Options) (func(io.Writer) error, error)) {
+	// Each experiment's report is pinned under its key here, and each
+	// CSV it declares under the CSV's file name.
+	for key, name := range map[string]string{
+		"fig2": "fig2", "fig3": "fig3", "fig5": "fig5", "fig6": "fig6", "chaos": "chaos",
+		"headline":           "headline",
+		"ablation-recycling": "ablate-recycling",
+		"ablation-stash":     "ablate-stash",
+		"ablation-fanout":    "ablate-fanout",
+		"ablation-churn":     "ablate-churn",
+		"policy3":            "policy3",
+		"elastic":            "elastic",
+	} {
 		var report bytes.Buffer
 		o := opt
 		o.Out = &report
-		writeCSV, err := run(o)
+		res, err := Run(name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = sum(report.Bytes())
-		if writeCSV != nil {
+		got[key] = sum(report.Bytes())
+		for _, c := range res.CSVs {
 			var csv bytes.Buffer
-			if err := writeCSV(&csv); err != nil {
-				t.Fatalf("%s.csv: %v", name, err)
+			if err := c.Write(&csv); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
 			}
-			got[name+".csv"] = sum(csv.Bytes())
+			got[c.Name] = sum(csv.Bytes())
 		}
-	}
-	pin("fig2", func(o Options) (func(io.Writer) error, error) {
-		rows, err := Fig2(o)
-		return func(w io.Writer) error { return WriteFig2CSV(w, rows) }, err
-	})
-	pin("fig3", func(o Options) (func(io.Writer) error, error) {
-		rows, err := Fig3(o)
-		return func(w io.Writer) error { return WriteFig3CSV(w, rows) }, err
-	})
-	pin("fig5", func(o Options) (func(io.Writer) error, error) {
-		cells, err := Fig5(o)
-		return func(w io.Writer) error { return WriteFig5CSV(w, cells) }, err
-	})
-	pin("fig6", func(o Options) (func(io.Writer) error, error) {
-		cells, err := Fig6(o)
-		return func(w io.Writer) error { return WriteFig5CSV(w, cells) }, err
-	})
-	pin("chaos", func(o Options) (func(io.Writer) error, error) {
-		rows, err := Chaos(o)
-		return func(w io.Writer) error { return WriteChaosCSV(w, rows) }, err
-	})
-	for name, run := range map[string]func(Options) error{
-		"headline":           func(o Options) error { _, err := Headline(o); return err },
-		"ablation-recycling": func(o Options) error { _, err := AblationRecycling(o); return err },
-		"ablation-stash":     func(o Options) error { _, err := AblationStash(o); return err },
-		"ablation-fanout":    func(o Options) error { _, err := AblationFanout(o); return err },
-		"ablation-churn":     func(o Options) error { _, err := AblationChurn(o); return err },
-		"policy3":            func(o Options) error { _, err := Policy3Sweep(o); return err },
-		"elastic":            func(o Options) error { _, err := ElasticComparison(o); return err },
-	} {
-		pin(name, func(o Options) (func(io.Writer) error, error) { return nil, run(o) })
 	}
 	want := map[string]string{
 		"ablation-churn":     "eb76d4715a5048a4c31d597a40cc323a11f2df443fa955c5b5d25802b6b67ec6",
@@ -277,10 +255,7 @@ func TestReportsBytesPinned(t *testing.T) {
 func TestFig5SweepShape(t *testing.T) {
 	opt := quickOptions()
 	opt.Scale = 0.03
-	cells, err := Fig5(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := runRows[[]Fig5Cell](t, "fig5", opt)
 	// 2 batches × (1 control + 14 combinations).
 	if len(cells) != 2*(1+len(Fig5ProbeTimes)*len(Fig5QueueTimesMin)) {
 		t.Fatalf("%d cells", len(cells))
@@ -328,10 +303,7 @@ func TestFig5UsageShape(t *testing.T) {
 	// §5.3.2: faster probing yields higher VDC usage.
 	opt := quickOptions()
 	opt.Scale = 0.03
-	cells, err := Fig5(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := runRows[[]Fig5Cell](t, "fig5", opt)
 	for name, cs := range groupCells(cells) {
 		probe1 := cs[1]
 		probe120 := cs[len(Fig5ProbeTimes)]
@@ -346,10 +318,7 @@ func TestFig6CapAndCost(t *testing.T) {
 	// stays dollars-scale.
 	opt := quickOptions()
 	opt.Scale = 0.03
-	cells, err := Fig6(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := runRows[[]Fig5Cell](t, "fig6", opt)
 	for _, c := range cells {
 		if c.BurstedPct > 30.01 {
 			t.Fatalf("%s probe %v: bursted %.1f%% despite 30%% cap", c.Batch, c.ProbeSecs, c.BurstedPct)
@@ -374,10 +343,7 @@ func TestHeadlineShape(t *testing.T) {
 	// legitimately wins, so run this one at half the paper's size.
 	opt := quickOptions()
 	opt.Scale = 0.5
-	res, err := Headline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRows[*HeadlineResult](t, "headline", opt)
 	if res.FDWHours <= 0 || res.BaselineHours <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
@@ -414,7 +380,7 @@ func TestFig1Products(t *testing.T) {
 
 func TestMakeBatchTracesDistinct(t *testing.T) {
 	opt := quickOptions()
-	batches, jobs, err := MakeBatchTraces(opt)
+	batches, jobs, err := makeBatchTraces(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,10 +402,7 @@ func TestMakeBatchTracesDistinct(t *testing.T) {
 
 func TestAblationRecycling(t *testing.T) {
 	opt := quickOptions()
-	rows, err := AblationRecycling(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]AblationRow](t, "ablate-recycling", opt)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -454,10 +417,7 @@ func TestAblationRecycling(t *testing.T) {
 
 func TestAblationStash(t *testing.T) {
 	opt := quickOptions()
-	rows, err := AblationStash(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]AblationRow](t, "ablate-stash", opt)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -469,10 +429,7 @@ func TestAblationStash(t *testing.T) {
 
 func TestAblationFanout(t *testing.T) {
 	opt := quickOptions()
-	rows, err := AblationFanout(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]AblationRow](t, "ablate-fanout", opt)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -487,10 +444,7 @@ func TestAblationFanout(t *testing.T) {
 func TestPolicy3Sweep(t *testing.T) {
 	opt := quickOptions()
 	opt.Scale = 0.03
-	rows, err := Policy3Sweep(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]Policy3Row](t, "policy3", opt)
 	if len(rows) != 8 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -504,10 +458,7 @@ func TestPolicy3Sweep(t *testing.T) {
 func TestElasticComparison(t *testing.T) {
 	opt := quickOptions()
 	opt.Scale = 0.03
-	rows, err := ElasticComparison(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]ElasticRow](t, "elastic", opt)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -553,10 +504,7 @@ func TestCalibration16kRegression(t *testing.T) {
 
 func TestAblationChurn(t *testing.T) {
 	opt := quickOptions()
-	rows, err := AblationChurn(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runRows[[]AblationRow](t, "ablate-churn", opt)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -575,23 +523,14 @@ func TestAblationChurn(t *testing.T) {
 // every experiment `fdwexp all` and `fdwexp chaos` run (Fig. 1 has no
 // fan-out).
 func TestHarnessOutputIdenticalAcrossWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(Options) error
-	}{
-		{"fig2", func(o Options) error { _, err := Fig2(o); return err }},
-		{"fig3", func(o Options) error { _, err := Fig3(o); return err }},
-		{"fig4", func(o Options) error { _, err := Fig4(o); return err }},
-		{"fig5", func(o Options) error { _, err := Fig5(o); return err }},
-		{"fig6", func(o Options) error { _, err := Fig6(o); return err }},
-		{"headline", func(o Options) error { _, err := Headline(o); return err }},
-		{"ablation-recycling", func(o Options) error { _, err := AblationRecycling(o); return err }},
-		{"ablation-stash", func(o Options) error { _, err := AblationStash(o); return err }},
-		{"ablation-fanout", func(o Options) error { _, err := AblationFanout(o); return err }},
-		{"ablation-churn", func(o Options) error { _, err := AblationChurn(o); return err }},
-		{"policy3", func(o Options) error { _, err := Policy3Sweep(o); return err }},
-		{"elastic", func(o Options) error { _, err := ElasticComparison(o); return err }},
-		{"chaos", func(o Options) error { _, err := Chaos(o); return err }},
+	for _, tc := range []struct{ name, experiment string }{
+		{"fig2", "fig2"}, {"fig3", "fig3"}, {"fig4", "fig4"}, {"fig5", "fig5"}, {"fig6", "fig6"},
+		{"headline", "headline"},
+		{"ablation-recycling", "ablate-recycling"},
+		{"ablation-stash", "ablate-stash"},
+		{"ablation-fanout", "ablate-fanout"},
+		{"ablation-churn", "ablate-churn"},
+		{"policy3", "policy3"}, {"elastic", "elastic"}, {"chaos", "chaos"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			render := func(workers int) string {
@@ -601,7 +540,7 @@ func TestHarnessOutputIdenticalAcrossWorkers(t *testing.T) {
 				opt.Workers = workers
 				var out bytes.Buffer
 				opt.Out = &out
-				if err := tc.run(opt); err != nil {
+				if _, err := Run(tc.experiment, opt); err != nil {
 					t.Fatal(err)
 				}
 				if out.Len() == 0 {
@@ -624,21 +563,18 @@ func TestHarnessOutputIdenticalAcrossWorkers(t *testing.T) {
 // horizon no batch finishes, so each experiment fails on its first
 // cell (the lowest-index error wins at any worker count).
 func TestCellErrorsNameCampaignAndCell(t *testing.T) {
-	for _, tc := range []struct {
-		run  func(Options) error
-		want string
-	}{
-		{func(o Options) error { _, err := AblationStash(o); return err }, "expt: ablate-stash cell cache: "},
-		{func(o Options) error { _, err := AblationChurn(o); return err }, "expt: ablate-churn cell 6h-pilots: "},
-		{func(o Options) error { _, err := Headline(o); return err }, "expt: headline cell q1024/seed11: "},
-		{func(o Options) error { _, err := Policy3Sweep(o); return err }, "expt: policy3 cell b1/gap5: expt: traces cell batch1: "},
-		{func(o Options) error { _, err := Fig4(o); return err }, "expt: fig4 cell n1: "},
+	for _, tc := range []struct{ name, want string }{
+		{"ablate-stash", "expt: ablate-stash cell cache: "},
+		{"ablate-churn", "expt: ablate-churn cell 6h-pilots: "},
+		{"headline", "expt: headline cell q1024/seed11: "},
+		{"policy3", "expt: policy3 cell b1/gap5: expt: traces cell batch1: "},
+		{"fig4", "expt: fig4 cell n1: "},
 	} {
 		opt := DefaultOptions()
 		opt.Seeds = []uint64{11}
 		opt.Scale = 0.01
 		opt.Horizon = 600
-		err := tc.run(opt)
+		_, err := Run(tc.name, opt)
 		if err == nil {
 			t.Errorf("%q: no error under a 600 s horizon", tc.want)
 			continue
@@ -652,7 +588,7 @@ func TestCellErrorsNameCampaignAndCell(t *testing.T) {
 func TestCSVWriters(t *testing.T) {
 	var buf bytes.Buffer
 	fig2 := []Fig2Row{{Stations: 2, Waveforms: 100, Jobs: 57, RuntimeH: 0.5, ThroughputJPM: 1.9}}
-	if err := WriteFig2CSV(&buf, fig2); err != nil {
+	if err := writeFig2CSV(&buf, fig2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "stations,waveforms,jobs") {
@@ -664,7 +600,7 @@ func TestCSVWriters(t *testing.T) {
 
 	buf.Reset()
 	fig3 := []Fig3Row{{DAGMans: 4, WaveformsEach: 4000, RuntimeH: 8.1, ThroughputJPM: 4.7, MakespanH: 8.8}}
-	if err := WriteFig3CSV(&buf, fig3); err != nil {
+	if err := writeFig3CSV(&buf, fig3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "4,4000") {
@@ -677,7 +613,7 @@ func TestCSVWriters(t *testing.T) {
 		InstantJPM:  []core.SeriesPoint{{T: 0, V: 0}, {T: 1, V: 2}},
 		RunningJobs: []core.SeriesPoint{{T: 0, V: 1}, {T: 1, V: 3}},
 	}
-	if err := WriteFig4SeriesCSV(&buf, fig4); err != nil {
+	if err := writeFig4SeriesCSV(&buf, fig4); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
@@ -686,7 +622,7 @@ func TestCSVWriters(t *testing.T) {
 
 	buf.Reset()
 	cells := []Fig5Cell{{Batch: "b1", Control: true, AvgJPM: 11.5}, {Batch: "b1", ProbeSecs: 1, MaxQueueM: 90, AvgJPM: 28.5}}
-	if err := WriteFig5CSV(&buf, cells); err != nil {
+	if err := writeFig5CSV(&buf, cells); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "b1,1,") || !strings.Contains(buf.String(), "b1,0,") {

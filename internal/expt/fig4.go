@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"fdw/internal/core"
@@ -34,15 +35,12 @@ type Fig4Data struct {
 	PeakInstantJPM float64
 }
 
-// Fig4 reruns the §5.2.3/§5.2.4 measurements for each concurrency
-// level, reusing the Fig. 3 batch construction with per-second probes.
-// One campaign cell per level; finalize prints them in ladder order.
-func Fig4(opt Options) ([]Fig4Data, error) {
-	return runAs[[]Fig4Data](fig4Campaign(), opt)
-}
-
+// fig4Campaign reruns the §5.2.3/§5.2.4 measurements for each
+// concurrency level, reusing the Fig. 3 batch construction with
+// per-second probes. One cell per level; finalize prints them in
+// ladder order, and each level writes its per-second series CSV.
 func fig4Campaign() *campaign {
-	return newCampaign("fig4", "", func(Options) []int { return Fig3Concurrency },
+	return newCampaign("fig4", func(Options) []int { return Fig3Concurrency },
 		func(n int) string { return fmt.Sprintf("n%d", n) },
 		func(opt Options, _ *campaignCtx, n int) (Fig4Data, sim.Time, error) {
 			seed := opt.Seeds[0]
@@ -107,7 +105,7 @@ func fig4Campaign() *campaign {
 			}
 			return data, env.Kernel.Now(), nil
 		},
-		func(opt Options, out []Fig4Data) (any, error) {
+		func(opt Options, out []Fig4Data) ([]Fig4Data, error) {
 			w := opt.out()
 			fmt.Fprintf(w, "Fig. 4 — job execution/wait times and per-second footprints (%d waveforms)\n", opt.scaleN(Fig3Total))
 			for _, data := range out {
@@ -117,5 +115,13 @@ func fig4Campaign() *campaign {
 					data.RuptureExecMin.Mean, data.PeakRunning, data.PeakInstantJPM)
 			}
 			return out, nil
-		}, nil)
+		},
+		func(out []Fig4Data) []CSV {
+			csvs := make([]CSV, len(out))
+			for i, data := range out {
+				csvs[i] = CSV{Name: fmt.Sprintf("fig4_n%d.csv", data.DAGMans),
+					Write: func(w io.Writer) error { return writeFig4SeriesCSV(w, data) }}
+			}
+			return csvs
+		})
 }

@@ -35,14 +35,15 @@ var Fig5QueueTimesMin = []float64{90, 120}
 // Fig5Threshold is the Policy 1 instant-throughput threshold (JPM).
 const Fig5Threshold = 34
 
-// MakeBatchTraces produces the experiment's input: job-time traces of
-// two real single-DAGMan batches that each generated 16,000 (scaled)
-// waveforms, exactly the §4.2 runs the paper reuses in §4.3.
-func MakeBatchTraces(opt Options) (batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, err error) {
-	traces, err := runAs[[]batchTrace](tracesCampaign(), opt)
+// makeBatchTraces produces the bursting experiments' input: job-time
+// traces of two real single-DAGMan batches that each generated 16,000
+// (scaled) waveforms, exactly the §4.2 runs the paper reuses in §4.3.
+func makeBatchTraces(opt Options) (batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, err error) {
+	res, err := runCampaign(tracesCampaign(), opt)
 	if err != nil {
 		return nil, nil, err
 	}
+	traces := res.Rows.([]batchTrace)
 	batches = make([]wtrace.BatchRecord, len(traces))
 	jobs = make([][]wtrace.JobRecord, len(traces))
 	for i, t := range traces {
@@ -58,9 +59,10 @@ type batchTrace struct {
 }
 
 // tracesCampaign has one cell per traced batch, seeded opt.Seeds[0]
-// and opt.Seeds[0]+101.
+// and opt.Seeds[0]+101. It is an input builder, not a registered
+// experiment.
 func tracesCampaign() *campaign {
-	return newCampaign("traces", "", func(Options) []int { return []int{1, 2} },
+	return newCampaign("traces", func(Options) []int { return []int{1, 2} },
 		func(i int) string { return fmt.Sprintf("batch%d", i) },
 		func(opt Options, _ *campaignCtx, i int) (batchTrace, sim.Time, error) {
 			seed := opt.Seeds[0] + uint64(101*(i-1))
@@ -72,7 +74,7 @@ func tracesCampaign() *campaign {
 			batch, jobs, err := wtrace.FromSchedd(name, wf.Schedd)
 			return batchTrace{batch, jobs}, end, err
 		},
-		func(_ Options, traces []batchTrace) (any, error) { return traces, nil }, nil)
+		func(_ Options, traces []batchTrace) ([]batchTrace, error) { return traces, nil }, nil)
 }
 
 // replay runs a bursting policy over the shared batch trace bi and
@@ -85,18 +87,4 @@ func replay(opt Options, ctx *campaignCtx, bi int, cfg burst.Config) (string, *b
 	cfg.Obs = opt.Obs
 	res, err := burst.Simulate(batches[bi], jobs[bi], cfg)
 	return batches[bi].Name, res, err
-}
-
-// Fig5 reruns §4.3/§5.3.1–5.3.2: the probe-time × queue-time sweep
-// over two batches with no bursting cap, with the pure-OSG control
-// first for each batch. The sweep is a shardable campaign
-// (campaign.go); each shard regenerates the batch traces locally.
-func Fig5(opt Options) ([]Fig5Cell, error) {
-	return runAs[[]Fig5Cell](fig5Campaign("fig5", 1.0, "Fig. 5"), opt)
-}
-
-// Fig6 reruns §5.3.3–5.3.4: the same sweep with the paper's 30%
-// bursted-job cap, whose cost and runtime columns Fig. 6 plots.
-func Fig6(opt Options) ([]Fig5Cell, error) {
-	return runAs[[]Fig5Cell](fig5Campaign("fig6", burst.DefaultMaxBurstFraction, "Fig. 6"), opt)
 }

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// A CampaignHandle exposes a shardable campaign to external drivers —
+// A CampaignHandle exposes a registered campaign to external drivers —
 // the fault-tolerant scheduler in internal/sched — without exporting
 // the campaign struct itself: the canonical cell-id list, the options
 // fingerprint, a per-cell runner producing manifest-ready records, and
@@ -91,9 +91,9 @@ func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 // Finalize decodes a complete record set (exactly one record per
 // canonical cell) and runs the campaign's finalizer, printing the
 // report to out (opt.Out when out is nil) and returning the merged
-// rows. This is the same finalize code path the unsharded entry points
+// rows and their CSV files. This is the same finalize code path Run
 // and -merge use, so the bytes match an unsharded run exactly.
-func (h *CampaignHandle) Finalize(out io.Writer, records map[string]CellRecord) (*MergeResult, error) {
+func (h *CampaignHandle) Finalize(out io.Writer, records map[string]CellRecord) (*Result, error) {
 	if len(records) != len(h.ids) {
 		return nil, fmt.Errorf("expt: finalize: %d records for %d cells of %s", len(records), len(h.ids), h.c.name)
 	}
@@ -113,9 +113,5 @@ func (h *CampaignHandle) Finalize(out io.Writer, records map[string]CellRecord) 
 	if out != nil {
 		opt.Out = out
 	}
-	rows, err := h.c.finalize(opt, results)
-	if err != nil {
-		return nil, err
-	}
-	return &MergeResult{Campaign: h.c.name, CSVName: h.c.csvName, Rows: rows, c: h.c}, nil
+	return h.c.finalize(opt, results)
 }

@@ -28,14 +28,10 @@ type headlineCell struct {
 	seed     uint64
 }
 
-// Headline reruns the headline measurements: one cell per quantity and
-// seed, averaged in seed order as a serial run would.
-func Headline(opt Options) (*HeadlineResult, error) {
-	return runAs[*HeadlineResult](headlineCampaign(), opt)
-}
-
+// headlineCampaign reruns the headline measurements: one cell per
+// quantity and seed, averaged in seed order as a serial run would.
 func headlineCampaign() *campaign {
-	return newCampaign("headline", "",
+	return newCampaign("headline",
 		func(opt Options) []headlineCell {
 			var cells []headlineCell
 			for _, q := range []int{1024, 50000} {
@@ -50,7 +46,7 @@ func headlineCampaign() *campaign {
 			n := opt.scaleN(c.quantity)
 			return measureOne(opt, workflowConfig(fmt.Sprintf("headline-%d", n), n, c.seed), c.seed)
 		},
-		func(opt Options, results []runResult) (any, error) {
+		func(opt Options, results []runResult) (*HeadlineResult, error) {
 			reps := len(opt.Seeds)
 			mean := func(qi int, field func(runResult) float64) float64 {
 				vals := make([]float64, reps)

@@ -10,6 +10,7 @@ import (
 
 	"fdw/internal/core/atomicfile"
 	"fdw/internal/obs"
+	"fdw/internal/ospool"
 	"fdw/internal/sim"
 )
 
@@ -27,8 +28,7 @@ import (
 type CampaignManifest struct {
 	// Format is the manifest schema version (CampaignManifestFormat).
 	Format int `json:"format"`
-	// Campaign names the sharded experiment (fig2, fig3, fig5, fig6,
-	// chaos).
+	// Campaign names the sharded experiment (a registered campaign).
 	Campaign string `json:"campaign"`
 	// Shard is this bundle's slot in the partition. For leased bundles
 	// (see Leased) Index/Total identify the worker in its fleet instead
@@ -185,18 +185,24 @@ func cellDigest(b []byte) string {
 // campaign name) into a hash. Workers, Out, and Obs are excluded: they
 // change neither cell results nor final bytes.
 func (o Options) Fingerprint(campaign string) (string, error) {
+	type pool struct {
+		ospool.Config
+		// FailureProb is always 0. ospool.Config once carried a settable
+		// failure probability; the fingerprint is a persisted format,
+		// so the member stays to let bundles written with it unset
+		// still resume and merge.
+		FailureProb float64
+	}
 	canon := struct {
 		Campaign string   `json:"campaign"`
 		Scale    float64  `json:"scale"`
 		Seeds    []uint64 `json:"seeds"`
 		Horizon  sim.Time `json:"horizon"`
-		Pool     any      `json:"pool"`
-		// Recovery is always null. Options once carried a settable
-		// recovery policy; the fingerprint is a persisted format, so
-		// the member stays to let bundles written with it unset still
-		// resume and merge.
+		Pool     pool     `json:"pool"`
+		// Recovery is always null, for the same reason: Options once
+		// carried a settable recovery policy.
 		Recovery *struct{} `json:"recovery"`
-	}{Campaign: campaign, Scale: o.Scale, Seeds: o.Seeds, Horizon: o.Horizon, Pool: o.Pool}
+	}{Campaign: campaign, Scale: o.Scale, Seeds: o.Seeds, Horizon: o.Horizon, Pool: pool{Config: o.Pool}}
 	b, err := json.Marshal(canon)
 	if err != nil {
 		return "", fmt.Errorf("expt: fingerprint: %w", err)

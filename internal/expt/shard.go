@@ -3,14 +3,11 @@ package expt
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
-
-	"fdw/internal/obs"
 )
 
-// The distributed campaign runner: fdwexp -shard i/N partitions a
-// campaign's cells across N independent invocations by a stable hash
+// The distributed campaign runner: fdwexp -shard i/N partitions any
+// registered campaign's cells across N independent invocations by a stable hash
 // of cell identity, each shard checkpointing a CampaignManifest after
 // every completed cell; fdwexp -merge stitches the manifests back into
 // the byte-identical unsharded report. The cell list, the shard
@@ -25,7 +22,7 @@ var ErrIncomplete = errors.New("expt: shard incomplete (resume to finish)")
 
 // ShardRun configures one RunShard invocation.
 type ShardRun struct {
-	// Campaign is the campaign name (see ShardableCampaigns).
+	// Campaign is the campaign name (see Campaigns).
 	Campaign string
 	// Index/Total place this run in the partition (1-based).
 	Index, Total int
@@ -115,23 +112,6 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 	return final, nil
 }
 
-// MergeResult is a verified, finalized sharded campaign.
-type MergeResult struct {
-	Campaign string
-	// CSVName is the conventional CSV file name for this campaign.
-	CSVName string
-	// Rows is the finalize output, same dynamic type as the unsharded
-	// entry point returns ([]Fig2Row, []Fig5Cell, ...).
-	Rows any
-	// Metrics is the campaign rollup: every merged cell's snapshot
-	// absorbed once, in canonical order (RollupMetrics).
-	Metrics *obs.Snapshot
-	c       *campaign
-}
-
-// WriteCSV renders the merged rows as the campaign's CSV.
-func (r *MergeResult) WriteCSV(w io.Writer) error { return r.c.writeCSV(w, r.Rows) }
-
 // MergeManifests verifies a set of shard or worker bundles covers
 // opt's campaign exactly — same campaign, bundle kind, fingerprint and
 // partition width, no cell outside the campaign, no digest conflict,
@@ -139,7 +119,7 @@ func (r *MergeResult) WriteCSV(w io.Writer) error { return r.c.writeCSV(w, r.Row
 // opt.Out. Finalize is the same code the unsharded run uses on
 // in-memory results, and Go's JSON float round-trip is exact, so the
 // printed report and CSV are byte-identical to an unsharded run.
-func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, error) {
+func MergeManifests(opt Options, manifests []*CampaignManifest) (*Result, error) {
 	if len(manifests) == 0 {
 		return nil, fmt.Errorf("expt: merge: no manifests")
 	}
@@ -208,7 +188,7 @@ func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, e
 }
 
 // MergeManifestFiles is MergeManifests over manifest bundle paths.
-func MergeManifestFiles(opt Options, paths []string) (*MergeResult, error) {
+func MergeManifestFiles(opt Options, paths []string) (*Result, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("expt: merge: no manifest files")
 	}

@@ -24,25 +24,35 @@ func shardTestOptions() Options {
 	return opt
 }
 
-// runUnsharded produces the reference bytes: the campaign's printed
-// report and CSV from a plain in-process run.
+// csvBytes renders every CSV a result declares, each after its name,
+// and fails on a declared CSV with no data row.
+func csvBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var all bytes.Buffer
+	for _, c := range res.CSVs {
+		var b bytes.Buffer
+		if err := c.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Count(b.Bytes(), []byte("\n")) < 2 {
+			t.Fatalf("%s: %s has no data row", res.Campaign, c.Name)
+		}
+		fmt.Fprintf(&all, "== %s\n%s", c.Name, b.Bytes())
+	}
+	return all.Bytes()
+}
+
+// runUnsharded produces the reference bytes: the experiment's printed
+// report and CSVs from a plain in-process run.
 func runUnsharded(t *testing.T, name string, opt Options) (report, csv []byte) {
 	t.Helper()
-	c, err := campaignByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rep bytes.Buffer
 	opt.Out = &rep
-	rows, err := runCampaign(c, opt)
+	res, err := Run(name, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cs bytes.Buffer
-	if err := c.writeCSV(&cs, rows); err != nil {
-		t.Fatal(err)
-	}
-	return rep.Bytes(), cs.Bytes()
+	return rep.Bytes(), csvBytes(t, res)
 }
 
 // runSharded partitions the campaign N ways, runs every shard to
@@ -65,23 +75,19 @@ func runSharded(t *testing.T, name string, opt Options, total int) (report, csv 
 	if err != nil {
 		t.Fatalf("merge %d-way: %v", total, err)
 	}
-	var cs bytes.Buffer
-	if err := res.WriteCSV(&cs); err != nil {
-		t.Fatal(err)
-	}
-	return rep.Bytes(), cs.Bytes()
+	return rep.Bytes(), csvBytes(t, res)
 }
 
-// Sharding is invisible in the output: for every shardable campaign
-// and any partition width, the merged report and CSV are
-// byte-identical to an unsharded run — the tentpole invariant. Width 7
-// leaves some fig3 shards owning zero cells.
+// Sharding is invisible in the output: for every registered experiment
+// and any partition width, the merged report and CSVs are
+// byte-identical to an unsharded run — the sharding invariant. Width 7
+// leaves some shards of the small experiments owning zero cells.
 func TestShardMergeByteIdentical(t *testing.T) {
-	for _, name := range ShardableCampaigns() {
+	for _, name := range Campaigns() {
 		opt := shardTestOptions()
 		wantRep, wantCSV := runUnsharded(t, name, opt)
-		if len(wantRep) == 0 || len(wantCSV) == 0 {
-			t.Fatalf("%s: empty reference output", name)
+		if len(wantRep) == 0 {
+			t.Fatalf("%s: empty reference report", name)
 		}
 		for _, total := range []int{1, 2, 4, 7} {
 			gotRep, gotCSV := runSharded(t, name, opt, total)
@@ -100,7 +106,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 // function of identity strings.
 func TestShardAssignmentPartitions(t *testing.T) {
 	opt := shardTestOptions()
-	for _, name := range ShardableCampaigns() {
+	for _, name := range Campaigns() {
 		c, err := campaignByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -208,11 +214,7 @@ func TestShardKillResumeConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: merge after resume: %v", k, err)
 		}
-		var cs bytes.Buffer
-		if err := res.WriteCSV(&cs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rep.Bytes(), wantRep) || !bytes.Equal(cs.Bytes(), wantCSV) {
+		if !bytes.Equal(rep.Bytes(), wantRep) || !bytes.Equal(csvBytes(t, res), wantCSV) {
 			t.Fatalf("k=%d: kill-then-resume merge not byte-identical to unsharded run", k)
 		}
 	}

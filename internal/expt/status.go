@@ -139,7 +139,7 @@ func Status(opt Options, paths []string) (*StatusReport, error) {
 	var groupOrder []groupKey
 	groups := map[groupKey][]*CampaignManifest{}
 	// handles caches each campaign opened under opt; nil when opt does
-	// not describe a shardable campaign of that name.
+	// not describe a registered campaign of that name.
 	handles := map[string]*CampaignHandle{}
 	matching := func(m *CampaignManifest) *CampaignHandle {
 		h, seen := handles[m.Campaign]

@@ -73,7 +73,7 @@ func ReadRupt(rd io.Reader, f *geom.Fault) (*Rupture, error) {
 		return nil, fmt.Errorf("fakequakes: nil fault")
 	}
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand up to a 1 MiB line
 	r := &Rupture{ID: "rupt"}
 	lineNo := 0
 	rows := 0

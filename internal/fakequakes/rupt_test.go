@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,5 +179,26 @@ func TestRuptRowPerSubfault(t *testing.T) {
 	}
 	if lines != f.NumSubfaults() {
 		t.Fatalf("%d rows, want one per subfault (%d)", lines, f.NumSubfaults())
+	}
+}
+
+// A short .rupt file costs no 1 MiB scanner buffer: the line buffer
+// grows on demand.
+func TestReadRuptSmallInputAllocatesLittle(t *testing.T) {
+	f, _, _ := smallSetup(t, 2)
+	const src = "# FakeQuakes rupture r1  Mw 8.0000  hypocenter subfault 0\n" +
+		"1\t0\t0\t10\t0\t15\t5\t5\t0\t2.5\t3\t3e10\n"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := ReadRupt(strings.NewReader(src), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / n; b >= 64<<10 {
+		t.Fatalf("ReadRupt of a two-line file allocates %d B, want < 64 KiB", b)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,6 +164,122 @@ func TestMaterialize(t *testing.T) {
 		t.Fatal("FDWPhase attr missing")
 	} else if s, _ := v.AsString(); s != "C" {
 		t.Fatalf("FDWPhase = %v", v)
+	}
+}
+
+// Materialize parses a +attribute naming no macro once per file, not
+// once per proc: a 1,000-proc file with four constant +FDW attributes
+// costs a few allocations per job (the Job and its Attrs map), where
+// re-parsing every expression per proc cost over a hundred.
+func TestMaterializeParsesConstantAttrsOnce(t *testing.T) {
+	src := "executable = x.sh\narguments = --n 1\n" +
+		"+FDWPhase = \"C\"\n+FDWExecSeconds = 1050\n+FDWInputBytes = 973000000\n+FDWOutputBytes = 52000000\n" +
+		"queue 1000\n"
+	sf, err := ParseSubmit(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := sf.Materialize(1, "u"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob := allocs / 1000; perJob > 6 {
+		t.Fatalf("Materialize allocates %.1f objects per job, want at most 6", perJob)
+	}
+}
+
+// A macro in a +attribute still expands per proc, and every job owns
+// its Attrs map.
+func TestMaterializeExpandsPlusAttrMacros(t *testing.T) {
+	src := "executable = x.sh\n+FDWIndex = $(Process) * 10\n+FDWTag = \"c$(Cluster)\"\n+FDWPhase = \"C\"\nqueue 3\n"
+	sf, err := ParseSubmit(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := sf.Materialize(7, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs[0].Attrs["FDWPhase"] = classad.String("changed")
+	for proc, j := range jobs {
+		if v, _ := j.Attrs.Lookup("FDWIndex"); v != classad.Number(float64(proc*10)) {
+			t.Errorf("proc %d: FDWIndex = %v, want %d", proc, v, proc*10)
+		}
+		if v, _ := j.Attrs.Lookup("FDWTag"); v != classad.String("c7") {
+			t.Errorf("proc %d: FDWTag = %v, want c7", proc, v)
+		}
+		if v, _ := j.Attrs.Lookup("FDWPhase"); proc > 0 && v != classad.String("C") {
+			t.Errorf("proc %d: FDWPhase = %v: jobs share an Attrs map", proc, v)
+		}
+	}
+}
+
+// expandMacros agrees with the strings.Replacer it replaced, the
+// reference spec here, on strings built from macro fragments.
+func TestExpandMacrosMatchesReplacer(t *testing.T) {
+	parts := []string{"$(", "$", "(", ")", "Process)", "process)", "PROCESS)", "Cluster)", "cluster)", "CLUSTER)", "PrOcess)", "x", " "}
+	check := func(picks []uint8, cluster, proc uint16) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(parts[int(p)%len(parts)])
+		}
+		c, pr := strconv.Itoa(int(cluster)), strconv.Itoa(int(proc))
+		want := strings.NewReplacer(
+			"$(Process)", pr, "$(process)", pr, "$(PROCESS)", pr,
+			"$(Cluster)", c, "$(cluster)", c, "$(CLUSTER)", c,
+		).Replace(b.String())
+		return expandMacros(b.String(), int(cluster), int(proc)) == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heapBytesPerCall is the average heap bytes one call of f allocates.
+func heapBytesPerCall(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// A short file costs no 1 MiB scanner buffer: the line buffer grows on
+// demand.
+func TestSmallParseAllocatesLittle(t *testing.T) {
+	for name, parse := range map[string]func() error{
+		"ParseSubmit": func() error {
+			_, err := ParseSubmit(strings.NewReader("executable = a.sh\nqueue\n"))
+			return err
+		},
+		"ParseUserLog": func() error {
+			_, err := ParseUserLog(strings.NewReader("000 (0001.000.000) 2023-11-12 00:00:00 Job submitted from host: <s>\n...\n"))
+			return err
+		},
+	} {
+		var err error
+		if b := heapBytesPerCall(50, func() { err = parse() }); b >= 64<<10 {
+			t.Errorf("%s of a two-line file allocates %d B, want < 64 KiB", name, b)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// The growable buffer keeps the 1 MiB line bound: a line of 1 MiB - 1
+// bytes plus its newline parses, one a byte longer does not.
+func TestParseSubmitLineBound(t *testing.T) {
+	line := func(n int) string { return "k = " + strings.Repeat("a", n-len("k = ")) + "\nqueue\n" }
+	if _, err := ParseSubmit(strings.NewReader(line(1<<20 - 1))); err != nil {
+		t.Fatalf("line of 1 MiB - 1 bytes rejected: %v", err)
+	}
+	if _, err := ParseSubmit(strings.NewReader(line(1 << 20))); err == nil {
+		t.Fatal("line of 1 MiB accepted")
 	}
 }
 

@@ -38,7 +38,7 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 		QueueN:   0,
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand up to a 1 MiB line
 	lineNo := 0
 	var pending string
 	sawQueue := false
@@ -105,17 +105,35 @@ func ParseSubmit(r io.Reader) (*SubmitFile, error) {
 	return sf, nil
 }
 
-// expandMacros substitutes $(Process) and $(Cluster) (case-insensitive).
+// expandMacros substitutes $(Process) and $(Cluster), each spelled
+// in title, lower or upper case. A string naming no macro is returned
+// as is.
 func expandMacros(s string, cluster, proc int) string {
-	rep := strings.NewReplacer(
-		"$(Process)", strconv.Itoa(proc),
-		"$(process)", strconv.Itoa(proc),
-		"$(PROCESS)", strconv.Itoa(proc),
-		"$(Cluster)", strconv.Itoa(cluster),
-		"$(cluster)", strconv.Itoa(cluster),
-		"$(CLUSTER)", strconv.Itoa(cluster),
-	)
-	return rep.Replace(s)
+	if !strings.Contains(s, "$(") {
+		return s
+	}
+	var b strings.Builder
+	for {
+		i := strings.Index(s, "$(")
+		if i < 0 {
+			b.WriteString(s)
+			return b.String()
+		}
+		b.WriteString(s[:i])
+		s = s[i:]
+		// Both macros are ten bytes long.
+		switch m := s[:min(len(s), len("$(Process)"))]; m {
+		case "$(Process)", "$(process)", "$(PROCESS)":
+			b.WriteString(strconv.Itoa(proc))
+		case "$(Cluster)", "$(cluster)", "$(CLUSTER)":
+			b.WriteString(strconv.Itoa(cluster))
+		default:
+			b.WriteString("$(")
+			s = s[2:]
+			continue
+		}
+		s = s[len("$(Process)"):]
+	}
 }
 
 // parseSizeMB parses HTCondor memory/disk request values: a bare number
@@ -188,6 +206,31 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 		}
 		retries = n
 	}
+	// An expression naming no macro evaluates the same for every proc,
+	// so it is parsed once; one naming $( is expanded and parsed per
+	// proc. Both are checked in attribute-name order, and none when no
+	// job is queued.
+	var fixed classad.Ad
+	var perProc []string
+	if sf.QueueN > 0 {
+		fixed = make(classad.Ad, len(sf.Plus))
+		names := make([]string, 0, len(sf.Plus))
+		for k := range sf.Plus {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for _, k := range names {
+			if strings.Contains(sf.Plus[k], "$(") {
+				perProc = append(perProc, k)
+				continue
+			}
+			v, err := evalPlus(k, sf.Plus[k])
+			if err != nil {
+				return nil, err
+			}
+			fixed[k] = v
+		}
+	}
 	for proc := 0; proc < sf.QueueN; proc++ {
 		j := &Job{
 			Cluster:         cluster,
@@ -200,15 +243,18 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 			RequestDiskMB:   diskMB,
 			Requirements:    sf.Commands["requirements"],
 			MaxRetries:      retries,
-			Attrs:           classad.Ad{},
+			Attrs:           make(classad.Ad, len(sf.Plus)),
 			Status:          Idle,
 		}
-		for k, raw := range sf.Plus {
-			expr, err := classad.Parse(expandMacros(raw, cluster, proc))
+		for k, v := range fixed {
+			j.Attrs[k] = v
+		}
+		for _, k := range perProc {
+			v, err := evalPlus(k, expandMacros(sf.Plus[k], cluster, proc))
 			if err != nil {
-				return nil, fmt.Errorf("htcondor: +%s: %w", k, err)
+				return nil, err
 			}
-			j.Attrs[k] = expr.Eval(nil, nil)
+			j.Attrs[k] = v
 		}
 		if v, ok := j.Attrs.Lookup("FDWExecSeconds"); ok {
 			if f, defined := v.AsNumber(); defined {
@@ -228,6 +274,15 @@ func (sf *SubmitFile) Materialize(cluster int, owner string) ([]*Job, error) {
 		jobs = append(jobs, j)
 	}
 	return jobs, nil
+}
+
+// evalPlus parses and evaluates one +attribute expression.
+func evalPlus(name, expr string) (classad.Value, error) {
+	e, err := classad.Parse(expr)
+	if err != nil {
+		return classad.Value{}, fmt.Errorf("htcondor: +%s: %w", name, err)
+	}
+	return e.Eval(nil, nil), nil
 }
 
 // Write renders the submit description in the syntax ParseSubmit

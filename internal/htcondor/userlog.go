@@ -150,7 +150,7 @@ func appendZeroPad(b []byte, v, width int) []byte {
 func ParseUserLog(r io.Reader) ([]JobEvent, error) {
 	var out []JobEvent
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand up to a 1 MiB line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -10,9 +10,10 @@ import (
 )
 
 // DeadexportAnalyzer enforces "no export without a caller" for
-// internal/...: every exported package-level identifier and every
-// exported method must be used by some non-test file of the module
-// outside its own declaration. Callers anywhere in the module count
+// internal/... and the module's root package (the public façade):
+// every exported package-level identifier and every exported method
+// must be used by some non-test file of the module outside its own
+// declaration. Callers anywhere in the module count
 // (cmd/, bench/, examples/, the root package, the declaring package
 // itself); tests do not, since the loader never reads _test.go files.
 //
@@ -26,7 +27,7 @@ import (
 // never names the concrete method.
 var DeadexportAnalyzer = &Analyzer{
 	Name:      "deadexport",
-	Doc:       "flag exported identifiers in internal/... that no non-test file of the module uses",
+	Doc:       "flag exported identifiers in internal/... and the root package that no non-test file of the module uses",
 	RunModule: runDeadexport,
 }
 
@@ -43,7 +44,7 @@ func runDeadexport(pass *ModulePass) {
 	// declaration, not as a use of it.
 	recvs := map[string][]ast.Node{}
 	for _, pkg := range pass.Targets {
-		if !strings.HasPrefix(pkg.ImportPath, pass.Path+"/internal/") {
+		if pkg.ImportPath != pass.Path && !strings.HasPrefix(pkg.ImportPath, pass.Path+"/internal/") {
 			continue
 		}
 		declare := func(key string, id *ast.Ident, span ast.Node) {

@@ -122,12 +122,13 @@ func TestFloatorderClean(t *testing.T) { runGolden(t, "floatorder_clean", Floato
 func TestErrdropBad(t *testing.T)   { runGolden(t, "errdrop_bad", ErrdropAnalyzer) }
 func TestErrdropClean(t *testing.T) { runGolden(t, "errdrop_clean", ErrdropAnalyzer) }
 
-// TestDeadexport pins deadexport over a three-package module: dead
+// TestDeadexport pins deadexport over a four-package module: dead
 // functions, methods, constants and types are flagged, including ones
-// only tests or their own declaration name; uses from another package,
-// from a command, from the declaring package, and through interfaces
-// (one of the module's, one of the standard library's) are not; a
-// reasoned directive suppresses and an unused one is reported.
+// only tests or their own declaration name, in internal/ and in the
+// root package; uses from another package, from a command, from the
+// declaring package, and through interfaces (one of the module's, one
+// of the standard library's) are not; a reasoned directive suppresses
+// and an unused one is reported.
 func TestDeadexport(t *testing.T) { compareGolden(t, "deadexport", lintDeadexport(t, "./...")) }
 
 // TestDeadexportNarrowLoad checks the rule is decided over the module,
@@ -139,15 +140,15 @@ func TestDeadexportNarrowLoad(t *testing.T) {
 		dir := filepath.Base(filepath.Dir(d.File))
 		byPkg[dir] = append(byPkg[dir], d)
 	}
-	for _, pkg := range []string{"internal/a", "internal/b", "cmd/c"} {
+	for _, pkg := range []string{".", "internal/a", "internal/b", "cmd/c"} {
 		got := lintDeadexport(t, "./"+pkg)
-		want := byPkg[filepath.Base(pkg)]
+		want := byPkg[filepath.Base(filepath.Join("deadexport", pkg))]
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s alone: got %v, want the whole-module findings in it %v", pkg, got, want)
 		}
 	}
-	if len(byPkg["a"]) == 0 {
-		t.Fatal("fixture produced no findings in internal/a")
+	if len(byPkg["a"]) == 0 || len(byPkg["deadexport"]) == 0 {
+		t.Fatal("fixture produced no findings in internal/a or the root package")
 	}
 }
 

@@ -4,7 +4,8 @@ package main
 import (
 	"fmt"
 
+	"deadexport"
 	"deadexport/internal/b"
 )
 
-func main() { fmt.Println(b.Measure(b.New()), b.New()) }
+func main() { fmt.Println(b.Measure(b.New()), b.New(), deadexport.Facade()) }

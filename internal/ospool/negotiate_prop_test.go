@@ -39,7 +39,6 @@ func propConfig(mpc int) Config {
 		AvailabilityPeriod:  2 * 3600,
 		AvailabilityMin:     0.5,
 		ExecJitterSigma:     0.2,
-		FailureProb:         0.06, // exercise retry re-queues mid-run
 	}
 }
 
@@ -120,6 +119,9 @@ func propRun(t *testing.T, seed uint64, mpc int, useRef, withVeto bool) (trace [
 	if withVeto {
 		p.SetRecovery(&flakyVeto{})
 	}
+	// A 6% per-attempt failure rate exercises retry re-queues mid-run.
+	failRNG := sim.NewRNG(seed ^ 0x6a09e667f3bcc908)
+	p.SetExecFault(func(string, *htcondor.Job, sim.Time) ExecFault { return ExecFault{Fail: failRNG.Bool(0.06)} })
 
 	// Two schedds, three owners interleaved across both — the shape that
 	// exercises the owner-cursor round-robin against mergeInterleaved.

@@ -61,11 +61,6 @@ type Config struct {
 
 	// ExecJitterSigma is the lognormal sigma applied to execution times.
 	ExecJitterSigma float64
-
-	// FailureProb is the per-execution probability that a job exits
-	// non-zero (node black holes, transfer failures): fault injection
-	// for DAGMan's RETRY machinery. Zero disables failures.
-	FailureProb float64
 }
 
 // DefaultConfig yields an OSPool-scale setup calibrated for the paper's
@@ -112,9 +107,6 @@ func (c Config) Validate() error {
 	}
 	if c.AvailabilityMin <= 0 || c.AvailabilityMin > 1 {
 		return fmt.Errorf("ospool: AvailabilityMin %v outside (0,1]", c.AvailabilityMin)
-	}
-	if c.FailureProb < 0 || c.FailureProb >= 1 {
-		return fmt.Errorf("ospool: FailureProb %v outside [0,1)", c.FailureProb)
 	}
 	return nil
 }
@@ -408,7 +400,8 @@ func (p *Pool) Obs() *obs.Registry { return p.obs }
 func (p *Pool) SetSiteDown(fn func(site string, now sim.Time) bool) { p.siteDown = fn }
 
 // SetExecFault installs the per-execution fault hook, consulted once
-// per claim after the pool's own FailureProb draw. nil clears the hook.
+// per claim: the one way a job attempt is made to fail (internal/faults
+// injects every fault plan through it). nil clears the hook.
 func (p *Pool) SetExecFault(fn func(site string, j *htcondor.Job, now sim.Time) ExecFault) {
 	p.execFault = fn
 }
@@ -852,9 +845,6 @@ func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
 		transferOut = 3 + float64(job.OutputBytes)/50e6
 	}
 	exitCode := 0
-	if p.cfg.FailureProb > 0 && p.rng.Bool(p.cfg.FailureProb) {
-		exitCode = 1
-	}
 	transferAborted := false
 	if p.execFault != nil {
 		switch fault := p.execFault(g.site.Name, job, p.kernel.Now()); {

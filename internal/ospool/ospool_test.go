@@ -365,12 +365,12 @@ func TestRunUntilDoneTimesOut(t *testing.T) {
 
 func TestFaultInjectionRetriesJobs(t *testing.T) {
 	k := sim.NewKernel(21)
-	cfg := testConfig()
-	cfg.FailureProb = 0.3
-	p, err := New(k, cfg, nil)
+	p, err := New(k, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	failRNG := sim.NewRNG(21)
+	p.SetExecFault(func(string, *htcondor.Job, sim.Time) ExecFault { return ExecFault{Fail: failRNG.Bool(0.3)} })
 	s := htcondor.NewSchedd("s", k, nil)
 	p.AddSchedd(s)
 	jobs := makeJobs(40, "u", 300)
@@ -401,12 +401,12 @@ func TestFaultInjectionRetriesJobs(t *testing.T) {
 
 func TestFaultInjectionExhaustsRetryBudget(t *testing.T) {
 	k := sim.NewKernel(22)
-	cfg := testConfig()
-	cfg.FailureProb = 0.9
-	p, err := New(k, cfg, nil)
+	p, err := New(k, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	failRNG := sim.NewRNG(22)
+	p.SetExecFault(func(string, *htcondor.Job, sim.Time) ExecFault { return ExecFault{Fail: failRNG.Bool(0.9)} })
 	s := htcondor.NewSchedd("s", k, nil)
 	p.AddSchedd(s)
 	jobs := makeJobs(20, "u", 100) // MaxRetries = 0: first failure is final
@@ -425,18 +425,6 @@ func TestFaultInjectionExhaustsRetryBudget(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Fatal("90% failure rate with no retry budget produced zero failed jobs")
-	}
-}
-
-func TestFailureProbValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.FailureProb = 1.0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("FailureProb=1 accepted")
-	}
-	cfg.FailureProb = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative FailureProb accepted")
 	}
 }
 

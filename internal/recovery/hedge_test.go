@@ -20,7 +20,6 @@ func hedgePoolConfig() ospool.Config {
 	cfg.GlideinRampMean = 60
 	cfg.GlideinLifetimeMean = 48 * 3600 // no preemptions: isolate hedging
 	cfg.ExecJitterSigma = 0.05
-	cfg.FailureProb = 0
 	return cfg
 }
 

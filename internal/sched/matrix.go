@@ -41,7 +41,7 @@ type MatrixRow struct {
 	Workers   int
 	MakespanH float64
 	Stats     Stats
-	// Identical records whether the run's merged report and CSV bytes
+	// Identical records whether the run's merged report and CSVs
 	// equal the unsharded reference — the headline guarantee; any
 	// false here is a scheduler bug.
 	Identical bool
@@ -59,6 +59,23 @@ func Matrix(opt expt.Options, campaign string, workers int, dir string) ([]Matri
 	}
 	src := Memoize(h)
 
+	// render finalizes a record set through the shared path into its
+	// report followed by every CSV the campaign declares.
+	render := func(records map[string]expt.CellRecord) ([]byte, error) {
+		var b bytes.Buffer
+		res, err := h.Finalize(&b, records)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range res.CSVs {
+			fmt.Fprintf(&b, "== %s\n", c.Name)
+			if err := c.Write(&b); err != nil {
+				return nil, err
+			}
+		}
+		return b.Bytes(), nil
+	}
+
 	// Unsharded reference bytes, via the same finalize path.
 	ref := map[string]expt.CellRecord{}
 	for _, id := range src.CellIDs() {
@@ -68,12 +85,8 @@ func Matrix(opt expt.Options, campaign string, workers int, dir string) ([]Matri
 		}
 		ref[id] = rec
 	}
-	var refRep, refCSV bytes.Buffer
-	refRes, err := h.Finalize(&refRep, ref)
+	want, err := render(ref)
 	if err != nil {
-		return nil, err
-	}
-	if err := refRes.WriteCSV(&refCSV); err != nil {
 		return nil, err
 	}
 
@@ -92,13 +105,9 @@ func Matrix(opt expt.Options, campaign string, workers int, dir string) ([]Matri
 			if err != nil {
 				return nil, fmt.Errorf("sched: matrix plan %q policy %q: %w", plan.Name, pol.Name, err)
 			}
-			var rep, csvb bytes.Buffer
-			fin, err := h.Finalize(&rep, res.Records)
+			got, err := render(res.Records)
 			if err != nil {
 				return nil, fmt.Errorf("sched: matrix plan %q policy %q: %w", plan.Name, pol.Name, err)
-			}
-			if err := fin.WriteCSV(&csvb); err != nil {
-				return nil, err
 			}
 			rows = append(rows, MatrixRow{
 				Plan:      plan.Name,
@@ -106,7 +115,7 @@ func Matrix(opt expt.Options, campaign string, workers int, dir string) ([]Matri
 				Workers:   workers,
 				MakespanH: float64(res.Makespan) / 3600,
 				Stats:     res.Stats,
-				Identical: bytes.Equal(refRep.Bytes(), rep.Bytes()) && bytes.Equal(refCSV.Bytes(), csvb.Bytes()),
+				Identical: bytes.Equal(want, got),
 			})
 		}
 	}

@@ -1,7 +1,8 @@
 // Package sched is the fault-tolerant campaign scheduler: a
 // deterministic, sim-clock-driven coordinator that drives N logical
-// workers over a shardable campaign's cells, using the manifest-bundle
-// machinery (internal/expt, DESIGN.md §13) as its only durable state.
+// workers over any registered campaign's cells, using the
+// manifest-bundle machinery (internal/expt, DESIGN.md §13) as its only
+// durable state.
 //
 // The control plane is a discrete-event simulation on its own
 // sim.Kernel — distinct from the kernels inside each cell's

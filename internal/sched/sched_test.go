@@ -347,6 +347,20 @@ func TestMemoize(t *testing.T) {
 	}
 }
 
+// csvBytes renders every CSV a finalized campaign declares, each after
+// its name.
+func csvBytes(t *testing.T, res *expt.Result) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, c := range res.CSVs {
+		fmt.Fprintf(&b, "== %s\n", c.Name)
+		if err := c.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
 // schedCampaignRef opens fig2 at shard-test scale, memoizes it, and
 // produces the unsharded reference bytes through the shared finalize
 // path.
@@ -368,18 +382,16 @@ func schedCampaignRef(t *testing.T) (expt.Options, *expt.CampaignHandle, Source,
 		}
 		ref[id] = rec
 	}
-	var rep, cs bytes.Buffer
+	var rep bytes.Buffer
 	res, err := h.Finalize(&rep, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.WriteCSV(&cs); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Len() == 0 || cs.Len() == 0 {
+	cs := csvBytes(t, res)
+	if rep.Len() == 0 || len(cs) == 0 {
 		t.Fatal("empty reference output")
 	}
-	return opt, h, src, ref, rep.Bytes(), cs.Bytes()
+	return opt, h, src, ref, rep.Bytes(), cs
 }
 
 // The headline guarantee: for every standard crash plan × worker count
@@ -406,19 +418,16 @@ func TestSchedPropertyByteIdentical(t *testing.T) {
 						t.Errorf("%s: cell %q digest drifted", name, id)
 					}
 				}
-				var rep, cs bytes.Buffer
+				var rep bytes.Buffer
 				fin, err := h.Finalize(&rep, res.Records)
 				if err != nil {
 					t.Errorf("%s: finalize: %v", name, err)
 					continue
 				}
-				if err := fin.WriteCSV(&cs); err != nil {
-					t.Fatal(err)
-				}
 				if !bytes.Equal(rep.Bytes(), wantRep) {
 					t.Errorf("%s: merged report differs from unsharded run", name)
 				}
-				if !bytes.Equal(cs.Bytes(), wantCSV) {
+				if !bytes.Equal(csvBytes(t, fin), wantCSV) {
 					t.Errorf("%s: merged CSV differs from unsharded run", name)
 				}
 				// The durable bundles alone reproduce the same bytes
@@ -432,15 +441,53 @@ func TestSchedPropertyByteIdentical(t *testing.T) {
 						t.Errorf("%s: bundle merge: %v", name, err)
 						continue
 					}
-					var mcs bytes.Buffer
-					if err := mres.WriteCSV(&mcs); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(mrep.Bytes(), wantRep) || !bytes.Equal(mcs.Bytes(), wantCSV) {
+					if !bytes.Equal(mrep.Bytes(), wantRep) || !bytes.Equal(csvBytes(t, mres), wantCSV) {
 						t.Errorf("%s: bundle merge not byte-identical", name)
 					}
 				}
 			}
+		}
+	}
+}
+
+// The scheduler runs any registered experiment, not only the figure
+// sweeps: fig4 (four CSVs), headline and policy3 (none) under the
+// kitchen-sink crash plan leave worker bundles that merge byte for byte
+// into the unsharded report and CSVs.
+func TestSchedMergesAnyExperiment(t *testing.T) {
+	plan, err := faults.WorkerPlanByName("everything")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fig4", "headline", "policy3"} {
+		opt := expt.DefaultOptions()
+		opt.Scale = 0.002
+		opt.Seeds = []uint64{11}
+		var want bytes.Buffer
+		opt.Out = &want
+		ref, err := expt.Run(name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := expt.OpenCampaign(name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(h, Config{Workers: 3, Steal: true, Plan: plan, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got bytes.Buffer
+		opt.Out = &got
+		merged, err := expt.MergeManifestFiles(opt, res.BundlePaths)
+		if err != nil {
+			t.Fatalf("%s: merge: %v", name, err)
+		}
+		if want.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: merged report differs from unsharded run:\n--- want\n%s\n--- got\n%s", name, want.Bytes(), got.Bytes())
+		}
+		if !bytes.Equal(csvBytes(t, merged), csvBytes(t, ref)) {
+			t.Errorf("%s: merged CSVs differ from unsharded run", name)
 		}
 	}
 }
@@ -492,15 +539,12 @@ func TestSchedCoordinatorKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume from bundles: %v", err)
 	}
-	var rep, cs bytes.Buffer
+	var rep bytes.Buffer
 	fin, err := h.Finalize(&rep, res.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fin.WriteCSV(&cs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rep.Bytes(), wantRep) || !bytes.Equal(cs.Bytes(), wantCSV) {
+	if !bytes.Equal(rep.Bytes(), wantRep) || !bytes.Equal(csvBytes(t, fin), wantCSV) {
 		t.Fatal("coordinator kill-resume not byte-identical to unsharded run")
 	}
 	// And the final bundles merge to the same bytes on their own.

@@ -13,9 +13,9 @@ import (
 	"fdw/internal/expt"
 )
 
-// fig2Output runs the Fig. 2 sweep at toy scale and returns the
-// printed report and the CSV bytes.
-func fig2Output(t *testing.T, metered bool, workers int) (report, csv []byte) {
+// figureOutput runs one experiment at toy scale and returns the
+// printed report and the bytes of every CSV it declares.
+func figureOutput(t *testing.T, name string, metered bool, workers int) (report, csv []byte) {
 	t.Helper()
 	opt := fdw.DefaultExperimentOptions()
 	opt.Scale = 0.002 // clamps every quantity to the 16-waveform floor
@@ -26,43 +26,21 @@ func fig2Output(t *testing.T, metered bool, workers int) (report, csv []byte) {
 	if metered {
 		opt.Obs = fdw.NewMetrics(nil)
 	}
-	rows, err := fdw.Fig2(opt)
+	res, err := expt.Run(name, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var csvBuf bytes.Buffer
-	if err := expt.WriteFig2CSV(&csvBuf, rows); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes(), csvBuf.Bytes()
-}
-
-// fig5Output does the same for the bursting sweep, which exercises the
-// burst-policy instrumentation path.
-func fig5Output(t *testing.T, metered bool, workers int) (report, csv []byte) {
-	t.Helper()
-	opt := fdw.DefaultExperimentOptions()
-	opt.Scale = 0.002
-	opt.Seeds = []uint64{11}
-	opt.Workers = workers
-	var out bytes.Buffer
-	opt.Out = &out
-	if metered {
-		opt.Obs = fdw.NewMetrics(nil)
-	}
-	cells, err := fdw.Fig5(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csvBuf bytes.Buffer
-	if err := expt.WriteFig5CSV(&csvBuf, cells); err != nil {
-		t.Fatal(err)
+	for _, c := range res.CSVs {
+		if err := c.Write(&csvBuf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out.Bytes(), csvBuf.Bytes()
 }
 
 func TestFiguresIdenticalWithMetricsEnabled(t *testing.T) {
-	baseReport, baseCSV := fig2Output(t, false, 1)
+	baseReport, baseCSV := figureOutput(t, "fig2", false, 1)
 	if len(baseReport) == 0 || len(baseCSV) == 0 {
 		t.Fatal("baseline fig2 produced no output")
 	}
@@ -75,7 +53,7 @@ func TestFiguresIdenticalWithMetricsEnabled(t *testing.T) {
 		{"metered-j1", true, 1},
 		{"metered-j4", true, 4},
 	} {
-		report, csv := fig2Output(t, c.metered, c.workers)
+		report, csv := figureOutput(t, "fig2", c.metered, c.workers)
 		if !bytes.Equal(report, baseReport) {
 			t.Errorf("fig2 report differs for %s", c.name)
 		}
@@ -84,8 +62,8 @@ func TestFiguresIdenticalWithMetricsEnabled(t *testing.T) {
 		}
 	}
 
-	burstReport, burstCSV := fig5Output(t, false, 1)
-	meteredReport, meteredCSV := fig5Output(t, true, 4)
+	burstReport, burstCSV := figureOutput(t, "fig5", false, 1)
+	meteredReport, meteredCSV := figureOutput(t, "fig5", true, 4)
 	if !bytes.Equal(burstReport, meteredReport) {
 		t.Error("fig5 report differs with metrics enabled")
 	}
@@ -103,7 +81,7 @@ func TestMeteredRunRecordsActivity(t *testing.T) {
 	opt.Seeds = []uint64{11}
 	opt.Workers = 4
 	opt.Obs = fdw.NewMetrics(nil)
-	if _, err := fdw.Fig2(opt); err != nil {
+	if _, err := expt.Run("fig2", opt); err != nil {
 		t.Fatal(err)
 	}
 	snap := opt.Obs.Snapshot()
