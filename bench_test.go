@@ -7,6 +7,7 @@ package fdw_test
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -331,4 +332,29 @@ func BenchmarkBurstReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.RuntimeSecs, "simsecs/op")
+}
+
+// BenchmarkChaosCampaign measures the recovery layer end to end: one op
+// runs every cell of the chaos campaign (each standard fault plan with
+// recovery off and on) at scale 1 over the paper's seeds 11/23/47, one
+// worker, each cell through the handle the scheduler drives. See
+// BENCH_recovery.json for the recorded baseline.
+func BenchmarkChaosCampaign(b *testing.B) {
+	opt := expt.DefaultOptions()
+	opt.Scale = 1
+	opt.Seeds = []uint64{11, 23, 47}
+	opt.Workers = 1
+	opt.Out = io.Discard
+	h, err := expt.OpenCampaign("chaos", opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, id := range h.CellIDs() {
+			if _, err := h.RunCell(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

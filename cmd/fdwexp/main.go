@@ -412,12 +412,16 @@ func writeCSVs(dir string, csvs ...expt.CSV) error {
 	return nil
 }
 
+// allExperiments is what "all" runs, in order, each report followed
+// by a blank line.
+var allExperiments = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "headline", "ablate", "policy3", "elastic"}
+
 // dispatch runs fig1, a name list, or one registered experiment and
 // writes the experiment's declared CSV files under csvDir.
 func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	switch cmd {
 	case "fig1":
-		return runFig1()
+		return runFig1(opt.Out)
 	case "ablate":
 		for _, c := range []string{"ablate-recycling", "ablate-stash", "ablate-fanout", "ablate-churn"} {
 			if err := dispatch(c, opt, csvDir); err != nil {
@@ -426,11 +430,11 @@ func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 		}
 		return nil
 	case "all":
-		for _, c := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "headline", "ablate", "policy3", "elastic"} {
+		for _, c := range allExperiments {
 			if err := dispatch(c, opt, csvDir); err != nil {
 				return fmt.Errorf("%s: %w", c, err)
 			}
-			fmt.Println()
+			fmt.Fprintln(opt.Out)
 		}
 		return nil
 	}
@@ -441,17 +445,18 @@ func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	return writeCSVs(csvDir, res.CSVs...)
 }
 
-func runFig1() error {
+// runFig1 prints the Fig. 1 data products to w.
+func runFig1(w io.Writer) error {
 	prod, err := expt.Fig1(1, 8.1, 5)
 	if err != nil {
 		return err
 	}
 	r := prod.Rupture
-	fmt.Printf("Fig. 1 — FakeQuakes data products\n")
-	fmt.Printf("rupture %s: target Mw %.2f, realized Mw %.2f, %d subfaults, max slip %.2f m, duration %.0f s\n",
+	fmt.Fprintf(w, "Fig. 1 — FakeQuakes data products\n")
+	fmt.Fprintf(w, "rupture %s: target Mw %.2f, realized Mw %.2f, %d subfaults, max slip %.2f m, duration %.0f s\n",
 		r.ID, r.TargetMw, r.ActualMw, len(r.Patch), r.MaxSlip(), r.Duration())
-	for _, w := range prod.Waveforms {
-		fmt.Printf("  station %-5s PGD %.3f m\n", w.Station, w.PGD())
+	for _, wf := range prod.Waveforms {
+		fmt.Fprintf(w, "  station %-5s PGD %.3f m\n", wf.Station, wf.PGD())
 	}
 	return nil
 }

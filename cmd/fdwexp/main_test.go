@@ -34,6 +34,32 @@ func TestDispatchEveryFigure(t *testing.T) {
 	}
 }
 
+// TestDispatchWritesToOut: fig1 and the "all" separators go to
+// opt.Out like every report, so "all" is exactly its parts' reports,
+// each followed by a blank line.
+func TestDispatchWritesToOut(t *testing.T) {
+	run := func(cmd string) []byte {
+		t.Helper()
+		var out bytes.Buffer
+		opt := quickOpt()
+		opt.Out = &out
+		if err := dispatch(cmd, opt, ""); err != nil {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+		return out.Bytes()
+	}
+	if fig1 := run("fig1"); !bytes.HasPrefix(fig1, []byte("Fig. 1 — FakeQuakes data products\n")) {
+		t.Fatalf("fig1 wrote %q to opt.Out", fig1)
+	}
+	var want []byte
+	for _, c := range allExperiments {
+		want = append(append(want, run(c)...), '\n')
+	}
+	if got := run("all"); !bytes.Equal(got, want) {
+		t.Fatalf("all wrote %d bytes to opt.Out, want its %d parts' reports and separators", len(got), len(want))
+	}
+}
+
 func TestDispatchUnknown(t *testing.T) {
 	if err := dispatch("fig99", quickOpt(), ""); err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -167,6 +167,51 @@ type jobState struct {
 	vdcLeft   float64 // remaining VDC seconds once bursted
 }
 
+// sortByEnd orders byEnd, indices of finishable jobs, by their end
+// times and returns it, in byEnd or in a buffer of the same length. It
+// is an LSD radix sort, one byte per pass, over endBits; a pass whose
+// byte every job shares is skipped. The order among equal end times is
+// unspecified.
+func sortByEnd(jobs []wtrace.JobRecord, byEnd []int32) []int32 {
+	if len(byEnd) < 2 {
+		return byEnd
+	}
+	tmp := make([]int32, len(byEnd))
+	var count [256]int
+	for shift := 0; shift < 64; shift += 8 {
+		count = [256]int{}
+		for _, k := range byEnd {
+			count[byte(endBits(jobs[k].End)>>shift)]++
+		}
+		if count[byte(endBits(jobs[byEnd[0]].End)>>shift)] == len(byEnd) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range byEnd {
+			d := byte(endBits(jobs[k].End) >> shift)
+			tmp[count[d]] = k
+			count[d]++
+		}
+		byEnd, tmp = tmp, byEnd
+	}
+	return byEnd
+}
+
+// endBits is a finishable job's end time as a sort key: for the
+// non-negative finite end times such jobs have, IEEE-754 bits order
+// like the values once −0, whose sign bit would sort it last, reads
+// as +0.
+func endBits(end float64) uint64 {
+	if end == 0 {
+		return 0
+	}
+	return math.Float64bits(end)
+}
+
 // horizonSecs is how far past the batch's last termination the replay
 // may run: a safety bound, since bursting only shortens runs.
 const horizonSecs = 24 * 3600
@@ -225,6 +270,9 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("burst: no jobs in trace")
+	}
+	if len(jobs) > math.MaxInt32 {
+		return nil, fmt.Errorf("burst: %d jobs in trace, more than the replay's int32 job index holds", len(jobs))
 	}
 	if field, v := inexact(batch.Submit, batch.Start, batch.End); field != "" {
 		return nil, fmt.Errorf("burst: batch %s %s time %v outside the replay clock's exact range [-2^53, 2^53-%d)", batch.Name, field, v, horizonSecs)
@@ -289,18 +337,21 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 
 	// Event-ordered views for the per-second loop: jobs by submission
 	// and by OSG termination time, plus live queued/VDC sets, so each
-	// second costs O(changes) instead of O(jobs). Both sorts start from
-	// trace order, which fixes the order among equal times.
+	// second costs O(changes) instead of O(jobs). The submission sort
+	// starts from trace order, which fixes the order among equal times
+	// that burstLastUnsubmitted depends on. A second's terminations
+	// only add to counts, so their order is free and byEnd is
+	// radix-sorted.
 	bySubmit := make([]int, len(jobs))
-	byEnd := make([]int, 0, finishable)
+	byEnd := make([]int32, 0, finishable)
 	for k, j := range jobs {
 		bySubmit[k] = k
 		if j.Finished() {
-			byEnd = append(byEnd, k)
+			byEnd = append(byEnd, int32(k))
 		}
 	}
 	sort.Slice(bySubmit, func(a, b int) bool { return jobs[bySubmit[a]].Submit < jobs[bySubmit[b]].Submit })
-	sort.Slice(byEnd, func(a, b int) bool { return jobs[byEnd[a]].End < jobs[byEnd[b]].End })
+	byEnd = sortByEnd(jobs, byEnd)
 	remaining := len(byEnd) // OSG-finishable jobs not yet done or bursted
 	// Only Policy 2 reads the queue (submitted, waiting to start on OSG).
 	var queued []int

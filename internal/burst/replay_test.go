@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
+	"fdw/internal/core"
 	"fdw/internal/obs"
+	"fdw/internal/ospool"
 	"fdw/internal/sim"
 	"fdw/internal/wtrace"
 )
@@ -170,6 +173,150 @@ func TestSimulateMatchesReference(t *testing.T) {
 	// Guard against a generator that never reaches the policy paths.
 	if bursted < cases/4 {
 		t.Fatalf("only %d of %d cases bursted any job", bursted, cases)
+	}
+}
+
+// TestSimulateEndTiesMatchReference holds the replay to the reference,
+// whose termination order comes from sort.Slice, where that order is
+// least constrained: random traces whose terminations snap to a
+// 10-minute grid, so most share their end time with others, and the
+// standard pool-built batch traces under the Fig. 5/6 policy grid.
+func TestSimulateEndTiesMatchReference(t *testing.T) {
+	type trace struct {
+		batch wtrace.BatchRecord
+		jobs  []wtrace.JobRecord
+	}
+	var traces []trace
+	r := sim.NewRNG(21)
+	for c := 0; c < 60; c++ {
+		batch, jobs := randomTrace(r)
+		for i := range jobs {
+			if jobs[i].Finished() {
+				jobs[i].End = math.Ceil(jobs[i].End/600) * 600
+				batch.End = math.Max(batch.End, jobs[i].End)
+			}
+		}
+		traces = append(traces, trace{batch, jobs})
+	}
+	for _, seed := range []uint64{11, 112} {
+		env, err := core.NewEnv(seed, ospool.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Name = fmt.Sprintf("batch-%d", seed)
+		cfg.Waveforms = 1600
+		cfg.Seed = seed
+		wf, err := core.NewWorkflow(cfg, env.Kernel, env.Pool, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.RunBatch(env, []*core.Workflow{wf}, 1000*3600); err != nil {
+			t.Fatal(err)
+		}
+		batch, jobs, err := wtrace.FromSchedd(cfg.Name, wf.Schedd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, trace{batch, jobs})
+	}
+	var configs []Config
+	for _, capped := range []bool{false, true} {
+		for _, probe := range []float64{1, 2, 5, 10, 30, 60, 120} {
+			for _, queueM := range []float64{90, 120} {
+				cfg := DefaultConfig()
+				if !capped {
+					cfg.MaxBurstFraction = 1
+				}
+				cfg.P1 = &Policy1{ProbeSecs: probe, ThresholdJPM: 34}
+				cfg.P2 = &Policy2{MaxQueueSecs: queueM * 60}
+				configs = append(configs, cfg)
+			}
+		}
+	}
+	configs = append(configs, DefaultConfig())
+	r = sim.NewRNG(22)
+	for i, tr := range traces {
+		cfgs := configs
+		if i < len(traces)-2 {
+			cfgs = []Config{randomConfig(r), configs[0]}
+		}
+		for _, cfg := range cfgs {
+			want, errWant := referenceSimulate(tr.batch, tr.jobs, cfg)
+			got, errGot := Simulate(tr.batch, tr.jobs, cfg)
+			if fmt.Sprint(errWant) != fmt.Sprint(errGot) {
+				t.Fatalf("trace %d: error %v, reference %v", i, errGot, errWant)
+			}
+			if errWant != nil {
+				continue
+			}
+			if err := sameBits(want, got); err != nil {
+				t.Fatalf("trace %d (%d jobs, cfg %+v): %v", i, len(tr.jobs), cfg, err)
+			}
+		}
+	}
+}
+
+// TestSortByEndOrdersJobs checks the radix sort on every byte pass:
+// ties, zero, tiny, huge, fractional and ulp-apart end times come out
+// ascending with every job kept.
+func TestSortByEndOrdersJobs(t *testing.T) {
+	r := sim.NewRNG(8)
+	for c := 0; c < 200; c++ {
+		jobs := make([]wtrace.JobRecord, r.Intn(600))
+		idx := make([]int32, len(jobs))
+		for i := range jobs {
+			var end float64
+			switch r.Intn(6) {
+			case 0: // zero and ties
+			case 1:
+				end = float64(r.Intn(8))
+			case 2:
+				end = r.Float64() * 1e-300
+			case 3:
+				end = r.Float64() * 1e15
+			case 4: // neighbours a few ulps apart: only the low bytes differ
+				end = math.Float64frombits(math.Float64bits(3600) + uint64(r.Intn(1<<12)))
+			default:
+				end = 1e6 + float64(r.Intn(100000)) + r.Float64()
+			}
+			jobs[i].End = end
+			idx[i] = int32(i)
+		}
+		got := sortByEnd(jobs, idx)
+		if !sort.SliceIsSorted(got, func(a, b int) bool { return jobs[got[a]].End < jobs[got[b]].End }) {
+			t.Fatalf("case %d: not ascending", c)
+		}
+		seen := make([]bool, len(jobs))
+		for _, k := range got {
+			seen[k] = true
+		}
+		for k, ok := range seen {
+			if !ok {
+				t.Fatalf("case %d: job %d lost", c, k)
+			}
+		}
+	}
+}
+
+// TestSimulateNegativeZeroEnd: a job removed at -0 s ends with the
+// zero-time jobs, as in the reference, not after every other job.
+func TestSimulateNegativeZeroEnd(t *testing.T) {
+	batch := wtrace.BatchRecord{Name: "z", Submit: 0, Start: 0, End: 5}
+	jobs := []wtrace.JobRecord{
+		{ID: "1.0", Class: wtrace.ClassWaveform, Submit: 0, Start: -1, End: math.Copysign(0, -1)},
+		{ID: "1.1", Class: wtrace.ClassWaveform, Submit: 0, Start: 0, End: 5},
+	}
+	want, err := referenceSimulate(batch, jobs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Simulate(batch, jobs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameBits(want, got); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -159,6 +159,7 @@ func chaosOne(opt Options, plan faults.Plan, seed uint64, rec bool) (ChaosRow, s
 	if err != nil {
 		return row, 0, err
 	}
+	var pol *recovery.Policy
 	wfs, err := simulate(opt, env, func(wfs []*core.Workflow) error {
 		inj, err := faults.New(env.Kernel, plan)
 		if err != nil {
@@ -167,13 +168,16 @@ func chaosOne(opt Options, plan faults.Plan, seed uint64, rec bool) (ChaosRow, s
 		inj.SetObs(opt.Obs)
 		inj.Attach(env.Pool, wfs[0].Schedd)
 		if rec {
-			pol := recovery.New(env.Kernel)
+			pol = recovery.New(env.Kernel)
 			pol.SetObs(env.Obs)
 			pol.Attach(env.Pool, wfs[0].Schedd)
 			pol.AttachExecutor(wfs[0].Exec)
 		}
 		return nil
 	}, cfg)
+	if pol != nil && pol.Err() != nil {
+		return row, 0, pol.Err()
+	}
 	// Invariant 1 (termination): the batch errors iff the executor did
 	// not reach Done by the horizon. A DAG whose node exhausted its
 	// retries still terminates — that is the recovery contract under

@@ -25,8 +25,9 @@
 // Determinism: the policy owns a private sim.RNG stream split from the
 // kernel's root (like internal/faults), so attaching a policy never
 // perturbs the pool's or workflow's variate sequences. All state is
-// keyed by pointer or site name and mutated only inside kernel events,
-// so runs are reproducible for any GOMAXPROCS or -j fan-out.
+// keyed by site name, (schedd, cluster) and Proc, or clone pointer, and
+// mutated only inside kernel events, so runs are reproducible for any
+// GOMAXPROCS or -j fan-out.
 package recovery
 
 import (
@@ -129,6 +130,7 @@ type Policy struct {
 	hedge hedgeState
 
 	stats Stats
+	err   error // first fault a listener met; see Err
 }
 
 // New binds a policy to k.
@@ -140,6 +142,11 @@ func New(k *sim.Kernel) *Policy {
 		hedge:    newHedgeState(),
 	}
 }
+
+// Err returns the first fault the policy's listeners met, nil if none.
+// A listener cannot return an error, so the caller checks Err after
+// the run.
+func (r *Policy) Err() error { return r.err }
 
 // SetObs attaches a metrics registry; decisions are counted but never
 // read back (record-never-decide). nil disables instrumentation.
