@@ -6,13 +6,14 @@
 //
 //	fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|ablate-recycling|ablate-stash|ablate-fanout|ablate-churn|policy3|elastic|chaos|all
 //	fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] experiment
-//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] experiment|schedmatrix
+//	fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-csv dir] [-metrics path] experiment
 //	fdwexp -merge [-csv dir] [-metrics path] manifest.json...
 //	fdwexp -status bundle-dir|manifest.json...
 //
 // An experiment is any name of the first line except fig1, ablate and
 // all: every one of them runs in-process, shards, schedules and merges
-// the same way, and writes the same CSV files under -csv.
+// the same way, and writes the same CSV files under -csv. A flag given
+// with a mode it does not apply to is a usage error.
 //
 // Flags:
 //
@@ -46,9 +47,7 @@
 // optional scripted worker faults (-crash-plan), work-stealing
 // (-steal, default on) and straggler hedging (-hedge). The merged
 // report is byte-identical to the unsharded run under every crash
-// plan; -metrics counts every cell the run executed. The special
-// campaign name schedmatrix runs the scheduler A/B matrix: every
-// standard worker plan × {no-steal, steal, steal+hedge}.
+// plan; -metrics counts every cell the run executed.
 //
 // -status inventories manifest bundles (shard or scheduler) as JSON:
 // per-bundle completion, fingerprint, and sim-clock provenance, plus
@@ -66,6 +65,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"fdw"
@@ -78,7 +78,7 @@ import (
 
 const usageLine = `usage: fdwexp [flags] fig1|fig2|fig3|fig4|fig5|fig6|headline|ablate|ablate-recycling|ablate-stash|ablate-fanout|ablate-churn|policy3|elastic|chaos|all
        fdwexp -shard i/N [-resume] [-cells k] [-out dir] [-metrics path] experiment
-       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-metrics path] experiment|schedmatrix
+       fdwexp -sched workers=N [-crash-plan name] [-steal=bool] [-hedge] [-resume] [-cells k] [-out dir] [-csv dir] [-metrics path] experiment
        fdwexp -merge [-csv dir] [-metrics path] manifest.json...
        fdwexp -status bundle-dir|manifest.json...`
 
@@ -105,10 +105,7 @@ func main() {
 	opt.Scale = *scale
 	opt.Out = os.Stdout
 	opt.Workers = *workers
-	opt.Seeds = nil
-	for i := 0; i < *seeds; i++ {
-		opt.Seeds = append(opt.Seeds, uint64(11+13*i))
-	}
+	opt.Seeds = expt.Seeds(*seeds)
 	if *metrics != "" {
 		// Cells meter into their own registries, absorbed here in
 		// canonical order: the snapshot is byte-identical at any -j.
@@ -116,30 +113,18 @@ func main() {
 		fdw.MeterFactorCache(opt.Obs)
 	}
 
-	modes := 0
-	for _, on := range []bool{*shard != "", *merge, *schedN != "", *status} {
-		if on {
-			modes++
-		}
-	}
-	var err error
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	set["merge"], set["status"] = *merge, *status // -merge=false selects no mode
+	mode, err := checkFlags(set, flag.NArg())
 	switch {
-	case modes > 1:
-		err = usageErrorf("-shard, -merge, -sched, and -status are mutually exclusive")
-	case *shard != "":
-		if flag.NArg() != 1 {
-			err = usageErrorf("-shard needs exactly one campaign argument")
-			break
-		}
+	case err != nil: // a usage error, reported below
+	case mode == "shard":
 		err = runShardCmd(opt, *shard, flag.Arg(0), *outDir, *cells, *resume)
 		if *metrics != "" && (err == nil || errors.Is(err, expt.ErrIncomplete)) {
 			err = cmp.Or(writeShardMetrics(*metrics, *shard, flag.Arg(0), *outDir), err)
 		}
-	case *schedN != "":
-		if flag.NArg() != 1 {
-			err = usageErrorf("-sched needs exactly one campaign argument")
-			break
-		}
+	case mode == "sched":
 		err = runSchedCmd(opt, schedOpts{
 			spec: *schedN, plan: *plan, steal: *steal, hedge: *hedge,
 			dir: *outDir, cells: *cells, resume: *resume, csvDir: *csvDir,
@@ -147,31 +132,11 @@ func main() {
 		if err == nil && opt.Obs != nil {
 			err = writeMetrics(*metrics, opt.Obs.Snapshot())
 		}
-	case *merge:
-		if flag.NArg() < 1 {
-			err = usageErrorf("-merge needs at least one manifest path")
-			break
-		}
+	case mode == "merge":
 		err = runMergeCmd(opt, *csvDir, *metrics, flag.Args())
-	case *status:
-		if flag.NArg() < 1 {
-			err = usageErrorf("-status needs at least one bundle dir or manifest path")
-			break
-		}
+	case mode == "status":
 		err = runStatusCmd(opt, flag.Args())
 	default:
-		if *resume || *cells != 0 {
-			err = usageErrorf("-resume and -cells only apply with -shard or -sched")
-			break
-		}
-		if *plan != "" || *hedge {
-			err = usageErrorf("-crash-plan and -hedge only apply with -sched")
-			break
-		}
-		if flag.NArg() != 1 {
-			err = usageErrorf("")
-			break
-		}
 		err = dispatch(flag.Arg(0), opt, *csvDir)
 		if err == nil && opt.Obs != nil {
 			err = writeMetrics(*metrics, opt.Obs.Snapshot())
@@ -188,6 +153,71 @@ func main() {
 		}
 		os.Exit(exitCode(err))
 	}
+}
+
+// modeFlags are the mutually exclusive flags that each select a mode;
+// naming none runs experiments by name.
+var modeFlags = []string{"shard", "merge", "sched", "status"}
+
+// modeOnly lists each mode-specific flag with the modes it applies to
+// ("" is running experiments by name).
+var modeOnly = []struct {
+	flag  string
+	modes []string
+}{
+	{"resume", []string{"shard", "sched"}},
+	{"cells", []string{"shard", "sched"}},
+	{"out", []string{"shard", "sched"}},
+	{"crash-plan", []string{"sched"}},
+	{"steal", []string{"sched"}},
+	{"hedge", []string{"sched"}},
+	{"csv", []string{"", "sched", "merge"}},
+	{"metrics", []string{"", "shard", "sched", "merge"}},
+}
+
+// checkFlags validates a command line from the names of the flags it
+// set and its argument count, and returns the mode it selects: one of
+// modeFlags, or "" to run experiments by name.
+func checkFlags(set map[string]bool, nargs int) (string, error) {
+	mode := ""
+	for _, m := range modeFlags {
+		if !set[m] {
+			continue
+		}
+		if mode != "" {
+			return "", usageErrorf("-shard, -merge, -sched, and -status are mutually exclusive")
+		}
+		mode = m
+	}
+	for _, o := range modeOnly {
+		if set[o.flag] && !slices.Contains(o.modes, mode) {
+			var with []string
+			for _, m := range o.modes {
+				if m == "" {
+					m = "a plain run"
+				} else {
+					m = "-" + m
+				}
+				with = append(with, m)
+			}
+			return "", usageErrorf("-%s only applies with %s", o.flag, strings.Join(with, " or "))
+		}
+	}
+	switch mode {
+	case "":
+		if nargs != 1 {
+			return "", usageErrorf("")
+		}
+	case "shard", "sched":
+		if nargs != 1 {
+			return "", usageErrorf("-%s needs exactly one campaign argument", mode)
+		}
+	default:
+		if nargs < 1 {
+			return "", usageErrorf("-%s needs at least one bundle dir or manifest path", mode)
+		}
+	}
+	return mode, nil
 }
 
 // usageError marks command-line misuse (exit 2).
@@ -279,9 +309,8 @@ func parseSchedSpec(s string) (int, error) {
 }
 
 // runSchedCmd drives one campaign through the fault-tolerant
-// scheduler (or, for the pseudo-campaign schedmatrix, the full
-// plan × policy A/B matrix) and finalizes the merged in-memory ledger
-// through the ordinary campaign report path.
+// scheduler and finalizes the merged in-memory ledger through the
+// ordinary campaign report path.
 func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error {
 	n, err := parseSchedSpec(so.spec)
 	if err != nil {
@@ -290,15 +319,6 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 	wplan, err := faults.WorkerPlanByName(so.plan)
 	if err != nil {
 		return usageErrorf("%v", err)
-	}
-	if campaign == "schedmatrix" {
-		rows, err := sched.Matrix(opt, "fig2", n, filepath.Join(so.dir, "schedmatrix"))
-		if err != nil {
-			return err
-		}
-		return writeCSVs(so.csvDir, expt.CSV{Name: "schedmatrix.csv", Write: func(w io.Writer) error {
-			return sched.WriteMatrixCSV(w, rows)
-		}})
 	}
 	h, err := expt.OpenCampaign(campaign, opt)
 	if err != nil {
@@ -315,9 +335,9 @@ func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error
 		Obs:      opt.Obs,
 	})
 	if res != nil {
-		fmt.Fprintf(os.Stderr, "fdwexp: sched %s: %d workers, plan %s: %d/%d cells acked, %d crashes, %d steals, bundles under %s\n",
+		fmt.Fprintf(os.Stderr, "fdwexp: sched %s: %d workers, plan %s: %d/%d cells acked, %d crashes, %d steals, %d hedges, bundles under %s\n",
 			campaign, n, wplan.Name, len(res.Records), len(h.CellIDs()),
-			res.Stats.WorkerCrashes, res.Stats.CellsStolen, so.dir)
+			res.Stats.WorkerCrashes, res.Stats.CellsStolen, res.Stats.CellsHedged, so.dir)
 	}
 	if err != nil {
 		return err

@@ -78,6 +78,60 @@ func TestParseShardSpec(t *testing.T) {
 	}
 }
 
+// checkFlags picks the mode from the flags the user named and rejects
+// a flag given with a mode it does not apply to, whatever its value:
+// -steal=false outside -sched is as much a usage error as -hedge.
+func TestCheckFlags(t *testing.T) {
+	flags := func(names ...string) map[string]bool {
+		set := map[string]bool{}
+		for _, n := range names {
+			set[n] = true
+		}
+		return set
+	}
+	cases := []struct {
+		set   map[string]bool
+		nargs int
+		mode  string // "" runs experiments by name; ignored on error
+		ok    bool
+	}{
+		{flags(), 1, "", true},
+		{flags("scale", "seeds", "j", "csv", "metrics"), 1, "", true},
+		{flags(), 0, "", false},
+		{flags(), 2, "", false},
+		{flags("steal"), 1, "", false},
+		{flags("hedge"), 1, "", false},
+		{flags("crash-plan"), 1, "", false},
+		{flags("resume"), 1, "", false},
+		{flags("cells"), 1, "", false},
+		{flags("out"), 1, "", false},
+		{flags("shard", "resume", "cells", "out", "metrics"), 1, "shard", true},
+		{flags("shard"), 0, "", false},
+		{flags("shard", "steal"), 1, "", false},
+		{flags("shard", "csv"), 1, "", false},
+		{flags("sched", "crash-plan", "steal", "hedge", "resume", "cells", "out", "csv", "metrics"), 1, "sched", true},
+		{flags("sched"), 2, "", false},
+		{flags("merge", "csv", "metrics"), 3, "merge", true},
+		{flags("merge"), 0, "", false},
+		{flags("merge", "hedge"), 2, "", false},
+		{flags("merge", "out"), 2, "", false},
+		{flags("status"), 1, "status", true},
+		{flags("status", "metrics"), 1, "", false},
+		{flags("status", "steal"), 1, "", false},
+		{flags("shard", "sched"), 1, "", false},
+		{flags("merge", "status"), 1, "", false},
+	}
+	for _, c := range cases {
+		mode, err := checkFlags(c.set, c.nargs)
+		switch {
+		case c.ok && (err != nil || mode != c.mode):
+			t.Errorf("%v with %d args: mode %q, err %v; want mode %q", c.set, c.nargs, mode, err, c.mode)
+		case !c.ok && exitCode(err) != 2:
+			t.Errorf("%v with %d args: err %v, want a usage error", c.set, c.nargs, err)
+		}
+	}
+}
+
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		err  error

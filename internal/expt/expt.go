@@ -46,10 +46,21 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// Seeds is the repetition seed list's first n entries, 11+13i: the
+// seeds of fdwexp -seeds n and, for n = 3, of DefaultOptions.
+// A non-positive n gives none, which Options validation rejects.
+func Seeds(n int) []uint64 {
+	var seeds []uint64
+	for i := 0; i < n; i++ {
+		seeds = append(seeds, uint64(11+13*i))
+	}
+	return seeds
+}
+
 // DefaultOptions mirrors the paper: three repetitions at full scale.
 func DefaultOptions() Options {
 	return Options{
-		Seeds:   []uint64{11, 23, 47},
+		Seeds:   Seeds(3),
 		Scale:   1.0,
 		Pool:    ospool.DefaultConfig(),
 		Horizon: 1000 * 3600,

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -239,12 +240,21 @@ func ReadCampaignManifestFile(path string) (*CampaignManifest, error) {
 		return nil, err
 	}
 	defer f.Close()
+	m, err := readCampaignManifest(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// readCampaignManifest decodes and validates one manifest bundle.
+func readCampaignManifest(r io.Reader) (*CampaignManifest, error) {
 	var m CampaignManifest
-	if err := json.NewDecoder(f).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%s: expt: bad campaign manifest: %w", path, err)
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
+		return nil, fmt.Errorf("expt: bad campaign manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &m, nil
 }
@@ -284,6 +294,12 @@ func (m *CampaignManifest) Validate() error {
 	for i, c := range m.Cells {
 		if c.ID != done[i] {
 			return fmt.Errorf("expt: cell result %d is %q, ledger order says %q", i, c.ID, done[i])
+		}
+		// Write re-encodes a result as json.Marshal does (compact,
+		// HTML-escaped); a result in any other form would be written
+		// as bytes its digest does not cover.
+		if canon, err := json.Marshal(c.Result); err != nil || !bytes.Equal(canon, c.Result) {
+			return fmt.Errorf("expt: cell %q result is not compact JSON as json.Marshal writes it", c.ID)
 		}
 		if got := cellDigest(c.Result); got != c.Digest {
 			return fmt.Errorf("expt: cell %q result digest %s does not match stored %s (corrupt manifest?)", c.ID, got, c.Digest)

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"fdw/internal/expt"
 	"fdw/internal/faults"
@@ -54,8 +53,7 @@ import (
 // Source is the campaign a scheduler run drives: stable canonical cell
 // ids, an options fingerprint for bundle compatibility checks, and a
 // deterministic per-cell runner. expt.CampaignHandle implements it;
-// tests substitute scripted fakes and Memoize wraps any Source with a
-// result cache.
+// tests substitute scripted fakes.
 type Source interface {
 	Name() string
 	Fingerprint() string
@@ -140,8 +138,6 @@ type Stats struct {
 
 // Result is a finished (or budget-halted) scheduler run.
 type Result struct {
-	Campaign string
-	Workers  int
 	// Records is the arbitrated exactly-once ledger, one record per
 	// completed cell; feed it to CampaignHandle.Finalize for the
 	// byte-identical report.
@@ -213,7 +209,7 @@ type scheduler struct {
 
 	pending    map[string]int // queued cell -> reserved worker id (-1 = any)
 	holders    map[string][]*assignment
-	lastHolder map[string]int
+	requeuedBy map[string]int // requeued cell -> worker whose lease expired
 	done       map[string]expt.CellRecord
 	doneBy     map[string]int
 	workers    []*worker
@@ -249,7 +245,7 @@ func Run(src Source, cfg Config) (*Result, error) {
 		pos:        make(map[string]int, len(ids)),
 		pending:    make(map[string]int, len(ids)),
 		holders:    map[string][]*assignment{},
-		lastHolder: map[string]int{},
+		requeuedBy: map[string]int{},
 		done:       make(map[string]expt.CellRecord, len(ids)),
 		doneBy:     map[string]int{},
 		crashSpent: make([]bool, len(cfg.Plan.Crashes)),
@@ -305,8 +301,6 @@ func Run(src Source, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Campaign: src.Name(),
-		Workers:  cfg.Workers,
 		Records:  make(map[string]expt.CellRecord, len(s.done)),
 		Stats:    s.stats,
 		Makespan: s.k.Now(),
@@ -445,11 +439,15 @@ func (s *scheduler) assign(w *worker, cell string) {
 	now := s.k.Now()
 	a := &assignment{cell: cell, worker: w.id, granted: now}
 	s.holders[cell] = append(s.holders[cell], a)
-	if last, ok := s.lastHolder[cell]; ok && last != w.id {
-		s.stats.CellsStolen++
-		s.counter("fdw_sched_cells_stolen_total").Inc()
+	// A steal is a requeued cell going to another worker; a hedge's
+	// duplicate lease, granted while the original is live, is not one.
+	if from, ok := s.requeuedBy[cell]; ok {
+		delete(s.requeuedBy, cell)
+		if from != w.id {
+			s.stats.CellsStolen++
+			s.counter("fdw_sched_cells_stolen_total").Inc()
+		}
 	}
-	s.lastHolder[cell] = w.id
 	s.stats.LeasesGranted++
 	s.counter("fdw_sched_leases_granted_total").Inc()
 	w.state = workerBusy
@@ -551,6 +549,7 @@ func (s *scheduler) expire(a *assignment) {
 		reserve = a.worker
 	}
 	s.pending[a.cell] = reserve
+	s.requeuedBy[a.cell] = a.worker
 	s.stats.CellsRequeued++
 	s.counter("fdw_sched_cells_requeued_total").Inc()
 	s.dispatch()
@@ -788,40 +787,4 @@ func (s *scheduler) loadBundle(w *worker) error {
 // slot is w's 1-based place in the fleet, as its bundle records it.
 func (s *scheduler) slot(w *worker) expt.ShardSpec {
 	return expt.ShardSpec{Index: w.id + 1, Total: s.cfg.Workers}
-}
-
-// Memoize wraps a Source with a per-cell result cache. Sources are
-// deterministic per cell id, so memoization is observationally
-// invisible; it exists so drivers that legitimately re-run cells
-// (steal re-execution, hedged duplicates, the A/B matrix sweeping many
-// plans over one campaign) pay each cell's simulation once.
-func Memoize(src Source) Source {
-	return &memoSource{src: src, cache: map[string]expt.CellRecord{}}
-}
-
-type memoSource struct {
-	src   Source
-	mu    sync.Mutex
-	cache map[string]expt.CellRecord
-}
-
-func (m *memoSource) Name() string        { return m.src.Name() }
-func (m *memoSource) Fingerprint() string { return m.src.Fingerprint() }
-func (m *memoSource) CellIDs() []string   { return m.src.CellIDs() }
-
-func (m *memoSource) RunCell(id string) (expt.CellRecord, error) {
-	m.mu.Lock()
-	rec, ok := m.cache[id]
-	m.mu.Unlock()
-	if ok {
-		return rec, nil
-	}
-	rec, err := m.src.RunCell(id)
-	if err != nil {
-		return expt.CellRecord{}, err
-	}
-	m.mu.Lock()
-	m.cache[id] = rec
-	m.mu.Unlock()
-	return rec, nil
 }

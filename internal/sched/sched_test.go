@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fdw/internal/core/atomicfile"
 	"fdw/internal/expt"
 	"fdw/internal/faults"
+	"fdw/internal/obs"
 	"fdw/internal/sim"
 )
 
@@ -304,7 +306,10 @@ func TestSchedTornCheckpointLoopFails(t *testing.T) {
 
 // Hedging routes around a straggler: once the lease outlives the
 // longest completed cell by the hedge factor, an idle worker duplicates
-// the cell, and the makespan collapses to the fast copy.
+// the cell, and the makespan collapses to the fast copy. The duplicate
+// lease is not a steal: no lease expired, so no cell was requeued and
+// none can have been stolen, in Stats and in the
+// fdw_sched_cells_stolen_total counter alike.
 func TestSchedHedgeStraggler(t *testing.T) {
 	mk := func() *fakeSource { return newFakeSource(100, 100, 100) }
 	plan := faults.WorkerPlan{
@@ -316,20 +321,87 @@ func TestSchedHedgeStraggler(t *testing.T) {
 	mustComplete(t, slow, noHedge, err)
 
 	hedged := mk()
-	withHedge, err := Run(hedged, Config{Workers: 2, Steal: true, Hedge: true, Plan: plan, Dir: t.TempDir()})
+	reg := obs.NewRegistry(nil)
+	withHedge, err := Run(hedged, Config{Workers: 2, Steal: true, Hedge: true, Plan: plan, Dir: t.TempDir(), Obs: reg})
 	mustComplete(t, hedged, withHedge, err)
 	if withHedge.Stats.CellsHedged == 0 {
 		t.Fatalf("straggler was never hedged: %+v", withHedge.Stats)
 	}
+	if s := withHedge.Stats; s.LeasesExpired != 0 || s.CellsStolen != 0 {
+		t.Fatalf("hedge without an expired lease counted as %d steals: %+v", s.CellsStolen, s)
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "fdw_sched_cells_stolen_total" && c.Value != 0 {
+			t.Fatalf("fdw_sched_cells_stolen_total = %d after a hedge alone", c.Value)
+		}
+	}
 	if withHedge.Makespan >= noHedge.Makespan {
 		t.Fatalf("hedging did not improve makespan: %v vs %v", withHedge.Makespan, noHedge.Makespan)
 	}
+
+	// The same on the fig2 campaign with three workers under the
+	// standard straggler plan, whose slow worker otherwise holds its
+	// cell long after the others finish.
+	_, _, src, _, _, _ := schedCampaignRef(t)
+	straggler, err := faults.WorkerPlanByName("straggler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var makespan [2]sim.Time
+	for i, hedge := range []bool{false, true} {
+		res, err := Run(src, Config{Workers: 3, Steal: true, Hedge: hedge, Plan: straggler, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("fig2 hedge=%t: %v", hedge, err)
+		}
+		if hedge && res.Stats.CellsHedged == 0 {
+			t.Fatalf("fig2 straggler was never hedged: %+v", res.Stats)
+		}
+		makespan[i] = res.Makespan
+	}
+	if makespan[1] >= makespan[0] {
+		t.Fatalf("hedging did not cut the fig2 makespan: %.2f h with, %.2f h without", makespan[1]/3600, makespan[0]/3600)
+	}
 }
 
-// Memoize runs each unique cell once no matter how often drivers ask.
+// memoize wraps a Source with a per-cell result cache. Sources are
+// deterministic per cell id, so memoization is observationally
+// invisible; it lets tests that sweep many plans over one campaign pay
+// each cell's simulation once.
+func memoize(src Source) Source {
+	return &memoSource{src: src, cache: map[string]expt.CellRecord{}}
+}
+
+type memoSource struct {
+	src   Source
+	mu    sync.Mutex
+	cache map[string]expt.CellRecord
+}
+
+func (m *memoSource) Name() string        { return m.src.Name() }
+func (m *memoSource) Fingerprint() string { return m.src.Fingerprint() }
+func (m *memoSource) CellIDs() []string   { return m.src.CellIDs() }
+
+func (m *memoSource) RunCell(id string) (expt.CellRecord, error) {
+	m.mu.Lock()
+	rec, ok := m.cache[id]
+	m.mu.Unlock()
+	if ok {
+		return rec, nil
+	}
+	rec, err := m.src.RunCell(id)
+	if err != nil {
+		return expt.CellRecord{}, err
+	}
+	m.mu.Lock()
+	m.cache[id] = rec
+	m.mu.Unlock()
+	return rec, nil
+}
+
+// memoize runs each unique cell once no matter how often tests ask.
 func TestMemoize(t *testing.T) {
 	f := newFakeSource(100, 200)
-	m := Memoize(f)
+	m := memoize(f)
 	for i := 0; i < 3; i++ {
 		for _, id := range m.CellIDs() {
 			if _, err := m.RunCell(id); err != nil {
@@ -373,7 +445,7 @@ func schedCampaignRef(t *testing.T) (expt.Options, *expt.CampaignHandle, Source,
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := Memoize(h)
+	src := memoize(h)
 	ref := map[string]expt.CellRecord{}
 	for _, id := range src.CellIDs() {
 		rec, err := src.RunCell(id)
@@ -395,16 +467,23 @@ func schedCampaignRef(t *testing.T) (expt.Options, *expt.CampaignHandle, Source,
 }
 
 // The headline guarantee: for every standard crash plan × worker count
-// × steal policy, the scheduler terminates, completes every cell
-// exactly once in the arbitrated ledger, and the merged report and CSV
-// are byte-identical to the unsharded run.
+// × policy (steal off, steal on, steal+hedge), the scheduler
+// terminates, completes every cell exactly once in the arbitrated
+// ledger, and the merged report and CSV are byte-identical to the
+// unsharded run. Hedges must fire somewhere in the sweep, or the
+// hedge arms prove nothing.
 func TestSchedPropertyByteIdentical(t *testing.T) {
 	opt, h, src, ref, wantRep, wantCSV := schedCampaignRef(t)
+	var hedges uint64
 	for _, plan := range faults.StandardWorkerPlans() {
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, steal := range []bool{false, true} {
+			for _, pol := range []struct{ steal, hedge bool }{{false, false}, {true, false}, {true, true}} {
+				steal := pol.steal
 				name := fmt.Sprintf("%s/w%d/steal=%t", plan.Name, workers, steal)
-				res, err := Run(src, Config{Workers: workers, Steal: steal, Plan: plan, Dir: t.TempDir()})
+				if pol.hedge {
+					name += "+hedge"
+				}
+				res, err := Run(src, Config{Workers: workers, Steal: steal, Hedge: pol.hedge, Plan: plan, Dir: t.TempDir()})
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					continue
@@ -445,8 +524,12 @@ func TestSchedPropertyByteIdentical(t *testing.T) {
 						t.Errorf("%s: bundle merge not byte-identical", name)
 					}
 				}
+				hedges += res.Stats.CellsHedged
 			}
 		}
+	}
+	if hedges == 0 {
+		t.Error("no steal+hedge arm hedged a cell")
 	}
 }
 
