@@ -269,9 +269,14 @@ func BenchmarkSynthesize(b *testing.B) {
 }
 
 // BenchmarkWorkflow16k measures one full-scale 16,000-waveform DAGMan
-// on the simulated pool — the unit of the paper's §4.2 experiment —
-// to document simulator throughput (simulated hours per wall second).
+// (1,600 under -short) on the simulated pool — the unit of the paper's
+// §4.2 experiment — to document simulator throughput (simulated hours
+// per wall second). BENCH_workflow.json records both sizes.
 func BenchmarkWorkflow16k(b *testing.B) {
+	waveforms := 16000
+	if testing.Short() {
+		waveforms = 1600
+	}
 	for i := 0; i < b.N; i++ {
 		env, err := fdw.NewEnv(uint64(31+i), fdw.DefaultPoolConfig())
 		if err != nil {
@@ -279,7 +284,7 @@ func BenchmarkWorkflow16k(b *testing.B) {
 		}
 		cfg := fdw.DefaultConfig()
 		cfg.Name = "bench16k"
-		cfg.Waveforms = 16000
+		cfg.Waveforms = waveforms
 		cfg.Seed = uint64(31 + i)
 		w, err := fdw.NewWorkflow(cfg, env, nil)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"fdw/internal/htcondor"
 	"fdw/internal/sim"
@@ -124,10 +125,15 @@ func buildJobs(cfg Config, phase Phase, owner string, rng *sim.RNG) ([]*htcondor
 	}
 	base := nominal.BaseExecSeconds
 	jobs := make([]*htcondor.Job, n)
+	// "--batch <name> --task <i>": the prefix is shared by the phase,
+	// so each job's arguments cost one string allocation.
+	args := []byte("--batch " + cfg.Name + " --task ")
+	prefix := len(args)
 	for i := range jobs {
 		j := nominal
 		j.Owner = owner
-		j.Arguments = fmt.Sprintf("--batch %s --task %d", cfg.Name, i)
+		args = strconv.AppendInt(args[:prefix], int64(i), 10)
+		j.Arguments = string(args)
 		j.BaseExecSeconds = rng.TruncNormal(base, base*0.05, base*0.9, base*1.1)
 		jobs[i] = &j
 	}

@@ -248,10 +248,20 @@ func ReadCampaignManifestFile(path string) (*CampaignManifest, error) {
 }
 
 // readCampaignManifest decodes and validates one manifest bundle.
+// Bundles are written whole, so anything but whitespace after the
+// JSON value is corruption, not a second value to ignore.
 func readCampaignManifest(r io.Reader) (*CampaignManifest, error) {
 	var m CampaignManifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("expt: bad campaign manifest: %w", err)
+	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r))
+	if err != nil {
+		return nil, fmt.Errorf("expt: bad campaign manifest: %w", err)
+	}
+	if tail := bytes.TrimLeft(rest, " \t\r\n"); len(tail) > 0 {
+		return nil, fmt.Errorf("expt: bad campaign manifest: trailing data at offset %d", dec.InputOffset()+int64(len(rest)-len(tail)))
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

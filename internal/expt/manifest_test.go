@@ -79,6 +79,13 @@ func FuzzReadCampaignManifest(f *testing.F) {
 			`"fingerprint":"0123456789abcdef","ledger":{"format":1,"dag":"fig2-worker1of1","nodes":[{"name":"a","done":true}]},`+
 			`"cells":[{"id":"a",%s"digest":%q,"sim_end":1}],"sim_max":1}`, field, cellDigest([]byte(r)))))
 	}
+	// A whole bundle followed by trailing bytes: corruption the reader
+	// must refuse rather than ignore.
+	var whole bytes.Buffer
+	if err := NewBundle("fig2", "0123456789abcdef", ShardSpec{Index: 1, Total: 1}, false, ids, done).Write(&whole); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(whole.Bytes(), `garbage{"x":`...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := readCampaignManifest(bytes.NewReader(data))
 		if err != nil {
@@ -103,4 +110,28 @@ func FuzzReadCampaignManifest(f *testing.F) {
 			t.Fatalf("round trip changed bytes:\n%s\nthen\n%s", once, twice)
 		}
 	})
+}
+
+// A bundle with bytes after its JSON value is corrupt: the reader
+// names the offset where they start, and whitespace alone (the newline
+// Write ends with, or more) stays harmless.
+func TestReadCampaignManifestRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	b := NewBundle("fig2", "0123456789abcdef", ShardSpec{Index: 1, Total: 1}, false, []string{"n16/s11"}, nil)
+	if err := b.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := readCampaignManifest(bytes.NewReader(append(bytes.Clone(good), " \n\t\r\n"...))); err != nil {
+		t.Fatalf("whitespace after the bundle rejected: %v", err)
+	}
+	for _, tail := range []string{`garbage{"x":`, `{}`, "\n\n  x"} {
+		data := append(bytes.Clone(good), tail...)
+		off := len(good) + len(tail) - len(strings.TrimLeft(tail, " \t\r\n"))
+		_, err := readCampaignManifest(bytes.NewReader(data))
+		want := fmt.Sprintf("expt: bad campaign manifest: trailing data at offset %d", off)
+		if err == nil || err.Error() != want {
+			t.Errorf("tail %q: got error %v, want %q", tail, err, want)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package ospool
 
 import (
 	"strconv"
-	"strings"
 
 	"fdw/internal/classad"
 	"fdw/internal/htcondor"
@@ -77,7 +76,8 @@ type negOwner struct {
 	running int
 	cursors []htcondor.IdleCursor
 	schedds []*htcondor.Schedd
-	cur     int // cursor index the next peek starts from
+	cur     int    // cursor index the next peek starts from
+	cycle   uint64 // negotiation cycle the fields above belong to
 }
 
 // peek returns the owner's head-of-line job and its schedd without
@@ -146,54 +146,52 @@ func (p *Pool) matchMask(job *htcondor.Job) []bool {
 	if m, ok := p.maskByJob[job]; ok {
 		return m
 	}
-	sig := p.matchSig(job)
-	m, ok := p.maskBySig[sig]
+	p.scratch = p.matchSig(p.scratch[:0], job)
+	m, ok := p.maskBySig[string(p.scratch)] // no allocation on a hit
 	if !ok {
 		m = make([]bool, len(p.sites))
 		for i := range p.sites {
 			ok, err := job.Matches(p.sites[i].ad)
 			m[i] = err == nil && ok
 		}
-		p.maskBySig[sig] = m
+		p.maskBySig[string(p.scratch)] = m
 	}
 	p.maskByJob[job] = m
 	return m
 }
 
-// matchSig builds a key covering everything Job.Matches reads: the
-// explicit RequestCpus/RequestMemory gates, the Requirements source,
-// and — for expressions that reference job-side (MY) attributes — the
-// values of exactly those attributes, as reported by
+// matchSig appends to buf a key covering everything Job.Matches reads:
+// the explicit RequestCpus/RequestMemory gates, the Requirements
+// source, and — for expressions that reference job-side (MY)
+// attributes — the values of exactly those attributes, as reported by
 // classad.ReferencedAttrs. Two jobs with equal signatures match the
 // same set of sites.
-func (p *Pool) matchSig(job *htcondor.Job) string {
-	var sb strings.Builder
-	sb.Grow(32 + len(job.Requirements))
-	sb.WriteString(strconv.Itoa(job.RequestCpus))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(job.RequestMemoryMB))
-	sb.WriteByte('|')
-	sb.WriteString(job.Requirements)
+func (p *Pool) matchSig(buf []byte, job *htcondor.Job) []byte {
+	buf = strconv.AppendInt(buf, int64(job.RequestCpus), 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendInt(buf, int64(job.RequestMemoryMB), 10)
+	buf = append(buf, '|')
+	buf = append(buf, job.Requirements...)
 	if job.Requirements != "" {
 		if attrs := p.reqMyAttrs(job.Requirements); len(attrs) > 0 {
 			ad := job.MatchAd()
 			for _, a := range attrs {
-				sb.WriteByte('|')
-				sb.WriteString(a)
-				sb.WriteByte('=')
+				buf = append(buf, '|')
+				buf = append(buf, a...)
+				buf = append(buf, '=')
 				if v, ok := ad.Lookup(a); ok {
 					// Length-prefix the rendered value so attribute
 					// values containing the delimiters cannot alias
 					// two different signatures.
 					vs := v.String()
-					sb.WriteString(strconv.Itoa(len(vs)))
-					sb.WriteByte(':')
-					sb.WriteString(vs)
+					buf = strconv.AppendInt(buf, int64(len(vs)), 10)
+					buf = append(buf, ':')
+					buf = append(buf, vs...)
 				}
 			}
 		}
 	}
-	return sb.String()
+	return buf
 }
 
 // reqMyAttrs returns the MY-side attribute names a Requirements

@@ -20,10 +20,14 @@
 package ospool
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"fdw/internal/classad"
 	"fdw/internal/htcondor"
@@ -128,7 +132,7 @@ type glidein struct {
 	site     *SiteConfig
 	siteIdx  int // index into Pool.sites
 	speed    float64
-	host     string // "glidein-<id>.<site>", built once
+	host     string // "glidein-<id>.<site>", built by hostName on first claim
 	ad       classad.Ad
 	job      *htcondor.Job
 	schedd   *htcondor.Schedd
@@ -263,6 +267,15 @@ type Pool struct {
 	maskBySig map[string][]bool
 	reqAttrs  map[string][]string
 	cands     []siteCand // scratch for findSlot's site walk
+	scratch   []byte     // byte scratch for matchSig and hostName
+
+	// Negotiation scratch reused across cycles: every owner's cycle
+	// state (reset when negCycle moves on), the cycle's owner order,
+	// and pickSite's candidate list.
+	negOwners map[string]*negOwner
+	negOrder  []*negOwner
+	negCycle  uint64
+	siteCands []siteWeight
 
 	pending int // glideins requested but not yet arrived
 	nextID  int
@@ -335,6 +348,7 @@ func New(k *sim.Kernel, cfg Config, cache *stash.Cache) (*Pool, error) {
 		maskByJob:    map[*htcondor.Job][]bool{},
 		maskBySig:    map[string][]bool{},
 		reqAttrs:     map[string][]string{},
+		negOwners:    map[string]*negOwner{},
 	}
 	p.sites = make([]siteState, len(p.cfg.Sites))
 	for i := range p.cfg.Sites {
@@ -600,15 +614,17 @@ func (p *Pool) provision() {
 	}
 }
 
+// siteWeight is one entry in pickSite's weighted draw.
+type siteWeight struct {
+	idx  int
+	free int
+}
+
 // pickSite chooses a site (by index) weighted by its remaining slot
 // headroom, skipping sites an outage has taken down. Returns -1 when
 // no site has headroom.
 func (p *Pool) pickSite() int {
-	type cand struct {
-		idx  int
-		free int
-	}
-	var cands []cand
+	cands := p.siteCands[:0]
 	total := 0
 	now := p.kernel.Now()
 	for i := range p.cfg.Sites {
@@ -618,10 +634,11 @@ func (p *Pool) pickSite() int {
 		}
 		free := s.MaxSlots - p.sites[i].liveCount
 		if free > 0 {
-			cands = append(cands, cand{i, free})
+			cands = append(cands, siteWeight{i, free})
 			total += free
 		}
 	}
+	p.siteCands = cands
 	if total == 0 {
 		return -1
 	}
@@ -657,7 +674,6 @@ func (p *Pool) glideinArrives(siteIdx int) {
 		site:    site,
 		siteIdx: siteIdx,
 		speed:   speed,
-		host:    fmt.Sprintf("glidein-%d.%s", p.nextID, site.Name),
 		ad:      st.ad,
 		expire:  now + sim.Time(p.rng.Exp(float64(p.cfg.GlideinLifetimeMean))),
 		idleAt:  now,
@@ -745,35 +761,42 @@ func (p *Pool) negotiateIndexed() {
 		p.maskByJob = make(map[*htcondor.Job][]bool, idleTotal)
 	}
 
-	owners := map[string]*negOwner{}
-	var order []string
+	// Owner states persist across cycles in p.negOwners and are reset
+	// on their first use in this cycle, so a cycle allocates nothing
+	// for owners it has seen before.
+	p.negCycle++
+	order := p.negOrder[:0]
 	for _, s := range p.schedds {
 		for _, name := range s.IdleOwners() {
-			no := owners[name]
+			no := p.negOwners[name]
 			if no == nil {
-				no = &negOwner{name: name, running: p.ownerRunning[name]}
-				owners[name] = no
-				order = append(order, name)
+				no = &negOwner{name: name}
+				p.negOwners[name] = no
+			}
+			if no.cycle != p.negCycle {
+				no.cycle = p.negCycle
+				no.running = p.ownerRunning[name]
+				no.cursors, no.schedds, no.cur = no.cursors[:0], no.schedds[:0], 0
+				order = append(order, no)
 			}
 			no.cursors = append(no.cursors, s.OwnerIdleCursor(name))
 			no.schedds = append(no.schedds, s)
 		}
 	}
+	p.negOrder = order
 	if len(order) == 0 {
 		return
 	}
-	sort.Strings(order) // deterministic iteration
+	// Deterministic iteration: owner names are unique.
+	slices.SortFunc(order, func(a, b *negOwner) int { return strings.Compare(a.name, b.name) })
 
 	matches := 0
 	// Round-robin across owners ordered by effective usage (fewest
 	// running first) — HTCondor's fair-share in miniature.
 	for matches < p.cfg.MatchesPerCycle && p.freeCount > 0 {
-		sort.SliceStable(order, func(a, b int) bool {
-			return owners[order[a]].running < owners[order[b]].running
-		})
+		slices.SortStableFunc(order, func(a, b *negOwner) int { return cmp.Compare(a.running, b.running) })
 		progress := false
-		for _, name := range order {
-			no := owners[name]
+		for _, no := range order {
 			job, schedd := no.peek()
 			if job == nil {
 				continue
@@ -803,9 +826,24 @@ func (p *Pool) negotiateIndexed() {
 	}
 }
 
+// hostName returns g's host name, "glidein-<id>.<site>", building it
+// on the first claim: a pilot that expires or retires idle is never
+// named.
+func (p *Pool) hostName(g *glidein) string {
+	if g.host == "" {
+		b := append(p.scratch[:0], "glidein-"...)
+		b = strconv.AppendInt(b, int64(g.id), 10)
+		b = append(b, '.')
+		b = append(b, g.site.Name...)
+		g.host = string(b)
+		p.scratch = b
+	}
+	return g.host
+}
+
 // claim starts job on glidein g: input transfer, execution, output.
 func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
-	if err := schedd.MarkRunning(job, g.host); err != nil {
+	if err := schedd.MarkRunning(job, p.hostName(g)); err != nil {
 		return
 	}
 	if g.heapIdx >= 0 {

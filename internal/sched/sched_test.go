@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -650,11 +651,32 @@ func TestSchedResumeRejectsMismatch(t *testing.T) {
 	if _, err := Run(f, Config{Workers: 2, Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	// Different fleet size: worker bundle 1of2 is not 1of3.
-	if _, err := Run(f, Config{Workers: 3, Dir: dir, Resume: true}); err == nil {
-		// Worker 0's bundle names 1of3 and does not exist; 1of2 is simply
-		// ignored, so this resume legitimately starts fresh.
-		_ = err
+	// Different fleet size: worker bundle 1of2 is not 1of3. The 3-worker
+	// resume finds no bundle of its own, so it legitimately starts fresh
+	// and reruns every cell; the 1of2 bundles are simply ignored and left
+	// as they were.
+	before := map[string][]byte{}
+	for i := 0; i < 2; i++ {
+		p := WorkerBundlePath(dir, f.Name(), i, 2)
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[p] = b
+	}
+	runs := maps.Clone(f.runs)
+	if _, err := Run(f, Config{Workers: 3, Dir: dir, Resume: true}); err != nil {
+		t.Fatalf("resume with a different fleet size: %v", err)
+	}
+	for _, id := range f.ids {
+		if got := f.runs[id] - runs[id]; got != 1 {
+			t.Errorf("3-worker resume ran %s %d times, want 1 (a fresh start)", id, got)
+		}
+	}
+	for p, want := range before {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by a resume over another fleet size (err %v)", filepath.Base(p), err)
+		}
 	}
 	// Same fleet, different fingerprint.
 	g := newFakeSource(100, 200)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -51,33 +50,88 @@ func (e *Event) Cancel() {
 	}
 }
 
-type eventHeap []*Event
+// calendar is the kernel's event queue: a binary min-heap over
+// (at, seq) with the same sift algorithms as container/heap, typed so
+// each comparison and move is a direct call rather than an interface
+// call. Every move keeps the moved event's index current, so Cancel
+// can tell a queued event (index >= 0) from a fired one (-1). The
+// container/heap version it replaced is kept in kernel_test.go as the
+// reference the property test compares fire orders against.
+type calendar []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the calendar order: earlier time first, then FIFO.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up sifts the event at j towards the root.
+func (h calendar) up(j int) {
+	e := h[j]
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		p := h[i]
+		if !e.before(p) {
+			break
+		}
+		h[j] = p
+		p.index = j
+		j = i
+	}
+	h[j] = e
+	e.index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
+
+// down sifts the event at i towards the leaves of h[:n].
+func (h calendar) down(i, n int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n || c < 0 { // c < 0 after int overflow
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+}
+
+func (h *calendar) push(e *Event) {
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event; h must be non-empty.
+func (h *calendar) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top := old[0]
+	if n > 0 {
+		old[0] = old[n]
+		old.down(0, n)
+	}
+	old[n] = nil
+	*h = old[:n]
+	top.index = -1
+	return top
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h calendar) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 }
 
 // Kernel is a discrete-event simulator: a clock plus an ordered calendar
@@ -85,7 +139,7 @@ func (h *eventHeap) Pop() any {
 // from the (time, insertion-order) total order of events.
 type Kernel struct {
 	now    Time
-	events eventHeap
+	events calendar
 	seq    uint64
 	rng    *RNG
 	// cancelled counts tombstones still on the calendar; maybeReap
@@ -136,7 +190,7 @@ func (k *Kernel) maybeReap() {
 	}
 	k.events = live
 	k.cancelled = 0
-	heap.Init(&k.events)
+	k.events.init()
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
@@ -147,7 +201,7 @@ func (k *Kernel) At(at Time, fn func()) *Event {
 	}
 	e := &Event{at: at, seq: k.seq, fn: fn, k: k}
 	k.seq++
-	heap.Push(&k.events, e)
+	k.events.push(e)
 	return e
 }
 
@@ -160,7 +214,7 @@ func (k *Kernel) After(d Time, fn func()) *Event {
 // empty. Cancelled events are skipped (but still consume a pop).
 func (k *Kernel) Step() bool {
 	for len(k.events) > 0 {
-		e := heap.Pop(&k.events).(*Event)
+		e := k.events.pop()
 		if e.cancel {
 			k.cancelled--
 			continue
@@ -189,7 +243,7 @@ func (k *Kernel) RunUntil(deadline Time) {
 		// Peek without popping.
 		e := k.events[0]
 		if e.cancel {
-			heap.Pop(&k.events)
+			k.events.pop()
 			k.cancelled--
 			continue
 		}

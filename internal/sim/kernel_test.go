@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -447,6 +449,225 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	k.At(2, func() {})
 	if k.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", k.Pending())
+	}
+}
+
+// eventHeap is the container/heap calendar the kernel ran on before
+// its typed heap, kept verbatim as the reference refKernel drives.
+type eventHeap []*Event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	e := x.(*Event)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.index = -1
+	*h = old[:n-1]
+	return e
+}
+
+// refKernel is the kernel's scheduling, cancellation, reaping and
+// stepping code as it stood over eventHeap. Its events carry no
+// kernel pointer, so cancellation goes through refKernel.cancel.
+type refKernel struct {
+	now       Time
+	events    eventHeap
+	seq       uint64
+	cancelled int
+}
+
+func (k *refKernel) at(at Time, fn func()) *Event {
+	e := &Event{at: at, seq: k.seq, fn: fn}
+	k.seq++
+	heap.Push(&k.events, e)
+	return e
+}
+
+func (k *refKernel) cancel(e *Event) {
+	if e.cancel {
+		return
+	}
+	e.cancel = true
+	if e.index >= 0 {
+		k.cancelled++
+		k.maybeReap()
+	}
+}
+
+func (k *refKernel) maybeReap() {
+	if len(k.events) < reapMinEvents || k.cancelled*2 <= len(k.events) {
+		return
+	}
+	live := k.events[:0]
+	for _, e := range k.events {
+		if e.cancel {
+			e.index = -1
+			continue
+		}
+		live = append(live, e)
+	}
+	for i := len(live); i < len(k.events); i++ {
+		k.events[i] = nil
+	}
+	k.events = live
+	k.cancelled = 0
+	heap.Init(&k.events)
+}
+
+func (k *refKernel) step() bool {
+	for len(k.events) > 0 {
+		e := heap.Pop(&k.events).(*Event)
+		if e.cancel {
+			k.cancelled--
+			continue
+		}
+		k.now = e.at
+		e.fn()
+		return true
+	}
+	return false
+}
+
+func (k *refKernel) runUntil(deadline Time) {
+	for len(k.events) > 0 {
+		e := k.events[0]
+		if e.cancel {
+			heap.Pop(&k.events)
+			k.cancelled--
+			continue
+		}
+		if e.at > deadline {
+			break
+		}
+		k.step()
+	}
+	if k.now < deadline {
+		k.now = deadline
+	}
+}
+
+// eventQueue is what driveQueue needs of a calendar, so the same
+// random operation sequence can run on Kernel and on refKernel.
+type eventQueue struct {
+	now      func() Time
+	at       func(Time, func()) *Event
+	cancel   func(*Event)
+	step     func() bool
+	runUntil func(Time)
+	size     func() int // calendar entries, tombstones included
+	pending  func() int
+}
+
+func kernelQueue(k *Kernel) eventQueue {
+	return eventQueue{
+		now: k.Now, at: k.At, cancel: (*Event).Cancel, step: k.Step, runUntil: k.RunUntil,
+		size: func() int { return len(k.events) }, pending: k.Pending,
+	}
+}
+
+func refQueue(k *refKernel) eventQueue {
+	return eventQueue{
+		now: func() Time { return k.now }, at: k.at, cancel: k.cancel, step: k.step, runUntil: k.runUntil,
+		size:    func() int { return len(k.events) },
+		pending: func() int { return len(k.events) - k.cancelled },
+	}
+}
+
+// driveQueue runs a seeded random sequence of At, Cancel, Step and
+// RunUntil calls on q — plus bursts of timers that are mostly
+// cancelled again, so tombstone reaping runs — and returns the trace:
+// every event that fires with its time, and the clock, live count and
+// calendar size after each operation. Delays are small integers, so
+// many events share a timestamp and the FIFO tie-break decides.
+// Callbacks schedule and cancel events too, as pool callbacks do.
+func driveQueue(seed uint64, q eventQueue) (trace []string, reaps int) {
+	rng := NewRNG(seed)
+	var evs []*Event
+	var schedule func(d Time)
+	schedule = func(d Time) {
+		id := len(evs)
+		evs = append(evs, q.at(q.now()+d, func() {
+			trace = append(trace, fmt.Sprintf("fire %d @%v", id, q.now()))
+			switch id % 5 {
+			case 0:
+				schedule(Time(rng.Intn(4)))
+			case 1:
+				q.cancel(evs[rng.Intn(len(evs))])
+			}
+		}))
+	}
+	cancel := func(e *Event) {
+		before := q.size()
+		q.cancel(e)
+		if q.size() < before {
+			reaps++
+		}
+	}
+	for op := 0; op < 300; op++ {
+		switch r := rng.Intn(20); {
+		case r < 8:
+			schedule(Time(rng.Intn(8)))
+		case r < 12:
+			if len(evs) > 0 {
+				cancel(evs[rng.Intn(len(evs))])
+			}
+		case r < 15:
+			q.step()
+		case r < 18:
+			q.runUntil(q.now() + Time(rng.Intn(6)))
+		case r < 19:
+			first := len(evs)
+			for i := 0; i < 40; i++ {
+				schedule(Time(rng.Intn(8)))
+			}
+			for i := first; i < len(evs); i++ {
+				if rng.Intn(8) != 0 {
+					cancel(evs[i])
+				}
+			}
+		default:
+			for q.step() {
+			}
+		}
+		trace = append(trace, fmt.Sprintf("op %d now=%v pending=%d size=%d", op, q.now(), q.pending(), q.size()))
+	}
+	return trace, reaps
+}
+
+func TestCalendarMatchesContainerHeap(t *testing.T) {
+	totalReaps := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		got, reaps := driveQueue(seed, kernelQueue(NewKernel(seed)))
+		want, _ := driveQueue(seed, refQueue(&refKernel{}))
+		totalReaps += reaps
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: trace diverges at entry %d: kernel %q, reference %q", seed, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: kernel trace has %d entries, reference %d", seed, len(got), len(want))
+		}
+	}
+	if totalReaps == 0 {
+		t.Fatal("no sequence reaped tombstones; the reap path went untested")
 	}
 }
 
