@@ -177,9 +177,10 @@ func writeGreensNPY(path string, g *GreensFunctions) error {
 // wrong shape for the requested geometry, or a length other than that
 // shape's. Nothing is allocated for the kernel until the shape and the
 // length both match. Then stations load in parallel, like
-// ComputeGreens: each goroutine allocates its station's slab and fills
-// it with ranged reads. Per-station slabs, not one slab for the whole
-// kernel, spread the zeroing of the memory across the goroutines.
+// ComputeGreens: each goroutine allocates its station's slab, fills it
+// with ranged reads and, while the slab is warm, scans each kernel's
+// leading zeros for its lead. Per-station slabs, not one slab for the
+// whole kernel, spread the zeroing of the memory across the goroutines.
 func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig) *GreensFunctions {
 	f, err := os.Open(path)
 	if err != nil {
@@ -199,8 +200,7 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 	if err != nil || info.Size()-start != 8*per*int64(len(stations)) {
 		return nil // truncated or overlong: recompute
 	}
-	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: nsub}
-	g.Kernel = make([][][3][]float64, len(stations))
+	g := newGreens(cfg, stations, nsub)
 	var failed atomic.Bool
 	eachStation(len(stations), func(s int) {
 		slab := make([]float64, per)
@@ -208,7 +208,11 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 			failed.Store(true) // shrank since the length check
 			return
 		}
-		g.Kernel[s] = stationKernels(slab, nsub, cfg.Nsamples)
+		kernels := stationKernels(slab, nsub, cfg.Nsamples)
+		for sf := range kernels {
+			g.lead[s][sf] = zeroLead(&kernels[sf], 0)
+		}
+		g.Kernel[s] = kernels
 	})
 	if failed.Load() {
 		return nil

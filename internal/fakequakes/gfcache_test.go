@@ -392,3 +392,46 @@ func TestGreensForScenarioSeam(t *testing.T) {
 		}
 	}
 }
+
+// TestGFCacheRoundTripKeepsLead: on the paper's 20 km mesh, the leads
+// a warm load scans from sample 0 of the kernels equal the ones
+// ComputeGreens finds by scanning on from each S arrival. Four
+// stations from the south to the north end of the network put the
+// arrivals from early samples to far into the record.
+func TestGFCacheRoundTripKeepsLead(t *testing.T) {
+	fc := geom.DefaultChileFault()
+	fc.SubfaultKm = 20
+	f, err := geom.BuildFault(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := geom.FullChileanStations()
+	stations := []geom.Station{all[0], all[40], all[80], all[120]}
+	d := ComputeDistanceMatrices(f, stations)
+	cfg := DefaultGFConfig()
+	direct, err := ComputeGreens(f, stations, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewGFCache(t.TempDir())
+	if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || hit {
+		t.Fatalf("fill: hit=%v err=%v", hit, err)
+	}
+	warm, hit, err := c.LoadOrCompute(f, stations, d, cfg)
+	if err != nil || !hit {
+		t.Fatalf("load: hit=%v err=%v", hit, err)
+	}
+	minLead, maxLead := int32(cfg.Nsamples), int32(0)
+	for s := range stations {
+		for sf := 0; sf < f.NumSubfaults(); sf++ {
+			lead := direct.lead[s][sf]
+			if got := warm.lead[s][sf]; got != lead {
+				t.Fatalf("station %d subfault %d: loaded lead %d, computed %d", s, sf, got, lead)
+			}
+			minLead, maxLead = min(minLead, lead), max(maxLead, lead)
+		}
+	}
+	if minLead == 0 || maxLead < 100 {
+		t.Fatalf("leads span [%d, %d]; want the set to start past sample 0 and reach past 100", minLead, maxLead)
+	}
+}

@@ -43,11 +43,47 @@ var Components = [3]string{"LXE", "LXN", "LXZ"}
 // (station, subfault, component) triple: the Phase B ".mseed" product.
 // Kernel[s][f][c] is a time series of Nsamples displacement values (m)
 // for 1 m of slip on subfault f observed at station s, component c.
+//
+// A set returned by ComputeGreens or LoadOrCompute is read-only: its
+// lead records where each kernel's leading zeros end, so writing a
+// kernel sample afterwards can make synthesis skip it.
 type GreensFunctions struct {
 	Cfg      GFConfig
 	Stations []geom.Station
 	NSub     int
 	Kernel   [][][3][]float64
+
+	// lead[s][f] is a sample index before which all three kernels of
+	// (station s, subfault f) are ±0: the samples before the S
+	// arrival. Synthesis need not add the terms before it. Nil, as in
+	// a hand-built set, means 0 everywhere.
+	lead [][]int32
+}
+
+// newGreens returns an empty set for nsub subfaults at stations, its
+// per-station Kernel and lead rows left for the station goroutines to
+// fill. The lead rows share one allocation.
+func newGreens(cfg GFConfig, stations []geom.Station, nsub int) *GreensFunctions {
+	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: nsub}
+	g.Kernel = make([][][3][]float64, len(stations))
+	g.lead = make([][]int32, len(stations))
+	leads := make([]int32, len(stations)*nsub)
+	for s := range g.lead {
+		g.lead[s] = leads[s*nsub : (s+1)*nsub : (s+1)*nsub]
+	}
+	return g
+}
+
+// zeroLead returns the first index at or after from where any of the
+// three kernels k holds a sample other than ±0 (NaN counts as other),
+// or len(k[0]) if there is none. The caller vouches that every sample
+// before from is ±0.
+func zeroLead(k *[3][]float64, from int) int32 {
+	i := from
+	for i < len(k[0]) && k[0][i] == 0 && k[1][i] == 0 && k[2][i] == 0 {
+		i++
+	}
+	return int32(i)
 }
 
 // ComputeGreens builds simplified layered-half-space kernels: each
@@ -64,9 +100,7 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 	if err := d.Validate(f.NumSubfaults(), len(stations)); err != nil {
 		return nil, err
 	}
-	n := f.NumSubfaults()
-	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: n}
-	g.Kernel = make([][][3][]float64, len(stations))
+	g := newGreens(cfg, stations, f.NumSubfaults())
 	tab := newSampleTables(cfg)
 	eachStation(len(stations), func(s int) { g.computeStation(f, d, &tab, s) })
 	return g, nil
@@ -131,12 +165,15 @@ func newSampleTables(cfg GFConfig) sampleTables {
 	return tab
 }
 
-// computeStation fills the kernels for one station. Its n·3 kernels
-// are carved from one zeroed slab, so a station costs two allocations,
-// not one per kernel. Each sample is the original per-sample expression
-// with the loop invariants hoisted and nothing re-associated —
-// (staticAmp·rad[c])·p[j], then + ((dynAmp·rad[c])·x[j])·e[j] — so every
-// float64 keeps its exact bits (reference_test.go holds the original).
+// computeStation fills the kernels for one station and their leads.
+// Its n·3 kernels are carved from one zeroed slab, so a station costs
+// two allocations, not one per kernel. Every sample before the S
+// arrival stays zero, so each lead is found by a scan that starts at
+// the arrival and ends within a sample or two. Each sample is the
+// original per-sample expression with the loop invariants hoisted and
+// nothing re-associated — (staticAmp·rad[c])·p[j], then
+// + ((dynAmp·rad[c])·x[j])·e[j] — so every float64 keeps its exact
+// bits (reference_test.go holds the original).
 func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab *sampleTables, s int) {
 	ns := g.Cfg.Nsamples
 	kernels := stationKernels(make([]float64, g.NSub*3*ns), g.NSub, ns)
@@ -178,6 +215,7 @@ func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab
 				k[j] += da * x[j] * e[j]
 			}
 		}
+		g.lead[s][sf] = zeroLead(&kernels[sf], min(arr, ns))
 	}
 	g.Kernel[s] = kernels
 }
@@ -211,13 +249,18 @@ func radiation(azDeg, strikeDeg, dipDeg float64) [3]float64 {
 	return [3]float64{e, n, z}
 }
 
-// validate checks the kernel's internal consistency: one entry per
-// station, each holding NSub subfaults. A hand-assembled or corrupt
-// value (the cache-load failure mode) reports an error here rather
-// than panicking deep in an index expression — the linalg convention:
-// errors for data-shaped problems, panics only for caller bugs like a
-// negative index the API documents as out of contract.
+// validate checks the set's internal consistency: a valid Cfg, one
+// entry per station, each holding NSub subfaults of three kernels of
+// exactly Cfg.Nsamples samples. A hand-assembled or corrupt value (the
+// cache-load failure mode) reports an error here rather than panicking
+// deep in an index expression — the linalg convention: errors for
+// data-shaped problems, panics only for caller bugs like a negative
+// index the API documents as out of contract. Synthesis relies on the
+// kernel lengths: it reads each kernel up to Nsamples.
 func (g *GreensFunctions) validate() error {
+	if err := g.Cfg.Validate(); err != nil {
+		return err
+	}
 	if g.NSub < 0 {
 		return fmt.Errorf("fakequakes: negative subfault count %d", g.NSub)
 	}
@@ -227,6 +270,14 @@ func (g *GreensFunctions) validate() error {
 	for s := range g.Kernel {
 		if len(g.Kernel[s]) != g.NSub {
 			return fmt.Errorf("fakequakes: station %d kernel holds %d subfaults, want %d", s, len(g.Kernel[s]), g.NSub)
+		}
+		for sf := range g.Kernel[s] {
+			for c, k := range g.Kernel[s][sf] {
+				if len(k) != g.Cfg.Nsamples {
+					return fmt.Errorf("fakequakes: station %d subfault %d %s kernel holds %d samples, want %d",
+						s, sf, Components[c], len(k), g.Cfg.Nsamples)
+				}
+			}
 		}
 	}
 	return nil

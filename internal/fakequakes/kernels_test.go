@@ -208,3 +208,55 @@ func TestSynthesizeRejectsHostilePatch(t *testing.T) {
 		t.Fatal("kernel set missing a station accepted")
 	}
 }
+
+// TestSynthesizeRejectsMalformedKernels pins the fix for a set whose
+// kernels or configuration do not match: a kernel on its own array
+// shorter than Nsamples used to panic a station goroutine ("slice
+// bounds out of range"), a kernel short in length but not in capacity
+// was silently read past its end, and a zero Dt synthesized without
+// error. Each is now an error from SynthesizeWaveforms and ToRecords,
+// naming the station, subfault and component where a kernel is at
+// fault.
+func TestSynthesizeRejectsMalformedKernels(t *testing.T) {
+	f, stations, d := smallSetup(t, 2)
+	cfg := GFConfig{Dt: 1, Nsamples: 16, VpKmS: 6.8, VsKmS: 3.9}
+	g, err := ComputeGreens(f, stations, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Rupture{ID: "r", Patch: []int{3}, SlipM: []float64{1}, OnsetS: []float64{0}, RiseS: []float64{2}}
+	// withKernel returns a copy of g whose station 1, subfault 3, LXN
+	// kernel is k; g itself stays as ComputeGreens returned it.
+	withKernel := func(k []float64) *GreensFunctions {
+		h := *g
+		h.Kernel = append([][][3][]float64(nil), g.Kernel...)
+		h.Kernel[1] = append([][3][]float64(nil), g.Kernel[1]...)
+		h.Kernel[1][3][1] = k
+		return &h
+	}
+	full := g.Kernel[1][3][1]
+	zeroDt := *g
+	zeroDt.Cfg.Dt = 0
+	cases := []struct {
+		name string
+		g    *GreensFunctions
+		want string
+	}{
+		{"own short array", withKernel([]float64{1, 2, 3}), "station 1 subfault 3 LXN kernel holds 3 samples, want 16"},
+		{"short length, full capacity", withKernel(full[:15]), "station 1 subfault 3 LXN kernel holds 15 samples, want 16"},
+		{"long kernel", withKernel(append(append([]float64(nil), full...), 0)), "station 1 subfault 3 LXN kernel holds 17 samples, want 16"},
+		{"zero Dt", &zeroDt, "non-positive Dt 0"},
+	}
+	for _, tc := range cases {
+		_, err := SynthesizeWaveforms(r, tc.g, NoiseConfig{}, sim.NewRNG(1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SynthesizeWaveforms error %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := tc.g.ToRecords(3); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ToRecords error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := SynthesizeWaveforms(r, g, NoiseConfig{}, sim.NewRNG(1)); err != nil {
+		t.Fatalf("the well-formed set: %v", err)
+	}
+}

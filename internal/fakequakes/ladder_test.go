@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fdw/internal/geom"
+	"fdw/internal/linalg"
 	"fdw/internal/sim"
 )
 
@@ -15,7 +16,10 @@ import (
 // (500 subfaults), 512 one-second samples — over the 16-scenario Mw
 // ladder of the fq121 benchmark workloads. It goes one station at a
 // time, so only one station's kernels (6 MB) are live rather than the
-// full 743 MB set.
+// full 743 MB set. The production set carries computeStation's leads,
+// so synthesis skips the kernels' leading zeros as it does in
+// ComputeGreens' sets, and each scenario is synthesized with the
+// assembly kernels on and off.
 func TestFullLadderMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("121-station ladder skipped under -short")
@@ -53,9 +57,10 @@ func TestFullLadderMatchesReference(t *testing.T) {
 	}
 
 	tab := newSampleTables(cfg)
-	got := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: f.NumSubfaults(), Kernel: make([][][3][]float64, len(stations))}
+	got := newGreens(cfg, stations, f.NumSubfaults())
 	want := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: f.NumSubfaults(), Kernel: make([][][3][]float64, len(stations))}
 	out := make([]Waveform, len(stations))
+	skipped := 0
 	for s := range stations {
 		got.computeStation(f, d, &tab, s)
 		want.referenceComputeStation(f, d, s)
@@ -64,14 +69,25 @@ func TestFullLadderMatchesReference(t *testing.T) {
 				requireSameBits(t, fmt.Sprintf("kernel[%d][%d][%d]", s, sf, c), got.Kernel[s][sf][c], want.Kernel[s][sf][c])
 			}
 		}
+		for _, lead := range got.lead[s] {
+			skipped += int(lead)
+		}
 		for i, r := range ruptures {
-			a, b := rngs[i][s], rngs[i][s]
-			w := synthesizeStation(r, got, DefaultNoise(), &a, s)
+			b := rngs[i][s]
 			if err := referenceSynthesizeStation(r, want, DefaultNoise(), &b, cfg.Nsamples, cfg.Dt, s, out); err != nil {
 				t.Fatal(err)
 			}
-			requireSameWaveforms(t, fmt.Sprintf("scenario %d station %d", i, s), []Waveform{w}, out[s:s+1])
+			for _, asm := range []bool{true, false} {
+				a := rngs[i][s]
+				was := linalg.SetAsmKernels(asm)
+				w := synthesizeStation(r, got, DefaultNoise(), &a, s)
+				linalg.SetAsmKernels(was)
+				requireSameWaveforms(t, fmt.Sprintf("scenario %d station %d asm %v", i, s, asm), []Waveform{w}, out[s:s+1])
+			}
 		}
 		got.Kernel[s], want.Kernel[s] = nil, nil
+	}
+	if skipped == 0 {
+		t.Fatal("every lead is 0: the ladder never exercised the leading-zero skip")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fdw/internal/linalg"
 	"fdw/internal/mseed"
 	"fdw/internal/sim"
 )
@@ -107,13 +108,16 @@ func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // synthesizeStation builds one station's waveform from a patch that
 // validatePatch accepted. Every sample is accumulated in patch order,
 // then lag order, exactly as the original loop (reference_test.go);
-// the per-lag update runs over re-sliced windows of equal length so
-// the compiler drops its bounds checks.
+// addBox only changes which sample is worked on next.
 func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, s int) Waveform {
 	nT, dt := g.Cfg.Nsamples, g.Cfg.Dt
 	w := Waveform{RuptureID: r.ID, Station: g.Stations[s].Name, Dt: dt}
 	for c := 0; c < 3; c++ {
 		w.ENZ[c] = make([]float64, nT)
+	}
+	var leads []int32
+	if g.lead != nil {
+		leads = g.lead[s]
 	}
 	for k, idx := range r.Patch {
 		slip := r.SlipM[k]
@@ -138,31 +142,15 @@ func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *s
 		if rise < float64(nLag) {
 			nLag = int(rise) + 1
 		}
+		lead := 0
+		if leads != nil {
+			lead = int(leads[idx])
+		}
+		if delay+lead >= nT {
+			continue // every term lands on a kernel's leading zeros
+		}
 		for c := 0; c < 3; c++ {
-			kern := g.Kernel[s][idx][c]
-			dst := w.ENZ[c]
-			for lag := 0; lag < nLag; lag++ {
-				// dst[off:] += frac * kern[:nT-off], four samples per
-				// iteration. The one-sample loop is 35 bytes, and where
-				// the linker puts this function decides whether it
-				// straddles a 64-byte line: a 32-byte shift in unrelated
-				// code moved fq121 scenario p90 by ~30 % on a 2-core
-				// Xeon. The unrolled body is insensitive to that shift.
-				// Each sample still gets the same single update.
-				d := dst[delay+lag:]
-				kk := kern[:len(d)]
-				t := 0
-				for ; t+4 <= len(d); t += 4 {
-					d4, k4 := d[t:t+4:t+4], kk[t:t+4:t+4]
-					d4[0] += frac * k4[0]
-					d4[1] += frac * k4[1]
-					d4[2] += frac * k4[2]
-					d4[3] += frac * k4[3]
-				}
-				for ; t < len(d); t++ {
-					d[t] += frac * kk[t]
-				}
-			}
+			addBox(w.ENZ[c], g.Kernel[s][idx][c], frac, delay, lead, nLag)
 		}
 	}
 	if noise.WhiteSigmaM > 0 || noise.WalkSigmaM > 0 {
@@ -177,6 +165,58 @@ func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *s
 		}
 	}
 	return w
+}
+
+// addBox adds one patch entry's term to a waveform component:
+//
+//	dst[i] += frac·kern[i−delay−lag] for lag = 0, 1, …, nLag−1
+//
+// per sample i, in that lag order, each term computed as the
+// reference loop computes it — its sequence, walked sample by sample
+// instead of lag by lag. kern holds len(dst) samples (validate) and
+// nLag ≤ len(dst)−delay.
+//
+// Terms whose kernel index falls before lead may be skipped or taken,
+// and either is exact: such a term is frac·(±0) = ±0, because
+// validatePatch keeps frac finite; the accumulator it would be added
+// to is never −0, because it starts at +0 and a sum that cancels,
+// x + (−x), is +0 under round-to-nearest; and adding ±0 to anything
+// but −0 leaves its bits unchanged (a NaN stays the same NaN). So
+// samples before delay+lead are never touched.
+//
+// Samples from delay+lead on come in three runs. The body, in whole
+// blocks of eight, takes every lag: linalg.AddBox8 holds the eight
+// accumulators in registers across all nLag lags, on AVX where the
+// CPU has it, and reads back into the leading zeros by up to nLag−1
+// samples — cheaper than a scalar loop that skips them. Only samples
+// whose lags would reach before kernel sample 0 (when lead < nLag−1)
+// form a scalar head, each over its own lags down to lead; the last
+// < 8 samples are the scalar tail.
+func addBox(dst, kern []float64, frac float64, delay, lead, nLag int) {
+	nT := len(dst)
+	lo := delay + lead // first sample a kept term reaches
+	head := min(max(lo, delay+nLag-1), nT)
+	for i := lo; i < head; i++ {
+		acc := dst[i]
+		for t := i - delay; t >= lead; t-- {
+			acc += frac * kern[t]
+		}
+		dst[i] = acc
+	}
+	if head == nT {
+		return
+	}
+	// Body sample head+j's lag-l term is kern[head+j−delay−l]: the
+	// window starts at lag nLag−1 of sample head.
+	n8 := (nT - head) &^ 7
+	linalg.AddBox8(dst[head:head+n8], kern[head-delay-nLag+1:head-delay+n8], frac, nLag)
+	for i := head + n8; i < nT; i++ {
+		acc := dst[i]
+		for t := i - delay; t > i-delay-nLag; t-- {
+			acc += frac * kern[t]
+		}
+		dst[i] = acc
+	}
 }
 
 // ToRecords converts a waveform to mseed records.

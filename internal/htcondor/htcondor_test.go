@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,6 +386,32 @@ func TestScheddEvictionRequeues(t *testing.T) {
 	}
 	if s.QueueDepth() != 1 {
 		t.Fatal("evicted job not requeued")
+	}
+}
+
+// TestAppendIdleOwners: the owners with idle jobs are appended sorted
+// after whatever the buffer already holds, which stays as it was; an
+// owner whose last idle job is removed drops out; and appending into a
+// buffer with room allocates nothing.
+func TestAppendIdleOwners(t *testing.T) {
+	s := NewSchedd("x", sim.NewKernel(1), nil)
+	jobs := []*Job{{Owner: "carol"}, {Owner: "alice"}, {Owner: "bob"}, {Owner: "alice"}}
+	if _, err := s.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	got := s.AppendIdleOwners([]string{"zed", "amy"})
+	if want := []string{"zed", "amy", "alice", "bob", "carol"}; !slices.Equal(got, want) {
+		t.Fatalf("AppendIdleOwners = %q, want %q", got, want)
+	}
+	if err := s.Remove(jobs[2]); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]string, 0, 8)
+	if got := s.AppendIdleOwners(buf); !slices.Equal(got, []string{"alice", "carol"}) {
+		t.Fatalf("after removing bob's job: %q", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { buf = s.AppendIdleOwners(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendIdleOwners into a buffer with room: %v allocs", n)
 	}
 }
 

@@ -232,7 +232,7 @@ func (s *Schedd) appendEvent(j *Job, t EventType, host string) {
 
 // IdleJobs returns the queued (submitted, idle) jobs in FIFO order.
 // The slice is a fresh snapshot; hot paths should prefer QueueDepth,
-// IdleOwners, and OwnerIdleCursor, which do not copy.
+// AppendIdleOwners, and OwnerIdleCursor, which do not copy.
 //
 //lint:allow deadexport ospool tests call it: the reference negotiator spec reads each schedd's global idle FIFO
 func (s *Schedd) IdleJobs() []*Job { return s.idleQ.snapshot() }
@@ -240,17 +240,19 @@ func (s *Schedd) IdleJobs() []*Job { return s.idleQ.snapshot() }
 // QueueDepth returns the number of idle jobs.
 func (s *Schedd) QueueDepth() int { return s.idleQ.live }
 
-// IdleOwners returns the owners that currently have idle jobs here,
-// sorted by name.
-func (s *Schedd) IdleOwners() []string {
-	var out []string
+// AppendIdleOwners appends the owners that currently have idle jobs
+// here to dst, sorted by name, and returns the extended slice. Only the
+// appended part is sorted, so a caller can reuse one buffer across
+// schedds and cycles without allocating.
+func (s *Schedd) AppendIdleOwners(dst []string) []string {
+	start := len(dst)
 	for owner, q := range s.ownerQ {
 		if q.live > 0 {
-			out = append(out, owner)
+			dst = append(dst, owner)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(dst[start:])
+	return dst
 }
 
 // OwnerIdleCursor opens a cursor over owner's idle jobs in FIFO order,

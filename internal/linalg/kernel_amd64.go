@@ -10,14 +10,32 @@ package linalg
 //go:noescape
 func kern4x8asm(kc int, a *float64, lda int, b *float64, c *float64, ldc int)
 
+// addBox8asm is the AVX body of AddBox8 in kernel_amd64.s: blocks
+// runs of eight dst samples, each held in two ymm accumulators across
+// all taps, one VMULPD then one VADDPD per tap and half-block.
+//
+//go:noescape
+func addBox8asm(dst *float64, src *float64, frac float64, blocks int, taps int)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3
 // (CPUID feature bits plus XGETBV confirming the OS saves ymm state).
 // Implemented in kernel_amd64.s; no x/sys/cpu dependency.
 func cpuHasAVX2FMA() bool
 
-// useAsmKern gates the assembly micro-kernel. A variable, not a const,
-// so tests can force the portable path and assert bit equality.
+// useAsmKern gates the assembly kernels. A variable, not a const, so
+// tests can force the portable paths and assert bit equality.
 var useAsmKern = cpuHasAVX2FMA()
+
+// SetAsmKernels turns the assembly kernels on (where the CPU has
+// AVX2+FMA) or off, and reports whether they were on. Results are the
+// same bits either way; the switch lets other packages' tests prove it.
+//
+//lint:allow deadexport fakequakes tests call it to run Phase C synthesis on both kernel paths
+func SetAsmKernels(on bool) bool {
+	was := useAsmKern
+	useAsmKern = on && cpuHasAVX2FMA()
+	return was
+}
 
 // kern4x8 applies one micro-tile update: c[0..4)[0..8) extended by the
 // kc-term fused chain against packed b. a is a 4×kc window with row
@@ -32,4 +50,14 @@ func kern4x8(kc int, a []float64, lda int, b []float64, c []float64, ldc int) {
 		return
 	}
 	goKern4x8(kc, a, lda, b, c, ldc)
+}
+
+// addBox8 runs AddBox8 over windows it has already sliced to exactly
+// len(dst) and len(dst)+taps−1 samples.
+func addBox8(dst, src []float64, frac float64, taps int) {
+	if useAsmKern {
+		addBox8asm(&dst[0], &src[0], frac, len(dst)/8, taps)
+		return
+	}
+	goAddBox8(dst, src, frac, taps)
 }

@@ -76,6 +76,47 @@ loop:
 	VZEROUPPER
 	RET
 
+// func addBox8asm(dst *float64, src *float64, frac float64, blocks int, taps int)
+//
+// AddBox8's block body. For each run of eight dst samples, Y0 and Y1
+// hold the accumulators across all taps; tap by tap the src window
+// steps back one sample, from src[i+taps−1] down to src[i], and each
+// half-block gets one VMULPD (the rounded product frac·src) then one
+// VADDPD (the rounded sum). It must not use VFMADD: Go's amd64 build
+// rounds `acc += frac*x` as product then sum, and goAddBox8 and the
+// reference loop have to see the same bits.
+TEXT ·addBox8asm(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	VBROADCASTSD frac+16(FP), Y15
+	MOVQ blocks+24(FP), CX
+	MOVQ taps+32(FP), R8
+	LEAQ -8(SI)(R8*8), SI  // &src[taps−1]: the first tap of block 0
+
+block:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ SI, AX
+	MOVQ R8, DX
+
+tap:
+	VMULPD (AX), Y15, Y2
+	VMULPD 32(AX), Y15, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	SUBQ $8, AX
+	DECQ DX
+	JNZ  tap
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  block
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2FMA() bool
 //
 // CPUID.1:ECX must report FMA, OSXSAVE and AVX; XGETBV(0) must show

@@ -42,3 +42,22 @@ func TestAsmKernelBitIdenticalToPortable(t *testing.T) {
 		bitsEqual(t, "cholesky asm-vs-portable", lPure.Data, lAsm.Data)
 	}
 }
+
+// TestAsmAddBox8BitIdenticalToPortable: the VMULPD+VADDPD body and
+// goAddBox8 agree bit for bit on inputs with infinities and NaNs.
+func TestAsmAddBox8BitIdenticalToPortable(t *testing.T) {
+	if !useAsmKern {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	for _, taps := range []int{1, 3, 8, 29, 257} {
+		for _, frac := range []float64{0.125, -3.7e-5, 1e300} {
+			dst, src := boxInputs(8*37, taps, uint64(taps), true)
+			pure := append([]float64(nil), dst...)
+			AddBox8(dst, src, frac, taps)
+			useAsmKern = false
+			AddBox8(pure, src, frac, taps)
+			useAsmKern = true
+			boxEqual(t, "AddBox8 asm-vs-portable", dst, pure)
+		}
+	}
+}

@@ -2,10 +2,11 @@
 
 package linalg
 
-// Portable fallback: every architecture without the assembly
-// micro-kernel runs goKern4x8, whose math.FMA chains round exactly
-// like the amd64 VFMADD path — the blocked kernels are bit-identical
-// across architectures, not just across worker counts.
+// Portable fallback: every architecture without the assembly kernels
+// runs goKern4x8, whose math.FMA chains round exactly like the amd64
+// VFMADD path — the blocked kernels are bit-identical across
+// architectures, not just across worker counts — and goAddBox8, which
+// rounds as the compiler rounds the reference synthesis loop here.
 
 const useAsmKern = false
 
@@ -14,4 +15,11 @@ func kern4x8(kc int, a []float64, lda int, b []float64, c []float64, ldc int) {
 		return
 	}
 	goKern4x8(kc, a, lda, b, c, ldc)
+}
+
+// SetAsmKernels reports false: there are no assembly kernels to switch.
+func SetAsmKernels(bool) bool { return false }
+
+func addBox8(dst, src []float64, frac float64, taps int) {
+	goAddBox8(dst, src, frac, taps)
 }

@@ -271,11 +271,12 @@ type Pool struct {
 
 	// Negotiation scratch reused across cycles: every owner's cycle
 	// state (reset when negCycle moves on), the cycle's owner order,
-	// and pickSite's candidate list.
-	negOwners map[string]*negOwner
-	negOrder  []*negOwner
-	negCycle  uint64
-	siteCands []siteWeight
+	// one schedd's idle owners, and pickSite's candidate list.
+	negOwners  map[string]*negOwner
+	negOrder   []*negOwner
+	negCycle   uint64
+	idleOwners []string
+	siteCands  []siteWeight
 
 	pending int // glideins requested but not yet arrived
 	nextID  int
@@ -767,7 +768,8 @@ func (p *Pool) negotiateIndexed() {
 	p.negCycle++
 	order := p.negOrder[:0]
 	for _, s := range p.schedds {
-		for _, name := range s.IdleOwners() {
+		p.idleOwners = s.AppendIdleOwners(p.idleOwners[:0])
+		for _, name := range p.idleOwners {
 			no := p.negOwners[name]
 			if no == nil {
 				no = &negOwner{name: name}

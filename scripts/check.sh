@@ -1,7 +1,8 @@
 #!/bin/sh
-# Pre-PR gate (see DESIGN.md §7): formatting and go.mod hygiene, vet,
-# fdwlint (determinism & invariant analyzers, DESIGN.md §9), build,
-# race-enabled tests, and a one-iteration benchmark smoke pass.
+# Pre-PR gate (see DESIGN.md §7): formatting and go.mod hygiene, vet
+# (for the host and for arm64), fdwlint (determinism & invariant
+# analyzers, DESIGN.md §9), build, race-enabled tests, and a
+# one-iteration benchmark smoke pass.
 # Run from the repo root, directly or via `make check`. CI runs exactly
 # this script (.github/workflows/ci.yml).
 set -eu
@@ -21,6 +22,12 @@ go mod tidy -diff
 
 echo "== go vet ./..."
 go vet ./...
+
+# The host only compiles its own architecture's files; vetting for
+# arm64 also compiles every !amd64 twin of the amd64 assembly kernels
+# (internal/linalg/kernel_generic.go), so a missing twin fails here.
+echo "== GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
 
 echo "== fdwlint ./... (determinism & invariant analyzers, DESIGN.md §9)"
 go run ./cmd/fdwlint ./...
