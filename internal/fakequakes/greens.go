@@ -249,15 +249,15 @@ func radiation(azDeg, strikeDeg, dipDeg float64) [3]float64 {
 	return [3]float64{e, n, z}
 }
 
-// validate checks the set's internal consistency: a valid Cfg, one
-// entry per station, each holding NSub subfaults of three kernels of
-// exactly Cfg.Nsamples samples. A hand-assembled or corrupt value (the
-// cache-load failure mode) reports an error here rather than panicking
-// deep in an index expression — the linalg convention: errors for
-// data-shaped problems, panics only for caller bugs like a negative
-// index the API documents as out of contract. Synthesis relies on the
-// kernel lengths: it reads each kernel up to Nsamples.
-func (g *GreensFunctions) validate() error {
+// validateShape checks the set's internal consistency: a valid Cfg
+// and one entry per station, each holding NSub subfaults. A
+// hand-assembled or corrupt value (the cache-load failure mode)
+// reports an error here rather than panicking deep in an index
+// expression — the linalg convention: errors for data-shaped
+// problems, panics only for caller bugs like a negative index the API
+// documents as out of contract. The kernels' own lengths are
+// validateKernel's.
+func (g *GreensFunctions) validateShape() error {
 	if err := g.Cfg.Validate(); err != nil {
 		return err
 	}
@@ -271,13 +271,18 @@ func (g *GreensFunctions) validate() error {
 		if len(g.Kernel[s]) != g.NSub {
 			return fmt.Errorf("fakequakes: station %d kernel holds %d subfaults, want %d", s, len(g.Kernel[s]), g.NSub)
 		}
-		for sf := range g.Kernel[s] {
-			for c, k := range g.Kernel[s][sf] {
-				if len(k) != g.Cfg.Nsamples {
-					return fmt.Errorf("fakequakes: station %d subfault %d %s kernel holds %d samples, want %d",
-						s, sf, Components[c], len(k), g.Cfg.Nsamples)
-				}
-			}
+	}
+	return nil
+}
+
+// validateKernel checks that station s's three kernels at subfault sf
+// hold exactly Cfg.Nsamples samples, the length synthesis reads them
+// to; s and sf must be in the shape validateShape accepted.
+func (g *GreensFunctions) validateKernel(s, sf int) error {
+	for c, k := range g.Kernel[s][sf] {
+		if len(k) != g.Cfg.Nsamples {
+			return fmt.Errorf("fakequakes: station %d subfault %d %s kernel holds %d samples, want %d",
+				s, sf, Components[c], len(k), g.Cfg.Nsamples)
 		}
 	}
 	return nil

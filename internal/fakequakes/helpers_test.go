@@ -47,8 +47,15 @@ func (g *GreensFunctions) ToRecords(subfault int) ([]mseed.Record, error) {
 	if subfault < 0 || subfault >= g.NSub {
 		return nil, fmt.Errorf("fakequakes: subfault %d out of %d", subfault, g.NSub)
 	}
-	if err := g.validate(); err != nil {
+	if err := g.validateShape(); err != nil {
 		return nil, err
+	}
+	for s := range g.Kernel {
+		for sf := range g.Kernel[s] {
+			if err := g.validateKernel(s, sf); err != nil {
+				return nil, err
+			}
+		}
 	}
 	recs := make([]mseed.Record, 0, len(g.Stations)*3)
 	for s, st := range g.Stations {

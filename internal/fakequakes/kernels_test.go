@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fdw/internal/geom"
+	"fdw/internal/linalg"
 	"fdw/internal/sim"
 )
 
@@ -147,6 +148,86 @@ func TestSynthesizeMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSynthesizeNoiseMatchesReference requires the chunked two-stage
+// noise (PolarFill, then PolarNorm) to reproduce the reference loop's
+// rng.Normal draws bit for bit for every noise model — none,
+// white-only, walk-only (its white normal is still drawn, at σ 0) and
+// the default — at record lengths on both sides of a chunk boundary,
+// on the AVX2 transform and the portable one.
+func TestSynthesizeNoiseMatchesReference(t *testing.T) {
+	f, stations, d := smallSetup(t, 3)
+	noises := []struct {
+		name  string
+		noise NoiseConfig
+	}{
+		{"none", NoiseConfig{}},
+		{"white-only", NoiseConfig{WhiteSigmaM: 0.005}},
+		{"walk-only", NoiseConfig{WalkSigmaM: 0.0005}},
+		{"default", DefaultNoise()},
+	}
+	for _, nT := range []int{1, 3, noiseChunk - 1, noiseChunk, noiseChunk + 1, 513} {
+		cfg := GFConfig{Dt: 1, Nsamples: nT, VpKmS: 6.8, VsKmS: 3.9}
+		g, err := ComputeGreens(f, stations, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := edgeRupture(t, f, d, nT, cfg.Dt)
+		for _, n := range noises {
+			want, err := referenceSynthesize(r, g, n.noise, sim.NewRNG(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asm := range []bool{true, false} {
+				was := linalg.SetAsmKernels(asm)
+				got, err := SynthesizeWaveforms(r, g, n.noise, sim.NewRNG(21))
+				linalg.SetAsmKernels(was)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameWaveforms(t, fmt.Sprintf("nT %d noise %s asm %v", nT, n.name, asm), got, want)
+			}
+		}
+	}
+}
+
+// TestReferenceSpreadsHugeRise pins the reference loop's fix for a
+// rise time past int range: its lag count used to overflow to a
+// negative number, so the spec added nothing for the entry while
+// synthesis added slip/1e300-scale terms. A lone such entry must now
+// come out of both the same, and not all zero.
+func TestReferenceSpreadsHugeRise(t *testing.T) {
+	f, stations, d := smallSetup(t, 6)
+	cfg := GFConfig{Dt: 1, Nsamples: 96, VpKmS: 6.8, VsKmS: 3.9}
+	g, err := ComputeGreens(f, stations, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Rupture{ID: "huge-rise", Patch: []int{5}, SlipM: []float64{1}, OnsetS: []float64{2.7}, RiseS: []float64{1e300}}
+	got, err := SynthesizeWaveforms(r, g, NoiseConfig{}, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceSynthesize(r, g, NoiseConfig{}, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameWaveforms(t, "rise 1e300", got, want)
+	// The terms are ~1e-304 m, too small for PGD's squares.
+	moved := 0
+	for _, w := range got {
+		for _, x := range w.ENZ {
+			for _, v := range x {
+				if v != 0 {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every sample is zero: the entry's terms were lost")
+	}
 }
 
 // TestSynthesizeRejectsHostilePatch pins the fix for a patch that used

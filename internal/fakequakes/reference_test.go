@@ -109,9 +109,16 @@ func referenceSynthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfi
 				continue
 			}
 			delay := int(r.OnsetS[k] / dt)
-			// Smear over the rise time: distribute slip across nRise lags.
-			nRise := int(r.RiseS[k]/dt) + 1
-			frac := slip / float64(nRise)
+			// Smear over the rise time: distribute slip across
+			// ⌊rise⌋+1 lags. A rise that reaches past the record takes
+			// every lag left in it; math.Trunc keeps a rise past int
+			// range from overflowing the divisor.
+			rise := r.RiseS[k] / dt
+			frac := slip / (math.Trunc(rise) + 1)
+			nRise := nT - delay
+			if rise < float64(nRise) {
+				nRise = int(rise) + 1
+			}
 			for c := 0; c < 3; c++ {
 				kern := g.Kernel[s][idx][c]
 				dst := w.ENZ[c]

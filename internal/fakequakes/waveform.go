@@ -59,11 +59,24 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	if len(r.Patch) != len(r.SlipM) || len(r.Patch) != len(r.OnsetS) || len(r.Patch) != len(r.RiseS) {
 		return nil, fmt.Errorf("fakequakes: inconsistent rupture arrays")
 	}
-	if err := g.validate(); err != nil {
+	if err := g.validateShape(); err != nil {
 		return nil, err
 	}
 	if err := validatePatch(r, g.NSub); err != nil {
 		return nil, err
+	}
+	// Synthesis reads each station's kernels at the patch subfaults
+	// that slip, so only those lengths are checked, not all
+	// stations × NSub kernel headers.
+	for s := range g.Kernel {
+		for k, sf := range r.Patch {
+			if r.SlipM[k] == 0 {
+				continue
+			}
+			if err := g.validateKernel(s, sf); err != nil {
+				return nil, err
+			}
+		}
 	}
 	out := make([]Waveform, len(g.Stations))
 	// Stations are independent; split the RNG per station *before*
@@ -155,16 +168,48 @@ func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *s
 	}
 	if noise.WhiteSigmaM > 0 || noise.WalkSigmaM > 0 {
 		for c := 0; c < 3; c++ {
-			walk := 0.0
-			for t := range w.ENZ[c] {
-				if noise.WalkSigmaM > 0 {
-					walk += rng.Normal(0, noise.WalkSigmaM)
-				}
-				w.ENZ[c][t] += walk + rng.Normal(0, noise.WhiteSigmaM)
-			}
+			addNoise(w.ENZ[c], noise, rng)
 		}
 	}
 	return w
+}
+
+// noiseChunk is how many samples addNoise draws noise for at a time.
+const noiseChunk = 128
+
+// addNoise adds one component's noise, sample by sample: a walk normal
+// first when WalkSigmaM > 0, then always a white normal, each scaled
+// as `0 + sd*z`, which is how rng.Normal(0, sd) computes it. The
+// normals are the stream's Norm() values, in stream order, made in
+// two stages per chunk: rng.PolarFill draws the accepted polar pairs,
+// and linalg.PolarNorm turns them into normals with Norm's own
+// operations, on AVX2 where the CPU has it. The chunk buffers live on
+// the stack.
+func addNoise(x []float64, noise NoiseConfig, rng *sim.RNG) {
+	per := 1
+	if noise.WalkSigmaM > 0 {
+		per = 2
+	}
+	var buf, s [2 * noiseChunk]float64
+	walk := 0.0
+	for len(x) > 0 {
+		m := min(len(x), noiseChunk)
+		z := buf[:m*per]
+		rng.PolarFill(z, s[:])       // z holds each pair's u …
+		linalg.PolarNorm(z, z, s[:]) // … and then its normal
+		if per == 2 {
+			for t := range x[:m] {
+				walk += 0 + noise.WalkSigmaM*z[2*t]
+				x[t] += walk + (0 + noise.WhiteSigmaM*z[2*t+1])
+			}
+		} else {
+			// walk stays 0, but the sum stays too: 0 + (−0) is +0.
+			for t := range x[:m] {
+				x[t] += walk + (0 + noise.WhiteSigmaM*z[t])
+			}
+		}
+		x = x[m:]
+	}
 }
 
 // addBox adds one patch entry's term to a waveform component:

@@ -17,6 +17,13 @@ func kern4x8asm(kc int, a *float64, lda int, b *float64, c *float64, ldc int)
 //go:noescape
 func addBox8asm(dst *float64, src *float64, frac float64, blocks int, taps int)
 
+// polarNorm4asm is the AVX2 body of PolarNorm in kernel_amd64.s:
+// blocks runs of four lanes, each through archLog's steps, then the
+// divide, square root and multiplies of RNG.Norm.
+//
+//go:noescape
+func polarNorm4asm(dst *float64, u *float64, s *float64, blocks int)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3
 // (CPUID feature bits plus XGETBV confirming the OS saves ymm state).
 // Implemented in kernel_amd64.s; no x/sys/cpu dependency.
@@ -60,4 +67,14 @@ func addBox8(dst, src []float64, frac float64, taps int) {
 		return
 	}
 	goAddBox8(dst, src, frac, taps)
+}
+
+// polarNorm runs PolarNorm over windows it has already sliced to
+// len(dst): whole blocks of four on AVX2, the rest in Go.
+func polarNorm(dst, u, s []float64) {
+	if n4 := len(dst) &^ 3; useAsmKern && n4 > 0 {
+		polarNorm4asm(&dst[0], &u[0], &s[0], n4/4)
+		dst, u, s = dst[n4:], u[n4:], s[n4:]
+	}
+	goPolarNorm(dst, u, s)
 }

@@ -117,6 +117,131 @@ tap:
 	VZEROUPPER
 	RET
 
+// polarK holds polarNorm4asm's constants, each repeated across the
+// four lanes of a ymm so it can be a VEX memory operand. The log
+// constants are math/log_amd64.s's, bit for bit.
+#define POLARK(off, bits) DATA polarK<>+(off)(SB)/8, $bits; DATA polarK<>+(off+8)(SB)/8, $bits; DATA polarK<>+(off+16)(SB)/8, $bits; DATA polarK<>+(off+24)(SB)/8, $bits
+POLARK(0, 0x000FFFFFFFFFFFFF)   // mantissa mask
+POLARK(32, 0x3FE0000000000000)  // 0.5
+POLARK(64, 0x3FF0000000000000)  // 1.0
+POLARK(96, 0x4000000000000000)  // 2.0
+POLARK(128, 0x3FE6A09E667F3BCD) // HSqrt2 = √2/2
+POLARK(160, 0x4330000000000000) // 2⁵²
+POLARK(192, 0x43300000000003FE) // 2⁵² + 1022
+POLARK(224, 0x3FE5555555555593) // L1
+POLARK(256, 0x3FD999999997FA04) // L2
+POLARK(288, 0x3FD2492494229359) // L3
+POLARK(320, 0x3FCC71C51D8E78AF) // L4
+POLARK(352, 0x3FC7466496CB03DE) // L5
+POLARK(384, 0x3FC39A09D078C69F) // L6
+POLARK(416, 0x3FC2F112DF3E5244) // L7
+POLARK(448, 0x3FE62E42FEE00000) // Ln2Hi
+POLARK(480, 0x3DEA39EF35793C76) // Ln2Lo
+POLARK(512, 0xC000000000000000) // -2.0
+GLOBL polarK<>(SB), RODATA|NOPTR, $544
+
+#define pkMant polarK<>+0(SB)
+#define pkHalf polarK<>+32(SB)
+#define pkOne polarK<>+64(SB)
+#define pkTwo polarK<>+96(SB)
+#define pkHSqrt2 polarK<>+128(SB)
+#define pkExp52 polarK<>+160(SB)
+#define pkKBias polarK<>+192(SB)
+#define pkL1 polarK<>+224(SB)
+#define pkL2 polarK<>+256(SB)
+#define pkL3 polarK<>+288(SB)
+#define pkL4 polarK<>+320(SB)
+#define pkL5 polarK<>+352(SB)
+#define pkL6 polarK<>+384(SB)
+#define pkL7 polarK<>+416(SB)
+#define pkLn2Hi polarK<>+448(SB)
+#define pkLn2Lo polarK<>+480(SB)
+#define pkNegTwo polarK<>+512(SB)
+
+// func polarNorm4asm(dst *float64, u *float64, s *float64, blocks int)
+//
+// PolarNorm's body, four lanes per ymm: dst = u·√(−2·ln s / s). ln s
+// is math/log_amd64.s's archLog step by step, each scalar SD operation
+// becoming its PD twin on the same operands, so every lane rounds as
+// math.Log does on amd64:
+//   - f1 and k split the bits as archLog does. The exponent becomes a
+//     float through 2⁵² + e − (2⁵² + 1022), exact like CVTSL2SD.
+//   - The √2/2 test is archLog's CMPSD predicate 5 (not-less-than),
+//     !(HSqrt2 < f1), as VCMPPD predicate 5. That is not pure Go's
+//     f1 < Sqrt2/2: the two differ where f1 is exactly √2/2.
+//   - Every product and sum is a separate VMULPD or VADDPD/VSUBPD,
+//     never VFMADD.
+// The lanes are in the domain 0 < s < 1, so archLog's branches for
+// zero, negative, infinite and NaN input are left out.
+TEXT ·polarNorm4asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ u+8(FP), SI
+	MOVQ s+16(FP), BX
+	MOVQ blocks+24(FP), CX
+	VMOVUPD pkHSqrt2, Y15
+
+lanes:
+	VMOVUPD (BX), Y0            // x = s
+	// f1, k := Frexp(x)
+	VANDPD  pkMant, Y0, Y1
+	VORPD   pkHalf, Y1, Y1      // f1
+	VPSRLQ  $52, Y0, Y2
+	VPOR    pkExp52, Y2, Y2     // 2⁵² + biased exponent
+	VSUBPD  pkKBias, Y2, Y2     // k
+	// if !(HSqrt2 < f1) { k -= 1; f1 *= 2 }
+	VCMPPD  $5, Y1, Y15, Y3     // ^0 or 0
+	VANDPD  pkOne, Y3, Y3       // 1 or 0
+	VSUBPD  Y3, Y2, Y2
+	VADDPD  pkOne, Y3, Y3       // 2 or 1
+	VMULPD  Y3, Y1, Y1
+	// f := f1 - 1
+	VSUBPD  pkOne, Y1, Y1       // f
+	// s := f / (2 + f)
+	VADDPD  pkTwo, Y1, Y3
+	VDIVPD  Y3, Y1, Y3          // s
+	VMULPD  Y3, Y3, Y4          // s2 := s * s
+	VMULPD  Y4, Y4, Y5          // s4 := s2 * s2
+	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
+	VMULPD  pkL7, Y5, Y6
+	VADDPD  pkL5, Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  pkL3, Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  pkL1, Y6, Y6
+	VMULPD  Y6, Y4, Y4          // t1
+	// t2 := s4 * (L2 + s4*(L4+s4*L6))
+	VMULPD  pkL6, Y5, Y6
+	VADDPD  pkL4, Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  pkL2, Y6, Y6
+	VMULPD  Y6, Y5, Y5          // t2
+	VADDPD  Y5, Y4, Y4          // R := t1 + t2
+	// hfsq := 0.5 * f * f
+	VMULPD  pkHalf, Y1, Y6
+	VMULPD  Y1, Y6, Y6          // hfsq
+	// k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD  Y6, Y4, Y4          // hfsq+R
+	VMULPD  Y4, Y3, Y3          // s*(hfsq+R)
+	VMULPD  pkLn2Lo, Y2, Y4     // k*Ln2Lo
+	VADDPD  Y4, Y3, Y3
+	VSUBPD  Y3, Y6, Y6
+	VSUBPD  Y1, Y6, Y6
+	VMULPD  pkLn2Hi, Y2, Y2     // k*Ln2Hi
+	VSUBPD  Y6, Y2, Y2          // ln x
+	// u * math.Sqrt(-2*ln x/x)
+	VMULPD  pkNegTwo, Y2, Y2
+	VDIVPD  Y0, Y2, Y2
+	VSQRTPD Y2, Y2
+	VMULPD  (SI), Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ $32, BX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  lanes
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2FMA() bool
 //
 // CPUID.1:ECX must report FMA, OSXSAVE and AVX; XGETBV(0) must show

@@ -5,8 +5,9 @@ package linalg
 // Portable fallback: every architecture without the assembly kernels
 // runs goKern4x8, whose math.FMA chains round exactly like the amd64
 // VFMADD path — the blocked kernels are bit-identical across
-// architectures, not just across worker counts — and goAddBox8, which
-// rounds as the compiler rounds the reference synthesis loop here.
+// architectures, not just across worker counts — goAddBox8, which
+// rounds as the compiler rounds the reference synthesis loop here, and
+// goPolarNorm, which calls math.Log as RNG.Norm does.
 
 const useAsmKern = false
 
@@ -22,4 +23,8 @@ func SetAsmKernels(bool) bool { return false }
 
 func addBox8(dst, src []float64, frac float64, taps int) {
 	goAddBox8(dst, src, frac, taps)
+}
+
+func polarNorm(dst, u, s []float64) {
+	goPolarNorm(dst, u, s)
 }

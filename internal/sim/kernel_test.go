@@ -698,3 +698,30 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
+
+// TestPolarFillMatchesNorm requires PolarFill to hand out, for every
+// batch length, exactly the pairs behind a Norm loop on the same
+// stream: each u·√(−2·ln s / s) equals that Norm() bit for bit, and the
+// stream goes on from the same state.
+func TestPolarFillMatchesNorm(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 255, 256, 1024} {
+			batch, loop := NewRNG(seed), NewRNG(seed)
+			u := make([]float64, n)
+			s := make([]float64, n+1)
+			batch.PolarFill(u, s)
+			for i := range u {
+				got := u[i] * math.Sqrt(-2*math.Log(s[i])/s[i])
+				if want := loop.Norm(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d, %d pairs: normal %d is %v, Norm %v", seed, n, i, got, want)
+				}
+			}
+			if s[n] != 0 {
+				t.Fatalf("seed %d: PolarFill wrote past len(u)", seed)
+			}
+			if got, want := batch.Uint64(), loop.Uint64(); got != want {
+				t.Fatalf("seed %d, %d pairs: next Uint64 %#x, after Norm %#x", seed, n, got, want)
+			}
+		}
+	}
+}

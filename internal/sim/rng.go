@@ -47,18 +47,24 @@ func (r *RNG) Split(key uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256** step on state held in locals: the
+// output and the next state.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
+func (r *RNG) Uint64() (out uint64) {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	out, s[0], s[1], s[2], s[3] = xoshiro(s[0], s[1], s[2], s[3])
+	return out
 }
 
 // Float64 returns a uniform variate in [0, 1).
@@ -89,6 +95,40 @@ func (r *RNG) Norm() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
+}
+
+// PolarFill draws the next len(u) polar pairs that Norm would accept,
+// in stream order: u[i] is the pair's first coordinate and s[i] its
+// u²+v², so u[i]·√(−2·ln s[i] / s[i]) is exactly the i-th Norm() of
+// the same stream (linalg.PolarNorm computes that transform). It
+// consumes exactly the uniforms those Norm calls would, so the stream
+// goes on from the same state. The xoshiro words stay in locals for
+// the whole batch, written back once; the expressions are Norm's own.
+// s must hold at least len(u) values.
+//
+// Every attempt is written to slot i, and i moves on only when the
+// pair is accepted, so the rejection test is a conditional move, not a
+// branch mispredicted about one attempt in five. The test is Norm's
+// 0 < s < 1 on the bits: s = u²+v² is never NaN and its sign bit is
+// clear, so as an integer b it is accepted exactly when 1 ≤ b <
+// bits(1.0), which b−1 < bits(1.0)−1 checks without a second compare
+// (b = 0, +0, wraps to the largest uint64).
+func (r *RNG) PolarFill(u, s []float64) {
+	s = s[:len(u)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < len(u); {
+		var x, y uint64
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		y, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		uu := 2*(float64(x>>11)/(1<<53)) - 1
+		vv := 2*(float64(y>>11)/(1<<53)) - 1
+		ss := uu*uu + vv*vv
+		u[i], s[i] = uu, ss
+		if math.Float64bits(ss)-1 < math.Float64bits(1)-1 {
+			i++
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Normal returns a normal variate with the given mean and standard deviation.
