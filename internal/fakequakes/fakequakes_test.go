@@ -288,14 +288,16 @@ func TestGreensFunctionsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gf.Kernel) != 3 {
-		t.Fatalf("station dim %d", len(gf.Kernel))
+	if len(gf.params) != 3 {
+		t.Fatalf("station dim %d", len(gf.params))
 	}
-	if len(gf.Kernel[0]) != f.NumSubfaults() {
-		t.Fatalf("subfault dim %d", len(gf.Kernel[0]))
+	if len(gf.params[0]) != f.NumSubfaults() {
+		t.Fatalf("subfault dim %d", len(gf.params[0]))
 	}
-	if len(gf.Kernel[0][0][0]) != 64 {
-		t.Fatalf("sample dim %d", len(gf.Kernel[0][0][0]))
+	for c, k := range gf.kernels(0, 0) {
+		if len(k) != 64 {
+			t.Fatalf("component %d sample dim %d", c, len(k))
+		}
 	}
 }
 
@@ -306,7 +308,7 @@ func TestGreensStaticOffsetPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The vertical kernel should settle at a nonzero static level.
-	k := gf.Kernel[0][0][2]
+	k := gf.kernels(0, 0)[2]
 	tail := k[len(k)-1]
 	if tail == 0 {
 		t.Fatal("no static offset in GF tail")
@@ -329,7 +331,7 @@ func TestGreensCloserStationLargerAmplitude(t *testing.T) {
 	amp := func(s int) float64 {
 		var m float64
 		for c := 0; c < 3; c++ {
-			for _, v := range gf.Kernel[s][0][c] {
+			for _, v := range gf.kernels(s, 0)[c] {
 				if a := math.Abs(v); a > m {
 					m = a
 				}
@@ -348,6 +350,12 @@ func TestGFConfigValidate(t *testing.T) {
 		{Dt: 1, Nsamples: 0, VpKmS: 6, VsKmS: 3},
 		{Dt: 1, Nsamples: 10, VpKmS: 3, VsKmS: 3},
 		{Dt: 1, Nsamples: 10, VpKmS: 6, VsKmS: 0},
+		{Dt: math.NaN(), Nsamples: 10, VpKmS: 6, VsKmS: 3},
+		{Dt: math.Inf(1), Nsamples: 10, VpKmS: 6, VsKmS: 3},
+		{Dt: 1, Nsamples: 10, VpKmS: math.NaN(), VsKmS: 3},
+		{Dt: 1, Nsamples: 10, VpKmS: math.Inf(1), VsKmS: 3},
+		{Dt: 1, Nsamples: 10, VpKmS: 6, VsKmS: math.NaN()},
+		{Dt: 1, Nsamples: 1 << 31, VpKmS: 6, VsKmS: 3},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -536,11 +544,11 @@ func TestGreensEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	truncKernel := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: good.NSub,
-		Kernel: good.Kernel[:1]} // one station's rows missing
-	shortStation := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: good.NSub,
-		Kernel: [][][3][]float64{good.Kernel[0], good.Kernel[1][:good.NSub-1]}}
-	empty := &GreensFunctions{Cfg: cfg}
+	truncKernel := *good
+	truncKernel.params = good.params[:1] // one station's row missing
+	shortStation := *good
+	shortStation.params = [][]kernelParams{good.params[0], good.params[1][:good.NSub-1]}
+	empty := newGreens(cfg, nil, 0)
 
 	cases := []struct {
 		name     string
@@ -553,8 +561,8 @@ func TestGreensEdgeCases(t *testing.T) {
 		{"negative subfault", good, -1, true},
 		{"subfault == NSub", good, good.NSub, true},
 		{"subfault beyond", good, good.NSub + 7, true},
-		{"kernel missing a station", truncKernel, 0, true},
-		{"station kernel short a subfault", shortStation, 0, true},
+		{"kernel missing a station", &truncKernel, 0, true},
+		{"station kernel short a subfault", &shortStation, 0, true},
 		{"empty set, subfault 0", empty, 0, true}, // 0 out of 0 subfaults
 	}
 	for _, tc := range cases {
@@ -576,8 +584,7 @@ func TestGreensEdgeCases(t *testing.T) {
 
 	// An empty station list is the valid degenerate case: zero records,
 	// zero bytes, no errors.
-	noStations := &GreensFunctions{Cfg: cfg, NSub: 2,
-		Kernel: [][][3][]float64{}}
+	noStations := newGreens(cfg, nil, 2)
 	recs, err := noStations.ToRecords(1)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty stations: recs=%d err=%v, want 0 records no error", len(recs), err)

@@ -1,8 +1,10 @@
 package fakequakes
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,32 +21,36 @@ import (
 // on the fault geometry, the station set, and the GF configuration,
 // none of which change across the scenarios of a campaign. GFCache
 // extends the distance-matrix .npy recycling to the whole Phase B
-// product: the first run computes and persists the kernels, every
-// later run (or parallel job) sharing the same geometry loads them
-// and skips ComputeGreens entirely.
+// product: the first run computes and persists the kernels' parameter
+// table, every later run (or parallel job) sharing the same geometry
+// loads it and skips ComputeGreens entirely.
 //
 // Durability follows the covcache contract: files are written
 // through writeGreensNPY (atomicfile: temp + fsync + rename), and a
 // truncated or garbage file on load is skipped and recomputed — never
-// trusted, never fatal. The loaded float64 bits are exactly the
-// computed bits (npy round-trips them verbatim), so warm runs are
-// byte-identical to cold runs by construction.
+// trusted, never fatal. The loaded amplitudes are exactly the computed
+// bits (npy round-trips them verbatim), the arrivals are integers and
+// the leads are recomputed from both, so warm runs are byte-identical
+// to cold runs by construction.
 
 // computeGreensCalls counts ComputeGreens invocations; the recycling
 // tests use it to assert a warm cache run skips Phase B entirely.
 var computeGreensCalls atomic.Uint64
 
 // gfKernelVersion tags GFFingerprint with the generation of the
-// synthesis arithmetic, mirroring covKernelVersion: if the kernel
-// formulas or their rounding ever change, bumping this orphans every
-// stale greens_*.npy instead of letting it break bit-determinism.
-const gfKernelVersion = 1
+// synthesis arithmetic and of the file layout, mirroring
+// covKernelVersion: if the kernel formulas, their rounding or what a
+// greens_*.npy holds ever change, bumping this orphans every stale
+// file instead of letting it break bit-determinism. Version 1 files
+// held sample kernels; version 2 files hold the parameter table.
+const gfKernelVersion = 2
 
-// gfNPYPattern names persisted kernels after their fingerprint.
+// gfNPYPattern names persisted parameter tables after their
+// fingerprint.
 const gfNPYPattern = "greens_%016x.npy"
 
-// GFCache persists Green's-function kernels in a directory, keyed by
-// GFFingerprint. It is safe for concurrent use.
+// GFCache persists Green's-function parameter tables in a directory,
+// keyed by GFFingerprint. It is safe for concurrent use.
 type GFCache struct {
 	dir string
 
@@ -129,11 +135,12 @@ func GFFingerprint(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 
 // LoadOrCompute returns the Green's functions for (f, stations, cfg):
 // recycled from the cache directory when a fingerprint-matching .npy
-// holds a well-formed kernel of the expected shape, otherwise computed
-// and persisted. The second result reports a warm hit. A corrupt or
-// truncated cache file is skipped and recomputed — the covcache
-// durability contract — but a failure to *persist* a fresh kernel is
-// reported, since silently dropping it would turn every later run cold.
+// holds a well-formed parameter table of the expected shape, otherwise
+// computed and persisted. The second result reports a warm hit. A
+// corrupt or truncated cache file is skipped and recomputed — the
+// covcache durability contract — but a failure to *persist* a fresh
+// table is reported, since silently dropping it would turn every later
+// run cold.
 func (c *GFCache) LoadOrCompute(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
@@ -158,29 +165,35 @@ func (c *GFCache) LoadOrCompute(f *geom.Fault, stations []geom.Station, d *Dista
 	return g, false, nil
 }
 
-// writeGreensNPY streams the kernel rows into path through atomicfile
-// (temp + fsync + rename), never copying the kernel. The file is one
-// (stations·NSub·3)×Nsamples '<f8' array, rows ordered (station,
-// subfault, component): station s's rows are one contiguous run of
-// NSub·3·Nsamples values in the order computeStation lays out its
-// slab, which loadGreensNPY reads back into a fresh slab as it stands.
+// paramCols is the width of a greens_*.npy row: one (station,
+// subfault)'s arr, then its three sa, then its three da.
+const paramCols = 7
+
+// writeGreensNPY streams the parameter table into path through
+// atomicfile (temp + fsync + rename). The file is one
+// (stations·NSub)×paramCols '<f8' array, rows ordered (station,
+// subfault): station s's rows are one contiguous run of NSub·paramCols
+// values. The leads are not stored; a load recomputes them.
 func writeGreensNPY(path string, g *GreensFunctions) error {
 	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		return npy.WriteRows(w, len(g.Kernel)*g.NSub*3, g.Cfg.Nsamples, func(i int) []float64 {
-			return g.Kernel[i/(3*g.NSub)][i/3%g.NSub][i%3]
+		var row [paramCols]float64
+		return npy.WriteRows(w, len(g.params)*g.NSub, paramCols, func(i int) []float64 {
+			kp := &g.params[i/g.NSub][i%g.NSub]
+			row = [paramCols]float64{float64(kp.arr), kp.sa[0], kp.sa[1], kp.sa[2], kp.da[0], kp.da[1], kp.da[2]}
+			return row[:]
 		})
 	})
 }
 
-// loadGreensNPY reads a persisted kernel and rebuilds GreensFunctions,
-// returning nil for any unusable file: unreadable, undecodable, the
-// wrong shape for the requested geometry, or a length other than that
-// shape's. Nothing is allocated for the kernel until the shape and the
-// length both match. Then stations load in parallel, like
-// ComputeGreens: each goroutine allocates its station's slab, fills it
-// with ranged reads and, while the slab is warm, scans each kernel's
-// leading zeros for its lead. Per-station slabs, not one slab for the
-// whole kernel, spread the zeroing of the memory across the goroutines.
+// loadGreensNPY reads a persisted parameter table and rebuilds
+// GreensFunctions, returning nil for any unusable file: unreadable,
+// undecodable, the wrong shape for the requested geometry, a length
+// other than that shape's, or a row whose arr is not an integer in
+// [0, Nsamples]. Nothing is allocated for the table until the shape
+// and the length both match. Then stations load in parallel, like
+// ComputeGreens: each worker reads a station's rows into its own
+// buffer with one ReadAt, decodes them, and recomputes each lead from
+// the loaded values. Amplitudes are taken verbatim, whatever they are.
 func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig) *GreensFunctions {
 	f, err := os.Open(path)
 	if err != nil {
@@ -188,7 +201,7 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 	}
 	defer f.Close()
 	rows, cols, err := npy.ReadHeader(f)
-	if err != nil || rows != len(stations)*nsub*3 || cols != cfg.Nsamples {
+	if err != nil || rows != len(stations)*nsub || cols != paramCols {
 		return nil // garbage or another geometry: recompute
 	}
 	start, err := f.Seek(0, io.SeekCurrent)
@@ -196,23 +209,19 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 		return nil
 	}
 	info, err := f.Stat()
-	per := int64(nsub * 3 * cfg.Nsamples) // float64s per station
-	if err != nil || info.Size()-start != 8*per*int64(len(stations)) {
+	per := int64(8 * paramCols * nsub) // bytes per station
+	if err != nil || info.Size()-start != per*int64(len(stations)) {
 		return nil // truncated or overlong: recompute
 	}
 	g := newGreens(cfg, stations, nsub)
 	var failed atomic.Bool
-	eachStation(len(stations), func(s int) {
-		slab := make([]float64, per)
-		if err := npy.ReadData(io.NewSectionReader(f, start+8*per*int64(s), 8*per), slab); err != nil {
-			failed.Store(true) // shrank since the length check
-			return
+	eachStation(len(stations), func() func(int) {
+		buf := make([]byte, per)
+		return func(s int) {
+			if _, err := f.ReadAt(buf, start+per*int64(s)); err != nil || !g.decodeStation(s, buf) {
+				failed.Store(true) // shrank since the length check, or a bad arr
+			}
 		}
-		kernels := stationKernels(slab, nsub, cfg.Nsamples)
-		for sf := range kernels {
-			g.lead[s][sf] = zeroLead(&kernels[sf], 0)
-		}
-		g.Kernel[s] = kernels
 	})
 	if failed.Load() {
 		return nil
@@ -220,10 +229,32 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 	return g
 }
 
+// decodeStation fills station s's parameter row from buf, NSub rows
+// of paramCols little-endian float64s, and reports false if any arr
+// is not an integer in [0, Nsamples].
+func (g *GreensFunctions) decodeStation(s int, buf []byte) bool {
+	ns := float64(g.Cfg.Nsamples)
+	for sf := range g.params[s] {
+		var v [paramCols]float64
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*(sf*paramCols+i):]))
+		}
+		if !(v[0] >= 0 && v[0] <= ns && v[0] == math.Trunc(v[0])) {
+			return false
+		}
+		kp := &g.params[s][sf]
+		kp.arr = int32(v[0])
+		copy(kp.sa[:], v[1:4])
+		copy(kp.da[:], v[4:7])
+		kp.lead = g.tab.leadOf(kp)
+	}
+	return true
+}
+
 // GreensForScenario is the Phase B entry point the scenario pipeline
 // uses: it recycles through DefaultGFCache when one is installed and
 // computes directly otherwise. Both paths return bit-identical kernels
-// (the cache stores the exact float64 bits), so enabling recycling
+// (the cache stores the exact parameters), so enabling recycling
 // never changes a scenario's bytes — only how long Phase B takes.
 func GreensForScenario(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, error) {
 	if DefaultGFCache != nil {

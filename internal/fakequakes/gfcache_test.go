@@ -1,15 +1,19 @@
 package fakequakes
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"fdw/internal/geom"
+	"fdw/internal/npy"
 	"fdw/internal/obs"
 	"fdw/internal/sim"
 )
@@ -62,22 +66,7 @@ func TestGFCacheWarmSkipsComputeAndMatchesCold(t *testing.T) {
 		t.Fatalf("obs misses = %d, want 1", v)
 	}
 
-	for s := range cold.Kernel {
-		for sf := 0; sf < cold.NSub; sf++ {
-			for comp := 0; comp < 3; comp++ {
-				a, b := cold.Kernel[s][sf][comp], warm.Kernel[s][sf][comp]
-				if len(a) != len(b) {
-					t.Fatalf("kernel [%d][%d][%d] length %d vs %d", s, sf, comp, len(a), len(b))
-				}
-				for i := range a {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-						t.Fatalf("kernel [%d][%d][%d][%d]: %v vs %v — recycled bits differ",
-							s, sf, comp, i, a[i], b[i])
-					}
-				}
-			}
-		}
-	}
+	requireSameSet(t, "warm against cold", warm, cold)
 
 	// Downstream products must be identical too: same rupture + noise
 	// seed over cold and warm kernels.
@@ -144,18 +133,7 @@ func TestGFCacheCorruptSkippedAndRecomputed(t *testing.T) {
 		if hit {
 			t.Fatalf("%s cache file was trusted as a hit", name)
 		}
-		for s := range want.Kernel {
-			for sf := 0; sf < want.NSub; sf++ {
-				for comp := 0; comp < 3; comp++ {
-					a, w := got.Kernel[s][sf][comp], want.Kernel[s][sf][comp]
-					for i := range w {
-						if math.Float64bits(a[i]) != math.Float64bits(w[i]) {
-							t.Fatalf("recomputed kernel differs after %s file", name)
-						}
-					}
-				}
-			}
-		}
+		requireSameSet(t, "recomputed after a "+name+" file", got, want)
 		// The recompute must have repaired the file for the next run.
 		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || !hit {
 			t.Fatalf("after %s repair: hit=%v err=%v, want warm hit", name, hit, err)
@@ -177,19 +155,20 @@ func TestGFCacheFileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "0ad3def434fa7758f31b852c6db07016393ad23e2107c65abeb4afc56708e4f1"
-	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != 540800 || got != want {
-		t.Fatalf("greens file: %d bytes, sha256 %s; want 540800 bytes, sha256 %s", len(b), got, want)
+	const want = "56541ef451a6147f661329521c7a03fe58511b8588abdc778ead7f05959da027"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != 19840 || got != want {
+		t.Fatalf("greens file: %d bytes, sha256 %s; want 19840 bytes, sha256 %s", len(b), got, want)
 	}
 }
 
-// TestGFCacheFillAllocatesOneKernel: a miss computes the kernel and
-// streams it to disk without copying it, and a hit allocates the
-// kernel once; each allocates at most 1.1x the kernel plus 1 MiB.
+// TestGFCacheFillAllocatesOneKernel: a miss computes the parameter
+// table and streams it to disk without copying it, and a hit
+// allocates the table once; each allocates at most the table plus
+// 1 MiB.
 func TestGFCacheFillAllocatesOneKernel(t *testing.T) {
 	f, stations, d := smallSetup(t, 4)
 	cfg := DefaultGFConfig()
-	kernel := uint64(len(stations) * f.NumSubfaults() * 3 * cfg.Nsamples * 8)
+	table := uint64(len(stations)*f.NumSubfaults()) * uint64(unsafe.Sizeof(kernelParams{}))
 	c := NewGFCache(t.TempDir())
 	for _, want := range []bool{false, true} {
 		var before, after runtime.MemStats
@@ -200,14 +179,15 @@ func TestGFCacheFillAllocatesOneKernel(t *testing.T) {
 		if err != nil || hit != want {
 			t.Fatalf("hit=%v err=%v, want hit=%v", hit, err, want)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > kernel*11/10+1<<20 {
-			t.Fatalf("hit=%v allocated %d bytes for a %d-byte kernel (%.2fx)", hit, got, kernel, float64(got)/float64(kernel))
+		if got := after.TotalAlloc - before.TotalAlloc; got > table+1<<20 {
+			t.Fatalf("hit=%v allocated %d bytes for a %d-byte parameter table", hit, got, table)
 		}
 	}
 }
 
 // TestGFCacheTruncatedAtStationBoundaries: a greens_*.npy cut at any
-// station boundary, or 8 bytes either side of one, or 8 bytes too
+// station boundary, at any row boundary of the last station, 8 bytes
+// either side of a station boundary, or 8 bytes or a whole row too
 // long, is a recomputed miss that repairs the file — never a panic,
 // never a hit.
 func TestGFCacheTruncatedAtStationBoundaries(t *testing.T) {
@@ -223,11 +203,15 @@ func TestGFCacheTruncatedAtStationBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	station := f.NumSubfaults() * 3 * cfg.Nsamples * 8
+	row := paramCols * 8
+	station := f.NumSubfaults() * row
 	start := len(b) - len(stations)*station
-	lengths := []int{start + station - 8, start + station + 8, len(b) - 8, len(b) + 8}
+	lengths := []int{start + station - 8, start + station + 8, len(b) - 8, len(b) + 8, len(b) + row}
 	for s := range stations {
 		lengths = append(lengths, start+s*station)
+	}
+	for r := 1; r < f.NumSubfaults(); r++ {
+		lengths = append(lengths, len(b)-r*row)
 	}
 	for _, n := range lengths {
 		cut := append(append([]byte(nil), b[:min(n, len(b))]...), make([]byte, max(0, n-len(b)))...)
@@ -244,26 +228,36 @@ func TestGFCacheTruncatedAtStationBoundaries(t *testing.T) {
 }
 
 // TestGFCacheHostileShapeRecomputed: a greens_*.npy whose header
-// claims an overflowing shape is a miss that rewrites the file, not a
-// panic.
+// claims an overflowing shape, or a shape other than the parameter
+// table's — the sample layout of format 1, rows one column short or
+// long, the transpose — is a miss that rewrites the file, not a panic,
+// even when the data is as long as the header says.
 func TestGFCacheHostileShapeRecomputed(t *testing.T) {
 	f, stations, d := smallSetup(t, 2)
 	cfg := gfTestConfig()
 	dir := t.TempDir()
 	c := NewGFCache(dir)
 	path := filepath.Join(dir, fmt.Sprintf(gfNPYPattern, GFFingerprint(f, stations, d, cfg)))
-	for _, shape := range []string{"(2147483648, 2147483648)", "(4294967296, 4294967296)"} {
-		header := "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }\n"
+	rows := len(stations) * f.NumSubfaults()
+	for _, shape := range [][2]int{
+		{2147483648, 2147483648}, {4294967296, 4294967296},
+		{rows * 3, cfg.Nsamples}, {rows, paramCols - 1}, {rows, paramCols + 1}, {paramCols, rows},
+	} {
+		header := fmt.Sprintf("{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }\n", shape[0], shape[1])
 		b := append([]byte("\x93NUMPY\x01\x00"), byte(len(header)), 0)
-		b = append(append(b, header...), make([]byte, 16)...)
+		data := 16
+		if shape[0] < 1<<20 {
+			data = 8 * shape[0] * shape[1]
+		}
+		b = append(append(b, header...), make([]byte, data)...)
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || hit {
-			t.Fatalf("shape %s: hit=%v err=%v, want a recomputed miss", shape, hit, err)
+			t.Fatalf("shape %v: hit=%v err=%v, want a recomputed miss", shape, hit, err)
 		}
 		if _, hit, err := c.LoadOrCompute(f, stations, d, cfg); err != nil || !hit {
-			t.Fatalf("shape %s: after rewrite hit=%v err=%v, want warm hit", shape, hit, err)
+			t.Fatalf("shape %v: after rewrite hit=%v err=%v, want warm hit", shape, hit, err)
 		}
 	}
 }
@@ -330,24 +324,7 @@ func TestGFCacheDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 
 	for name, g := range got {
-		if len(g.Kernel) != len(direct.Kernel) {
-			t.Fatalf("%s: %d stations, want %d", name, len(g.Kernel), len(direct.Kernel))
-		}
-		for s := range direct.Kernel {
-			for sf := 0; sf < direct.NSub; sf++ {
-				for comp := 0; comp < 3; comp++ {
-					a, c := g.Kernel[s][sf][comp], direct.Kernel[s][sf][comp]
-					if len(a) != len(c) || cap(a) != len(c) {
-						t.Fatalf("%s: kernel [%d][%d][%d] len %d cap %d, want %d", name, s, sf, comp, len(a), cap(a), len(c))
-					}
-					for i := range c {
-						if math.Float64bits(a[i]) != math.Float64bits(c[i]) {
-							t.Fatalf("%s: kernel [%d][%d][%d][%d] differs from ComputeGreens", name, s, sf, comp, i)
-						}
-					}
-				}
-			}
-		}
+		requireSameSet(t, name, g, direct)
 	}
 }
 
@@ -379,23 +356,12 @@ func TestGreensForScenarioSeam(t *testing.T) {
 	if h, m := DefaultGFCache.Stats(); h != 1 || m != 1 {
 		t.Fatalf("seam stats %d/%d, want 1/1", h, m)
 	}
-	for s := range direct.Kernel {
-		for sf := 0; sf < direct.NSub; sf++ {
-			for comp := 0; comp < 3; comp++ {
-				a, b := direct.Kernel[s][sf][comp], warm.Kernel[s][sf][comp]
-				for i := range a {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-						t.Fatal("seam recycle changed kernel bits")
-					}
-				}
-			}
-		}
-	}
+	requireSameSet(t, "seam recycle", warm, direct)
 }
 
 // TestGFCacheRoundTripKeepsLead: on the paper's 20 km mesh, the leads
-// a warm load scans from sample 0 of the kernels equal the ones
-// ComputeGreens finds by scanning on from each S arrival. Four
+// a warm load recomputes from the stored parameters equal the ones
+// ComputeGreens found; the file holds no leads. Four
 // stations from the south to the north end of the network put the
 // arrivals from early samples to far into the record.
 func TestGFCacheRoundTripKeepsLead(t *testing.T) {
@@ -424,8 +390,8 @@ func TestGFCacheRoundTripKeepsLead(t *testing.T) {
 	minLead, maxLead := int32(cfg.Nsamples), int32(0)
 	for s := range stations {
 		for sf := 0; sf < f.NumSubfaults(); sf++ {
-			lead := direct.lead[s][sf]
-			if got := warm.lead[s][sf]; got != lead {
+			lead := direct.params[s][sf].lead
+			if got := warm.params[s][sf].lead; got != lead {
 				t.Fatalf("station %d subfault %d: loaded lead %d, computed %d", s, sf, got, lead)
 			}
 			minLead, maxLead = min(minLead, lead), max(maxLead, lead)
@@ -434,4 +400,132 @@ func TestGFCacheRoundTripKeepsLead(t *testing.T) {
 	if minLead == 0 || maxLead < 100 {
 		t.Fatalf("leads span [%d, %d]; want the set to start past sample 0 and reach past 100", minLead, maxLead)
 	}
+}
+
+// FuzzLoadGreens feeds LoadOrCompute arbitrary greens_*.npy bytes. It
+// must never panic or fail. A hit must hold the file's amplitudes
+// verbatim and its arrivals as the integers they equal, with each
+// lead recomputed, and expand to what
+// referenceExpand makes of them (NaN payloads aside); a hit on the
+// bytes a miss writes must equal ComputeGreens bit for bit. A miss
+// must be ComputeGreens' set and leave the file repaired: those bytes,
+// and a warm hit next time. The geometry is small — a station on the
+// fault and one far off, 16 subfaults, 16 samples — so a file is
+// ~1.9 KB and quick to mutate.
+func FuzzLoadGreens(f *testing.F) {
+	fault, err := geom.BuildFault(geom.ChileFaultConfig{
+		LatSouth: -34, LatNorth: -33,
+		TrenchLon: -73.5, TrenchLonSlope: 0.15,
+		DipShallowDeg: 10, DipDeepDeg: 30,
+		WidthKm: 60, SubfaultKm: 30,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stations := []geom.Station{{Name: "NEAR", Pos: fault.Subfaults[0].Center}, geom.FullChileanStations()[0]}
+	d := ComputeDistanceMatrices(fault, stations)
+	cfg := GFConfig{Dt: 1, Nsamples: 16, VpKmS: 6.8, VsKmS: 3.9}
+	direct, err := ComputeGreens(fault, stations, d, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	arrived := 0
+	for _, row := range direct.params {
+		for _, kp := range row {
+			if int(kp.arr) < cfg.Nsamples {
+				arrived++
+			}
+		}
+	}
+	if arrived == 0 || arrived == len(stations)*fault.NumSubfaults() {
+		f.Fatalf("%d of %d arrivals inside the record; want some in and some after", arrived, len(stations)*fault.NumSubfaults())
+	}
+	var buf bytes.Buffer
+	if err := npy.WriteRows(&buf, len(stations)*fault.NumSubfaults(), paramCols, func(i int) []float64 {
+		kp := direct.params[i/direct.NSub][i%direct.NSub]
+		return []float64{float64(kp.arr), kp.sa[0], kp.sa[1], kp.sa[2], kp.da[0], kp.da[1], kp.da[2]}
+	}); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	data := len(valid) - len(stations)*fault.NumSubfaults()*paramCols*8 // offset of row 0
+	// with returns valid with float64 column col of row r set to v.
+	with := func(r, col int, v float64) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(b[data+8*(r*paramCols+col):], math.Float64bits(v))
+		return b
+	}
+	last := len(stations)*fault.NumSubfaults() - 1
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-8])
+	f.Add(append(append([]byte(nil), valid...), make([]byte, 8)...))
+	f.Add([]byte("not an npy file"))
+	wrongShape := bytes.Replace(valid, []byte(fmt.Sprintf("(%d, %d)", last+1, paramCols)),
+		[]byte(fmt.Sprintf("(%d, %d)", paramCols, last+1)), 1)
+	f.Add(wrongShape)
+	for _, arr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), 0.5,
+		float64(cfg.Nsamples), float64(cfg.Nsamples) + 1, 1e300} {
+		f.Add(with(0, 0, arr))
+		f.Add(with(last, 0, arr))
+	}
+	for col := 1; col < paramCols; col++ {
+		f.Add(with(last/2, col, math.NaN()))
+		f.Add(with(last/2, col, math.Inf(-1)))
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fmt.Sprintf(gfNPYPattern, GFFingerprint(fault, stations, d, cfg)))
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewGFCache(dir)
+		g, hit, err := c.LoadOrCompute(fault, stations, d, cfg)
+		if err != nil {
+			t.Fatalf("LoadOrCompute: %v", err)
+		}
+		if !hit {
+			requireSameSet(t, "recomputed", g, direct)
+			repaired, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(repaired, valid) {
+				t.Fatalf("a miss left %d bytes (err %v), want the %d bytes it computed", len(repaired), err, len(valid))
+			}
+			if _, hit, err := c.LoadOrCompute(fault, stations, d, cfg); err != nil || !hit {
+				t.Fatalf("after repair: hit=%v err=%v, want a warm hit", hit, err)
+			}
+			return
+		}
+		if bytes.Equal(file, valid) {
+			requireSameSet(t, "loaded", g, direct)
+		}
+		m, err := npy.Read(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("a hit on a file npy rejects: %v", err)
+		}
+		ref := referenceExpand(g)
+		for s := range g.params {
+			for sf, kp := range g.params[s] {
+				row := m.Row(s*g.NSub + sf)
+				if float64(kp.arr) != row[0] {
+					t.Fatalf("station %d subfault %d: loaded arrival %d, file %v", s, sf, kp.arr, row[0])
+				}
+				amps := []float64{kp.sa[0], kp.sa[1], kp.sa[2], kp.da[0], kp.da[1], kp.da[2]}
+				for i, v := range amps {
+					if math.Float64bits(v) != math.Float64bits(row[1+i]) {
+						t.Fatalf("station %d subfault %d column %d: loaded %v, file %v", s, sf, 1+i, v, row[1+i])
+					}
+				}
+				want := ref.Kernel[s][sf]
+				if wl := referenceLead(want); kp.lead != wl {
+					t.Fatalf("station %d subfault %d: lead %d, reference %d", s, sf, kp.lead, wl)
+				}
+				k := g.kernels(s, sf)
+				for c := range k {
+					canonicalSamples(k[c])
+					canonicalSamples(want[c])
+					requireSameBits(t, fmt.Sprintf("kernel[%d][%d][%d]", s, sf, c), k[c], want[c])
+				}
+			}
+		}
+	})
 }

@@ -5,8 +5,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fdw/internal/geom"
+	"fdw/internal/linalg"
 )
 
 // GFConfig parameterizes Green's-function synthesis (Phase B).
@@ -24,11 +26,16 @@ func DefaultGFConfig() GFConfig {
 
 // Validate reports configuration errors.
 func (c GFConfig) Validate() error {
+	for _, v := range []float64{c.Dt, c.VpKmS, c.VsKmS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fakequakes: non-finite value in GF config %+v", c)
+		}
+	}
 	if c.Dt <= 0 {
 		return fmt.Errorf("fakequakes: non-positive Dt %v", c.Dt)
 	}
-	if c.Nsamples <= 0 {
-		return fmt.Errorf("fakequakes: non-positive Nsamples %d", c.Nsamples)
+	if c.Nsamples <= 0 || c.Nsamples > math.MaxInt32 {
+		return fmt.Errorf("fakequakes: Nsamples %d outside [1, %d]", c.Nsamples, math.MaxInt32)
 	}
 	if c.VsKmS <= 0 || c.VpKmS <= c.VsKmS {
 		return fmt.Errorf("fakequakes: implausible velocities vp=%v vs=%v", c.VpKmS, c.VsKmS)
@@ -41,57 +48,63 @@ var Components = [3]string{"LXE", "LXN", "LXZ"}
 
 // GreensFunctions holds unit-slip displacement kernels for every
 // (station, subfault, component) triple: the Phase B ".mseed" product.
-// Kernel[s][f][c] is a time series of Nsamples displacement values (m)
-// for 1 m of slip on subfault f observed at station s, component c.
+// Kernel (s, f, c) is a time series of Nsamples displacement values
+// (m) for 1 m of slip on subfault f observed at station s, component
+// c. The set stores each (station, subfault)'s three kernels as the
+// seven numbers they are made of (kernelParams) plus the per-sample
+// tables all kernels share, ~56 B per triple instead of 3·Nsamples
+// samples; synthesis expands a triple only when it uses it.
 //
-// A set returned by ComputeGreens or LoadOrCompute is read-only: its
-// lead records where each kernel's leading zeros end, so writing a
-// kernel sample afterwards can make synthesis skip it.
+// A set returned by ComputeGreens or LoadOrCompute is read-only, and
+// its Cfg, Stations and NSub describe it: synthesis rejects a set
+// whose Cfg differs from the one its kernels were computed for.
 type GreensFunctions struct {
 	Cfg      GFConfig
 	Stations []geom.Station
 	NSub     int
-	Kernel   [][][3][]float64
 
-	// lead[s][f] is a sample index before which all three kernels of
-	// (station s, subfault f) are ±0: the samples before the S
-	// arrival. Synthesis need not add the terms before it. Nil, as in
-	// a hand-built set, means 0 everywhere.
-	lead [][]int32
+	// params[s][f] describes station s's kernels for subfault f. The
+	// station rows share one allocation.
+	params [][]kernelParams
+	tab    sampleTables
 }
 
-// newGreens returns an empty set for nsub subfaults at stations, its
-// per-station Kernel and lead rows left for the station goroutines to
-// fill. The lead rows share one allocation.
+// kernelParams are the seven numbers one (station, subfault)'s three
+// kernels are made of. Component c's sample t is ±0 before the S
+// arrival arr, and from it on, with j = t − arr,
+//
+//	float64(sa[c]·p[j]) + float64(float64(da[c]·x[j])·e[j])
+//
+// over the sampleTables (linalg.RampPulse3 computes it). An arrival at
+// or after Nsamples has arr = Nsamples: all three kernels are zeros.
+// lead is the first index t ≥ arr where any of the three samples is
+// not ±0 (NaN counts as other), or Nsamples if there is none; every
+// sample before it is ±0.
+type kernelParams struct {
+	arr, lead int32
+	sa, da    [3]float64
+}
+
+// newGreens returns a set for nsub subfaults at stations whose
+// parameter rows, one allocation, are left for the station workers to
+// fill.
 func newGreens(cfg GFConfig, stations []geom.Station, nsub int) *GreensFunctions {
-	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: nsub}
-	g.Kernel = make([][][3][]float64, len(stations))
-	g.lead = make([][]int32, len(stations))
-	leads := make([]int32, len(stations)*nsub)
-	for s := range g.lead {
-		g.lead[s] = leads[s*nsub : (s+1)*nsub : (s+1)*nsub]
+	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: nsub, tab: newSampleTables(cfg)}
+	g.params = make([][]kernelParams, len(stations))
+	all := make([]kernelParams, len(stations)*nsub)
+	for s := range g.params {
+		g.params[s] = all[s*nsub : (s+1)*nsub : (s+1)*nsub]
 	}
 	return g
-}
-
-// zeroLead returns the first index at or after from where any of the
-// three kernels k holds a sample other than ±0 (NaN counts as other),
-// or len(k[0]) if there is none. The caller vouches that every sample
-// before from is ±0.
-func zeroLead(k *[3][]float64, from int) int32 {
-	i := from
-	for i < len(k[0]) && k[0][i] == 0 && k[1][i] == 0 && k[2][i] == 0 {
-		i++
-	}
-	return int32(i)
 }
 
 // ComputeGreens builds simplified layered-half-space kernels: each
 // subfault contributes a permanent (static) offset with Okada-style
 // 1/r² geometric decay plus a transient arriving at the S travel time
 // with 1/r decay — the far-field/near-field structure real GFs have.
-// Cost scales with stations × subfaults × samples, which is why the
-// paper's B phase "can span multiple hours" with 121 stations.
+// The paper's B phase "can span multiple hours" with 121 stations;
+// here each (station, subfault) costs its geometry and a sample or two
+// of its kernels, to find their lead.
 func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, error) {
 	computeGreensCalls.Add(1)
 	if err := cfg.Validate(); err != nil {
@@ -101,57 +114,58 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 		return nil, err
 	}
 	g := newGreens(cfg, stations, f.NumSubfaults())
-	tab := newSampleTables(cfg)
-	eachStation(len(stations), func(s int) { g.computeStation(f, d, &tab, s) })
+	eachStation(len(stations), func() func(int) {
+		return func(s int) { g.computeStation(f, d, s) }
+	})
 	return g, nil
 }
 
-// eachStation runs fn(s) for every station s < n, fanned out across
-// GOMAXPROCS goroutines, and returns once all have finished. Stations
-// are independent: this is the per-node parallelism the real phase B
-// gets from MPI.
-func eachStation(n int, fn func(s int)) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer func() { <-sem; wg.Done() }()
+// eachStation runs fn(s) for every station s < n and returns once all
+// have finished. min(GOMAXPROCS, n) workers, the caller's goroutine
+// one of them, take station indices from a shared counter; each worker
+// gets its fn from one call of worker, so whatever that fn closes over
+// (a scratch buffer) is the worker's own. Stations are independent:
+// this is the per-node parallelism the real phase B gets from MPI.
+func eachStation(n int, worker func() func(s int)) {
+	var next atomic.Int64
+	run := func() {
+		fn := worker()
+		for s := int(next.Add(1) - 1); s < n; s = int(next.Add(1) - 1) {
 			fn(s)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// stationKernels carves one station's nsub·3 kernels of ns samples out
-// of slab, rows ordered (subfault, component). The 3-index slices cap
-// each kernel at its own ns samples.
-func stationKernels(slab []float64, nsub, ns int) [][3][]float64 {
-	kernels := make([][3][]float64, nsub)
-	for sf := range kernels {
-		for c := 0; c < 3; c++ {
-			off := (sf*3 + c) * ns
-			kernels[sf][c] = slab[off : off+ns : off+ns]
 		}
 	}
-	return kernels
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	if n > 0 {
+		run()
+	}
+	wg.Wait()
 }
 
 // sampleTables holds the per-sample factors every kernel shares,
 // indexed by j = t − arr, the samples since the S arrival: the ramp
 // p[j] = min(1, j/ramp), the transient argument x[j] = j·Dt/6, and its
-// decay e[j] = exp(−x[j]). They depend only on GFConfig, so
-// ComputeGreens builds them once per call instead of evaluating
-// math.Exp once per (station, subfault, component, sample).
-type sampleTables struct{ p, x, e []float64 }
+// decay e[j] = exp(−x[j]). They depend only on cfg, the configuration
+// they were built for, so a set builds them once instead of
+// evaluating math.Exp once per (station, subfault, component, sample).
+type sampleTables struct {
+	cfg     GFConfig
+	p, x, e []float64
+}
 
 func newSampleTables(cfg GFConfig) sampleTables {
 	ramp := int(math.Max(2, 4/cfg.Dt)) // ~4 s ramp to the static level
 	tab := sampleTables{
-		p: make([]float64, cfg.Nsamples),
-		x: make([]float64, cfg.Nsamples),
-		e: make([]float64, cfg.Nsamples),
+		cfg: cfg,
+		p:   make([]float64, cfg.Nsamples),
+		x:   make([]float64, cfg.Nsamples),
+		e:   make([]float64, cfg.Nsamples),
 	}
 	for j := range tab.p {
 		p := float64(j) / float64(ramp)
@@ -165,22 +179,52 @@ func newSampleTables(cfg GFConfig) sampleTables {
 	return tab
 }
 
-// computeStation fills the kernels for one station and their leads.
-// Its n·3 kernels are carved from one zeroed slab, so a station costs
-// two allocations, not one per kernel. Every sample before the S
-// arrival stays zero, so each lead is found by a scan that starts at
-// the arrival and ends within a sample or two. Each sample is the
-// original per-sample expression with the loop invariants hoisted and
-// nothing re-associated — (staticAmp·rad[c])·p[j], then
-// + ((dynAmp·rad[c])·x[j])·e[j] — so every float64 keeps its exact
-// bits (reference_test.go holds the original).
-func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab *sampleTables, s int) {
+// expand writes samples [lo, hi) of the three kernels kp describes
+// into k[c][lo:hi], 0 ≤ lo ≤ hi ≤ Nsamples, and touches nothing else
+// of k: +0 before the arrival, linalg.RampPulse3 from it on.
+func (tab *sampleTables) expand(k *[3][]float64, kp *kernelParams, lo, hi int) {
+	arr := int(kp.arr)
+	mid := min(max(arr, lo), hi) // the first sample written from the tables
+	var w [3][]float64
+	for c := range k {
+		clear(k[c][lo:mid])
+		w[c] = k[c][mid:hi]
+	}
+	if j := mid - arr; j >= 0 {
+		linalg.RampPulse3(&w, &kp.sa, &kp.da, tab.p[j:], tab.x[j:], tab.e[j:])
+	}
+}
+
+// leadOf returns kp's lead. It expands the kernels from the arrival
+// on, a few samples at a time, until a sample is not ±0, which for a
+// kernel of nonzero amplitude is within a sample or two.
+func (tab *sampleTables) leadOf(kp *kernelParams) int32 {
+	var buf [3][4]float64
+	for t := int(kp.arr); t < len(tab.p); t += len(buf[0]) {
+		n := min(len(buf[0]), len(tab.p)-t)
+		k := [3][]float64{buf[0][:n], buf[1][:n], buf[2][:n]}
+		j := t - int(kp.arr)
+		linalg.RampPulse3(&k, &kp.sa, &kp.da, tab.p[j:], tab.x[j:], tab.e[j:])
+		for i := range n {
+			if k[0][i] != 0 || k[1][i] != 0 || k[2][i] != 0 {
+				return int32(t + i)
+			}
+		}
+	}
+	return int32(len(tab.p))
+}
+
+// computeStation fills one station's kernel parameters. The amplitudes
+// are the original per-sample expression's loop invariants, nothing
+// re-associated — (staticAmp·rad[c]) and (dynAmp·rad[c]) — so each
+// expanded sample keeps its exact bits (reference_test.go holds the
+// original loop).
+func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, s int) {
 	ns := g.Cfg.Nsamples
-	kernels := stationKernels(make([]float64, g.NSub*3*ns), g.NSub, ns)
-	for sf := range kernels {
+	for sf := range g.params[s] {
 		sub := &f.Subfaults[sf]
 		repi := d.Station.At(s, sf)
-		rhyp := math.Sqrt(repi*repi + sub.DepthKm*sub.DepthKm)
+		rhyp := math.Sqrt(float64(repi*repi) + float64(sub.DepthKm*sub.DepthKm))
 		// A point-source kernel diverges as r → 0; clamp to the
 		// subfault dimension (the finite-source near-field limit).
 		if minR := sub.LengthKm; rhyp < minR {
@@ -198,26 +242,17 @@ func (g *GreensFunctions) computeStation(f *geom.Fault, d *DistanceMatrices, tab
 		// Dynamic peak decays as 1/r and is ~2× the static level
 		// in the near field.
 		dynAmp := 0.0015 * sub.AreaKm2() / rhyp
-		arr := int(tS / g.Cfg.Dt)
 
-		for c := 0; c < 3; c++ {
-			k := kernels[sf][c]
-			if arr >= ns {
-				continue // arrives after the last sample: all zeros
-			}
-			sa, da := staticAmp*rad[c], dynAmp*rad[c]
-			k = k[arr:]
-			p, x, e := tab.p[:len(k)], tab.x[:len(k)], tab.e[:len(k)]
-			for j := range k {
-				// Ramp to static offset, then the transient pulse
-				// riding on the ramp.
-				k[j] = sa * p[j]
-				k[j] += da * x[j] * e[j]
-			}
+		kp := &g.params[s][sf]
+		kp.arr = int32(ns) // arrives after the last sample: all zeros
+		if a := tS / g.Cfg.Dt; a < float64(ns) {
+			kp.arr = int32(a)
 		}
-		g.lead[s][sf] = zeroLead(&kernels[sf], min(arr, ns))
+		for c := range rad {
+			kp.sa[c], kp.da[c] = float64(staticAmp*rad[c]), float64(dynAmp*rad[c])
+		}
+		kp.lead = g.tab.leadOf(kp)
 	}
-	g.Kernel[s] = kernels
 }
 
 // azimuthDeg returns the azimuth from src toward sta, degrees from north.
@@ -249,40 +284,29 @@ func radiation(azDeg, strikeDeg, dipDeg float64) [3]float64 {
 	return [3]float64{e, n, z}
 }
 
-// validateShape checks the set's internal consistency: a valid Cfg
-// and one entry per station, each holding NSub subfaults. A
-// hand-assembled or corrupt value (the cache-load failure mode)
-// reports an error here rather than panicking deep in an index
+// validateShape checks the set's internal consistency: a valid Cfg,
+// the one its kernels were computed for, and one parameter row per
+// station, each holding NSub subfaults. A hand-assembled or altered
+// value reports an error here rather than panicking deep in an index
 // expression — the linalg convention: errors for data-shaped
 // problems, panics only for caller bugs like a negative index the API
-// documents as out of contract. The kernels' own lengths are
-// validateKernel's.
+// documents as out of contract.
 func (g *GreensFunctions) validateShape() error {
 	if err := g.Cfg.Validate(); err != nil {
 		return err
 	}
+	if g.Cfg != g.tab.cfg {
+		return fmt.Errorf("fakequakes: Green's functions computed for %+v, set says %+v", g.tab.cfg, g.Cfg)
+	}
 	if g.NSub < 0 {
 		return fmt.Errorf("fakequakes: negative subfault count %d", g.NSub)
 	}
-	if len(g.Kernel) != len(g.Stations) {
-		return fmt.Errorf("fakequakes: kernel holds %d stations, station list %d", len(g.Kernel), len(g.Stations))
+	if len(g.params) != len(g.Stations) {
+		return fmt.Errorf("fakequakes: kernel holds %d stations, station list %d", len(g.params), len(g.Stations))
 	}
-	for s := range g.Kernel {
-		if len(g.Kernel[s]) != g.NSub {
-			return fmt.Errorf("fakequakes: station %d kernel holds %d subfaults, want %d", s, len(g.Kernel[s]), g.NSub)
-		}
-	}
-	return nil
-}
-
-// validateKernel checks that station s's three kernels at subfault sf
-// hold exactly Cfg.Nsamples samples, the length synthesis reads them
-// to; s and sf must be in the shape validateShape accepted.
-func (g *GreensFunctions) validateKernel(s, sf int) error {
-	for c, k := range g.Kernel[s][sf] {
-		if len(k) != g.Cfg.Nsamples {
-			return fmt.Errorf("fakequakes: station %d subfault %d %s kernel holds %d samples, want %d",
-				s, sf, Components[c], len(k), g.Cfg.Nsamples)
+	for s := range g.params {
+		if len(g.params[s]) != g.NSub {
+			return fmt.Errorf("fakequakes: station %d kernel holds %d subfaults, want %d", s, len(g.params[s]), g.NSub)
 		}
 	}
 	return nil

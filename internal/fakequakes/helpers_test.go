@@ -38,9 +38,20 @@ func (g *Generator) Generate(id string, rng *sim.RNG) (*Rupture, error) {
 	return g.GenerateMw(id, mw, rng)
 }
 
+// kernels expands station s's three kernels for subfault sf into
+// fresh slices of Nsamples samples each.
+func (g *GreensFunctions) kernels(s, sf int) [3][]float64 {
+	var k [3][]float64
+	for c := range k {
+		k[c] = make([]float64, g.Cfg.Nsamples)
+	}
+	g.tab.expand(&k, &g.params[s][sf], 0, g.Cfg.Nsamples)
+	return k
+}
+
 // ToRecords flattens the kernels for one subfault into mseed records —
 // the unit that Phase B ships through the Stash cache. An out-of-range
-// subfault or an inconsistent kernel is an error, never a panic; an
+// subfault or an inconsistent set is an error, never a panic; an
 // empty station list yields an empty (non-nil-error) record set, the
 // valid degenerate case.
 func (g *GreensFunctions) ToRecords(subfault int) ([]mseed.Record, error) {
@@ -50,15 +61,9 @@ func (g *GreensFunctions) ToRecords(subfault int) ([]mseed.Record, error) {
 	if err := g.validateShape(); err != nil {
 		return nil, err
 	}
-	for s := range g.Kernel {
-		for sf := range g.Kernel[s] {
-			if err := g.validateKernel(s, sf); err != nil {
-				return nil, err
-			}
-		}
-	}
 	recs := make([]mseed.Record, 0, len(g.Stations)*3)
 	for s, st := range g.Stations {
+		k := g.kernels(s, subfault)
 		for c, ch := range Components {
 			recs = append(recs, mseed.Record{
 				Network: "CL",
@@ -66,7 +71,7 @@ func (g *GreensFunctions) ToRecords(subfault int) ([]mseed.Record, error) {
 				Channel: ch,
 				Start:   0,
 				Dt:      g.Cfg.Dt,
-				Samples: g.Kernel[s][subfault][c],
+				Samples: k[c],
 			})
 		}
 	}

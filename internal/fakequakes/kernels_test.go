@@ -51,11 +51,50 @@ func withGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestComputeGreensMatchesReference requires the table-driven Phase B
-// to reproduce the original per-sample loop bit for bit. Dt moves the
-// ramp length (8, 4 and 2 samples); 40 samples put the far stations'
-// S arrival at or after the last sample, so all-zero kernels and
-// kernels with every sample written are both covered.
+// requireSameGreens fails unless every kernel of got expands to the
+// bits of want's sample kernel, and every lead of got is where want's
+// kernels stop being ±0.
+func requireSameGreens(t *testing.T, what string, got *GreensFunctions, want *refGreens) {
+	t.Helper()
+	if len(got.params) != len(want.Kernel) || got.NSub != want.NSub {
+		t.Fatalf("%s: %d stations × %d subfaults, reference %d × %d", what, len(got.params), got.NSub, len(want.Kernel), want.NSub)
+	}
+	for s := range want.Kernel {
+		for sf, w := range want.Kernel[s] {
+			k := got.kernels(s, sf)
+			for c := range k {
+				requireSameBits(t, fmt.Sprintf("%s: kernel[%d][%d][%d]", what, s, sf, c), k[c], w[c])
+			}
+			if lead, wl := got.params[s][sf].lead, referenceLead(w); lead != wl {
+				t.Fatalf("%s: station %d subfault %d lead %d, reference %d", what, s, sf, lead, wl)
+			}
+		}
+	}
+}
+
+// requireSameSet fails unless got and want hold the same kernels and
+// leads, bit for bit: got against want's own expansion.
+func requireSameSet(t *testing.T, what string, got, want *GreensFunctions) {
+	t.Helper()
+	requireSameGreens(t, what, got, referenceExpand(want))
+}
+
+// withAsm runs fn with the assembly kernels on and then off, restoring
+// the switch.
+func withAsm(t *testing.T, fn func(t *testing.T, asm bool)) {
+	for _, asm := range []bool{true, false} {
+		was := linalg.SetAsmKernels(asm)
+		fn(t, asm)
+		linalg.SetAsmKernels(was)
+	}
+}
+
+// TestComputeGreensMatchesReference requires the parameter table, as
+// expand turns it into samples and as its leads fall, to reproduce the
+// original per-sample loop bit for bit. Dt moves the ramp length (8, 4
+// and 2 samples); 40 samples put the far stations' S arrival at or
+// after the last sample, so all-zero kernels and kernels with every
+// sample written are both covered.
 func TestComputeGreensMatchesReference(t *testing.T) {
 	f := smallFault(t)
 	stations := geom.FullChileanStations()
@@ -68,12 +107,13 @@ func TestComputeGreensMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := referenceGreens(f, stations, d, cfg)
+			withAsm(t, func(t *testing.T, asm bool) {
+				requireSameGreens(t, fmt.Sprintf("Dt %v asm %v", dt, asm), got, want)
+			})
 			silent, arrived := 0, 0
 			for s := range want.Kernel {
 				for sf := range want.Kernel[s] {
-					for c := 0; c < 3; c++ {
-						w := want.Kernel[s][sf][c]
-						requireSameBits(t, fmt.Sprintf("Dt %v kernel[%d][%d][%d]", dt, s, sf, c), got.Kernel[s][sf][c], w)
+					for _, w := range want.Kernel[s][sf] {
 						if w[len(w)-1] == 0 {
 							silent++
 						} else {
@@ -87,6 +127,38 @@ func TestComputeGreensMatchesReference(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestComputeGreensFootprint holds Phase B to its parameter table: at
+// the benchmark geometry — 121 stations on the 20 km mesh, 500
+// subfaults, 512 samples — one ComputeGreens allocates at most 8 MB,
+// where a set of sample kernels takes 743 MB.
+func TestComputeGreensFootprint(t *testing.T) {
+	fc := geom.DefaultChileFault()
+	fc.SubfaultKm = 20
+	f, err := geom.BuildFault(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stations := geom.FullChileanStations()
+	d := ComputeDistanceMatrices(f, stations)
+	if len(stations) != 121 || f.NumSubfaults() != 500 {
+		t.Fatalf("geometry %d stations × %d subfaults, want 121 × 500", len(stations), f.NumSubfaults())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = ComputeGreens(f, stations, d, DefaultGFConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 8_000_000
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > limit {
+		t.Fatalf("ComputeGreens allocated %d bytes, want at most %d", got, limit)
+	}
+	t.Logf("ComputeGreens allocated %d bytes", got)
 }
 
 // edgeRupture is a generated rupture plus hand-built patch entries on
@@ -122,9 +194,10 @@ func edgeRupture(t *testing.T, f *geom.Fault, d *DistanceMatrices, nT int, dt fl
 	return r
 }
 
-// TestSynthesizeMatchesReference requires the re-sliced Phase C loop to
-// reproduce the original one bit for bit, noise included, at each Dt
-// and worker count.
+// TestSynthesizeMatchesReference requires Phase B's parameter table
+// and the blocked Phase C loop over its expanded kernels to reproduce
+// the original two loops bit for bit, noise included, at each Dt and
+// worker count, with the assembly kernels on and off.
 func TestSynthesizeMatchesReference(t *testing.T) {
 	f, stations, d := smallSetup(t, 6)
 	withGOMAXPROCS(t, func(t *testing.T) {
@@ -134,17 +207,20 @@ func TestSynthesizeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := referenceGreens(f, stations, d, cfg)
 			r := edgeRupture(t, f, d, cfg.Nsamples, dt)
 			for _, noise := range []NoiseConfig{{}, DefaultNoise()} {
-				got, err := SynthesizeWaveforms(r, g, noise, sim.NewRNG(9))
+				want, err := referenceSynthesize(r, ref, noise, sim.NewRNG(9))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := referenceSynthesize(r, g, noise, sim.NewRNG(9))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameWaveforms(t, fmt.Sprintf("Dt %v noise %+v", dt, noise), got, want)
+				withAsm(t, func(t *testing.T, asm bool) {
+					got, err := SynthesizeWaveforms(r, g, noise, sim.NewRNG(9))
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameWaveforms(t, fmt.Sprintf("Dt %v noise %+v asm %v", dt, noise, asm), got, want)
+				})
 			}
 		}
 	})
@@ -173,9 +249,10 @@ func TestSynthesizeNoiseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := referenceGreens(f, stations, d, cfg)
 		r := edgeRupture(t, f, d, nT, cfg.Dt)
 		for _, n := range noises {
-			want, err := referenceSynthesize(r, g, n.noise, sim.NewRNG(21))
+			want, err := referenceSynthesize(r, ref, n.noise, sim.NewRNG(21))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +286,7 @@ func TestReferenceSpreadsHugeRise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := referenceSynthesize(r, g, NoiseConfig{}, sim.NewRNG(1))
+	want, err := referenceSynthesize(r, referenceGreens(f, stations, d, cfg), NoiseConfig{}, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,20 +361,20 @@ func TestSynthesizeRejectsHostilePatch(t *testing.T) {
 		}
 	}
 	// A kernel set whose station rows are missing is an error too.
-	broken := &GreensFunctions{Cfg: g.Cfg, Stations: g.Stations, NSub: g.NSub, Kernel: g.Kernel[:1]}
-	if _, err := SynthesizeWaveforms(late, broken, NoiseConfig{}, sim.NewRNG(1)); err == nil {
+	broken := *g
+	broken.params = g.params[:1]
+	if _, err := SynthesizeWaveforms(late, &broken, NoiseConfig{}, sim.NewRNG(1)); err == nil {
 		t.Fatal("kernel set missing a station accepted")
 	}
 }
 
-// TestSynthesizeRejectsMalformedKernels pins the fix for a set whose
-// kernels or configuration do not match: a kernel on its own array
-// shorter than Nsamples used to panic a station goroutine ("slice
-// bounds out of range"), a kernel short in length but not in capacity
-// was silently read past its end, and a zero Dt synthesized without
-// error. Each is now an error from SynthesizeWaveforms and ToRecords,
-// naming the station, subfault and component where a kernel is at
-// fault.
+// TestSynthesizeRejectsMalformedKernels pins the checks on a set that
+// does not describe itself: parameter rows missing a station or a
+// subfault, a Cfg changed after the kernels were computed (a longer
+// record used to be read past its kernels' end, and now would be read
+// past the sample tables'), and a zero Dt, which once synthesized
+// without error. Each is an error from SynthesizeWaveforms and
+// ToRecords, naming the station where a row is at fault.
 func TestSynthesizeRejectsMalformedKernels(t *testing.T) {
 	f, stations, d := smallSetup(t, 2)
 	cfg := GFConfig{Dt: 1, Nsamples: 16, VpKmS: 6.8, VsKmS: 3.9}
@@ -306,27 +383,26 @@ func TestSynthesizeRejectsMalformedKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Rupture{ID: "r", Patch: []int{3}, SlipM: []float64{1}, OnsetS: []float64{0}, RiseS: []float64{2}}
-	// withKernel returns a copy of g whose station 1, subfault 3, LXN
-	// kernel is k; g itself stays as ComputeGreens returned it.
-	withKernel := func(k []float64) *GreensFunctions {
+	// altered returns a copy of g changed by fn; g itself stays as
+	// ComputeGreens returned it.
+	altered := func(fn func(h *GreensFunctions)) *GreensFunctions {
 		h := *g
-		h.Kernel = append([][][3][]float64(nil), g.Kernel...)
-		h.Kernel[1] = append([][3][]float64(nil), g.Kernel[1]...)
-		h.Kernel[1][3][1] = k
+		fn(&h)
 		return &h
 	}
-	full := g.Kernel[1][3][1]
-	zeroDt := *g
-	zeroDt.Cfg.Dt = 0
 	cases := []struct {
 		name string
 		g    *GreensFunctions
 		want string
 	}{
-		{"own short array", withKernel([]float64{1, 2, 3}), "station 1 subfault 3 LXN kernel holds 3 samples, want 16"},
-		{"short length, full capacity", withKernel(full[:15]), "station 1 subfault 3 LXN kernel holds 15 samples, want 16"},
-		{"long kernel", withKernel(append(append([]float64(nil), full...), 0)), "station 1 subfault 3 LXN kernel holds 17 samples, want 16"},
-		{"zero Dt", &zeroDt, "non-positive Dt 0"},
+		{"station row missing", altered(func(h *GreensFunctions) { h.params = g.params[:1] }),
+			"kernel holds 1 stations, station list 2"},
+		{"station row short a subfault", altered(func(h *GreensFunctions) {
+			h.params = [][]kernelParams{g.params[0], g.params[1][:g.NSub-1]}
+		}), fmt.Sprintf("station 1 kernel holds %d subfaults, want %d", g.NSub-1, g.NSub)},
+		{"longer record", altered(func(h *GreensFunctions) { h.Cfg.Nsamples = 17 }), "Green's functions computed for"},
+		{"slower S wave", altered(func(h *GreensFunctions) { h.Cfg.VsKmS = 3.5 }), "Green's functions computed for"},
+		{"zero Dt", altered(func(h *GreensFunctions) { h.Cfg.Dt = 0 }), "non-positive Dt 0"},
 	}
 	for _, tc := range cases {
 		_, err := SynthesizeWaveforms(r, tc.g, NoiseConfig{}, sim.NewRNG(1))

@@ -15,11 +15,11 @@ import (
 // references at the paper's geometry — 121 stations on the 20 km mesh
 // (500 subfaults), 512 one-second samples — over the 16-scenario Mw
 // ladder of the fq121 benchmark workloads. It goes one station at a
-// time, so only one station's kernels (6 MB) are live rather than the
-// full 743 MB set. The production set carries computeStation's leads,
-// so synthesis skips the kernels' leading zeros as it does in
-// ComputeGreens' sets, and each scenario is synthesized with the
-// assembly kernels on and off.
+// time, so only one station's reference kernels (6 MB) are live rather
+// than the full 743 MB set. The production set is ComputeGreens'
+// parameter table, leads included, so synthesis expands and skips
+// exactly as it does in production, and each scenario is synthesized
+// with the assembly kernels on and off.
 func TestFullLadderMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("121-station ladder skipped under -short")
@@ -56,20 +56,25 @@ func TestFullLadderMatchesReference(t *testing.T) {
 		}
 	}
 
-	tab := newSampleTables(cfg)
-	got := newGreens(cfg, stations, f.NumSubfaults())
-	want := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: f.NumSubfaults(), Kernel: make([][][3][]float64, len(stations))}
+	got, err := ComputeGreens(f, stations, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newRefGreens(cfg, stations, f.NumSubfaults())
 	out := make([]Waveform, len(stations))
+	scratch := newKernelScratch(cfg.Nsamples)
 	skipped := 0
 	for s := range stations {
-		got.computeStation(f, d, &tab, s)
 		want.referenceComputeStation(f, d, s)
-		for sf := range want.Kernel[s] {
+		for sf, w := range want.Kernel[s] {
+			k := got.kernels(s, sf)
 			for c := 0; c < 3; c++ {
-				requireSameBits(t, fmt.Sprintf("kernel[%d][%d][%d]", s, sf, c), got.Kernel[s][sf][c], want.Kernel[s][sf][c])
+				requireSameBits(t, fmt.Sprintf("kernel[%d][%d][%d]", s, sf, c), k[c], w[c])
 			}
-		}
-		for _, lead := range got.lead[s] {
+			lead := got.params[s][sf].lead
+			if wl := referenceLead(w); lead != wl {
+				t.Fatalf("station %d subfault %d: lead %d, reference %d", s, sf, lead, wl)
+			}
 			skipped += int(lead)
 		}
 		for i, r := range ruptures {
@@ -80,12 +85,12 @@ func TestFullLadderMatchesReference(t *testing.T) {
 			for _, asm := range []bool{true, false} {
 				a := rngs[i][s]
 				was := linalg.SetAsmKernels(asm)
-				w := synthesizeStation(r, got, DefaultNoise(), &a, s)
+				w := synthesizeStation(r, got, DefaultNoise(), &a, s, scratch)
 				linalg.SetAsmKernels(was)
 				requireSameWaveforms(t, fmt.Sprintf("scenario %d station %d asm %v", i, s, asm), []Waveform{w}, out[s:s+1])
 			}
 		}
-		got.Kernel[s], want.Kernel[s] = nil, nil
+		want.Kernel[s] = nil
 	}
 	if skipped == 0 {
 		t.Fatal("every lead is 0: the ladder never exercised the leading-zero skip")

@@ -2,9 +2,10 @@ package fakequakes
 
 // Executable specifications for the Phase B and Phase C kernels: the
 // original per-sample loops, kept verbatim so the property tests in
-// kernels_test.go can require the production kernels (the table-driven
-// computeStation and the re-sliced synthesizeStation, DESIGN.md §15) to
-// reproduce every float64 bit for bit.
+// kernels_test.go can require the production kernels (the parameter
+// table computeStation fills and expand, and the blocked
+// synthesizeStation, DESIGN.md §15) to reproduce every float64 bit for
+// bit. The specs work on full sample kernels, the set's original form.
 
 import (
 	"fmt"
@@ -14,11 +15,26 @@ import (
 	"fdw/internal/sim"
 )
 
+// refGreens is a Green's-function set as sample kernels:
+// Kernel[s][f][c] holds Nsamples displacement values for 1 m of slip
+// on subfault f at station s, component c.
+type refGreens struct {
+	Cfg      GFConfig
+	Stations []geom.Station
+	NSub     int
+	Kernel   [][][3][]float64
+}
+
+// newRefGreens returns a sample set whose station kernels are left
+// for referenceComputeStation.
+func newRefGreens(cfg GFConfig, stations []geom.Station, nsub int) *refGreens {
+	return &refGreens{Cfg: cfg, Stations: stations, NSub: nsub, Kernel: make([][][3][]float64, len(stations))}
+}
+
 // referenceGreens builds the kernels for every station serially with
 // referenceComputeStation.
-func referenceGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) *GreensFunctions {
-	g := &GreensFunctions{Cfg: cfg, Stations: stations, NSub: f.NumSubfaults()}
-	g.Kernel = make([][][3][]float64, len(stations))
+func referenceGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) *refGreens {
+	g := newRefGreens(cfg, stations, f.NumSubfaults())
 	for s := range stations {
 		g.referenceComputeStation(f, d, s)
 	}
@@ -26,7 +42,7 @@ func referenceGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices
 }
 
 // referenceComputeStation fills the kernels for one station.
-func (g *GreensFunctions) referenceComputeStation(f *geom.Fault, d *DistanceMatrices, s int) {
+func (g *refGreens) referenceComputeStation(f *geom.Fault, d *DistanceMatrices, s int) {
 	cfg := g.Cfg
 	n := g.NSub
 	stations := g.Stations
@@ -78,7 +94,7 @@ func (g *GreensFunctions) referenceComputeStation(f *geom.Fault, d *DistanceMatr
 // referenceSynthesize runs referenceSynthesizeStation over every
 // station serially, splitting the RNG per station exactly as
 // SynthesizeWaveforms does.
-func referenceSynthesize(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG) ([]Waveform, error) {
+func referenceSynthesize(r *Rupture, g *refGreens, noise NoiseConfig, rng *sim.RNG) ([]Waveform, error) {
 	out := make([]Waveform, len(g.Stations))
 	rngs := make([]*sim.RNG, len(g.Stations))
 	for s := range rngs {
@@ -93,7 +109,7 @@ func referenceSynthesize(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 }
 
 // referenceSynthesizeStation builds one station's waveform into out[s].
-func referenceSynthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, nT int, dt float64, s int, out []Waveform) error {
+func referenceSynthesizeStation(r *Rupture, g *refGreens, noise NoiseConfig, rng *sim.RNG, nT int, dt float64, s int, out []Waveform) error {
 	{
 		st := g.Stations[s]
 		w := Waveform{RuptureID: r.ID, Station: st.Name, Dt: dt}
@@ -148,4 +164,46 @@ func referenceSynthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfi
 		out[s] = w
 	}
 	return nil
+}
+
+// referenceExpand builds the sample kernels a parameter set describes
+// with the original loop's expressions: from each arrival on, sa·p
+// then += (da·x)·exp(−x), p and x computed per sample as
+// referenceComputeStation computes them. Its leads are not read.
+func referenceExpand(g *GreensFunctions) *refGreens {
+	cfg := g.Cfg
+	ref := newRefGreens(cfg, g.Stations, g.NSub)
+	ramp := int(math.Max(2, 4/cfg.Dt))
+	for s := range ref.Kernel {
+		ref.Kernel[s] = make([][3][]float64, g.NSub)
+		for sf := range ref.Kernel[s] {
+			kp := g.params[s][sf]
+			arr := int(kp.arr)
+			for c := 0; c < 3; c++ {
+				k := make([]float64, cfg.Nsamples)
+				for t := arr; t < cfg.Nsamples; t++ {
+					p := float64(t-arr) / float64(ramp)
+					if p > 1 {
+						p = 1
+					}
+					k[t] = kp.sa[c] * p
+					x := float64(t-arr) * cfg.Dt / 6.0
+					k[t] += kp.da[c] * x * math.Exp(-x)
+				}
+				ref.Kernel[s][sf][c] = k
+			}
+		}
+	}
+	return ref
+}
+
+// referenceLead is the first index where any of the three kernels k
+// holds a sample other than ±0 (NaN counts as other), or their length.
+func referenceLead(k [3][]float64) int32 {
+	for t := range k[0] {
+		if k[0][t] != 0 || k[1][t] != 0 || k[2][t] != 0 {
+			return int32(t)
+		}
+	}
+	return int32(len(k[0]))
 }

@@ -45,11 +45,12 @@ func (b *fuzzBytes) fuzzSample() float64 {
 
 // fuzzSet decodes, in this order, a shape — 1–4 stations, 1–8
 // subfaults, 1–64 samples at Dt ∈ {0.5, 1, 2} — a rupture, a noise
-// model and the kernels. Patch entries pick a subfault, a slip, an
-// onset of up to nT+8 samples and a rise time of up to 255 samples:
-// values validatePatch accepts and the reference loop's int
-// conversions hold. Each (station, subfault) gets a run of ±0 samples
-// before its first drawn one, and a lead no longer than that run.
+// model and the parameter table. Patch entries pick a subfault, a
+// slip, an onset of up to nT+8 samples and a rise time of up to 255
+// samples: values validatePatch accepts and the reference loop's int
+// conversions hold. Each (station, subfault) gets an arrival anywhere
+// in [0, nT] and amplitudes from fuzzSample; its lead is the one
+// leadOf computes, as a load computes it.
 func fuzzSet(data []byte) (*GreensFunctions, *Rupture, NoiseConfig) {
 	b := &fuzzBytes{data: data, state: uint64(len(data))}
 	nStations := 1 + int(b.next()%4)
@@ -71,21 +72,14 @@ func fuzzSet(data []byte) (*GreensFunctions, *Rupture, NoiseConfig) {
 	}
 	stations := geom.FullChileanStations()[:nStations]
 	g := newGreens(cfg, stations, nSub)
-	for s := range g.Kernel {
-		g.Kernel[s] = stationKernels(make([]float64, nSub*3*nT), nSub, nT)
-		for sf := range g.Kernel[s] {
-			prefix := int(b.next()) % (nT + 1)
+	for s := range g.params {
+		for sf := range g.params[s] {
+			kp := &g.params[s][sf]
+			kp.arr = int32(int(b.next()) % (nT + 1))
 			for c := 0; c < 3; c++ {
-				k := g.Kernel[s][sf][c]
-				for t := range k {
-					if t < prefix {
-						k[t] = math.Copysign(0, float64(int8(b.next())))
-					} else {
-						k[t] = b.fuzzSample()
-					}
-				}
+				kp.sa[c], kp.da[c] = b.fuzzSample(), b.fuzzSample()
 			}
-			g.lead[s][sf] = int32(int(b.next()) % (prefix + 1))
+			kp.lead = g.tab.leadOf(kp)
 		}
 	}
 	return g, r, noise
@@ -113,21 +107,27 @@ func fuzzPatchBytes(header []byte, entries [][6]byte) []byte {
 func canonicalNaNs(wfs []Waveform) {
 	for s := range wfs {
 		for _, x := range wfs[s].ENZ {
-			for i, v := range x {
-				if math.IsNaN(v) {
-					x[i] = math.NaN()
-				}
-			}
+			canonicalSamples(x)
+		}
+	}
+}
+
+// canonicalSamples is canonicalNaNs for one series.
+func canonicalSamples(x []float64) {
+	for i, v := range x {
+		if math.IsNaN(v) {
+			x[i] = math.NaN()
 		}
 	}
 }
 
 // FuzzSynthesize is a differential test of Phase C: SynthesizeWaveforms,
 // with the assembly kernels on and with them off, must reproduce
-// referenceSynthesize's float64 bits, NaN payloads aside
-// (canonicalNaNs), on every set fuzzSet decodes — non-finite and
-// subnormal kernel samples, signed-zero prefixes skipped through their
-// leads, and patches whose onsets and rise times run past the record.
+// referenceSynthesize's float64 bits over referenceExpand's kernels,
+// NaN payloads aside (canonicalNaNs), on every set fuzzSet decodes —
+// arrivals anywhere in the record, signed-zero, subnormal, infinite
+// and NaN amplitudes, and patches whose onsets and rise times run past
+// the record.
 func FuzzSynthesize(f *testing.F) {
 	// edgeRupture's cases at nT = 32, Dt = 1, three subfaults: zero
 	// slip; onset at nT; onset past nT; one sample left with nRise ≫
@@ -153,7 +153,7 @@ func FuzzSynthesize(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, r, noise := fuzzSet(data)
-		want, err := referenceSynthesize(r, g, noise, sim.NewRNG(7))
+		want, err := referenceSynthesize(r, referenceExpand(g), noise, sim.NewRNG(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,5 +168,77 @@ func FuzzSynthesize(f *testing.F) {
 			canonicalNaNs(got)
 			requireSameWaveforms(t, fmt.Sprintf("asm %v", asm), got, want)
 		}
+	})
+}
+
+// FuzzAddBox is a differential test of the box accumulation on
+// arbitrary kernel samples: addBox, with the assembly kernels on and
+// off, must reproduce the reference lag loop's bits, NaN payloads
+// aside, over a run of entries into one record. The input is nT−1,
+// an entry count and per entry (delay, lag count, frac index); then,
+// per entry, a kernel of ±0 samples up to a prefix and fuzzSample
+// values after it, and a lead no longer than the prefix.
+func FuzzAddBox(f *testing.F) {
+	// FuzzSynthesize's edge shapes at nT = 32: one sample left with
+	// the lags running past it, every lag of the record, one lag, a
+	// few lags, and an entry whose frac is zero.
+	edge := [][3]byte{{31, 160, 1}, {0, 31, 3}, {2, 0, 4}, {3, 2, 1}, {7, 5, 7}}
+	for _, e := range edge {
+		f.Add(append([]byte{31, 1}, e[:]...))
+	}
+	all := []byte{31, byte(len(edge))}
+	for _, e := range edge {
+		all = append(all, e[:]...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := &fuzzBytes{data: data, state: uint64(len(data))}
+		nT := 1 + int(b.next()%64)
+		fracs := [...]float64{1, 2, 1.5, 0.5, -0.75, 3e-310, 1e300, 0}
+		type entry struct {
+			delay, nLag, lead int
+			frac              float64
+			kern              []float64
+		}
+		entries := make([]entry, b.next()%16)
+		for i := range entries {
+			e := &entries[i]
+			e.delay = int(b.next()) % nT
+			e.nLag = 1 + int(b.next())%(nT-e.delay)
+			e.frac = fracs[b.next()%8]
+		}
+		for i := range entries {
+			e := &entries[i]
+			prefix := int(b.next()) % (nT + 1)
+			e.kern = make([]float64, nT)
+			for j := range e.kern {
+				if j < prefix {
+					e.kern[j] = math.Copysign(0, float64(int8(b.next())))
+				} else {
+					e.kern[j] = b.fuzzSample()
+				}
+			}
+			e.lead = int(b.next()) % (prefix + 1)
+		}
+		want := make([]float64, nT)
+		for _, e := range entries {
+			for lag := 0; lag < e.nLag; lag++ {
+				off := e.delay + lag
+				for j := 0; j < nT-off; j++ {
+					want[off+j] += e.frac * e.kern[j]
+				}
+			}
+		}
+		canonicalSamples(want)
+		withAsm(t, func(t *testing.T, asm bool) {
+			got := make([]float64, nT)
+			for _, e := range entries {
+				if e.delay+e.lead < nT {
+					addBox(got, e.kern, e.frac, e.delay, e.lead, e.nLag)
+				}
+			}
+			canonicalSamples(got)
+			requireSameBits(t, fmt.Sprintf("asm %v", asm), got, want)
+		})
 	})
 }

@@ -65,29 +65,27 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	if err := validatePatch(r, g.NSub); err != nil {
 		return nil, err
 	}
-	// Synthesis reads each station's kernels at the patch subfaults
-	// that slip, so only those lengths are checked, not all
-	// stations × NSub kernel headers.
-	for s := range g.Kernel {
-		for k, sf := range r.Patch {
-			if r.SlipM[k] == 0 {
-				continue
-			}
-			if err := g.validateKernel(s, sf); err != nil {
-				return nil, err
-			}
-		}
-	}
 	out := make([]Waveform, len(g.Stations))
 	// Stations are independent; split the RNG per station *before*
 	// spawning so results are deterministic regardless of scheduling,
-	// then fan out across the cores.
+	// then fan out across the cores. Each worker expands kernels into
+	// its own scratch.
 	rngs := make([]*sim.RNG, len(g.Stations))
 	for s := range rngs {
 		rngs[s] = rng.Split(uint64(s) + 0x9e37)
 	}
-	eachStation(len(g.Stations), func(s int) { out[s] = synthesizeStation(r, g, noise, rngs[s], s) })
+	eachStation(len(g.Stations), func() func(int) {
+		scratch := newKernelScratch(g.Cfg.Nsamples)
+		return func(s int) { out[s] = synthesizeStation(r, g, noise, rngs[s], s, scratch) }
+	})
 	return out, nil
+}
+
+// newKernelScratch returns room for one expanded kernel triple of ns
+// samples, carved from one allocation.
+func newKernelScratch(ns int) *[3][]float64 {
+	slab := make([]float64, 3*ns)
+	return &[3][]float64{slab[:ns:ns], slab[ns : 2*ns : 2*ns], slab[2*ns:]}
 }
 
 // validatePatch checks every patch entry against a GF set of nsub
@@ -121,17 +119,16 @@ func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // synthesizeStation builds one station's waveform from a patch that
 // validatePatch accepted. Every sample is accumulated in patch order,
 // then lag order, exactly as the original loop (reference_test.go);
-// addBox only changes which sample is worked on next.
-func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, s int) Waveform {
+// addBox only changes which sample is worked on next. Each slipping
+// entry's kernels are expanded into scratch, Nsamples per component,
+// over just the samples addBox reads.
+func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *sim.RNG, s int, scratch *[3][]float64) Waveform {
 	nT, dt := g.Cfg.Nsamples, g.Cfg.Dt
 	w := Waveform{RuptureID: r.ID, Station: g.Stations[s].Name, Dt: dt}
 	for c := 0; c < 3; c++ {
 		w.ENZ[c] = make([]float64, nT)
 	}
-	var leads []int32
-	if g.lead != nil {
-		leads = g.lead[s]
-	}
+	row := g.params[s]
 	for k, idx := range r.Patch {
 		slip := r.SlipM[k]
 		if slip == 0 {
@@ -155,15 +152,14 @@ func synthesizeStation(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng *s
 		if rise < float64(nLag) {
 			nLag = int(rise) + 1
 		}
-		lead := 0
-		if leads != nil {
-			lead = int(leads[idx])
-		}
+		kp := &row[idx]
+		lead := int(kp.lead)
 		if delay+lead >= nT {
 			continue // every term lands on a kernel's leading zeros
 		}
+		g.tab.expand(scratch, kp, max(lead-nLag+1, 0), nT-delay)
 		for c := 0; c < 3; c++ {
-			addBox(w.ENZ[c], g.Kernel[s][idx][c], frac, delay, lead, nLag)
+			addBox(w.ENZ[c], scratch[c], frac, delay, lead, nLag)
 		}
 	}
 	if noise.WhiteSigmaM > 0 || noise.WalkSigmaM > 0 {
@@ -218,8 +214,9 @@ func addNoise(x []float64, noise NoiseConfig, rng *sim.RNG) {
 //
 // per sample i, in that lag order, each term computed as the
 // reference loop computes it — its sequence, walked sample by sample
-// instead of lag by lag. kern holds len(dst) samples (validate) and
-// nLag ≤ len(dst)−delay.
+// instead of lag by lag. kern holds len(dst) samples and nLag ≤
+// len(dst)−delay; only kern[max(lead−nLag+1, 0) : len(dst)−delay] is
+// read, so a caller need fill no more of it.
 //
 // Terms whose kernel index falls before lead may be skipped or taken,
 // and either is exact: such a term is frac·(±0) = ±0, because

@@ -52,3 +52,37 @@ func goAddBox8(dst, src []float64, frac float64, taps int) {
 		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
 }
+
+// RampPulse3 expands the three components of a Green's-function
+// kernel from per-sample tables they share: for j < len(k[0]) and
+// c < 3,
+//
+//	k[c][j] = float64(sa[c]·p[j]) + float64(float64(da[c]·x[j])·e[j])
+//
+// — a ramp to a static offset plus a transient pulse riding on it —
+// each product and the sum rounded on its own, as Go computes that
+// expression on every architecture: the conversions forbid fusing.
+// The three k must be equally long and p, x and e at least as long;
+// they are sliced here, before any pointer reaches the assembly body,
+// so a short one panics in Go.
+func RampPulse3(k *[3][]float64, sa, da *[3]float64, p, x, e []float64) {
+	n := len(k[0])
+	if len(k[1]) != n || len(k[2]) != n {
+		panic(fmt.Sprintf("linalg: RampPulse3 over kernels of %d, %d and %d samples", n, len(k[1]), len(k[2])))
+	}
+	rampPulse3(k[0][:n:n], k[1][:n:n], k[2][:n:n], sa, da, p[:n:n], x[:n:n], e[:n:n])
+}
+
+// goRampPulse3 is the portable RampPulse3 body, written as its
+// specification. The assembly body computes the same roundings four
+// samples at a time.
+func goRampPulse3(k0, k1, k2 []float64, sa, da *[3]float64, p, x, e []float64) {
+	k1, k2 = k1[:len(k0)], k2[:len(k0)]
+	p, x, e = p[:len(k0)], x[:len(k0)], e[:len(k0)]
+	for j := range k0 {
+		pj, xj, ej := p[j], x[j], e[j]
+		k0[j] = float64(sa[0]*pj) + float64(float64(da[0]*xj)*ej)
+		k1[j] = float64(sa[1]*pj) + float64(float64(da[1]*xj)*ej)
+		k2[j] = float64(sa[2]*pj) + float64(float64(da[2]*xj)*ej)
+	}
+}

@@ -128,3 +128,92 @@ func BenchmarkAddBox8(b *testing.B) {
 		})
 	}
 }
+
+// rampInputs returns n-sample tables p, x, e and amplitudes sa, da;
+// with specials, about one value in eight is a boxSpecValues entry.
+func rampInputs(n int, seed uint64, specials bool) (sa, da [3]float64, p, x, e []float64) {
+	r := testRNG(seed)
+	draw := func() float64 {
+		v := r.next()
+		if specials && v > 0.75 {
+			return boxSpecValues[int((v-0.75)*4*float64(len(boxSpecValues)))%len(boxSpecValues)]
+		}
+		return v - 0.5
+	}
+	for c := range sa {
+		sa[c], da[c] = draw(), draw()
+	}
+	p, x, e = make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range p {
+		p[j], x[j], e[j] = draw(), draw(), draw()
+	}
+	return sa, da, p, x, e
+}
+
+// TestRampPulse3MatchesExpression requires RampPulse3, on whichever
+// body this host dispatches to and on the portable one, to reproduce
+// its defining expression bit for bit (NaN payloads aside) at lengths
+// on both sides of a block of four, with and without non-finite
+// values, writing nothing past its kernels.
+func TestRampPulse3MatchesExpression(t *testing.T) {
+	for _, asm := range []bool{true, false} {
+		was := SetAsmKernels(asm)
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 511, 512} {
+			for _, specials := range []bool{false, true} {
+				sa, da, p, x, e := rampInputs(n+2, uint64(n), specials)
+				var k [3][]float64
+				for c := range k {
+					k[c] = make([]float64, n+1)
+					k[c][n] = 7 // a guard sample past the window
+				}
+				RampPulse3(&[3][]float64{k[0][:n], k[1][:n], k[2][:n]}, &sa, &da, p, x, e)
+				for c := range k {
+					want := make([]float64, n+1)
+					for j := range n {
+						want[j] = float64(sa[c]*p[j]) + float64(float64(da[c]*x[j])*e[j])
+					}
+					want[n] = 7
+					boxEqual(t, fmt.Sprintf("asm %v n %d component %d", asm, n, c), k[c], want)
+				}
+			}
+		}
+		SetAsmKernels(was)
+	}
+}
+
+// TestRampPulse3PanicsOnShortWindows: kernels of unequal length, or a
+// table shorter than them, panic in Go before any assembly runs.
+func TestRampPulse3PanicsOnShortWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		n1, np     int
+	}{
+		{name: "kernels of unequal length", n1: 7, np: 8, want: "RampPulse3 over kernels of 8, 7 and 8 samples"},
+		{name: "table one short", n1: 8, np: 7, want: "slice bounds out of range"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: no panic", tc.name)
+				}
+				if msg := panicText(r); !strings.Contains(msg, tc.want) {
+					t.Fatalf("%s: panic %q, want %q", tc.name, msg, tc.want)
+				}
+			}()
+			k := [3][]float64{make([]float64, 8), make([]float64, tc.n1), make([]float64, 8)}
+			var sa, da [3]float64
+			RampPulse3(&k, &sa, &da, make([]float64, tc.np), make([]float64, 8), make([]float64, 8))
+		}()
+	}
+}
+
+// BenchmarkRampPulse3 times one Phase C expansion at the fq121 shape:
+// the 320 samples after an S arrival, three components.
+func BenchmarkRampPulse3(b *testing.B) {
+	sa, da, p, x, e := rampInputs(320, 1, false)
+	k := [3][]float64{make([]float64, 320), make([]float64, 320), make([]float64, 320)}
+	for i := 0; i < b.N; i++ {
+		RampPulse3(&k, &sa, &da, p, x, e)
+	}
+}

@@ -24,6 +24,14 @@ func addBox8asm(dst *float64, src *float64, frac float64, blocks int, taps int)
 //go:noescape
 func polarNorm4asm(dst *float64, u *float64, s *float64, blocks int)
 
+// rampPulse4asm is the AVX body of RampPulse3 in kernel_amd64.s:
+// blocks runs of four samples, each loading p, x and e once for all
+// three kernels, then per kernel two VMULPD, one more VMULPD and one
+// VADDPD.
+//
+//go:noescape
+func rampPulse4asm(k0, k1, k2, p, x, e *float64, sa, da *[3]float64, blocks int)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3
 // (CPUID feature bits plus XGETBV confirming the OS saves ymm state).
 // Implemented in kernel_amd64.s; no x/sys/cpu dependency.
@@ -77,4 +85,14 @@ func polarNorm(dst, u, s []float64) {
 		dst, u, s = dst[n4:], u[n4:], s[n4:]
 	}
 	goPolarNorm(dst, u, s)
+}
+
+// rampPulse3 runs RampPulse3 over windows it has already sliced to
+// len(k0): whole blocks of four on AVX, the rest in Go.
+func rampPulse3(k0, k1, k2 []float64, sa, da *[3]float64, p, x, e []float64) {
+	if n4 := len(k0) &^ 3; useAsmKern && n4 > 0 {
+		rampPulse4asm(&k0[0], &k1[0], &k2[0], &p[0], &x[0], &e[0], sa, da, n4/4)
+		k0, k1, k2, p, x, e = k0[n4:], k1[n4:], k2[n4:], p[n4:], x[n4:], e[n4:]
+	}
+	goRampPulse3(k0, k1, k2, sa, da, p, x, e)
 }

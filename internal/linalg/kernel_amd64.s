@@ -117,6 +117,61 @@ tap:
 	VZEROUPPER
 	RET
 
+// func rampPulse4asm(k0, k1, k2, p, x, e *float64, sa, da *[3]float64, blocks int)
+//
+// RampPulse3's block body. Y10–Y15 hold sa[0..2] and da[0..2], each
+// broadcast to four lanes. For each run of four samples, p, x and e
+// are loaded once; per kernel c, VMULPD makes sa[c]·p and da[c]·x,
+// a third VMULPD multiplies the latter by e, and VADDPD sums them: the
+// roundings of goRampPulse3's expression, in its order. It must not
+// use VFMADD, which would round the last product and the sum once.
+TEXT ·rampPulse4asm(SB), NOSPLIT, $0-72
+	MOVQ k0+0(FP), DI
+	MOVQ k1+8(FP), R8
+	MOVQ k2+16(FP), R9
+	MOVQ p+24(FP), SI
+	MOVQ x+32(FP), DX
+	MOVQ e+40(FP), R10
+	MOVQ sa+48(FP), AX
+	MOVQ da+56(FP), BX
+	MOVQ blocks+64(FP), CX
+	VBROADCASTSD 0(AX), Y10
+	VBROADCASTSD 8(AX), Y11
+	VBROADCASTSD 16(AX), Y12
+	VBROADCASTSD 0(BX), Y13
+	VBROADCASTSD 8(BX), Y14
+	VBROADCASTSD 16(BX), Y15
+	XORQ AX, AX            // byte offset of the block
+
+ramp:
+	VMOVUPD (SI)(AX*1), Y0  // p
+	VMOVUPD (DX)(AX*1), Y1  // x
+	VMOVUPD (R10)(AX*1), Y2 // e
+
+	VMULPD Y0, Y10, Y3      // sa[0]·p
+	VMULPD Y1, Y13, Y4      // da[0]·x
+	VMULPD Y2, Y4, Y4       // (da[0]·x)·e
+	VADDPD Y4, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+
+	VMULPD Y0, Y11, Y5
+	VMULPD Y1, Y14, Y6
+	VMULPD Y2, Y6, Y6
+	VADDPD Y6, Y5, Y5
+	VMOVUPD Y5, (R8)(AX*1)
+
+	VMULPD Y0, Y12, Y7
+	VMULPD Y1, Y15, Y8
+	VMULPD Y2, Y8, Y8
+	VADDPD Y8, Y7, Y7
+	VMOVUPD Y7, (R9)(AX*1)
+
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  ramp
+	VZEROUPPER
+	RET
+
 // polarK holds polarNorm4asm's constants, each repeated across the
 // four lanes of a ymm so it can be a VEX memory operand. The log
 // constants are math/log_amd64.s's, bit for bit.

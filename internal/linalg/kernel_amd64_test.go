@@ -61,3 +61,25 @@ func TestAsmAddBox8BitIdenticalToPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestAsmRampPulse3BitIdenticalToPortable: the VMULPD+VADDPD body and
+// goRampPulse3 agree bit for bit on inputs with infinities and NaNs.
+func TestAsmRampPulse3BitIdenticalToPortable(t *testing.T) {
+	if !useAsmKern {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	for _, n := range []int{4, 37, 512} {
+		sa, da, p, x, e := rampInputs(n, uint64(n)+5, true)
+		var asm, pure [3][]float64
+		for c := range asm {
+			asm[c], pure[c] = make([]float64, n), make([]float64, n)
+		}
+		RampPulse3(&asm, &sa, &da, p, x, e)
+		useAsmKern = false
+		RampPulse3(&pure, &sa, &da, p, x, e)
+		useAsmKern = true
+		for c := range asm {
+			boxEqual(t, "RampPulse3 asm-vs-portable", asm[c], pure[c])
+		}
+	}
+}

@@ -28,3 +28,7 @@ func addBox8(dst, src []float64, frac float64, taps int) {
 func polarNorm(dst, u, s []float64) {
 	goPolarNorm(dst, u, s)
 }
+
+func rampPulse3(k0, k1, k2 []float64, sa, da *[3]float64, p, x, e []float64) {
+	goRampPulse3(k0, k1, k2, sa, da, p, x, e)
+}
