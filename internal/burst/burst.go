@@ -101,10 +101,23 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, naming the field at fault.
 func (c Config) Validate() error {
+	if err := finite(
+		namedValue{"RuptureVDCSecs", c.RuptureVDCSecs},
+		namedValue{"WaveformVDCSecs", c.WaveformVDCSecs},
+		namedValue{"CostPerMinute", c.CostPerMinute},
+		namedValue{"MaxBurstFraction", c.MaxBurstFraction},
+	); err != nil {
+		return err
+	}
 	if c.RuptureVDCSecs <= 0 || c.WaveformVDCSecs <= 0 {
 		return fmt.Errorf("burst: non-positive VDC completion times")
+	}
+	// A VDC job's step count is ⌈secs⌉ only while every secs−1 of the
+	// reference's decrements is exact (DESIGN.md §7).
+	if c.RuptureVDCSecs >= exactSecs || c.WaveformVDCSecs >= exactSecs {
+		return fmt.Errorf("burst: VDC completion times %v/%v s not below 2^53 s", c.RuptureVDCSecs, c.WaveformVDCSecs)
 	}
 	if c.CostPerMinute < 0 {
 		return fmt.Errorf("burst: negative cost per minute")
@@ -112,17 +125,55 @@ func (c Config) Validate() error {
 	if c.MaxBurstFraction < 0 || c.MaxBurstFraction > 1 {
 		return fmt.Errorf("burst: MaxBurstFraction %v outside [0,1]", c.MaxBurstFraction)
 	}
-	if c.P1 != nil && (c.P1.ProbeSecs <= 0 || c.P1.ThresholdJPM <= 0) {
-		return fmt.Errorf("burst: invalid Policy 1 %+v", *c.P1)
+	if c.P1 != nil {
+		if err := finite(namedValue{"P1.ProbeSecs", c.P1.ProbeSecs}, namedValue{"P1.ThresholdJPM", c.P1.ThresholdJPM}); err != nil {
+			return err
+		}
+		if c.P1.ProbeSecs <= 0 || c.P1.ThresholdJPM <= 0 {
+			return fmt.Errorf("burst: invalid Policy 1 %+v", *c.P1)
+		}
 	}
-	if c.P2 != nil && (c.P2.MaxQueueSecs <= 0 || c.P2.ProbeSecs < 0) {
-		return fmt.Errorf("burst: invalid Policy 2 %+v", *c.P2)
+	if c.P2 != nil {
+		if err := finite(namedValue{"P2.MaxQueueSecs", c.P2.MaxQueueSecs}, namedValue{"P2.ProbeSecs", c.P2.ProbeSecs}); err != nil {
+			return err
+		}
+		if c.P2.MaxQueueSecs <= 0 || c.P2.ProbeSecs < 0 {
+			return fmt.Errorf("burst: invalid Policy 2 %+v", *c.P2)
+		}
 	}
-	if c.P3 != nil && (c.P3.MaxGapSecs <= 0 || c.P3.ProbeSecs <= 0) {
-		return fmt.Errorf("burst: invalid Policy 3 %+v", *c.P3)
+	if c.P3 != nil {
+		if err := finite(namedValue{"P3.MaxGapSecs", c.P3.MaxGapSecs}, namedValue{"P3.ProbeSecs", c.P3.ProbeSecs}); err != nil {
+			return err
+		}
+		if c.P3.MaxGapSecs <= 0 || c.P3.ProbeSecs <= 0 {
+			return fmt.Errorf("burst: invalid Policy 3 %+v", *c.P3)
+		}
 	}
-	if c.Elastic != nil && (c.Elastic.TargetJPM <= 0 || c.Elastic.ProbeSecs <= 0 || c.Elastic.MaxPerProbe <= 0) {
-		return fmt.Errorf("burst: invalid elastic policy %+v", *c.Elastic)
+	if e := c.Elastic; e != nil {
+		if err := finite(namedValue{"Elastic.TargetJPM", e.TargetJPM}, namedValue{"Elastic.ProbeSecs", e.ProbeSecs}); err != nil {
+			return err
+		}
+		if e.TargetJPM <= 0 || e.ProbeSecs <= 0 || e.MaxPerProbe <= 0 {
+			return fmt.Errorf("burst: invalid elastic policy %+v", *e)
+		}
+	}
+	return nil
+}
+
+// namedValue is a Config field and its value, for finite.
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// finite names the first of fields that is NaN or ±Inf. NaN passes
+// every ordering check, and an infinite VDC time or cap would never
+// end a job or size a buffer.
+func finite(fields ...namedValue) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("burst: %s is %v, not a finite number", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -156,15 +207,6 @@ type Result struct {
 	ThroughputJPM  float64 // total throughput, completions/runtime
 	InstantSeries  []float64
 	SeriesStepSecs float64
-}
-
-// jobState is one job's replay state. The job's trace record stays in
-// the caller's slice at the same index.
-type jobState struct {
-	submitted bool
-	done      bool
-	bursted   bool
-	vdcLeft   float64 // remaining VDC seconds once bursted
 }
 
 // sortByEnd orders byEnd, indices of finishable jobs, by their end
@@ -253,18 +295,77 @@ func probeDue(tick, p float64) bool {
 	return math.Mod(tick, p) == 0
 }
 
-// Simulate replays the batch under cfg. Jobs of class gf/matrix are
-// replayed but never bursted (the B-phase barrier cannot move to VDC —
-// its product must land back in the Stash cache either way).
-//
-// A simulated second costs its events plus one step per active VDC
-// job: no allocation per job or per second, no math.Mod on integral
-// probe schedules, and a Policy 2 scan that stops at the first job too
-// young to burst (DESIGN.md §7, "Bursting replay loop").
-func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// probe is one policy's probe schedule: it fires at the ticks where
+// math.Mod(tick, every) == 0 and tick > 0. When every tick of the
+// replay is an exact integer and every a positive integer below 2^53,
+// those are the steps every, 2·every, …, so a countdown (next, the
+// next step to fire) replaces probeDue's division; otherwise next is
+// 0 and probeDue decides.
+type probe struct {
+	every float64
+	next  int64
+}
+
+func newProbe(every float64, integralTicks bool) probe {
+	if integralTicks && every >= 1 && every < exactSecs && every == math.Trunc(every) {
+		return probe{every: every, next: int64(every)}
 	}
+	return probe{every: every}
+}
+
+// due reports whether the probe fires at step, whose tick is tick. A
+// countdown must be asked at every step.
+func (p *probe) due(step int64, tick float64) bool {
+	if p.next == 0 {
+		return tick > 0 && probeDue(tick, p.every)
+	}
+	if step != p.next {
+		return false
+	}
+	p.next += int64(p.every)
+	return true
+}
+
+// vdcSteps is how many one-second decrements take a job bursted for
+// secs VDC seconds to secs−k <= 0. For finite 0 < secs < 2^53 every
+// decrement that leaves a positive value is exact, and the last one
+// leaves a value in (−1, 0], so the count is ⌈secs⌉; Validate rejects
+// every other secs.
+func vdcSteps(secs float64) int64 { return int64(math.Ceil(secs)) }
+
+// Job kind bits of a prepared trace, one byte per job.
+const (
+	kindRupture  uint8 = 1 << iota // bursts for RuptureVDCSecs
+	kindWaveform                   // bursts for WaveformVDCSecs
+	kindFinishes                   // the trace records a termination
+)
+
+// Job replay state bits, one byte per job of a replay.
+const (
+	stSubmitted uint8 = 1 << iota
+	stDone
+	stBursted
+)
+
+// Trace is a batch trace prepared for replay: validated, with its jobs
+// renumbered in submission order and its terminations sorted, once.
+// Simulate only reads it, so any number of replays, on any number of
+// goroutines, can share one Trace.
+type Trace struct {
+	batch wtrace.BatchRecord
+	// Job p is the p-th job in submission order (the order sort.Slice
+	// gives from trace order, which burstLastUnsubmitted and Policy 2
+	// depend on among equal times).
+	submit []float64 // job p's submission time, ascending
+	start  []float64 // job p's OSG start time, +Inf if it never started
+	kind   []uint8   // job p's kind bits
+	byEnd  []int32   // finishable jobs by end time
+	end    []float64 // end[i] is job byEnd[i]'s end time, ascending
+}
+
+// Prepare validates a batch trace and builds the event orders every
+// replay of it scans.
+func Prepare(batch wtrace.BatchRecord, jobs []wtrace.JobRecord) (*Trace, error) {
 	if err := batch.Validate(); err != nil {
 		return nil, err
 	}
@@ -293,14 +394,90 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		return nil, fmt.Errorf("burst: trace has no finishable jobs")
 	}
 
+	// The submission sort starts from trace order, which fixes the
+	// order among equal times. A second's terminations only add to
+	// counts, so their order is free and byEnd is radix-sorted.
+	bySubmit := make([]int32, len(jobs))
+	byEnd := make([]int32, 0, finishable)
+	for k, j := range jobs {
+		bySubmit[k] = int32(k)
+		if j.Finished() {
+			byEnd = append(byEnd, int32(k))
+		}
+	}
+	sort.Slice(bySubmit, func(a, b int) bool { return jobs[bySubmit[a]].Submit < jobs[bySubmit[b]].Submit })
+	byEnd = sortByEnd(jobs, byEnd)
+
+	t := &Trace{
+		batch:  batch,
+		submit: make([]float64, len(jobs)),
+		start:  make([]float64, len(jobs)),
+		kind:   make([]uint8, len(jobs)),
+		byEnd:  byEnd,
+		end:    make([]float64, len(byEnd)),
+	}
+	rank := make([]int32, len(jobs)) // rank[k] is job k's p
+	for p, k := range bySubmit {
+		j := &jobs[k]
+		rank[k] = int32(p)
+		t.submit[p] = j.Submit
+		t.start[p] = math.Inf(1)
+		if j.Started() {
+			t.start[p] = j.Start
+		}
+		switch j.Class {
+		case wtrace.ClassRupture:
+			t.kind[p] = kindRupture
+		case wtrace.ClassWaveform:
+			t.kind[p] = kindWaveform
+		}
+		if j.Finished() {
+			t.kind[p] |= kindFinishes
+		}
+	}
+	for i, k := range byEnd {
+		t.end[i] = jobs[k].End
+		byEnd[i] = rank[k]
+	}
+	return t, nil
+}
+
+// Simulate replays the batch under cfg: Prepare, then one replay. A
+// configuration error is reported before a trace error.
+func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	t, err := Prepare(batch, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return t.Simulate(cfg)
+}
+
+// Simulate replays the prepared batch under cfg. Jobs of class
+// gf/matrix are replayed but never bursted (the B-phase barrier cannot
+// move to VDC — its product must land back in the Stash cache either
+// way).
+//
+// A simulated second costs its events plus one add per active VDC
+// job: submissions and terminations are scanned from dense arrays,
+// VDC completions pop from one FIFO per class, integral probe
+// schedules count down, and a Policy 2 scan stops at the first job too
+// young to burst (DESIGN.md §7, "Bursting replay loop").
+func (t *Trace) Simulate(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	batch, n := t.batch, len(t.submit)
 	res := &Result{
 		Batch:          batch.Name,
 		Control:        cfg.P1 == nil && cfg.P2 == nil && cfg.P3 == nil && cfg.Elastic == nil,
-		TotalJob:       len(jobs),
+		TotalJob:       n,
 		SeriesStepSecs: 1,
 		MinInstantJPM:  math.Inf(1),
 	}
-	maxBurst := int(cfg.MaxBurstFraction * float64(len(jobs)))
+	maxBurst := int(cfg.MaxBurstFraction * float64(n))
 
 	// Metric handles are resolved once per replay, not per second. A
 	// policy's decision counter waits for its first decision: resolving
@@ -320,88 +497,77 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		vdcGauge = cfg.Obs.Gauge("fdw_burst_vdc_active_jobs", "batch", batch.Name)
 	}
 
-	vdcSecsFor := func(class wtrace.JobClass) float64 {
-		switch class {
-		case wtrace.ClassRupture:
-			return cfg.RuptureVDCSecs
-		case wtrace.ClassWaveform:
-			return cfg.WaveformVDCSecs
-		default:
-			return 0 // not burstable
-		}
-	}
-
-	// Job k's record is jobs[k] and its replay state slab[k]. The views
-	// below hold job indices, so no buffer of the replay holds a pointer.
-	slab := make([]jobState, len(jobs))
-
-	// Event-ordered views for the per-second loop: jobs by submission
-	// and by OSG termination time, plus live queued/VDC sets, so each
-	// second costs O(changes) instead of O(jobs). The submission sort
-	// starts from trace order, which fixes the order among equal times
-	// that burstLastUnsubmitted depends on. A second's terminations
-	// only add to counts, so their order is free and byEnd is
-	// radix-sorted.
-	bySubmit := make([]int, len(jobs))
-	byEnd := make([]int32, 0, finishable)
-	for k, j := range jobs {
-		bySubmit[k] = k
-		if j.Finished() {
-			byEnd = append(byEnd, int32(k))
-		}
-	}
-	sort.Slice(bySubmit, func(a, b int) bool { return jobs[bySubmit[a]].Submit < jobs[bySubmit[b]].Submit })
-	byEnd = sortByEnd(jobs, byEnd)
-	remaining := len(byEnd) // OSG-finishable jobs not yet done or bursted
+	// Job p's replay state. The other buffers hold ranks, so no buffer
+	// of the replay holds a pointer.
+	state := make([]uint8, n)
+	remaining := len(t.byEnd) // OSG-finishable jobs not yet done or bursted
 	// Only Policy 2 reads the queue (submitted, waiting to start on OSG).
-	var queued []int
+	var queued []int32
 	if cfg.P2 != nil {
-		queued = make([]int, 0, len(jobs))
+		queued = make([]int32, 0, n)
 	}
-	// Every VDC job was bursted, so at most maxBurst are ever active.
-	vdcActiveJobs := make([]int, 0, maxBurst)
 
-	// burstLastUnsubmitted walks a tail pointer down bySubmit to find
-	// the job with the latest pending submission time ("the last
-	// unsubmitted OSG job for the phase") in amortized O(1) per call.
-	// It returns the job's index, or -1 if none may burst.
-	tail := len(bySubmit) - 1 // highest candidate index
-	submittedIdx := 0         // everything below this is submitted
+	// Every bursted job of a class runs the class's VDC seconds, so it
+	// finishes a fixed number of steps after the step it was bursted
+	// at, and within a class jobs finish in the order they started. A
+	// FIFO per class of due steps replaces the walk over every active
+	// job. At most maxBurst jobs are ever bursted, so neither FIFO
+	// outgrows maxBurst entries.
+	vdcDue := make([]int64, 2*maxBurst)
+	vdc := [2][]int64{vdcDue[:0:maxBurst], vdcDue[maxBurst:maxBurst]} // rupture, waveform
+	var vdcHead [2]int
+	vdcLen := [2]int64{vdcSteps(cfg.RuptureVDCSecs), vdcSteps(cfg.WaveformVDCSecs)}
+	var step int64 // replay steps since batch.Submit
+	vdcActive := func() int { return len(vdc[0]) - vdcHead[0] + len(vdc[1]) - vdcHead[1] }
+	// launch sends bursted job p to VDC.
+	launch := func(policy int, name string, p int) {
+		burstDecision(policy, name)
+		c := 0
+		if t.kind[p]&kindWaveform != 0 {
+			c = 1
+		}
+		vdc[c] = append(vdc[c], step+vdcLen[c])
+		if t.kind[p]&kindFinishes != 0 {
+			remaining--
+		}
+	}
+
+	// burstLastUnsubmitted walks a tail pointer down the submission
+	// order to find the job with the latest pending submission time
+	// ("the last unsubmitted OSG job for the phase") in amortized O(1)
+	// per call. It returns the job's rank, or -1 if none may burst.
+	tail := n - 1     // highest candidate rank
+	submittedIdx := 0 // every job below this rank is submitted
 	burstLastUnsubmitted := func() int {
 		if res.BurstedJobs >= maxBurst {
 			return -1
 		}
 		for tail >= submittedIdx {
-			k := bySubmit[tail]
+			p := tail
 			tail--
-			st := &slab[k]
-			if st.bursted || st.submitted || st.done || vdcSecsFor(jobs[k].Class) == 0 {
+			if state[p] != 0 || t.kind[p]&(kindRupture|kindWaveform) == 0 {
 				continue
 			}
-			st.bursted = true
-			st.vdcLeft = vdcSecsFor(jobs[k].Class)
+			state[p] = stBursted
 			res.BurstedJobs++
-			return k
+			return p
 		}
 		return -1
 	}
 
 	// burstQueued offloads a specific queued job (Policy 2).
-	burstQueued := func(k int) bool {
-		if res.BurstedJobs >= maxBurst {
+	burstQueued := func(p int) bool {
+		if res.BurstedJobs >= maxBurst || t.kind[p]&(kindRupture|kindWaveform) == 0 {
 			return false
 		}
-		if vdcSecsFor(jobs[k].Class) == 0 {
-			return false
-		}
-		slab[k].bursted = true
-		slab[k].vdcLeft = vdcSecsFor(jobs[k].Class)
+		state[p] |= stBursted
 		res.BurstedJobs++
 		return true
 	}
 
 	completed := 0
 	lastSubmitSeen := batch.Submit
+	var vdcMinutes float64
 	// One sample per second to the batch's end, unless VDC work runs
 	// past it; append grows the series beyond this if it must.
 	seriesCap := batch.End - batch.Submit + 2
@@ -412,132 +578,127 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 	horizon := batch.End + horizonSecs
 	endAt := batch.End
 
-	p2Probe := 60.0
-	if cfg.P2 != nil && cfg.P2.ProbeSecs > 0 {
-		p2Probe = cfg.P2.ProbeSecs
+	// tick is step exactly when batch.Submit is an integer and no tick
+	// reaches 2^53; then integral probe periods count down.
+	integral := batch.Submit == math.Trunc(batch.Submit) && horizon-batch.Submit < exactSecs
+	var p1, p2, p3, pe probe
+	if cfg.P1 != nil {
+		p1 = newProbe(cfg.P1.ProbeSecs, integral)
+	}
+	if cfg.P2 != nil {
+		every := 60.0
+		if cfg.P2.ProbeSecs > 0 {
+			every = cfg.P2.ProbeSecs
+		}
+		p2 = newProbe(every, integral)
+	}
+	if cfg.P3 != nil {
+		p3 = newProbe(cfg.P3.ProbeSecs, integral)
+	}
+	if cfg.Elastic != nil {
+		pe = newProbe(cfg.Elastic.ProbeSecs, integral)
 	}
 
 	si, ei := 0, 0
-	var t float64
-	for t = batch.Submit; t <= horizon; t++ {
-		now := t
+	for now := batch.Submit; now <= horizon; now, step = now+1, step+1 {
 		elapsedMin := (now - batch.Submit) / 60
 
 		// 1. Mark submissions; track the most recent one (Policy 3).
-		for si < len(bySubmit) && jobs[bySubmit[si]].Submit <= now {
-			k := bySubmit[si]
+		for si < n && t.submit[si] <= now {
+			p := si
 			si++
-			submittedIdx = si
-			if slab[k].bursted {
+			if state[p]&stBursted != 0 {
 				continue
 			}
-			slab[k].submitted = true
+			state[p] |= stSubmitted
 			if cfg.P2 != nil {
-				queued = append(queued, k)
+				queued = append(queued, int32(p))
 			}
-			if jobs[k].Submit > lastSubmitSeen {
-				lastSubmitSeen = jobs[k].Submit
+			if t.submit[p] > lastSubmitSeen {
+				lastSubmitSeen = t.submit[p]
 			}
 		}
+		submittedIdx = si
 
 		// 2. OSG completions per the trace.
-		for ei < len(byEnd) && jobs[byEnd[ei]].End <= now {
-			st := &slab[byEnd[ei]]
+		for ei < len(t.end) && t.end[ei] <= now {
+			p := t.byEnd[ei]
 			ei++
-			if st.bursted || st.done {
+			if state[p]&(stBursted|stDone) != 0 {
 				continue
 			}
-			st.done = true
+			state[p] |= stDone
 			completed++
 			remaining--
 			res.CompletedOSG++
 		}
 
-		// 3. Advance VDC jobs by one second.
-		if len(vdcActiveJobs) > 0 {
+		// 3. Advance VDC jobs by one second: each active job adds one
+		// VDC second, in the reference's float sequence, and the jobs
+		// due at this step finish.
+		if active := vdcActive(); active > 0 {
 			res.VDCActivePct++ // counts seconds; normalized later
-			live := vdcActiveJobs[:0]
-			for _, k := range vdcActiveJobs {
-				st := &slab[k]
-				st.vdcLeft--
-				res.VDCMinutes += 1.0 / 60
-				if st.vdcLeft <= 0 {
-					st.done = true
+			for i := 0; i < active; i++ {
+				vdcMinutes += 1.0 / 60
+			}
+			for c := range vdc {
+				for vdcHead[c] < len(vdc[c]) && vdc[c][vdcHead[c]] <= step {
+					vdcHead[c]++
 					completed++
 					res.CompletedVDC++
-				} else {
-					live = append(live, k)
 				}
 			}
-			vdcActiveJobs = live
 		}
 
 		// 4. Policies.
 		tick := now - batch.Submit
-		if cfg.P1 != nil && tick > 0 && probeDue(tick, cfg.P1.ProbeSecs) {
+		if cfg.P1 != nil && p1.due(step, tick) {
 			if stats.InstantThroughput(completed, elapsedMin) < cfg.P1.ThresholdJPM {
-				if k := burstLastUnsubmitted(); k >= 0 {
-					burstDecision(0, "p1")
-					vdcActiveJobs = append(vdcActiveJobs, k)
-					if jobs[k].Finished() {
-						remaining--
-					}
+				if p := burstLastUnsubmitted(); p >= 0 {
+					launch(0, "p1", p)
 				}
 			}
 		}
-		if cfg.P2 != nil && tick > 0 && probeDue(tick, p2Probe) {
-			// queued is in submission order, so now-Submit never grows
+		if cfg.P2 != nil && p2.due(step, tick) {
+			// queued is in submission order, so now-submit never grows
 			// along it: past the first job still young enough to stay,
 			// no job can be bursted, and a departed job left in the
 			// queue changes no decision. The scan stops there.
 			live := queued[:0]
 			i := 0
 			for ; i < len(queued); i++ {
-				k := queued[i]
-				st, rec := &slab[k], &jobs[k]
-				if st.done || st.bursted || (rec.Started() && rec.Start <= now) {
+				p := int(queued[i])
+				if state[p]&(stDone|stBursted) != 0 || t.start[p] <= now {
 					continue // left the queue
 				}
-				if !(now-rec.Submit > cfg.P2.MaxQueueSecs) {
+				if !(now-t.submit[p] > cfg.P2.MaxQueueSecs) {
 					break
 				}
-				if burstQueued(k) {
-					burstDecision(1, "p2")
-					vdcActiveJobs = append(vdcActiveJobs, k)
-					if jobs[k].Finished() {
-						remaining--
-					}
+				if burstQueued(p) {
+					launch(1, "p2", p)
 					continue
 				}
-				live = append(live, k)
+				live = append(live, int32(p))
 			}
 			queued = append(live, queued[i:]...)
 		}
-		if cfg.P3 != nil && tick > 0 && probeDue(tick, cfg.P3.ProbeSecs) {
+		if cfg.P3 != nil && p3.due(step, tick) {
 			if now-lastSubmitSeen > cfg.P3.MaxGapSecs {
-				if k := burstLastUnsubmitted(); k >= 0 {
-					burstDecision(2, "p3")
-					vdcActiveJobs = append(vdcActiveJobs, k)
-					if jobs[k].Finished() {
-						remaining--
-					}
+				if p := burstLastUnsubmitted(); p >= 0 {
+					launch(2, "p3", p)
 				}
 			}
 		}
-		if e := cfg.Elastic; e != nil && tick > 0 && probeDue(tick, e.ProbeSecs) {
+		if e := cfg.Elastic; e != nil && pe.due(step, tick) {
 			it := stats.InstantThroughput(completed, elapsedMin)
 			if deficit := e.TargetJPM - it; deficit > 0 {
-				n := int(math.Ceil(deficit / e.TargetJPM * float64(e.MaxPerProbe)))
-				for i := 0; i < n; i++ {
-					k := burstLastUnsubmitted()
-					if k < 0 {
+				k := int(math.Ceil(deficit / e.TargetJPM * float64(e.MaxPerProbe)))
+				for i := 0; i < k; i++ {
+					p := burstLastUnsubmitted()
+					if p < 0 {
 						break
 					}
-					burstDecision(3, "elastic")
-					vdcActiveJobs = append(vdcActiveJobs, k)
-					if jobs[k].Finished() {
-						remaining--
-					}
+					launch(3, "elastic", p)
 				}
 			}
 		}
@@ -553,10 +714,11 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		}
 
 		// 6. Termination: every job that can finish has finished.
+		active := vdcActive()
 		if vdcGauge != nil {
-			vdcGauge.Set(float64(len(vdcActiveJobs)))
+			vdcGauge.Set(float64(active))
 		}
-		if remaining == 0 && len(vdcActiveJobs) == 0 && si >= len(bySubmit) {
+		if remaining == 0 && active == 0 && si >= n {
 			endAt = now
 			break
 		}
@@ -573,10 +735,11 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 		res.ThroughputJPM = float64(completed) / (res.RuntimeSecs / 60)
 		res.VDCActivePct = res.VDCActivePct / res.RuntimeSecs * 100
 	}
-	res.BurstedPct = float64(res.BurstedJobs) / float64(len(jobs)) * 100
+	res.BurstedPct = float64(res.BurstedJobs) / float64(n) * 100
 	if done := res.CompletedOSG + res.CompletedVDC; done > 0 {
 		res.VDCUsagePct = float64(res.CompletedVDC) / float64(done) * 100
 	}
+	res.VDCMinutes = vdcMinutes
 	res.CostUSD = stats.BurstCost(res.VDCMinutes, cfg.CostPerMinute)
 	if cfg.Obs != nil {
 		cfg.Obs.Counter("fdw_burst_jobs_total", "batch", batch.Name, "backend", "osg").Add(uint64(res.CompletedOSG))

@@ -261,6 +261,92 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite: NaN passes every ordering check and ±Inf
+// some, so every float field must be checked for finiteness by name.
+// A NaN burst cap used to size a buffer (makeslice panic), and a NaN or
+// infinite VDC time left a bursted job on VDC to the replay horizon.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"RuptureVDCSecs", func(c *Config, v float64) { c.RuptureVDCSecs = v }},
+		{"WaveformVDCSecs", func(c *Config, v float64) { c.WaveformVDCSecs = v }},
+		{"CostPerMinute", func(c *Config, v float64) { c.CostPerMinute = v }},
+		{"MaxBurstFraction", func(c *Config, v float64) { c.MaxBurstFraction = v }},
+		{"P1.ProbeSecs", func(c *Config, v float64) { c.P1.ProbeSecs = v }},
+		{"P1.ThresholdJPM", func(c *Config, v float64) { c.P1.ThresholdJPM = v }},
+		{"P2.MaxQueueSecs", func(c *Config, v float64) { c.P2.MaxQueueSecs = v }},
+		{"P2.ProbeSecs", func(c *Config, v float64) { c.P2.ProbeSecs = v }},
+		{"P3.MaxGapSecs", func(c *Config, v float64) { c.P3.MaxGapSecs = v }},
+		{"P3.ProbeSecs", func(c *Config, v float64) { c.P3.ProbeSecs = v }},
+		{"Elastic.TargetJPM", func(c *Config, v float64) { c.Elastic.TargetJPM = v }},
+		{"Elastic.ProbeSecs", func(c *Config, v float64) { c.Elastic.ProbeSecs = v }},
+	}
+	batch, jobs := syntheticTrace(50, 60, 1800, 900)
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			cfg.P1 = &Policy1{ProbeSecs: 1, ThresholdJPM: 1000}
+			cfg.P2 = &Policy2{MaxQueueSecs: 60, ProbeSecs: 30}
+			cfg.P3 = &Policy3{MaxGapSecs: 60, ProbeSecs: 30}
+			cfg.Elastic = &ElasticPolicy{TargetJPM: 34, ProbeSecs: 30, MaxPerProbe: 2}
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate says %v, want an error naming the field", f.name, v, err)
+			}
+			if res, err := Simulate(batch, jobs, cfg); err == nil {
+				t.Errorf("%s = %v: replayed %.0f s instead of failing", f.name, v, res.RuntimeSecs)
+			}
+		}
+	}
+	// ⌈secs⌉ is a VDC job's step count only below 2^53 (vdcSteps).
+	for _, secs := range []float64{1 << 53, math.MaxFloat64} {
+		cfg := DefaultConfig()
+		cfg.WaveformVDCSecs = secs
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("WaveformVDCSecs %v accepted", secs)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.RuptureVDCSecs = 1<<53 - 1
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("RuptureVDCSecs 2^53-1 rejected: %v", err)
+	}
+}
+
+// TestVDCStepsMatchesDecrementLoop holds vdcSteps to the reference's
+// per-second decrement. 2^52+1 would take 4.5e15 steps, so it runs the
+// first and the last 2^20 literally, checking each of the first is
+// exact: the skipped steps are the exact integer decrements between.
+func TestVDCStepsMatchesDecrementLoop(t *testing.T) {
+	literal := func(v float64) (steps int64, left float64) {
+		for v > 0 {
+			v--
+			steps++
+		}
+		return steps, v
+	}
+	for _, secs := range []float64{1e-300, 0.3, 1, 1.5, 144, 287, 287.5, 0.999999999} {
+		if want, _ := literal(secs); vdcSteps(secs) != want {
+			t.Errorf("vdcSteps(%v) = %d, decrement loop takes %d", secs, vdcSteps(secs), want)
+		}
+	}
+	const big, window = 1<<52 + 1, 1 << 20
+	if got := vdcSteps(big); got != big {
+		t.Fatalf("vdcSteps(2^52+1) = %d", got)
+	}
+	v := float64(big)
+	for k := int64(1); k <= window; k++ {
+		if v--; v != float64(big-k) {
+			t.Fatalf("decrement %d of 2^52+1 left %v, not exact", k, v)
+		}
+	}
+	if steps, left := literal(float64(window)); steps != window || left != 0 {
+		t.Fatalf("the last %d decrements took %d steps, left %v", window, steps, left)
+	}
+}
+
 func TestSimulateInputValidation(t *testing.T) {
 	batch, jobs := syntheticTrace(3, 10, 10, 10)
 	if _, err := Simulate(batch, nil, DefaultConfig()); err == nil {

@@ -12,7 +12,6 @@ import (
 	"fdw/internal/obs"
 	"fdw/internal/sim"
 	"fdw/internal/stats"
-	"fdw/internal/wtrace"
 )
 
 // A campaign is one experiment: a canonically ordered list of
@@ -67,22 +66,33 @@ type Result struct {
 }
 
 // campaignCtx carries per-invocation shared state across cell runs:
-// the Fig. 5/6 batch traces, generated once per process on demand so
-// every shard rebuilds them deterministically instead of depending on
-// another shard's output.
+// the Fig. 5/6 batch traces, generated and prepared once per process on
+// demand so every shard rebuilds them deterministically instead of
+// depending on another shard's output. Cells replay them concurrently;
+// a burst.Trace is read-only.
 type campaignCtx struct {
 	traceOnce sync.Once
-	batches   []wtrace.BatchRecord
-	jobs      [][]wtrace.JobRecord
+	prepared  []*burst.Trace
 	traceErr  error
 }
 
-func (ctx *campaignCtx) traces(opt Options) ([]wtrace.BatchRecord, [][]wtrace.JobRecord, error) {
+func (ctx *campaignCtx) traces(opt Options) ([]*burst.Trace, error) {
 	ctx.traceOnce.Do(func() {
 		opt.Obs = nil // a shared input, metered by no cell
-		ctx.batches, ctx.jobs, ctx.traceErr = makeBatchTraces(opt)
+		batches, jobs, err := makeBatchTraces(opt)
+		if err != nil {
+			ctx.traceErr = err
+			return
+		}
+		ctx.prepared = make([]*burst.Trace, len(batches))
+		for i := range batches {
+			if ctx.prepared[i], err = burst.Prepare(batches[i], jobs[i]); err != nil {
+				ctx.prepared, ctx.traceErr = nil, err
+				return
+			}
+		}
 	})
-	return ctx.batches, ctx.jobs, ctx.traceErr
+	return ctx.prepared, ctx.traceErr
 }
 
 // campaigns is the experiment registry, in fdwexp's print order: every

@@ -80,11 +80,14 @@ func tracesCampaign() *campaign {
 // replay runs a bursting policy over the shared batch trace bi and
 // names the batch: every Fig. 5/6, Policy 3 and elastic cell.
 func replay(opt Options, ctx *campaignCtx, bi int, cfg burst.Config) (string, *burst.Result, error) {
-	batches, jobs, err := ctx.traces(opt)
+	traces, err := ctx.traces(opt)
 	if err != nil {
 		return "", nil, err
 	}
 	cfg.Obs = opt.Obs
-	res, err := burst.Simulate(batches[bi], jobs[bi], cfg)
-	return batches[bi].Name, res, err
+	res, err := traces[bi].Simulate(cfg)
+	if err != nil {
+		return "", nil, err
+	}
+	return res.Batch, res, nil
 }

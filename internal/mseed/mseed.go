@@ -50,52 +50,31 @@ const (
 	readChunk  = 1 << 16
 )
 
-// Write encodes records to w.
+// Write encodes records to w: the stream is built in one buffer of
+// EncodedSize(records) bytes and handed to w in a single Write, so an
+// identifier too long to encode fails before any byte is written.
 func Write(w io.Writer, records []Record) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	head := make([]byte, 6)
-	binary.LittleEndian.PutUint16(head[0:], 1)
-	binary.LittleEndian.PutUint32(head[2:], uint32(len(records)))
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, EncodedSize(records))
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(records)))
 	for i := range records {
-		if err := writeRecord(w, &records[i]); err != nil {
-			return fmt.Errorf("mseed: record %d: %w", i, err)
+		r := &records[i]
+		for _, s := range [3]string{r.Network, r.Station, r.Channel} {
+			if len(s) > 255 {
+				return fmt.Errorf("mseed: record %d: identifier %q too long", i, s)
+			}
+			buf = append(buf, byte(len(s)))
+			buf = append(buf, s...)
 		}
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if len(s) > 255 {
-		return fmt.Errorf("identifier %q too long", s)
-	}
-	if _, err := w.Write([]byte{byte(len(s))}); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func writeRecord(w io.Writer, r *Record) error {
-	for _, s := range []string{r.Network, r.Station, r.Channel} {
-		if err := writeString(w, s); err != nil {
-			return err
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Start))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Dt))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Samples)))
+		off := len(buf)
+		buf = buf[:off+8*len(r.Samples)]
+		for j, v := range r.Samples {
+			binary.LittleEndian.PutUint64(buf[off+8*j:], math.Float64bits(v))
 		}
-	}
-	fixed := make([]byte, 20)
-	binary.LittleEndian.PutUint64(fixed[0:], math.Float64bits(r.Start))
-	binary.LittleEndian.PutUint64(fixed[8:], math.Float64bits(r.Dt))
-	binary.LittleEndian.PutUint32(fixed[16:], uint32(len(r.Samples)))
-	if _, err := w.Write(fixed); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(r.Samples))
-	for i, v := range r.Samples {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
 	_, err := w.Write(buf)
 	return err

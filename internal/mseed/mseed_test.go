@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -213,4 +216,131 @@ func (r *Record) Duration() float64 {
 		return 0
 	}
 	return float64(len(r.Samples)-1) * r.Dt
+}
+
+// referenceWrite is the per-record encoder Write replaced: three small
+// writes and a fresh sample buffer per record. TestWriteMatchesReference
+// holds Write's bytes and errors to it.
+func referenceWrite(w io.Writer, records []Record) error {
+	if _, err := w.Write(magic[:]); err != nil {
+		return err
+	}
+	head := make([]byte, 6)
+	binary.LittleEndian.PutUint16(head[0:], 1)
+	binary.LittleEndian.PutUint32(head[2:], uint32(len(records)))
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	for i := range records {
+		if err := referenceWriteRecord(w, &records[i]); err != nil {
+			return fmt.Errorf("mseed: record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func referenceWriteString(w io.Writer, s string) error {
+	if len(s) > 255 {
+		return fmt.Errorf("identifier %q too long", s)
+	}
+	if _, err := w.Write([]byte{byte(len(s))}); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, s)
+	return err
+}
+
+func referenceWriteRecord(w io.Writer, r *Record) error {
+	for _, s := range []string{r.Network, r.Station, r.Channel} {
+		if err := referenceWriteString(w, s); err != nil {
+			return err
+		}
+	}
+	fixed := make([]byte, 20)
+	binary.LittleEndian.PutUint64(fixed[0:], math.Float64bits(r.Start))
+	binary.LittleEndian.PutUint64(fixed[8:], math.Float64bits(r.Dt))
+	binary.LittleEndian.PutUint32(fixed[16:], uint32(len(r.Samples)))
+	if _, err := w.Write(fixed); err != nil {
+		return err
+	}
+	buf := make([]byte, 8*len(r.Samples))
+	for i, v := range r.Samples {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// randomRecords draws n records with identifiers of 0–255 bytes (and,
+// when overlong, one of 256 bytes in a random record and field),
+// arbitrary float bits and 0–600 samples.
+func randomRecords(r *sim.RNG, n int, overlong bool) []Record {
+	ident := func() string { return strings.Repeat(string(rune('A'+r.Intn(26))), r.Intn(256)) }
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{
+			Network: ident(),
+			Station: ident(),
+			Channel: ident(),
+			Start:   math.Float64frombits(r.Uint64()),
+			Dt:      r.Uniform(0.01, 2),
+			Samples: make([]float64, r.Intn(601)),
+		}
+		for j := range recs[i].Samples {
+			recs[i].Samples[j] = math.Float64frombits(r.Uint64())
+		}
+	}
+	if overlong && n > 0 {
+		long := strings.Repeat("x", 256)
+		switch rec := &recs[r.Intn(n)]; r.Intn(3) {
+		case 0:
+			rec.Network = long
+		case 1:
+			rec.Station = long
+		default:
+			rec.Channel = long
+		}
+	}
+	return recs
+}
+
+// TestWriteMatchesReference: Write emits the reference encoder's bytes
+// for random streams, and for a stream with an overlong identifier the
+// reference's error, naming the record, with nothing written.
+func TestWriteMatchesReference(t *testing.T) {
+	r := sim.NewRNG(34)
+	for c := 0; c < 200; c++ {
+		recs := randomRecords(r, r.Intn(12), c%4 == 3)
+		var got, want bytes.Buffer
+		errGot, errWant := Write(&got, recs), referenceWrite(&want, recs)
+		if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+			t.Fatalf("case %d: error %v, reference %v", c, errGot, errWant)
+		}
+		if errWant != nil {
+			if !strings.Contains(errGot.Error(), "record ") || got.Len() != 0 {
+				t.Fatalf("case %d: error %v after %d bytes, want one naming the record before any", c, errGot, got.Len())
+			}
+			continue
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("case %d: %d bytes differ from the reference's %d", c, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestWriteAllocs pins Write at one buffer per stream: at most two
+// allocations for the 363 records of a 121-station scenario.
+func TestWriteAllocs(t *testing.T) {
+	recs := randomRecords(sim.NewRNG(35), 363, false)
+	var buf bytes.Buffer
+	buf.Grow(int(EncodedSize(recs)))
+	allocs := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := Write(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%.0f allocations per Write, want at most 2", allocs)
+	}
 }
