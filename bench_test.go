@@ -133,15 +133,6 @@ func benchSPD(n int) *linalg.Matrix {
 	return m.AddDiag(1e-9)
 }
 
-func benchRandom(rows, cols int, seed uint64) *linalg.Matrix {
-	rng := sim.NewRNG(seed)
-	m := linalg.NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.Uniform(-1, 1)
-	}
-	return m
-}
-
 // BenchmarkCholesky factorizes covariance-sized SPD matrices with the
 // blocked kernel.
 func BenchmarkCholesky(b *testing.B) {
@@ -150,22 +141,6 @@ func BenchmarkCholesky(b *testing.B) {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := linalg.Cholesky(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMatMul multiplies square dense matrices with the blocked
-// FMA kernel.
-func BenchmarkMatMul(b *testing.B) {
-	for _, n := range kernelSizes {
-		x := benchRandom(n, n, 1)
-		y := benchRandom(n, n, 2)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := x.Mul(y); err != nil {
 					b.Fatal(err)
 				}
 			}

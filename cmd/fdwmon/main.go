@@ -73,7 +73,7 @@ func run(logPath string, stepS float64) error {
 	if err != nil {
 		return err
 	}
-	stats, err := analyze(logPath, events)
+	stats, err := fdw.AnalyzeEvents(logPath, events)
 	if err != nil {
 		return err
 	}
@@ -86,14 +86,6 @@ func run(logPath string, stepS float64) error {
 	fmt.Printf("instant throughput (max %.1f jobs/min):\n  %s\n", maxOf(tput), sparkline(tput, 72))
 	fmt.Printf("running jobs (max %.0f):\n  %s\n", maxOf(running), sparkline(running, 72))
 	return nil
-}
-
-func analyze(name string, events []fdw.JobEvent) (*fdw.BatchStats, error) {
-	// AnalyzeLog wants text; we already have events, so rebuild stats
-	// through the same reducer by re-serializing a trivial reader is
-	// wasteful — the core API accepts events directly via AnalyzeEvents,
-	// which the root package reaches through AnalyzeLog's sibling.
-	return fdw.AnalyzeEvents(name, events)
 }
 
 // sparkline renders a series as a fixed-width block-character strip.

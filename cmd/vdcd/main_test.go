@@ -1,12 +1,15 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fdw"
+	"fdw/internal/vdc"
 )
 
 func TestSeedPopulatesCatalog(t *testing.T) {
@@ -17,7 +20,7 @@ func TestSeedPopulatesCatalog(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("seeded %d products, want 4", c.Len())
 	}
-	found := c.Search(fdw.CatalogQuery{Tag: "eew"})
+	found := c.Search(vdc.Query{Tag: "eew"})
 	if len(found) != 2 {
 		t.Fatalf("eew-tagged products: %d, want 2", len(found))
 	}
@@ -54,11 +57,34 @@ func TestPersistingMiddlewareSaves(t *testing.T) {
 	c := fdw.NewCatalog()
 	srv := httptest.NewServer(persisting(fdw.NewCatalogServer(c), c, path))
 	defer srv.Close()
-	cl := fdw.NewCatalogClient(srv.URL)
-	if _, err := cl.Deposit(fdw.Product{Name: "x", Type: "waveform", Batch: "b", Region: "chile"}); err != nil {
+	resp, err := http.Post(srv.URL+"/products", "application/json",
+		strings.NewReader(`{"name":"x","type":"waveform","batch":"b","region":"chile"}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /products → %d", resp.StatusCode)
+	}
+	restored, err := loadOrNew(path)
+	if err != nil {
 		t.Fatalf("state not persisted after POST: %v", err)
+	}
+	if restored.Len() != 1 {
+		t.Fatalf("persisted catalog holds %d products, want 1", restored.Len())
+	}
+}
+
+// TestLoadOrNewRejectsStaleNextID: a state file whose next_id is behind
+// a stored id must stop vdcd at startup; loading it would let the next
+// deposit overwrite that product.
+func TestLoadOrNewRejectsStaleNextID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	state := `{"next_id":0,"products":[{"id":"vdc-000001","name":"keep","type":"rupture"}]}`
+	if err := os.WriteFile(path, []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadOrNew(path); err == nil || !strings.Contains(err.Error(), "vdc-000001") {
+		t.Fatalf("loadOrNew = %v, want an error naming vdc-000001", err)
 	}
 }

@@ -9,11 +9,11 @@
 // The package re-exports the library's stable surface:
 //
 //   - workflow execution: Config, Env, Workflow, RunBatch;
-//   - monitoring: BatchStats, AnalyzeLog, per-second series;
+//   - monitoring: ParseUserLog, AnalyzeEvents, per-second series;
 //   - traces + bursting: BatchTrace, JobTrace, BurstConfig, Burst;
 //   - experiment options for the fdwexp harness: ExperimentOptions;
 //   - the FakeQuakes numeric kernels via GenerateScenario;
-//   - the VDC catalog: Catalog, CatalogServer, CatalogClient.
+//   - the VDC catalog: Catalog and its HTTP portal, CatalogServer.
 //
 // Everything runs on a deterministic discrete-event clock: simulating
 // a 35-hour OSG batch takes milliseconds and is reproducible by seed.
@@ -21,7 +21,6 @@ package fdw
 
 import (
 	"io"
-	"math"
 
 	"fdw/internal/burst"
 	"fdw/internal/core"
@@ -123,22 +122,12 @@ func RunBatch(env *Env, workflows []*Workflow, horizon SimTime) error {
 // fdw.dag, per-phase submit files, and the configuration file.
 var WriteArtifacts = core.WriteArtifacts
 
-// BatchStats is the FDW monitoring summary computed from HTCondor logs.
-type BatchStats = core.BatchStats
-
-// AnalyzeLog parses HTCondor user-log text into BatchStats.
-func AnalyzeLog(name string, r io.Reader) (*BatchStats, error) {
-	return core.AnalyzeLog(name, r)
-}
-
-// AnalyzeEvents reduces already-parsed user-log events into BatchStats.
+// AnalyzeEvents reduces parsed user-log events into the FDW monitoring
+// summary, the batch statistics the paper's log scripts compute.
 var AnalyzeEvents = core.AnalyzeEvents
 
 // SeriesPoint is a (time, value) sample of a per-second series.
 type SeriesPoint = core.SeriesPoint
-
-// JobEvent is one parsed HTCondor user-log event.
-type JobEvent = htcondor.JobEvent
 
 // ParseUserLog parses HTCondor user-log text into events.
 var ParseUserLog = htcondor.ParseUserLog
@@ -213,14 +202,6 @@ type Scenario struct {
 	Fault     *geom.Fault
 }
 
-// HypocentralDistanceKm returns the 3-D distance from the scenario's
-// hypocenter to the i-th station.
-func (s *Scenario) HypocentralDistanceKm(i int) float64 {
-	hypo := &s.Fault.Subfaults[s.Rupture.Hypocenter]
-	surf := geom.HaversineKm(s.Stations[i].Pos, hypo.Center)
-	return math.Sqrt(surf*surf + hypo.DepthKm*hypo.DepthKm)
-}
-
 // GenerateScenario runs the real numeric kernels end-to-end: a
 // stochastic rupture of the target magnitude on a Chilean-style mesh
 // and its synthetic GNSS displacement waveforms at nStations stations.
@@ -238,9 +219,6 @@ type Catalog = vdc.Catalog
 // Product is one curated data product.
 type Product = vdc.Product
 
-// CatalogQuery filters catalog searches.
-type CatalogQuery = vdc.Query
-
 // NewCatalog returns an empty VDC catalog.
 func NewCatalog() *Catalog { return vdc.NewCatalog() }
 
@@ -252,9 +230,3 @@ type CatalogServer = vdc.Server
 
 // NewCatalogServer builds the HTTP handler for a catalog.
 func NewCatalogServer(c *Catalog) *CatalogServer { return vdc.NewServer(c) }
-
-// CatalogClient talks to a VDC portal.
-type CatalogClient = vdc.Client
-
-// NewCatalogClient returns a client for the portal at baseURL.
-func NewCatalogClient(baseURL string) *CatalogClient { return vdc.NewClient(baseURL) }

@@ -2,6 +2,8 @@ package fdw_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -38,7 +40,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Monitoring round trip through the HTCondor log text.
-	stats, err := fdw.AnalyzeLog(cfg.Name, &logBuf)
+	events, err := fdw.ParseUserLog(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := fdw.AnalyzeEvents(cfg.Name, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +98,39 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("series CSV malformed")
 	}
 
-	// Catalog over HTTP.
+	// Catalog over HTTP: deposit, tag, search, get.
 	portal := httptest.NewServer(fdw.NewCatalogServer(fdw.NewCatalog()))
 	defer portal.Close()
-	client := fdw.NewCatalogClient(portal.URL)
-	id, err := client.Deposit(fdw.Product{Name: cfg.Name + " waveforms", Type: "waveform", Batch: cfg.Name, Region: "chile", Mw: 8.2})
-	if err != nil {
-		t.Fatal(err)
+	do := func(method, path, body string, want int, out any) {
+		t.Helper()
+		req, err := http.NewRequest(method, portal.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s → %d, want %d", method, path, resp.StatusCode, want)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := client.Get(id)
-	if err != nil {
-		t.Fatal(err)
+	var created struct{ ID string }
+	do("POST", "/products", `{"name":"api-e2e waveforms","type":"waveform","batch":"api-e2e","region":"chile","mw":8.2}`, http.StatusCreated, &created)
+	var tagged map[string]string
+	do("POST", "/products/"+created.ID+"/tags", `["eew"]`, http.StatusOK, &tagged)
+	var found []fdw.Product
+	do("GET", "/products?tag=eew&min_mw=8", "", http.StatusOK, &found)
+	if len(found) != 1 || found[0].ID != created.ID {
+		t.Fatalf("catalog search %+v, want %s", found, created.ID)
 	}
-	if got.Batch != cfg.Name {
+	var got fdw.Product
+	do("GET", "/products/"+created.ID, "", http.StatusOK, &got)
+	if got.Batch != cfg.Name || !got.HasTag("eew") || got.Accesses != 1 {
 		t.Fatalf("catalog product %+v", got)
 	}
 }

@@ -492,11 +492,6 @@ func (t *Trace) Simulate(cfg Config) (*Result, error) {
 		}
 		decisions[i].Inc()
 	}
-	var vdcGauge *obs.Gauge
-	if cfg.Obs != nil {
-		vdcGauge = cfg.Obs.Gauge("fdw_burst_vdc_active_jobs", "batch", batch.Name)
-	}
-
 	// Job p's replay state. The other buffers hold ranks, so no buffer
 	// of the replay holds a pointer.
 	state := make([]uint8, n)
@@ -714,11 +709,7 @@ func (t *Trace) Simulate(cfg Config) (*Result, error) {
 		}
 
 		// 6. Termination: every job that can finish has finished.
-		active := vdcActive()
-		if vdcGauge != nil {
-			vdcGauge.Set(float64(active))
-		}
-		if remaining == 0 && active == 0 && si >= n {
+		if remaining == 0 && vdcActive() == 0 && si >= n {
 			endAt = now
 			break
 		}
@@ -742,6 +733,14 @@ func (t *Trace) Simulate(cfg Config) (*Result, error) {
 	res.VDCMinutes = vdcMinutes
 	res.CostUSD = stats.BurstCost(res.VDCMinutes, cfg.CostPerMinute)
 	if cfg.Obs != nil {
+		// A gauge keeps only its last value, stamped with the registry's
+		// clock, which the replay does not advance: one Set with the last
+		// step's count leaves what a Set per step would, and none when
+		// the horizon allowed no step.
+		g := cfg.Obs.Gauge("fdw_burst_vdc_active_jobs", "batch", batch.Name)
+		if batch.Submit <= horizon {
+			g.Set(float64(vdcActive()))
+		}
 		cfg.Obs.Counter("fdw_burst_jobs_total", "batch", batch.Name, "backend", "osg").Add(uint64(res.CompletedOSG))
 		cfg.Obs.Counter("fdw_burst_jobs_total", "batch", batch.Name, "backend", "vdc").Add(uint64(res.CompletedVDC))
 		cfg.Obs.Gauge("fdw_burst_vdc_minutes", "batch", batch.Name).Set(res.VDCMinutes)

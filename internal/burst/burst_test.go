@@ -48,8 +48,8 @@ func TestControlReplayMatchesTrace(t *testing.T) {
 	if res.BurstedJobs != 0 || res.CostUSD != 0 {
 		t.Fatalf("control bursted %d jobs, cost $%v", res.BurstedJobs, res.CostUSD)
 	}
-	if res.RuntimeSecs != batch.Duration() {
-		t.Fatalf("control runtime %v, want %v", res.RuntimeSecs, batch.Duration())
+	if res.RuntimeSecs != batch.End-batch.Submit {
+		t.Fatalf("control runtime %v, want %v", res.RuntimeSecs, batch.End-batch.Submit)
 	}
 	if res.CompletedOSG != 20 || res.CompletedVDC != 0 {
 		t.Fatalf("completions OSG %d VDC %d", res.CompletedOSG, res.CompletedVDC)

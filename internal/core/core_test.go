@@ -230,7 +230,11 @@ func TestWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// The log must reproduce the same statistics.
-	b, err := AnalyzeLog("e2e", &logBuf)
+	events, err := htcondor.ParseUserLog(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AnalyzeEvents("e2e", events)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,15 +69,6 @@ func AnalyzeEvents(name string, events []htcondor.JobEvent) (*BatchStats, error)
 	return b, nil
 }
 
-// AnalyzeLog parses HTCondor user-log text and reduces it.
-func AnalyzeLog(name string, r io.Reader) (*BatchStats, error) {
-	events, err := htcondor.ParseUserLog(r)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeEvents(name, events)
-}
-
 // SeriesPoint is one sample of a time series.
 type SeriesPoint struct {
 	T sim.Time // seconds since batch submit

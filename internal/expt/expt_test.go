@@ -390,7 +390,7 @@ func TestMakeBatchTracesDistinct(t *testing.T) {
 	if batches[0].Name == batches[1].Name {
 		t.Fatal("batches share a name")
 	}
-	if batches[0].Duration() == batches[1].Duration() {
+	if batches[0].End-batches[0].Submit == batches[1].End-batches[1].Submit {
 		t.Fatal("suspiciously identical batch durations for different seeds")
 	}
 	for i, js := range jobs {

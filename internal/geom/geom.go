@@ -226,50 +226,3 @@ func chileanStations(n int) []Station {
 	}
 	return out
 }
-
-// DefaultCascadiaFault models the Cascadia subduction zone, the other
-// megathrust MudPy's kinematic rupture machinery was first built for
-// (Melgar et al. 2016) and the paper's stated next region: ~1,000 km
-// from Cape Mendocino to Vancouver Island, shallower dip than Chile.
-func DefaultCascadiaFault() ChileFaultConfig {
-	return ChileFaultConfig{
-		LatSouth:       40.3,
-		LatNorth:       49.5,
-		TrenchLon:      -125.3,
-		TrenchLonSlope: 0.08,
-		DipShallowDeg:  8,
-		DipDeepDeg:     22,
-		WidthKm:        160,
-		SubfaultKm:     10,
-	}
-}
-
-// CascadiaStations deterministically generates n GNSS stations along
-// the Pacific Northwest coast (PANGA/PBO-style coverage).
-func CascadiaStations(n int) []Station {
-	if n <= 0 {
-		return nil
-	}
-	cores := []Station{
-		{"P417", LatLon{46.20, -123.95}},
-		{"ALBH", LatLon{48.39, -123.49}},
-		{"NEWP", LatLon{44.59, -124.06}},
-		{"P058", LatLon{40.88, -124.08}},
-		{"SEAT", LatLon{47.65, -122.31}},
-	}
-	out := make([]Station, 0, n)
-	for i := 0; i < n && i < len(cores); i++ {
-		out = append(out, cores[i])
-	}
-	const phi = 0.6180339887498949
-	for i := len(out); i < n; i++ {
-		u := math.Mod(float64(i)*phi, 1)
-		lat := 40.5 + u*9.0
-		lon := -124.3 + 0.09*(lat-40.5) + 0.6*math.Sin(float64(i)*1.7)
-		out = append(out, Station{
-			Name: fmt.Sprintf("CA%02d%c", i%100, 'A'+byte(i%26)),
-			Pos:  LatLon{Lat: lat, Lon: lon},
-		})
-	}
-	return out
-}

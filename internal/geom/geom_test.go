@@ -210,61 +210,6 @@ func TestChileanStationsZero(t *testing.T) {
 	}
 }
 
-func TestCascadiaFault(t *testing.T) {
-	f, err := BuildFault(DefaultCascadiaFault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumSubfaults() == 0 {
-		t.Fatal("empty Cascadia mesh")
-	}
-	// Shallower than Chile everywhere.
-	chile := DefaultChileFault()
-	for i := range f.Subfaults {
-		if f.Subfaults[i].DipDeg > chile.DipDeepDeg {
-			t.Fatalf("Cascadia dip %v exceeds Chile's max", f.Subfaults[i].DipDeg)
-		}
-	}
-	// Northern hemisphere.
-	for i := 0; i < f.NumSubfaults(); i += 97 {
-		if f.Subfaults[i].Center.Lat < 40 || f.Subfaults[i].Center.Lat > 50 {
-			t.Fatalf("subfault latitude %v outside Cascadia", f.Subfaults[i].Center.Lat)
-		}
-	}
-}
-
-func TestCascadiaStations(t *testing.T) {
-	sts := CascadiaStations(40)
-	if len(sts) != 40 {
-		t.Fatalf("%d stations", len(sts))
-	}
-	seen := map[string]bool{}
-	for _, s := range sts {
-		if seen[s.Name] {
-			t.Fatalf("duplicate station %q", s.Name)
-		}
-		seen[s.Name] = true
-		if s.Pos.Lat < 40 || s.Pos.Lat > 50 || s.Pos.Lon > -121 || s.Pos.Lon < -126 {
-			t.Fatalf("station %s at %v outside the Pacific Northwest", s.Name, s.Pos)
-		}
-	}
-	if CascadiaStations(0) != nil {
-		t.Fatal("zero stations should be nil")
-	}
-}
-
-func TestCascadiaRuptureGeneration(t *testing.T) {
-	// The FakeQuakes pipeline must work on the new region end to end
-	// (this exercises only geometry here; fakequakes tests cover physics).
-	f, err := BuildFault(DefaultCascadiaFault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.At(0, 0).DepthKm <= 0 {
-		t.Fatal("degenerate Cascadia depths")
-	}
-}
-
 // SmallChileanStations returns the 2-station "small Chilean input" list.
 func SmallChileanStations() []Station {
 	return chileanStations(2)

@@ -5,7 +5,7 @@ import "math"
 // Cache-blocked kernels. The arithmetic contract that makes blocking
 // safe for determinism is deliberately simple:
 //
-//	out[i][j] = fma-fold over k = 0..K-1 of a[i][k]·b[k][j]
+//	c[i][j] = fma-fold over k = 0..K-1 of a[i][k]·b[j][k], from c[i][j]
 //
 // Every output element is a single fused-multiply-add chain in strictly
 // increasing k, so the result is independent of every blocking factor
@@ -33,16 +33,15 @@ const (
 	gemmNC = 256 // j panel, bounds the pack buffer at KC·NC floats
 )
 
-// gemmAcc accumulates c += a·b (bTrans false) or c += a·bᵀ (bTrans
-// true) over an M×N×K product with leading dimensions lda/ldb/ldc.
-// B is repacked per (k-panel, j-panel) into contiguous gemmNR-wide
-// column tiles so the micro-kernel streams it with unit stride; the
-// transposed flavor exists for the Cholesky panel update, which
-// multiplies a trailing block by a panel's transpose without
-// materializing it. When par is set, row quads fan out on the shared
+// gemmAcc accumulates c += a·bᵀ over an M×N×K product with leading
+// dimensions lda/ldb/ldc: a is M×K and b is N×K, so the Cholesky panel
+// update multiplies a trailing block by a panel's transpose without
+// materializing it. Bᵀ is repacked per (k-panel, j-panel) into
+// contiguous gemmNR-wide column tiles so the micro-kernel streams it
+// with unit stride. When par is set, row quads fan out on the shared
 // pool; packing stays on the caller so every worker reads one shared
 // read-only panel.
-func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, bTrans bool, c []float64, ldc int, par bool) {
+func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, par bool) {
 	if mM <= 0 || nN <= 0 || kK <= 0 {
 		return
 	}
@@ -57,7 +56,7 @@ func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, bTrans 
 		for j0 := 0; j0 < nN; j0 += gemmNC {
 			nc := min(gemmNC, nN-j0)
 			ntiles := nc / gemmNR
-			packB(bp, b, ldb, bTrans, k0, kc, j0, ntiles)
+			packB(bp, b, ldb, k0, kc, j0, ntiles)
 			quads := mM / gemmMR
 			runQuads := func(lo, hi int) {
 				for q := lo; q < hi; q++ {
@@ -67,7 +66,7 @@ func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, bTrans 
 					}
 					for j := j0 + ntiles*gemmNR; j < j0+nc; j++ {
 						for r := i; r < i+gemmMR; r++ {
-							c[r*ldc+j] = fmaDotEdge(kc, a[r*lda+k0:], b, ldb, bTrans, k0, j, c[r*ldc+j])
+							c[r*ldc+j] = fmaDotEdge(kc, a[r*lda+k0:], b, ldb, k0, j, c[r*ldc+j])
 						}
 					}
 				}
@@ -79,30 +78,23 @@ func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, bTrans 
 			}
 			for i := quads * gemmMR; i < mM; i++ {
 				for j := j0; j < j0+nc; j++ {
-					c[i*ldc+j] = fmaDotEdge(kc, a[i*lda+k0:], b, ldb, bTrans, k0, j, c[i*ldc+j])
+					c[i*ldc+j] = fmaDotEdge(kc, a[i*lda+k0:], b, ldb, k0, j, c[i*ldc+j])
 				}
 			}
 		}
 	}
 }
 
-// packB copies the (k0..k0+kc)×(j0..j0+ntiles·NR) panel of B — or of
-// Bᵀ — into gemmNR-wide column tiles laid out k-major, the layout the
+// packB copies the (k0..k0+kc)×(j0..j0+ntiles·NR) panel of Bᵀ into
+// gemmNR-wide column tiles laid out k-major, the layout the
 // micro-kernel consumes with stride gemmNR.
-func packB(bp, b []float64, ldb int, bTrans bool, k0, kc, j0, ntiles int) {
+func packB(bp, b []float64, ldb int, k0, kc, j0, ntiles int) {
 	for t := 0; t < ntiles; t++ {
 		dst := bp[t*kc*gemmNR:]
-		if bTrans {
-			for k := 0; k < kc; k++ {
-				col := k0 + k
-				for j := 0; j < gemmNR; j++ {
-					dst[k*gemmNR+j] = b[(j0+t*gemmNR+j)*ldb+col]
-				}
-			}
-		} else {
-			src := b[k0*ldb+j0+t*gemmNR:]
-			for k := 0; k < kc; k++ {
-				copy(dst[k*gemmNR:k*gemmNR+gemmNR], src[k*ldb:k*ldb+gemmNR])
+		for k := 0; k < kc; k++ {
+			col := k0 + k
+			for j := 0; j < gemmNR; j++ {
+				dst[k*gemmNR+j] = b[(j0+t*gemmNR+j)*ldb+col]
 			}
 		}
 	}
@@ -110,16 +102,10 @@ func packB(bp, b []float64, ldb int, bTrans bool, k0, kc, j0, ntiles int) {
 
 // fmaDotEdge extends acc by the kc-term fused chain for one fringe
 // element — the same per-element order the micro-kernel applies.
-func fmaDotEdge(kc int, arow, b []float64, ldb int, bTrans bool, k0, j int, acc float64) float64 {
-	if bTrans {
-		brow := b[j*ldb+k0:]
-		for k := 0; k < kc; k++ {
-			acc = math.FMA(arow[k], brow[k], acc)
-		}
-		return acc
-	}
+func fmaDotEdge(kc int, arow, b []float64, ldb int, k0, j int, acc float64) float64 {
+	brow := b[j*ldb+k0:]
 	for k := 0; k < kc; k++ {
-		acc = math.FMA(arow[k], b[(k0+k)*ldb+j], acc)
+		acc = math.FMA(arow[k], brow[k], acc)
 	}
 	return acc
 }
@@ -179,7 +165,7 @@ func blockedCholesky(m *Matrix, par bool) (*Matrix, error) {
 		}
 		if p > 0 {
 			// S[i-p][jj] = Σ_{k<p} l[i][k]·l[p+jj][k] for all rows i ≥ p.
-			gemmAcc(rows, nb, p, l.Data[p*n:], n, l.Data[p*n:], n, true, s, nb, par)
+			gemmAcc(rows, nb, p, l.Data[p*n:], n, l.Data[p*n:], n, s, nb, par)
 		}
 		// Factor the nb×nb diagonal block serially (its columns are
 		// sequentially dependent and the block is tiny).

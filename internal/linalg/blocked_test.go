@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -29,6 +30,45 @@ func fmaSpecMul(a, b *Matrix) *Matrix {
 		}
 	}
 	return out
+}
+
+// fmaSpecGemm is gemmAcc's specification as the trivial loop: each
+// c[i][j] is extended by the math.FMA fold over k of a[i][k]·b[j][k]
+// in increasing k.
+func fmaSpecGemm(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < mM; i++ {
+		for j := 0; j < nN; j++ {
+			acc := c[i*ldc+j]
+			for k := 0; k < kK; k++ {
+				acc = math.FMA(a[i*lda+k], b[j*ldb+k], acc)
+			}
+			c[i*ldc+j] = acc
+		}
+	}
+}
+
+// TestGemmAccBitsEqualFMASpec pins the a·bᵀ kernel behind Cholesky's
+// panel update to its spec bit for bit: strided operands, a non-zero
+// starting accumulator whose padding columns must stay untouched, and
+// shapes on both sides of every tile and panel edge, run serially and
+// fanned out over four workers.
+func TestGemmAccBitsEqualFMASpec(t *testing.T) {
+	for _, s := range [][3]int{{1, 1, 1}, {4, 8, 1}, {5, 9, 3}, {33, 17, 40}, {7, 255, 257}, {64, 300, 260}, {257, 9, 513}} {
+		mM, nN, kK := s[0], s[1], s[2]
+		lda, ldb, ldc := kK+3, kK+1, nN+2
+		a := randomMatrix(mM, lda, uint64(mM)).Data
+		b := randomMatrix(nN, ldb, uint64(nN)+11).Data
+		c0 := randomMatrix(mM, ldc, uint64(kK)+29).Data
+		want := append([]float64(nil), c0...)
+		fmaSpecGemm(mM, nN, kK, a, lda, b, ldb, want, ldc)
+		for _, par := range []bool{false, true} {
+			got := append([]float64(nil), c0...)
+			old := runtime.GOMAXPROCS(4)
+			gemmAcc(mM, nN, kK, a, lda, b, ldb, got, ldc, par)
+			runtime.GOMAXPROCS(old)
+			bitsEqual(t, fmt.Sprintf("gemmAcc %dx%dx%d par=%v", mM, nN, kK, par), want, got)
+		}
+	}
 }
 
 // maxAbsDiff returns the worst elementwise difference.

@@ -256,33 +256,67 @@ func TestSolveCholesky(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresRecoversLine(t *testing.T) {
-	// y = 3 + 2t, with exact data.
-	rows := [][]float64{}
-	var b []float64
-	for tt := 0.0; tt < 10; tt++ {
-		rows = append(rows, []float64{1, tt})
-		b = append(b, 3+2*tt)
+// FromRows builds a matrix from row slices, which must be equal length.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
 	}
-	a, _ := FromRows(rows)
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), cols)
+		}
+		copy(m.Data[i*cols:(i+1)*cols], r)
 	}
-	if math.Abs(x[0]-3) > 1e-6 || math.Abs(x[1]-2) > 1e-6 {
-		t.Fatalf("coefficients %v, want [3 2]", x)
-	}
+	return m, nil
 }
 
-func TestLeastSquaresValidation(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, err := LeastSquares(a, []float64{1, 2}); err == nil {
-		t.Fatal("underdetermined accepted")
+// T returns the transpose of m as a new matrix.
+func (m *Matrix) T() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
+		}
 	}
-	a2 := NewMatrix(3, 2)
-	if _, err := LeastSquares(a2, []float64{1}); err == nil {
-		t.Fatal("bad rhs accepted")
+	return t
+}
+
+// SolveCholesky solves L·Lᵀ·x = b given the lower-triangular Cholesky
+// factor L, by forward then backward substitution.
+func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
+	n := l.Rows
+	if l.Cols != n {
+		return nil, fmt.Errorf("linalg: non-square factor %dx%d", l.Rows, l.Cols)
 	}
+	if len(b) != n {
+		return nil, fmt.Errorf("linalg: rhs length %d for %dx%d factor", len(b), n, n)
+	}
+	// Forward: L·y = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		row := l.Data[i*n : i*n+i]
+		for k, v := range row {
+			s -= v * y[k]
+		}
+		d := l.Data[i*n+i]
+		if d == 0 {
+			return nil, fmt.Errorf("linalg: singular factor at %d", i)
+		}
+		y[i] = s / d
+	}
+	// Backward: Lᵀ·x = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.Data[k*n+i] * x[k]
+		}
+		x[i] = s / l.Data[i*n+i]
+	}
+	return x, nil
 }
 
 // Clone returns a deep copy of m.

@@ -1,8 +1,8 @@
-// The shared bounded worker pool behind the hot kernels (Cholesky, Mul
-// and MulVec), sized by GOMAXPROCS.
+// The shared bounded worker pool behind the hot kernels (Cholesky and
+// MulVec), sized by GOMAXPROCS.
 //
 // Bit-identity contract: every output element is computed with one
-// fixed summation order — for the blocked Mul/Cholesky a
+// fixed summation order — for the blocked Cholesky a
 // fused-multiply-add fold over k in increasing order (see blocked.go),
 // for MulVec a plain left-to-right accumulation — so the kernels return
 // the same bits for the same input regardless of worker count.
@@ -101,10 +101,6 @@ func ParallelFor(n, minGrain int, body func(lo, hi int)) {
 const (
 	parallelFlopCutoff = 1 << 14 // per dispatch, roughly a few µs of math
 	rowGrain           = 8       // minimum rows per worker chunk
-	// parallelGemmMinFlops gates Mul's fan-out: a blocked GEMM under
-	// ~256k flops finishes in tens of µs, comparable to waking the
-	// pool for it.
-	parallelGemmMinFlops = 1 << 18
 	// parallelCholMinN gates Cholesky's fan-out: below this the whole
 	// factorization is sub-millisecond and the per-panel fan-out
 	// cannot recoup itself.

@@ -14,8 +14,8 @@ import (
 // every exported package-level identifier and every exported method
 // must be used by some non-test file of the module outside its own
 // declaration. Callers anywhere in the module count
-// (cmd/, bench/, examples/, the root package, the declaring package
-// itself); tests do not, since the loader never reads _test.go files.
+// (cmd/, bench/, the root package, the declaring package itself);
+// tests do not, since the loader never reads _test.go files.
 //
 // The rule is decided over the whole module, never over the load:
 // identifiers are keyed by package path, receiver type and name,

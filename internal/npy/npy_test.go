@@ -15,7 +15,7 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	m, _ := linalg.FromRows([][]float64{{1.5, -2.25, 0}, {math.Pi, 1e-300, 1e300}})
+	m := &linalg.Matrix{Rows: 2, Cols: 3, Data: []float64{1.5, -2.25, 0, math.Pi, 1e-300, 1e300}}
 	var buf bytes.Buffer
 	if err := Write(&buf, m); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,8 @@ func (c Config) Validate() error {
 }
 
 // Cache tracks per-site warmth of objects. It is safe for concurrent
-// use (the DES is single-threaded, but examples exercise it directly).
+// use, although each environment's single-threaded DES is its only
+// caller.
 type Cache struct {
 	cfg Config
 

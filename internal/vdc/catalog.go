@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -124,7 +125,7 @@ func (c *Catalog) Deposit(p Product) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	p.ID = fmt.Sprintf("vdc-%06d", c.nextID)
+	p.ID = productID(c.nextID)
 	p.Accesses = 0
 	c.products[p.ID] = &p
 	return p.ID, nil
@@ -235,11 +236,22 @@ func (c *Catalog) Save(w io.Writer) error {
 	return enc.Encode(state)
 }
 
-// LoadCatalog restores a catalog written by Save.
+// productID is the id Deposit assigns to the n-th product.
+func productID(n int) string { return fmt.Sprintf("vdc-%06d", n) }
+
+// LoadCatalog restores a catalog written by Save. It rejects, naming
+// the entry, a state Save cannot write that would corrupt later
+// deposits: a second entry with the same id, or an id past next_id,
+// which the next Deposit would assign again and so silently replace
+// the stored product. A negative next_id and bytes after the JSON value
+// are errors too.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
 	var state catalogState
-	if err := json.NewDecoder(r).Decode(&state); err != nil {
+	if err := decodeOne(r, &state); err != nil {
 		return nil, fmt.Errorf("vdc: loading catalog: %w", err)
+	}
+	if state.NextID < 0 {
+		return nil, fmt.Errorf("vdc: loading catalog: negative next_id %d", state.NextID)
 	}
 	c := NewCatalog()
 	c.nextID = state.NextID
@@ -247,9 +259,30 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 		if p == nil || p.ID == "" || !validType(p.Type) {
 			return nil, fmt.Errorf("vdc: corrupt catalog entry %+v", p)
 		}
+		if _, dup := c.products[p.ID]; dup {
+			return nil, fmt.Errorf("vdc: catalog entry %q appears twice", p.ID)
+		}
+		if n, err := strconv.Atoi(strings.TrimPrefix(p.ID, "vdc-")); err == nil && n > c.nextID && productID(n) == p.ID {
+			return nil, fmt.Errorf("vdc: catalog entry %q lies past next_id %d", p.ID, c.nextID)
+		}
 		c.products[p.ID] = p
 	}
 	return c, nil
+}
+
+// decodeOne decodes exactly one JSON value from r. Anything but
+// whitespace after it is an error: a request body or state file with
+// more in it meant something that would otherwise be silently dropped.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after offset %d", end)
+	}
+	return nil
 }
 
 type catalogState struct {

@@ -1,11 +1,11 @@
 package vdc
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -22,9 +22,11 @@ import (
 //	POST   /products/{id}/tags  add tags (JSON array of strings)
 //	GET    /popular?n=N         prefetch hints
 //	GET    /metrics             Prometheus text exposition
+//
+// Every error, an unknown route included, is a JSON {"error": "vdc: …"}
+// body, and a rejected request leaves the catalog unchanged.
 type Server struct {
 	catalog *Catalog
-	mux     *http.ServeMux
 	obs     *obs.Registry
 }
 
@@ -32,12 +34,7 @@ type Server struct {
 // registry (the portal has no simulation clock, so metric timestamps
 // read 0; only the values matter).
 func NewServer(catalog *Catalog) *Server {
-	s := &Server{catalog: catalog, mux: http.NewServeMux(), obs: obs.NewRegistry(nil)}
-	s.mux.HandleFunc("/products", s.handleProducts)
-	s.mux.HandleFunc("/products/", s.handleProduct)
-	s.mux.HandleFunc("/popular", s.handlePopular)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	return s
+	return &Server{catalog: catalog, obs: obs.NewRegistry(nil)}
 }
 
 // statusRecorder captures the response status for the request counter.
@@ -54,10 +51,20 @@ func (sr *statusRecorder) WriteHeader(code int) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(rec, r)
 	route := r.URL.Path
-	if strings.HasPrefix(route, "/products/") {
+	switch {
+	case route == "/products":
+		s.handleProducts(rec, r)
+	case strings.HasPrefix(route, "/products/"):
 		route = "/products/{id}" // collapse ids to keep label cardinality bounded
+		s.handleProduct(rec, r)
+	case route == "/popular":
+		s.handlePopular(rec, r)
+	case route == "/metrics":
+		s.handleMetrics(rec, r)
+	default:
+		route = "unknown"
+		writeErr(rec, http.StatusNotFound, fmt.Errorf("vdc: no such route %q", r.URL.Path))
 	}
 	if s.obs != nil {
 		s.obs.Counter("vdc_http_requests_total",
@@ -87,11 +94,26 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// queryMw parses an optional magnitude bound; an absent one is 0 (no
+// bound). NaN and ±Inf are refused: NaN compares false with every Mw,
+// so it would silently match everything.
+func queryMw(params url.Values, name string) (float64, error) {
+	v := params.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("vdc: bad %s %q", name, v)
+	}
+	return f, nil
+}
+
 func (s *Server) handleProducts(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var p Product
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+		if err := decodeOne(r.Body, &p); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad product JSON: %v", err))
 			return
 		}
@@ -102,28 +124,22 @@ func (s *Server) handleProducts(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
 	case http.MethodGet:
+		params := r.URL.Query()
 		q := Query{
-			Type:   ProductType(r.URL.Query().Get("type")),
-			Batch:  r.URL.Query().Get("batch"),
-			Region: r.URL.Query().Get("region"),
-			Tag:    r.URL.Query().Get("tag"),
-			Text:   r.URL.Query().Get("text"),
+			Type:   ProductType(params.Get("type")),
+			Batch:  params.Get("batch"),
+			Region: params.Get("region"),
+			Tag:    params.Get("tag"),
+			Text:   params.Get("text"),
 		}
-		if v := r.URL.Query().Get("min_mw"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad min_mw %q", v))
-				return
-			}
-			q.MinMw = f
+		var err error
+		if q.MinMw, err = queryMw(params, "min_mw"); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
 		}
-		if v := r.URL.Query().Get("max_mw"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad max_mw %q", v))
-				return
-			}
-			q.MaxMw = f
+		if q.MaxMw, err = queryMw(params, "max_mw"); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
 		}
 		writeJSON(w, http.StatusOK, s.catalog.Search(q))
 	default:
@@ -145,7 +161,7 @@ func (s *Server) handleProduct(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var tags []string
-		if err := json.NewDecoder(r.Body).Decode(&tags); err != nil {
+		if err := decodeOne(r.Body, &tags); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad tags JSON: %v", err))
 			return
 		}
@@ -194,109 +210,4 @@ func (s *Server) handlePopular(w http.ResponseWriter, r *http.Request) {
 		n = parsed
 	}
 	writeJSON(w, http.StatusOK, s.catalog.Popular(n))
-}
-
-// Client talks to a VDC portal over HTTP.
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-}
-
-// NewClient returns a client for the portal at baseURL.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), HTTP: http.DefaultClient}
-}
-
-func (c *Client) do(method, path string, body any, out any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequest(method, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("vdc: %s", e.Error)
-		}
-		return fmt.Errorf("vdc: HTTP %d from %s %s", resp.StatusCode, method, path)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
-// Deposit stores a product and returns its assigned id.
-func (c *Client) Deposit(p Product) (string, error) {
-	var res struct {
-		ID string `json:"id"`
-	}
-	if err := c.do(http.MethodPost, "/products", p, &res); err != nil {
-		return "", err
-	}
-	return res.ID, nil
-}
-
-// Get retrieves one product.
-func (c *Client) Get(id string) (Product, error) {
-	var p Product
-	err := c.do(http.MethodGet, "/products/"+id, nil, &p)
-	return p, err
-}
-
-// Tag adds tags to a product.
-func (c *Client) Tag(id string, tags ...string) error {
-	return c.do(http.MethodPost, "/products/"+id+"/tags", tags, nil)
-}
-
-// Search queries the catalog.
-func (c *Client) Search(q Query) ([]Product, error) {
-	params := make([]string, 0, 7)
-	add := func(k, v string) {
-		if v != "" {
-			params = append(params, k+"="+v)
-		}
-	}
-	add("type", string(q.Type))
-	add("batch", q.Batch)
-	add("region", q.Region)
-	add("tag", q.Tag)
-	add("text", q.Text)
-	if q.MinMw > 0 {
-		add("min_mw", strconv.FormatFloat(q.MinMw, 'g', -1, 64))
-	}
-	if q.MaxMw > 0 {
-		add("max_mw", strconv.FormatFloat(q.MaxMw, 'g', -1, 64))
-	}
-	path := "/products"
-	if len(params) > 0 {
-		path += "?" + strings.Join(params, "&")
-	}
-	var out []Product
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
-}
-
-// Popular fetches the prefetch-hint list.
-func (c *Client) Popular(n int) ([]Product, error) {
-	var out []Product
-	err := c.do(http.MethodGet, "/popular?n="+strconv.Itoa(n), nil, &out)
-	return out, err
 }

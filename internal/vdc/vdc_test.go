@@ -2,7 +2,7 @@ package vdc
 
 import (
 	"bytes"
-	"io"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -136,145 +136,148 @@ func TestPopularOrdering(t *testing.T) {
 	}
 }
 
-func TestHTTPRoundTrip(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewCatalog()))
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-
-	id, err := cl.Deposit(Product{
-		Name: "run000042 waveforms", Type: TypeWaveform,
-		Batch: "fdw-1", Region: "chile", Mw: 8.4, SizeBytes: 5 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+// call sends one request straight to h and checks its status. A 2xx
+// body is decoded into out when out is non-nil; any other body must be
+// the API's JSON error, whose message it returns.
+func call(t *testing.T, h http.Handler, method, target, body string, want int, out any) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	if rec.Code != want {
+		t.Fatalf("%s %s → %d (%s), want %d", method, target, rec.Code, rec.Body.String(), want)
 	}
+	if rec.Code >= 300 {
+		var e struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.HasPrefix(e.Error, "vdc: ") {
+			t.Fatalf("%s %s → error body %q, want {\"error\":\"vdc: …\"}", method, target, rec.Body.String())
+		}
+		return e.Error
+	}
+	if out != nil {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("%s %s → body %q: %v", method, target, rec.Body.String(), err)
+		}
+	}
+	return ""
+}
+
+func TestHTTPRoundTrip(t *testing.T) {
+	s := NewServer(NewCatalog())
+	var created struct{ ID string }
+	call(t, s, "POST", "/products", `{"name":"run000042 waveforms","type":"waveform",
+		"batch":"fdw-1","region":"chile","mw":8.4,"size_bytes":5242880}`, http.StatusCreated, &created)
+	id := created.ID
 	if !strings.HasPrefix(id, "vdc-") {
 		t.Fatalf("id %q", id)
 	}
-	if err := cl.Tag(id, "eew", "training"); err != nil {
-		t.Fatal(err)
-	}
-	p, err := cl.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Mw != 8.4 || len(p.Tags) != 2 {
+	call(t, s, "POST", "/products/"+id+"/tags", `["eew","training"]`, http.StatusOK, nil)
+	var p Product
+	call(t, s, "GET", "/products/"+id, "", http.StatusOK, &p)
+	if p.Mw != 8.4 || len(p.Tags) != 2 || p.Accesses != 1 {
 		t.Fatalf("product %+v", p)
 	}
-	found, err := cl.Search(Query{Type: TypeWaveform, Tag: "eew", MinMw: 8.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var found []Product
+	call(t, s, "GET", "/products?type=waveform&tag=eew&min_mw=8", "", http.StatusOK, &found)
 	if len(found) != 1 || found[0].ID != id {
 		t.Fatalf("search %v", found)
 	}
-	pop, err := cl.Popular(5)
-	if err != nil {
-		t.Fatal(err)
+	call(t, s, "GET", "/products?max_mw=8", "", http.StatusOK, &found)
+	if len(found) != 0 {
+		t.Fatalf("max_mw search %v", found)
 	}
+	var pop []Product
+	call(t, s, "GET", "/popular?n=5", "", http.StatusOK, &pop)
 	if len(pop) != 1 {
 		t.Fatalf("popular %v", pop)
 	}
-	if err := cl.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get(id); err == nil {
-		t.Fatal("deleted product retrievable over HTTP")
-	}
+	call(t, s, "DELETE", "/products/"+id, "", http.StatusOK, nil)
+	call(t, s, "GET", "/products/"+id, "", http.StatusNotFound, nil)
 }
 
 func TestHTTPErrors(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewCatalog()))
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-
-	if _, err := cl.Deposit(Product{Name: "x", Type: "junk"}); err == nil {
-		t.Fatal("bad deposit accepted")
+	c := NewCatalog()
+	id := deposit(t, c, "kept", TypeRupture, 8.0)
+	s := NewServer(c)
+	var before bytes.Buffer
+	if err := c.Save(&before); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := cl.Get("vdc-000404"); err == nil {
-		t.Fatal("missing product returned")
-	}
-	if err := cl.Delete("vdc-000404"); err == nil {
-		t.Fatal("missing delete accepted")
-	}
-
-	// Raw protocol errors.
 	for _, tc := range []struct {
 		method, path, body string
 		wantStatus         int
+		wantErr            string // substring of the error message
 	}{
-		{"PUT", "/products", "", http.StatusMethodNotAllowed},
-		{"POST", "/products", "{not json", http.StatusBadRequest},
-		{"GET", "/products?min_mw=high", "", http.StatusBadRequest},
-		{"GET", "/products?max_mw=low", "", http.StatusBadRequest},
-		{"POST", "/popular", "", http.StatusMethodNotAllowed},
-		{"GET", "/popular?n=-2", "", http.StatusBadRequest},
-		{"GET", "/popular?n=notanumber", "", http.StatusBadRequest},
-		{"GET", "/products/", "", http.StatusBadRequest},
-		{"GET", "/products/x/y/z", "", http.StatusNotFound},
-		{"GET", "/products/x/tags", "", http.StatusMethodNotAllowed},
-		{"POST", "/products/x/tags", "[1,2]", http.StatusBadRequest},
-		{"DELETE", "/products/x/tags", "", http.StatusMethodNotAllowed},
-		{"POST", "/products/x/tags", "{not json", http.StatusBadRequest},
-		{"PUT", "/products/x", "", http.StatusMethodNotAllowed},
-		{"POST", "/metrics", "", http.StatusMethodNotAllowed},
+		{"POST", "/products", `{"name":"x","type":"junk"}`, http.StatusBadRequest, "unknown product type"},
+		{"GET", "/products/vdc-000404", "", http.StatusNotFound, "vdc-000404"},
+		{"DELETE", "/products/vdc-000404", "", http.StatusNotFound, "vdc-000404"},
+		{"PUT", "/products", "", http.StatusMethodNotAllowed, "PUT"},
+		{"POST", "/products", "{not json", http.StatusBadRequest, "product JSON"},
+		{"POST", "/products", `{"name":"x","type":"rupture"}{"oops"`, http.StatusBadRequest, "trailing data"},
+		{"POST", "/products", `{"name":"x","type":"rupture"} x`, http.StatusBadRequest, "trailing data"},
+		{"GET", "/products?min_mw=high", "", http.StatusBadRequest, "min_mw"},
+		{"GET", "/products?max_mw=low", "", http.StatusBadRequest, "max_mw"},
+		{"GET", "/products?min_mw=NaN", "", http.StatusBadRequest, "min_mw"},
+		{"GET", "/products?max_mw=NaN", "", http.StatusBadRequest, "max_mw"},
+		{"GET", "/products?min_mw=-Inf", "", http.StatusBadRequest, "min_mw"},
+		{"GET", "/products?max_mw=%2BInf", "", http.StatusBadRequest, "max_mw"},
+		{"GET", "/products?max_mw=1e999", "", http.StatusBadRequest, "max_mw"},
+		{"POST", "/popular", "", http.StatusMethodNotAllowed, "POST"},
+		{"GET", "/popular?n=-2", "", http.StatusBadRequest, "bad n"},
+		{"GET", "/popular?n=notanumber", "", http.StatusBadRequest, "bad n"},
+		{"GET", "/products/", "", http.StatusBadRequest, "missing product id"},
+		{"GET", "/products/x/y/z", "", http.StatusNotFound, "no such route"},
+		{"GET", "/products/x/tags", "", http.StatusMethodNotAllowed, "GET"},
+		{"POST", "/products/" + id + "/tags", "[1,2]", http.StatusBadRequest, "tags JSON"},
+		{"POST", "/products/" + id + "/tags", `["a"]["b"]`, http.StatusBadRequest, "trailing data"},
+		{"POST", "/products/" + id + "/tags", "{not json", http.StatusBadRequest, "tags JSON"},
+		{"POST", "/products/vdc-000404/tags", `["a"]`, http.StatusNotFound, "vdc-000404"},
+		{"DELETE", "/products/x/tags", "", http.StatusMethodNotAllowed, "DELETE"},
+		{"PUT", "/products/x", "", http.StatusMethodNotAllowed, "PUT"},
+		{"POST", "/metrics", "", http.StatusMethodNotAllowed, "POST"},
+		{"GET", "/nowhere", "", http.StatusNotFound, "no such route"},
+		{"GET", "//products", "", http.StatusNotFound, "no such route"},
 	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
+		if msg := call(t, s, tc.method, tc.path, tc.body, tc.wantStatus, nil); !strings.Contains(msg, tc.wantErr) {
+			t.Errorf("%s %s: error %q does not name %q", tc.method, tc.path, msg, tc.wantErr)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
-			t.Fatalf("%s %s → %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
-		}
+	}
+	var after bytes.Buffer
+	if err := c.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("rejected requests changed the catalog:\n%s\nbecame\n%s", before.Bytes(), after.Bytes())
 	}
 }
 
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	s := NewServer(NewCatalog())
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	cl := NewClient(srv.URL)
+	call(t, s, "POST", "/products", `{"name":"wf","type":"waveform","mw":8}`, http.StatusCreated, nil)
+	call(t, s, "GET", "/products/vdc-000404", "", http.StatusNotFound, nil)
+	call(t, s, "GET", "/no/such/route/vdc-000405", "", http.StatusNotFound, nil)
 
-	if _, err := cl.Deposit(Product{Name: "wf", Type: TypeWaveform, Mw: 8.0}); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics → %d", rec.Code)
 	}
-	if _, err := cl.Get("vdc-000404"); err == nil {
-		t.Fatal("missing product returned")
-	}
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics → %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE vdc_http_requests_total counter",
 		`vdc_http_requests_total{method="POST",route="/products",status="201"} 1`,
 		`vdc_http_requests_total{method="GET",route="/products/{id}",status="404"} 1`,
+		`vdc_http_requests_total{method="GET",route="unknown",status="404"} 1`,
 		"vdc_catalog_products 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if strings.Contains(text, "vdc-000404") {
-		t.Error("product ids leaked into metric labels")
+	if strings.Contains(text, "vdc-00040") {
+		t.Error("request paths leaked into metric labels")
 	}
 
 	// The registry accessor exposes the same counters programmatically.
@@ -285,8 +288,8 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 			total += c.Value
 		}
 	}
-	if total < 2 {
-		t.Fatalf("request counter total %d, want >= 2", total)
+	if total < 3 {
+		t.Fatalf("request counter total %d, want >= 3", total)
 	}
 }
 
@@ -333,18 +336,39 @@ func TestCatalogSaveLoad(t *testing.T) {
 }
 
 func TestLoadCatalogRejectsCorrupt(t *testing.T) {
-	if _, err := LoadCatalog(strings.NewReader("{ not json")); err == nil {
-		t.Fatal("bad JSON accepted")
+	for _, tc := range []struct{ state, wantErr string }{
+		{"{ not json", "loading catalog"},
+		{`{"next_id":1,"products":[{"id":"x","type":"movie","name":"m"}]}`, "corrupt catalog entry"},
+		// A next_id behind a stored id: the next Deposit would reuse
+		// vdc-000001 and silently replace "keep".
+		{`{"next_id":0,"products":[{"id":"vdc-000001","name":"keep","type":"rupture"}]}`, `"vdc-000001" lies past next_id 0`},
+		{`{"next_id":7,"products":[{"id":"vdc-000002","name":"a","type":"rupture"},{"id":"vdc-000002","name":"b","type":"rupture"}]}`, `"vdc-000002" appears twice`},
+		{`{"next_id":-1,"products":[]}`, "negative next_id"},
+		{`{"next_id":1,"products":[]}{"next_id":2}`, "trailing data"},
+		{`{"next_id":1,"products":[]} garbage`, "trailing data"},
+	} {
+		_, err := LoadCatalog(strings.NewReader(tc.state))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("LoadCatalog(%s) = %v, want an error naming %q", tc.state, err, tc.wantErr)
+		}
 	}
-	if _, err := LoadCatalog(strings.NewReader(`{"next_id":1,"products":[{"id":"x","type":"movie","name":"m"}]}`)); err == nil {
-		t.Fatal("unknown product type accepted")
+}
+
+// TestLoadCatalogForeignIDs: ids Deposit never assigns (another
+// scheme, or a non-canonical spelling of a sequence number) cannot
+// collide with a deposit, so they load whatever next_id says.
+func TestLoadCatalogForeignIDs(t *testing.T) {
+	c, err := LoadCatalog(strings.NewReader(`{"next_id":0,"products":[
+		{"id":"imported-7","name":"a","type":"rupture"},
+		{"id":"vdc-1","name":"b","type":"rupture"},
+		{"id":"vdc-+00001","name":"c","type":"rupture"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := deposit(t, c, "new", TypeWaveform, 8.0); id != "vdc-000001" || c.Len() != 4 {
+		t.Fatalf("deposit got %q, catalog holds %d products, want vdc-000001 and 4", id, c.Len())
 	}
 }
 
 // Registry exposes the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.obs }
-
-// Delete removes a product.
-func (c *Client) Delete(id string) error {
-	return c.do(http.MethodDelete, "/products/"+id, nil, nil)
-}

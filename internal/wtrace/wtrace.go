@@ -53,9 +53,6 @@ type BatchRecord struct {
 	End    float64 // last termination
 }
 
-// Duration returns End-Submit.
-func (b BatchRecord) Duration() float64 { return b.End - b.Submit }
-
 // Validate checks that the times are finite and ordered.
 func (b BatchRecord) Validate() error {
 	if b.Name == "" {

@@ -80,9 +80,6 @@ func TestBatchValidate(t *testing.T) {
 	if (BatchRecord{Name: "x", Submit: 0, Start: 1, End: 2}).Validate() != nil {
 		t.Fatal("good batch rejected")
 	}
-	if d := (BatchRecord{Name: "x", Submit: 10, Start: 20, End: 110}).Duration(); d != 100 {
-		t.Fatalf("duration %v", d)
-	}
 }
 
 func TestReadCSVErrors(t *testing.T) {
