@@ -85,19 +85,35 @@ func loadOrNew(path string) (*fdw.Catalog, error) {
 	return c, nil
 }
 
-// persisting saves the catalog after every mutating request.
+// persisting saves the catalog after every mutating request that
+// succeeded; a rejected POST or DELETE changed nothing, so it leaves
+// the state file alone.
 func persisting(h http.Handler, c *fdw.Catalog, path string) http.Handler {
 	if path == "" {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r)
-		if r.Method == http.MethodPost || r.Method == http.MethodDelete {
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(sw, r)
+		mutating := r.Method == http.MethodPost || r.Method == http.MethodDelete
+		if mutating && sw.status >= 200 && sw.status < 300 {
 			if err := saveCatalog(c, path); err != nil {
 				log.Printf("vdcd: persisting catalog: %v", err)
 			}
 		}
 	})
+}
+
+// statusWriter records the status a handler answered with; a handler
+// that writes a body without calling WriteHeader answered 200.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 func saveCatalog(c *fdw.Catalog, path string) error {

@@ -88,3 +88,32 @@ func TestLoadOrNewRejectsStaleNextID(t *testing.T) {
 		t.Fatalf("loadOrNew = %v, want an error naming vdc-000001", err)
 	}
 }
+
+// TestPersistingSkipsRejectedRequests: a POST or DELETE the catalog
+// rejects changes nothing, so the state file must keep its bytes.
+func TestPersistingSkipsRejectedRequests(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	const sentinel = "sentinel: not rewritten"
+	if err := os.WriteFile(path, []byte(sentinel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := fdw.NewCatalog()
+	h := persisting(fdw.NewCatalogServer(c), c, path)
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/products", strings.NewReader("garbage")),
+		httptest.NewRequest(http.MethodDelete, "/products/vdc-000404", nil),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code < 400 {
+			t.Fatalf("%s %s → %d, want an error status", req.Method, req.URL.Path, rec.Code)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != sentinel {
+			t.Fatalf("%s %s → %d rewrote the state file: %q", req.Method, req.URL.Path, rec.Code, got)
+		}
+	}
+}

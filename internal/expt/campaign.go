@@ -10,6 +10,7 @@ import (
 	"fdw/internal/core"
 	"fdw/internal/faults"
 	"fdw/internal/obs"
+	"fdw/internal/par"
 	"fdw/internal/sim"
 	"fdw/internal/stats"
 )
@@ -171,13 +172,12 @@ func runCampaign(c *campaign, opt Options) (*Result, error) {
 	ctx := &campaignCtx{}
 	results := make([]any, len(ids))
 	regs := make([]*obs.Registry, len(ids))
-	err = forEachIndex(opt.workers(), len(ids), func(i int) error {
-		r, _, reg, err := c.run(opt, ctx, i)
-		if err != nil {
+	err = par.Each(opt.Workers, len(ids), func() func(int) error {
+		return func(i int) error {
+			r, _, reg, err := c.run(opt, ctx, i)
+			results[i], regs[i] = r, reg
 			return err
 		}
-		results[i], regs[i] = r, reg
-		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"fdw/internal/par"
 )
 
 // The distributed campaign runner: fdwexp -shard i/N partitions any
@@ -85,15 +87,17 @@ func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
 	// their metrics) appear in canonical owned order regardless of
 	// completion order.
 	var mu sync.Mutex
-	err = forEachIndex(opt.workers(), len(todo), func(i int) error {
-		rec, err := h.RunCell(todo[i])
-		if err != nil {
-			return err
+	err = par.Each(opt.Workers, len(todo), func() func(int) error {
+		return func(i int) error {
+			rec, err := h.RunCell(todo[i])
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			stored[rec.ID] = rec
+			return NewBundle(h.c.name, h.fp, spec, false, owned, stored).WriteFile(run.Path)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		stored[rec.ID] = rec
-		return NewBundle(h.c.name, h.fp, spec, false, owned, stored).WriteFile(run.Path)
 	})
 	if err != nil {
 		return nil, err

@@ -5,13 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"fdw/internal/core/atomicfile"
 	"fdw/internal/geom"
 	"fdw/internal/linalg"
 	"fdw/internal/npy"
+	"fdw/internal/par"
 )
 
 // DistanceMatrices are the two recyclable ".npy" products Phase A
@@ -29,28 +28,23 @@ type DistanceMatrices struct {
 }
 
 // ComputeDistanceMatrices builds both matrices from scratch. The O(n²)
-// geodesy parallelizes across rows (disjoint writes per goroutine), the
+// geodesy parallelizes across rows (disjoint writes per worker), the
 // reason the single matrix job is worth a 4-core OSG slot.
 func ComputeDistanceMatrices(f *geom.Fault, stations []geom.Station) *DistanceMatrices {
 	n := f.NumSubfaults()
 	sub := linalg.NewMatrix(n, n)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Strided rows balance the triangular workload.
-			for i := w; i < n; i += workers {
-				si := &f.Subfaults[i]
-				row := sub.Row(i)
-				for j := i + 1; j < n; j++ {
-					row[j] = si.DistanceKm(&f.Subfaults[j])
-				}
+	// One row per index: the rows shorten down the triangle, and the
+	// shared counter hands the next row to whichever worker is free.
+	par.Each(0, n, func() func(int) error {
+		return func(i int) error {
+			si := &f.Subfaults[i]
+			row := sub.Row(i)
+			for j := i + 1; j < n; j++ {
+				row[j] = si.DistanceKm(&f.Subfaults[j])
 			}
-		}(w)
-	}
-	wg.Wait()
+			return nil
+		}
+	})
 	// Mirror the upper triangle in parallel: after the fill above every
 	// source cell (i,j), i<j, is final, and partitioning by destination
 	// row j gives each worker disjoint writes. This was the last O(n²)

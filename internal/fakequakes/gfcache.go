@@ -14,6 +14,7 @@ import (
 	"fdw/internal/geom"
 	"fdw/internal/npy"
 	"fdw/internal/obs"
+	"fdw/internal/par"
 )
 
 // Green's-function recycling: Phase B is the paper's dominant cost —
@@ -214,25 +215,25 @@ func loadGreensNPY(path string, nsub int, stations []geom.Station, cfg GFConfig)
 		return nil // truncated or overlong: recompute
 	}
 	g := newGreens(cfg, stations, nsub)
-	var failed atomic.Bool
-	eachStation(len(stations), func() func(int) {
+	err = par.Each(0, len(stations), func() func(int) error {
 		buf := make([]byte, per)
-		return func(s int) {
-			if _, err := f.ReadAt(buf, start+per*int64(s)); err != nil || !g.decodeStation(s, buf) {
-				failed.Store(true) // shrank since the length check, or a bad arr
+		return func(s int) error {
+			if _, err := f.ReadAt(buf, start+per*int64(s)); err != nil {
+				return err // shrank since the length check
 			}
+			return g.decodeStation(s, buf)
 		}
 	})
-	if failed.Load() {
+	if err != nil {
 		return nil
 	}
 	return g
 }
 
 // decodeStation fills station s's parameter row from buf, NSub rows
-// of paramCols little-endian float64s, and reports false if any arr
-// is not an integer in [0, Nsamples].
-func (g *GreensFunctions) decodeStation(s int, buf []byte) bool {
+// of paramCols little-endian float64s, and fails if any arr is not an
+// integer in [0, Nsamples].
+func (g *GreensFunctions) decodeStation(s int, buf []byte) error {
 	ns := float64(g.Cfg.Nsamples)
 	for sf := range g.params[s] {
 		var v [paramCols]float64
@@ -240,7 +241,7 @@ func (g *GreensFunctions) decodeStation(s int, buf []byte) bool {
 			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*(sf*paramCols+i):]))
 		}
 		if !(v[0] >= 0 && v[0] <= ns && v[0] == math.Trunc(v[0])) {
-			return false
+			return fmt.Errorf("fakequakes: station %d subfault %d: arrival %v is not an integer in [0, %d]", s, sf, v[0], g.Cfg.Nsamples)
 		}
 		kp := &g.params[s][sf]
 		kp.arr = int32(v[0])
@@ -248,7 +249,7 @@ func (g *GreensFunctions) decodeStation(s int, buf []byte) bool {
 		copy(kp.da[:], v[4:7])
 		kp.lead = g.tab.leadOf(kp)
 	}
-	return true
+	return nil
 }
 
 // GreensForScenario is the Phase B entry point the scenario pipeline

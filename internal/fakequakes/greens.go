@@ -3,12 +3,10 @@ package fakequakes
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fdw/internal/geom"
 	"fdw/internal/linalg"
+	"fdw/internal/par"
 )
 
 // GFConfig parameterizes Green's-function synthesis (Phase B).
@@ -104,7 +102,9 @@ func newGreens(cfg GFConfig, stations []geom.Station, nsub int) *GreensFunctions
 // with 1/r decay — the far-field/near-field structure real GFs have.
 // The paper's B phase "can span multiple hours" with 121 stations;
 // here each (station, subfault) costs its geometry and a sample or two
-// of its kernels, to find their lead.
+// of its kernels, to find their lead. Stations are independent and fan
+// out across the cores, the per-node parallelism the real phase B
+// gets from MPI.
 func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, error) {
 	computeGreensCalls.Add(1)
 	if err := cfg.Validate(); err != nil {
@@ -114,38 +114,13 @@ func ComputeGreens(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 		return nil, err
 	}
 	g := newGreens(cfg, stations, f.NumSubfaults())
-	eachStation(len(stations), func() func(int) {
-		return func(s int) { g.computeStation(f, d, s) }
+	par.Each(0, len(stations), func() func(int) error {
+		return func(s int) error {
+			g.computeStation(f, d, s)
+			return nil
+		}
 	})
 	return g, nil
-}
-
-// eachStation runs fn(s) for every station s < n and returns once all
-// have finished. min(GOMAXPROCS, n) workers, the caller's goroutine
-// one of them, take station indices from a shared counter; each worker
-// gets its fn from one call of worker, so whatever that fn closes over
-// (a scratch buffer) is the worker's own. Stations are independent:
-// this is the per-node parallelism the real phase B gets from MPI.
-func eachStation(n int, worker func() func(s int)) {
-	var next atomic.Int64
-	run := func() {
-		fn := worker()
-		for s := int(next.Add(1) - 1); s < n; s = int(next.Add(1) - 1) {
-			fn(s)
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	if n > 0 {
-		run()
-	}
-	wg.Wait()
 }
 
 // sampleTables holds the per-sample factors every kernel shares,

@@ -6,6 +6,7 @@ import (
 
 	"fdw/internal/linalg"
 	"fdw/internal/mseed"
+	"fdw/internal/par"
 	"fdw/internal/sim"
 )
 
@@ -74,9 +75,12 @@ func SynthesizeWaveforms(r *Rupture, g *GreensFunctions, noise NoiseConfig, rng 
 	for s := range rngs {
 		rngs[s] = rng.Split(uint64(s) + 0x9e37)
 	}
-	eachStation(len(g.Stations), func() func(int) {
+	par.Each(0, len(g.Stations), func() func(int) error {
 		scratch := newKernelScratch(g.Cfg.Nsamples)
-		return func(s int) { out[s] = synthesizeStation(r, g, noise, rngs[s], s, scratch) }
+		return func(s int) error {
+			out[s] = synthesizeStation(r, g, noise, rngs[s], s, scratch)
+			return nil
+		}
 	})
 	return out, nil
 }

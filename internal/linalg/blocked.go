@@ -38,9 +38,9 @@ const (
 // update multiplies a trailing block by a panel's transpose without
 // materializing it. Bᵀ is repacked per (k-panel, j-panel) into
 // contiguous gemmNR-wide column tiles so the micro-kernel streams it
-// with unit stride. When par is set, row quads fan out on the shared
-// pool; packing stays on the caller so every worker reads one shared
-// read-only panel.
+// with unit stride. When par is set, row quads fan out through
+// ParallelFor; packing stays on the caller so every worker reads one
+// shared read-only panel.
 func gemmAcc(mM, nN, kK int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, par bool) {
 	if mM <= 0 || nN <= 0 || kK <= 0 {
 		return

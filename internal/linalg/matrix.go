@@ -53,7 +53,7 @@ func (m *Matrix) Row(i int) []float64 {
 
 // MulVec returns m·x. It returns an error on dimension mismatch. Each
 // y[i] is a plain left-to-right accumulation over its row; above
-// parallelFlopCutoff the rows are partitioned across the shared pool,
+// parallelFlopCutoff the rows are partitioned across GOMAXPROCS workers,
 // which never changes an element's bits (parallel.go).
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.Cols {
@@ -114,7 +114,7 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // that are positive semi-definite up to rounding. The factorization is
 // the blocked left-looking kernel (blocked.go), whose bits do not
 // depend on GOMAXPROCS; from parallelCholMinN up, with more than one
-// worker, its panel updates fan out on the shared pool (parallel.go).
+// worker, its panel updates fan out through ParallelFor (parallel.go).
 // reference_test.go keeps the pre-blocking kernel as the numerical
 // spec.
 func Cholesky(m *Matrix) (*Matrix, error) {

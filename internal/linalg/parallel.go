@@ -1,5 +1,5 @@
-// The shared bounded worker pool behind the hot kernels (Cholesky and
-// MulVec), sized by GOMAXPROCS.
+// Fan-out for the hot kernels (Cholesky and MulVec), through par.Each
+// on GOMAXPROCS workers.
 //
 // Bit-identity contract: every output element is computed with one
 // fixed summation order — for the blocked Cholesky a
@@ -23,39 +23,16 @@ package linalg
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"fdw/internal/par"
 )
 
-// The shared pool: GOMAXPROCS goroutines consuming closures. Started
-// lazily on first use; tasks that find the queue full run inline on the
-// submitter, so progress never depends on a free worker (and nested use
-// from already-parallel callers cannot deadlock).
-var (
-	poolOnce  sync.Once
-	poolTasks chan func()
-)
-
-func pool() chan func() {
-	poolOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		poolTasks = make(chan func(), 4*n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for task := range poolTasks {
-					task()
-				}
-			}()
-		}
-	})
-	return poolTasks
-}
-
-// ParallelFor splits [0, n) into contiguous chunks of at least minGrain
-// iterations and runs body(lo, hi) for each chunk on the shared pool,
-// returning when all chunks finish. body must only write state owned by
-// its own [lo, hi) range. With one worker, or when n is within a single
-// grain, body runs inline on the caller.
+// ParallelFor splits [0, n) into at most GOMAXPROCS contiguous chunks
+// of at least minGrain iterations and runs body(lo, hi) for each chunk
+// through par.Each, returning when all chunks finish. body must only
+// write state owned by its own [lo, hi) range. With one worker, or when
+// n is within a single grain, body runs inline on the caller.
 func ParallelFor(n, minGrain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -73,31 +50,17 @@ func ParallelFor(n, minGrain int, body func(lo, hi int)) {
 		return
 	}
 	poolDispatches.Add(1)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	par.Each(workers, (n+chunk-1)/chunk, func() func(int) error {
+		return func(c int) error {
+			body(c*chunk, min(c*chunk+chunk, n))
+			return nil
 		}
-		wg.Add(1)
-		task := func(lo, hi int) func() {
-			return func() {
-				defer wg.Done()
-				body(lo, hi)
-			}
-		}(lo, hi)
-		select {
-		case pool() <- task:
-		default:
-			task() // queue full: run on the submitter
-		}
-	}
-	wg.Wait()
+	})
 }
 
 // Work thresholds below which the kernels run inline on the caller:
 // fan-out overhead beats the arithmetic for small inputs, so below
-// these no task ever reaches the pool.
+// these nothing is dispatched.
 const (
 	parallelFlopCutoff = 1 << 14 // per dispatch, roughly a few µs of math
 	rowGrain           = 8       // minimum rows per worker chunk
@@ -107,8 +70,8 @@ const (
 	parallelCholMinN = 256
 )
 
-// poolDispatches counts ParallelFor fan-outs that actually reached the
-// pool (the inline small-n/one-worker path does not count). Tests use
-// it to pin the cutoff contract: kernel calls that cannot win must
-// leave it untouched.
+// poolDispatches counts ParallelFor fan-outs that actually dispatched
+// chunks through par.Each (the inline small-n/one-worker path does not
+// count). Tests use it to pin the cutoff contract: kernel calls that
+// cannot win must leave it untouched.
 var poolDispatches atomic.Uint64

@@ -10,7 +10,9 @@ import (
 // edge: floating-point addition is not associative, so a sum whose
 // operand order varies run to run yields different bits. The orders Go
 // does not pin down are map iteration, channel arrival, and goroutine
-// completion; a float accumulation fed by any of them is flagged. The
+// completion (a go statement's function, or a par.Each worker factory
+// and the jobs it returns); a float accumulation fed by any of them is
+// flagged. The
 // blessed patterns are the ones the parallel kernels use — iterate
 // sorted keys, or accumulate per-worker and reduce in a fixed order.
 
@@ -91,7 +93,7 @@ func checkFloatAccum(pass *Pass, parents map[ast.Node]ast.Node, as *ast.AssignSt
 				return
 			}
 		case *ast.FuncLit:
-			if !goLaunched(parents, p) {
+			if !concurrentBody(info, parents, p) {
 				return // an ordinary closure orders its own calls
 			}
 			// Indexed slots (parts[w] += x) are the blessed per-worker
@@ -127,12 +129,37 @@ func loopHasReceive(as *ast.AssignStmt) bool {
 	return found
 }
 
-// goLaunched reports whether lit is the function of a go statement.
-func goLaunched(parents map[ast.Node]ast.Node, lit *ast.FuncLit) bool {
-	call, ok := parents[lit].(*ast.CallExpr)
-	if !ok || call.Fun != lit {
+// concurrentBody reports whether lit runs concurrently with its
+// siblings: the function of a go statement, a worker factory passed to
+// par.Each, or a job such a factory returns.
+func concurrentBody(info *types.Info, parents map[ast.Node]ast.Node, lit *ast.FuncLit) bool {
+	if call, ok := parents[lit].(*ast.CallExpr); ok && call.Fun == lit {
+		_, ok = parents[call].(*ast.GoStmt)
+		return ok
+	}
+	if parEachArg(info, parents, lit) {
+		return true
+	}
+	if _, ok := parents[lit].(*ast.ReturnStmt); !ok {
 		return false
 	}
-	_, ok = parents[call].(*ast.GoStmt)
-	return ok
+	for cur := parents[lit]; cur != nil; cur = parents[cur] {
+		switch p := cur.(type) {
+		case *ast.FuncLit:
+			return parEachArg(info, parents, p)
+		case *ast.FuncDecl:
+			return false
+		}
+	}
+	return false
+}
+
+// parEachArg reports whether lit is an argument of a par.Each call.
+func parEachArg(info *types.Info, parents map[ast.Node]ast.Node, lit *ast.FuncLit) bool {
+	call, ok := parents[lit].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := calleeFunc(info, call)
+	return fn != nil && fn.Name() == "Each" && funcPkgPath(fn) == modulePath+"/internal/par"
 }

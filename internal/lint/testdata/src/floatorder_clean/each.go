@@ -1,0 +1,22 @@
+package floatorder_clean
+
+import "fdw/internal/par"
+
+// EachSlots gives every par.Each job its own slot, as the station
+// fan-outs do, and reduces the slots in index order afterwards.
+func EachSlots(rows [][]float64) float64 {
+	sums := make([]float64, len(rows))
+	par.Each(0, len(rows), func() func(int) error {
+		return func(i int) error {
+			for _, x := range rows[i] {
+				sums[i] += x
+			}
+			return nil
+		}
+	})
+	var total float64
+	for _, s := range sums {
+		total += s
+	}
+	return total
+}
