@@ -42,7 +42,7 @@
 // unsharded report/CSV byte-for-byte (DESIGN.md §13).
 //
 // -sched workers=N drives an experiment through the fault-tolerant
-// scheduler (DESIGN.md §16): N logical workers under cell leases with
+// scheduler (DESIGN.md §15): N logical workers under cell leases with
 // heartbeat deadlines, atomically checkpointed per-worker bundles,
 // optional scripted worker faults (-crash-plan), work-stealing
 // (-steal, default on) and straggler hedging (-hedge). The merged

@@ -70,7 +70,7 @@ func TestScenarioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // TestScenarioWaveformBytesPinned holds the SHA-256 of a scenario's
 // waveforms encoded as miniSEED. The hashes were recorded before the
 // table-driven Phase B and the bounds-check-free synthesis loop
-// (DESIGN.md §15) replaced the naive kernels: a kernel rewrite that
+// (DESIGN.md §14) replaced the naive kernels: a kernel rewrite that
 // moves a single bit of any waveform sample fails here.
 func TestScenarioWaveformBytesPinned(t *testing.T) {
 	cases := []struct {

@@ -464,7 +464,7 @@ func Simulate(batch wtrace.BatchRecord, jobs []wtrace.JobRecord, cfg Config) (*R
 // job: submissions and terminations are scanned from dense arrays,
 // VDC completions pop from one FIFO per class, integral probe
 // schedules count down, and a Policy 2 scan stops at the first job too
-// young to burst (DESIGN.md §7, "Bursting replay loop").
+// young to burst (DESIGN.md §7, "Bursting replay").
 func (t *Trace) Simulate(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

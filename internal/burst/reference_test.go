@@ -10,7 +10,7 @@ import (
 )
 
 // This file keeps the replay loop as it was before the per-second fast
-// paths of DESIGN.md §7 ("Bursting replay loop"): math.Mod probe
+// paths of DESIGN.md §7 ("Bursting replay"): math.Mod probe
 // tests, one heap object per job, append-grown series, and a Policy 2
 // scan over the whole queue. TestSimulateMatchesReference holds
 // Simulate to it bit for bit. Only its name and its job-state type's

@@ -5,11 +5,11 @@
 // destination only on Commit — so a crash or kill at any instant
 // leaves either the previous complete file or the new complete file,
 // never a truncated one. Rescue-DAG resume and warm-cache reuse
-// (DESIGN.md §13–14) depend on exactly this property: a partial
+// (DESIGN.md §13) depend on exactly this property: a partial
 // artifact that parses as valid data would silently poison later
 // runs, and one that does not parse would abort them.
 //
-// The `atomicwrite` analyzer (internal/lint, DESIGN.md §14) enforces
+// The `atomicwrite` analyzer (internal/lint, DESIGN.md §9) enforces
 // that non-test code creates output files only through this package:
 // direct os.Create / os.WriteFile / os.CreateTemp calls elsewhere are
 // diagnostics.

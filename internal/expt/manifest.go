@@ -39,7 +39,7 @@ type CampaignManifest struct {
 	// coordinator leases rather than the static FNV hash partition, so
 	// any worker may own any cell. Validation skips the hash-ownership
 	// check, and merges establish coverage by union-with-digest-
-	// arbitration instead of per-shard ownership (DESIGN.md §16).
+	// arbitration instead of per-shard ownership (DESIGN.md §15).
 	Leased bool `json:"leased,omitempty"`
 	// Fingerprint pins the Options the shard ran under; a merge or
 	// resume with different options must fail loudly rather than mix

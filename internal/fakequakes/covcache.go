@@ -161,7 +161,7 @@ func faultCovHash(f *geom.Fault) uint64 {
 
 // covKernelVersion tags every covariance-factor key with the linalg
 // kernel generation whose rounding produced the factor. The blocked
-// Cholesky repin (DESIGN.md §15) changed the factor's bits, so a
+// Cholesky repin (DESIGN.md §14) changed the factor's bits, so a
 // factor cached under the previous kernel must never satisfy a
 // lookup from the current one — a stale hit would silently break the
 // bit-determinism contract. Bump this whenever kernel rounding changes.

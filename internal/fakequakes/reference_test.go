@@ -4,7 +4,7 @@ package fakequakes
 // original per-sample loops, kept verbatim so the property tests in
 // kernels_test.go can require the production kernels (the parameter
 // table computeStation fills and expand, and the blocked
-// synthesizeStation, DESIGN.md §15) to reproduce every float64 bit for
+// synthesizeStation, DESIGN.md §14) to reproduce every float64 bit for
 // bit. The specs work on full sample kernels, the set's original form.
 
 import (

@@ -3,7 +3,7 @@ package faults
 import "fmt"
 
 // Worker-level fault plans for the campaign scheduler (internal/sched,
-// DESIGN.md §16). Where faults.Plan scripts pathologies *inside* one
+// DESIGN.md §15). Where faults.Plan scripts pathologies *inside* one
 // simulated pool, a WorkerPlan scripts pathologies of the fleet that
 // runs campaign cells: workers crashing between checkpoints, crashing
 // in the narrow window between a durable checkpoint and its ack,

@@ -24,7 +24,7 @@ import "math"
 //
 // Fused rounding differs from the reference kernels' two-rounding
 // multiply-then-add, which is the one-time golden repin this package
-// made when the blocked kernels landed (DESIGN.md §15);
+// made when the blocked kernels landed (DESIGN.md §14);
 // reference_test.go keeps the old kernels as the numerical spec.
 const (
 	gemmMR = 4   // micro-tile rows: four broadcast A scalars in flight

@@ -14,7 +14,7 @@ import (
 // non-tile-multiple shapes in blocked_test.go — but not bitwise: the
 // blocked kernels' fused-multiply-add accumulation rounds once per
 // term instead of twice, which is the one-time golden repin recorded
-// in BENCH_kernels.json and DESIGN.md §15.
+// in BENCH_kernels.json and DESIGN.md §14.
 
 // ReferenceMul is the naive i-k-j GEMM the blocked Mul replaced. Each
 // output row is accumulated as out[i][j] += a[i][k]·b[k][j] with k

@@ -24,7 +24,7 @@ var atomicwriteForbidden = map[string]string{
 // internal/core/atomicfile. Durable artifacts — manifests, .npy caches,
 // CSVs, metrics dumps, DAG/submit files — must land via temp+rename so
 // a kill at any instant leaves either the old complete file or the new
-// complete file (DESIGN.md §14).
+// complete file (DESIGN.md §13).
 var AtomicwriteAnalyzer = &Analyzer{
 	Name: "atomicwrite",
 	Doc:  "forbid os.Create/os.WriteFile/os.OpenFile/os.CreateTemp outside internal/core/atomicfile; durable artifacts go through atomicfile",

@@ -11,8 +11,9 @@ import (
 // operand order varies run to run yields different bits. The orders Go
 // does not pin down are map iteration, channel arrival, and goroutine
 // completion (a go statement's function, or a par.Each worker factory
-// and the jobs it returns); a float accumulation fed by any of them is
-// flagged. The
+// and the jobs it returns, including a closure declared inside them
+// that captures the accumulator); a float accumulation fed by any of
+// them is flagged. The
 // blessed patterns are the ones the parallel kernels use — iterate
 // sorted keys, or accumulate per-worker and reduce in a fixed order.
 
@@ -94,7 +95,12 @@ func checkFloatAccum(pass *Pass, parents map[ast.Node]ast.Node, as *ast.AssignSt
 			}
 		case *ast.FuncLit:
 			if !concurrentBody(info, parents, p) {
-				return // an ordinary closure orders its own calls
+				if acc.Pos() >= p.Pos() && acc.Pos() <= p.End() {
+					return // an ordinary closure orders its own calls
+				}
+				// The accumulator is captured: the closure's callers
+				// decide the order, so keep walking outward.
+				continue
 			}
 			// Indexed slots (parts[w] += x) are the blessed per-worker
 			// pattern: disjoint writes, reduced later in a fixed order.

@@ -1,7 +1,7 @@
 // Package lint is fdwlint's engine: a small, stdlib-only static
 // analysis framework plus the nine repo-specific analyzers that guard
 // FDW's determinism, durability, observability, and least-code
-// invariants (DESIGN.md §9 and §14).
+// invariants (DESIGN.md §9).
 //
 // The analyzers are:
 //

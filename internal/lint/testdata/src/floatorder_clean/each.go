@@ -20,3 +20,21 @@ func EachSlots(rows [][]float64) float64 {
 	}
 	return total
 }
+
+// EachLocalClosure adds through a closure to an accumulator the job
+// itself declares, so every sum is one job's fixed-order reduction.
+func EachLocalClosure(rows [][]float64) []float64 {
+	sums := make([]float64, len(rows))
+	par.Each(0, len(rows), func() func(int) error {
+		return func(i int) error {
+			var s float64
+			add := func(x float64) { s += x }
+			for _, x := range rows[i] {
+				add(x)
+			}
+			sums[i] = s
+			return nil
+		}
+	})
+	return sums
+}

@@ -12,7 +12,7 @@
 // lease expires when) play out in the same simulated time base the
 // cells themselves report.
 //
-// Protocol (DESIGN.md §16):
+// Protocol (DESIGN.md §15):
 //
 //   - the coordinator leases cells to idle workers in canonical cell
 //     order, worker index order breaking ties; a lease carries a TTL

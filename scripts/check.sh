@@ -1,8 +1,8 @@
 #!/bin/sh
 # Pre-PR gate (see DESIGN.md §7): formatting and go.mod hygiene, vet
 # (for the host and for arm64), fdwlint (determinism & invariant
-# analyzers, DESIGN.md §9), build, race-enabled tests, and a
-# one-iteration benchmark smoke pass.
+# analyzers, DESIGN.md §9), shellcheck where installed, build,
+# race-enabled tests, and a one-iteration benchmark smoke pass.
 # Run from the repo root, directly or via `make check`. CI runs exactly
 # this script (.github/workflows/ci.yml).
 set -eu
