@@ -31,7 +31,7 @@ func benchOptions() fdw.ExperimentOptions {
 // the real numeric kernels: a stochastic rupture and GNSS waveforms.
 func BenchmarkFig1RuptureWaveform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Fig1(uint64(i+1), 8.1, 3); err != nil {
+		if _, err := expt.Fig1(uint64(i+1), 8.1, 3, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkGenerateScenario(b *testing.B) {
 	const mw = 8.8 // large patch, sizeable covariance
 	b.Run("warm-factor-cache", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2); err != nil {
+			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,16 +168,16 @@ func BenchmarkGenerateScenario(b *testing.B) {
 		fakequakes.DefaultFactorCache = nil
 		defer func() { fakequakes.DefaultFactorCache = old }()
 		for i := 0; i < b.N; i++ {
-			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2); err != nil {
+			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkGreens measures Phase B: cold computes the Green's-function
-// kernels from scratch; warm recycles the persisted .npy via GFCache —
-// the campaign-sharing-geometry case the cache exists for.
+// BenchmarkGreens measures Phase B: ComputeGreens builds the
+// Green's-function parameter table from scratch, as every scenario
+// does.
 func BenchmarkGreens(b *testing.B) {
 	cfg := geom.DefaultChileFault()
 	cfg.SubfaultKm = 25
@@ -192,18 +192,6 @@ func BenchmarkGreens(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fakequakes.ComputeGreens(fault, stations, dist, gfCfg); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-gfcache", func(b *testing.B) {
-		c := fakequakes.NewGFCache(b.TempDir())
-		if _, _, err := c.LoadOrCompute(fault, stations, dist, gfCfg); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, hit, err := c.LoadOrCompute(fault, stations, dist, gfCfg); err != nil || !hit {
-				b.Fatalf("hit=%v err=%v", hit, err)
 			}
 		}
 	})

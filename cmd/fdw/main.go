@@ -7,8 +7,10 @@
 //
 //	fdw [flags]
 //	fdw -config fdw.cfg -log run.log -trace-dir traces/
+//	fdw -config fdw.cfg -emit artifacts/
 //
-// With no -config, flags select the workload directly.
+// With no -config, flags select the workload directly. -emit writes
+// that workflow's HTCondor artifacts instead of running it.
 package main
 
 import (
@@ -23,54 +25,67 @@ import (
 )
 
 func main() {
-	var (
-		configPath = flag.String("config", "", "FDW configuration file (key = value)")
-		name       = flag.String("name", "fdw", "batch name")
-		waveforms  = flag.Int("waveforms", 1024, "number of waveforms to simulate")
-		stations   = flag.Int("stations", 121, "GNSS station list length (2 or 121 in the paper)")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		logPath    = flag.String("log", "", "write the HTCondor user log here")
-		traceDir   = flag.String("trace-dir", "", "write batch.csv and jobs.csv traces here")
-		horizonH   = flag.Float64("horizon", 1000, "simulation horizon (hours)")
-		emitDir    = flag.String("emit", "", "write fdw.dag + submit files here instead of running")
-		metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot here after the run")
-	)
-	flag.Parse()
-	if *emitDir != "" {
-		cfg := fdw.DefaultConfig()
-		cfg.Name, cfg.Waveforms, cfg.Stations, cfg.Seed = *name, *waveforms, *stations, *seed
-		if err := fdw.WriteArtifacts(cfg, *emitDir); err != nil {
-			fmt.Fprintln(os.Stderr, "fdw:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("artifacts written to %s (fdw.dag, fdw.cfg, 4 submit files)\n", *emitDir)
-		return
-	}
-	if err := run(*configPath, *name, *waveforms, *stations, *seed, *logPath, *traceDir, *horizonH, *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, "fdw:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stderr))
 }
 
-func run(configPath, name string, waveforms, stations int, seed uint64, logPath, traceDir string, horizonH float64, metricsOut string) error {
-	cfg := fdw.DefaultConfig()
-	if configPath != "" {
-		f, err := os.Open(configPath)
-		if err != nil {
-			return err
-		}
-		cfg, err = fdw.ParseConfig(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		cfg.Name = name
-		cfg.Waveforms = waveforms
-		cfg.Stations = stations
-		cfg.Seed = seed
+// cli builds the configuration once and emits or runs it, returning
+// the exit code: 1 on error, 2 on misuse, which includes a positional
+// argument (flag parsing would stop there and drop what follows).
+func cli(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fdw", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		configPath = fs.String("config", "", "FDW configuration file (key = value)")
+		name       = fs.String("name", "fdw", "batch name")
+		waveforms  = fs.Int("waveforms", 1024, "number of waveforms to simulate")
+		stations   = fs.Int("stations", 121, "GNSS station list length (2 or 121 in the paper)")
+		seed       = fs.Uint64("seed", 1, "simulation seed")
+		logPath    = fs.String("log", "", "write the HTCondor user log here")
+		traceDir   = fs.String("trace-dir", "", "write batch.csv and jobs.csv traces here")
+		horizonH   = fs.Float64("horizon", 1000, "simulation horizon (hours)")
+		emitDir    = fs.String("emit", "", "write fdw.dag + submit files here instead of running")
+		metricsOut = fs.String("metrics", "", "write a JSON metrics snapshot here after the run")
+	)
+	fs.Parse(args) // exits 2 on a bad flag, 0 on -h
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "fdw: unexpected argument %q: fdw takes flags only\n", fs.Arg(0))
+		fs.Usage()
+		return 2
 	}
+	cfg, err := loadConfig(*configPath, *name, *waveforms, *stations, *seed)
+	switch {
+	case err != nil:
+	case *emitDir != "":
+		if err = fdw.WriteArtifacts(cfg, *emitDir); err == nil {
+			fmt.Printf("artifacts written to %s (fdw.dag, fdw.cfg, 4 submit files)\n", *emitDir)
+		}
+	default:
+		err = run(cfg, *logPath, *traceDir, *horizonH, *metricsOut)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fdw:", err)
+		return 1
+	}
+	return 0
+}
 
+// loadConfig reads the configuration file at configPath or, when it is
+// empty, takes the default configuration with the workload flags.
+func loadConfig(configPath, name string, waveforms, stations int, seed uint64) (fdw.Config, error) {
+	cfg := fdw.DefaultConfig()
+	if configPath == "" {
+		cfg.Name, cfg.Waveforms, cfg.Stations, cfg.Seed = name, waveforms, stations, seed
+		return cfg, nil
+	}
+	f, err := os.Open(configPath)
+	if err != nil {
+		return cfg, err
+	}
+	defer f.Close()
+	return fdw.ParseConfig(f)
+}
+
+func run(cfg fdw.Config, logPath, traceDir string, horizonH float64, metricsOut string) error {
 	// With -metrics the environment carries a registry clocked by the
 	// simulation; results are identical either way.
 	newEnv := fdw.NewEnv
@@ -84,19 +99,16 @@ func run(configPath, name string, waveforms, stations int, seed uint64, logPath,
 	// The user log streams during the run but lands atomically: a
 	// killed run leaves no partial log for burstsim to misread.
 	var logW *atomicfile.File
+	var logTo io.Writer // stays nil without -log: a nil *File is not a nil Writer
 	if logPath != "" {
 		logW, err = atomicfile.Create(logPath)
 		if err != nil {
 			return err
 		}
 		defer logW.Close()
+		logTo = logW
 	}
-	var w *fdw.Workflow
-	if logW != nil {
-		w, err = fdw.NewWorkflow(cfg, env, logW)
-	} else {
-		w, err = fdw.NewWorkflow(cfg, env, nil)
-	}
+	w, err := fdw.NewWorkflow(cfg, env, logTo)
 	if err != nil {
 		return err
 	}

@@ -467,7 +467,7 @@ func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 
 // runFig1 prints the Fig. 1 data products to w.
 func runFig1(w io.Writer) error {
-	prod, err := expt.Fig1(1, 8.1, 5)
+	prod, err := expt.Fig1(1, 8.1, 5, "")
 	if err != nil {
 		return err
 	}

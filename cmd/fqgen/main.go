@@ -1,60 +1,73 @@
 // Command fqgen runs the FakeQuakes numeric kernels directly (no
 // workflow, no pool): it generates one stochastic rupture scenario on
 // the Chilean megathrust and synthesizes GNSS displacement waveforms,
-// writing the Fig. 1-style products to disk — slip distribution as
-// CSV, waveforms as .mseed, and a summary to stdout.
+// writing the Fig. 1-style products to disk — the rupture as a MudPy
+// .rupt file, waveforms as .mseed, and a summary to stdout. With
+// -recycle it keeps Phase A's two distance-matrix .npy files in a
+// directory and reuses them on the next run, as FDW does.
 //
 // Usage:
 //
-//	fqgen -mw 8.4 -stations 8 -seed 7 -out products/
+//	fqgen -mw 8.4 -stations 8 -seed 7 -out products/ -recycle npy/
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"fdw"
 	"fdw/internal/core/atomicfile"
+	"fdw/internal/fakequakes"
 	"fdw/internal/mseed"
 )
 
 func main() {
-	var (
-		mw       = flag.Float64("mw", 8.1, "target moment magnitude (7.5–9.3)")
-		stations = flag.Int("stations", 5, "number of GNSS stations")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		outDir   = flag.String("out", "", "directory for rupture.csv and waveforms.mseed (optional)")
-		gfCache  = flag.String("gfcache", "", "directory for recycled Green's-function kernels (optional; skips Phase B on matching geometry)")
-	)
-	flag.Parse()
-	if err := run(*mw, *stations, *seed, *outDir, *gfCache); err != nil {
-		fmt.Fprintln(os.Stderr, "fqgen:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(mw float64, stations int, seed uint64, outDir, gfCache string) error {
-	if gfCache != "" {
-		if err := os.MkdirAll(gfCache, 0o755); err != nil {
-			return err
-		}
-		fdw.EnableGFCache(gfCache)
+// cli runs fqgen, returning the exit code: 1 on error, 2 on misuse,
+// which includes a positional argument (flag parsing would stop there
+// and drop what follows).
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fqgen", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		mw       = fs.Float64("mw", 8.1, "target moment magnitude (7.5–9.3)")
+		stations = fs.Int("stations", 5, "number of GNSS stations (1–121)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		outDir   = fs.String("out", "", "directory for <rupture ID>.rupt and waveforms.mseed (optional)")
+		recycle  = fs.String("recycle", "", "directory for Phase A's distance-matrix .npy files: loaded when they fit the geometry, else computed and written there (optional)")
+	)
+	fs.Parse(args) // exits 2 on a bad flag, 0 on -h
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "fqgen: unexpected argument %q: fqgen takes flags only\n", fs.Arg(0))
+		fs.Usage()
+		return 2
 	}
-	sc, err := fdw.GenerateScenario(seed, mw, stations)
+	if err := run(stdout, *mw, *stations, *seed, *outDir, *recycle); err != nil {
+		fmt.Fprintln(stderr, "fqgen:", err)
+		return 1
+	}
+	return 0
+}
+
+func run(stdout io.Writer, mw float64, stations int, seed uint64, outDir, recycleDir string) error {
+	sc, err := fdw.GenerateScenario(seed, mw, stations, recycleDir)
 	if err != nil {
 		return err
 	}
 	r := sc.Rupture
-	fmt.Printf("rupture %s: target Mw %.2f, realized Mw %.2f\n", r.ID, r.TargetMw, r.ActualMw)
-	fmt.Printf("  %d subfaults, max slip %.2f m, rupture duration %.0f s\n",
+	fmt.Fprintf(stdout, "rupture %s: target Mw %.2f, realized Mw %.2f\n", r.ID, r.TargetMw, r.ActualMw)
+	fmt.Fprintf(stdout, "  %d subfaults, max slip %.2f m, rupture duration %.0f s\n",
 		len(r.Patch), r.MaxSlip(), r.Duration())
+	if sc.Recycled {
+		fmt.Fprintf(stdout, "  distance matrices recycled from %s\n", recycleDir)
+	}
 	for _, w := range sc.Waveforms {
-		fmt.Printf("  %-5s PGD %.3f m\n", w.Station, w.PGD())
+		fmt.Fprintf(stdout, "  %-5s PGD %.3f m\n", w.Station, w.PGD())
 	}
 	if outDir == "" {
 		return nil
@@ -63,25 +76,10 @@ func run(mw float64, stations int, seed uint64, outDir, gfCache string) error {
 		return err
 	}
 
-	// Slip distribution: one row per subfault of the rupture patch.
-	err = atomicfile.WriteFile(filepath.Join(outDir, "rupture.csv"), func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"subfault", "slip_m", "onset_s", "rise_s"}); err != nil {
-			return err
-		}
-		for i, idx := range r.Patch {
-			row := []string{
-				strconv.Itoa(idx),
-				strconv.FormatFloat(r.SlipM[i], 'f', 4, 64),
-				strconv.FormatFloat(r.OnsetS[i], 'f', 2, 64),
-				strconv.FormatFloat(r.RiseS[i], 'f', 2, 64),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
+	// The rupture in MudPy's .rupt layout: one row per subfault.
+	rupt := r.ID + ".rupt"
+	err = atomicfile.WriteFile(filepath.Join(outDir, rupt), func(w io.Writer) error {
+		return fakequakes.WriteRupt(w, sc.Fault, r)
 	})
 	if err != nil {
 		return err
@@ -98,7 +96,7 @@ func run(mw float64, stations int, seed uint64, outDir, gfCache string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("products written to %s (rupture.csv, waveforms.mseed: %d records, %d bytes)\n",
-		outDir, len(records), mseed.EncodedSize(records))
+	fmt.Fprintf(stdout, "products written to %s (%s, waveforms.mseed: %d records, %d bytes)\n",
+		outDir, rupt, len(records), mseed.EncodedSize(records))
 	return nil
 }

@@ -35,14 +35,14 @@ func TestScenarioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		stations = 3
 	)
 	old := runtime.GOMAXPROCS(1)
-	single, err := fdw.GenerateScenario(seed, targetMw, stations)
+	single, err := fdw.GenerateScenario(seed, targetMw, stations, "")
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second run also exercises the warm covariance-cache path: the
 	// first run left the factor in the shared cache.
-	multi, err := fdw.GenerateScenario(seed, targetMw, stations)
+	multi, err := fdw.GenerateScenario(seed, targetMw, stations, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestScenarioWaveformBytesPinned(t *testing.T) {
 		{11, 8.8, 12, "aeb5ef93b30cdb09621c6cd3e0674447335b05a33d5843c726eff56432586ae5"},
 	}
 	for _, tc := range cases {
-		sc, err := fdw.GenerateScenario(tc.seed, tc.mw, tc.stations)
+		sc, err := fdw.GenerateScenario(tc.seed, tc.mw, tc.stations, "")
 		if err != nil {
 			t.Fatal(err)
 		}

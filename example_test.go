@@ -213,7 +213,7 @@ func ExampleNewCatalogServer() {
 // end, a stochastic rupture and its GNSS waveforms (a Fig. 1-style
 // data product), and lists each station's peak ground displacement.
 func ExampleGenerateScenario() {
-	sc, err := fdw.GenerateScenario(7, 8.4, 4)
+	sc, err := fdw.GenerateScenario(7, 8.4, 4, "")
 	if err != nil {
 		log.Fatal(err)
 	}

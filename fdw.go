@@ -12,7 +12,9 @@
 //   - monitoring: ParseUserLog, AnalyzeEvents, per-second series;
 //   - traces + bursting: BatchTrace, JobTrace, BurstConfig, Burst;
 //   - experiment options for the fdwexp harness: ExperimentOptions;
-//   - the FakeQuakes numeric kernels via GenerateScenario;
+//   - the FakeQuakes numeric kernels via GenerateScenario, which
+//     recycles Phase A's distance matrices through the directory it
+//     is given, as FDW does;
 //   - the VDC catalog: Catalog and its HTTP portal, CatalogServer.
 //
 // Everything runs on a deterministic discrete-event clock: simulating
@@ -26,7 +28,6 @@ import (
 	"fdw/internal/core"
 	"fdw/internal/expt"
 	"fdw/internal/fakequakes"
-	"fdw/internal/geom"
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
 	"fdw/internal/ospool"
@@ -87,21 +88,6 @@ func NewMeteredEnv(seed uint64, pool PoolConfig) (*Env, error) {
 // MeterFactorCache mirrors the covariance factor cache's hit/miss
 // tallies into reg (see GenerateScenario and the fakequakes kernels).
 func MeterFactorCache(reg *Metrics) { fakequakes.DefaultFactorCache.SetObs(reg) }
-
-// EnableGFCache turns on Green's-function recycling: scenario runs
-// persist Phase B kernels as greens_<fingerprint>.npy under dir and
-// every later run sharing the fault geometry, station set, and GF
-// configuration loads them instead of recomputing — the paper's
-// distance-matrix recycling applied to its dominant phase. Recycled
-// kernels hold the exact computed bits, so enabling the cache never
-// changes scenario output. An empty dir disables recycling again.
-func EnableGFCache(dir string) {
-	if dir == "" {
-		fakequakes.DefaultGFCache = nil
-		return
-	}
-	fakequakes.DefaultGFCache = fakequakes.NewGFCache(dir)
-}
 
 // Workflow is one FDW run (a DAGMan with its own schedd identity).
 type Workflow = core.Workflow
@@ -195,22 +181,16 @@ type ExperimentOptions = expt.Options
 func DefaultExperimentOptions() ExperimentOptions { return expt.DefaultOptions() }
 
 // Scenario bundles one FakeQuakes rupture and its station waveforms.
-type Scenario struct {
-	Rupture   *fakequakes.Rupture
-	Waveforms []fakequakes.Waveform
-	Stations  []geom.Station
-	Fault     *geom.Fault
-}
+type Scenario = expt.Fig1Products
 
 // GenerateScenario runs the real numeric kernels end-to-end: a
 // stochastic rupture of the target magnitude on a Chilean-style mesh
-// and its synthetic GNSS displacement waveforms at nStations stations.
-func GenerateScenario(seed uint64, targetMw float64, nStations int) (*Scenario, error) {
-	p, err := expt.Fig1(seed, targetMw, nStations)
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{Rupture: p.Rupture, Waveforms: p.Waveforms, Stations: p.Stations, Fault: p.Fault}, nil
+// and its synthetic GNSS displacement waveforms at nStations (1 to
+// 121) stations. recycleDir holds Phase A's two distance-matrix .npy
+// files, loaded when they fit and written otherwise; "" computes them
+// and writes nothing. The scenario's bytes are the same either way.
+func GenerateScenario(seed uint64, targetMw float64, nStations int, recycleDir string) (*Scenario, error) {
+	return expt.Fig1(seed, targetMw, nStations, recycleDir)
 }
 
 // Catalog is the VDC data-services product store.

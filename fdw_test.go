@@ -147,7 +147,7 @@ func TestBaselineComparison(t *testing.T) {
 }
 
 func TestGenerateScenarioPublic(t *testing.T) {
-	sc, err := fdw.GenerateScenario(9, 8.0, 2)
+	sc, err := fdw.GenerateScenario(9, 8.0, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,10 @@ func NewEnv(seed uint64, poolCfg ospool.Config) (*Env, error) {
 }
 
 // NewEnvObs is NewEnv with a metrics registry attached to every
-// subsystem (pool, schedds, executors, stash). reg may be shared by
-// several environments — the experiment harness does this across worker
-// goroutines, which keeps counter totals exact but makes no ordering
-// promises for spans. reg == nil means no instrumentation.
+// subsystem (pool, schedds, executors, stash). The experiment harness
+// gives every cell its own registry and absorbs the cells' snapshots
+// in canonical order, so a rollup is the same at any worker count.
+// reg == nil means no instrumentation.
 func NewEnvObs(seed uint64, poolCfg ospool.Config, reg *obs.Registry) (*Env, error) {
 	return NewEnvStash(seed, poolCfg, stash.DefaultConfig(), reg)
 }

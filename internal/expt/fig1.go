@@ -16,14 +16,18 @@ type Fig1Products struct {
 	Waveforms []fakequakes.Waveform
 	Fault     *geom.Fault
 	Stations  []geom.Station
+	Recycled  bool // distance matrices loaded from the recycling dir
 }
 
 // Fig1 runs the FakeQuakes kernels end-to-end on a coarse Chilean mesh
 // for one target magnitude and a station subset, returning the Fig. 1
-// data products. nStations controls cost (the paper plots a handful).
-func Fig1(seed uint64, targetMw float64, nStations int) (*Fig1Products, error) {
-	if nStations <= 0 {
-		return nil, fmt.Errorf("expt: need at least one station")
+// data products. nStations controls cost (the paper plots a handful;
+// the list has 121). recycleDir goes to
+// fakequakes.RecycleDistanceMatrices, and never changes a product.
+func Fig1(seed uint64, targetMw float64, nStations int, recycleDir string) (*Fig1Products, error) {
+	all := geom.FullChileanStations()
+	if nStations <= 0 || nStations > len(all) {
+		return nil, fmt.Errorf("expt: %d stations requested, want 1 to %d (the Chilean station list)", nStations, len(all))
 	}
 	cfg := geom.DefaultChileFault()
 	cfg.SubfaultKm = 20 // coarse mesh keeps the demo fast
@@ -31,13 +35,12 @@ func Fig1(seed uint64, targetMw float64, nStations int) (*Fig1Products, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := geom.FullChileanStations()
-	if nStations > len(all) {
-		nStations = len(all)
-	}
 	stations := all[:nStations]
 
-	dist := fakequakes.ComputeDistanceMatrices(fault, stations)
+	dist, recycled, err := fakequakes.RecycleDistanceMatrices(recycleDir, fault, stations)
+	if err != nil {
+		return nil, err
+	}
 	gen, err := fakequakes.NewGenerator(fault, dist)
 	if err != nil {
 		return nil, err
@@ -48,7 +51,7 @@ func Fig1(seed uint64, targetMw float64, nStations int) (*Fig1Products, error) {
 	if err != nil {
 		return nil, err
 	}
-	gf, err := fakequakes.GreensForScenario(fault, stations, dist, fakequakes.DefaultGFConfig())
+	gf, err := fakequakes.ComputeGreens(fault, stations, dist, fakequakes.DefaultGFConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -61,5 +64,6 @@ func Fig1(seed uint64, targetMw float64, nStations int) (*Fig1Products, error) {
 		Waveforms: wfs,
 		Fault:     fault,
 		Stations:  stations,
+		Recycled:  recycled,
 	}, nil
 }

@@ -159,7 +159,7 @@ func TestWriteNPYAtomicReplace(t *testing.T) {
 	if old.Data[0] != 1 || old.Data[1] != 2 {
 		t.Fatalf("previous-file reader saw %v, want the complete old matrix", old.Data)
 	}
-	cur, err := readNPY(path)
+	cur, err := readDistances(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package fakequakes
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -75,27 +76,43 @@ const (
 	StationNPY  = "distances_station.npy"
 )
 
-// Save writes both matrices as .npy files into dir.
-//
-//lint:allow deadexport .npy distance-matrix writer; file format kept for the ROADMAP emit→parse item, which gives it a production caller
-func (d *DistanceMatrices) Save(dir string) error {
+// RecycleDistanceMatrices is FDW's matrix-recycling decision: a hit
+// loads both files from dir when they parse, fit f and stations and
+// hold only finite, non-negative distances. A miss, never an error,
+// computes the pair and writes it back; only a failed write is an
+// error. dir serves one fault and station list; "" writes nothing.
+func RecycleDistanceMatrices(dir string, f *geom.Fault, stations []geom.Station) (*DistanceMatrices, bool, error) {
+	if dir == "" {
+		return ComputeDistanceMatrices(f, stations), false, nil
+	}
+	if d, err := loadDistanceMatrices(dir); err == nil && d.Validate(f.NumSubfaults(), len(stations)) == nil {
+		return d, true, nil
+	}
+	d := ComputeDistanceMatrices(f, stations)
+	if err := d.save(dir); err != nil {
+		return nil, false, fmt.Errorf("fakequakes: recycling distance matrices: %w", err)
+	}
+	return d, false, nil
+}
+
+// save writes both matrices as .npy files into dir, creating it.
+func (d *DistanceMatrices) save(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	if err := writeNPY(filepath.Join(dir, SubfaultNPY), d.Subfault); err != nil {
 		return err
 	}
 	return writeNPY(filepath.Join(dir, StationNPY), d.Station)
 }
 
-// LoadDistanceMatrices reads both .npy files from dir. A missing file
-// is reported with os.IsNotExist-compatible errors so callers can fall
-// back to ComputeDistanceMatrices (the FDW recycling decision).
-//
-//lint:allow deadexport .npy distance-matrix reader; file format kept for the ROADMAP emit→parse item, which gives it a production caller
-func LoadDistanceMatrices(dir string) (*DistanceMatrices, error) {
-	sub, err := readNPY(filepath.Join(dir, SubfaultNPY))
+// loadDistanceMatrices reads both .npy files from dir.
+func loadDistanceMatrices(dir string) (*DistanceMatrices, error) {
+	sub, err := readDistances(filepath.Join(dir, SubfaultNPY))
 	if err != nil {
 		return nil, err
 	}
-	sta, err := readNPY(filepath.Join(dir, StationNPY))
+	sta, err := readDistances(filepath.Join(dir, StationNPY))
 	if err != nil {
 		return nil, err
 	}
@@ -119,17 +136,17 @@ func (d *DistanceMatrices) Validate(nSubfaults, nStations int) error {
 	return nil
 }
 
-// writeNPY replaces path atomically (temp + fsync + rename): the
-// recyclable .npy caches are read by later warm runs, so a crash
-// mid-write must leave either the previous complete file or nothing —
-// a truncated cache would poison every run that trusts it.
+// writeNPY replaces path atomically (temp + fsync + rename): a crash
+// leaves the previous complete file or none, never a truncated one.
 func writeNPY(path string, m *linalg.Matrix) error {
 	return atomicfile.WriteFile(path, func(w io.Writer) error {
 		return npy.Write(w, m)
 	})
 }
 
-func readNPY(path string) (*linalg.Matrix, error) {
+// readDistances reads the matrix at path and rejects any entry that
+// is not a finite, non-negative distance.
+func readDistances(path string) (*linalg.Matrix, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -138,6 +155,11 @@ func readNPY(path string) (*linalg.Matrix, error) {
 	m, err := npy.Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("fakequakes: reading %s: %w", path, err)
+	}
+	for _, v := range m.Data {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("fakequakes: %s holds distance %v", path, v)
+		}
 	}
 	return m, nil
 }

@@ -119,10 +119,10 @@ func TestDistanceMatricesProperties(t *testing.T) {
 func TestDistanceMatricesSaveLoad(t *testing.T) {
 	_, _, d := smallSetup(t, 3)
 	dir := t.TempDir()
-	if err := d.Save(dir); err != nil {
+	if err := d.save(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDistanceMatrices(dir)
+	got, err := loadDistanceMatrices(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDistanceMatricesSaveLoad(t *testing.T) {
 }
 
 func TestLoadDistanceMatricesMissing(t *testing.T) {
-	_, err := LoadDistanceMatrices(t.TempDir())
+	_, err := loadDistanceMatrices(t.TempDir())
 	if err == nil {
 		t.Fatal("missing files accepted")
 	}

@@ -17,22 +17,13 @@ import (
 	"fdw/internal/par"
 )
 
-// Green's-function recycling: Phase B is the paper's dominant cost —
-// hours proportional to station count — and its product depends only
-// on the fault geometry, the station set, and the GF configuration,
-// none of which change across the scenarios of a campaign. GFCache
-// extends the distance-matrix .npy recycling to the whole Phase B
-// product: the first run computes and persists the kernels' parameter
-// table, every later run (or parallel job) sharing the same geometry
-// loads it and skips ComputeGreens entirely.
-//
-// Durability follows the covcache contract: files are written
-// through writeGreensNPY (atomicfile: temp + fsync + rename), and a
-// truncated or garbage file on load is skipped and recomputed — never
-// trusted, never fatal. The loaded amplitudes are exactly the computed
-// bits (npy round-trips them verbatim), the arrivals are integers and
-// the leads are recomputed from both, so warm runs are byte-identical
-// to cold runs by construction.
+// Green's-function recycling: GFCache persists Phase B's parameter
+// table, which depends only on the fault, the stations and the GF
+// configuration. No production path uses it (scenarios recycle only
+// Phase A's distance matrices, as the paper does); it stays for the
+// fdwbench fq121-gfcache workload, and goes with it. Files are written
+// atomically, a truncated or garbage file is recomputed, and a load
+// returns the computed bits (the leads are recomputed from them).
 
 // computeGreensCalls counts ComputeGreens invocations; the recycling
 // tests use it to assert a warm cache run skips Phase B entirely.
@@ -51,7 +42,8 @@ const gfKernelVersion = 2
 const gfNPYPattern = "greens_%016x.npy"
 
 // GFCache persists Green's-function parameter tables in a directory,
-// keyed by GFFingerprint. It is safe for concurrent use.
+// keyed by GFFingerprint. It is safe for concurrent use. Its only
+// caller outside tests is bench/fdwbench's fq121-gfcache workload.
 type GFCache struct {
 	dir string
 
@@ -65,11 +57,6 @@ type GFCache struct {
 func NewGFCache(dir string) *GFCache {
 	return &GFCache{dir: dir}
 }
-
-// DefaultGFCache, when non-nil, is consulted by GreensForScenario —
-// the seam Fig1/GenerateScenario run through. Nil (the default) means
-// no persistence: recycling is opt-in because it writes files.
-var DefaultGFCache *GFCache
 
 // SetObs mirrors hit/miss tallies into a metrics registry (nil
 // disables). Lookup behaviour is unchanged either way.
@@ -250,17 +237,4 @@ func (g *GreensFunctions) decodeStation(s int, buf []byte) error {
 		kp.lead = g.tab.leadOf(kp)
 	}
 	return nil
-}
-
-// GreensForScenario is the Phase B entry point the scenario pipeline
-// uses: it recycles through DefaultGFCache when one is installed and
-// computes directly otherwise. Both paths return bit-identical kernels
-// (the cache stores the exact parameters), so enabling recycling
-// never changes a scenario's bytes — only how long Phase B takes.
-func GreensForScenario(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, error) {
-	if DefaultGFCache != nil {
-		g, _, err := DefaultGFCache.LoadOrCompute(f, stations, d, cfg)
-		return g, err
-	}
-	return ComputeGreens(f, stations, d, cfg)
 }

@@ -328,37 +328,6 @@ func TestGFCacheDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestGreensForScenarioSeam: the nil-default seam computes directly;
-// installing DefaultGFCache recycles through it.
-func TestGreensForScenarioSeam(t *testing.T) {
-	f, stations, d := smallSetup(t, 2)
-	cfg := gfTestConfig()
-	if DefaultGFCache != nil {
-		t.Fatal("DefaultGFCache non-nil at test start")
-	}
-	direct, err := GreensForScenario(f, stations, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	DefaultGFCache = NewGFCache(t.TempDir())
-	defer func() { DefaultGFCache = nil }()
-	if _, err := GreensForScenario(f, stations, d, cfg); err != nil {
-		t.Fatal(err)
-	}
-	before := computeGreensCalls.Load()
-	warm, err := GreensForScenario(f, stations, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := computeGreensCalls.Load(); got != before {
-		t.Fatalf("warm GreensForScenario invoked ComputeGreens %d times, want 0", got-before)
-	}
-	if h, m := DefaultGFCache.Stats(); h != 1 || m != 1 {
-		t.Fatalf("seam stats %d/%d, want 1/1", h, m)
-	}
-	requireSameSet(t, "seam recycle", warm, direct)
-}
-
 // TestGFCacheRoundTripKeepsLead: on the paper's 20 km mesh, the leads
 // a warm load recomputes from the stored parameters equal the ones
 // ComputeGreens found; the file holds no leads. Four

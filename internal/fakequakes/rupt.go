@@ -22,8 +22,6 @@ import (
 
 // WriteRupt encodes r on fault f in MudPy .rupt layout. All slip is
 // written as dip-slip (the megathrust convention FakeQuakes uses).
-//
-//lint:allow deadexport .rupt writer; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func WriteRupt(w io.Writer, f *geom.Fault, r *Rupture) error {
 	if f == nil || r == nil {
 		return fmt.Errorf("fakequakes: nil fault or rupture")
