@@ -9,8 +9,10 @@
 //	fdw -config fdw.cfg -log run.log -trace-dir traces/
 //	fdw -config fdw.cfg -emit artifacts/
 //
-// With no -config, flags select the workload directly. -emit writes
-// that workflow's HTCondor artifacts instead of running it.
+// With no -config, flags select the workload directly; with -config,
+// giving a workload flag (-name, -waveforms, -stations, -seed) is a
+// usage error. -emit writes that workflow's HTCondor artifacts instead
+// of running it.
 package main
 
 import (
@@ -30,7 +32,8 @@ func main() {
 
 // cli builds the configuration once and emits or runs it, returning
 // the exit code: 1 on error, 2 on misuse, which includes a positional
-// argument (flag parsing would stop there and drop what follows).
+// argument (flag parsing would stop there and drop what follows) and a
+// workload flag beside -config (the file would silently override it).
 func cli(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdw", flag.ExitOnError)
 	fs.SetOutput(stderr)
@@ -49,6 +52,20 @@ func cli(args []string, stderr io.Writer) int {
 	fs.Parse(args) // exits 2 on a bad flag, 0 on -h
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "fdw: unexpected argument %q: fdw takes flags only\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	clash := "" // the first workload flag given beside -config
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "name", "waveforms", "stations", "seed":
+			if *configPath != "" && clash == "" {
+				clash = f.Name
+			}
+		}
+	})
+	if clash != "" {
+		fmt.Fprintf(stderr, "fdw: -%s does not apply with -config: the configuration file sets the workload\n", clash)
 		fs.Usage()
 		return 2
 	}

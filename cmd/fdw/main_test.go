@@ -114,3 +114,27 @@ func TestRunRejectsImpossibleHorizon(t *testing.T) {
 		t.Fatal("a 36-second horizon should not finish 2000 waveforms")
 	}
 }
+
+// TestConfigRejectsWorkloadFlags: the -config file sets the workload,
+// so a workload flag beside it is a usage error naming the flag, not a
+// silently ignored value.
+func TestConfigRejectsWorkloadFlags(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "run.cfg")
+	if err := os.WriteFile(cfgPath, []byte("name = mine\nwaveforms = 64\nstations = 2\nseed = 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range [][2]string{{"-name", "other"}, {"-waveforms", "128"}, {"-stations", "121"}, {"-seed", "9"}} {
+		out := filepath.Join(dir, "out"+flag[0])
+		var stderr bytes.Buffer
+		if code := cli([]string{"-config", cfgPath, flag[0], flag[1], "-emit", out}, &stderr); code != 2 {
+			t.Errorf("%s with -config: exit %d, want 2", flag[0], code)
+		}
+		if !strings.Contains(stderr.String(), "fdw: "+flag[0]+" does not apply with -config") {
+			t.Errorf("%s with -config: stderr %q does not name the flag", flag[0], stderr.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s with -config: artifacts written (stat: %v)", flag[0], err)
+		}
+	}
+}

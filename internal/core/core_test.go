@@ -259,16 +259,22 @@ func TestWorkflowPhaseOrderInLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nodeOrder []string
-	w.Exec.OnNodeDone = func(n *dagman.Node) { nodeOrder = append(nodeOrder, n.Name) }
+	// A node is submitted only once its parents are done; the first job
+	// of each submitted cluster names its phase.
+	var phaseOrder []string
+	w.Schedd.Subscribe(func(j *htcondor.Job, ev htcondor.EventType) {
+		if ev == htcondor.EventSubmit && j.Proc == 0 {
+			phaseOrder = append(phaseOrder, j.Executable)
+		}
+	})
 	if err := RunBatch(env, []*Workflow{w}, 48*3600); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodeOrder) != 3 {
-		t.Fatalf("node completions %v", nodeOrder)
+	if len(phaseOrder) != 3 {
+		t.Fatalf("node submissions %v", phaseOrder)
 	}
-	if nodeOrder[2] != "phaseC" {
-		t.Fatalf("phaseC finished out of order: %v", nodeOrder)
+	if phaseOrder[2] != "fdw_phase_C.sh" {
+		t.Fatalf("phaseC submitted out of order: %v", phaseOrder)
 	}
 }
 

@@ -152,27 +152,36 @@ func TestExecutorRunsDAGInOrder(t *testing.T) {
 	}
 	k := sim.NewKernel(1)
 	s := htcondor.NewSchedd("dag", k, nil)
-	var submits int
-	e, err := NewExecutor("dag", d, k, s, countingFactory(3, &submits))
+	// A node is submitted only once its parents are done, so the order
+	// in which the factory is called is the DAG order.
+	var submitOrder []string
+	factory := func(n *Node) ([]*htcondor.Job, error) {
+		submitOrder = append(submitOrder, n.Name)
+		jobs := make([]*htcondor.Job, 3)
+		for i := range jobs {
+			jobs[i] = &htcondor.Job{Owner: "dag", BaseExecSeconds: 10}
+		}
+		return jobs, nil
+	}
+	e, err := NewExecutor("dag", d, k, s, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doneOrder []string
-	e.OnNodeDone = func(n *Node) { doneOrder = append(doneOrder, n.Name) }
 	autoRun(k, s, 5, 20, func(*htcondor.Job) int { return 0 })
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatalf("done=%v failed=%v states=%v", e.Done(), e.Failed(), e.NodeStates())
 	}
-	if len(doneOrder) != 4 || doneOrder[0] != "matrices" || doneOrder[3] != "phaseC" {
-		t.Fatalf("completion order %v", doneOrder)
+	if len(submitOrder) != 4 || submitOrder[0] != "matrices" || submitOrder[3] != "phaseC" {
+		t.Fatalf("submission order %v", submitOrder)
 	}
 	// phaseA and phaseB are both children of matrices and parents of phaseC.
-	if doneOrder[1] == "phaseC" || doneOrder[2] == "matrices" {
-		t.Fatalf("ordering violated: %v", doneOrder)
+	if submitOrder[1] == "phaseC" || submitOrder[2] == "matrices" {
+		t.Fatalf("ordering violated: %v", submitOrder)
 	}
 	if e.RuntimeSeconds() <= 0 {
 		t.Fatal("zero runtime")
@@ -204,7 +213,8 @@ func TestExecutorTopologicalConstraint(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() {
 		t.Fatal("chain did not finish")
 	}
@@ -241,7 +251,8 @@ func TestExecutorRetrySucceedsAfterFailures(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatalf("done=%v failed=%v", e.Done(), e.Failed())
 	}
@@ -272,7 +283,8 @@ func TestExecutorFailureExhaustsRetries(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || !e.Failed() {
 		t.Fatalf("done=%v failed=%v", e.Done(), e.Failed())
 	}
@@ -315,7 +327,8 @@ func TestExecutorRescueDAG(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Failed() {
 		t.Fatal("expected failure")
 	}
@@ -351,7 +364,8 @@ func TestExecutorResumeFromRescue(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatal("resume failed")
 	}
@@ -402,7 +416,8 @@ func TestCategoryThrottleLimitsConcurrency(t *testing.T) {
 	if submits != 2 {
 		t.Fatalf("submitted %d nodes at start, want 2 (throttled)", submits)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || submits != 4 {
 		t.Fatalf("done=%v submits=%d", e.Done(), submits)
 	}
@@ -502,7 +517,8 @@ func TestExecutorRunsScripts(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatal("script DAG did not finish")
 	}
@@ -535,7 +551,8 @@ func TestExecutorPreScriptFailureRetries(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatal("PRE-script retries did not recover")
 	}
@@ -566,7 +583,8 @@ func TestExecutorPostScriptFailureFailsNode(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || !e.Failed() {
 		t.Fatalf("POST failure should fail the DAG: done=%v failed=%v", e.Done(), e.Failed())
 	}
@@ -647,7 +665,8 @@ func TestPermanentFailureReleasesCategorySlot(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() {
 		t.Fatalf("DAG hung after permanent failure: states=%v", e.NodeStates())
 	}
@@ -713,7 +732,8 @@ func TestRetryRequeuesThroughCategoryThrottle(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() {
 		t.Fatalf("DAG hung: states=%v", e.NodeStates())
 	}
@@ -780,7 +800,8 @@ func TestRescueRoundTripResumesAndConverges(t *testing.T) {
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		return e, log
 	}
 

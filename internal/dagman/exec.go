@@ -87,9 +87,6 @@ type Executor struct {
 	StartTime sim.Time
 	EndTime   sim.Time
 	done      bool
-
-	// OnNodeDone, if set, fires when a node completes successfully.
-	OnNodeDone func(n *Node)
 }
 
 type nodeRun struct {
@@ -393,9 +390,6 @@ func (e *Executor) onJobEvent(j *htcondor.Job, ev htcondor.EventType) {
 			nr.state = NodeDone
 			e.finished++
 			e.nodeGauges()
-			if e.OnNodeDone != nil {
-				e.OnNodeDone(nr.node)
-			}
 			e.checkComplete()
 			if !e.done {
 				e.dispatchReady()

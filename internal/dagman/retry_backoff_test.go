@@ -40,7 +40,8 @@ func backoffHarness(t *testing.T, delay func(node string, attempt int) sim.Time)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatalf("done=%v failed=%v", e.Done(), e.Failed())
 	}
@@ -115,7 +116,8 @@ func TestRetryDelayHoldDoesNotStallSiblings(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if !e.Done() || e.Failed() {
 		t.Fatalf("done=%v failed=%v", e.Done(), e.Failed())
 	}

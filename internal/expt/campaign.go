@@ -67,10 +67,10 @@ type Result struct {
 }
 
 // campaignCtx carries per-invocation shared state across cell runs:
-// the Fig. 5/6 batch traces, generated and prepared once per process on
-// demand so every shard rebuilds them deterministically instead of
-// depending on another shard's output. Cells replay them concurrently;
-// a burst.Trace is read-only.
+// the Fig. 5/6 batch traces, generated and prepared once per campaign
+// run on demand so every shard rebuilds them deterministically instead
+// of depending on another shard's output. Cells replay them
+// concurrently; a burst.Trace is read-only.
 type campaignCtx struct {
 	traceOnce sync.Once
 	prepared  []*burst.Trace

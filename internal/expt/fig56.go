@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"fdw/internal/burst"
-	"fdw/internal/sim"
+	"fdw/internal/par"
 	"fdw/internal/wtrace"
 )
 
@@ -38,43 +38,29 @@ const Fig5Threshold = 34
 // makeBatchTraces produces the bursting experiments' input: job-time
 // traces of two real single-DAGMan batches that each generated 16,000
 // (scaled) waveforms, exactly the §4.2 runs the paper reuses in §4.3.
+// Batch i+1 is seeded opt.Seeds[0]+101·i; the two run side by side on
+// opt.Workers.
 func makeBatchTraces(opt Options) (batches []wtrace.BatchRecord, jobs [][]wtrace.JobRecord, err error) {
-	res, err := runCampaign(tracesCampaign(), opt)
+	batches = make([]wtrace.BatchRecord, 2)
+	jobs = make([][]wtrace.JobRecord, 2)
+	err = par.Each(opt.Workers, 2, func() func(int) error {
+		return func(i int) error {
+			seed := opt.Seeds[0] + uint64(101*i)
+			name := fmt.Sprintf("batch%d", i+1)
+			wf, _, err := runOne(opt, workflowConfig(name, opt.scaleN(Fig3Total), seed), seed)
+			if err == nil {
+				batches[i], jobs[i], err = wtrace.FromSchedd(name, wf.Schedd)
+			}
+			if err != nil {
+				return fmt.Errorf("expt: traces cell %s: %w", name, err)
+			}
+			return nil
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	traces := res.Rows.([]batchTrace)
-	batches = make([]wtrace.BatchRecord, len(traces))
-	jobs = make([][]wtrace.JobRecord, len(traces))
-	for i, t := range traces {
-		batches[i], jobs[i] = t.Batch, t.Jobs
-	}
 	return batches, jobs, nil
-}
-
-// batchTrace is one traced batch: its summary and per-job records.
-type batchTrace struct {
-	Batch wtrace.BatchRecord
-	Jobs  []wtrace.JobRecord
-}
-
-// tracesCampaign has one cell per traced batch, seeded opt.Seeds[0]
-// and opt.Seeds[0]+101. It is an input builder, not a registered
-// experiment.
-func tracesCampaign() *campaign {
-	return newCampaign("traces", func(Options) []int { return []int{1, 2} },
-		func(i int) string { return fmt.Sprintf("batch%d", i) },
-		func(opt Options, _ *campaignCtx, i int) (batchTrace, sim.Time, error) {
-			seed := opt.Seeds[0] + uint64(101*(i-1))
-			name := fmt.Sprintf("batch%d", i)
-			wf, end, err := runOne(opt, workflowConfig(name, opt.scaleN(Fig3Total), seed), seed)
-			if err != nil {
-				return batchTrace{}, 0, err
-			}
-			batch, jobs, err := wtrace.FromSchedd(name, wf.Schedd)
-			return batchTrace{batch, jobs}, end, err
-		},
-		func(_ Options, traces []batchTrace) ([]batchTrace, error) { return traces, nil }, nil)
 }
 
 // replay runs a bursting policy over the shared batch trace bi and

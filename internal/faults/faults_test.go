@@ -249,7 +249,8 @@ func TestSubmitFaultWindow(t *testing.T) {
 	}
 	var lateErr error
 	k.At(150, func() { _, lateErr = s.Submit(makeJobs(1, 0, 10)) })
-	k.Run()
+	for k.Step() {
+	}
 	if lateErr != nil {
 		t.Fatalf("submission after the fault window failed: %v", lateErr)
 	}

@@ -1,42 +1,34 @@
 package htcondor
 
-// jobFIFO is an idle-queue slice with tombstone removal: dropping a job
-// nils its slot in O(1) (the job carries its index) instead of shifting
-// the tail, and compaction runs only from push — never from remove — so
-// negotiation cursors opened over the queue stay valid while the
-// negotiator claims jobs out of it. FIFO order of the live entries is
-// exactly the seed []*Job append order.
+// jobFIFO is one owner's idle queue: a slice with tombstone removal.
+// Dropping a job nils its slot in O(1) (the job carries its index)
+// instead of shifting the tail, and compaction runs only from push —
+// never from remove — so negotiation cursors opened over the queue stay
+// valid while the negotiator claims jobs out of it. FIFO order of the
+// live entries is exactly the seed []*Job append order.
 type jobFIFO struct {
-	slot int // which Job.fifoIdx cell this queue owns
 	jobs []*Job
 	live int
 }
-
-// FIFO slots: one index cell per queue a job can be in simultaneously.
-const (
-	slotIdle  = iota // schedd-wide idle queue
-	slotOwner        // per-owner idle queue
-	numFIFOSlots
-)
 
 // push appends j, compacting first if tombstones dominate.
 func (f *jobFIFO) push(j *Job) {
 	if len(f.jobs) >= 2*f.live+32 {
 		f.compact()
 	}
-	j.fifoIdx[f.slot] = len(f.jobs)
+	j.fifoIdx = len(f.jobs)
 	f.jobs = append(f.jobs, j)
 	f.live++
 }
 
 // remove tombstones j's slot. It reports whether j was present.
 func (f *jobFIFO) remove(j *Job) bool {
-	i := j.fifoIdx[f.slot]
+	i := j.fifoIdx
 	if i < 0 || i >= len(f.jobs) || f.jobs[i] != j {
 		return false
 	}
 	f.jobs[i] = nil
-	j.fifoIdx[f.slot] = -1
+	j.fifoIdx = -1
 	f.live--
 	return true
 }
@@ -49,24 +41,13 @@ func (f *jobFIFO) compact() {
 			continue
 		}
 		f.jobs[w] = j
-		j.fifoIdx[f.slot] = w
+		j.fifoIdx = w
 		w++
 	}
 	for i := w; i < len(f.jobs); i++ {
 		f.jobs[i] = nil
 	}
 	f.jobs = f.jobs[:w]
-}
-
-// snapshot returns the live jobs in FIFO order (a fresh slice).
-func (f *jobFIFO) snapshot() []*Job {
-	out := make([]*Job, 0, f.live)
-	for _, j := range f.jobs {
-		if j != nil {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // IdleCursor walks one owner's idle jobs in queue order without copying

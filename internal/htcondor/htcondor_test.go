@@ -353,7 +353,8 @@ func TestScheddLifecycle(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if jobs[0].Status != Completed {
 		t.Fatalf("status %v", jobs[0].Status)
 	}
@@ -474,8 +475,11 @@ func TestMaxIdleSubmitThrottle(t *testing.T) {
 	if _, err := s.Submit(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.IdleJobs()); got != 2 {
-		t.Fatalf("IdleJobs exposed %d, want 2", got)
+	if got := s.QueueDepth(); got != 2 {
+		t.Fatalf("QueueDepth = %d, want 2", got)
+	}
+	if got := s.StagedCount(); got != 3 {
+		t.Fatalf("StagedCount = %d, want 3", got)
 	}
 }
 
@@ -598,7 +602,8 @@ func TestScheddWritesParsableLog(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if err := s.Log().Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -91,9 +91,9 @@ type Job struct {
 	// per job instead of once per matchmaking probe.
 	matchAd classad.Ad
 
-	// fifoIdx is the job's position in each of the schedd's idle-queue
-	// structures (jobFIFO); maintained by the owning schedd only.
-	fifoIdx [numFIFOSlots]int
+	// fifoIdx is the job's position in its owner's idle queue
+	// (jobFIFO); maintained by the owning schedd only.
+	fifoIdx int
 }
 
 // ID renders the HTCondor "cluster.proc" identifier.

@@ -30,7 +30,8 @@ func TestAdoptResultIdle(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if j.Status != Completed || j.ExitCode != 0 || j.EndTime != 10 {
 		t.Fatalf("status %v exit %d end %v", j.Status, j.ExitCode, j.EndTime)
 	}

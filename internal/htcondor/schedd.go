@@ -21,11 +21,11 @@ type Schedd struct {
 	log         *UserLog
 	nextCluster int
 	staged      []*Job // accepted but not yet submitted to the queue
-	// idleQ is the schedd-wide idle queue; ownerQ indexes the same jobs
-	// per owner for the negotiator's fair-share iteration. Both are
-	// tombstoned FIFOs so MarkRunning is O(1) at any queue depth.
-	idleQ  jobFIFO
+	// ownerQ holds the idle jobs, one tombstoned FIFO per owner for the
+	// negotiator's fair-share iteration, so MarkRunning is O(1) at any
+	// queue depth; idle counts them across owners.
 	ownerQ map[string]*jobFIFO
+	idle   int
 	all    []*Job
 
 	listeners []Listener
@@ -75,7 +75,6 @@ func NewSchedd(name string, k *sim.Kernel, log *UserLog) *Schedd {
 		kernel:      k,
 		log:         log,
 		nextCluster: 1,
-		idleQ:       jobFIFO{slot: slotIdle},
 		ownerQ:      map[string]*jobFIFO{},
 	}
 }
@@ -117,30 +116,29 @@ func (s *Schedd) queueGauges() {
 	if s.obs == nil {
 		return
 	}
-	s.met.idleJobs.Set(float64(s.idleQ.live))
+	s.met.idleJobs.Set(float64(s.idle))
 	s.met.stagedJobs.Set(float64(len(s.staged)))
 }
 
-// insertIdle appends j to the idle queue (and its owner's queue).
+// insertIdle appends j to its owner's idle queue.
 func (s *Schedd) insertIdle(j *Job) {
-	s.idleQ.push(j)
 	q := s.ownerQ[j.Owner]
 	if q == nil {
-		q = &jobFIFO{slot: slotOwner}
+		q = &jobFIFO{}
 		s.ownerQ[j.Owner] = q
 	}
 	q.push(j)
+	s.idle++
 }
 
-// removeIdle drops j from both idle structures. It reports whether j
+// removeIdle drops j from its owner's idle queue. It reports whether j
 // was queued.
 func (s *Schedd) removeIdle(j *Job) bool {
-	if !s.idleQ.remove(j) {
+	q := s.ownerQ[j.Owner]
+	if q == nil || !q.remove(j) {
 		return false
 	}
-	if q := s.ownerQ[j.Owner]; q != nil {
-		q.remove(j)
-	}
+	s.idle--
 	return true
 }
 
@@ -192,7 +190,7 @@ func (s *Schedd) Submit(jobs []*Job) (int, error) {
 // pump releases staged jobs into the idle queue while the throttle
 // allows, writing their 000 events with the release time.
 func (s *Schedd) pump() {
-	for len(s.staged) > 0 && (s.MaxIdleSubmit <= 0 || s.idleQ.live < s.MaxIdleSubmit) {
+	for len(s.staged) > 0 && (s.MaxIdleSubmit <= 0 || s.idle < s.MaxIdleSubmit) {
 		j := s.staged[0]
 		s.staged = s.staged[1:]
 		j.SubmitTime = s.kernel.Now()
@@ -230,15 +228,8 @@ func (s *Schedd) appendEvent(j *Job, t EventType, host string) {
 	})
 }
 
-// IdleJobs returns the queued (submitted, idle) jobs in FIFO order.
-// The slice is a fresh snapshot; hot paths should prefer QueueDepth,
-// AppendIdleOwners, and OwnerIdleCursor, which do not copy.
-//
-//lint:allow deadexport ospool tests call it: the reference negotiator spec reads each schedd's global idle FIFO
-func (s *Schedd) IdleJobs() []*Job { return s.idleQ.snapshot() }
-
 // QueueDepth returns the number of idle jobs.
-func (s *Schedd) QueueDepth() int { return s.idleQ.live }
+func (s *Schedd) QueueDepth() int { return s.idle }
 
 // AppendIdleOwners appends the owners that currently have idle jobs
 // here to dst, sorted by name, and returns the extended slice. Only the

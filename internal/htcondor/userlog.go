@@ -200,13 +200,12 @@ func parseEventLine(line string) (JobEvent, error) {
 // JobTimes aggregates per-job submit/start/end times out of a parsed
 // event stream — the exact reduction FDW's monitoring performs.
 type JobTimes struct {
-	Cluster, Proc       int
-	Submit, Start, End  sim.Time
-	HasStart, HasEnd    bool
-	Evictions, Releases int
-	Aborted, EverHeld   bool
-	LastHost            string
-	ExecSecs, WaitSecs  float64
+	Cluster, Proc      int
+	Submit, Start, End sim.Time
+	HasStart, HasEnd   bool
+	Evictions          int
+	Aborted            bool
+	ExecSecs, WaitSecs float64
 }
 
 // ReduceJobTimes folds events into per-job timing rows, ordered by
@@ -235,7 +234,6 @@ func ReduceJobTimes(events []JobEvent) []*JobTimes {
 			// also how the paper's scripts treat re-runs).
 			jt.Start = ev.At
 			jt.HasStart = true
-			jt.LastHost = ev.Host
 		case EventEvicted:
 			jt.Evictions++
 			jt.HasStart = false
@@ -245,10 +243,6 @@ func ReduceJobTimes(events []JobEvent) []*JobTimes {
 		case EventAborted:
 			jt.Aborted = true
 			jt.End = ev.At
-		case EventHeld:
-			jt.EverHeld = true
-		case EventReleased:
-			jt.Releases++
 		}
 	}
 	for _, jt := range order {

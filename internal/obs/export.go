@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,11 +157,21 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return WriteSnapshotJSON(w, r.Snapshot())
 }
 
-// ReadSnapshot parses a JSON snapshot written by WriteJSON.
+// ReadSnapshot parses a JSON snapshot written by WriteJSON. Snapshots
+// are written whole, so anything but whitespace after the JSON value is
+// corruption, not a second value to ignore.
 func ReadSnapshot(rd io.Reader) (*Snapshot, error) {
 	var s Snapshot
-	if err := json.NewDecoder(rd).Decode(&s); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("obs: bad snapshot: %w", err)
+	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), rd))
+	if err != nil {
+		return nil, fmt.Errorf("obs: bad snapshot: %w", err)
+	}
+	if tail := bytes.TrimLeft(rest, " \t\r\n"); len(tail) > 0 {
+		return nil, fmt.Errorf("obs: bad snapshot: trailing data at offset %d", dec.InputOffset()+int64(len(rest)-len(tail)))
 	}
 	return &s, nil
 }

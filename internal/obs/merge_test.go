@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -165,6 +166,28 @@ func TestMergeSnapshotsOrderAndStreaming(t *testing.T) {
 	}
 }
 
+// A snapshot is written whole: trailing whitespace is fine, any other
+// byte after the JSON value is corruption and is reported at its offset.
+func TestReadSnapshotRejectsTrailingData(t *testing.T) {
+	a, b := shardSnapshots()
+	var buf bytes.Buffer
+	if err := WriteSnapshotJSON(&buf, rollup(t, a, b).Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.String()
+	if _, err := ReadSnapshot(strings.NewReader(snap + " \n\t\r\n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{`garbage{"x":`, "\n{}", " x"} {
+		_, err := ReadSnapshot(strings.NewReader(snap + tail))
+		off := len(snap) + len(tail) - len(strings.TrimLeft(tail, " \n"))
+		want := fmt.Sprintf("obs: bad snapshot: trailing data at offset %d", off)
+		if err == nil || err.Error() != want {
+			t.Errorf("tail %q: error %v, want %q", tail, err, want)
+		}
+	}
+}
+
 func TestMergeSnapshotJSONRoundTrip(t *testing.T) {
 	a := NewRegistry(nil)
 	a.Counter("x_total").Inc()
@@ -244,6 +267,7 @@ func FuzzAbsorb(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(cell)
+	f.Add(append(append([]byte{}, cell...), `garbage{"x":`...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewRegistry(nil)
 		in, err := ReadSnapshot(bytes.NewReader(data))

@@ -6,10 +6,10 @@ import (
 	"fdw/internal/htcondor"
 )
 
-// This file retains the seed (pre-index) negotiator verbatim as the
-// executable specification of matchmaking order: per cycle it copies
-// every owner's idle jobs into interleaved queues and linearly scans
-// every free glidein per job. The production path (negotiateIndexed)
+// This file retains the seed (pre-index) negotiator as the executable
+// specification of matchmaking order: per cycle it copies every owner's
+// idle jobs (read through each schedd's owner cursors) into interleaved
+// queues and linearly scans every free glidein per job. The production path (negotiateIndexed)
 // must select the same matches in the same order;
 // TestIndexedNegotiatorMatchesReference drives both over randomized
 // pools and asserts the claim sequences are identical. Switch it in
@@ -52,20 +52,20 @@ func (p *Pool) negotiateReference() {
 	owners := map[string]*ownerState{}
 	var order []string
 	for _, s := range p.schedds {
-		perOwner := map[string][]*htcondor.Job{}
-		for _, j := range s.IdleJobs() {
-			os, ok := owners[j.Owner]
+		for _, owner := range s.AppendIdleOwners(nil) {
+			os, ok := owners[owner]
 			if !ok {
-				os = &ownerState{owner: j.Owner, running: p.ownerRunning[j.Owner], schedd: map[*htcondor.Job]*htcondor.Schedd{}}
-				owners[j.Owner] = os
-				order = append(order, j.Owner)
+				os = &ownerState{owner: owner, running: p.ownerRunning[owner], schedd: map[*htcondor.Job]*htcondor.Schedd{}}
+				owners[owner] = os
+				order = append(order, owner)
 			}
-			perOwner[j.Owner] = append(perOwner[j.Owner], j)
-			os.schedd[j] = s
-		}
-		for owner, jobs := range perOwner {
-			//lint:allow maporder each key appends to its own owner's slice, so iterations commute
-			owners[owner].perSchedd = append(owners[owner].perSchedd, jobs)
+			var jobs []*htcondor.Job
+			for c := s.OwnerIdleCursor(owner); c.Peek() != nil; c.Pop() {
+				j := c.Peek()
+				jobs = append(jobs, j)
+				os.schedd[j] = s
+			}
+			os.perSchedd = append(os.perSchedd, jobs)
 		}
 	}
 	if len(owners) == 0 {

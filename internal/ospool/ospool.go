@@ -1010,7 +1010,8 @@ func (p *Pool) CancelClaim(j *htcondor.Job) bool {
 // RunUntilDone advances the kernel until every registered schedd has
 // drained or the horizon passes; it returns an error on timeout.
 // The pool is stopped either way, and every schedd's user log is
-// flushed so the on-disk text is complete.
+// flushed so the on-disk text is complete; the first flush error,
+// naming its schedd, wins over a timeout.
 //
 //lint:allow deadexport pool runner that faults, recovery and root-package fdw tests call
 func (p *Pool) RunUntilDone(horizon sim.Time) error {
@@ -1028,8 +1029,14 @@ func (p *Pool) RunUntilDone(horizon sim.Time) error {
 		}
 	}
 	p.Stop()
+	var flushErr error
 	for _, s := range p.schedds {
-		_ = s.Log().Flush()
+		if err := s.Log().Flush(); err != nil && flushErr == nil {
+			flushErr = fmt.Errorf("ospool: flushing %s user log: %w", s.Name, err)
+		}
+	}
+	if flushErr != nil {
+		return flushErr
 	}
 	if !allDone() {
 		return fmt.Errorf("ospool: workload not drained by horizon %v (completed %d): %s",

@@ -1,6 +1,7 @@
 package ospool
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,7 +111,8 @@ func TestPoolGlideinsRampGradually(t *testing.T) {
 	k.RunUntil(4 * 3600)
 	stop()
 	p.Stop()
-	k.Run()
+	for k.Step() {
+	}
 	if early >= peak {
 		t.Fatalf("no ramp-up: %d slots early, peak %d", early, peak)
 	}
@@ -200,7 +202,8 @@ func TestPoolRespectsRequirements(t *testing.T) {
 	p.Start()
 	k.RunUntil(6 * 3600)
 	p.Stop()
-	k.Run()
+	for k.Step() {
+	}
 	if jobs[0].Status != htcondor.Completed {
 		t.Fatalf("site-pinned job state %v", jobs[0].Status)
 	}
@@ -573,4 +576,36 @@ func runningJobs(s *htcondor.Schedd) int {
 		}
 	}
 	return n
+}
+
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// A schedd whose user log cannot be written fails the run, naming the
+// schedd; every other schedd's log is still flushed.
+func TestRunUntilDoneReportsLogFlushError(t *testing.T) {
+	k := sim.NewKernel(1)
+	p, err := New(k, testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good strings.Builder
+	ok := htcondor.NewSchedd("ok", k, htcondor.NewUserLog(&good))
+	bad := htcondor.NewSchedd("broken", k, htcondor.NewUserLog(failWriter{}))
+	for _, s := range []*htcondor.Schedd{bad, ok} {
+		p.AddSchedd(s)
+		if _, err := s.Submit(makeJobs(3, "u1", 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Start()
+	err = p.RunUntilDone(48 * 3600)
+	if err == nil || err.Error() != "ospool: flushing broken user log: disk full" {
+		t.Fatalf("RunUntilDone error %v, want the broken schedd's flush error", err)
+	}
+	if bad.Completed() != 3 || !strings.Contains(good.String(), "Job terminated") {
+		t.Fatalf("run did not finish: %d completed, ok log %d bytes", bad.Completed(), good.Len())
+	}
 }

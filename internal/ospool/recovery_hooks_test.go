@@ -149,7 +149,8 @@ func TestGlideinIdleRetirementBoundary(t *testing.T) {
 			t.Errorf("pilot idle past the timeout was not retired")
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 }
 
 // TestRecoveryHookVetoBlocksSite mirrors the SiteDown test through the

@@ -158,13 +158,6 @@ func (k *Kernel) Now() Time { return k.now }
 // RNG returns the kernel's root random stream.
 func (k *Kernel) RNG() *RNG { return k.rng }
 
-// Pending reports the number of live (non-cancelled) events still on
-// the calendar. Cancelled-but-unreaped tombstones are excluded, so the
-// value tracks real future work rather than heap occupancy.
-//
-//lint:allow deadexport the root-package fdw pool-scale test reads it
-func (k *Kernel) Pending() int { return len(k.events) - k.cancelled }
-
 // reapMinEvents is the heap size below which tombstone reaping is not
 // worth the compaction pass.
 const reapMinEvents = 64
@@ -224,14 +217,6 @@ func (k *Kernel) Step() bool {
 		return true
 	}
 	return false
-}
-
-// Run executes events until the calendar is empty.
-//
-//lint:allow deadexport kernel runner that dagman, faults, htcondor, ospool and wtrace tests call
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances

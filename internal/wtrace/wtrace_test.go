@@ -128,7 +128,8 @@ func TestFromSchedd(t *testing.T) {
 			}
 		}
 	})
-	k.Run()
+	for k.Step() {
+	}
 	batch, recs, err := FromSchedd("b", s)
 	if err != nil {
 		t.Fatal(err)

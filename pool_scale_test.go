@@ -53,7 +53,4 @@ func TestPoolScaleSmoke(t *testing.T) {
 	if started < jobs {
 		t.Fatalf("pool started %d attempts for %d jobs", started, jobs)
 	}
-	if live := k.Pending(); live < 0 {
-		t.Fatalf("kernel reports negative pending events: %d", live)
-	}
 }
