@@ -31,7 +31,7 @@ func benchOptions() fdw.ExperimentOptions {
 // the real numeric kernels: a stochastic rupture and GNSS waveforms.
 func BenchmarkFig1RuptureWaveform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Fig1(uint64(i+1), 8.1, 3, ""); err != nil {
+		if _, err := expt.Fig1(uint64(i+1), 8.1, 3, "", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,29 +148,55 @@ func BenchmarkCholesky(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateScenario runs the full FakeQuakes numeric pipeline
-// (distance matrices, covariance, Cholesky, waveform synthesis) for a
-// large-patch magnitude. The warm variant reuses the shared
-// covariance-factor cache across iterations — the batch-of-ruptures
-// case the cache exists for; cold forces a fresh O(n³) factorization
-// every scenario, the pre-cache behaviour.
+// BenchmarkGenerateScenario times one FakeQuakes scenario per op past
+// Phase A, as fdw.GenerateScenario runs it: a large-patch rupture
+// (covariance, Cholesky), its Green's functions and its waveforms. The
+// warm leg reuses one primed Generator, so every op hits its factor
+// cache, the batch-of-ruptures case the cache exists for; the cold leg
+// builds a fresh Generator per op, which factorizes every time.
 func BenchmarkGenerateScenario(b *testing.B) {
 	const mw = 8.8 // large patch, sizeable covariance
+	cfg := geom.DefaultChileFault()
+	cfg.SubfaultKm = 20
+	fault, err := geom.BuildFault(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stations := geom.FullChileanStations()[:2]
+	dist := fakequakes.ComputeDistanceMatrices(fault, stations)
+	newGen := func(b *testing.B) *fakequakes.Generator {
+		gen, err := fakequakes.NewGenerator(fault, dist)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen.Kern = fakequakes.VonKarmanApprox
+		return gen
+	}
+	scenario := func(b *testing.B, gen *fakequakes.Generator, seed uint64) {
+		rng := sim.NewRNG(seed)
+		r, err := gen.GenerateMw("run000001", mw, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gf, err := fakequakes.ComputeGreens(fault, stations, dist, fakequakes.DefaultGFConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fakequakes.SynthesizeWaveforms(r, gf, fakequakes.DefaultNoise(), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("warm-factor-cache", func(b *testing.B) {
+		gen := newGen(b)
+		scenario(b, gen, 0)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2, ""); err != nil {
-				b.Fatal(err)
-			}
+			scenario(b, gen, uint64(i+1))
 		}
 	})
 	b.Run("cold-factor-cache", func(b *testing.B) {
-		old := fakequakes.DefaultFactorCache
-		fakequakes.DefaultFactorCache = nil
-		defer func() { fakequakes.DefaultFactorCache = old }()
 		for i := 0; i < b.N; i++ {
-			if _, err := fdw.GenerateScenario(uint64(i+1), mw, 2, ""); err != nil {
-				b.Fatal(err)
-			}
+			scenario(b, newGen(b), uint64(i+1))
 		}
 	})
 }

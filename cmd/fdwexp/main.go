@@ -110,7 +110,6 @@ func main() {
 		// Cells meter into their own registries, absorbed here in
 		// canonical order: the snapshot is byte-identical at any -j.
 		opt.Obs = fdw.NewMetrics(nil)
-		fdw.MeterFactorCache(opt.Obs)
 	}
 
 	set := map[string]bool{}
@@ -441,7 +440,7 @@ var allExperiments = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "h
 func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	switch cmd {
 	case "fig1":
-		return runFig1(opt.Out)
+		return runFig1(opt.Out, opt.Obs)
 	case "ablate":
 		for _, c := range []string{"ablate-recycling", "ablate-stash", "ablate-fanout", "ablate-churn"} {
 			if err := dispatch(c, opt, csvDir); err != nil {
@@ -465,9 +464,10 @@ func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	return writeCSVs(csvDir, res.CSVs...)
 }
 
-// runFig1 prints the Fig. 1 data products to w.
-func runFig1(w io.Writer) error {
-	prod, err := expt.Fig1(1, 8.1, 5, "")
+// runFig1 prints the Fig. 1 data products to w and meters the rupture
+// job's factor cache into reg (nil: unmetered).
+func runFig1(w io.Writer, reg *fdw.Metrics) error {
+	prod, err := expt.Fig1(1, 8.1, 5, "", reg)
 	if err != nil {
 		return err
 	}

@@ -138,6 +138,34 @@ func TestMetricsBytesPinned(t *testing.T) {
 	}
 }
 
+// fig1 meters its own rupture job's covariance-factor cache: one
+// scenario, one factorization, one cached factor.
+func TestFig1MetersItsFactorCache(t *testing.T) {
+	opt := meteredOpt(1)
+	opt.Scale = 0.03
+	opt.Seeds = expt.Seeds(1)
+	if err := dispatch("fig1", opt, ""); err != nil {
+		t.Fatal(err)
+	}
+	snap := opt.Obs.Snapshot()
+	got := map[string]float64{}
+	for _, c := range snap.Counters {
+		got[c.Name] += float64(c.Value)
+	}
+	for _, g := range snap.Gauges {
+		got[g.Name] += g.Value
+	}
+	for name, want := range map[string]float64{
+		"fdw_covcache_misses_total": 1,
+		"fdw_covcache_entries":      1,
+		"fdw_covcache_hits_total":   0,
+	} {
+		if got[name] != want {
+			t.Errorf("fig1 -metrics %s = %v, want %v", name, got[name], want)
+		}
+	}
+}
+
 // -shard -metrics writes the shard's rollup through the helper -merge
 // uses: a single 1/1 shard holds every cell, so its file matches the
 // unsharded -metrics file byte for byte.

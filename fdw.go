@@ -27,7 +27,6 @@ import (
 	"fdw/internal/burst"
 	"fdw/internal/core"
 	"fdw/internal/expt"
-	"fdw/internal/fakequakes"
 	"fdw/internal/htcondor"
 	"fdw/internal/obs"
 	"fdw/internal/ospool"
@@ -84,10 +83,6 @@ var WriteMetricsSnapshot = obs.WriteSnapshotJSON
 func NewMeteredEnv(seed uint64, pool PoolConfig) (*Env, error) {
 	return core.NewMeteredEnv(seed, pool)
 }
-
-// MeterFactorCache mirrors the covariance factor cache's hit/miss
-// tallies into reg (see GenerateScenario and the fakequakes kernels).
-func MeterFactorCache(reg *Metrics) { fakequakes.DefaultFactorCache.SetObs(reg) }
 
 // Workflow is one FDW run (a DAGMan with its own schedd identity).
 type Workflow = core.Workflow
@@ -190,7 +185,7 @@ type Scenario = expt.Fig1Products
 // files, loaded when they fit and written otherwise; "" computes them
 // and writes nothing. The scenario's bytes are the same either way.
 func GenerateScenario(seed uint64, targetMw float64, nStations int, recycleDir string) (*Scenario, error) {
-	return expt.Fig1(seed, targetMw, nStations, recycleDir)
+	return expt.Fig1(seed, targetMw, nStations, recycleDir, nil)
 }
 
 // Catalog is the VDC data-services product store.

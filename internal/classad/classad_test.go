@@ -106,7 +106,7 @@ func TestRealisticRequirements(t *testing.T) {
 	req := `(TARGET.Cpus >= MY.RequestCpus) && (TARGET.Memory >= MY.RequestMemory) && (TARGET.HasSingularity == true)`
 	job := Ad{"RequestCpus": Number(4), "RequestMemory": Number(8192)}
 	machine := Ad{"Cpus": Number(8), "Memory": Number(16384), "HasSingularity": Bool(true)}
-	ok, err := EvalBoolCached(req, job, machine)
+	ok, err := EvalBool(req, job, machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRealisticRequirements(t *testing.T) {
 		t.Fatal("matching machine rejected")
 	}
 	weak := Ad{"Cpus": Number(2), "Memory": Number(16384), "HasSingularity": Bool(true)}
-	ok, err = EvalBoolCached(req, job, weak)
+	ok, err = EvalBool(req, job, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,9 @@ func TestRealisticRequirements(t *testing.T) {
 		t.Fatal("undersized machine accepted")
 	}
 	// Machine without the HasSingularity attribute: UNDEFINED == true is
-	// UNDEFINED; EvalBoolCached maps that to false.
+	// UNDEFINED; EvalBool maps that to false.
 	bare := Ad{"Cpus": Number(8), "Memory": Number(16384)}
-	ok, err = EvalBoolCached(req, job, bare)
+	ok, err = EvalBool(req, job, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +324,11 @@ func TestMoreMalformedInputs(t *testing.T) {
 }
 
 func TestEvalBoolPropagatesParseError(t *testing.T) {
-	if _, err := EvalBoolCached("((", nil, nil); err == nil {
-		t.Fatal("EvalBoolCached on malformed input returned nil error")
+	if _, err := EvalBool("((", nil, nil); err == nil {
+		t.Fatal("EvalBool on malformed input returned nil error")
 	}
 	// UNDEFINED maps to false, not an error.
-	ok, err := EvalBoolCached("NoSuchAttr > 4", nil, nil)
+	ok, err := EvalBool("NoSuchAttr > 4", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -537,5 +538,47 @@ func TestWriteArtifactsInvalidConfig(t *testing.T) {
 	cfg.Waveforms = 0
 	if err := WriteArtifacts(cfg, t.TempDir()); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// failOnceWriter fails its first write and accepts every later one.
+type failOnceWriter struct {
+	failed bool
+	bytes.Buffer
+}
+
+func (w *failOnceWriter) Write(p []byte) (int, error) {
+	if !w.failed {
+		w.failed = true
+		return 0, errors.New("disk full")
+	}
+	return w.Buffer.Write(p)
+}
+
+// A user-log write that fails mid-run is reported, not lost: the log
+// keeps its first error, as bufio.Writer does, so the schedd's later
+// appends write nothing and RunBatch returns the error at the final
+// flush.
+func TestRunBatchReportsFailedLogWrite(t *testing.T) {
+	env, err := NewEnv(1, smallPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Waveforms = 2000
+	cfg.Stations = 2
+	cfg.Name = "lossy"
+	var log failOnceWriter
+	w, err := NewWorkflow(cfg, env.Kernel, env.Pool, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RunBatch(env, []*Workflow{w}, 48*3600)
+	if err == nil || err.Error() != "core: flushing lossy user log: disk full" {
+		t.Fatalf("RunBatch error %v, want the failed log write", err)
+	}
+	if _, _, _, _, total := cfg.JobCounts(); w.Schedd.Completed() != total || log.Len() != 0 {
+		t.Fatalf("%d of %d jobs completed, %d log bytes landed after the failed write",
+			w.Schedd.Completed(), total, log.Len())
 	}
 }

@@ -358,7 +358,7 @@ func TestHeadlineShape(t *testing.T) {
 }
 
 func TestFig1Products(t *testing.T) {
-	prod, err := Fig1(3, 8.2, 3, "")
+	prod, err := Fig1(3, 8.2, 3, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFig1Products(t *testing.T) {
 			t.Fatalf("station %s PGD %v", w.Station, w.PGD())
 		}
 	}
-	if _, err := Fig1(3, 8.2, 0, ""); err == nil {
+	if _, err := Fig1(3, 8.2, 0, "", nil); err == nil {
 		t.Fatal("zero stations accepted")
 	}
 }
@@ -381,7 +381,7 @@ func TestFig1Products(t *testing.T) {
 // TestFig1RejectsStationsPastList: a station count above the
 // 121-station list is an error naming the limit, not a silent clamp.
 func TestFig1RejectsStationsPastList(t *testing.T) {
-	_, err := Fig1(3, 8.2, 122, "")
+	_, err := Fig1(3, 8.2, 122, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "121") {
 		t.Fatalf("Fig1 with 122 stations: err = %v, want one naming the 121 limit", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"fdw/internal/fakequakes"
 	"fdw/internal/geom"
+	"fdw/internal/obs"
 	"fdw/internal/sim"
 )
 
@@ -24,7 +25,9 @@ type Fig1Products struct {
 // data products. nStations controls cost (the paper plots a handful;
 // the list has 121). recycleDir goes to
 // fakequakes.RecycleDistanceMatrices, and never changes a product.
-func Fig1(seed uint64, targetMw float64, nStations int, recycleDir string) (*Fig1Products, error) {
+// reg, if non-nil, receives the rupture job's covariance-factor cache
+// counters (fdw_covcache_*).
+func Fig1(seed uint64, targetMw float64, nStations int, recycleDir string, reg *obs.Registry) (*Fig1Products, error) {
 	all := geom.FullChileanStations()
 	if nStations <= 0 || nStations > len(all) {
 		return nil, fmt.Errorf("expt: %d stations requested, want 1 to %d (the Chilean station list)", nStations, len(all))
@@ -46,6 +49,7 @@ func Fig1(seed uint64, targetMw float64, nStations int, recycleDir string) (*Fig
 		return nil, err
 	}
 	gen.Kern = fakequakes.VonKarmanApprox
+	gen.Factors.SetObs(reg)
 	rng := sim.NewRNG(seed)
 	rupture, err := gen.GenerateMw("run000001", targetMw, rng)
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 // single job computes the O(n²) distance matrices once and every
 // parallel rupture job reuses the files (DistanceMatrices), batches of
 // ruptures over the same fault pay the O(n³) factorization once and
-// reuse the factor from this LRU.
+// reuse the factor from this LRU. Each Generator owns one, so the
+// cache lives exactly as long as the rupture job that fills it.
 //
 // Entries are keyed by a hash of everything the covariance depends on:
 // the fault geometry, the correlation kernel, the correlation lengths
@@ -42,16 +43,6 @@ type factorEntry struct {
 	key uint64
 	l   *linalg.Matrix
 }
-
-// DefaultFactorCacheSize bounds the shared cache: with the paper-scale
-// meshes a factor is a few MB (n² float64), so 16 entries stay well
-// under typical per-slot memory.
-const DefaultFactorCacheSize = 16
-
-// DefaultFactorCache is shared by all Generators unless overridden, so
-// concurrent harness runs over the same fault recycle each other's
-// factors. It is safe for concurrent use.
-var DefaultFactorCache = NewFactorCache(DefaultFactorCacheSize)
 
 // NewFactorCache returns an empty LRU holding at most capacity factors.
 func NewFactorCache(capacity int) *FactorCache {
@@ -159,29 +150,11 @@ func faultCovHash(f *geom.Fault) uint64 {
 	return uint64(h)
 }
 
-// covKernelVersion tags every covariance-factor key with the linalg
-// kernel generation whose rounding produced the factor. The blocked
-// Cholesky repin (DESIGN.md §14) changed the factor's bits, so a
-// factor cached under the previous kernel must never satisfy a
-// lookup from the current one — a stale hit would silently break the
-// bit-determinism contract. Bump this whenever kernel rounding changes.
-//
-//	1: unblocked left-looking Cholesky (plain multiply-add)
-//	2: blocked left-looking Cholesky (fused GEMM prefix)
-const covKernelVersion = 2
-
-// covFactorKey identifies one covariance factorization: kernel
-// generation, fault geometry, correlation kernel, correlation lengths,
-// sigma, and the patch's relative layout.
+// covFactorKey identifies one covariance factorization: fault
+// geometry, correlation kernel, correlation lengths, sigma, and the
+// patch's relative layout.
 func covFactorKey(faultHash uint64, kern Kernel, sigmaLn, aS, aD float64, f *geom.Fault, patch []int) uint64 {
-	return covFactorKeyAt(covKernelVersion, faultHash, kern, sigmaLn, aS, aD, f, patch)
-}
-
-// covFactorKeyAt is covFactorKey for an explicit kernel generation;
-// tests use it to reconstruct the keys a pre-repin build wrote.
-func covFactorKeyAt(version uint64, faultHash uint64, kern Kernel, sigmaLn, aS, aD float64, f *geom.Fault, patch []int) uint64 {
 	h := newFNV()
-	h.word(version)
 	h.word(faultHash)
 	h.word(uint64(kern))
 	h.float(sigmaLn)

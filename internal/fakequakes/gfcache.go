@@ -27,14 +27,16 @@ import (
 
 // computeGreensCalls counts ComputeGreens invocations; the recycling
 // tests use it to assert a warm cache run skips Phase B entirely.
+//
+//lint:allow globalstate test-only counter; goes with GFCache when the fq121-gfcache workload is retired
 var computeGreensCalls atomic.Uint64
 
 // gfKernelVersion tags GFFingerprint with the generation of the
-// synthesis arithmetic and of the file layout, mirroring
-// covKernelVersion: if the kernel formulas, their rounding or what a
-// greens_*.npy holds ever change, bumping this orphans every stale
-// file instead of letting it break bit-determinism. Version 1 files
-// held sample kernels; version 2 files hold the parameter table.
+// synthesis arithmetic and of the file layout: if the kernel formulas,
+// their rounding or what a greens_*.npy holds ever change, bumping
+// this orphans every stale file instead of letting it break
+// bit-determinism. Version 1 files held sample kernels; version 2
+// files hold the parameter table.
 const gfKernelVersion = 2
 
 // gfNPYPattern names persisted parameter tables after their

@@ -97,10 +97,10 @@ type Generator struct {
 	MinMw   float64 // target magnitude range, inclusive
 	MaxMw   float64
 	SigmaLn float64 // log-slip standard deviation (MudPy default ≈ 0.9)
-	// Factors recycles slip-covariance Cholesky factors across
-	// scenarios (see FactorCache). NewGenerator wires the shared
-	// DefaultFactorCache; set nil to force a fresh factorization per
-	// scenario.
+	// Factors recycles slip-covariance Cholesky factors across this
+	// Generator's scenarios (see FactorCache). NewGenerator gives it a
+	// 16-entry LRU of its own: at the paper-scale meshes a factor is a
+	// few MB (n² float64), well under typical per-slot memory.
 	Factors   *FactorCache
 	faultHash uint64 // memoized faultCovHash of Fault
 	maxPatch  int    // guard for covariance size; 0 = unlimited
@@ -125,7 +125,7 @@ func NewGenerator(f *geom.Fault, d *DistanceMatrices) (*Generator, error) {
 		MinMw:     7.8,
 		MaxMw:     9.2,
 		SigmaLn:   0.9,
-		Factors:   DefaultFactorCache,
+		Factors:   NewFactorCache(16),
 		faultHash: faultCovHash(f),
 	}, nil
 }
@@ -265,21 +265,14 @@ func (g *Generator) correlatedSlip(patch []int, mw float64, rng *sim.RNG) ([]flo
 	// factorized (same fault, kernel, correlation lengths, patch shape).
 	// The RNG is untouched by the factorization, so hit and miss paths
 	// consume exactly the same variates and scenarios stay bit-identical.
-	var key uint64
-	var l *linalg.Matrix
-	if g.Factors != nil {
-		key = covFactorKey(g.faultHash, g.Kern, g.SigmaLn, aS, aD, f, patch)
-		l, _ = g.Factors.Get(key)
-	}
-	if l == nil {
-		l2, err := g.factorCovariance(patch, aS, aD)
-		if err != nil {
+	key := covFactorKey(g.faultHash, g.Kern, g.SigmaLn, aS, aD, f, patch)
+	l, ok := g.Factors.Get(key)
+	if !ok {
+		var err error
+		if l, err = g.factorCovariance(patch, aS, aD); err != nil {
 			return nil, err
 		}
-		l = l2
-		if g.Factors != nil {
-			g.Factors.Put(key, l)
-		}
+		g.Factors.Put(key, l)
 	}
 	z := make([]float64, n)
 	for i := range z {

@@ -155,5 +155,5 @@ func (j *Job) Matches(machine classad.Ad) (bool, error) {
 	if j.Requirements == "" {
 		return true, nil
 	}
-	return classad.EvalBoolCached(j.Requirements, j.MatchAd(), machine)
+	return classad.EvalBool(j.Requirements, j.MatchAd(), machine)
 }

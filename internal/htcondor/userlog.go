@@ -68,7 +68,10 @@ type JobEvent struct {
 // is written out once it passes userLogFlushBytes, so a million-event
 // run issues kilobyte-scale writes instead of one syscall per event.
 // Call Flush (or run through Pool.RunUntilDone / core.RunBatch, which
-// flush on completion) before reading the underlying writer.
+// flush on completion) before reading the underlying writer. As with
+// bufio.Writer, the first write error sticks: no later text is
+// written, and every later Append and Flush returns that error, so a
+// failure mid-run surfaces at the final flush.
 //
 // The log is a text sink only: it keeps no events in memory, so a log
 // without a writer costs nothing per event. In-process consumers that
@@ -77,6 +80,7 @@ type JobEvent struct {
 type UserLog struct {
 	w   io.Writer
 	buf []byte
+	err error // first write error
 }
 
 // userLogFlushBytes is the buffered-text threshold that triggers a
@@ -90,8 +94,8 @@ func NewUserLog(w io.Writer) *UserLog { return &UserLog{w: w} }
 // Append buffers an event's textual form, flushing to the underlying
 // writer when the buffer is full.
 func (l *UserLog) Append(ev JobEvent) error {
-	if l.w == nil {
-		return nil
+	if l.w == nil || l.err != nil {
+		return l.err
 	}
 	l.buf = appendEventText(l.buf, ev)
 	if len(l.buf) >= userLogFlushBytes {
@@ -100,13 +104,19 @@ func (l *UserLog) Append(ev JobEvent) error {
 	return nil
 }
 
-// Flush writes any buffered event text to the underlying writer.
+// Flush writes any buffered event text to the underlying writer. On
+// a failed or short write the unwritten text stays buffered and the
+// error sticks.
 func (l *UserLog) Flush() error {
-	if l.w == nil || len(l.buf) == 0 {
-		return nil
+	if l.w == nil || l.err != nil || len(l.buf) == 0 {
+		return l.err
 	}
-	_, err := l.w.Write(l.buf)
-	l.buf = l.buf[:0]
+	n, err := l.w.Write(l.buf)
+	if err == nil && n < len(l.buf) {
+		err = io.ErrShortWrite
+	}
+	l.buf = l.buf[:copy(l.buf, l.buf[n:])]
+	l.err = err
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -191,57 +192,69 @@ func TestBlockedCholeskyNotPositiveDefinite(t *testing.T) {
 	}
 }
 
+// mallocs returns the fewest heap allocations f makes over three runs;
+// the minimum discounts an allocation by another goroutine.
+// testing.AllocsPerRun cannot serve: it pins GOMAXPROCS to 1.
+func mallocs(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
 // TestParallelCutoffNeverDispatches pins the size/worker cutoff: at
 // every benchmark-recorded size with one worker, and at small sizes
-// with many workers, the kernels must run inline — zero pool
-// dispatches — so fan-out costs nothing beyond the cutoff comparison
-// where it cannot pay (the pre-blocking parallel Cholesky paid
-// per-column fan-out at GOMAXPROCS=1 and lost 169.6ms vs 156.0ms at
-// n=1024).
+// with many workers, the kernels must run inline, so fan-out costs
+// nothing beyond the cutoff comparison where it cannot pay (the
+// pre-blocking parallel Cholesky paid per-column fan-out at
+// GOMAXPROCS=1 and lost 169.6ms vs 156.0ms at n=1024). A fan-out
+// allocates its par.Each closures and goroutines, so a kernel that
+// runs inline allocates exactly what it does with fan-out off.
 func TestParallelCutoffNeverDispatches(t *testing.T) {
 	recorded := []int{256, 512, 1024}
 	if testing.Short() {
 		recorded = []int{256, 512}
 	}
-	old := runtime.GOMAXPROCS(1)
-	before := poolDispatches.Load()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, n := range recorded {
-		if _, err := Cholesky(spdMatrix(n)); err != nil {
-			t.Fatal(err)
-		}
-		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.Mul(a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.MulVec(a.Row(0)); err != nil {
-			t.Fatal(err)
+		m := spdMatrix(n)
+		off := mallocs(func() { blockedCholesky(m, false) })
+		if on := mallocs(func() { blockedCholesky(m, true) }); on != off {
+			t.Fatalf("n=%d: one-worker Cholesky with fan-out on made %d allocations, %d with it off", n, on, off)
 		}
 	}
-	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("one-worker kernels dispatched %d pool tasks, want 0", got-before)
+	// Below the size cutoffs, up to one short of each, four workers
+	// change nothing.
+	belowCutoff := func() []uint64 {
+		var got []uint64
+		for _, n := range []int{2, 16, 33, parallelCholMinN - 1} {
+			m := spdMatrix(n)
+			got = append(got, mallocs(func() { Cholesky(m) }))
+		}
+		for _, n := range []int{2, 16, 33, 127} { // 127² < parallelFlopCutoff
+			a := randomMatrix(n, n, uint64(n))
+			got = append(got, mallocs(func() { a.MulVec(a.Row(0)) }))
+		}
+		return got
 	}
+	one := belowCutoff()
 	runtime.GOMAXPROCS(4)
-	before = poolDispatches.Load()
-	for _, n := range []int{2, 16, 33} {
-		if _, err := Cholesky(spdMatrix(n)); err != nil {
-			t.Fatal(err)
-		}
-		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.Mul(a); err != nil {
-			t.Fatal(err)
-		}
+	if four := belowCutoff(); !slices.Equal(four, one) {
+		t.Fatalf("below-cutoff Cholesky and MulVec made %v allocations at 4 workers, %v at one", four, one)
 	}
-	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("below-cutoff kernels dispatched %d pool tasks, want 0", got-before)
+	// Sanity: above the cutoffs with several workers, fan-out happens
+	// and the count shows it.
+	m := spdMatrix(300)
+	four := mallocs(func() { Cholesky(m) })
+	runtime.GOMAXPROCS(1)
+	if serial := mallocs(func() { Cholesky(m) }); four <= serial {
+		t.Fatalf("above-cutoff Cholesky made %d allocations at 4 workers, %d at one: no fan-out seen", four, serial)
 	}
-	// Sanity: above the cutoffs with several workers, fan-out happens.
-	if _, err := Cholesky(spdMatrix(300)); err != nil {
-		t.Fatal(err)
-	}
-	if poolDispatches.Load() == before {
-		t.Fatal("above-cutoff Cholesky with 4 workers never reached the pool")
-	}
-	runtime.GOMAXPROCS(old)
 }
 
 // TestBlockedKernelsAcrossGOMAXPROCS extends the bit-identity pin to

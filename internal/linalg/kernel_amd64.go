@@ -48,6 +48,7 @@ var useAsmKern = cpuHasAVX2FMA()
 //lint:allow deadexport fakequakes tests call it to run Phase C synthesis on both kernel paths
 func SetAsmKernels(on bool) bool {
 	was := useAsmKern
+	//lint:allow globalstate a kernel switch, not run state: both paths give the same bits, and only tests flip it
 	useAsmKern = on && cpuHasAVX2FMA()
 	return was
 }

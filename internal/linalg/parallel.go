@@ -13,17 +13,17 @@
 //
 // Cutoff contract: each kernel decides up front whether fan-out can
 // win — enough workers *and* enough arithmetic per dispatch — and
-// otherwise runs inline, dispatching nothing. poolDispatches makes that
-// observable, and the cutoff tests pin it at every benchmark-recorded
-// size, so fan-out can never cost more than the cutoff comparison
-// itself where it cannot pay (the pre-blocking parallel Cholesky lost
-// ~9% at 1024 on one core by paying per-column fan-out that could not
-// pay for itself).
+// otherwise runs inline, dispatching nothing. A dispatch allocates its
+// par.Each closures and goroutines, and the inline path allocates
+// nothing, so the cutoff test pins the contract by heap allocations at
+// every benchmark-recorded size: fan-out can never cost more than the
+// cutoff comparison itself where it cannot pay (the pre-blocking
+// parallel Cholesky lost ~9% at 1024 on one core by paying per-column
+// fan-out that could not pay for itself).
 package linalg
 
 import (
 	"runtime"
-	"sync/atomic"
 
 	"fdw/internal/par"
 )
@@ -49,7 +49,6 @@ func ParallelFor(n, minGrain int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	poolDispatches.Add(1)
 	par.Each(workers, (n+chunk-1)/chunk, func() func(int) error {
 		return func(c int) error {
 			body(c*chunk, min(c*chunk+chunk, n))
@@ -69,9 +68,3 @@ const (
 	// cannot recoup itself.
 	parallelCholMinN = 256
 )
-
-// poolDispatches counts ParallelFor fan-outs that actually dispatched
-// chunks through par.Each (the inline small-n/one-worker path does not
-// count). Tests use it to pin the cutoff contract: kernel calls that
-// cannot win must leave it untouched.
-var poolDispatches atomic.Uint64

@@ -1,5 +1,5 @@
 // Package lint is fdwlint's engine: a small, stdlib-only static
-// analysis framework plus the nine repo-specific analyzers that guard
+// analysis framework plus the ten repo-specific analyzers that guard
 // FDW's determinism, durability, observability, and least-code
 // invariants (DESIGN.md §9).
 //
@@ -26,6 +26,9 @@
 //	              iteration, channel arrival, or goroutine completion.
 //	errdrop     — errors from Close/Flush/Sync/Write/Commit on durable
 //	              write handles, and from os.Rename, must be checked.
+//	globalstate — no package-level sync.Map or sync/atomic var, and no
+//	              package-level var assigned outside its declaration
+//	              and init: caches and counters belong to their run.
 //	deadexport  — every exported identifier and method in internal/...
 //	              must have a non-test caller in the module; the one
 //	              module-wide analyzer.
@@ -122,7 +125,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer, GlobalrandAnalyzer, MaporderAnalyzer, ObsflowAnalyzer,
 		AtomicwriteAnalyzer, SeamguardAnalyzer, FloatorderAnalyzer, ErrdropAnalyzer,
-		DeadexportAnalyzer,
+		GlobalstateAnalyzer, DeadexportAnalyzer,
 	}
 }
 

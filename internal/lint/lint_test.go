@@ -122,6 +122,9 @@ func TestFloatorderClean(t *testing.T) { runGolden(t, "floatorder_clean", Floato
 func TestErrdropBad(t *testing.T)   { runGolden(t, "errdrop_bad", ErrdropAnalyzer) }
 func TestErrdropClean(t *testing.T) { runGolden(t, "errdrop_clean", ErrdropAnalyzer) }
 
+func TestGlobalstateBad(t *testing.T)   { runGolden(t, "globalstate_bad", GlobalstateAnalyzer) }
+func TestGlobalstateClean(t *testing.T) { runGolden(t, "globalstate_clean", GlobalstateAnalyzer) }
+
 // TestDeadexport pins deadexport over a four-package module: dead
 // functions, methods, constants and types are flagged, including ones
 // only tests or their own declaration name, in internal/ and in the

@@ -203,8 +203,8 @@ func (p *Pool) reqMyAttrs(src string) []string {
 		return attrs
 	}
 	var attrs []string
-	if e, err := classad.ParseCached(src); err == nil {
-		attrs, _ = classad.ReferencedAttrs(e)
+	if e, err := classad.Parse(src); err == nil {
+		attrs = classad.ReferencedAttrs(e)
 	}
 	p.reqAttrs[src] = attrs
 	return attrs
