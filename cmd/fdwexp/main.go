@@ -254,6 +254,14 @@ func parseShardSpec(s string) (index, total int, err error) {
 	return index, total, nil
 }
 
+// checkCells rejects a negative -cells budget (0 means no budget).
+func checkCells(n int) error {
+	if n < 0 {
+		return usageErrorf("bad -cells %d, want >= 0", n)
+	}
+	return nil
+}
+
 // shardBundlePath is the conventional manifest name for a shard.
 func shardBundlePath(dir, campaign string, index, total int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.shard%dof%d.json", campaign, index, total))
@@ -265,6 +273,9 @@ func shardBundlePath(dir, campaign string, index, total int) string {
 func runShardCmd(opt fdw.ExperimentOptions, spec, campaign, dir string, maxCells int, resume bool) error {
 	index, total, err := parseShardSpec(spec)
 	if err != nil {
+		return err
+	}
+	if err := checkCells(maxCells); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -313,6 +324,9 @@ func parseSchedSpec(s string) (int, error) {
 func runSchedCmd(opt fdw.ExperimentOptions, so schedOpts, campaign string) error {
 	n, err := parseSchedSpec(so.spec)
 	if err != nil {
+		return err
+	}
+	if err := checkCells(so.cells); err != nil {
 		return err
 	}
 	wplan, err := faults.WorkerPlanByName(so.plan)

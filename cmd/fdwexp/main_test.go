@@ -314,6 +314,21 @@ func TestSchedBudgetResumeCLI(t *testing.T) {
 	}
 }
 
+// A negative -cells budget is a usage error under -shard and -sched,
+// raised before any cell runs or any bundle is written.
+func TestNegativeCellsIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	if err := runShardCmd(quickOpt(), "1/2", "fig2", dir, -1, false); exitCode(err) != 2 {
+		t.Errorf("-shard -cells -1: err %v (exit %d), want exit 2", err, exitCode(err))
+	}
+	if err := runSchedCmd(quickOpt(), schedOpts{spec: "workers=2", steal: true, dir: dir, cells: -1}, "fig2"); exitCode(err) != 2 {
+		t.Errorf("-sched -cells -1: err %v (exit %d), want exit 2", err, exitCode(err))
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("bundle dir after rejected runs: %v %v, want empty", ents, err)
+	}
+}
+
 // -status with an unreadable bundle reports it and exits 1; an unknown
 // crash plan is a usage error.
 func TestSchedCLIErrors(t *testing.T) {

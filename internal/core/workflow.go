@@ -94,7 +94,7 @@ func NewWorkflow(cfg Config, k *sim.Kernel, pool *ospool.Pool, logW io.Writer) (
 	if err != nil {
 		return nil, err
 	}
-	w.Exec.Obs = pool.Obs()
+	w.Exec.SetObs(pool.Obs())
 	return w, nil
 }
 

@@ -1,9 +1,9 @@
-// Package dagman reimplements HTCondor's DAGMan workflow engine:
-// DAG-description files (JOB / PARENT..CHILD / VARS / RETRY / CATEGORY
-// / MAXJOBS), an executor that submits node jobs to a schedd as their
-// dependencies resolve, per-category throttles, retries, and rescue-DAG
-// generation. FDW is three such nodes (phases A, B, C) fanned out over
-// thousands of jobs.
+// Package dagman reimplements the part of HTCondor's DAGMan workflow
+// engine FDW uses: DAG-description files (JOB [DONE] / PARENT..CHILD /
+// RETRY), an executor that submits node jobs to a schedd as their
+// dependencies resolve, retries, and rescue-DAG generation. FDW is
+// three such nodes (phases A, B, C) fanned out over thousands of jobs;
+// the submission throttle is the schedd's MaxIdleSubmit.
 package dagman
 
 import (
@@ -18,28 +18,23 @@ import (
 // Node is one DAG vertex.
 type Node struct {
 	Name       string
-	SubmitFile string            // referenced submit-description name
-	Vars       map[string]string // VARS key/value macros
+	SubmitFile string // referenced submit-description name
 	Parents    []string
 	Children   []string
-	Retry      int    // extra attempts after a failure
-	Category   string // throttling category ("" = none)
-	Done       bool   // pre-marked DONE (rescue DAGs)
-	PreScript  string // SCRIPT PRE command line ("" = none)
-	PostScript string // SCRIPT POST command line ("" = none)
+	Retry      int  // extra attempts after a failure
+	Done       bool // pre-marked DONE (rescue DAGs)
 }
 
 // DAG is a parsed workflow graph.
 type DAG struct {
 	Nodes    map[string]*Node
-	Order    []string       // declaration order
-	MaxJobs  map[string]int // category → max concurrently active nodes
+	Order    []string // declaration order
 	Comments []string
 }
 
 // NewDAG returns an empty DAG.
 func NewDAG() *DAG {
-	return &DAG{Nodes: map[string]*Node{}, MaxJobs: map[string]int{}}
+	return &DAG{Nodes: map[string]*Node{}}
 }
 
 // AddNode inserts a node; duplicate names are an error.
@@ -49,9 +44,6 @@ func (d *DAG) AddNode(n *Node) error {
 	}
 	if _, dup := d.Nodes[n.Name]; dup {
 		return fmt.Errorf("dagman: duplicate node %q", n.Name)
-	}
-	if n.Vars == nil {
-		n.Vars = map[string]string{}
 	}
 	d.Nodes[n.Name] = n
 	d.Order = append(d.Order, n.Name)
@@ -136,11 +128,14 @@ func Parse(r io.Reader) (*DAG, error) {
 		}
 		switch cmd {
 		case "JOB":
-			if len(fields) < 3 {
-				return nil, fail("JOB needs name and submit file")
+			if len(fields) < 3 || len(fields) > 4 {
+				return nil, fail("JOB needs name, submit file and optional DONE")
 			}
-			n := &Node{Name: fields[1], SubmitFile: fields[2], Vars: map[string]string{}}
-			if len(fields) == 4 && strings.EqualFold(fields[3], "DONE") {
+			n := &Node{Name: fields[1], SubmitFile: fields[2]}
+			if len(fields) == 4 {
+				if !strings.EqualFold(fields[3], "DONE") {
+					return nil, fail("JOB %s: %q is not DONE", fields[1], fields[3])
+				}
 				n.Done = true
 			}
 			if err := d.AddNode(n); err != nil {
@@ -164,18 +159,6 @@ func Parse(r io.Reader) (*DAG, error) {
 					}
 				}
 			}
-		case "VARS":
-			if len(fields) < 3 {
-				return nil, fail("VARS needs node and assignments")
-			}
-			n, ok := d.Nodes[fields[1]]
-			if !ok {
-				return nil, fail("VARS for unknown node %q", fields[1])
-			}
-			rest := strings.TrimSpace(line[strings.Index(line, fields[1])+len(fields[1]):])
-			if err := parseVars(n, rest); err != nil {
-				return nil, fail("%v", err)
-			}
 		case "RETRY":
 			if len(fields) != 3 {
 				return nil, fail("RETRY needs node and count")
@@ -189,74 +172,17 @@ func Parse(r io.Reader) (*DAG, error) {
 				return nil, fail("bad RETRY count %q", fields[2])
 			}
 			n.Retry = v
-		case "CATEGORY":
-			if len(fields) != 3 {
-				return nil, fail("CATEGORY needs node and name")
-			}
-			n, ok := d.Nodes[fields[1]]
-			if !ok {
-				return nil, fail("CATEGORY for unknown node %q", fields[1])
-			}
-			n.Category = fields[2]
-		case "SCRIPT":
-			if len(fields) < 4 {
-				return nil, fail("SCRIPT needs PRE|POST, node, and command")
-			}
-			n, ok := d.Nodes[fields[2]]
-			if !ok {
-				return nil, fail("SCRIPT for unknown node %q", fields[2])
-			}
-			cmdline := strings.Join(fields[3:], " ")
-			switch strings.ToUpper(fields[1]) {
-			case "PRE":
-				n.PreScript = cmdline
-			case "POST":
-				n.PostScript = cmdline
-			default:
-				return nil, fail("SCRIPT kind %q must be PRE or POST", fields[1])
-			}
-		case "MAXJOBS":
-			if len(fields) != 3 {
-				return nil, fail("MAXJOBS needs category and limit")
-			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil || v <= 0 {
-				return nil, fail("bad MAXJOBS limit %q", fields[2])
-			}
-			d.MaxJobs[fields[1]] = v
 		default:
 			return nil, fail("unknown command %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dagman: line %d: %w", lineNo+1, err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// parseVars handles `key="value" key2="value2"` assignments.
-func parseVars(n *Node, s string) error {
-	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
-		eq := strings.Index(s, "=")
-		if eq <= 0 {
-			return fmt.Errorf("malformed VARS near %q", s)
-		}
-		key := strings.TrimSpace(s[:eq])
-		rest := strings.TrimSpace(s[eq+1:])
-		if !strings.HasPrefix(rest, `"`) {
-			return fmt.Errorf("VARS value for %q must be quoted", key)
-		}
-		end := strings.Index(rest[1:], `"`)
-		if end < 0 {
-			return fmt.Errorf("unterminated VARS value for %q", key)
-		}
-		n.Vars[key] = rest[1 : 1+end]
-		s = rest[end+2:]
-	}
-	return nil
 }
 
 // Write renders the DAG back to DAGMan syntax.
@@ -275,49 +201,10 @@ func (d *DAG) Write(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "JOB %s %s%s\n", n.Name, n.SubmitFile, suffix); err != nil {
 			return err
 		}
-		if len(n.Vars) > 0 {
-			keys := make([]string, 0, len(n.Vars))
-			for k := range n.Vars {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			parts := make([]string, len(keys))
-			for i, k := range keys {
-				parts[i] = fmt.Sprintf("%s=%q", k, n.Vars[k])
-			}
-			if _, err := fmt.Fprintf(w, "VARS %s %s\n", n.Name, strings.Join(parts, " ")); err != nil {
-				return err
-			}
-		}
 		if n.Retry > 0 {
 			if _, err := fmt.Fprintf(w, "RETRY %s %d\n", n.Name, n.Retry); err != nil {
 				return err
 			}
-		}
-		if n.Category != "" {
-			if _, err := fmt.Fprintf(w, "CATEGORY %s %s\n", n.Name, n.Category); err != nil {
-				return err
-			}
-		}
-		if n.PreScript != "" {
-			if _, err := fmt.Fprintf(w, "SCRIPT PRE %s %s\n", n.Name, n.PreScript); err != nil {
-				return err
-			}
-		}
-		if n.PostScript != "" {
-			if _, err := fmt.Fprintf(w, "SCRIPT POST %s %s\n", n.Name, n.PostScript); err != nil {
-				return err
-			}
-		}
-	}
-	cats := make([]string, 0, len(d.MaxJobs))
-	for c := range d.MaxJobs {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	for _, c := range cats {
-		if _, err := fmt.Fprintf(w, "MAXJOBS %s %d\n", c, d.MaxJobs[c]); err != nil {
-			return err
 		}
 	}
 	for _, name := range d.Order {

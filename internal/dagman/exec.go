@@ -39,14 +39,9 @@ func (s NodeState) String() string {
 }
 
 // JobFactory materializes the jobs for a node. FDW supplies one that
-// expands the node's submit description with its VARS; tests supply
+// builds the node's phase jobs from its workflow config; tests supply
 // synthetic jobs. A factory error fails the node.
 type JobFactory func(n *Node) ([]*htcondor.Job, error)
-
-// ScriptRunner executes a node's SCRIPT PRE/POST command line. A nil
-// runner treats every script as an immediate success; a non-nil error
-// fails the node (triggering RETRY, as DAGMan does).
-type ScriptRunner func(n *Node, kind, cmdline string) error
 
 // Executor runs a DAG against a schedd. One Executor corresponds to one
 // `condor_submit_dag` invocation in the paper; the concurrent-DAGMans
@@ -60,11 +55,7 @@ type Executor struct {
 	schedd  *htcondor.Schedd
 	factory JobFactory
 
-	// Scripts runs SCRIPT PRE/POST command lines (nil = always succeed).
-	Scripts ScriptRunner
-
 	state    map[string]*nodeRun
-	active   map[string]int // category → active node count
 	finished int
 	failed   int
 	inflight int // nodes currently NodeSubmitted
@@ -78,11 +69,7 @@ type Executor struct {
 	// being absent.
 	RetryDelay func(node string, attempt int) sim.Time
 
-	// Obs, if set, receives node-lifecycle metrics (ready/running/done
-	// counts, retries, rescue writes). Purely passive: scheduling
-	// decisions never consult it.
-	Obs *obs.Registry
-	met execMetrics // handles resolved from Obs, rebuilt when it changes
+	met *execMetrics // node-lifecycle metric handles; nil when obs is off
 
 	StartTime sim.Time
 	EndTime   sim.Time
@@ -116,7 +103,6 @@ func NewExecutor(name string, d *DAG, k *sim.Kernel, schedd *htcondor.Schedd, fa
 		schedd:  schedd,
 		factory: factory,
 		state:   map[string]*nodeRun{},
-		active:  map[string]int{},
 	}
 	for _, nodeName := range d.Order {
 		e.state[nodeName] = &nodeRun{node: d.Nodes[nodeName]}
@@ -126,10 +112,8 @@ func NewExecutor(name string, d *DAG, k *sim.Kernel, schedd *htcondor.Schedd, fa
 }
 
 // execMetrics caches the executor's metric handles so the node-lifecycle
-// hot path skips the registry's name+label map lookups. Obs is a public
-// field assigned after construction, so handles resolve lazily and are
-// rebuilt whenever the registry pointer changes. The per-node retry
-// counters are keyed by node name and filled on first use.
+// hot path skips the registry's name+label map lookups. The per-node
+// retry counters are keyed by node name and filled on first use.
 type execMetrics struct {
 	reg *obs.Registry
 
@@ -139,35 +123,35 @@ type execMetrics struct {
 	nodeRetries                             map[string]*obs.Counter
 }
 
-// metrics returns the cached handle set, or nil when Obs is unset.
-func (e *Executor) metrics() *execMetrics {
-	if e.Obs == nil {
-		return nil
+// SetObs attaches a metrics registry for node-lifecycle metrics
+// (ready/running/done counts, retries, rescue writes); nil turns them
+// off. Instrument handles are resolved once here rather than per
+// event. Purely passive: scheduling decisions never consult it.
+func (e *Executor) SetObs(r *obs.Registry) {
+	if r == nil {
+		e.met = nil
+		return
 	}
-	if e.met.reg != e.Obs {
-		r := e.Obs
-		e.met = execMetrics{
-			reg:          r,
-			running:      r.Gauge("fdw_dagman_nodes_running", "dag", e.Name),
-			done:         r.Gauge("fdw_dagman_nodes_done", "dag", e.Name),
-			failed:       r.Gauge("fdw_dagman_nodes_failed", "dag", e.Name),
-			pending:      r.Gauge("fdw_dagman_nodes_pending", "dag", e.Name),
-			submissions:  r.Counter("fdw_dagman_node_submissions_total", "dag", e.Name),
-			retries:      r.Counter("fdw_dagman_retries_total", "dag", e.Name),
-			failures:     r.Counter("fdw_dagman_node_failures_total", "dag", e.Name),
-			rescues:      r.Counter("fdw_dagman_rescue_writes_total", "dag", e.Name),
-			retryBackoff: r.Histogram("fdw_dagman_retry_backoff_seconds", "dag", e.Name),
-			nodeRetries:  map[string]*obs.Counter{},
-		}
+	e.met = &execMetrics{
+		reg:          r,
+		running:      r.Gauge("fdw_dagman_nodes_running", "dag", e.Name),
+		done:         r.Gauge("fdw_dagman_nodes_done", "dag", e.Name),
+		failed:       r.Gauge("fdw_dagman_nodes_failed", "dag", e.Name),
+		pending:      r.Gauge("fdw_dagman_nodes_pending", "dag", e.Name),
+		submissions:  r.Counter("fdw_dagman_node_submissions_total", "dag", e.Name),
+		retries:      r.Counter("fdw_dagman_retries_total", "dag", e.Name),
+		failures:     r.Counter("fdw_dagman_node_failures_total", "dag", e.Name),
+		rescues:      r.Counter("fdw_dagman_rescue_writes_total", "dag", e.Name),
+		retryBackoff: r.Histogram("fdw_dagman_retry_backoff_seconds", "dag", e.Name),
+		nodeRetries:  map[string]*obs.Counter{},
 	}
-	return &e.met
 }
 
 // nodeRetry returns the per-node retry counter, resolving it once.
 func (m *execMetrics) nodeRetry(dag, node string) *obs.Counter {
 	c, ok := m.nodeRetries[node]
 	if !ok {
-		//lint:allow seamguard reachable only via metrics(), which returns nil unless Obs (and so reg) is set
+		//lint:allow seamguard SetObs builds an execMetrics only around a non-nil registry
 		c = m.reg.Counter("fdw_dagman_node_retries_total", "dag", dag, "node", node)
 		m.nodeRetries[node] = c
 	}
@@ -176,7 +160,7 @@ func (m *execMetrics) nodeRetry(dag, node string) *obs.Counter {
 
 // nodeGauges refreshes the node-progress gauges.
 func (e *Executor) nodeGauges() {
-	m := e.metrics()
+	m := e.met
 	if m == nil {
 		return
 	}
@@ -248,8 +232,8 @@ func (e *Executor) ready(n *Node) bool {
 	return true
 }
 
-// dispatchReady submits every waiting node whose parents are done,
-// honoring category throttles, in declaration order.
+// dispatchReady submits every waiting node whose parents are done, in
+// declaration order.
 func (e *Executor) dispatchReady() {
 	for _, name := range e.dag.Order {
 		nr := e.state[name]
@@ -263,26 +247,15 @@ func (e *Executor) dispatchReady() {
 			continue
 		}
 		nr.state = NodeReady
-		if cat := nr.node.Category; cat != "" {
-			if limit, ok := e.dag.MaxJobs[cat]; ok && e.active[cat] >= limit {
-				continue
-			}
-		}
 		e.submitNode(nr)
 	}
 }
 
 func (e *Executor) submitNode(nr *nodeRun) {
 	nr.attempts++
-	if nr.node.PreScript != "" && e.Scripts != nil {
-		if err := e.Scripts(nr.node, "PRE", nr.node.PreScript); err != nil {
-			e.failNodeAttempted(nr)
-			return
-		}
-	}
 	jobs, err := e.factory(nr.node)
 	if err != nil || len(jobs) == 0 {
-		e.failNodeAttempted(nr)
+		e.failNode(nr)
 		return
 	}
 	cluster, err := e.schedd.Submit(jobs)
@@ -295,28 +268,21 @@ func (e *Executor) submitNode(nr *nodeRun) {
 	nr.remaining = len(jobs)
 	nr.state = NodeSubmitted
 	e.inflight++
-	if cat := nr.node.Category; cat != "" {
-		e.active[cat]++
-	}
-	if m := e.metrics(); m != nil {
+	if m := e.met; m != nil {
 		m.submissions.Inc()
 		e.nodeGauges()
 	}
 }
 
-// failNode handles a failure after jobs ran (attempts already counted
-// by submitNode).
-func (e *Executor) failNode(nr *nodeRun) { e.failNodeAttempted(nr) }
-
-// failNodeAttempted retries the node if budget remains, else fails it.
-func (e *Executor) failNodeAttempted(nr *nodeRun) {
+// failNode handles a failed attempt (counted by submitNode): it
+// retries the node if budget remains, else fails it.
+func (e *Executor) failNode(nr *nodeRun) {
 	if nr.attempts <= nr.node.Retry {
 		// Retry: requeue the node as ready rather than resubmitting
-		// directly, so the attempt goes back through dispatchReady and
-		// honors the category MAXJOBS throttle (and declaration-order
-		// fairness) like any other dispatch.
+		// directly, so the attempt goes back through dispatchReady in
+		// declaration order like any other dispatch.
 		nr.retries++
-		if m := e.metrics(); m != nil {
+		if m := e.met; m != nil {
 			m.retries.Inc()
 			m.nodeRetry(e.Name, nr.node.Name).Inc()
 		}
@@ -327,11 +293,11 @@ func (e *Executor) failNodeAttempted(nr *nodeRun) {
 		}
 		if delay > 0 {
 			// Backoff: hold the node out of dispatch until the delay
-			// elapses, then requeue through the normal throttle path. A
-			// held node still counts as dispatchable, so checkComplete
-			// keeps the DAG alive until the timer fires.
+			// elapses, then requeue through dispatchReady. A held node
+			// still counts as dispatchable, so checkComplete keeps the
+			// DAG alive until the timer fires.
 			nr.held = true
-			if m := e.metrics(); m != nil {
+			if m := e.met; m != nil {
 				m.retryBackoff.Observe(float64(delay))
 			}
 			e.kernel.After(delay, func() {
@@ -345,15 +311,10 @@ func (e *Executor) failNodeAttempted(nr *nodeRun) {
 	}
 	nr.state = NodeFailed
 	e.failed++
-	if m := e.metrics(); m != nil {
+	if m := e.met; m != nil {
 		m.failures.Inc()
 		e.nodeGauges()
 	}
-	// A permanent failure releases its category slot: siblings throttled
-	// behind this node must be dispatched now, or the DAG would hang with
-	// checkComplete seeing them dispatchable while nothing ever submits
-	// them.
-	e.dispatchReady()
 	e.checkComplete()
 }
 
@@ -375,14 +336,6 @@ func (e *Executor) onJobEvent(j *htcondor.Job, ev htcondor.EventType) {
 		}
 		// Node finished: all jobs terminated.
 		e.inflight--
-		if cat := nr.node.Category; cat != "" {
-			e.active[cat]--
-		}
-		if nr.failures == 0 && nr.node.PostScript != "" && e.Scripts != nil {
-			if err := e.Scripts(nr.node, "POST", nr.node.PostScript); err != nil {
-				nr.failures++
-			}
-		}
 		if nr.failures > 0 {
 			nr.failures = 0
 			e.failNode(nr)
@@ -444,7 +397,7 @@ func (e *Executor) anyDispatchable() bool {
 //
 //lint:allow deadexport rescue DAG writer; file format kept for the ROADMAP emit→parse item, which gives it a production caller
 func (e *Executor) WriteRescue(w io.Writer) error {
-	if m := e.metrics(); m != nil {
+	if m := e.met; m != nil {
 		m.rescues.Inc()
 	}
 	rescue := NewDAG()
@@ -455,11 +408,7 @@ func (e *Executor) WriteRescue(w io.Writer) error {
 		n := &Node{
 			Name:       orig.Name,
 			SubmitFile: orig.SubmitFile,
-			Vars:       orig.Vars,
 			Retry:      orig.Retry,
-			Category:   orig.Category,
-			PreScript:  orig.PreScript,
-			PostScript: orig.PostScript,
 			Done:       e.state[name].state == NodeDone,
 		}
 		if err := rescue.AddNode(n); err != nil {
@@ -472,9 +421,6 @@ func (e *Executor) WriteRescue(w io.Writer) error {
 				return err
 			}
 		}
-	}
-	for c, v := range e.dag.MaxJobs {
-		rescue.MaxJobs[c] = v
 	}
 	return rescue.Write(w)
 }

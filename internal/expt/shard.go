@@ -46,6 +46,9 @@ type ShardRun struct {
 // checkpoint). It returns the final manifest; the error is
 // ErrIncomplete when a MaxCells budget stopped the run early.
 func RunShard(opt Options, run ShardRun) (*CampaignManifest, error) {
+	if run.MaxCells < 0 {
+		return nil, fmt.Errorf("expt: negative cell budget %d", run.MaxCells)
+	}
 	h, err := OpenCampaign(run.Campaign, opt)
 	if err != nil {
 		return nil, err

@@ -222,6 +222,19 @@ func TestShardKillResumeConverges(t *testing.T) {
 
 // Corrupted, truncated, or mismatched manifests are rejected rather
 // than silently merged or resumed.
+// A negative MaxCells is rejected before any cell runs, as
+// sched.Config rejects it; it does not mean "no budget".
+func TestRunShardRejectsNegativeBudget(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "m.json")
+	m, err := RunShard(shardTestOptions(), ShardRun{Campaign: "fig2", Index: 1, Total: 2, Path: p, MaxCells: -1})
+	if err == nil || m != nil {
+		t.Fatalf("MaxCells -1: err %v, manifest returned %v; want a rejection", err, m != nil)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("rejected run wrote %s (stat err %v)", p, err)
+	}
+}
+
 func TestShardManifestRejection(t *testing.T) {
 	const name = "fig2"
 	opt := shardTestOptions()
