@@ -7,11 +7,13 @@ import (
 )
 
 // workflowAllocs is what one 1,600-waveform DAGMan allocates, start to
-// finish (go1.24, linux/amd64; the race detector adds a few). Per job
-// that is the Job itself, its arguments string and the pool's events
-// and claim closures; a per-job fmt.Sprintf or signature string would
-// add another 1,600 or more.
-const workflowAllocs = 7930
+// finish (go1.24, linux/amd64; the race detector adds a few). Nothing
+// is allocated per job: jobs come in chunks of 64 with their arguments
+// sliced from one string per phase, events in chunks of 128, and each
+// glidein builds its callbacks once. Most of what is left is per
+// glidein (the pilot, two callbacks, its host name); a per-job
+// allocation anywhere would add another 1,600 or more.
+const workflowAllocs = 2630
 
 // TestWorkflowAllocs guards the allocation-lean pool path (DESIGN.md
 // §12): a 1,600-waveform DAGMan may allocate at most 10 % more than

@@ -43,7 +43,7 @@ func BenchmarkFig2QuantitySweep(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("fig2", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("fig2"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkFig3ConcurrentDAGMans(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("fig3", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("fig3"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkFig4JobTimeSeries(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("fig4", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("fig4"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkFig5Bursting(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("fig5", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("fig5"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkFig6BurstingCost(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("fig6", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("fig6"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func BenchmarkHeadlineSpeedup(b *testing.B) {
 	opt.Scale = 0.1
 	for i := 0; i < b.N; i++ {
 		opt.Seeds = []uint64{uint64(11 + i)}
-		if _, err := expt.Run("headline", opt); err != nil {
+		if _, err := expt.NewSession(opt).Run("headline"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -450,28 +450,35 @@ func writeCSVs(dir string, csvs ...expt.CSV) error {
 var allExperiments = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "headline", "ablate", "policy3", "elastic"}
 
 // dispatch runs fig1, a name list, or one registered experiment and
-// writes the experiment's declared CSV files under csvDir.
+// writes the experiment's declared CSV files under csvDir. Every
+// campaign it runs shares one expt.Session, so "all" builds the
+// Fig. 5/6 batch traces once.
 func dispatch(cmd string, opt fdw.ExperimentOptions, csvDir string) error {
+	return dispatchIn(expt.NewSession(opt), cmd, opt, csvDir)
+}
+
+// dispatchIn is dispatch within session s, which runs under opt.
+func dispatchIn(s *expt.Session, cmd string, opt fdw.ExperimentOptions, csvDir string) error {
 	switch cmd {
 	case "fig1":
 		return runFig1(opt.Out, opt.Obs)
 	case "ablate":
 		for _, c := range []string{"ablate-recycling", "ablate-stash", "ablate-fanout", "ablate-churn"} {
-			if err := dispatch(c, opt, csvDir); err != nil {
+			if err := dispatchIn(s, c, opt, csvDir); err != nil {
 				return err
 			}
 		}
 		return nil
 	case "all":
 		for _, c := range allExperiments {
-			if err := dispatch(c, opt, csvDir); err != nil {
+			if err := dispatchIn(s, c, opt, csvDir); err != nil {
 				return fmt.Errorf("%s: %w", c, err)
 			}
 			fmt.Fprintln(opt.Out)
 		}
 		return nil
 	}
-	res, err := expt.Run(cmd, opt)
+	res, err := s.Run(cmd)
 	if err != nil {
 		return err
 	}

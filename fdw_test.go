@@ -181,7 +181,7 @@ func TestEnabledRecoveryOnCleanRun(t *testing.T) {
 	opt := fdw.DefaultExperimentOptions()
 	opt.Scale = 0.002
 	opt.Seeds = []uint64{11}
-	res, err := expt.Run("chaos", opt)
+	res, err := expt.NewSession(opt).Run("chaos")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"fdw/internal/htcondor"
 	"fdw/internal/sim"
@@ -114,6 +115,11 @@ func phaseJob(cfg Config, phase Phase) (int, htcondor.Job, error) {
 	return n, j, nil
 }
 
+// jobChunk is how many jobs buildJobs carves from one allocation. One
+// slab per phase instead raised peak memory for no speed (DESIGN.md
+// §12).
+const jobChunk = 64
+
 // buildJobs materializes the OSG jobs for one phase of cfg's workflow.
 // Per-job variation (±10% truncated normal) models input-dependent
 // cost differences; the pool adds site-speed and scheduling variation
@@ -124,18 +130,33 @@ func buildJobs(cfg Config, phase Phase, owner string, rng *sim.RNG) ([]*htcondor
 		return nil, err
 	}
 	base := nominal.BaseExecSeconds
+	// Each job's arguments, "--batch <name> --task <i>", are a slice of
+	// one string that holds the whole phase's.
+	prefix := "--batch " + cfg.Name + " --task "
+	var digits [20]byte
+	var all strings.Builder
+	all.Grow(n * (len(prefix) + len(strconv.AppendInt(digits[:0], int64(n), 10))))
+	for i := 0; i < n; i++ {
+		all.WriteString(prefix)
+		all.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	args := all.String()
 	jobs := make([]*htcondor.Job, n)
-	// "--batch <name> --task <i>": the prefix is shared by the phase,
-	// so each job's arguments cost one string allocation.
-	args := []byte("--batch " + cfg.Name + " --task ")
-	prefix := len(args)
+	var chunk []htcondor.Job
+	off := 0
 	for i := range jobs {
-		j := nominal
+		if len(chunk) == 0 {
+			chunk = make([]htcondor.Job, min(jobChunk, n-i))
+		}
+		j := &chunk[0]
+		chunk = chunk[1:]
+		*j = nominal
 		j.Owner = owner
-		args = strconv.AppendInt(args[:prefix], int64(i), 10)
-		j.Arguments = string(args)
+		end := off + len(prefix) + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		j.Arguments = args[off:end]
+		off = end
 		j.BaseExecSeconds = rng.TruncNormal(base, base*0.05, base*0.9, base*1.1)
-		jobs[i] = &j
+		jobs[i] = j
 	}
 	return jobs, nil
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Node is one DAG vertex.
@@ -37,31 +38,58 @@ func NewDAG() *DAG {
 	return &DAG{Nodes: map[string]*Node{}}
 }
 
-// AddNode inserts a node; duplicate names are an error.
+// AddNode inserts a node. Duplicate names are an error, and so is any
+// node Write could not render back into a file Parse reads: a name or
+// submit file that is empty or holds whitespace, or a node named
+// PARENT or CHILD (in any case).
 func (d *DAG) AddNode(n *Node) error {
-	if n.Name == "" {
-		return fmt.Errorf("dagman: node with empty name")
+	if err := d.addNode(n); err != nil {
+		return fmt.Errorf("dagman: %w", err)
+	}
+	return nil
+}
+
+// AddEdge records parent → child.
+func (d *DAG) AddEdge(parent, child string) error {
+	if err := d.addEdge(parent, child); err != nil {
+		return fmt.Errorf("dagman: %w", err)
+	}
+	return nil
+}
+
+// addNode is AddNode without the package prefix, which Parse replaces
+// with its line number.
+func (d *DAG) addNode(n *Node) error {
+	switch {
+	case n.Name == "":
+		return fmt.Errorf("node with empty name")
+	case strings.IndexFunc(n.Name, unicode.IsSpace) >= 0:
+		return fmt.Errorf("node %q: name holds whitespace", n.Name)
+	case strings.EqualFold(n.Name, "PARENT") || strings.EqualFold(n.Name, "CHILD"):
+		return fmt.Errorf("node %q: name is a DAG keyword", n.Name)
+	case n.SubmitFile == "" || strings.IndexFunc(n.SubmitFile, unicode.IsSpace) >= 0:
+		return fmt.Errorf("node %q: submit file %q is empty or holds whitespace", n.Name, n.SubmitFile)
 	}
 	if _, dup := d.Nodes[n.Name]; dup {
-		return fmt.Errorf("dagman: duplicate node %q", n.Name)
+		return fmt.Errorf("duplicate node %q", n.Name)
 	}
 	d.Nodes[n.Name] = n
 	d.Order = append(d.Order, n.Name)
 	return nil
 }
 
-// AddEdge records parent → child.
-func (d *DAG) AddEdge(parent, child string) error {
+// addEdge is AddEdge without the package prefix.
+func (d *DAG) addEdge(parent, child string) error {
 	p, ok := d.Nodes[parent]
 	if !ok {
-		return fmt.Errorf("dagman: unknown parent %q", parent)
+		return fmt.Errorf("unknown parent %q", parent)
 	}
 	c, ok := d.Nodes[child]
 	if !ok {
-		return fmt.Errorf("dagman: unknown child %q", child)
+		return fmt.Errorf("unknown child %q", child)
 	}
 	if parent == child {
-		return fmt.Errorf("dagman: self edge on %q", parent)
+		return fmt.Errorf("self edge on %q", parent)
 	}
 	p.Children = append(p.Children, child)
 	c.Parents = append(c.Parents, parent)
@@ -138,7 +166,7 @@ func Parse(r io.Reader) (*DAG, error) {
 				}
 				n.Done = true
 			}
-			if err := d.AddNode(n); err != nil {
+			if err := d.addNode(n); err != nil {
 				return nil, fail("%v", err)
 			}
 		case "PARENT":
@@ -154,7 +182,7 @@ func Parse(r io.Reader) (*DAG, error) {
 			}
 			for _, p := range fields[1:idx] {
 				for _, c := range fields[idx+1:] {
-					if err := d.AddEdge(p, c); err != nil {
+					if err := d.addEdge(p, c); err != nil {
 						return nil, fail("%v", err)
 					}
 				}

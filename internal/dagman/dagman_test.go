@@ -2,8 +2,10 @@ package dagman
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,10 +52,11 @@ var parseErrorCases = []struct{ name, src, want string }{
 	{"short JOB", "JOB only\n", "dagman: line 1: JOB"},
 	{"JOB trailing token", "JOB a x.sub bogus\n", "dagman: line 1: JOB"},
 	{"JOB token after DONE", "JOB a x.sub DONE extra\n", "dagman: line 1: JOB"},
-	{"dup node", "JOB a x.sub\nJOB a y.sub\n", "dagman: line 2: "},
-	{"unknown parent", "JOB a x.sub\nPARENT b CHILD a\n", "dagman: line 2: "},
-	{"unknown child", "JOB a x.sub\nPARENT a CHILD b\n", "dagman: line 2: "},
-	{"self edge", "JOB a x.sub\nPARENT a CHILD a\n", "dagman: line 2: "},
+	{"dup node", "JOB a x.sub\nJOB a y.sub\n", `dagman: line 2: duplicate node "a"`},
+	{"keyword node", "JOB child x.sub\n", `dagman: line 1: node "child": name is a DAG keyword`},
+	{"unknown parent", "JOB a x.sub\nPARENT b CHILD a\n", `dagman: line 2: unknown parent "b"`},
+	{"unknown child", "JOB a x.sub\nPARENT a CHILD b\n", `dagman: line 2: unknown child "b"`},
+	{"self edge", "JOB a x.sub\nPARENT a CHILD a\n", `dagman: line 2: self edge on "a"`},
 	{"bad RETRY", "JOB a x.sub\nRETRY a lots\n", "dagman: line 2: "},
 	{"RETRY unknown", "JOB a x.sub\nRETRY b 1\n", "dagman: line 2: "},
 	{"VARS", "JOB a x.sub\nVARS a k=\"v\"\n", `dagman: line 2: unknown command "VARS"`},
@@ -93,6 +96,61 @@ func TestDAGWriteParseRoundTrip(t *testing.T) {
 	}
 	if len(d2.Nodes["phaseC"].Parents) != 2 {
 		t.Fatal("edges lost in round trip")
+	}
+}
+
+// TestAddNodeRejectsUnwritableNames builds DAGs through AddNode and
+// AddEdge: a node Write could not render back is rejected by name,
+// and every accepted DAG survives Write → Parse with its nodes, submit
+// files and edges.
+func TestAddNodeRejectsUnwritableNames(t *testing.T) {
+	for _, bad := range []Node{
+		{Name: "child", SubmitFile: "c.sub"},
+		{Name: "PARENT", SubmitFile: "p.sub"},
+		{Name: "Child", SubmitFile: "c.sub"},
+		{Name: "two words", SubmitFile: "w.sub"},
+		{Name: "tab\there", SubmitFile: "w.sub"},
+		{Name: "ok", SubmitFile: "my file.sub"},
+		{Name: "ok", SubmitFile: ""},
+	} {
+		d := NewDAG()
+		err := d.AddNode(&bad)
+		if err == nil {
+			t.Errorf("AddNode(%q, %q) accepted", bad.Name, bad.SubmitFile)
+		} else if want := fmt.Sprintf("dagman: node %q: ", bad.Name); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("AddNode(%q): error %q, want prefix %q", bad.Name, err, want)
+		}
+	}
+	d := NewDAG()
+	for _, n := range []*Node{
+		{Name: "a", SubmitFile: "a.sub"},
+		{Name: "children", SubmitFile: "c.sub", Retry: 1},
+		{Name: "DONE", SubmitFile: "d.sub", Done: true},
+		{Name: "parent-of-b", SubmitFile: "p.sub"},
+	} {
+		if err := d.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"a", "children"}, {"DONE", "children"}, {"children", "parent-of-b"}} {
+		if err := d.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Parse(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("written DAG does not parse: %v\n%s", err, buf.String())
+	}
+	for _, name := range d.Order {
+		n, n2 := d.Nodes[name], d2.Nodes[name]
+		if n2 == nil || n2.SubmitFile != n.SubmitFile || n2.Retry != n.Retry || n2.Done != n.Done ||
+			!slices.Equal(n2.Children, n.Children) || !slices.Equal(n2.Parents, n.Parents) {
+			t.Errorf("node %q changed in Write → Parse: %+v, want %+v", name, n2, n)
+		}
 	}
 }
 
@@ -261,10 +319,10 @@ func TestExecutorFailureExhaustsRetries(t *testing.T) {
 	if err := d.AddNode(&Node{Name: "bad", SubmitFile: "b.sub", Retry: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddNode(&Node{Name: "child", SubmitFile: "c.sub"}); err != nil {
+	if err := d.AddNode(&Node{Name: "after", SubmitFile: "a.sub"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdge("bad", "child"); err != nil {
+	if err := d.AddEdge("bad", "after"); err != nil {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(1)
@@ -287,7 +345,7 @@ func TestExecutorFailureExhaustsRetries(t *testing.T) {
 	if states["bad"] != NodeFailed {
 		t.Fatalf("bad node state %v", states["bad"])
 	}
-	if states["child"] == NodeDone {
+	if states["after"] == NodeDone {
 		t.Fatal("child of failed node ran")
 	}
 }

@@ -67,9 +67,10 @@ type Result struct {
 }
 
 // campaignCtx carries per-invocation shared state across cell runs:
-// the Fig. 5/6 batch traces, generated and prepared once per campaign
-// run on demand so every shard rebuilds them deterministically instead
-// of depending on another shard's output. Cells replay them
+// the Fig. 5/6 batch traces, generated and prepared on demand once per
+// Session (every campaign it runs replays the same two batches) or per
+// CampaignHandle, so every shard rebuilds them deterministically
+// instead of depending on another shard's output. Cells replay them
 // concurrently; a burst.Trace is read-only.
 type campaignCtx struct {
 	traceOnce sync.Once
@@ -133,14 +134,26 @@ func campaignByName(name string) (*campaign, error) {
 	return nil, fmt.Errorf("expt: unknown experiment %q (have %v)", name, Campaigns())
 }
 
-// Run executes every cell of the named experiment in-process and
-// finalizes, printing the report to opt.Out.
-func Run(name string, opt Options) (*Result, error) {
+// A Session runs registered experiments in-process under one Options.
+// What its campaigns share is built once per session: fig5, fig6,
+// policy3 and elastic replay the same two batch traces, so fdwexp's
+// "all" simulates those batches once instead of four times.
+type Session struct {
+	opt Options
+	ctx campaignCtx
+}
+
+// NewSession returns a session running experiments under opt.
+func NewSession(opt Options) *Session { return &Session{opt: opt} }
+
+// Run executes every cell of the named experiment and finalizes,
+// printing the report to the session options' Out.
+func (s *Session) Run(name string) (*Result, error) {
 	c, err := campaignByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return runCampaign(c, opt)
+	return runCampaign(c, s.opt, &s.ctx)
 }
 
 // checkCellIDs enforces the id contract: non-empty and unique.
@@ -159,9 +172,9 @@ func checkCellIDs(campaign string, ids []string) ([]string, error) {
 }
 
 // runCampaign executes every cell locally, absorbs the cells' metrics
-// into opt.Obs in canonical order, and finalizes — the path behind Run,
-// and the one fan-out besides RunShard.
-func runCampaign(c *campaign, opt Options) (*Result, error) {
+// into opt.Obs in canonical order, and finalizes — the path behind
+// Session.Run, and the one fan-out besides RunShard.
+func runCampaign(c *campaign, opt Options, ctx *campaignCtx) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -169,7 +182,6 @@ func runCampaign(c *campaign, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &campaignCtx{}
 	results := make([]any, len(ids))
 	regs := make([]*obs.Registry, len(ids))
 	err = par.Each(opt.Workers, len(ids), func() func(int) error {

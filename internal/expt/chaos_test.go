@@ -110,7 +110,7 @@ func TestChaosCountsInjectedFaults(t *testing.T) {
 	opt.Obs = obs.NewRegistry(nil)
 	var out bytes.Buffer
 	opt.Out = &out
-	if _, err := Run("chaos", opt); err != nil {
+	if _, err := NewSession(opt).Run("chaos"); err != nil {
 		t.Fatal(err)
 	}
 	var injected uint64

@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"fdw/internal/burst"
 	"fdw/internal/core"
 )
 
 // runRows runs the named experiment and returns its rows as T.
 func runRows[T any](t *testing.T, name string, opt Options) T {
 	t.Helper()
-	res, err := Run(name, opt)
+	res, err := NewSession(opt).Run(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestFig4BytesPinned(t *testing.T) {
 	opt.Scale = 0.01
 	var report bytes.Buffer
 	opt.Out = &report
-	res, err := Run("fig4", opt)
+	res, err := NewSession(opt).Run("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestReportsBytesPinned(t *testing.T) {
 		var report bytes.Buffer
 		o := opt
 		o.Out = &report
-		res, err := Run(name, o)
+		res, err := NewSession(o).Run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -549,7 +550,7 @@ func TestHarnessOutputIdenticalAcrossWorkers(t *testing.T) {
 				opt.Workers = workers
 				var out bytes.Buffer
 				opt.Out = &out
-				if _, err := Run(tc.experiment, opt); err != nil {
+				if _, err := NewSession(opt).Run(tc.experiment); err != nil {
 					t.Fatal(err)
 				}
 				if out.Len() == 0 {
@@ -583,7 +584,7 @@ func TestCellErrorsNameCampaignAndCell(t *testing.T) {
 		opt.Seeds = []uint64{11}
 		opt.Scale = 0.01
 		opt.Horizon = 600
-		_, err := Run(tc.name, opt)
+		_, err := NewSession(opt).Run(tc.name)
 		if err == nil {
 			t.Errorf("%q: no error under a 600 s horizon", tc.want)
 			continue
@@ -636,5 +637,37 @@ func TestCSVWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "b1,1,") || !strings.Contains(buf.String(), "b1,0,") {
 		t.Fatalf("fig5 CSV control flags: %q", buf.String())
+	}
+}
+
+// TestSessionBuildsTracesOnce runs the four campaigns that replay the
+// Fig. 5/6 batch traces in one session: the traces the first builds
+// are the ones every later campaign replays, and each report matches
+// the one a fresh session prints.
+func TestSessionBuildsTracesOnce(t *testing.T) {
+	var shared bytes.Buffer
+	opt := quickOptions()
+	opt.Out = &shared
+	s := NewSession(opt)
+	var first *burst.Trace
+	for _, name := range []string{"fig5", "fig6", "policy3", "elastic"} {
+		shared.Reset()
+		if _, err := s.Run(name); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = s.ctx.prepared[0]
+		} else if s.ctx.prepared[0] != first {
+			t.Fatalf("%s rebuilt the batch traces", name)
+		}
+		var alone bytes.Buffer
+		o := quickOptions()
+		o.Out = &alone
+		if _, err := NewSession(o).Run(name); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(shared.Bytes(), alone.Bytes()) {
+			t.Fatalf("%s report differs in a shared session:\n%s\nalone:\n%s", name, shared.Bytes(), alone.Bytes())
+		}
 	}
 }

@@ -48,7 +48,7 @@ func runUnsharded(t *testing.T, name string, opt Options) (report, csv []byte) {
 	t.Helper()
 	var rep bytes.Buffer
 	opt.Out = &rep
-	res, err := Run(name, opt)
+	res, err := NewSession(opt).Run(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestShardMetricsRollup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCampaign(c, uopt); err != nil {
+	if _, err := runCampaign(c, uopt, &campaignCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]uint64{}

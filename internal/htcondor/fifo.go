@@ -6,8 +6,13 @@ package htcondor
 // never from remove — so negotiation cursors opened over the queue stay
 // valid while the negotiator claims jobs out of it. FIFO order of the
 // live entries is exactly the seed []*Job append order.
+//
+// The negotiator claims from the front, so tombstones pile up there;
+// head skips them once, in remove, instead of once per cursor per
+// negotiation cycle.
 type jobFIFO struct {
 	jobs []*Job
+	head int // jobs[:head] are all tombstones
 	live int
 }
 
@@ -30,13 +35,18 @@ func (f *jobFIFO) remove(j *Job) bool {
 	f.jobs[i] = nil
 	j.fifoIdx = -1
 	f.live--
+	if i == f.head {
+		for f.head < len(f.jobs) && f.jobs[f.head] == nil {
+			f.head++
+		}
+	}
 	return true
 }
 
 // compact squeezes tombstones out, rewriting the stored indices.
 func (f *jobFIFO) compact() {
 	w := 0
-	for _, j := range f.jobs {
+	for _, j := range f.jobs[f.head:] {
 		if j == nil {
 			continue
 		}
@@ -44,10 +54,9 @@ func (f *jobFIFO) compact() {
 		j.fifoIdx = w
 		w++
 	}
-	for i := w; i < len(f.jobs); i++ {
-		f.jobs[i] = nil
-	}
+	clear(f.jobs[w:])
 	f.jobs = f.jobs[:w]
+	f.head = 0
 }
 
 // IdleCursor walks one owner's idle jobs in queue order without copying

@@ -2,6 +2,7 @@ package htcondor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fdw/internal/obs"
@@ -176,6 +177,8 @@ func (s *Schedd) Submit(jobs []*Job) (int, error) {
 	}
 	cluster := s.nextCluster
 	s.nextCluster++
+	s.staged = slices.Grow(s.staged, len(jobs))
+	s.all = slices.Grow(s.all, len(jobs))
 	for i, j := range jobs {
 		j.Cluster = cluster
 		j.Proc = i
@@ -247,15 +250,16 @@ func (s *Schedd) AppendIdleOwners(dst []string) []string {
 }
 
 // OwnerIdleCursor opens a cursor over owner's idle jobs in FIFO order,
-// bounded to jobs queued at the time of the call. The cursor stays
-// valid across claims (removals) but not across new submissions or
-// evictions, so it must be consumed within one negotiation cycle.
+// bounded to jobs queued at the time of the call. It starts past the
+// queue's leading tombstones. The cursor stays valid across claims
+// (removals) but not across new submissions or evictions, so it must be
+// consumed within one negotiation cycle.
 func (s *Schedd) OwnerIdleCursor(owner string) IdleCursor {
 	q := s.ownerQ[owner]
 	if q == nil {
 		return IdleCursor{}
 	}
-	return IdleCursor{f: q, end: len(q.jobs)}
+	return IdleCursor{f: q, pos: q.head, end: len(q.jobs)}
 }
 
 // Completed returns how many jobs have terminated successfully.

@@ -26,7 +26,8 @@
 //	              iteration, channel arrival, or goroutine completion.
 //	errdrop     — errors from Close/Flush/Sync/Write/Commit on durable
 //	              write handles, and from os.Rename, must be checked.
-//	globalstate — no package-level sync.Map or sync/atomic var, and no
+//	globalstate — no package-level var that holds a lock, sync.Map or
+//	              atomic, or whose type's methods write it, and no
 //	              package-level var assigned outside its declaration
 //	              and init: caches and counters belong to their run.
 //	deadexport  — every exported identifier and method in internal/...

@@ -18,7 +18,7 @@ func (r *Registry) Now() sim.Time {
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
-	if c.r == nil {
+	if c == nil || c.r == nil {
 		return 0
 	}
 	c.r.mu.Lock()
@@ -28,7 +28,7 @@ func (c *Counter) Value() uint64 {
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
-	if g.r == nil {
+	if g == nil || g.r == nil {
 		return 0
 	}
 	g.r.mu.Lock()
@@ -38,7 +38,7 @@ func (g *Gauge) Value() float64 {
 
 // At returns the sim.Time of the last Set/Add.
 func (g *Gauge) At() sim.Time {
-	if g.r == nil {
+	if g == nil || g.r == nil {
 		return 0
 	}
 	g.r.mu.Lock()
@@ -48,7 +48,7 @@ func (g *Gauge) At() sim.Time {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	if h.r == nil {
+	if h == nil || h.r == nil {
 		return 0
 	}
 	h.r.mu.Lock()
@@ -58,7 +58,7 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 {
-	if h.r == nil {
+	if h == nil || h.r == nil {
 		return 0
 	}
 	h.r.mu.Lock()
@@ -70,7 +70,7 @@ func (h *Histogram) Sum() float64 {
 // within the bucket containing it, clamped to the observed [min, max].
 // It returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.r == nil {
+	if h == nil || h.r == nil {
 		return 0
 	}
 	h.r.mu.Lock()

@@ -183,8 +183,8 @@ func TestSpanLimit(t *testing.T) {
 }
 
 // Spans need a clock, and a span nobody records costs nothing: on a
-// nil, an unclocked and a full registry StartSpan hands out the shared
-// inert span without allocating.
+// nil, an unclocked and a full registry StartSpan hands out a nil span,
+// whose methods are no-ops, without allocating.
 func TestStartSpanInertAllocatesNothing(t *testing.T) {
 	full := NewRegistry(func() sim.Time { return 0 })
 	for i := 0; i < SpanLimit; i++ {

@@ -11,9 +11,9 @@
 // or disabled (asserted by TestFiguresIdenticalWithMetricsEnabled).
 //
 // A nil *Registry is a valid no-op sink: every method on a nil
-// registry returns a shared inert instrument, so instrumented
-// subsystems call r.Counter(...).Inc() unconditionally and pay only a
-// map-free fast path when observability is off.
+// registry returns a nil instrument, whose methods are no-ops, so
+// instrumented subsystems call r.Counter(...).Inc() unconditionally and
+// pay only a map-free fast path when observability is off.
 //
 // The registry is safe for concurrent use, but the experiment harness
 // gives every cell its own unclocked registry and folds the cells'
@@ -127,7 +127,7 @@ func metricKey(name string, pairs [][2]string) string {
 // arithmetic commutes, so counter totals roll up exactly in any
 // order.
 type Counter struct {
-	r     *Registry // nil for the shared no-op instance
+	r     *Registry
 	name  string
 	pairs [][2]string
 
@@ -135,12 +135,10 @@ type Counter struct {
 	at sim.Time
 }
 
-var nopCounter = &Counter{}
-
 // Counter returns (registering on first use) the named counter.
 func (r *Registry) Counter(name string, labelKV ...string) *Counter {
 	if r == nil {
-		return nopCounter
+		return nil
 	}
 	pairs := labelPairs(labelKV)
 	key := metricKey(name, pairs)
@@ -154,9 +152,9 @@ func (r *Registry) Counter(name string, labelKV ...string) *Counter {
 	return c
 }
 
-// Add increases the counter by n.
+// Add increases the counter by n. A nil counter ignores it.
 func (c *Counter) Add(n uint64) {
-	if c.r == nil {
+	if c == nil || c.r == nil {
 		return
 	}
 	c.r.mu.Lock()
@@ -178,12 +176,10 @@ type Gauge struct {
 	at sim.Time
 }
 
-var nopGauge = &Gauge{}
-
 // Gauge returns (registering on first use) the named gauge.
 func (r *Registry) Gauge(name string, labelKV ...string) *Gauge {
 	if r == nil {
-		return nopGauge
+		return nil
 	}
 	pairs := labelPairs(labelKV)
 	key := metricKey(name, pairs)
@@ -197,9 +193,10 @@ func (r *Registry) Gauge(name string, labelKV ...string) *Gauge {
 	return g
 }
 
-// Set stores v, stamped with the current simulated time.
+// Set stores v, stamped with the current simulated time. A nil gauge
+// ignores it.
 func (g *Gauge) Set(v float64) {
-	if g.r == nil {
+	if g == nil || g.r == nil {
 		return
 	}
 	g.r.mu.Lock()
@@ -230,8 +227,6 @@ type Histogram struct {
 	at       sim.Time
 }
 
-var nopHistogram = &Histogram{}
-
 // Histogram returns (registering on first use) the named histogram
 // with DefaultBuckets.
 func (r *Registry) Histogram(name string, labelKV ...string) *Histogram {
@@ -243,7 +238,7 @@ func (r *Registry) Histogram(name string, labelKV ...string) *Histogram {
 // original bounds).
 func (r *Registry) HistogramBuckets(name string, bounds []float64, labelKV ...string) *Histogram {
 	if r == nil {
-		return nopHistogram
+		return nil
 	}
 	pairs := labelPairs(labelKV)
 	key := metricKey(name, pairs)
@@ -260,9 +255,9 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, labelKV ...st
 	return h
 }
 
-// Observe records one sample.
+// Observe records one sample. A nil histogram ignores it.
 func (h *Histogram) Observe(v float64) {
-	if h.r == nil {
+	if h == nil || h.r == nil {
 		return
 	}
 	h.r.mu.Lock()

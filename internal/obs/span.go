@@ -8,7 +8,7 @@ import "fdw/internal/sim"
 // timestamped by the registry's simulation clock unless an explicit
 // time is supplied.
 type Span struct {
-	r    *Registry // nil for the shared inert span
+	r    *Registry
 	kind string
 	id   string
 
@@ -28,26 +28,23 @@ type SpanEvent struct {
 	Value float64  `json:"value,omitempty"`
 }
 
-// nopSpan is the shared inert span: every method on it is a no-op.
-var nopSpan = &Span{}
-
 // StartSpan opens a span of the given kind and identity, stamped with
 // the current simulated time. Spans need a clock: on a nil or unclocked
 // registry, or past the span retention limit (tallied in
-// Snapshot.SpansDropped), it returns the shared inert span, never nil,
-// without allocating.
+// Snapshot.SpansDropped), it returns nil without allocating; every
+// method of a nil span is a no-op.
 func (r *Registry) StartSpan(kind, id string) *Span {
 	if r == nil {
-		return nopSpan
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.clock == nil {
-		return nopSpan
+		return nil
 	}
 	if len(r.spans) >= SpanLimit {
 		r.spansDropped++
-		return nopSpan
+		return nil
 	}
 	s := &Span{r: r, kind: kind, id: id, start: r.clock()}
 	r.spans = append(r.spans, s)

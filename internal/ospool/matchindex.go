@@ -35,33 +35,75 @@ import (
 // open→half-open transition is idempotent at a fixed now, so per-site
 // dedup of consultations cannot change breaker state).
 
-// freeHeap is a min-heap of idle glideins keyed by id, implementing
-// container/heap. Swap maintains each glidein's heapIdx so removal by
-// handle is O(log n).
+// freeHeap is a min-heap of idle glideins keyed by id, with
+// container/heap's sift algorithms written against *glidein, as sim's
+// calendar is: each move keeps the moved glidein's heapIdx current, so
+// removal by handle is O(log n). The container/heap version it replaced
+// is kept in matchindex_test.go as the reference for its layout.
 type freeHeap []*glidein
 
-func (h freeHeap) Len() int           { return len(h) }
-func (h freeHeap) Less(i, j int) bool { return h[i].id < h[j].id }
-func (h freeHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+// up sifts the glidein at j towards the root.
+func (h freeHeap) up(j int) {
+	g := h[j]
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		p := h[i]
+		if g.id >= p.id {
+			break
+		}
+		h[j] = p
+		p.heapIdx = j
+		j = i
+	}
+	h[j] = g
+	g.heapIdx = j
 }
 
-func (h *freeHeap) Push(x any) {
-	g := x.(*glidein)
-	g.heapIdx = len(*h)
+// down sifts the glidein at i0 towards the leaves of h[:n] and reports
+// whether it moved.
+func (h freeHeap) down(i0, n int) bool {
+	i := i0
+	g := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n || c < 0 { // c < 0 after int overflow
+			break
+		}
+		if r := c + 1; r < n && h[r].id < h[c].id {
+			c = r
+		}
+		if h[c].id >= g.id {
+			break
+		}
+		h[i] = h[c]
+		h[i].heapIdx = i
+		i = c
+	}
+	h[i] = g
+	g.heapIdx = i
+	return i > i0
+}
+
+func (h *freeHeap) push(g *glidein) {
 	*h = append(*h, g)
+	h.up(len(*h) - 1)
 }
 
-func (h *freeHeap) Pop() any {
+// remove takes out the glidein at index i, moving the last one into
+// its place as container/heap.Remove does.
+func (h *freeHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	g := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	g := old[i]
+	if i != n {
+		old[i] = old[n]
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	old[n] = nil
+	*h = old[:n]
 	g.heapIdx = -1
-	*h = old[:n-1]
-	return g
 }
 
 // negOwner is one owner's negotiation state for a single cycle: lazy

@@ -21,7 +21,6 @@ package ospool
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -140,8 +139,21 @@ type glidein struct {
 	idleAt   sim.Time
 	retired  bool
 	heapIdx  int        // position in its site's free heap; -1 when busy
-	done     *sim.Event // pending completion event for the running job
+	done     *sim.Event // pending completion or deadline event of the claim
 	expireEv *sim.Event // scheduled lifetime-expiry event
+
+	// The running claim's outcome, read by its completion or deadline
+	// event: exit code and how long the slot is held. claim numbers the
+	// glidein's claims; an event scheduled for an earlier one is stale.
+	exitCode int
+	held     sim.Time
+	claim    uint64
+
+	// Callbacks built once per glidein, so a claim schedules its events
+	// without allocating a closure.
+	onDone     func(claim uint64)
+	onDeadline func(claim uint64)
+	onExpire   func()
 }
 
 // siteState is the per-site shard of the matchmaking index: the shared
@@ -151,7 +163,8 @@ type siteState struct {
 	cfg       *SiteConfig
 	ad        classad.Ad
 	free      freeHeap
-	liveCount int // glideins at this site, idle + busy
+	liveCount int    // glideins at this site, idle + busy
+	arrive    func() // a requested pilot reaching this site; built in New
 }
 
 // ExecFault describes an injected outcome for one execution attempt,
@@ -364,6 +377,7 @@ func New(k *sim.Kernel, cfg Config, cache *stash.Cache) (*Pool, error) {
 				"HasSingularity": classad.Bool(true),
 				"GLIDEIN_Site":   classad.String(s.Name),
 			},
+			arrive: func() { p.glideinArrives(i) },
 		}
 	}
 	return p, nil
@@ -427,14 +441,13 @@ func (p *Pool) SetRecovery(h RecoveryHook) { p.recovery = h }
 
 // addFree returns g to its site's free heap.
 func (p *Pool) addFree(g *glidein) {
-	heap.Push(&p.sites[g.siteIdx].free, g)
+	p.sites[g.siteIdx].free.push(g)
 	p.freeCount++
 }
 
 // removeFree takes g out of its site's free heap.
 func (p *Pool) removeFree(g *glidein) {
-	heap.Remove(&p.sites[g.siteIdx].free, g.heapIdx)
-	g.heapIdx = -1
+	p.sites[g.siteIdx].free.remove(g.heapIdx)
 	p.freeCount--
 }
 
@@ -611,7 +624,7 @@ func (p *Pool) provision() {
 		if delay < 30 {
 			delay = 30
 		}
-		p.kernel.After(delay, func() { p.glideinArrives(siteIdx) })
+		p.kernel.After(delay, p.sites[siteIdx].arrive)
 	}
 }
 
@@ -679,6 +692,8 @@ func (p *Pool) glideinArrives(siteIdx int) {
 		expire:  now + sim.Time(p.rng.Exp(float64(p.cfg.GlideinLifetimeMean))),
 		idleAt:  now,
 	}
+	g.onDone = func(claim uint64) { p.finishClaim(g, claim) }
+	g.onExpire = func() { p.expireGlidein(g) }
 	p.nextID++
 	p.live[g.id] = g
 	st.liveCount++
@@ -689,7 +704,7 @@ func (p *Pool) glideinArrives(siteIdx int) {
 	}
 	// Pilot lifetime: if still running a job at expiry, the job is
 	// preempted (evicted) and returns to the queue.
-	g.expireEv = p.kernel.At(g.expire, func() { p.expireGlidein(g) })
+	g.expireEv = p.kernel.At(g.expire, g.onExpire)
 }
 
 func (p *Pool) expireGlidein(g *glidein) {
@@ -853,6 +868,7 @@ func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
 	}
 	g.job = job
 	g.schedd = schedd
+	g.claim++
 	p.byJob[job] = g
 	p.busy++
 	p.ownerRunning[job.Owner]++
@@ -922,6 +938,7 @@ func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
 		}
 	}
 	total := sim.Time(transferIn + exec + transferOut)
+	g.exitCode = exitCode
 	if p.recovery != nil {
 		if d := p.recovery.JobDeadlineSeconds(job, p.kernel.Now()); d > 0 && sim.Time(d) < total {
 			// The attempt will outrun its wall-clock budget (HTCondor
@@ -929,58 +946,72 @@ func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
 			// letting a black-hole or straggler slot hold the job until
 			// the horizon. Deadline evictions do not consume the job's
 			// max_retries budget — the job renegotiates like a preemption.
-			deadline := sim.Time(d)
-			g.done = p.kernel.After(deadline, func() {
-				g.done = nil
-				if g.job != job {
-					return // evicted meanwhile
-				}
-				p.release(g)
-				p.evictions++
-				p.wastedSeconds += float64(deadline)
-				if p.obs != nil {
-					p.met.deadline[g.siteIdx].Inc()
-				}
-				if p.recovery != nil {
-					p.recovery.AttemptEnded(g.site.Name, job, AttemptDeadline, float64(deadline), p.kernel.Now())
-				}
-				_ = schedd.MarkEvicted(job)
-				p.slotGauges()
-			})
+			if g.onDeadline == nil { // built on the first deadline only
+				g.onDeadline = func(claim uint64) { p.deadlineClaim(g, claim) }
+			}
+			g.held = sim.Time(d)
+			g.done = p.kernel.AfterArg(g.held, g.onDeadline, g.claim)
 			return
 		}
 	}
-	g.done = p.kernel.After(total, func() {
-		g.done = nil
-		if g.job != job {
-			return // evicted meanwhile
-		}
-		p.release(g)
+	g.held = total
+	g.done = p.kernel.AfterArg(total, g.onDone, g.claim)
+}
+
+// deadlineClaim evicts g's job when claim number claim reaches its
+// recovery deadline.
+func (p *Pool) deadlineClaim(g *glidein, claim uint64) {
+	if claim != g.claim || g.job == nil {
+		return // a stale event of an earlier claim
+	}
+	g.done = nil
+	job, schedd, deadline := g.job, g.schedd, g.held
+	p.release(g)
+	p.evictions++
+	p.wastedSeconds += float64(deadline)
+	if p.obs != nil {
+		p.met.deadline[g.siteIdx].Inc()
+	}
+	if p.recovery != nil {
+		p.recovery.AttemptEnded(g.site.Name, job, AttemptDeadline, float64(deadline), p.kernel.Now())
+	}
+	_ = schedd.MarkEvicted(job)
+	p.slotGauges()
+}
+
+// finishClaim ends claim number claim on g once its transfers and
+// execution are done: the job completes, or re-queues for a retry.
+func (p *Pool) finishClaim(g *glidein, claim uint64) {
+	if claim != g.claim || g.job == nil {
+		return // a stale event of an earlier claim
+	}
+	g.done = nil
+	job, schedd, total, exitCode := g.job, g.schedd, g.held, g.exitCode
+	p.release(g)
+	if exitCode != 0 {
+		p.wastedSeconds += float64(total)
+	}
+	if p.recovery != nil {
+		outcome := AttemptOK
 		if exitCode != 0 {
-			p.wastedSeconds += float64(total)
+			outcome = AttemptFailed
 		}
-		if p.recovery != nil {
-			outcome := AttemptOK
-			if exitCode != 0 {
-				outcome = AttemptFailed
-			}
-			p.recovery.AttemptEnded(g.site.Name, job, outcome, float64(total), p.kernel.Now())
+		p.recovery.AttemptEnded(g.site.Name, job, outcome, float64(total), p.kernel.Now())
+	}
+	if exitCode != 0 && job.Failures < job.MaxRetries {
+		// Job-level retry (max_retries): the failed attempt
+		// re-queues instead of terminating the job.
+		job.Failures++
+		p.evictions++
+		if p.obs != nil {
+			p.met.jobRetries.Inc()
 		}
-		if exitCode != 0 && job.Failures < job.MaxRetries {
-			// Job-level retry (max_retries): the failed attempt
-			// re-queues instead of terminating the job.
-			job.Failures++
-			p.evictions++
-			if p.obs != nil {
-				p.met.jobRetries.Inc()
-			}
-			_ = schedd.MarkEvicted(job)
-			return
-		}
-		p.completed++
-		_ = schedd.MarkCompleted(job, exitCode)
-		p.slotGauges()
-	})
+		_ = schedd.MarkEvicted(job)
+		return
+	}
+	p.completed++
+	_ = schedd.MarkCompleted(job, exitCode)
+	p.slotGauges()
 }
 
 // CancelClaim tears down the running claim for j, freeing its glidein

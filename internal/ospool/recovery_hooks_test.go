@@ -284,6 +284,63 @@ func TestCancelClaimFreesSlot(t *testing.T) {
 	}
 }
 
+// TestStaleCompletionSparesReclaimedGlidein cancels a claim, puts a
+// second job on the same glidein, and then delivers the first claim's
+// completion anyway, at the time it was due. The second claim must keep
+// running until its own completion, which alone may finish it.
+func TestStaleCompletionSparesReclaimedGlidein(t *testing.T) {
+	k := sim.NewKernel(47)
+	p, err := New(k, testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := htcondor.NewSchedd("s", k, nil)
+	p.AddSchedd(s)
+	first := makeJobs(1, "u", 3600)
+	if _, err := s.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	for first[0].Status != htcondor.Running && k.Step() {
+	}
+	g := p.byJob[first[0]]
+	if g == nil {
+		t.Fatal("first job never started")
+	}
+	staleClaim, staleDue := g.claim, first[0].StartTime+g.held
+	second := makeJobs(1, "u", 7200)
+	k.At(k.Now()+100, func() {
+		if !p.CancelClaim(first[0]) {
+			t.Fatal("CancelClaim found no claim")
+		}
+		if err := s.AbortRunning(first[0]); err != nil {
+			t.Fatal(err)
+		}
+		p.Stop()            // no negotiation: the second job goes to g alone
+		g.expireEv.Cancel() // and the pilot outlives it
+		if _, err := s.Submit(second); err != nil {
+			t.Fatal(err)
+		}
+		p.claim(g, second[0], s)
+		if p.byJob[second[0]] != g {
+			t.Fatal("second job not claimed on the same glidein")
+		}
+	})
+	k.At(staleDue, func() { g.onDone(staleClaim) })
+	k.RunUntil(staleDue)
+	if second[0].Status != htcondor.Running || p.byJob[second[0]] != g {
+		t.Fatalf("stale completion ended the new claim: status %v", second[0].Status)
+	}
+	for k.Step() {
+	}
+	if second[0].Status != htcondor.Completed {
+		t.Fatalf("second job status %v, want completed", second[0].Status)
+	}
+	if want := second[0].StartTime + g.held; second[0].EndTime != want {
+		t.Fatalf("second job ended at %v, want its own completion at %v", second[0].EndTime, want)
+	}
+}
+
 // TestHorizonTimeoutDiagnostics checks the enriched RunUntilDone error:
 // queue counts, glidein counts, and open breakers must all be readable
 // from the error string alone.

@@ -549,7 +549,7 @@ func TestSchedMergesAnyExperiment(t *testing.T) {
 		opt.Seeds = []uint64{11}
 		var want bytes.Buffer
 		opt.Out = &want
-		ref, err := expt.Run(name, opt)
+		ref, err := expt.NewSession(opt).Run(name)
 		if err != nil {
 			t.Fatal(err)
 		}

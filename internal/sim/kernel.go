@@ -23,11 +23,14 @@ func (t Time) String() string { return t.Duration().Round(time.Second).String() 
 // Forever is a sentinel time far beyond any experiment horizon.
 const Forever Time = math.MaxFloat64 / 4
 
-// Event is a scheduled callback on the simulation calendar.
+// Event is a scheduled callback on the simulation calendar: fn, or
+// argFn(arg) for events scheduled with AfterArg.
 type Event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among equal timestamps
 	fn     func()
+	argFn  func(uint64)
+	arg    uint64
 	k      *Kernel
 	cancel bool
 	index  int // heap index, -1 once popped
@@ -44,6 +47,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.cancel = true
+	e.fn, e.argFn = nil, nil // its chunk may outlive it: drop what fn holds
 	if e.index >= 0 && e.k != nil {
 		e.k.cancelled++
 		e.k.maybeReap()
@@ -145,7 +149,15 @@ type Kernel struct {
 	// cancelled counts tombstones still on the calendar; maybeReap
 	// compacts the heap when they dominate.
 	cancelled int
+	// spare is the unused tail of the chunk schedule carves events from.
+	spare []Event
 }
+
+// eventChunk is how many events one allocation holds. A chunk is never
+// reused: an event stays valid, and Cancel on it stays a no-op after it
+// fired, for as long as a caller holds it. A chunk is freed once none
+// of its events is referenced.
+const eventChunk = 128
 
 // NewKernel returns a kernel at time zero with a deterministic RNG.
 func NewKernel(seed uint64) *Kernel {
@@ -186,21 +198,44 @@ func (k *Kernel) maybeReap() {
 	k.events.init()
 }
 
-// At schedules fn to run at absolute time at. Scheduling in the past
-// panics: it would silently corrupt causality.
-func (k *Kernel) At(at Time, fn func()) *Event {
+// schedule puts a fresh event at absolute time at on the calendar; the
+// caller sets its callback. Scheduling in the past panics: it would
+// silently corrupt causality.
+func (k *Kernel) schedule(at Time) *Event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
-	e := &Event{at: at, seq: k.seq, fn: fn, k: k}
+	if len(k.spare) == 0 {
+		k.spare = make([]Event, eventChunk)
+	}
+	e := &k.spare[0]
+	k.spare = k.spare[1:]
+	e.at, e.seq, e.k = at, k.seq, k
 	k.seq++
 	k.events.push(e)
+	return e
+}
+
+// At schedules fn to run at absolute time at. Scheduling in the past
+// panics.
+func (k *Kernel) At(at Time, fn func()) *Event {
+	e := k.schedule(at)
+	e.fn = fn
 	return e
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
 func (k *Kernel) After(d Time, fn func()) *Event {
 	return k.At(k.now+d, fn)
+}
+
+// AfterArg schedules fn(arg) to run d seconds from now. A caller that
+// builds fn once and passes per-call state in arg schedules without
+// allocating a closure per call.
+func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) *Event {
+	e := k.schedule(k.now + d)
+	e.argFn, e.arg = fn, arg
+	return e
 }
 
 // Step executes the next event. It reports false when the calendar is
@@ -213,7 +248,13 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = e.at
-		e.fn()
+		fn, argFn := e.fn, e.argFn
+		e.fn, e.argFn = nil, nil
+		if fn != nil {
+			fn()
+		} else {
+			argFn(e.arg)
+		}
 		return true
 	}
 	return false

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -449,6 +450,43 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	k.At(2, func() {})
 	if k.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", k.Pending())
+	}
+}
+
+// TestAfterArgKeepsCalendarOrder mixes AfterArg and At events across
+// several event chunks: each fires once, in (at, seq) order, with its
+// own argument, and a cancelled AfterArg event never fires.
+func TestAfterArgKeepsCalendarOrder(t *testing.T) {
+	k := NewKernel(1)
+	var got []uint64
+	record := func(arg uint64) { got = append(got, arg) }
+	var want []uint64
+	var cancelled []*Event
+	for i := uint64(0); i < 3*eventChunk; i++ {
+		at := Time(i % 7)
+		switch i % 3 {
+		case 0:
+			k.At(at, func() { got = append(got, i) })
+		case 1:
+			k.AfterArg(at, record, i)
+		case 2:
+			cancelled = append(cancelled, k.AfterArg(at, record, i))
+			continue
+		}
+	}
+	for at := uint64(0); at < 7; at++ {
+		for i := uint64(0); i < 3*eventChunk; i++ {
+			if i%7 == at && i%3 != 2 {
+				want = append(want, i)
+			}
+		}
+	}
+	for _, e := range cancelled {
+		e.Cancel()
+	}
+	k.Run()
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v\nwant  %v", got, want)
 	}
 }
 

@@ -26,7 +26,7 @@ func figureOutput(t *testing.T, name string, metered bool, workers int) (report,
 	if metered {
 		opt.Obs = fdw.NewMetrics(nil)
 	}
-	res, err := expt.Run(name, opt)
+	res, err := expt.NewSession(opt).Run(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMeteredRunRecordsActivity(t *testing.T) {
 	opt.Seeds = []uint64{11}
 	opt.Workers = 4
 	opt.Obs = fdw.NewMetrics(nil)
-	if _, err := expt.Run("fig2", opt); err != nil {
+	if _, err := expt.NewSession(opt).Run("fig2"); err != nil {
 		t.Fatal(err)
 	}
 	snap := opt.Obs.Snapshot()
